@@ -44,10 +44,12 @@ from .params import (
     LocalUpdate,
     ModelParams,
     TrainConfig,
+    TrainJob,
     combine,
     dice_score,
     evaluate_cost,
     train_local,
+    train_round,
 )
 from .selection import (
     NodeClassification,

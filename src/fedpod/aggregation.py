@@ -185,7 +185,7 @@ def aggregate(updates: Sequence[LocalUpdate], weights: Sequence[float]) -> Model
     """Weighted merge into the next global model.
 
     Pairs are summed in node-id order, so the result does not depend on the
-    completion order of the workers that produced the updates.
+    order of `updates`.
     """
     if len(updates) != len(weights):
         raise ShapeError(f"{len(updates)} updates vs {len(weights)} weights")

@@ -304,6 +304,8 @@ def read_model_bin(path: Path) -> ModelParams:
     if len(raw) < 8:
         raise ParseError("model file too short for its header")
     (dim,) = struct.unpack("<Q", raw[:8])
+    if (len(raw) - 8) % 8:
+        raise ParseError(f"model file payload of {len(raw) - 8} bytes is not a whole number of float64 values")
     values = np.frombuffer(raw[8:], dtype="<f8")
     if values.size != dim:
         raise ParseError(f"model file header says {dim} values, found {values.size}")

@@ -1,5 +1,5 @@
-"""Round loop: phase schedule, local training fan-out, straggler drop and
-replacement, aggregation barrier, and metric accumulation.
+"""Round loop: phase schedule, one batched local-training pass per round,
+straggler drop and replacement, aggregation, and metric accumulation.
 
 Everything is driven by one `ExperimentConfig`; identical configs produce
 identical reports. Per-purpose RNG streams are derived from the experiment
@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .aggregation import AggregationStrategy, CostHistory, LocalUpdate, aggregate, compute_weights
+from .aggregation import AggregationStrategy, CostHistory, aggregate, compute_weights
 from .cohort import (
     PartitionTable,
     fit_poisson,
@@ -26,12 +26,13 @@ from .errors import ValidationError
 from .params import (
     DataShard,
     ModelParams,
-    TrainConfig,
+    TrainJob,
     blob_geometry,
     dice_score,
     make_blob_shard,
     predict_labels,
-    train_local,
+    train_local,  # noqa: F401 -- unused here, but the benchmark's tracer (bench/tracer.py) wraps this name
+    train_round,
 )
 from .selection import (
     ROLE_PRIMARY,
@@ -290,17 +291,19 @@ def detect_stragglers(
     timings: Sequence[tuple[str, TimingSample]],
     timeout_factor: float,
 ) -> frozenset[str]:
-    """Nodes whose total time exceeds timeout_factor times the median total.
+    """Nodes whose total time exceeds timeout_factor times the lower median
+    total, `sorted(totals)[(n - 1) // 2]`.
 
-    The median node is never above its own scaled threshold, so this can
-    never drop everyone.
+    The lower median is one node's own total, and that node is never above
+    its own scaled threshold, so this can never drop everyone. With two
+    nodes it is the faster one's total, so a slow partner can be dropped.
     """
     if not timings:
         raise ValidationError("need at least one timing")
     if not timeout_factor > 1:
         raise ValidationError("timeout_factor must be > 1")
     totals = {node: sample.total() for node, sample in timings}
-    median = float(np.median(list(totals.values())))
+    median = sorted(totals.values())[(len(totals) - 1) // 2]
     return frozenset(node for node, total in totals.items() if total > timeout_factor * median)
 
 
@@ -433,24 +436,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if -len(ordered) <= config.timing.inject_rank < len(ordered):
                 injected = ordered[config.timing.inject_rank]
 
-        updates: list[LocalUpdate] = []
+        jobs = []
         for participant in plan.participants:
             inst = participant.institution_id
             shard = shards[inst]
+            rows = None
             if participant.role == ROLE_PRIMARY:
-                subset = shard.take(window_indices(len(shard), participant.shard_offset, participant.quota))
+                rows = window_indices(len(shard), participant.shard_offset, participant.quota)
                 offsets[inst] = (participant.shard_offset + participant.quota) % len(shard)
-            else:
-                subset = shard
-            cfg = TrainConfig(
-                epochs=phase.epochs,
-                learning_rate=phase.learning_rate,
-                seed=train_seed(config.seed, round_index, node_index[inst]),
-                batch_size=config.batch_size,
-            )
-            update = train_local(model, subset, node_val[inst], cfg, node_id=inst)
+            seed = train_seed(config.seed, round_index, node_index[inst])
+            jobs.append(TrainJob(inst, shard, node_val[inst], seed, rows))
+
+        updates = []
+        for update in train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size):
+            inst = update.node_id
             timing_rng = np.random.default_rng([config.seed, _TIMING_SALT, round_index, node_index[inst]])
-            timing = sample_timings(len(subset), phase.epochs, len(node_val[inst]), config.timing, timing_rng)
+            timing = sample_timings(update.data_size, phase.epochs, len(node_val[inst]), config.timing, timing_rng)
             if inst == injected:
                 timing = timing.scaled(config.timing.inject_factor)
             updates.append(replace(update, timings=timing))
@@ -497,6 +498,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         )
         blacklist = dropped
+        # Free this round's updates before the next round trains.
+        del updates, survivors, result
         if cumulative >= config.max_simulated_time_s:
             break
 

@@ -92,15 +92,6 @@ class DataShard:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def take(self, indices: Sequence[int]) -> DataShard:
-        """Subset shard by positional indices (used for quota windows)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return DataShard(
-            self.features[idx],
-            self.labels[idx],
-            tuple(self.sample_ids[i] for i in idx),
-        )
-
 
 @dataclass(frozen=True)
 class CostTrajectory:
@@ -275,7 +266,8 @@ def train_local(
     Batch order is shuffled by the node's own seeded stream, so the result
     is bit-reproducible for a fixed cfg.seed. Validation cost is sampled at
     every epoch boundary, giving the trajectory the aggregation integral
-    needs.
+    needs. This is the single-node reference that `train_round` reproduces
+    bit for bit.
     """
     n_classes, feature_dim = _classifier_dims(start, shard)
     _classifier_dims(start, val)
@@ -304,6 +296,213 @@ def train_local(
         post_cost=post_cost,
         trajectory=CostTrajectory(tuple(trajectory)),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class TrainJob:
+    """One participant of a round: the positional rows of `shard` it trains
+    on (None for every row), its validation shard, and the seed of its
+    batch-order stream."""
+
+    node_id: str
+    shard: DataShard
+    val: DataShard
+    seed: int
+    rows: np.ndarray | None = None
+
+
+def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
+    """`_logits` of k models, (k, dim), on k equal-length batches, (k, L, feature_dim)."""
+    split = n_classes * feature_dim
+    w = values[:, :split].reshape(len(values), n_classes, feature_dim)
+    return np.matmul(features, w.transpose(0, 2, 1)) + values[:, None, split:]
+
+
+def _stacked_gradient(
+    values: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    feature_dim: int,
+) -> np.ndarray:
+    """`_batch_gradient` of k models on k equal-length batches at once.
+
+    Each slice goes through the same kernels, with the same shapes and
+    strides, as one `_batch_gradient` call, so every row of the result
+    equals it bit for bit.
+    """
+    k, length = labels.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _stacked_logits(values, features, n_classes, feature_dim)
+        z -= z.max(axis=2, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=2, keepdims=True)
+        p[np.arange(k)[:, None], np.arange(length), labels] -= 1.0
+        p /= length
+        grad_w = np.matmul(p.transpose(0, 2, 1), features)
+        return np.concatenate([grad_w.reshape(k, -1), p.sum(axis=1)], axis=1)
+
+
+def _stacked_cost(
+    values: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    feature_dim: int,
+) -> np.ndarray:
+    """`_mean_cross_entropy` of k models on k equal-size shards, before its clip at 0."""
+    k, size = labels.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _stacked_logits(values, features, n_classes, feature_dim)
+        z = z - z.max(axis=2, keepdims=True)
+        log_norm = np.log(np.exp(z).sum(axis=2))
+        picked = z[np.arange(k)[:, None], np.arange(size), labels]
+        return np.mean(log_norm - picked, axis=1)
+
+
+# Jobs trained together by `train_round`. Bounds the pooled rows, the gathered
+# batches and their temporaries, so memory stays flat however many nodes
+# take part.
+_BLOCK_NODES = 128
+
+
+def _train_block(
+    start: ModelParams,
+    jobs: Sequence[TrainJob],
+    rows: Sequence[np.ndarray | slice],
+    epochs: int,
+    learning_rate: float,
+    batch_size: int,
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """`train_round`'s SGD for one block of jobs.
+
+    Returns the trained parameters (jobs, dim), the validation costs before
+    the clip at 0 (epochs + 1, jobs), and the divergence detail of each job
+    that diverged, by position in `jobs`.
+    """
+    n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
+    # The jobs' training rows back to back: job i owns [starts[i], starts[i] + sizes[i]).
+    features = np.concatenate([job.shard.features[r] for job, r in zip(jobs, rows)])
+    job_labels = [job.shard.labels[r] for job, r in zip(jobs, rows)]
+    labels = np.concatenate(job_labels)
+    sizes = np.array([len(y) for y in job_labels])
+    starts = np.cumsum(sizes) - sizes
+
+    # One epoch as (jobs, positions of their batches in the epoch's shuffled
+    # rows), step by step, with the jobs of a step grouped by batch length.
+    n_steps = -(-sizes // batch_size)
+    last_length = sizes - (n_steps - 1) * batch_size
+    steps = []
+    for step in range(int(n_steps.max())):
+        lengths = np.where(n_steps > step + 1, batch_size, last_length)
+        for length in np.unique(lengths[n_steps > step]):
+            group = np.flatnonzero((n_steps > step) & (lengths == length))
+            steps.append((group, (starts[group] + step * batch_size)[:, None] + np.arange(length)))
+    val_sizes = np.array([len(job.val) for job in jobs])
+    vals = []
+    for size in np.unique(val_sizes):
+        group = np.flatnonzero(val_sizes == size)
+        val_features = np.stack([jobs[i].val.features for i in group])
+        vals.append((group, val_features, np.stack([jobs[i].val.labels for i in group])))
+
+    values = np.tile(start.values, (len(jobs), 1))
+    costs = np.empty((epochs + 1, len(jobs)))
+
+    def validate(epoch: int) -> None:
+        for group, val_features, val_labels in vals:
+            costs[epoch, group] = _stacked_cost(values[group], val_features, val_labels, n_classes, feature_dim)
+
+    validate(0)
+    rngs = [np.random.default_rng(job.seed) for job in jobs]
+    owner_starts = np.repeat(starts, sizes)
+    diverged: dict[int, str] = {}
+    for epoch in range(1, epochs + 1):
+        order = np.concatenate([rng.permutation(n) for n, rng in zip(sizes, rngs)]) + owner_starts
+        for group, positions in steps:
+            if diverged:
+                keep = np.isin(group, list(diverged), invert=True)
+                group, positions = group[keep], positions[keep]
+                if not len(group):
+                    continue
+            batch = order[positions]
+            params = values[group]
+            grad = _stacked_gradient(params, features[batch], labels[batch], n_classes, feature_dim)
+            params -= learning_rate * grad
+            if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(params))):
+                bad_grad = ~np.isfinite(grad).all(axis=1)
+                for j in np.flatnonzero(bad_grad | ~np.isfinite(params).all(axis=1)):
+                    diverged[int(group[j])] = f"{'gradient' if bad_grad[j] else 'parameters'} at epoch {epoch}"
+            values[group] = params
+        validate(epoch)
+    return values, costs, diverged
+
+
+def train_round(
+    start: ModelParams,
+    jobs: Sequence[TrainJob],
+    epochs: int,
+    learning_rate: float,
+    batch_size: int,
+) -> list[LocalUpdate]:
+    """Mini-batch SGD from `start` for all of one round's jobs at once.
+
+    Element i equals `train_local` run on job i's rows of its shard with
+    `TrainConfig(epochs, learning_rate, job.seed, batch_size)`, bit for bit.
+    Jobs train in blocks of similar size. At each SGD step a block's jobs
+    are grouped by their exact batch length, so nothing is padded and each
+    job's batch goes through the same kernels as in `train_local`. Every
+    job's gradient and parameters are checked at every step; if jobs
+    diverge, the error is the one `train_local` raises for the first of them
+    in `jobs` order. Inputs are checked before any training, and all shards
+    must share one feature_dim.
+    """
+    TrainConfig(epochs, learning_rate, 0, batch_size)  # train_local's argument checks
+    if not jobs:
+        return []
+    n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
+    rows = [slice(None) if job.rows is None else np.asarray(job.rows, dtype=np.int64) for job in jobs]
+    sizes = np.empty(len(jobs), dtype=np.int64)
+    for i, (job, r) in enumerate(zip(jobs, rows)):
+        if job.shard.feature_dim != feature_dim or job.val.feature_dim != feature_dim:
+            raise ShapeError(f"job {job.node_id!r}: shards must share feature dim {feature_dim}")
+        _classifier_dims(start, job.val)
+        train_labels = job.shard.labels[r]
+        if not len(train_labels):
+            raise ValidationError(f"job {job.node_id!r} has no training rows")
+        if int(train_labels.max()) >= n_classes:
+            raise ValidationError(f"label {int(train_labels.max())} out of range for {n_classes} classes")
+        sizes[i] = len(train_labels)
+
+    values = np.empty((len(jobs), start.dim))
+    costs = np.empty((epochs + 1, len(jobs)))
+    diverged: dict[int, str] = {}
+    # Jobs of similar size share most of their batch lengths.
+    by_size = np.argsort(sizes, kind="stable")
+    for lo in range(0, len(jobs), _BLOCK_NODES):
+        block = by_size[lo : lo + _BLOCK_NODES]
+        block_values, block_costs, block_diverged = _train_block(
+            start, [jobs[i] for i in block], [rows[i] for i in block], epochs, learning_rate, batch_size
+        )
+        values[block] = block_values
+        costs[:, block] = block_costs
+        diverged.update((int(block[j]), detail) for j, detail in block_diverged.items())
+
+    updates = []
+    for i, job in enumerate(jobs):
+        if i in diverged:
+            raise TrainingDivergenceError(job.node_id, diverged[i])
+        trajectory = tuple((e / epochs, max(float(costs[e, i]), 0.0)) for e in range(epochs + 1))
+        updates.append(
+            LocalUpdate(
+                node_id=job.node_id,
+                params=ModelParams(values[i]),
+                data_size=int(sizes[i]),
+                pre_cost=trajectory[0][1],
+                post_cost=trajectory[-1][1],
+                trajectory=CostTrajectory(trajectory),
+            )
+        )
+    return updates
 
 
 def dice_score(pred: Sequence[int], truth: Sequence[int], cls: int) -> float:
