@@ -1,9 +1,22 @@
+import csv
+
 import numpy as np
 import pytest
 
-from fedpod.cli import read_model_bin, write_model_bin
+from fedpod.cli import main, read_model_bin, write_model_bin, write_partition_csv
+from fedpod.cohort import generate_synthetic_cohort, load_partition_csv
+from fedpod.engine import CohortSpec, ExperimentConfig
 from fedpod.errors import ParseError
 from fedpod.params import ModelParams
+
+TINY_CONFIG = """\
+cohort.institutions = 6
+cohort.mean_samples = 10
+cohort.outliers = 1
+batch_size = 8
+max_rounds = 2
+"""
+RUN_FILES = ("metrics.csv", "summary.json", "model.bin", "manifest.json")
 
 
 def test_model_bin_round_trips(tmp_path):
@@ -26,3 +39,77 @@ def test_model_bin_with_missing_values_is_a_parse_error(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ParseError, match="header says 2 values, found 1"):
         read_model_bin(path)
+
+
+@pytest.fixture
+def tiny_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("FEDPOD_SEED", raising=False)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG, encoding="utf-8")
+    return path
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_main_run_writes_its_files(tiny_config, tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+    assert all((out / name).is_file() for name in RUN_FILES)
+    assert len(_rows(out / "metrics.csv")) == 1 + 2
+
+
+def test_main_compare_writes_each_strategy_and_the_table(tiny_config, tmp_path):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(tiny_config), "--out", str(out), "--strategies", "fedavg,FedPOD"]) == 0
+    for kind in ("fedavg", "fedpod"):
+        assert all((out / kind / name).is_file() for name in RUN_FILES)
+    rows = _rows(out / "comparison.csv")
+    assert rows[0][:4] == ["round", "fedavg_mean_dice", "fedavg_best_dice", "fedavg_convergence_score"]
+    assert len(rows) == 1 + 2
+
+
+def test_main_gen_cohort_defaults_match_the_config_defaults(tmp_path):
+    out = tmp_path / "cohort.csv"
+    assert main(["gen-cohort", "--out", str(out)]) == 0
+    spec = CohortSpec()
+    table, _ = generate_synthetic_cohort(
+        spec.n_institutions, spec.mean_samples, spec.n_outliers, spec.outlier_scale, ExperimentConfig().seed
+    )
+    write_partition_csv(table, tmp_path / "expected.csv")
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_main_gen_cohort_flags(tmp_path):
+    out = tmp_path / "cohort.csv"
+    assert main(["gen-cohort", "--institutions", "5", "--mean-samples", "8", "--seed", "3", "--out", str(out)]) == 0
+    assert len(load_partition_csv(out).entries) == 5
+
+
+def test_main_plot_data_writes_series(tiny_config, tmp_path):
+    results = tmp_path / "results"
+    assert main(["run", "--config", str(tiny_config), "--out", str(results / "a")]) == 0
+    plots = tmp_path / "plots"
+    assert main(["plot-data", "--results", str(results), "--out", str(plots)]) == 0
+    for column in ("mean_dice", "convergence_score"):
+        rows = _rows(plots / f"fedpod_{column}.csv")
+        assert rows[0] == ["round", column]
+        assert [row[0] for row in rows[1:]] == ["1", "2"]
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("bogus = 1\n", "unknown config key 'bogus'"),
+        ("seed 4\n", "line 1: expected 'key = value', got 'seed 4'"),
+    ],
+)
+def test_main_reports_a_config_error(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.delenv("FEDPOD_SEED", raising=False)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
