@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ShapeError, ValidationError
-from .params import CostTrajectory, LocalUpdate, ModelParams, combine
+from .params import LocalUpdate, ModelParams, combine
 
 __all__ = [
     "AggregationStrategy",
     "CostHistory",
-    "CostTrajectory",
-    "LocalUpdate",
     "WeightResult",
     "aggregate",
     "compute_weights",

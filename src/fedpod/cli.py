@@ -1,8 +1,14 @@
 """Command-line front end: config files, runs, strategy sweeps, plot series.
 
-Config files are flat `key = value` text with dotted section keys; every
-omitted key falls back to the shipped defaults, so an empty file runs the
-default scale-out schedule on the default synthetic cohort.
+Config files are flat `key = value` text; an omitted key keeps its dataclass
+default. A key is a section prefix (none, `cohort.`, `strategy.`, `timing.`
+or `schedule.phaseN.`) plus a field name of `ExperimentConfig`, `CohortSpec`,
+`AggregationStrategy`, `TimingProfile` or `PhaseEntry`, with an `n_` prefix
+dropped inside a section (`cohort.institutions` sets `n_institutions`). A
+value is read as its field's type; `none` sets an optional field to None.
+Three keys name no field: `cohort.source` (`synthetic` or `csv`),
+`cohort.path` (the partition CSV, relative to the config file) and
+`schedule.phaseN.rounds` (`first-last`, or `first-`).
 """
 
 from __future__ import annotations
@@ -13,21 +19,15 @@ import json
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .aggregation import STRATEGY_KINDS, AggregationStrategy
+from .aggregation import STRATEGY_KINDS
 from .cohort import PARTITION_HEADER, PartitionTable, generate_synthetic_cohort
-from .engine import (
-    CohortSpec,
-    ExperimentConfig,
-    ExperimentReport,
-    PhaseEntry,
-    TimingProfile,
-    run_experiment,
-)
+from .engine import CohortSpec, ExperimentConfig, ExperimentReport, PhaseEntry, run_experiment
 from .errors import FedPodError, ParseError, ValidationError
 from .params import ModelParams
 
@@ -49,53 +49,45 @@ METRICS_COLUMNS = (
     "fallback_flags",
 )
 
-_INT_KEYS = {
-    "seed",
-    "max_rounds",
-    "batch_size",
-    "n_classes",
-    "feature_dim",
-    "cohort.institutions",
-    "cohort.outliers",
-    "strategy.history_window",
-    "timing.inject_rank",
-}
-_FLOAT_KEYS = {
-    "z",
-    "margin_fraction",
-    "max_simulated_time_s",
-    "holdout_fraction",
-    "cohort.mean_samples",
-    "cohort.outlier_scale",
-    "strategy.alpha",
-    "strategy.beta",
-    "strategy.gamma",
-    "timing.per_sample_train_s",
-    "timing.per_sample_val_s",
-    "timing.model_bytes",
-    "timing.bandwidth_bps",
-    "timing.jitter_mu",
-    "timing.jitter_sigma",
-    "timing.inject_factor",
-}
-_STR_KEYS = {"participation", "cohort.source", "cohort.path", "strategy.kind"}
-_OPTIONAL_KEYS = {"timing.timeout_factor", "timing.inject_round"}
-_PHASE_FIELDS = ("rounds", "nodes", "primary", "secondary", "learning_rate", "epochs")
+# Set by cohort.path and schedule.phaseN.rounds, not by keys of their own.
+_UNKEYED_FIELDS = {"partition_csv", "first_round", "last_round"}
+
+
+def _field_keys(cls, in_section: bool = True) -> dict[str, tuple[str, tuple[type, bool]]]:
+    """Key name -> (field name, (type, accepts None)) for each field typed X or X | None, X int, float or str."""
+    keys = {}
+    for name, hint in get_type_hints(cls).items():
+        kind = (get_args(hint) or (hint,))[0]
+        if kind in (int, float, str) and hint in (kind, kind | None) and name not in _UNKEYED_FIELDS:
+            keys[name.removeprefix("n_") if in_section else name] = (name, (kind, hint != kind))
+    return keys
+
+
+_DEFAULTS = ExperimentConfig()
+# Each dataclass-valued field of ExperimentConfig is a key section: name -> class.
+_SECTIONS = {name: type(value) for name, value in vars(_DEFAULTS).items() if is_dataclass(value)}
+# Config key -> (section, field name, value type); "" is the top level.
+_KEYS = {name: ("", *spec) for name, spec in _field_keys(ExperimentConfig, in_section=False).items()}
+for _section, _cls in _SECTIONS.items():
+    _KEYS.update({f"{_section}.{name}": (_section, *spec) for name, spec in _field_keys(_cls).items()})
+_KEYS.update({f"cohort.{name}": ("cohort", name, (str, False)) for name in ("source", "path")})
+_PHASE_KEYS = _field_keys(PhaseEntry)
+_PHASE_KEY_NAMES = ("rounds", *_PHASE_KEYS)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _parse_value(key: str, raw: str):
+def _read_value(key: str, value_type: tuple[type, bool], raw: str):
+    """Read a raw value as its field's type; `none` (any case) is None for an optional field."""
+    kind, optional = value_type
+    if optional and raw.lower() == "none":
+        return None
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ValidationError(f"{key}: {exc}") from None
-    return raw
 
 
 def _read_pairs(path: Path) -> dict[str, str]:
@@ -115,53 +107,20 @@ def _read_pairs(path: Path) -> dict[str, str]:
     return pairs
 
 
-def _parse_round_range(key: str, raw: str) -> tuple[int, int | None]:
-    if "-" not in raw:
-        raise ValidationError(f"{key}: expected 'first-last' or 'first-', got {raw!r}")
-    first, _, last = raw.partition("-")
+def _phase_entry(prefix: str, raw: dict[str, str]) -> PhaseEntry:
+    missing = [name for name in _PHASE_KEY_NAMES if name not in raw]
+    if missing:
+        raise ValidationError(f"{prefix}: missing {', '.join(missing)}")
+    first, dash, last = raw["rounds"].partition("-")
+    if not dash:
+        raise ValidationError(f"{prefix}.rounds: expected 'first-last' or 'first-', got {raw['rounds']!r}")
+    first_round = _read_value(f"{prefix}.rounds", (int, False), first)
+    last_round = _read_value(f"{prefix}.rounds", (int, False), last) if last.strip() else None
+    values = {f: _read_value(f"{prefix}.{name}", spec, raw[name]) for name, (f, spec) in _PHASE_KEYS.items()}
     try:
-        return int(first), (int(last) if last.strip() else None)
-    except ValueError as exc:
-        raise ValidationError(f"{key}: {exc}") from None
-
-
-def _parse_schedule(pairs: dict[str, str]) -> tuple[PhaseEntry, ...] | None:
-    phase_keys = {k: v for k, v in pairs.items() if k.startswith("schedule.")}
-    if not phase_keys:
-        return None
-    phases: dict[int, dict[str, str]] = {}
-    for key, value in phase_keys.items():
-        parts = key.split(".")
-        if len(parts) != 3 or not parts[1].startswith("phase") or parts[2] not in _PHASE_FIELDS:
-            raise ValidationError(f"unknown config key {key!r}")
-        try:
-            number = int(parts[1][len("phase") :])
-        except ValueError:
-            raise ValidationError(f"unknown config key {key!r}") from None
-        phases.setdefault(number, {})[parts[2]] = value
-    entries = []
-    for number in sorted(phases):
-        spec = phases[number]
-        missing = [f for f in _PHASE_FIELDS if f not in spec]
-        if missing:
-            raise ValidationError(f"schedule.phase{number}: missing {', '.join(missing)}")
-        prefix = f"schedule.phase{number}"
-        first, last = _parse_round_range(f"{prefix}.rounds", spec["rounds"])
-        try:
-            entries.append(
-                PhaseEntry(
-                    first_round=first,
-                    last_round=last,
-                    n_nodes=int(spec["nodes"]),
-                    n_primary=int(spec["primary"]),
-                    n_secondary=int(spec["secondary"]),
-                    learning_rate=float(spec["learning_rate"]),
-                    epochs=int(spec["epochs"]),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{prefix}: {exc}") from None
-    return tuple(entries)
+        return PhaseEntry(first_round=first_round, last_round=last_round, **values)
+    except ValidationError as exc:
+        raise ValidationError(f"{prefix}: {exc}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -169,82 +128,46 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
-    pairs = _read_pairs(path)
-    schedule = _parse_schedule(pairs)
-    pairs = {k: v for k, v in pairs.items() if not k.startswith("schedule.")}
-
-    known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _OPTIONAL_KEYS
-    for key in pairs:
-        if key not in known:
+    given: dict[str, dict] = {section: {} for section in ("", *_SECTIONS)}
+    phases: dict[int, dict[str, str]] = {}
+    for key, raw in _read_pairs(path).items():
+        section, _, name = key.rpartition(".")
+        if section.startswith("schedule.phase") and name in _PHASE_KEY_NAMES:
+            try:
+                number = int(section[len("schedule.phase") :])
+            except ValueError:
+                raise ValidationError(f"unknown config key {key!r}") from None
+            phases.setdefault(number, {})[name] = raw
+        elif key in _KEYS:
+            section, name, value_type = _KEYS[key]
+            given[section][name] = _read_value(key, value_type, raw)
+        else:
             raise ValidationError(f"unknown config key {key!r}")
-    values = {key: _parse_value(key, raw) for key, raw in pairs.items()}
+    kwargs = given[""]
 
-    kwargs: dict = {}
-    for key, attr in (
-        ("seed", "seed"),
-        ("z", "z"),
-        ("margin_fraction", "margin_fraction"),
-        ("max_rounds", "max_rounds"),
-        ("max_simulated_time_s", "max_simulated_time_s"),
-        ("batch_size", "batch_size"),
-        ("n_classes", "n_classes"),
-        ("feature_dim", "feature_dim"),
-        ("holdout_fraction", "holdout_fraction"),
-        ("participation", "participation"),
-    ):
-        if key in values:
-            kwargs[attr] = values[key]
-
-    source = values.get("cohort.source", "synthetic")
+    cohort = given["cohort"]
+    source = cohort.pop("source", "synthetic")
+    partition_name = cohort.pop("path", None)
     if source == "csv":
-        if "cohort.path" not in values:
+        if partition_name is None:
             raise ValidationError("cohort.path is required when cohort.source = csv")
-        kwargs["partition_csv"] = str(path.parent / values["cohort.path"])
-    elif source == "synthetic":
-        cohort = CohortSpec(
-            n_institutions=values.get("cohort.institutions", 23),
-            mean_samples=values.get("cohort.mean_samples", 30.0),
-            n_outliers=values.get("cohort.outliers", 3),
-            outlier_scale=values.get("cohort.outlier_scale", 10.0),
-        )
-        kwargs["cohort"] = cohort
-    else:
+        partition_csv = path.parent / partition_name
+        if not partition_csv.is_file():
+            raise ValidationError(f"partition file not found: {partition_csv}")
+        kwargs["partition_csv"] = str(partition_csv)
+        cohort.clear()
+    elif source != "synthetic":
         raise ValidationError(f"cohort.source: expected synthetic or csv, got {source!r}")
 
-    kind = str(values.get("strategy.kind", "fedpod")).lower()
+    strategy = given["strategy"]
+    strategy["kind"] = kind = strategy.get("kind", _DEFAULTS.strategy.kind).lower()
     if kind not in STRATEGY_KINDS:
         raise ValidationError(f"strategy.kind: expected one of {STRATEGY_KINDS}, got {kind!r}")
-    kwargs["strategy"] = AggregationStrategy(
-        kind=kind,
-        alpha=values.get("strategy.alpha", 0.2),
-        beta=values.get("strategy.beta", 0.7),
-        gamma=values.get("strategy.gamma", 0.1),
-        history_window=values.get("strategy.history_window", 6),
-    )
 
-    timing_kwargs: dict = {}
-    for key, attr in (
-        ("timing.per_sample_train_s", "per_sample_train_s"),
-        ("timing.per_sample_val_s", "per_sample_val_s"),
-        ("timing.model_bytes", "model_bytes"),
-        ("timing.bandwidth_bps", "bandwidth_bps"),
-        ("timing.jitter_mu", "jitter_mu"),
-        ("timing.jitter_sigma", "jitter_sigma"),
-        ("timing.inject_factor", "inject_factor"),
-        ("timing.inject_rank", "inject_rank"),
-    ):
-        if key in values:
-            timing_kwargs[attr] = values[key]
-    if "timing.timeout_factor" in values:
-        raw = values["timing.timeout_factor"]
-        timing_kwargs["timeout_factor"] = None if raw.lower() == "none" else float(raw)
-    if "timing.inject_round" in values:
-        raw = values["timing.inject_round"]
-        timing_kwargs["inject_round"] = None if raw.lower() == "none" else int(raw)
-    kwargs["timing"] = TimingProfile(**timing_kwargs)
-
-    if schedule is not None:
-        kwargs["schedule"] = schedule
+    for section in _SECTIONS:
+        kwargs[section] = replace(getattr(_DEFAULTS, section), **given[section])
+    if phases:
+        kwargs["schedule"] = tuple(_phase_entry(f"schedule.phase{n}", phases[n]) for n in sorted(phases))
 
     if SEED_ENV_VAR in os.environ:
         try:
@@ -455,11 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=_cmd_compare)
 
     gen_p = sub.add_parser("gen-cohort", help="generate a synthetic partition CSV")
-    gen_p.add_argument("--institutions", type=int, default=23)
-    gen_p.add_argument("--mean-samples", type=float, default=30.0, dest="mean_samples")
-    gen_p.add_argument("--outliers", type=int, default=3)
-    gen_p.add_argument("--outlier-scale", type=float, default=10.0, dest="outlier_scale")
-    gen_p.add_argument("--seed", type=int, default=7)
+    # The cohort.* keys as flags: --institutions, --mean-samples, --outliers, --outlier-scale.
+    for name, (field_name, (kind, _)) in _field_keys(CohortSpec).items():
+        gen_p.add_argument(f"--{name.replace('_', '-')}", type=kind, default=getattr(_DEFAULTS.cohort, field_name))
+    gen_p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     gen_p.add_argument("--out", required=True)
     gen_p.set_defaults(func=_cmd_gen_cohort)
 

@@ -104,6 +104,9 @@ def test_main_plot_data_writes_series(tiny_config, tmp_path):
     [
         ("bogus = 1\n", "unknown config key 'bogus'"),
         ("seed 4\n", "line 1: expected 'key = value', got 'seed 4'"),
+        ("timing.timeout_factor = abc\n", "timing.timeout_factor: could not convert string to float: 'abc'"),
+        ("timing.inject_round = 1.5\n", "timing.inject_round: invalid literal for int() with base 10: '1.5'"),
+        ("cohort.source = csv\ncohort.path = absent.csv\n", "partition file not found: {dir}/absent.csv"),
     ],
 )
 def test_main_reports_a_config_error(tmp_path, monkeypatch, capsys, text, message):
@@ -111,5 +114,5 @@ def test_main_reports_a_config_error(tmp_path, monkeypatch, capsys, text, messag
     path = tmp_path / "bad.cfg"
     path.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
     assert not (tmp_path / "out").exists()

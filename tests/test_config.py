@@ -179,9 +179,15 @@ CONFIG_ERRORS = {
         _phase(rounds="5"),
         "schedule.phase1.rounds: expected 'first-last' or 'first-', got '5'",
     ),
-    "phase-rounds-bad-int": (_phase(rounds="a-3"), "schedule.phase1.rounds: invalid literal for int() with base 10: 'a'"),
-    "phase-bad-int": (_phase(nodes="x"), "schedule.phase1: invalid literal for int() with base 10: 'x'"),
-    "phase-bad-float": (_phase(learning_rate="fast"), "schedule.phase1: could not convert string to float: 'fast'"),
+    "phase-rounds-bad-int": (
+        _phase(rounds="a-3"),
+        "schedule.phase1.rounds: invalid literal for int() with base 10: 'a'",
+    ),
+    "phase-bad-int": (_phase(nodes="x"), "schedule.phase1.nodes: invalid literal for int() with base 10: 'x'"),
+    "phase-bad-float": (
+        _phase(learning_rate="fast"),
+        "schedule.phase1.learning_rate: could not convert string to float: 'fast'",
+    ),
     "phase-node-count-mismatch": (_phase(nodes="4"), "schedule.phase1: n_nodes must equal n_primary + n_secondary"),
     "phase-first-round-zero": (_phase(rounds="0-"), "schedule.phase1: first_round must be >= 1"),
     "schedule-gap": (_phase(rounds="1-2"), "schedule must cover round 3 exactly once, got 0 entries"),
@@ -192,6 +198,14 @@ CONFIG_ERRORS = {
         "strategy.kind: expected one of ('fedavg', 'fedpidavg', 'fedpod'), got 'foo'",
     ),
     "strategy-mix-not-one": ("strategy.alpha = 0.5\n", "alpha + beta + gamma must equal 1"),
+    "bad-optional-float": (
+        "timing.timeout_factor = abc\n",
+        "timing.timeout_factor: could not convert string to float: 'abc'",
+    ),
+    "bad-optional-int": (
+        "timing.inject_round = 1.5\n",
+        "timing.inject_round: invalid literal for int() with base 10: '1.5'",
+    ),
     "timing-check": ("timing.timeout_factor = 1\n", "timeout_factor must be > 1 (or None to disable drops)"),
     "n-classes-not-4": ("n_classes = 3\n", "n_classes must be 4: the metrics schema reports dice_label1/2/4"),
 }
@@ -214,6 +228,12 @@ def test_missing_config_file(tmp_path):
     with pytest.raises(ValidationError) as caught:
         parse_config(tmp_path / "absent.cfg")
     assert str(caught.value) == f"config file not found: {tmp_path / 'absent.cfg'}"
+
+
+def test_missing_partition_csv(tmp_path):
+    with pytest.raises(ValidationError) as caught:
+        parse_config(_write(tmp_path, "cohort.source = csv\ncohort.path = absent.csv\n"))
+    assert str(caught.value) == f"partition file not found: {tmp_path / 'absent.csv'}"
 
 
 def test_non_integer_seed_env_var(tmp_path, monkeypatch):
