@@ -139,8 +139,8 @@ def parse_config(path) -> ExperimentConfig:
                 raise ValidationError(f"unknown config key {key!r}") from None
             phases.setdefault(number, {})[name] = raw
         elif key in _KEYS:
-            section, name, value_type = _KEYS[key]
-            given[section][name] = _read_value(key, value_type, raw)
+            section, field_name, value_type = _KEYS[key]
+            given[section][field_name] = _read_value(key, value_type, raw)
         else:
             raise ValidationError(f"unknown config key {key!r}")
     kwargs = given[""]
