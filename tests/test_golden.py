@@ -1,10 +1,11 @@
-"""Behaviour lock: sha256 of every behaviour-defining artifact for three tiny runs.
+"""Behaviour lock: sha256 of every behaviour-defining artifact for four tiny runs.
 
 A refactor must leave these hashes unchanged. A change that alters behaviour
 on purpose updates them and says why in CHANGES.md.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,18 @@ from fedpod.cli import RunManifest, execute_run
 from fedpod.engine import CohortSpec, ExperimentConfig, PhaseEntry, TimingProfile
 
 GOLDEN_FILES = ("metrics.csv", "summary.json", "model.bin")
+GOLDEN_PARTITION = "partition.csv"
+
+
+def write_golden_partition(path):
+    """60 institutions listed out of id order: site00-site02 hold 60-80 samples
+    (the primaries), the rest 4-12."""
+    lines = ["Subject_ID,Partition_ID"]
+    for i in (i * 17 % 60 for i in range(60)):
+        count = 60 + 10 * i if i < 3 else 4 + i * 7 % 9
+        lines += [f"site{i:02d}-s{k:03d},site{i:02d}" for k in range(count)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
 
 GOLDEN_CONFIGS = {
     # Every institution trains every round on its whole shard.
@@ -44,6 +57,18 @@ GOLDEN_CONFIGS = {
         batch_size=8,
         max_rounds=4,
     ),
+    # Partition-CSV ingest with task participation: 2 primaries and 2 of 57
+    # secondaries a round, so most institutions never take part. Round 2's
+    # last participant by id (a secondary) is dropped and sits out round 3.
+    "csv-task-mostly-idle": ExperimentConfig(
+        seed=14,
+        partition_csv=GOLDEN_PARTITION,
+        strategy=AggregationStrategy("fedpidavg"),
+        schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
+        timing=TimingProfile(inject_round=2, inject_rank=-1),
+        batch_size=8,
+        max_rounds=6,
+    ),
 }
 
 GOLDEN_HASHES = {
@@ -62,11 +87,20 @@ GOLDEN_HASHES = {
         "summary.json": "4edb752a903215095d9e0fe8afdc5053f8c81d0410be1d3d1fd490f4d321f3b8",
         "model.bin": "e591a2b650e41680f774b69083f3d5a56a672fac31a34ec050f692d37e51aeb3",
     },
+    "csv-task-mostly-idle": {
+        "metrics.csv": "58fe54ce387b2f8b89cf0952d2fe2f6f969e848a1dc2334bb8cfe1a0ba834ad7",
+        "summary.json": "9d8b0a55076e44dd1a3523490af735857fa7067bfc2f39b9330c67ea1a8b90f3",
+        "model.bin": "cc408225cf0fb814d1e2996ed55424853d9d6457078b9a93a58b32bf93e7c892",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_artifacts_match_golden_hashes(name, tmp_path):
-    execute_run(RunManifest(name, GOLDEN_CONFIGS[name], tmp_path))
+    config = GOLDEN_CONFIGS[name]
+    if config.partition_csv is not None:
+        write_golden_partition(tmp_path / config.partition_csv)
+        config = replace(config, partition_csv=str(tmp_path / config.partition_csv))
+    execute_run(RunManifest(name, config, tmp_path))
     hashes = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN_FILES}
     assert hashes == GOLDEN_HASHES[name]
