@@ -133,10 +133,15 @@ def parse_config(path) -> ExperimentConfig:
     for key, raw in _read_pairs(path).items():
         section, _, name = key.rpartition(".")
         if section.startswith("schedule.phase") and name in _PHASE_KEY_NAMES:
+            digits = section[len("schedule.phase") :]
             try:
-                number = int(section[len("schedule.phase") :])
+                number = int(digits)
             except ValueError:
-                raise ValidationError(f"unknown config key {key!r}") from None
+                number = None
+            # int() also reads "01", "+1" and "1_0"; only the canonical
+            # spelling names a phase, so one phase has one key.
+            if number is None or str(number) != digits:
+                raise ValidationError(f"unknown config key {key!r}")
             phases.setdefault(number, {})[name] = raw
         elif key in _KEYS:
             section, field_name, value_type = _KEYS[key]
@@ -342,13 +347,21 @@ def _cmd_plot_data(args) -> int:
     metrics_files = sorted(results.rglob("metrics.csv"))
     if not metrics_files:
         raise ValidationError(f"no metrics.csv found under {results}")
+    # Series files are named by strategy; each name must come from one run.
+    runs: dict[str, Path] = {}
     for metrics in metrics_files:
         summary = metrics.parent / "summary.json"
         if summary.exists():
             name = json.loads(summary.read_text(encoding="utf-8"))["strategy"]
         else:
             name = metrics.parent.name
-        with open(metrics, newline="", encoding="utf-8") as fh:
+        if name in runs:
+            raise ValidationError(
+                f"runs {runs[name]} and {metrics.parent} would both write the {name!r} series files"
+            )
+        runs[name] = metrics.parent
+    for name, run_dir in runs.items():
+        with open(run_dir / "metrics.csv", newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
         for column, suffix in (("mean_dice", "mean_dice"), ("convergence_score", "convergence_score")):

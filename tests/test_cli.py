@@ -99,6 +99,18 @@ def test_main_plot_data_writes_series(tiny_config, tmp_path):
         assert [row[0] for row in rows[1:]] == ["1", "2"]
 
 
+def test_main_plot_data_refuses_two_runs_of_one_strategy(tiny_config, tmp_path, capsys):
+    results = tmp_path / "results"
+    for run in ("a", "b"):
+        assert main(["run", "--config", str(tiny_config), "--out", str(results / run)]) == 0
+    plots = tmp_path / "plots"
+    assert main(["plot-data", "--results", str(results), "--out", str(plots)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: runs {results / 'a'} and {results / 'b'} would both write the 'fedpod' series files\n"
+    )
+    assert not list(plots.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     ("text", "message"),
     [

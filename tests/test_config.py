@@ -170,6 +170,9 @@ CONFIG_ERRORS = {
         "unknown config key 'schedule.phase1.first_round'",
     ),
     "bad-phase-number": ("schedule.phaseX.nodes = 1\n", "unknown config key 'schedule.phaseX.nodes'"),
+    "phase-number-not-canonical": ("schedule.phase01.nodes = 1\n", "unknown config key 'schedule.phase01.nodes'"),
+    "phase-number-alias": (_phase() + "schedule.phase01.nodes = 5\n", "unknown config key 'schedule.phase01.nodes'"),
+    "phase-number-signed": ("schedule.phase+1.nodes = 1\n", "unknown config key 'schedule.phase+1.nodes'"),
     "phase-without-field": ("schedule.phase1 = 1\n", "unknown config key 'schedule.phase1'"),
     "phase-missing-keys": (
         "schedule.phase1.nodes = 2\n",
