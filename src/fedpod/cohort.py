@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class PartitionTable:
         if not self.entries:
             raise ValidationError("a cohort needs at least one institution")
         seen: set[str] = set()
-        total = 0
+        counts: dict[str, int] = {}
         for inst, entry in self.entries.items():
             if entry.count != len(entry.sample_ids):
                 raise ValidationError(f"count mismatch for institution {inst!r}")
@@ -46,9 +47,11 @@ class PartitionTable:
                 if sid in seen:
                     raise ValidationError(f"duplicate sample id {sid!r}")
                 seen.add(sid)
-            total += entry.count
+            counts[inst] = entry.count
+        total = sum(counts.values())
         if total != self.total:
             raise ValidationError(f"total {self.total} != sum of counts {total}")
+        object.__setattr__(self, "_counts", MappingProxyType(counts))
 
     @staticmethod
     def from_sample_ids(mapping: Mapping[str, Sequence[str]]) -> PartitionTable:
@@ -63,8 +66,9 @@ class PartitionTable:
         }
         return PartitionTable(entries, sum(e.count for e in entries.values()))
 
-    def counts(self) -> dict[str, int]:
-        return {inst: entry.count for inst, entry in self.entries.items()}
+    def counts(self) -> Mapping[str, int]:
+        """Read-only institution -> sample count, computed once at construction."""
+        return self._counts
 
     def institutions(self) -> tuple[str, ...]:
         return tuple(self.entries)
@@ -93,28 +97,62 @@ def poisson_pmf(x: int, lam: float) -> float:
 
 def fit_poisson(table: PartitionTable) -> PoissonModel:
     """Maximum-likelihood fit: lam is the mean institution count."""
-    counts = list(table.counts().values())
-    mean = sum(counts) / len(counts)
+    counts = table.counts()
+    mean = sum(counts.values()) / len(counts)
     if mean <= 0:
         raise DegenerateModelError("every institution has zero samples")
     return PoissonModel(mean)
 
 
-def _synthesize_entries(
-    sized_ids: Sequence[tuple[str, int]],
+class LazyShards(Mapping[str, DataShard]):
+    """Read-only institution -> DataShard mapping that builds a shard on its
+    first lookup, as `build(institution, index[institution])`, and keeps it.
+
+    Iteration follows `index`. Each shard comes from its own RNG stream, so
+    the order of lookups, and which institutions are never looked up,
+    change no shard.
+    """
+
+    def __init__(self, index: Mapping[str, int], build: Callable[[str, int], DataShard]):
+        self._index = index
+        self._build = build
+        self._built: dict[str, DataShard] = {}
+
+    def __getitem__(self, inst: str) -> DataShard:
+        shard = self._built.get(inst)
+        if shard is None:
+            shard = self._built[inst] = self._build(inst, self._index[inst])
+        return shard
+
+    def __contains__(self, inst) -> bool:
+        # Mapping's default would look the key up, building its shard.
+        return inst in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+def _lazy_blob_shards(
+    sample_ids: Mapping[str, Sequence[str]],
     seed: int,
     n_classes: int,
     feature_dim: int,
-) -> tuple[PartitionTable, dict[str, DataShard]]:
+) -> LazyShards:
+    """Institution i of `sample_ids` (in order) draws its shard from
+    `default_rng([seed, _SHARD_SALT, i])`."""
     geometry = blob_geometry(n_classes, feature_dim, seed)
-    mapping: dict[str, list[str]] = {}
-    shards: dict[str, DataShard] = {}
-    for idx, (inst, count) in enumerate(sized_ids):
-        sample_ids = [f"{inst}-s{k:05d}" for k in range(count)]
-        mapping[inst] = sample_ids
-        rng = np.random.default_rng([seed, _SHARD_SALT, idx])
-        shards[inst] = make_blob_shard(sample_ids, geometry, rng)
-    return PartitionTable.from_sample_ids(mapping), shards
+    # An institution with no samples can never get a shard: fail here, not
+    # at its first lookup mid-run.
+    if any(not ids for ids in sample_ids.values()):
+        raise ValidationError("a shard needs at least one sample")
+
+    def build(inst: str, idx: int) -> DataShard:
+        return make_blob_shard(sample_ids[inst], geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
+
+    return LazyShards({inst: idx for idx, inst in enumerate(sample_ids)}, build)
 
 
 def generate_synthetic_cohort(
@@ -125,11 +163,13 @@ def generate_synthetic_cohort(
     seed: int,
     n_classes: int = 4,
     feature_dim: int = 8,
-) -> tuple[PartitionTable, dict[str, DataShard]]:
+) -> tuple[PartitionTable, LazyShards]:
     """Draw a skewed cohort: Poisson(lam) counts plus a few large outliers.
 
     Counts drawn as zero are clamped to 1 so every institution can
-    participate. Deterministic under `seed`.
+    participate. Deterministic under `seed`. Shards are built on first
+    lookup, each from its own stream keyed by the institution's position,
+    so building some or none of them changes no other.
     """
     if n_institutions < 1:
         raise ValidationError("need at least one institution")
@@ -143,8 +183,10 @@ def generate_synthetic_cohort(
     regular = rng.poisson(lam, size=n_institutions - n_outliers)
     outliers = rng.poisson(lam * outlier_scale, size=n_outliers)
     counts = np.maximum(np.concatenate([regular, outliers]), 1).astype(int)
-    sized = [(f"inst{i:03d}", int(c)) for i, c in enumerate(counts)]
-    return _synthesize_entries(sized, seed, n_classes, feature_dim)
+    sample_ids = {
+        f"inst{i:03d}": [f"inst{i:03d}-s{k:05d}" for k in range(c)] for i, c in enumerate(counts.tolist())
+    }
+    return PartitionTable.from_sample_ids(sample_ids), _lazy_blob_shards(sample_ids, seed, n_classes, feature_dim)
 
 
 def synthesize_shards(
@@ -152,14 +194,15 @@ def synthesize_shards(
     seed: int,
     n_classes: int = 4,
     feature_dim: int = 8,
-) -> dict[str, DataShard]:
-    """Synthesize features for an ingested table; only ids and counts are real."""
-    geometry = blob_geometry(n_classes, feature_dim, seed)
-    shards: dict[str, DataShard] = {}
-    for idx, (inst, entry) in enumerate(table.entries.items()):
-        rng = np.random.default_rng([seed, _SHARD_SALT, idx])
-        shards[inst] = make_blob_shard(entry.sample_ids, geometry, rng)
-    return shards
+) -> LazyShards:
+    """Synthesize features for an ingested table; only ids and counts are real.
+
+    A shard is built on its first lookup, from its own stream keyed by the
+    institution's position in `table.entries`, so institutions that are
+    never looked up cost nothing.
+    """
+    sample_ids = {inst: entry.sample_ids for inst, entry in table.entries.items()}
+    return _lazy_blob_shards(sample_ids, seed, n_classes, feature_dim)
 
 
 def load_partition_csv(path) -> PartitionTable:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .aggregation import AggregationStrategy, CostHistory, aggregate, compute_weights
 from .cohort import (
+    LazyShards,
     PartitionTable,
     fit_poisson,
     generate_synthetic_cohort,
@@ -329,7 +330,7 @@ def convergence_score(records: Sequence[RoundRecord]) -> float:
     return weighted / total
 
 
-def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, dict[str, DataShard]]:
+def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, LazyShards]:
     if config.partition_csv is not None:
         table = load_partition_csv(config.partition_csv)
         shards = synthesize_shards(table, config.seed, config.n_classes, config.feature_dim)
@@ -391,14 +392,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         geometry,
         np.random.default_rng([config.seed, _HOLDOUT_SALT]),
     )
-    node_val = {
-        inst: make_blob_shard(
-            [f"{inst}-val{k:04d}" for k in range(_val_size(entry.count))],
+    counts = table.counts()
+
+    def build_val_shard(inst: str, index: int) -> DataShard:
+        return make_blob_shard(
+            [f"{inst}-val{k:04d}" for k in range(_val_size(counts[inst]))],
             geometry,
-            np.random.default_rng([config.seed, _NODE_VAL_SALT, node_index[inst]]),
+            np.random.default_rng([config.seed, _NODE_VAL_SALT, index]),
         )
-        for inst, entry in table.entries.items()
-    }
+
+    # Like the training shards, each validation shard is built when its
+    # institution first takes part.
+    node_val = LazyShards(node_index, build_val_shard)
 
     model = ModelParams.zeros(config.model_dim)
     history = CostHistory()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -31,6 +32,10 @@ class NodeClassification:
     primary: tuple[str, ...]
     secondary: tuple[str, ...]
     threshold: float
+
+    @cached_property
+    def secondary_set(self) -> frozenset[str]:
+        return frozenset(self.secondary)
 
 
 @dataclass(frozen=True)
@@ -129,24 +134,24 @@ def compose_task(
         offset = offsets.get(inst, 0) % counts[inst]
         participants.append(TaskParticipant(inst, ROLE_PRIMARY, quota, offset))
 
-    eligible_secondary = [inst for inst in classification.secondary if inst not in blacklist]
+    secondary = classification.secondary
+    # The blacklist holds at most one round's drops, so count from its side.
+    n_eligible = len(secondary) - len(blacklist & classification.secondary_set)
     n_wanted = schedule_entry.n_secondary
-    shortfall = len(eligible_secondary) < n_wanted
-    n_take = min(n_wanted, len(eligible_secondary))
+    shortfall = n_eligible < n_wanted
+    n_take = min(n_wanted, n_eligible)
     if n_take:
         # One permutation of the full secondary list per round: a blacklisted
         # node is skipped and the next candidate steps in, leaving everyone
         # else's selection untouched.
         rng = np.random.default_rng([rng_seed, round_index])
-        order = rng.permutation(len(classification.secondary))
         chosen = []
-        for j in order:
-            inst = classification.secondary[j]
-            if inst not in blacklist:
-                chosen.append(inst)
+        for j in rng.permutation(len(secondary)):
+            if secondary[j] not in blacklist:
+                chosen.append(j)
                 if len(chosen) == n_take:
                     break
-        for inst in sorted(chosen, key=lambda i: classification.secondary.index(i)):
-            participants.append(TaskParticipant(inst, ROLE_SECONDARY, counts[inst], 0))
+        for j in sorted(chosen):
+            participants.append(TaskParticipant(secondary[j], ROLE_SECONDARY, counts[secondary[j]], 0))
 
     return TaskPlan(round_index, tuple(participants), shortfall)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedpod.cli import write_partition_csv
 from fedpod.cohort import (
+    _SHARD_SALT,
     PartitionTable,
     PoissonModel,
     fit_poisson,
@@ -16,6 +17,7 @@ from fedpod.cohort import (
     synthesize_shards,
 )
 from fedpod.errors import DegenerateModelError, ParseError, ValidationError
+from fedpod.params import blob_geometry, make_blob_shard
 
 
 def table_from_counts(counts):
@@ -164,6 +166,57 @@ def test_synthesize_shards_covers_every_institution():
     assert set(shards) == set(table.entries)
     for inst, entry in table.entries.items():
         assert len(shards[inst]) == entry.count
+
+
+def test_synthesize_shards_rejects_an_empty_institution():
+    table = PartitionTable.from_sample_ids({"a": ["a1"], "b": []})
+    with pytest.raises(ValidationError, match="at least one sample"):
+        synthesize_shards(table, seed=5)
+
+
+def _eager_shards(sample_ids, seed):
+    """Every institution's shard built up front, in order, from its salted stream."""
+    geometry = blob_geometry(4, 8, seed)
+    return {
+        inst: make_blob_shard(ids, geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
+        for idx, (inst, ids) in enumerate(sample_ids.items())
+    }
+
+
+def _assert_same_shard(a, b):
+    assert a.sample_ids == b.sample_ids
+    assert np.array_equal(a.labels, b.labels)
+    assert a.features.tobytes() == b.features.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 25), min_size=1, max_size=14),
+    seed=st.integers(0, 2**32 - 1),
+    synthetic=st.booleans(),
+    data=st.data(),
+)
+def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
+    # Any lookup order, with repeats, over any subset of institutions gives
+    # the shards an eager pass over the whole table would have built.
+    if synthetic:
+        table, shards = generate_synthetic_cohort(len(counts), 6.0, 0, 1.0, seed=seed)
+        sample_ids = {inst: [f"{inst}-s{k:05d}" for k in range(e.count)] for inst, e in table.entries.items()}
+    else:
+        # inst10 sorts before inst2, so position and id order differ.
+        table = table_from_counts(counts)
+        shards = synthesize_shards(table, seed=seed)
+        sample_ids = {inst: e.sample_ids for inst, e in table.entries.items()}
+    assert list(shards) == list(table.entries) and len(shards) == len(table.entries)
+    expected = _eager_shards(sample_ids, seed)
+    lookups = data.draw(st.lists(st.sampled_from(list(table.entries)), max_size=2 * len(counts)))
+    for inst in lookups:
+        shard = shards[inst]
+        _assert_same_shard(shard, expected[inst])
+        assert shards[inst] is shard
+    assert "absent" not in shards
+    with pytest.raises(KeyError):
+        shards["absent"]
 
 
 # ---------------------------------------------------------------- csv

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedpod import cohort, engine
 from fedpod.aggregation import AggregationStrategy
 from fedpod.cohort import generate_synthetic_cohort
 from fedpod.engine import (
@@ -313,3 +314,29 @@ def test_weights_are_recorded_per_survivor():
         nodes = [node for node, _ in record.weights]
         assert sorted(nodes) == sorted(set(record.participants) - set(record.dropped))
         assert sum(w for _, w in record.weights) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_only_participants_get_shards(monkeypatch):
+    # Training and validation shards are built on first use, once each, so a
+    # cohort where few institutions take part synthesizes only theirs.
+    built = {"train": [], "val": []}
+
+    def counting(kind, original):
+        def counted(sample_ids, geometry, rng):
+            built[kind].append(sample_ids[0].rsplit("-", 1)[0])
+            return original(sample_ids, geometry, rng)
+
+        return counted
+
+    monkeypatch.setattr(cohort, "make_blob_shard", counting("train", cohort.make_blob_shard))
+    monkeypatch.setattr(engine, "make_blob_shard", counting("val", engine.make_blob_shard))
+    config = small_config(
+        cohort=CohortSpec(n_institutions=40, mean_samples=10.0, n_outliers=3, outlier_scale=8.0),
+        schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
+        max_rounds=3,
+    )
+    report = run_experiment(config)
+    taking_part = {inst for record in report.records for inst in record.participants}
+    assert len(taking_part) < 40
+    assert sorted(built["train"]) == sorted(taking_part)
+    assert sorted(built["val"]) == sorted(taking_part | {"holdout"})

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,8 @@ from fedpod.cohort import PartitionTable, PoissonModel, fit_poisson
 from fedpod.engine import PhaseEntry
 from fedpod.errors import EmptyCohortError, ValidationError
 from fedpod.selection import (
+    TaskParticipant,
+    TaskPlan,
     classify_nodes,
     compose_task,
     primary_quota,
@@ -224,3 +227,67 @@ def test_rotating_windows_cover_all_samples():
             seen.add(sample_ids[idx])
         offsets[inst] = (p.shard_offset + p.quota) % 23
     assert seen == set(sample_ids)
+
+
+def _reference_compose_task(
+    round_index, classification, schedule_entry, lam, margin_fraction, table, blacklist, rng_seed, offsets
+):
+    """The selection as first written: whole-cohort scans, kept as the oracle."""
+    counts = {inst: entry.count for inst, entry in table.entries.items()}
+    eligible_primary = [inst for inst in classification.primary if inst not in blacklist]
+    if not eligible_primary:
+        raise EmptyCohortError(f"round {round_index}: no eligible primary institutions")
+    participants = []
+    for inst in eligible_primary[: schedule_entry.n_primary]:
+        quota = primary_quota(lam, margin_fraction, counts[inst])
+        offset = offsets.get(inst, 0) % counts[inst]
+        participants.append(TaskParticipant(inst, "primary", quota, offset))
+    eligible_secondary = [inst for inst in classification.secondary if inst not in blacklist]
+    n_wanted = schedule_entry.n_secondary
+    shortfall = len(eligible_secondary) < n_wanted
+    n_take = min(n_wanted, len(eligible_secondary))
+    if n_take:
+        rng = np.random.default_rng([rng_seed, round_index])
+        order = rng.permutation(len(classification.secondary))
+        chosen = []
+        for j in order:
+            inst = classification.secondary[j]
+            if inst not in blacklist:
+                chosen.append(inst)
+                if len(chosen) == n_take:
+                    break
+        for inst in sorted(chosen, key=lambda i: classification.secondary.index(i)):
+            participants.append(TaskParticipant(inst, "secondary", counts[inst], 0))
+    return TaskPlan(round_index, tuple(participants), shortfall)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 400), min_size=1, max_size=40),
+    z=st.floats(-1.0, 2.0),
+    n_primary=st.integers(0, 6),
+    round_index=st.integers(1, 50),
+    rng_seed=st.integers(0, 2**32 - 1),
+    margin_fraction=st.floats(0.0, 0.9),
+    offset_seed=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_compose_matches_the_whole_cohort_reference(
+    counts, z, n_primary, round_index, rng_seed, margin_fraction, offset_seed, data
+):
+    table = table_from_counts(counts)
+    model = fit_poisson(table)
+    split = classify_nodes(table, model, z)
+    # Blacklists may name secondaries, primaries and ids outside the cohort;
+    # asking for up to two more secondaries than exist covers every shortfall.
+    blacklist = frozenset(data.draw(st.sets(st.sampled_from([*table.entries, "not-in-the-cohort"]))))
+    n_secondary = data.draw(st.integers(0, len(split.secondary) + 2))
+    offsets = {inst: (offset_seed * (i + 3)) % 997 for i, inst in enumerate(split.primary)}
+    args = (round_index, split, phase(n_primary, n_secondary), model.lam, margin_fraction, table)
+    try:
+        expected = _reference_compose_task(*args, blacklist, rng_seed, offsets)
+    except EmptyCohortError as exc:
+        with pytest.raises(EmptyCohortError, match=str(exc)):
+            compose_task(*args, blacklist=blacklist, rng_seed=rng_seed, offsets=offsets)
+        return
+    assert compose_task(*args, blacklist=blacklist, rng_seed=rng_seed, offsets=offsets) == expected
