@@ -8,7 +8,9 @@ dropped inside a section (`cohort.institutions` sets `n_institutions`). A
 value is read as its field's type; `none` sets an optional field to None.
 Three keys name no field: `cohort.source` (`synthetic` or `csv`),
 `cohort.path` (the partition CSV, relative to the config file) and
-`schedule.phaseN.rounds` (`first-last`, or `first-`).
+`schedule.phaseN.rounds` (`first-last`, or `first-`). A cohort key the
+source does not read is an error: the `CohortSpec` keys with `csv`, and
+`cohort.path` with `synthetic`.
 """
 
 from __future__ import annotations
@@ -153,6 +155,15 @@ def parse_config(path) -> ExperimentConfig:
     cohort = given["cohort"]
     source = cohort.pop("source", "synthetic")
     partition_name = cohort.pop("path", None)
+    if source not in ("synthetic", "csv"):
+        raise ValidationError(f"cohort.source: expected synthetic or csv, got {source!r}")
+    # A key the chosen source never reads is a mistake, not a no-op.
+    if source == "csv":
+        unused = [key for key, (section, name, _) in _KEYS.items() if section == "cohort" and name in cohort]
+    else:
+        unused = [] if partition_name is None else ["cohort.path"]
+    if unused:
+        raise ValidationError(f"{unused[0]}: has no effect with cohort.source = {source}")
     if source == "csv":
         if partition_name is None:
             raise ValidationError("cohort.path is required when cohort.source = csv")
@@ -160,9 +171,6 @@ def parse_config(path) -> ExperimentConfig:
         if not partition_csv.is_file():
             raise ValidationError(f"partition file not found: {partition_csv}")
         kwargs["partition_csv"] = str(partition_csv)
-        cohort.clear()
-    elif source != "synthetic":
-        raise ValidationError(f"cohort.source: expected synthetic or csv, got {source!r}")
 
     strategy = given["strategy"]
     strategy["kind"] = kind = strategy.get("kind", _DEFAULTS.strategy.kind).lower()
@@ -328,12 +336,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen_cohort(args) -> int:
+    seed = replace(_DEFAULTS, seed=args.seed).seed  # the config's seed check
     table, _ = generate_synthetic_cohort(
         args.institutions,
         args.mean_samples,
         args.outliers,
         args.outlier_scale,
-        args.seed,
+        seed,
     )
     write_partition_csv(table, args.out)
     print(f"{len(table.entries)} institutions, {table.total} samples -> {args.out}")

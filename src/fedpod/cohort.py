@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -36,6 +37,10 @@ class PartitionTable:
     def __post_init__(self):
         if not self.entries:
             raise ValidationError("a cohort needs at least one institution")
+        id_lists = [entry.sample_ids for entry in self.entries.values()]
+        # Uniqueness in one C-level pass; the ids are walked one by one only
+        # when there is a duplicate to name.
+        unique = len(set(chain.from_iterable(id_lists))) == sum(map(len, id_lists))
         seen: set[str] = set()
         counts: dict[str, int] = {}
         for inst, entry in self.entries.items():
@@ -43,10 +48,11 @@ class PartitionTable:
                 raise ValidationError(f"count mismatch for institution {inst!r}")
             if entry.count < 0:
                 raise ValidationError("counts must be non-negative")
-            for sid in entry.sample_ids:
-                if sid in seen:
-                    raise ValidationError(f"duplicate sample id {sid!r}")
-                seen.add(sid)
+            if not unique:
+                for sid in entry.sample_ids:
+                    if sid in seen:
+                        raise ValidationError(f"duplicate sample id {sid!r}")
+                    seen.add(sid)
             counts[inst] = entry.count
         total = sum(counts.values())
         if total != self.total:

@@ -9,7 +9,7 @@ seed, so replacing one node or changing one phase never perturbs the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ from .selection import (
     compose_task,
     window_indices,
 )
+from .streams import generators, seed_states
 
 _HOLDOUT_SALT = 7001
 _NODE_VAL_SALT = 7002
@@ -111,7 +112,7 @@ class TimingSample:
 
     def __post_init__(self):
         for value in (self.download_s, self.pre_val_s, self.train_s, self.post_val_s):
-            if not (np.isfinite(value) and value >= 0):
+            if not (math.isfinite(value) and value >= 0):
                 raise ValidationError("timing components must be finite and non-negative")
 
     def total(self) -> float:
@@ -201,6 +202,8 @@ class ExperimentConfig:
     holdout_fraction: float = 0.2
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.n_classes < 2 or self.feature_dim < 1:
             raise ValidationError("need n_classes >= 2 and feature_dim >= 1")
         if self.batch_size < 1:
@@ -260,9 +263,12 @@ def phase_for_round(schedule: Sequence[PhaseEntry], round_index: int) -> tuple[i
 
 
 def train_seed(experiment_seed: int, round_index: int, node_index: int) -> int:
-    """Stable per-(round, node) training seed."""
-    seq = np.random.SeedSequence([experiment_seed, _TRAIN_SALT, round_index, node_index])
-    return int(seq.generate_state(1, np.uint64)[0])
+    """Stable per-(round, node) training seed: `generate_state(1, np.uint64)`
+    of `SeedSequence([experiment_seed, _TRAIN_SALT, round_index, node_index])`.
+
+    The one-node form of the per-round pass in `run_experiment`.
+    """
+    return int(seed_states([(experiment_seed, _TRAIN_SALT, round_index, node_index)])[0, 0])
 
 
 def sample_timings(
@@ -274,18 +280,20 @@ def sample_timings(
 ) -> TimingSample:
     """Draw one node's round timings: per-component base cost times jitter.
 
-    Component order of the jitter draws is download, pre-val, train,
-    post-val; with jitter_sigma == 0 and jitter_mu == 0 the base costs come
-    back exactly.
+    The four jitter factors are one draw of four log-normals, in component
+    order download, pre-val, train, post-val (the same values as four
+    scalar draws); with jitter_sigma == 0 and jitter_mu == 0 the base costs
+    come back exactly.
     """
     if quota < 1 or epochs < 1 or val_size < 1:
         raise ValidationError("quota, epochs, val_size must be >= 1")
-    jitter = lambda: float(rng.lognormal(profile.jitter_mu, profile.jitter_sigma))
-    download = profile.model_bytes / profile.bandwidth_bps * jitter()
-    pre_val = val_size * profile.per_sample_val_s * jitter()
-    train = quota * epochs * profile.per_sample_train_s * jitter()
-    post_val = val_size * profile.per_sample_val_s * jitter()
-    return TimingSample(download, pre_val, train, post_val)
+    download, pre_val, train, post_val = rng.lognormal(profile.jitter_mu, profile.jitter_sigma, size=4).tolist()
+    return TimingSample(
+        profile.model_bytes / profile.bandwidth_bps * download,
+        val_size * profile.per_sample_val_s * pre_val,
+        quota * epochs * profile.per_sample_train_s * train,
+        val_size * profile.per_sample_val_s * post_val,
+    )
 
 
 def detect_stragglers(
@@ -441,25 +449,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if -len(ordered) <= config.timing.inject_rank < len(ordered):
                 injected = ordered[config.timing.inject_rank]
 
+        # One pass seeds every participant's training stream (its seed is
+        # `train_seed`) and timing stream (`default_rng` of its row).
+        nodes = [node_index[p.institution_id] for p in plan.participants]
+        states = seed_states(
+            [(config.seed, salt, round_index, node) for salt in (_TRAIN_SALT, _TIMING_SALT) for node in nodes]
+        )
+        train_seeds = states[: len(nodes), 0].tolist()
         jobs = []
-        for participant in plan.participants:
+        for participant, seed, timing_rng in zip(plan.participants, train_seeds, generators(states[len(nodes) :])):
             inst = participant.institution_id
             shard = shards[inst]
             rows = None
             if participant.role == ROLE_PRIMARY:
                 rows = window_indices(len(shard), participant.shard_offset, participant.quota)
                 offsets[inst] = (participant.shard_offset + participant.quota) % len(shard)
-            seed = train_seed(config.seed, round_index, node_index[inst])
-            jobs.append(TrainJob(inst, shard, node_val[inst], seed, rows))
-
-        updates = []
-        for update in train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size):
-            inst = update.node_id
-            timing_rng = np.random.default_rng([config.seed, _TIMING_SALT, round_index, node_index[inst]])
-            timing = sample_timings(update.data_size, phase.epochs, len(node_val[inst]), config.timing, timing_rng)
+            val = node_val[inst]
+            quota = len(shard) if rows is None else len(rows)
+            timing = sample_timings(quota, phase.epochs, len(val), config.timing, timing_rng)
             if inst == injected:
                 timing = timing.scaled(config.timing.inject_factor)
-            updates.append(replace(update, timings=timing))
+            jobs.append(TrainJob(inst, shard, val, seed, rows, timing))
+
+        updates = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 
         if config.timing.timeout_factor is not None:
             dropped = detect_stragglers([(u.node_id, u.timings) for u in updates], config.timing.timeout_factor)

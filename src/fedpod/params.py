@@ -8,12 +8,14 @@ Gaussian samples; validation cost is mean cross-entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ShapeError, TrainingDivergenceError, ValidationError
+from .streams import generators, seed_states
 
 if TYPE_CHECKING:
     from .engine import TimingSample
@@ -301,14 +303,16 @@ def train_local(
 @dataclass(frozen=True, eq=False)
 class TrainJob:
     """One participant of a round: the positional rows of `shard` it trains
-    on (None for every row), its validation shard, and the seed of its
-    batch-order stream."""
+    on (None for every row), its validation shard, the seed of its
+    batch-order stream, and its simulated round timings, which `train_round`
+    passes on to the job's `LocalUpdate` unchanged."""
 
     node_id: str
     shard: DataShard
     val: DataShard
     seed: int
     rows: np.ndarray | None = None
+    timings: "TimingSample | None" = None
 
 
 def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
@@ -370,12 +374,14 @@ def _train_block(
     start: ModelParams,
     jobs: Sequence[TrainJob],
     rows: Sequence[np.ndarray | slice],
+    states: np.ndarray,
     epochs: int,
     learning_rate: float,
     batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
     """`train_round`'s SGD for one block of jobs.
 
+    `states` holds each job's batch-order stream, as `seed_states` rows.
     Returns the trained parameters (jobs, dim), the validation costs before
     the clip at 0 (epochs + 1, jobs), and the divergence detail of each job
     that diverged, by position in `jobs`.
@@ -413,11 +419,13 @@ def _train_block(
             costs[epoch, group] = _stacked_cost(values[group], val_features, val_labels, n_classes, feature_dim)
 
     validate(0)
-    rngs = [np.random.default_rng(job.seed) for job in jobs]
+    # Each job's stream is its own, so drawing a job's epochs back to back
+    # gives the permutations `train_local` draws epoch by epoch.
+    perms = [[rng.permutation(n) for _ in range(epochs)] for n, rng in zip(sizes, generators(states))]
     owner_starts = np.repeat(starts, sizes)
     diverged: dict[int, str] = {}
     for epoch in range(1, epochs + 1):
-        order = np.concatenate([rng.permutation(n) for n, rng in zip(sizes, rngs)]) + owner_starts
+        order = np.concatenate([job_perms[epoch - 1] for job_perms in perms]) + owner_starts
         for group, positions in steps:
             if diverged:
                 keep = np.isin(group, list(diverged), invert=True)
@@ -454,7 +462,9 @@ def train_round(
     job's gradient and parameters are checked at every step; if jobs
     diverge, the error is the one `train_local` raises for the first of them
     in `jobs` order. Inputs are checked before any training, and all shards
-    must share one feature_dim.
+    must share one feature_dim. One `seed_states` pass seeds every job's
+    batch-order stream as `default_rng(job.seed)` would. Each update carries
+    its job's `timings`.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # train_local's argument checks
     if not jobs:
@@ -473,6 +483,7 @@ def train_round(
             raise ValidationError(f"label {int(train_labels.max())} out of range for {n_classes} classes")
         sizes[i] = len(train_labels)
 
+    states = seed_states([(job.seed,) for job in jobs])
     values = np.empty((len(jobs), start.dim))
     costs = np.empty((epochs + 1, len(jobs)))
     diverged: dict[int, str] = {}
@@ -481,7 +492,7 @@ def train_round(
     for lo in range(0, len(jobs), _BLOCK_NODES):
         block = by_size[lo : lo + _BLOCK_NODES]
         block_values, block_costs, block_diverged = _train_block(
-            start, [jobs[i] for i in block], [rows[i] for i in block], epochs, learning_rate, batch_size
+            start, [jobs[i] for i in block], [rows[i] for i in block], states[block], epochs, learning_rate, batch_size
         )
         values[block] = block_values
         costs[:, block] = block_costs
@@ -500,6 +511,7 @@ def train_round(
                 pre_cost=trajectory[0][1],
                 post_cost=trajectory[-1][1],
                 trajectory=CostTrajectory(trajectory),
+                timings=job.timings,
             )
         )
     return updates
@@ -524,11 +536,27 @@ def dice_score(pred: Sequence[int], truth: Sequence[int], cls: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BlobGeometry:
-    """Per-class Gaussian cloud shapes shared by every shard of one experiment."""
+    """Per-class Gaussian cloud shapes shared by every shard of one experiment.
+
+    `cdf` is the class priors' cumulative distribution, computed and checked
+    once here as `Generator.choice(p=class_probs)` would on every call.
+    """
 
     centers: np.ndarray
     scales: np.ndarray
     class_probs: np.ndarray
+    cdf: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        probs = np.asarray(self.class_probs, dtype=np.float64)
+        if probs.shape != (self.n_classes,):
+            raise ShapeError("class_probs must hold one prior per class")
+        total = math.fsum(probs.tolist())
+        if math.isnan(total) or np.any(probs < 0) or abs(total - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+            raise ValidationError("class_probs must be non-negative and sum to 1")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def n_classes(self) -> int:
@@ -552,11 +580,15 @@ def blob_geometry(n_classes: int, feature_dim: int, seed: int) -> BlobGeometry:
 
 
 def make_blob_shard(sample_ids: Sequence[str], geometry: BlobGeometry, rng: np.random.Generator) -> DataShard:
-    """Gaussian samples around per-class centers, mixed by the class priors."""
+    """Gaussian samples around per-class centers, mixed by the class priors.
+
+    Labels are drawn as `rng.choice(n_classes, size=n, p=class_probs)` draws
+    them once its checks pass, which `BlobGeometry` has already made.
+    """
     n = len(sample_ids)
     if n < 1:
         raise ValidationError("a shard needs at least one sample")
-    labels = rng.choice(geometry.n_classes, size=n, p=geometry.class_probs)
+    labels = geometry.cdf.searchsorted(rng.random(n), side="right")
     noise = rng.standard_normal((n, geometry.centers.shape[1]))
     features = geometry.centers[labels] + geometry.scales[labels] * noise
     return DataShard(features, labels, tuple(sample_ids))

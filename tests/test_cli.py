@@ -88,6 +88,22 @@ def test_main_gen_cohort_flags(tmp_path):
     assert len(load_partition_csv(out).entries) == 5
 
 
+@pytest.mark.parametrize("via", ["config", "env", "gen-cohort"])
+def test_main_rejects_a_negative_seed(tmp_path, monkeypatch, capsys, via):
+    monkeypatch.delenv("FEDPOD_SEED", raising=False)
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = -1\n" if via == "config" else "", encoding="utf-8")
+    if via == "env":
+        monkeypatch.setenv("FEDPOD_SEED", "-1")
+    if via == "gen-cohort":
+        argv = ["gen-cohort", "--seed", "-1", "--out", str(tmp_path / "out")]
+    else:
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_plot_data_writes_series(tiny_config, tmp_path):
     results = tmp_path / "results"
     assert main(["run", "--config", str(tiny_config), "--out", str(results / "a")]) == 0

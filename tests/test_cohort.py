@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fedpod.cli import write_partition_csv
 from fedpod.cohort import (
     _SHARD_SALT,
+    InstitutionEntry,
     PartitionTable,
     PoissonModel,
     fit_poisson,
@@ -95,6 +96,45 @@ def test_table_validates_duplicates_and_total():
         PartitionTable.from_sample_ids({"a": ["x"], "b": ["x"]})
     with pytest.raises(ValidationError):
         PartitionTable({}, 0)
+
+
+def _table_error_by_walking(entries, total):
+    """The table's checks as one walk over every id, in order."""
+    seen = set()
+    for inst, entry in entries.items():
+        if entry.count != len(entry.sample_ids):
+            return f"count mismatch for institution {inst!r}"
+        for sid in entry.sample_ids:
+            if sid in seen:
+                return f"duplicate sample id {sid!r}"
+            seen.add(sid)
+    if sum(e.count for e in entries.values()) != total:
+        return f"total {total} != sum of counts {sum(e.count for e in entries.values())}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.sampled_from("abcdefgh"), max_size=4), st.sampled_from([0, 0, 0, -1, 1])),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(-1, 1),
+)
+def test_table_checks_name_the_first_fault_in_id_order(holdings, total_skew):
+    entries = {
+        f"i{k}": InstitutionEntry(len(ids) + skew, tuple(ids))
+        for k, (ids, skew) in enumerate(holdings)
+    }
+    total = sum(e.count for e in entries.values()) + total_skew
+    expected = _table_error_by_walking(entries, total)
+    if expected is None:
+        assert PartitionTable(entries, total).total == total
+    else:
+        with pytest.raises(ValidationError) as caught:
+            PartitionTable(entries, total)
+        assert str(caught.value) == expected
 
 
 def test_table_counts_and_total():

@@ -8,7 +8,7 @@ from fedpod.engine import CohortSpec, ExperimentConfig, PhaseEntry, TimingProfil
 from fedpod.errors import ParseError, ValidationError
 
 EVERY_KEY = """\
-# every accepted key, with a value other than its default
+# every accepted key that the cohort block's source reads, each with a value other than its default
 seed = 5
 z = 1.5
 margin_fraction = 0.2
@@ -20,12 +20,7 @@ feature_dim = 6
 holdout_fraction = 0.3
 participation = all
 
-cohort.source = {source}
-cohort.path = part.csv
-cohort.institutions = 12
-cohort.mean_samples = 20.5
-cohort.outliers = 2
-cohort.outlier_scale = 4.0
+{cohort}
 strategy.kind = FedPIDAvg
 strategy.alpha = 0.5
 strategy.beta = 0.25
@@ -54,6 +49,18 @@ schedule.phase1.secondary = 0
 schedule.phase1.learning_rate = 0.01
 schedule.phase1.epochs = 2
 """
+
+
+# The cohort keys each source reads.
+SYNTHETIC_COHORT = """\
+cohort.source = synthetic
+cohort.institutions = 12
+cohort.mean_samples = 20.5
+cohort.outliers = 2
+cohort.outlier_scale = 4.0"""
+CSV_COHORT = """\
+cohort.source = csv
+cohort.path = part.csv"""
 
 
 @pytest.fixture(autouse=True)
@@ -100,13 +107,13 @@ def _expected_every_key(**overrides):
 
 
 def test_every_key_sets_its_field(tmp_path):
-    text = EVERY_KEY.format(source="synthetic", timeout_factor="none", inject_round="2")
+    text = EVERY_KEY.format(cohort=SYNTHETIC_COHORT, timeout_factor="none", inject_round="2")
     assert parse_config(_write(tmp_path, text)) == _expected_every_key()
 
 
-def test_csv_source_reads_the_path_and_ignores_the_cohort_keys(tmp_path):
+def test_csv_source_reads_the_path(tmp_path):
     (tmp_path / "part.csv").write_text("Subject_ID,Partition_ID\ns1,a\n", encoding="utf-8")
-    text = EVERY_KEY.format(source="csv", timeout_factor="2.5", inject_round="None")
+    text = EVERY_KEY.format(cohort=CSV_COHORT, timeout_factor="2.5", inject_round="None")
     expected = _expected_every_key(
         cohort=CohortSpec(),
         partition_csv=str(tmp_path / "part.csv"),
@@ -196,6 +203,22 @@ CONFIG_ERRORS = {
     "schedule-gap": (_phase(rounds="1-2"), "schedule must cover round 3 exactly once, got 0 entries"),
     "unknown-cohort-source": ("cohort.source = foo\n", "cohort.source: expected synthetic or csv, got 'foo'"),
     "csv-without-path": ("cohort.source = csv\n", "cohort.path is required when cohort.source = csv"),
+    **{
+        f"csv-with-cohort.{key}": (
+            f"cohort.source = csv\ncohort.path = part.csv\ncohort.{key} = 5\n",
+            f"cohort.{key}: has no effect with cohort.source = csv",
+        )
+        for key in ("institutions", "mean_samples", "outliers", "outlier_scale")
+    },
+    "synthetic-with-path": (
+        "cohort.source = synthetic\ncohort.path = part.csv\n",
+        "cohort.path: has no effect with cohort.source = synthetic",
+    ),
+    "default-source-with-path": (
+        "cohort.path = part.csv\n",
+        "cohort.path: has no effect with cohort.source = synthetic",
+    ),
+    "negative-seed": ("seed = -1\n", "seed must be >= 0"),
     "unknown-strategy-kind": (
         "strategy.kind = foo\n",
         "strategy.kind: expected one of ('fedavg', 'fedpidavg', 'fedpod'), got 'foo'",
@@ -244,3 +267,10 @@ def test_non_integer_seed_env_var(tmp_path, monkeypatch):
     with pytest.raises(ValidationError) as caught:
         parse_config(_write(tmp_path, ""))
     assert str(caught.value) == "FEDPOD_SEED: expected an integer"
+
+
+def test_negative_seed_env_var(tmp_path, monkeypatch):
+    monkeypatch.setenv("FEDPOD_SEED", "-3")
+    with pytest.raises(ValidationError) as caught:
+        parse_config(_write(tmp_path, ""))
+    assert str(caught.value) == "seed must be >= 0"

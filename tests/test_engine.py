@@ -115,6 +115,25 @@ def test_same_seed_same_timings():
     assert a == b
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.floats(-1.0, 1.0), st.floats(0.0, 2.0))
+def test_timings_are_four_scalar_lognormal_draws(seed, mu, sigma):
+    profile = TimingProfile(jitter_mu=mu, jitter_sigma=sigma)
+    rng = np.random.default_rng(seed)
+    jitter = [float(rng.lognormal(mu, sigma)) for _ in range(4)]
+    expected = TimingSample(
+        profile.model_bytes / profile.bandwidth_bps * jitter[0],
+        10 * profile.per_sample_val_s * jitter[1],
+        30 * 2 * profile.per_sample_train_s * jitter[2],
+        10 * profile.per_sample_val_s * jitter[3],
+    )
+    after = rng.random()
+    rng = np.random.default_rng(seed)
+    assert sample_timings(30, 2, 10, profile, rng) == expected
+    # The draw leaves the stream where the four scalar draws left it.
+    assert rng.random() == after
+
+
 def test_val_size_bounds():
     assert _val_size(10) == 8
     assert _val_size(100) == 20
@@ -260,6 +279,43 @@ def test_single_node_fedavg_equals_centralized_sgd():
     train_cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=train_seed(21, 1, 0), batch_size=16)
     update = train_local(ModelParams.zeros(36), shards[inst], val, train_cfg, node_id=inst)
     assert np.array_equal(report.final_model.values, update.params.values)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3])
+def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
+    """Each job's seed is `train_seed` and its timings come from
+    `default_rng([seed, _TIMING_SALT, round, node])`, injection included."""
+    config = small_config(
+        seed=seed,
+        participation="all",
+        max_rounds=3,
+        timing=fast_timing(jitter_sigma=0.3, inject_round=2, inject_rank=0, inject_factor=4.0),
+    )
+    rounds = []
+    real_train_round = engine.train_round
+
+    def capture(model, jobs, *args):
+        rounds.append(jobs)
+        return real_train_round(model, jobs, *args)
+
+    monkeypatch.setattr(engine, "train_round", capture)
+    report = run_experiment(config)
+    node_index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].entries))}
+    for round_index, (jobs, record) in enumerate(zip(rounds, report.records), start=1):
+        assert [job.node_id for job in jobs] == list(record.participants)
+        injected = sorted(record.participants)[0] if round_index == 2 else None
+        for job in jobs:
+            node = node_index[job.node_id]
+            assert job.seed == train_seed(seed, round_index, node)
+            assert job.seed == int(
+                np.random.SeedSequence([seed, engine._TRAIN_SALT, round_index, node]).generate_state(1, np.uint64)[0]
+            )
+            quota = len(job.shard) if job.rows is None else len(job.rows)
+            rng = np.random.default_rng([seed, engine._TIMING_SALT, round_index, node])
+            expected = sample_timings(quota, record.epochs, len(job.val), config.timing, rng)
+            if job.node_id == injected:
+                expected = expected.scaled(config.timing.inject_factor)
+            assert job.timings == expected
 
 
 def test_best_dice_is_running_max():

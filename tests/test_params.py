@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
+    BlobGeometry,
     CostTrajectory,
     DataShard,
     ModelParams,
@@ -267,3 +268,24 @@ def test_blob_labels_cover_expected_range():
     # class 0 is the dominant background
     counts = np.bincount(shard.labels)
     assert counts[0] > max(counts[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**64 - 1), st.integers(1, 300))
+def test_blob_shard_draws_as_choice_with_priors(n_classes, feature_dim, seed, n):
+    """Labels are `rng.choice(p=class_probs)`'s, and the feature draws that follow match too."""
+    geometry = blob_geometry(n_classes, feature_dim, seed % 1000)
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(n_classes, size=n, p=geometry.class_probs)
+    noise = rng.standard_normal((n, feature_dim))
+    shard = make_blob_shard([f"s{i}" for i in range(n)], geometry, np.random.default_rng(seed))
+    assert shard.labels.tolist() == labels.tolist()
+    assert shard.features.tobytes() == (geometry.centers[labels] + geometry.scales[labels] * noise).tobytes()
+
+
+@pytest.mark.parametrize(
+    "probs", [[0.5, 0.6], [1.5, -0.5], [np.nan, 1.0], [0.25, 0.25, 0.5]], ids=["sum", "negative", "nan", "length"]
+)
+def test_blob_geometry_checks_its_priors(probs):
+    with pytest.raises(ValidationError):
+        BlobGeometry(np.zeros((2, 3)), np.ones((2, 3)), np.array(probs))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedpod.engine import TimingSample
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import DataShard, ModelParams, TrainConfig, TrainJob, train_local, train_round
 from fedpod.selection import window_indices
@@ -69,7 +70,7 @@ def rounds(draw):
             quota = draw(st.integers(1, n))
             rows = window_indices(n, draw(st.integers(0, n - 1)), quota)
         val = shard(rng, draw(st.integers(1, 12)), tag=f"v{k}-")
-        jobs.append(TrainJob(f"node{k}", data, val, draw(st.integers(0, 2**63 - 1)), rows))
+        jobs.append(TrainJob(f"node{k}", data, val, draw(st.integers(0, 2**64 - 1)), rows))
     start = ModelParams(0.3 * rng.standard_normal(DIM))
     epochs = draw(st.integers(1, 4))
     learning_rate = draw(st.sampled_from([1e-3, 0.05, 0.5]))
@@ -96,6 +97,30 @@ def test_edge_shapes_match_train_local():
     ]
     check(start, jobs, 3, 0.05, 8)
     check(start, jobs, 2, 0.05, 1)
+
+
+def test_one_and_two_word_seeds_share_a_round():
+    rng = np.random.default_rng(7)
+    seeds = [0, 2**32 - 1, 2**32, 1, 2**64 - 1, 2**63 + 12345, 99, 2**32 + 1]
+    jobs = [TrainJob(f"n{k}", shard(rng, 5 + k), shard(rng, 3), seed) for k, seed in enumerate(seeds)]
+    check(ModelParams(0.2 * rng.standard_normal(DIM)), jobs, 3, 0.05, 4)
+
+
+def test_updates_carry_their_jobs_timings():
+    rng = np.random.default_rng(8)
+    timings = TimingSample(1.0, 2.0, 3.0, 4.0)
+    jobs = [
+        TrainJob("timed", shard(rng, 6), shard(rng, 3), 1, timings=timings),
+        TrainJob("untimed", shard(rng, 4), shard(rng, 3), 2),
+    ]
+    updates = train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
+    assert [u.timings for u in updates] == [timings, None]
+
+
+def test_negative_seed_raises_like_default_rng():
+    rng = np.random.default_rng(9)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        train_round(ModelParams.zeros(DIM), [TrainJob("n", shard(rng, 4), shard(rng, 3), -1)], 1, 0.1, 4)
 
 
 def test_many_jobs_span_several_blocks():
