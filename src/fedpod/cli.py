@@ -249,12 +249,18 @@ def read_model_bin(path: Path) -> ModelParams:
 
 
 def write_partition_csv(table: PartitionTable, path) -> None:
-    """Emit Subject_ID,Partition_ID rows, ordered by institution then sample id."""
+    """Emit Subject_ID,Partition_ID rows, ordered by institution then subject id.
+
+    Institution X's k-th subject is written `X-s{k:05d}`, and subjects are
+    sorted as strings within each institution. A table holds counts only, so
+    a loaded CSV's own subject ids are not kept; the callers, `gen-cohort`
+    and the benchmark's workload inputs, write synthetic tables only.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PARTITION_HEADER)
-        for inst in sorted(table.entries):
-            for sid in sorted(table.entries[inst].sample_ids):
+        for inst in sorted(table.counts):
+            for sid in sorted(f"{inst}-s{k:05d}" for k in range(table.counts[inst])):
                 writer.writerow([sid, inst])
 
 
@@ -345,7 +351,7 @@ def _cmd_gen_cohort(args) -> int:
         seed,
     )
     write_partition_csv(table, args.out)
-    print(f"{len(table.entries)} institutions, {table.total} samples -> {args.out}")
+    print(f"{len(table.counts)} institutions, {table.total} samples -> {args.out}")
     return 0
 
 

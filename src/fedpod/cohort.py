@@ -1,14 +1,14 @@
 """Institutional data distributions: Poisson modeling, skewed synthetic
-cohorts, and partition-file ingestion."""
+cohorts, and partition-file ingestion. Below the partition-file reader and
+writer an institution is its sample count; sample ids exist only in the file."""
 
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -22,62 +22,23 @@ PARTITION_HEADER = ("Subject_ID", "Partition_ID")
 
 
 @dataclass(frozen=True)
-class InstitutionEntry:
-    count: int
-    sample_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class PartitionTable:
-    """Sample holdings per institution; sample ids are globally unique."""
+    """Read-only sample count per institution, in ingest order; an
+    institution's position keys its shard's RNG stream."""
 
-    entries: dict[str, InstitutionEntry]
-    total: int
+    counts: Mapping[str, int]
 
     def __post_init__(self):
-        if not self.entries:
+        counts = dict(self.counts)
+        if not counts:
             raise ValidationError("a cohort needs at least one institution")
-        id_lists = [entry.sample_ids for entry in self.entries.values()]
-        # Uniqueness in one C-level pass; the ids are walked one by one only
-        # when there is a duplicate to name.
-        unique = len(set(chain.from_iterable(id_lists))) == sum(map(len, id_lists))
-        seen: set[str] = set()
-        counts: dict[str, int] = {}
-        for inst, entry in self.entries.items():
-            if entry.count != len(entry.sample_ids):
-                raise ValidationError(f"count mismatch for institution {inst!r}")
-            if entry.count < 0:
-                raise ValidationError("counts must be non-negative")
-            if not unique:
-                for sid in entry.sample_ids:
-                    if sid in seen:
-                        raise ValidationError(f"duplicate sample id {sid!r}")
-                    seen.add(sid)
-            counts[inst] = entry.count
-        total = sum(counts.values())
-        if total != self.total:
-            raise ValidationError(f"total {self.total} != sum of counts {total}")
-        object.__setattr__(self, "_counts", MappingProxyType(counts))
+        if any(type(count) is not int or count < 0 for count in counts.values()):
+            raise ValidationError("counts must be non-negative ints")
+        object.__setattr__(self, "counts", MappingProxyType(counts))
 
-    @staticmethod
-    def from_sample_ids(mapping: Mapping[str, Sequence[str]]) -> PartitionTable:
-        """Build a table from institution -> sample-id lists.
-
-        Sample order is normalized to sorted, which makes the CSV writer's
-        output a lossless round trip.
-        """
-        entries = {
-            inst: InstitutionEntry(len(ids), tuple(sorted(ids)))
-            for inst, ids in mapping.items()
-        }
-        return PartitionTable(entries, sum(e.count for e in entries.values()))
-
-    def counts(self) -> Mapping[str, int]:
-        """Read-only institution -> sample count, computed once at construction."""
-        return self._counts
-
-    def institutions(self) -> tuple[str, ...]:
-        return tuple(self.entries)
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -103,8 +64,7 @@ def poisson_pmf(x: int, lam: float) -> float:
 
 def fit_poisson(table: PartitionTable) -> PoissonModel:
     """Maximum-likelihood fit: lam is the mean institution count."""
-    counts = table.counts()
-    mean = sum(counts.values()) / len(counts)
+    mean = table.total / len(table.counts)
     if mean <= 0:
         raise DegenerateModelError("every institution has zero samples")
     return PoissonModel(mean)
@@ -142,23 +102,23 @@ class LazyShards(Mapping[str, DataShard]):
 
 
 def _lazy_blob_shards(
-    sample_ids: Mapping[str, Sequence[str]],
+    counts: Mapping[str, int],
     seed: int,
     n_classes: int,
     feature_dim: int,
 ) -> LazyShards:
-    """Institution i of `sample_ids` (in order) draws its shard from
-    `default_rng([seed, _SHARD_SALT, i])`."""
+    """Institution i of `counts` (in order) draws its shard of `counts[inst]`
+    samples from `default_rng([seed, _SHARD_SALT, i])`."""
     geometry = blob_geometry(n_classes, feature_dim, seed)
     # An institution with no samples can never get a shard: fail here, not
     # at its first lookup mid-run.
-    if any(not ids for ids in sample_ids.values()):
+    if not all(counts.values()):
         raise ValidationError("a shard needs at least one sample")
 
     def build(inst: str, idx: int) -> DataShard:
-        return make_blob_shard(sample_ids[inst], geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
+        return make_blob_shard(counts[inst], geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
 
-    return LazyShards({inst: idx for idx, inst in enumerate(sample_ids)}, build)
+    return LazyShards({inst: idx for idx, inst in enumerate(counts)}, build)
 
 
 def generate_synthetic_cohort(
@@ -189,10 +149,8 @@ def generate_synthetic_cohort(
     regular = rng.poisson(lam, size=n_institutions - n_outliers)
     outliers = rng.poisson(lam * outlier_scale, size=n_outliers)
     counts = np.maximum(np.concatenate([regular, outliers]), 1).astype(int)
-    sample_ids = {
-        f"inst{i:03d}": [f"inst{i:03d}-s{k:05d}" for k in range(c)] for i, c in enumerate(counts.tolist())
-    }
-    return PartitionTable.from_sample_ids(sample_ids), _lazy_blob_shards(sample_ids, seed, n_classes, feature_dim)
+    table = PartitionTable({f"inst{i:03d}": c for i, c in enumerate(counts.tolist())})
+    return table, _lazy_blob_shards(table.counts, seed, n_classes, feature_dim)
 
 
 def synthesize_shards(
@@ -201,24 +159,24 @@ def synthesize_shards(
     n_classes: int = 4,
     feature_dim: int = 8,
 ) -> LazyShards:
-    """Synthesize features for an ingested table; only ids and counts are real.
+    """Synthesize features and labels for an ingested table; only its counts are real.
 
     A shard is built on its first lookup, from its own stream keyed by the
-    institution's position in `table.entries`, so institutions that are
+    institution's position in `table.counts`, so institutions that are
     never looked up cost nothing.
     """
-    sample_ids = {inst: entry.sample_ids for inst, entry in table.entries.items()}
-    return _lazy_blob_shards(sample_ids, seed, n_classes, feature_dim)
+    return _lazy_blob_shards(table.counts, seed, n_classes, feature_dim)
 
 
 def load_partition_csv(path) -> PartitionTable:
-    """Parse `Subject_ID,Partition_ID` rows grouped by partition id."""
+    """Count `Subject_ID,Partition_ID` rows per partition id, in order of each
+    partition's first row; every row is checked, subject ids are not kept."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != PARTITION_HEADER:
             raise ParseError(f"expected header {','.join(PARTITION_HEADER)}", line=1)
-        groups: dict[str, list[str]] = {}
+        counts: dict[str, int] = {}
         seen: set[str] = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -233,7 +191,7 @@ def load_partition_csv(path) -> PartitionTable:
             if subject in seen:
                 raise ParseError(f"duplicate subject id {subject!r}", line=lineno)
             seen.add(subject)
-            groups.setdefault(partition, []).append(subject)
-    if not groups:
+            counts[partition] = counts.get(partition, 0) + 1
+    if not counts:
         raise ParseError("no data rows")
-    return PartitionTable.from_sample_ids(groups)
+    return PartitionTable(counts)

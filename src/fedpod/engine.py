@@ -157,7 +157,7 @@ class TimingProfile:
 
 @dataclass(frozen=True)
 class CohortSpec:
-    """Synthetic cohort parameters (ignored when a partition CSV is given)."""
+    """Synthetic cohort parameters; left at the defaults when a partition CSV is given."""
 
     n_institutions: int = 23
     mean_samples: float = 30.0
@@ -181,6 +181,7 @@ class RoundRecord:
     convergence_so_far: float
     fallbacks: tuple[str, ...]
     secondary_shortfall: bool
+    primary_shortfall: bool
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        if self.partition_csv is not None and self.cohort != CohortSpec():
+            raise ValidationError("a partition CSV sets the cohort; cohort must keep its defaults")
         if self.n_classes < 2 or self.feature_dim < 1:
             raise ValidationError("need n_classes >= 2 and feature_dim >= 1")
         if self.batch_size < 1:
@@ -365,7 +368,7 @@ def _all_nodes_plan(
     table: PartitionTable,
     blacklist: frozenset[str],
 ) -> TaskPlan:
-    counts = table.counts()
+    counts = table.counts
     participants = [
         TaskParticipant(inst, ROLE_PRIMARY, counts[inst], 0)
         for inst in classification.primary
@@ -391,22 +394,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     table, shards = _build_cohort(config)
     poisson = fit_poisson(table)
     classification = classify_nodes(table, poisson, config.z)
-    node_index = {inst: i for i, inst in enumerate(sorted(table.entries))}
+    node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
     geometry = blob_geometry(config.n_classes, config.feature_dim, config.seed)
 
     holdout_n = max(32, round(config.holdout_fraction * table.total))
-    holdout = make_blob_shard(
-        [f"holdout-s{k:05d}" for k in range(holdout_n)],
-        geometry,
-        np.random.default_rng([config.seed, _HOLDOUT_SALT]),
-    )
-    counts = table.counts()
+    holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
 
     def build_val_shard(inst: str, index: int) -> DataShard:
         return make_blob_shard(
-            [f"{inst}-val{k:04d}" for k in range(_val_size(counts[inst]))],
-            geometry,
-            np.random.default_rng([config.seed, _NODE_VAL_SALT, index]),
+            _val_size(table.counts[inst]), geometry, np.random.default_rng([config.seed, _NODE_VAL_SALT, index])
         )
 
     # Like the training shards, each validation shard is built when its
@@ -512,6 +508,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 convergence_so_far=weighted_best / cumulative,
                 fallbacks=result.fallbacks,
                 secondary_shortfall=plan.secondary_shortfall,
+                primary_shortfall=plan.primary_shortfall,
             )
         )
         blacklist = dropped
@@ -529,7 +526,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         convergence_score=(weighted_best / cumulative) if records else 0.0,
         total_dropped=total_dropped,
         fallback_rounds=fallback_rounds,
-        n_institutions=len(table.entries),
+        n_institutions=len(table.counts),
         n_primary=len(classification.primary),
         n_secondary=len(classification.secondary),
         fitted_mean=poisson.lam,

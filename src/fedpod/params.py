@@ -62,11 +62,10 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class DataShard:
-    """Feature vectors, integer class labels, and opaque sample ids."""
+    """Feature vectors and their integer class labels, one row per sample."""
 
     features: np.ndarray
     labels: np.ndarray
-    sample_ids: tuple[str, ...]
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, copy=True)
@@ -75,8 +74,6 @@ class DataShard:
             raise ShapeError("features must be a non-empty (n, feature_dim) array")
         if labels.shape != (feats.shape[0],):
             raise ShapeError("labels must align with features")
-        if len(self.sample_ids) != feats.shape[0]:
-            raise ShapeError("sample_ids must align with features")
         if not np.all(np.isfinite(feats)):
             raise ValidationError("features must be finite")
         if labels.min() < 0:
@@ -85,10 +82,9 @@ class DataShard:
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
 
     def __len__(self) -> int:
-        return len(self.sample_ids)
+        return len(self.labels)
 
     @property
     def feature_dim(self) -> int:
@@ -579,16 +575,15 @@ def blob_geometry(n_classes: int, feature_dim: int, seed: int) -> BlobGeometry:
     return BlobGeometry(centers, scales, probs)
 
 
-def make_blob_shard(sample_ids: Sequence[str], geometry: BlobGeometry, rng: np.random.Generator) -> DataShard:
-    """Gaussian samples around per-class centers, mixed by the class priors.
+def make_blob_shard(n: int, geometry: BlobGeometry, rng: np.random.Generator) -> DataShard:
+    """`n` Gaussian samples around per-class centers, mixed by the class priors.
 
     Labels are drawn as `rng.choice(n_classes, size=n, p=class_probs)` draws
     them once its checks pass, which `BlobGeometry` has already made.
     """
-    n = len(sample_ids)
     if n < 1:
         raise ValidationError("a shard needs at least one sample")
     labels = geometry.cdf.searchsorted(rng.random(n), side="right")
     noise = rng.standard_normal((n, geometry.centers.shape[1]))
     features = geometry.centers[labels] + geometry.scales[labels] * noise
-    return DataShard(features, labels, tuple(sample_ids))
+    return DataShard(features, labels)

@@ -48,11 +48,13 @@ class TaskParticipant:
 
 @dataclass(frozen=True)
 class TaskPlan:
-    """One round's participant set with per-node data quotas."""
+    """One round's participant set with per-node data quotas; a shortfall
+    flag means fewer eligible nodes of that role than the phase asks for."""
 
     round_index: int
     participants: tuple[TaskParticipant, ...]
     secondary_shortfall: bool = False
+    primary_shortfall: bool = False
 
     def __post_init__(self):
         ids = [p.institution_id for p in self.participants]
@@ -76,7 +78,7 @@ def classify_nodes(table: PartitionTable, model: PoissonModel, z: float) -> Node
     Within each set, order is by descending count with ties broken by id.
     """
     threshold = upper_bound(model.lam, z)
-    ordered = sorted(table.counts().items(), key=lambda item: (-item[1], item[0]))
+    ordered = sorted(table.counts.items(), key=lambda item: (-item[1], item[0]))
     primary = tuple(inst for inst, count in ordered if count >= threshold)
     secondary = tuple(inst for inst, count in ordered if count < threshold)
     return NodeClassification(primary, secondary, threshold)
@@ -121,7 +123,7 @@ def compose_task(
     if not lam > 0:
         raise ValidationError("lam must be positive")
     offsets = offsets or {}
-    counts = table.counts()
+    counts = table.counts
 
     eligible_primary = [inst for inst in classification.primary if inst not in blacklist]
     if not eligible_primary:
@@ -154,4 +156,4 @@ def compose_task(
         for j in sorted(chosen):
             participants.append(TaskParticipant(secondary[j], ROLE_SECONDARY, counts[secondary[j]], 0))
 
-    return TaskPlan(round_index, tuple(participants), shortfall)
+    return TaskPlan(round_index, tuple(participants), shortfall, len(eligible_primary) < schedule_entry.n_primary)

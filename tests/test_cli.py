@@ -1,10 +1,11 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
 from fedpod.cli import main, read_model_bin, write_model_bin, write_partition_csv
-from fedpod.cohort import generate_synthetic_cohort, load_partition_csv
+from fedpod.cohort import PartitionTable, generate_synthetic_cohort, load_partition_csv
 from fedpod.engine import CohortSpec, ExperimentConfig
 from fedpod.errors import ParseError
 from fedpod.params import ModelParams
@@ -54,6 +55,10 @@ def _rows(path):
         return list(csv.reader(fh))
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_main_run_writes_its_files(tiny_config, tmp_path):
     out = tmp_path / "run"
     assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
@@ -80,12 +85,26 @@ def test_main_gen_cohort_defaults_match_the_config_defaults(tmp_path):
     )
     write_partition_csv(table, tmp_path / "expected.csv")
     assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert _sha256(out) == "8535259bbe7ad4711f1ad251ce8e669feed42dde3e235bf5908833c24cdd8bf7"
 
 
 def test_main_gen_cohort_flags(tmp_path):
     out = tmp_path / "cohort.csv"
     assert main(["gen-cohort", "--institutions", "5", "--mean-samples", "8", "--seed", "3", "--out", str(out)]) == 0
-    assert len(load_partition_csv(out).entries) == 5
+    assert len(load_partition_csv(out).counts) == 5
+    assert _sha256(out) == "006e08848bf8383fab628dcc587e17fdc32a0d5516a35a103ee959b87e1b18cf"
+
+
+def test_write_partition_csv_names_subjects_by_position(tmp_path):
+    # Institutions sorted; institution X's k-th subject is `X-s{k:05d}`, sorted
+    # as strings, so site-a's s100000 falls between s10000 and s10001.
+    out = tmp_path / "table.csv"
+    write_partition_csv(PartitionTable({"site-b": 2, "site-a": 100_001, "x": 1}), out)
+    rows = _rows(out)
+    assert rows[:2] == [["Subject_ID", "Partition_ID"], ["site-a-s00000", "site-a"]]
+    assert [sid for sid, _ in rows[10_001:10_004]] == ["site-a-s10000", "site-a-s100000", "site-a-s10001"]
+    assert rows[-3:] == [["site-b-s00000", "site-b"], ["site-b-s00001", "site-b"], ["x-s00000", "x"]]
+    assert _sha256(out) == "91de1c9e3c2214c7bffced940266171fb2f44dbdda6bee6d9eb4655cf0850a61"
 
 
 @pytest.mark.parametrize("via", ["config", "env", "gen-cohort"])

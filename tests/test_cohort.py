@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fedpod.cli import write_partition_csv
 from fedpod.cohort import (
     _SHARD_SALT,
-    InstitutionEntry,
     PartitionTable,
     PoissonModel,
     fit_poisson,
@@ -22,9 +21,7 @@ from fedpod.params import blob_geometry, make_blob_shard
 
 
 def table_from_counts(counts):
-    return PartitionTable.from_sample_ids(
-        {f"inst{i}": [f"inst{i}-s{k}" for k in range(c)] for i, c in enumerate(counts)}
-    )
+    return PartitionTable({f"inst{i}": c for i, c in enumerate(counts)})
 
 
 # ---------------------------------------------------------------- pmf
@@ -91,56 +88,23 @@ def test_poisson_model_requires_positive_lambda():
 # ---------------------------------------------------------------- table
 
 
-def test_table_validates_duplicates_and_total():
-    with pytest.raises(ValidationError):
-        PartitionTable.from_sample_ids({"a": ["x"], "b": ["x"]})
-    with pytest.raises(ValidationError):
-        PartitionTable({}, 0)
-
-
-def _table_error_by_walking(entries, total):
-    """The table's checks as one walk over every id, in order."""
-    seen = set()
-    for inst, entry in entries.items():
-        if entry.count != len(entry.sample_ids):
-            return f"count mismatch for institution {inst!r}"
-        for sid in entry.sample_ids:
-            if sid in seen:
-                return f"duplicate sample id {sid!r}"
-            seen.add(sid)
-    if sum(e.count for e in entries.values()) != total:
-        return f"total {total} != sum of counts {sum(e.count for e in entries.values())}"
-    return None
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.lists(st.sampled_from("abcdefgh"), max_size=4), st.sampled_from([0, 0, 0, -1, 1])),
-        min_size=1,
-        max_size=5,
-    ),
-    st.integers(-1, 1),
-)
-def test_table_checks_name_the_first_fault_in_id_order(holdings, total_skew):
-    entries = {
-        f"i{k}": InstitutionEntry(len(ids) + skew, tuple(ids))
-        for k, (ids, skew) in enumerate(holdings)
-    }
-    total = sum(e.count for e in entries.values()) + total_skew
-    expected = _table_error_by_walking(entries, total)
-    if expected is None:
-        assert PartitionTable(entries, total).total == total
-    else:
-        with pytest.raises(ValidationError) as caught:
-            PartitionTable(entries, total)
-        assert str(caught.value) == expected
+def test_table_validates_counts():
+    with pytest.raises(ValidationError, match="at least one institution"):
+        PartitionTable({})
+    for bad in (-1, 2.0, True, np.int64(3)):
+        with pytest.raises(ValidationError, match="non-negative ints"):
+            PartitionTable({"a": 1, "b": bad})
 
 
 def test_table_counts_and_total():
-    table = table_from_counts([3, 5])
-    assert table.counts() == {"inst0": 3, "inst1": 5}
+    source = {"inst1": 5, "inst0": 3}
+    table = PartitionTable(source)
+    source["inst2"] = 4
+    assert list(table.counts) == ["inst1", "inst0"]
+    assert table.counts == {"inst0": 3, "inst1": 5}
     assert table.total == 8
+    with pytest.raises(TypeError):
+        table.counts["inst0"] = 1
 
 
 # ---------------------------------------------------------------- generator
@@ -156,16 +120,16 @@ def test_generator_is_deterministic():
 
 def test_generator_single_institution():
     table, shards = generate_synthetic_cohort(1, 3.0, 0, 1.0, seed=0)
-    (entry,) = table.entries.values()
-    assert entry.count >= 1
+    (count,) = table.counts.values()
+    assert count >= 1
     assert len(shards) == 1
 
 
 def test_generator_shards_align_with_table():
     table, shards = generate_synthetic_cohort(5, 8.0, 1, 4.0, seed=2)
-    for inst, entry in table.entries.items():
-        assert len(shards[inst]) == entry.count
-        assert tuple(sorted(shards[inst].sample_ids)) == entry.sample_ids
+    assert list(table.counts) == [f"inst{i:03d}" for i in range(5)]
+    for inst, count in table.counts.items():
+        assert len(shards[inst]) == count
 
 
 def test_generator_rejects_bad_arguments():
@@ -184,7 +148,7 @@ def test_outliers_exceed_upper_bound_across_seeds():
     hits = trials = 0
     for seed in range(100):
         table, _ = generate_synthetic_cohort(23, lam, 3, 10.0, seed=seed)
-        counts = list(table.counts().values())
+        counts = list(table.counts.values())
         for count in sorted(counts)[-3:]:
             trials += 1
             hits += count > bound
@@ -203,28 +167,28 @@ def test_generate_then_fit_round_trips_lambda():
 def test_synthesize_shards_covers_every_institution():
     table = table_from_counts([4, 2, 9])
     shards = synthesize_shards(table, seed=5)
-    assert set(shards) == set(table.entries)
-    for inst, entry in table.entries.items():
-        assert len(shards[inst]) == entry.count
+    assert set(shards) == set(table.counts)
+    for inst, count in table.counts.items():
+        assert len(shards[inst]) == count
 
 
 def test_synthesize_shards_rejects_an_empty_institution():
-    table = PartitionTable.from_sample_ids({"a": ["a1"], "b": []})
+    table = PartitionTable({"a": 1, "b": 0})
     with pytest.raises(ValidationError, match="at least one sample"):
         synthesize_shards(table, seed=5)
 
 
-def _eager_shards(sample_ids, seed):
+def _eager_shards(counts, seed):
     """Every institution's shard built up front, in order, from its salted stream."""
     geometry = blob_geometry(4, 8, seed)
     return {
-        inst: make_blob_shard(ids, geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
-        for idx, (inst, ids) in enumerate(sample_ids.items())
+        inst: make_blob_shard(count, geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
+        for idx, (inst, count) in enumerate(counts.items())
     }
 
 
 def _assert_same_shard(a, b):
-    assert a.sample_ids == b.sample_ids
+    assert len(a) == len(b)
     assert np.array_equal(a.labels, b.labels)
     assert a.features.tobytes() == b.features.tobytes()
 
@@ -241,15 +205,13 @@ def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
     # the shards an eager pass over the whole table would have built.
     if synthetic:
         table, shards = generate_synthetic_cohort(len(counts), 6.0, 0, 1.0, seed=seed)
-        sample_ids = {inst: [f"{inst}-s{k:05d}" for k in range(e.count)] for inst, e in table.entries.items()}
     else:
         # inst10 sorts before inst2, so position and id order differ.
         table = table_from_counts(counts)
         shards = synthesize_shards(table, seed=seed)
-        sample_ids = {inst: e.sample_ids for inst, e in table.entries.items()}
-    assert list(shards) == list(table.entries) and len(shards) == len(table.entries)
-    expected = _eager_shards(sample_ids, seed)
-    lookups = data.draw(st.lists(st.sampled_from(list(table.entries)), max_size=2 * len(counts)))
+    assert list(shards) == list(table.counts) and len(shards) == len(table.counts)
+    expected = _eager_shards(table.counts, seed)
+    lookups = data.draw(st.lists(st.sampled_from(list(table.counts)), max_size=2 * len(counts)))
     for inst in lookups:
         shard = shards[inst]
         _assert_same_shard(shard, expected[inst])
@@ -264,9 +226,9 @@ def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
 
 def test_load_groups_by_partition(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text("Subject_ID,Partition_ID\ns1,h1\ns2,h1\n")
+    path.write_text("Subject_ID,Partition_ID\ns1,h2\ns2,h1\ns3,h2\n")
     table = load_partition_csv(path)
-    assert table.counts() == {"h1": 2}
+    assert list(table.counts.items()) == [("h2", 2), ("h1", 1)]
 
 
 def test_load_rejects_empty_data(tmp_path):
@@ -308,28 +270,28 @@ def test_load_distribution_file_with_23_partitions(tmp_path):
     path = tmp_path / "partitioning.csv"
     write_partition_csv(table, path)
     loaded = load_partition_csv(path)
-    assert len(loaded.entries) == 23
-
-
-ids = st.text(alphabet="abcdefgh0123456789", min_size=1, max_size=8)
+    assert len(loaded.counts) == 23
+    assert loaded == table
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     st.dictionaries(
-        ids,
-        st.sets(ids, min_size=1, max_size=6),
+        st.text(alphabet="abcdefgh0123456789-", min_size=1, max_size=8),
+        st.integers(1, 30),
         min_size=1,
         max_size=5,
     )
 )
-def test_partition_csv_round_trip(mapping):
-    # globally unique sample ids: prefix with the institution
-    unique = {inst: [f"{inst}.{sid}" for sid in sids] for inst, sids in mapping.items()}
-    table = PartitionTable.from_sample_ids(unique)
+def test_partition_csv_round_trip(counts):
+    table = PartitionTable(counts)
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/t.csv"
         write_partition_csv(table, path)
-        assert load_partition_csv(path) == table
+        loaded = load_partition_csv(path)
+    assert loaded == table
+    assert list(loaded.counts) == sorted(counts)
+    shards = synthesize_shards(loaded, seed=3)
+    assert all(len(shards[inst]) == count for inst, count in counts.items())

@@ -90,6 +90,12 @@ def test_config_rejects_gapped_schedule():
         )
 
 
+def test_config_rejects_a_cohort_beside_a_partition_csv():
+    assert ExperimentConfig(partition_csv="x.csv").cohort == CohortSpec()
+    with pytest.raises(ValidationError, match="partition CSV"):
+        ExperimentConfig(partition_csv="x.csv", cohort=CohortSpec(n_institutions=5))
+
+
 # ---------------------------------------------------------------- timings
 
 
@@ -211,6 +217,7 @@ def _record(round_index, best, seconds):
         convergence_so_far=best,
         fallbacks=(),
         secondary_shortfall=False,
+        primary_shortfall=False,
     )
 
 
@@ -269,13 +276,9 @@ def test_single_node_fedavg_equals_centralized_sgd():
     report = run_experiment(cfg)
 
     table, shards = generate_synthetic_cohort(1, 40.0, 0, 1.0, seed=21)
-    (inst,) = table.entries
+    ((inst, count),) = table.counts.items()
     geometry = blob_geometry(4, 8, 21)
-    val = make_blob_shard(
-        [f"{inst}-val{k:04d}" for k in range(_val_size(table.entries[inst].count))],
-        geometry,
-        np.random.default_rng([21, _NODE_VAL_SALT, 0]),
-    )
+    val = make_blob_shard(_val_size(count), geometry, np.random.default_rng([21, _NODE_VAL_SALT, 0]))
     train_cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=train_seed(21, 1, 0), batch_size=16)
     update = train_local(ModelParams.zeros(36), shards[inst], val, train_cfg, node_id=inst)
     assert np.array_equal(report.final_model.values, update.params.values)
@@ -300,7 +303,7 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
 
     monkeypatch.setattr(engine, "train_round", capture)
     report = run_experiment(config)
-    node_index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].entries))}
+    node_index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].counts))}
     for round_index, (jobs, record) in enumerate(zip(rounds, report.records), start=1):
         assert [job.node_id for job in jobs] == list(record.participants)
         injected = sorted(record.participants)[0] if round_index == 2 else None
@@ -358,6 +361,22 @@ def test_straggler_blacklist_lasts_one_round():
     assert victim not in [node for node, _ in report.records[1].weights]
 
 
+def test_default_run_records_its_primary_shortfall():
+    # The default schedule asks for 6 primaries; the default cohort has 3.
+    report = run_experiment(ExperimentConfig())
+    assert report.summary.n_primary == 3
+    assert report.records and all(record.primary_shortfall for record in report.records)
+
+
+def test_schedule_within_the_primaries_records_no_shortfall():
+    # Two of the three primaries are asked for, so a dropped primary still
+    # leaves enough.
+    schedule = (PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),)
+    report = run_experiment(ExperimentConfig(schedule=schedule, max_rounds=6))
+    assert report.summary.n_primary == 3
+    assert not any(record.primary_shortfall for record in report.records)
+
+
 def test_participation_all_includes_every_institution():
     cfg = small_config(participation="all", max_rounds=2)
     report = run_experiment(cfg)
@@ -374,13 +393,14 @@ def test_weights_are_recorded_per_survivor():
 
 def test_only_participants_get_shards(monkeypatch):
     # Training and validation shards are built on first use, once each, so a
-    # cohort where few institutions take part synthesizes only theirs.
+    # cohort where few institutions take part synthesizes only theirs. A
+    # shard's stream key, `[seed, salt, index]`, names what it was built for.
     built = {"train": [], "val": []}
 
     def counting(kind, original):
-        def counted(sample_ids, geometry, rng):
-            built[kind].append(sample_ids[0].rsplit("-", 1)[0])
-            return original(sample_ids, geometry, rng)
+        def counted(n, geometry, rng):
+            built[kind].append(tuple(rng.bit_generator.seed_seq.entropy[1:]))
+            return original(n, geometry, rng)
 
         return counted
 
@@ -394,5 +414,10 @@ def test_only_participants_get_shards(monkeypatch):
     report = run_experiment(config)
     taking_part = {inst for record in report.records for inst in record.participants}
     assert len(taking_part) < 40
-    assert sorted(built["train"]) == sorted(taking_part)
-    assert sorted(built["val"]) == sorted(taking_part | {"holdout"})
+    # Synthetic institutions are named in position order, so the training
+    # index and the validation (sorted) index agree.
+    index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].counts))}
+    assert sorted(built["train"]) == sorted((cohort._SHARD_SALT, index[inst]) for inst in taking_part)
+    assert sorted(built["val"]) == sorted(
+        [(engine._HOLDOUT_SALT,)] + [(_NODE_VAL_SALT, index[inst]) for inst in taking_part]
+    )

@@ -95,7 +95,7 @@ def _cross_entropy_oracle(values, shard, n_classes, feature_dim):
 def _shard(n, n_classes=3, feature_dim=4, seed=0):
     geometry = blob_geometry(n_classes, feature_dim, seed)
     rng = np.random.default_rng(seed + 1)
-    return make_blob_shard([f"s{i}" for i in range(n)], geometry, rng)
+    return make_blob_shard(n, geometry, rng)
 
 
 def test_uniform_model_cost_is_log_n_classes():
@@ -122,7 +122,7 @@ def test_cost_is_non_negative_even_when_confident():
 
 def test_empty_shard_is_unconstructible():
     with pytest.raises(ShapeError):
-        DataShard(np.zeros((0, 3)), np.zeros(0, dtype=int), ())
+        DataShard(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 def test_model_dim_must_fit_shard():
@@ -137,8 +137,8 @@ def test_model_dim_must_fit_shard():
 def _separable_shards(n=48, seed=5):
     geometry = blob_geometry(2, 3, seed)
     rng = np.random.default_rng(seed)
-    train = make_blob_shard([f"t{i}" for i in range(n)], geometry, rng)
-    val = make_blob_shard([f"v{i}" for i in range(n // 2)], geometry, rng)
+    train = make_blob_shard(n, geometry, rng)
+    val = make_blob_shard(n // 2, geometry, rng)
     return train, val
 
 
@@ -255,15 +255,15 @@ def test_dice_symmetric_and_bounded(pred, cls, rnd):
 
 def test_blob_generation_is_deterministic():
     geometry = blob_geometry(4, 8, 123)
-    a = make_blob_shard(["a", "b", "c"], geometry, np.random.default_rng(5))
-    b = make_blob_shard(["a", "b", "c"], geometry, np.random.default_rng(5))
+    a = make_blob_shard(3, geometry, np.random.default_rng(5))
+    b = make_blob_shard(3, geometry, np.random.default_rng(5))
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_blob_labels_cover_expected_range():
     geometry = blob_geometry(4, 8, 7)
-    shard = make_blob_shard([f"s{i}" for i in range(500)], geometry, np.random.default_rng(0))
+    shard = make_blob_shard(500, geometry, np.random.default_rng(0))
     assert set(np.unique(shard.labels)) == {0, 1, 2, 3}
     # class 0 is the dominant background
     counts = np.bincount(shard.labels)
@@ -278,7 +278,7 @@ def test_blob_shard_draws_as_choice_with_priors(n_classes, feature_dim, seed, n)
     rng = np.random.default_rng(seed)
     labels = rng.choice(n_classes, size=n, p=geometry.class_probs)
     noise = rng.standard_normal((n, feature_dim))
-    shard = make_blob_shard([f"s{i}" for i in range(n)], geometry, np.random.default_rng(seed))
+    shard = make_blob_shard(n, geometry, np.random.default_rng(seed))
     assert shard.labels.tolist() == labels.tolist()
     assert shard.features.tobytes() == (geometry.centers[labels] + geometry.scales[labels] * noise).tobytes()
 

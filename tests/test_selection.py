@@ -20,9 +20,7 @@ from fedpod.selection import (
 
 
 def table_from_counts(counts):
-    return PartitionTable.from_sample_ids(
-        {f"inst{i:02d}": [f"inst{i:02d}-s{k:04d}" for k in range(c)] for i, c in enumerate(counts)}
-    )
+    return PartitionTable({f"inst{i:02d}": c for i, c in enumerate(counts)})
 
 
 def phase(n_primary, n_secondary, epochs=1):
@@ -81,12 +79,12 @@ def test_classify_orders_by_count_then_id():
 def test_classify_is_a_disjoint_cover(counts, lam, z):
     table = table_from_counts(counts)
     split = classify_nodes(table, PoissonModel(lam), z)
-    assert set(split.primary) | set(split.secondary) == set(table.entries)
+    assert set(split.primary) | set(split.secondary) == set(table.counts)
     assert set(split.primary) & set(split.secondary) == set()
     for inst in split.primary:
-        assert table.counts()[inst] >= split.threshold
+        assert table.counts[inst] >= split.threshold
     for inst in split.secondary:
-        assert table.counts()[inst] < split.threshold
+        assert table.counts[inst] < split.threshold
 
 
 # ---------------------------------------------------------------- quotas
@@ -187,6 +185,16 @@ def test_compose_secondary_shortfall_flag():
     assert len([p for p in plan.participants if p.role == "secondary"]) == len(split.secondary)
 
 
+def test_compose_primary_shortfall_flag():
+    table, model, split = _skewed_setup()
+    assert len(split.primary) == 2
+    args = (1, split, phase(2, 1), model.lam, 0.1, table)
+    assert not compose_task(*args, rng_seed=0).primary_shortfall
+    plan = compose_task(*args, blacklist=frozenset({split.primary[0]}), rng_seed=0)
+    assert plan.primary_shortfall and not plan.secondary_shortfall
+    assert [p.institution_id for p in plan.participants if p.role == "primary"] == [split.primary[1]]
+
+
 def test_compose_errors_without_primaries():
     table = table_from_counts([5, 5])
     split = classify_nodes(table, PoissonModel(5.0), z=2.0)
@@ -199,7 +207,7 @@ def test_compose_quota_bounds_hold():
     for round_index in range(1, 10):
         plan = compose_task(round_index, split, phase(2, 3), model.lam, 0.1, table, rng_seed=2)
         for p in plan.participants:
-            assert 1 <= p.quota <= table.counts()[p.institution_id]
+            assert 1 <= p.quota <= table.counts[p.institution_id]
 
 
 def test_secondary_quota_is_full_count():
@@ -207,7 +215,7 @@ def test_secondary_quota_is_full_count():
     plan = compose_task(2, split, phase(2, 4), model.lam, 0.1, table, rng_seed=1)
     for p in plan.participants:
         if p.role == "secondary":
-            assert p.quota == table.counts()[p.institution_id]
+            assert p.quota == table.counts[p.institution_id]
             assert p.shard_offset == 0
 
 
@@ -216,24 +224,23 @@ def test_rotating_windows_cover_all_samples():
     table = table_from_counts([23])
     split = classify_nodes(table, PoissonModel(7.0), z=0.0)
     offsets = {}
-    seen: set[str] = set()
-    (inst,) = table.entries
-    sample_ids = table.entries[inst].sample_ids
+    seen: set[int] = set()
+    (inst,) = table.counts
     rounds_needed = math.ceil(23 / 7)
     for round_index in range(1, rounds_needed + 1):
         plan = compose_task(round_index, split, phase(1, 0), 7.0, 0.0, table, offsets=offsets)
         (p,) = plan.participants
         for idx in window_indices(23, p.shard_offset, p.quota):
-            seen.add(sample_ids[idx])
+            seen.add(int(idx))
         offsets[inst] = (p.shard_offset + p.quota) % 23
-    assert seen == set(sample_ids)
+    assert seen == set(range(23))
 
 
 def _reference_compose_task(
     round_index, classification, schedule_entry, lam, margin_fraction, table, blacklist, rng_seed, offsets
 ):
     """The selection as first written: whole-cohort scans, kept as the oracle."""
-    counts = {inst: entry.count for inst, entry in table.entries.items()}
+    counts = dict(table.counts)
     eligible_primary = [inst for inst in classification.primary if inst not in blacklist]
     if not eligible_primary:
         raise EmptyCohortError(f"round {round_index}: no eligible primary institutions")
@@ -258,7 +265,7 @@ def _reference_compose_task(
                     break
         for inst in sorted(chosen, key=lambda i: classification.secondary.index(i)):
             participants.append(TaskParticipant(inst, "secondary", counts[inst], 0))
-    return TaskPlan(round_index, tuple(participants), shortfall)
+    return TaskPlan(round_index, tuple(participants), shortfall, len(eligible_primary) < schedule_entry.n_primary)
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,7 +287,7 @@ def test_compose_matches_the_whole_cohort_reference(
     split = classify_nodes(table, model, z)
     # Blacklists may name secondaries, primaries and ids outside the cohort;
     # asking for up to two more secondaries than exist covers every shortfall.
-    blacklist = frozenset(data.draw(st.sets(st.sampled_from([*table.entries, "not-in-the-cohort"]))))
+    blacklist = frozenset(data.draw(st.sets(st.sampled_from([*table.counts, "not-in-the-cohort"]))))
     n_secondary = data.draw(st.integers(0, len(split.secondary) + 2))
     offsets = {inst: (offset_seed * (i + 3)) % 997 for i, inst in enumerate(split.primary)}
     args = (round_index, split, phase(n_primary, n_secondary), model.lam, margin_fraction, table)

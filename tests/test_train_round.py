@@ -17,16 +17,16 @@ FEATURE_DIM = 4
 DIM = N_CLASSES * (FEATURE_DIM + 1)
 
 
-def shard(rng, n, scale=1.0, tag="s"):
+def shard(rng, n, scale=1.0):
     labels = rng.integers(0, N_CLASSES, size=n)
-    return DataShard(scale * rng.standard_normal((n, FEATURE_DIM)), labels, tuple(f"{tag}{k}" for k in range(n)))
+    return DataShard(scale * rng.standard_normal((n, FEATURE_DIM)), labels)
 
 
 def rows_of(data, rows):
     """The shard `train_local` sees for a job: its rows, in order."""
     if rows is None:
         return data
-    return DataShard(data.features[rows], data.labels[rows], tuple(data.sample_ids[i] for i in rows))
+    return DataShard(data.features[rows], data.labels[rows])
 
 
 def sequential(start, jobs, epochs, learning_rate, batch_size):
@@ -64,12 +64,12 @@ def rounds(draw):
     jobs = []
     for k in range(draw(st.integers(1, 7))):
         n = draw(st.integers(1, 40))
-        data = shard(rng, n, tag=f"n{k}-")
+        data = shard(rng, n)
         rows = None
         if draw(st.booleans()):
             quota = draw(st.integers(1, n))
             rows = window_indices(n, draw(st.integers(0, n - 1)), quota)
-        val = shard(rng, draw(st.integers(1, 12)), tag=f"v{k}-")
+        val = shard(rng, draw(st.integers(1, 12)))
         jobs.append(TrainJob(f"node{k}", data, val, draw(st.integers(0, 2**64 - 1)), rows))
     start = ModelParams(0.3 * rng.standard_normal(DIM))
     epochs = draw(st.integers(1, 4))
@@ -87,7 +87,7 @@ def test_train_round_matches_train_local_bitwise(case):
 def test_edge_shapes_match_train_local():
     rng = np.random.default_rng(3)
     start = ModelParams(0.1 * rng.standard_normal(DIM))
-    big = shard(rng, 23, tag="big")
+    big = shard(rng, 23)
     jobs = [
         TrainJob("one-sample", shard(rng, 1), shard(rng, 5), 1),
         TrainJob("last-batch-of-one", shard(rng, 17), shard(rng, 5), 2),  # 17 = 2 * 8 + 1
@@ -171,10 +171,10 @@ def test_inputs_are_checked():
         train_round(start, [job], 0, 0.1, 4)
     with pytest.raises(ValidationError):
         train_round(start, [job], 1, 0.1, 0)
-    other_dim = DataShard(np.zeros((2, 2)), np.zeros(2, dtype=int), ("a", "b"))
+    other_dim = DataShard(np.zeros((2, 2)), np.zeros(2, dtype=int))
     with pytest.raises(ShapeError):
         train_round(start, [job, TrainJob("m", other_dim, job.val, 0)], 1, 0.1, 4)
-    bad_label = DataShard(np.zeros((2, FEATURE_DIM)), np.array([0, N_CLASSES]), ("a", "b"))
+    bad_label = DataShard(np.zeros((2, FEATURE_DIM)), np.array([0, N_CLASSES]))
     with pytest.raises(ValidationError, match="out of range"):
         train_round(start, [TrainJob("m", bad_label, job.val, 0)], 1, 0.1, 4)
     with pytest.raises(ValidationError, match="no training rows"):
