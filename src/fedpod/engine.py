@@ -84,6 +84,8 @@ class PhaseEntry:
             raise ValidationError("node counts must be non-negative")
         if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be > 0")
+        if not math.isfinite(self.learning_rate):
+            raise ValidationError("learning_rate must be finite")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
 

@@ -142,6 +142,8 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be > 0")
+        if not math.isfinite(self.learning_rate):
+            raise ValidationError("learning_rate must be finite")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
 
@@ -271,8 +273,14 @@ def train_local(
     _classifier_dims(start, val)
     rng = np.random.default_rng(cfg.seed)
     values = start.values.copy()
-    pre_cost = _mean_cross_entropy(values, val, n_classes, feature_dim)
-    trajectory = [(0.0, pre_cost)]
+
+    def sample(epoch: int) -> tuple[float, float]:
+        cost = _mean_cross_entropy(values, val, n_classes, feature_dim)
+        if not math.isfinite(cost):
+            raise TrainingDivergenceError(node_id, f"validation cost at epoch {epoch}")
+        return epoch / cfg.epochs, cost
+
+    trajectory = [sample(0)]
     n = len(shard)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -284,8 +292,8 @@ def train_local(
             values -= cfg.learning_rate * grad
             if not np.all(np.isfinite(values)):
                 raise TrainingDivergenceError(node_id, f"parameters at epoch {epoch + 1}")
-        trajectory.append(((epoch + 1) / cfg.epochs, _mean_cross_entropy(values, val, n_classes, feature_dim)))
-    post_cost = trajectory[-1][1]
+        trajectory.append(sample(epoch + 1))
+    pre_cost, post_cost = trajectory[0][1], trajectory[-1][1]
     return LocalUpdate(
         node_id=node_id,
         params=ModelParams(values),
@@ -321,26 +329,26 @@ def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, fe
 def _stacked_gradient(
     values: np.ndarray,
     features: np.ndarray,
-    labels: np.ndarray,
+    hot: np.ndarray,
     n_classes: int,
     feature_dim: int,
 ) -> np.ndarray:
     """`_batch_gradient` of k models on k equal-length batches at once.
 
-    Each slice goes through the same kernels, with the same shapes and
-    strides, as one `_batch_gradient` call, so every row of the result
-    equals it bit for bit.
+    `hot` is each sample's true-class index into the flat (k, length,
+    n_classes) probabilities. Each slice goes through the same kernels, with
+    the same shapes and strides, as one `_batch_gradient` call, so every row
+    of the result equals it bit for bit. The caller holds the `np.errstate`.
     """
-    k, length = labels.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _stacked_logits(values, features, n_classes, feature_dim)
-        z -= z.max(axis=2, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=2, keepdims=True)
-        p[np.arange(k)[:, None], np.arange(length), labels] -= 1.0
-        p /= length
-        grad_w = np.matmul(p.transpose(0, 2, 1), features)
-        return np.concatenate([grad_w.reshape(k, -1), p.sum(axis=1)], axis=1)
+    k, length = features.shape[:2]
+    z = _stacked_logits(values, features, n_classes, feature_dim)
+    z -= z.max(axis=2, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=2, keepdims=True)
+    p.reshape(-1)[hot] -= 1.0
+    p /= length
+    grad_w = np.matmul(p.transpose(0, 2, 1), features)
+    return np.concatenate([grad_w.reshape(k, -1), p.sum(axis=1)], axis=1)
 
 
 def _stacked_cost(
@@ -366,6 +374,21 @@ def _stacked_cost(
 _BLOCK_NODES = 128
 
 
+def _step_ranges(sizes: np.ndarray, batch_size: int) -> list[tuple[int, int, int, int]]:
+    """One epoch's SGD steps over jobs of ascending training `sizes`, as
+    (row offset, lo, hi, length): jobs lo:hi share a batch length at that
+    step, as full batches are a suffix and last batches ascend before it."""
+    if (np.diff(sizes) < 0).any():
+        raise ValidationError("jobs must be sorted by training size")
+    ranges = []
+    for offset in range(0, int(sizes[-1]), batch_size):
+        first = int(np.searchsorted(sizes, offset, side="right"))
+        lengths = np.minimum(sizes[first:] - offset, batch_size)
+        edges = [first, *(first + 1 + np.flatnonzero(np.diff(lengths))).tolist(), len(sizes)]
+        ranges += [(offset, lo, hi, int(lengths[lo - first])) for lo, hi in zip(edges, edges[1:])]
+    return ranges
+
+
 def _train_block(
     start: ModelParams,
     jobs: Sequence[TrainJob],
@@ -375,12 +398,12 @@ def _train_block(
     learning_rate: float,
     batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """`train_round`'s SGD for one block of jobs.
+    """`train_round`'s SGD for one block of jobs, sorted by training size.
 
     `states` holds each job's batch-order stream, as `seed_states` rows.
     Returns the trained parameters (jobs, dim), the validation costs before
-    the clip at 0 (epochs + 1, jobs), and the divergence detail of each job
-    that diverged, by position in `jobs`.
+    the clip at 0 (epochs + 1, jobs), and the earliest fault of each job
+    that diverged, by position in `jobs`, in `train_local`'s order.
     """
     n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
     # The jobs' training rows back to back: job i owns [starts[i], starts[i] + sizes[i]).
@@ -390,16 +413,12 @@ def _train_block(
     sizes = np.array([len(y) for y in job_labels])
     starts = np.cumsum(sizes) - sizes
 
-    # One epoch as (jobs, positions of their batches in the epoch's shuffled
-    # rows), step by step, with the jobs of a step grouped by batch length.
-    n_steps = -(-sizes // batch_size)
-    last_length = sizes - (n_steps - 1) * batch_size
-    steps = []
-    for step in range(int(n_steps.max())):
-        lengths = np.where(n_steps > step + 1, batch_size, last_length)
-        for length in np.unique(lengths[n_steps > step]):
-            group = np.flatnonzero((n_steps > step) & (lengths == length))
-            steps.append((group, (starts[group] + step * batch_size)[:, None] + np.arange(length)))
+    # One epoch as (jobs lo:hi, positions of their batches in the epoch's
+    # shuffled rows, one-hot base of `_stacked_gradient`'s `hot`), step by step.
+    steps = [
+        (lo, hi, (starts[lo:hi] + offset)[:, None] + np.arange(length), np.arange((hi - lo) * length) * n_classes)
+        for offset, lo, hi, length in _step_ranges(sizes, batch_size)
+    ]
     val_sizes = np.array([len(job.val) for job in jobs])
     vals = []
     for size in np.unique(val_sizes):
@@ -409,35 +428,43 @@ def _train_block(
 
     values = np.tile(start.values, (len(jobs), 1))
     costs = np.empty((epochs + 1, len(jobs)))
+    diverged: dict[int, str] = {}
 
     def validate(epoch: int) -> None:
         for group, val_features, val_labels in vals:
             costs[epoch, group] = _stacked_cost(values[group], val_features, val_labels, n_classes, feature_dim)
+        for j in np.flatnonzero(~np.isfinite(costs[epoch])):
+            diverged.setdefault(int(j), f"validation cost at epoch {epoch}")
 
-    validate(0)
+    def sgd(order: np.ndarray, epoch: int | None) -> None:
+        for lo, hi, positions, base in steps:
+            batch = order[positions]
+            params = values[lo:hi]
+            grad = _stacked_gradient(params, features[batch], base + labels[batch].ravel(), n_classes, feature_dim)
+            params -= learning_rate * grad
+            if epoch is not None and not (np.isfinite(grad).all() and np.isfinite(params).all()):
+                bad_grad = ~np.isfinite(grad).all(axis=1)
+                for j in np.flatnonzero(bad_grad | ~np.isfinite(params).all(axis=1)):
+                    diverged.setdefault(lo + int(j), f"{'gradient' if bad_grad[j] else 'parameters'} at epoch {epoch}")
+
     # Each job's stream is its own, so drawing a job's epochs back to back
     # gives the permutations `train_local` draws epoch by epoch.
     perms = [[rng.permutation(n) for _ in range(epochs)] for n, rng in zip(sizes, generators(states))]
     owner_starts = np.repeat(starts, sizes)
-    diverged: dict[int, str] = {}
-    for epoch in range(1, epochs + 1):
-        order = np.concatenate([job_perms[epoch - 1] for job_perms in perms]) + owner_starts
-        for group, positions in steps:
-            if diverged:
-                keep = np.isin(group, list(diverged), invert=True)
-                group, positions = group[keep], positions[keep]
-                if not len(group):
-                    continue
-            batch = order[positions]
-            params = values[group]
-            grad = _stacked_gradient(params, features[batch], labels[batch], n_classes, feature_dim)
-            params -= learning_rate * grad
-            if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(params))):
-                bad_grad = ~np.isfinite(grad).all(axis=1)
-                for j in np.flatnonzero(bad_grad | ~np.isfinite(params).all(axis=1)):
-                    diverged[int(group[j])] = f"{'gradient' if bad_grad[j] else 'parameters'} at epoch {epoch}"
-            values[group] = params
-        validate(epoch)
+    # With a finite learning rate, a non-finite gradient or parameter leaves
+    # its row non-finite through every later step, so one check at the end of
+    # an epoch finds any divergence in it. That epoch is then replayed with
+    # `epoch` given to `sgd`, which checks every step for the exact detail.
+    with np.errstate(over="ignore", invalid="ignore"):
+        validate(0)
+        for epoch in range(1, epochs + 1):
+            order = np.concatenate([job_perms[epoch - 1] for job_perms in perms]) + owner_starts
+            saved = values.copy()
+            sgd(order, None)
+            if not np.isfinite(values).all():
+                values[:] = saved
+                sgd(order, epoch)
+            validate(epoch)
     return values, costs, diverged
 
 
@@ -455,12 +482,13 @@ def train_round(
     Jobs train in blocks of similar size. At each SGD step a block's jobs
     are grouped by their exact batch length, so nothing is padded and each
     job's batch goes through the same kernels as in `train_local`. Every
-    job's gradient and parameters are checked at every step; if jobs
-    diverge, the error is the one `train_local` raises for the first of them
-    in `jobs` order. Inputs are checked before any training, and all shards
-    must share one feature_dim. One `seed_states` pass seeds every job's
-    batch-order stream as `default_rng(job.seed)` would. Each update carries
-    its job's `timings`.
+    job's parameters are checked once per epoch, an epoch that diverged is
+    replayed with every step's gradient and parameters checked, and every
+    validation cost is checked. If jobs diverge, the error is the one
+    `train_local` raises for the first of them in `jobs` order. Inputs are
+    checked before any training, and all shards must share one feature_dim.
+    One `seed_states` pass seeds every job's batch-order stream as
+    `default_rng(job.seed)` would. Each update carries its job's `timings`.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # train_local's argument checks
     if not jobs:

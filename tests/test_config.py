@@ -198,6 +198,8 @@ CONFIG_ERRORS = {
         _phase(learning_rate="fast"),
         "schedule.phase1.learning_rate: could not convert string to float: 'fast'",
     ),
+    "phase-learning-rate-zero": (_phase(learning_rate="0"), "schedule.phase1: learning_rate must be > 0"),
+    "phase-learning-rate-inf": (_phase(learning_rate="inf"), "schedule.phase1: learning_rate must be finite"),
     "phase-node-count-mismatch": (_phase(nodes="4"), "schedule.phase1: n_nodes must equal n_primary + n_secondary"),
     "phase-first-round-zero": (_phase(rounds="0-"), "schedule.phase1: first_round must be >= 1"),
     "schedule-gap": (_phase(rounds="1-2"), "schedule must cover round 3 exactly once, got 0 entries"),

@@ -145,8 +145,11 @@ def _separable_shards(n=48, seed=5):
 def test_train_config_rejects_bad_values():
     with pytest.raises(ValidationError):
         TrainConfig(epochs=0, learning_rate=1e-3, seed=1)
-    with pytest.raises(ValidationError):
-        TrainConfig(epochs=1, learning_rate=0.0, seed=1)
+    for rate in (0.0, -np.inf, np.nan):
+        with pytest.raises(ValidationError, match="^learning_rate must be > 0$"):
+            TrainConfig(epochs=1, learning_rate=rate, seed=1)
+    with pytest.raises(ValidationError, match="^learning_rate must be finite$"):
+        TrainConfig(epochs=1, learning_rate=np.inf, seed=1)
 
 
 def test_training_reduces_validation_cost_and_is_deterministic():
