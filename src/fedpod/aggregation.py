@@ -149,9 +149,9 @@ def fedpid_weights(
     for update in updates:
         previous = history.last(update.node_id)
         if previous is None:
-            previous = update.pre_cost
-        k_terms.append(previous - update.post_cost)
-        window = history.recent(update.node_id, strategy.history_window - 1) + (update.post_cost,)
+            previous = update.trajectory.pre_cost
+        k_terms.append(previous - update.trajectory.post_cost)
+        window = history.recent(update.node_id, strategy.history_window - 1) + (update.trajectory.post_cost,)
         m_terms.append(sum(window))
     return _blend(shares, strategy, k_terms, m_terms)
 
@@ -161,7 +161,7 @@ def fedpod_weights(updates: Sequence[LocalUpdate], strategy: AggregationStrategy
     pre/post validation, pre-scaled by its data share. Nothing here depends
     on earlier rounds, so the participant set may change freely."""
     shares = _data_shares(updates)
-    k_terms = [share * (u.pre_cost - u.post_cost) for share, u in zip(shares, updates)]
+    k_terms = [share * (u.trajectory.pre_cost - u.trajectory.post_cost) for share, u in zip(shares, updates)]
     m_terms = [share * u.trajectory.integral() for share, u in zip(shares, updates)]
     return _blend(shares, strategy, k_terms, m_terms)
 

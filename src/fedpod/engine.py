@@ -229,6 +229,12 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"schedule must cover round {round_index} exactly once, got {len(covering)} entries"
                 )
+            # `all` trains every node whatever the phase's counts say.
+            if self.participation == PARTICIPATION_TASK and covering[0].n_nodes == 0:
+                raise ValidationError(
+                    f"schedule phase {self.schedule.index(covering[0]) + 1} has n_nodes = 0,"
+                    f" so participation = task trains nobody in round {round_index}"
+                )
 
     @property
     def model_dim(self) -> int:
@@ -419,8 +425,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     cumulative = 0.0
     best = 0.0
     weighted_best = 0.0
-    total_dropped = 0
-    fallback_rounds = 0
 
     for round_index in range(1, config.max_rounds + 1):
         phase_number, phase = phase_for_round(config.schedule, round_index)
@@ -455,6 +459,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
         train_seeds = states[: len(nodes), 0].tolist()
         jobs = []
+        timings: dict[str, TimingSample] = {}
         for participant, seed, timing_rng in zip(plan.participants, train_seeds, generators(states[len(nodes) :])):
             inst = participant.institution_id
             shard = shards[inst]
@@ -465,14 +470,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             val = node_val[inst]
             quota = len(shard) if rows is None else len(rows)
             timing = sample_timings(quota, phase.epochs, len(val), config.timing, timing_rng)
-            if inst == injected:
-                timing = timing.scaled(config.timing.inject_factor)
-            jobs.append(TrainJob(inst, shard, val, seed, rows, timing))
+            timings[inst] = timing.scaled(config.timing.inject_factor) if inst == injected else timing
+            jobs.append(TrainJob(inst, shard, val, seed, rows))
 
         updates = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 
         if config.timing.timeout_factor is not None:
-            dropped = detect_stragglers([(u.node_id, u.timings) for u in updates], config.timing.timeout_factor)
+            dropped = detect_stragglers(list(timings.items()), config.timing.timeout_factor)
         else:
             dropped = frozenset()
         survivors = sorted((u for u in updates if u.node_id not in dropped), key=lambda u: u.node_id)
@@ -480,19 +484,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         result = compute_weights(config.strategy, survivors, history)
         model = aggregate(survivors, result.weights)
         for update in survivors:
-            history.record(update.node_id, update.post_cost)
+            history.record(update.node_id, update.trajectory.post_cost)
 
         predictions = predict_labels(model, holdout)
         dice_per_class = tuple(
             dice_score(predictions, holdout.labels, cls) for cls in range(1, config.n_classes)
         )
         mean_dice = float(np.mean(dice_per_class))
-        elapsed = round_time(u.timings for u in survivors)
+        elapsed = round_time(timings[u.node_id] for u in survivors)
         cumulative += elapsed
         best = max(best, mean_dice)
         weighted_best += best * elapsed
-        total_dropped += len(dropped)
-        fallback_rounds += 1 if result.fallbacks else 0
 
         records.append(
             RoundRecord(
@@ -526,8 +528,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         total_time_s=cumulative,
         best_mean_dice=best,
         convergence_score=(weighted_best / cumulative) if records else 0.0,
-        total_dropped=total_dropped,
-        fallback_rounds=fallback_rounds,
+        total_dropped=sum(len(r.dropped) for r in records),
+        fallback_rounds=sum(1 for r in records if r.fallbacks),
         n_institutions=len(table.counts),
         n_primary=len(classification.primary),
         n_secondary=len(classification.secondary),

@@ -3,22 +3,22 @@
 The model everywhere is a multinomial logistic regression stored as one flat
 float64 vector: a (classes x features) weight matrix in row-major order
 followed by one bias per class. Institutions hold `DataShard`s of per-class
-Gaussian samples; validation cost is mean cross-entropy.
+Gaussian samples; validation cost is mean cross-entropy. A node's round
+output, `LocalUpdate`, holds each value once: its trained parameters, its
+training-set size and, in a `CostTrajectory`, its validation cost at every
+epoch boundary. Simulated timings stay with the engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError, TrainingDivergenceError, ValidationError
 from .streams import generators, seed_states
-
-if TYPE_CHECKING:
-    from .engine import TimingSample
 
 # Seed-stream salt for the blob geometry; every shard of one experiment must
 # be generated against the same geometry.
@@ -93,40 +93,40 @@ class DataShard:
 
 @dataclass(frozen=True)
 class CostTrajectory:
-    """Validation cost sampled along training, as (fraction, cost) pairs.
+    """Validation cost at each epoch boundary of local training.
 
-    The first sample is taken before training (fraction 0.0) and the last
-    after training (fraction 1.0).
+    Over n = len(costs) - 1 epochs, boundary e sits at training fraction
+    e / n: the first cost is taken before training and the last after it.
     """
 
-    samples: tuple[tuple[float, float], ...]
+    costs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple((float(f), float(c)) for f, c in self.samples))
-        if len(self.samples) < 2:
-            raise ValidationError("trajectory needs at least pre- and post-training samples")
-        fracs = [f for f, _ in self.samples]
-        costs = [c for _, c in self.samples]
-        if fracs[0] != 0.0 or fracs[-1] != 1.0:
-            raise ValidationError("trajectory must span fractions 0.0 to 1.0")
-        if any(b <= a for a, b in zip(fracs, fracs[1:])):
-            raise ValidationError("trajectory fractions must be strictly increasing")
-        if any(not np.isfinite(c) or c < 0 for c in costs):
+        costs = tuple(map(float, self.costs))
+        object.__setattr__(self, "costs", costs)
+        if len(costs) < 2:
+            raise ValidationError("trajectory needs at least pre- and post-training costs")
+        if not all(0 <= c < math.inf for c in costs):
             raise ValidationError("trajectory costs must be finite and non-negative")
 
     @property
     def pre_cost(self) -> float:
-        return self.samples[0][1]
+        return self.costs[0]
 
     @property
     def post_cost(self) -> float:
-        return self.samples[-1][1]
+        return self.costs[-1]
 
     def integral(self) -> float:
-        """Trapezoidal integral of cost over the training fraction in [0, 1]."""
+        """Trapezoidal integral of cost over the training fraction in [0, 1].
+
+        Each step spans (e + 1) / n - e / n, which is not always 1 / n in
+        floating point.
+        """
+        n = len(self.costs) - 1
         total = 0.0
-        for (f0, c0), (f1, c1) in zip(self.samples, self.samples[1:]):
-            total += 0.5 * (c0 + c1) * (f1 - f0)
+        for e, (c0, c1) in enumerate(zip(self.costs, self.costs[1:])):
+            total += 0.5 * (c0 + c1) * ((e + 1) / n - e / n)
         return total
 
 
@@ -150,22 +150,18 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class LocalUpdate:
-    """One node's round output: trained params plus the cost evidence used
-    by the aggregation rules."""
+    """One node's round output: trained params, the number of samples it
+    trained on, and its validation costs, the evidence the aggregation
+    rules weigh (pre- and post-training cost are the trajectory's ends)."""
 
     node_id: str
     params: ModelParams
     data_size: int
-    pre_cost: float
-    post_cost: float
     trajectory: CostTrajectory
-    timings: "TimingSample | None" = None
 
     def __post_init__(self):
         if self.data_size < 1:
             raise ValidationError("data_size must be positive")
-        if self.trajectory.pre_cost != self.pre_cost or self.trajectory.post_cost != self.post_cost:
-            raise ValidationError("trajectory endpoints must equal pre_cost/post_cost exactly")
 
 
 def combine(weighted: Sequence[tuple[float, ModelParams]]) -> ModelParams:
@@ -274,49 +270,41 @@ def train_local(
     rng = np.random.default_rng(cfg.seed)
     values = start.values.copy()
 
-    def sample(epoch: int) -> tuple[float, float]:
+    def sample(epoch: int) -> float:
         cost = _mean_cross_entropy(values, val, n_classes, feature_dim)
         if not math.isfinite(cost):
             raise TrainingDivergenceError(node_id, f"validation cost at epoch {epoch}")
-        return epoch / cfg.epochs, cost
+        return cost
 
-    trajectory = [sample(0)]
+    costs = [sample(0)]
     n = len(shard)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            grad = _batch_gradient(values, shard.features[idx], shard.labels[idx], n_classes, feature_dim)
-            if not np.all(np.isfinite(grad)):
-                raise TrainingDivergenceError(node_id, f"gradient at epoch {epoch + 1}")
-            values -= cfg.learning_rate * grad
-            if not np.all(np.isfinite(values)):
-                raise TrainingDivergenceError(node_id, f"parameters at epoch {epoch + 1}")
-        trajectory.append(sample(epoch + 1))
-    pre_cost, post_cost = trajectory[0][1], trajectory[-1][1]
-    return LocalUpdate(
-        node_id=node_id,
-        params=ModelParams(values),
-        data_size=n,
-        pre_cost=pre_cost,
-        post_cost=post_cost,
-        trajectory=CostTrajectory(tuple(trajectory)),
-    )
+    # Overflow surfaces as the divergence checks' error, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                grad = _batch_gradient(values, shard.features[idx], shard.labels[idx], n_classes, feature_dim)
+                if not np.all(np.isfinite(grad)):
+                    raise TrainingDivergenceError(node_id, f"gradient at epoch {epoch + 1}")
+                values -= cfg.learning_rate * grad
+                if not np.all(np.isfinite(values)):
+                    raise TrainingDivergenceError(node_id, f"parameters at epoch {epoch + 1}")
+            costs.append(sample(epoch + 1))
+    return LocalUpdate(node_id, ModelParams(values), n, CostTrajectory(tuple(costs)))
 
 
 @dataclass(frozen=True, eq=False)
 class TrainJob:
     """One participant of a round: the positional rows of `shard` it trains
-    on (None for every row), its validation shard, the seed of its
-    batch-order stream, and its simulated round timings, which `train_round`
-    passes on to the job's `LocalUpdate` unchanged."""
+    on (None for every row), its validation shard, and the seed of its
+    batch-order stream."""
 
     node_id: str
     shard: DataShard
     val: DataShard
     seed: int
     rows: np.ndarray | None = None
-    timings: "TimingSample | None" = None
 
 
 def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
@@ -488,7 +476,7 @@ def train_round(
     `train_local` raises for the first of them in `jobs` order. Inputs are
     checked before any training, and all shards must share one feature_dim.
     One `seed_states` pass seeds every job's batch-order stream as
-    `default_rng(job.seed)` would. Each update carries its job's `timings`.
+    `default_rng(job.seed)` would.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # train_local's argument checks
     if not jobs:
@@ -523,21 +511,11 @@ def train_round(
         diverged.update((int(block[j]), detail) for j, detail in block_diverged.items())
 
     updates = []
-    for i, job in enumerate(jobs):
+    for i, (job, job_costs) in enumerate(zip(jobs, costs.T.tolist())):
         if i in diverged:
             raise TrainingDivergenceError(job.node_id, diverged[i])
-        trajectory = tuple((e / epochs, max(float(costs[e, i]), 0.0)) for e in range(epochs + 1))
-        updates.append(
-            LocalUpdate(
-                node_id=job.node_id,
-                params=ModelParams(values[i]),
-                data_size=int(sizes[i]),
-                pre_cost=trajectory[0][1],
-                post_cost=trajectory[-1][1],
-                trajectory=CostTrajectory(trajectory),
-                timings=job.timings,
-            )
-        )
+        trajectory = CostTrajectory(tuple(max(cost, 0.0) for cost in job_costs))
+        updates.append(LocalUpdate(job.node_id, ModelParams(values[i]), int(sizes[i]), trajectory))
     return updates
 
 

@@ -5,15 +5,14 @@ import numpy as np
 from fedpod.params import CostTrajectory, LocalUpdate, ModelParams
 
 
-def build_update(node_id, data_size, pre, post, params=(0.0,), trajectory=None):
-    traj = CostTrajectory(trajectory if trajectory is not None else ((0.0, pre), (1.0, post)))
+def build_update(node_id, data_size, *costs, params=(0.0,)):
+    """An update whose validation costs at its epoch boundaries are `costs`,
+    pre-training cost first and post-training cost last."""
     return LocalUpdate(
         node_id=node_id,
         params=ModelParams(np.asarray(params, dtype=float)),
         data_size=data_size,
-        pre_cost=pre,
-        post_cost=post,
-        trajectory=traj,
+        trajectory=CostTrajectory(costs),
     )
 
 
@@ -23,17 +22,15 @@ def random_updates(rng, n_nodes, dim=3):
     for j in range(n_nodes):
         pre = float(rng.uniform(0.05, 2.0))
         post = float(rng.uniform(0.0, 2.0))
-        inner = np.sort(rng.uniform(0.05, 0.95, size=int(rng.integers(0, 4))))
-        fractions = [0.0, *[float(f) for f in np.unique(inner)], 1.0]
-        costs = [pre, *[float(rng.uniform(0.0, 2.0)) for _ in fractions[1:-1]], post]
+        inner = [float(rng.uniform(0.0, 2.0)) for _ in range(int(rng.integers(0, 4)))]
         updates.append(
             build_update(
                 f"node{j:02d}",
                 int(rng.integers(1, 500)),
                 pre,
+                *inner,
                 post,
                 params=rng.standard_normal(dim),
-                trajectory=tuple(zip(fractions, costs)),
             )
         )
     return updates

@@ -168,8 +168,8 @@ def test_fedpod_monotone_in_cost_drop():
 
 
 def test_fedpod_trapezoid_uses_full_trajectory():
-    flat = build_update("a", 2, 1.0, 1.0, trajectory=((0.0, 1.0), (0.5, 1.0), (1.0, 1.0)))
-    dipped = build_update("b", 2, 1.0, 1.0, trajectory=((0.0, 1.0), (0.5, 0.0), (1.0, 1.0)))
+    flat = build_update("a", 2, 1.0, 1.0, 1.0)
+    dipped = build_update("b", 2, 1.0, 0.0, 1.0)
     result = fedpod_weights([flat, dipped], AggregationStrategy("fedpod", 0.0, 0.0, 1.0))
     # integrals: 1.0 vs 0.5, shares equal, so weights are 2/3 vs 1/3
     assert result.weights == pytest.approx((2 / 3, 1 / 3), abs=1e-12)

@@ -142,14 +142,14 @@ def test_seed_env_var_overrides_the_file(tmp_path, monkeypatch):
     assert parse_config(_write(tmp_path, "seed = 5\n")) == ExperimentConfig(seed=11)
 
 
-def _phase(rounds="1-", nodes="3", learning_rate="0.01"):
+def _phase(rounds="1-", nodes="3", learning_rate="0.01", number=1, primary="2", secondary="1"):
     return (
-        f"schedule.phase1.rounds = {rounds}\n"
-        f"schedule.phase1.nodes = {nodes}\n"
-        "schedule.phase1.primary = 2\n"
-        "schedule.phase1.secondary = 1\n"
-        f"schedule.phase1.learning_rate = {learning_rate}\n"
-        "schedule.phase1.epochs = 1\n"
+        f"schedule.phase{number}.rounds = {rounds}\n"
+        f"schedule.phase{number}.nodes = {nodes}\n"
+        f"schedule.phase{number}.primary = {primary}\n"
+        f"schedule.phase{number}.secondary = {secondary}\n"
+        f"schedule.phase{number}.learning_rate = {learning_rate}\n"
+        f"schedule.phase{number}.epochs = 1\n"
     )
 
 
@@ -203,6 +203,10 @@ CONFIG_ERRORS = {
     "phase-node-count-mismatch": (_phase(nodes="4"), "schedule.phase1: n_nodes must equal n_primary + n_secondary"),
     "phase-first-round-zero": (_phase(rounds="0-"), "schedule.phase1: first_round must be >= 1"),
     "schedule-gap": (_phase(rounds="1-2"), "schedule must cover round 3 exactly once, got 0 entries"),
+    "task-phase-trains-nobody": (
+        _phase(rounds="1-2") + _phase(rounds="3-", nodes="0", number=2, primary="0", secondary="0"),
+        "schedule phase 2 has n_nodes = 0, so participation = task trains nobody in round 3",
+    ),
     "unknown-cohort-source": ("cohort.source = foo\n", "cohort.source: expected synthetic or csv, got 'foo'"),
     "csv-without-path": ("cohort.source = csv\n", "cohort.path is required when cohort.source = csv"),
     **{

@@ -90,6 +90,15 @@ def test_config_rejects_gapped_schedule():
         )
 
 
+def test_only_task_participation_rejects_a_phase_of_no_nodes():
+    schedule = (PhaseEntry(1, 2, 3, 3, 0, 1e-3, 1), PhaseEntry(3, None, 0, 0, 0, 1e-3, 1))
+    with pytest.raises(ValidationError, match="^schedule phase 2 has n_nodes = 0"):
+        ExperimentConfig(schedule=schedule, max_rounds=3)
+    # A phase past the last round is never run, and `all` ignores the counts.
+    assert ExperimentConfig(schedule=schedule, max_rounds=2).schedule == schedule
+    assert ExperimentConfig(schedule=schedule, max_rounds=3, participation="all").schedule == schedule
+
+
 def test_config_rejects_a_cohort_beside_a_partition_csv():
     assert ExperimentConfig(partition_csv="x.csv").cohort == CohortSpec()
     with pytest.raises(ValidationError, match="partition CSV"):
@@ -287,25 +296,36 @@ def test_single_node_fedavg_equals_centralized_sgd():
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3])
 def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
     """Each job's seed is `train_seed` and its timings come from
-    `default_rng([seed, _TIMING_SALT, round, node])`, injection included."""
+    `default_rng([seed, _TIMING_SALT, round, node])`, injection included.
+    The timings are read where the engine hands them to `detect_stragglers`,
+    with a timeout factor that drops no one."""
     config = small_config(
         seed=seed,
         participation="all",
         max_rounds=3,
-        timing=fast_timing(jitter_sigma=0.3, inject_round=2, inject_rank=0, inject_factor=4.0),
+        timing=fast_timing(jitter_sigma=0.3, inject_round=2, inject_rank=0, inject_factor=4.0, timeout_factor=1e9),
     )
     rounds = []
+    round_timings = []
     real_train_round = engine.train_round
+    real_detect_stragglers = engine.detect_stragglers
 
     def capture(model, jobs, *args):
         rounds.append(jobs)
         return real_train_round(model, jobs, *args)
 
+    def capture_timings(timings, timeout_factor):
+        round_timings.append(dict(timings))
+        return real_detect_stragglers(timings, timeout_factor)
+
     monkeypatch.setattr(engine, "train_round", capture)
+    monkeypatch.setattr(engine, "detect_stragglers", capture_timings)
     report = run_experiment(config)
     node_index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].counts))}
-    for round_index, (jobs, record) in enumerate(zip(rounds, report.records), start=1):
-        assert [job.node_id for job in jobs] == list(record.participants)
+    assert len(rounds) == len(round_timings) == len(report.records) == 3
+    for round_index, (jobs, timings, record) in enumerate(zip(rounds, round_timings, report.records), start=1):
+        assert [job.node_id for job in jobs] == list(record.participants) == list(timings)
+        assert record.dropped == ()
         injected = sorted(record.participants)[0] if round_index == 2 else None
         for job in jobs:
             node = node_index[job.node_id]
@@ -318,7 +338,26 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
             expected = sample_timings(quota, record.epochs, len(job.val), config.timing, rng)
             if job.node_id == injected:
                 expected = expected.scaled(config.timing.inject_factor)
-            assert job.timings == expected
+            assert timings[job.node_id] == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_summary_agrees_with_its_records(seed):
+    config = small_config(
+        seed=seed,
+        participation="all",
+        max_rounds=8,
+        schedule=(PhaseEntry(1, None, 4, 2, 2, 0.5, 2),),
+        timing=fast_timing(timeout_factor=1.5, jitter_sigma=0.4, inject_round=3, inject_factor=10.0),
+    )
+    report = run_experiment(config)
+    records, summary = report.records, report.summary
+    assert summary.convergence_score == records[-1].convergence_so_far
+    # Python >= 3.12's `sum` is compensated, so the two need not agree bit for bit.
+    assert summary.convergence_score == pytest.approx(convergence_score(records), rel=1e-12)
+    assert summary.total_dropped == sum(len(record.dropped) for record in records)
+    assert summary.fallback_rounds == sum(1 for record in records if record.fallbacks)
+    assert summary.total_dropped >= 1  # the injected straggler at least
 
 
 def test_best_dice_is_running_max():

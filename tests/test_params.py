@@ -158,19 +158,19 @@ def test_training_reduces_validation_cost_and_is_deterministic():
     cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=77, batch_size=8)
     first = train_local(start, train, val, cfg, node_id="n0")
     second = train_local(start, train, val, cfg, node_id="n0")
-    assert first.post_cost < first.pre_cost
+    assert first.trajectory.post_cost < first.trajectory.pre_cost
     assert np.array_equal(first.params.values, second.params.values)
     assert first.trajectory == second.trajectory
 
 
 def test_trajectory_samples_every_epoch_boundary():
     train, val = _separable_shards()
+    start = ModelParams.zeros(8)
     cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=1, batch_size=16)
-    update = train_local(ModelParams.zeros(8), train, val, cfg)
-    fractions = [f for f, _ in update.trajectory.samples]
-    assert fractions == [k / 4 for k in range(5)]
-    assert update.trajectory.pre_cost == update.pre_cost
-    assert update.trajectory.post_cost == update.post_cost
+    update = train_local(start, train, val, cfg)
+    assert len(update.trajectory.costs) == cfg.epochs + 1
+    assert update.trajectory.pre_cost == evaluate_cost(start, val)
+    assert update.trajectory.post_cost == evaluate_cost(update.params, val)
     assert update.data_size == len(train)
 
 
@@ -192,25 +192,40 @@ def test_predict_labels_are_valid_classes():
 
 
 def test_trajectory_validation():
-    with pytest.raises(ValidationError):
-        CostTrajectory(((0.0, 1.0),))
-    with pytest.raises(ValidationError):
-        CostTrajectory(((0.0, 1.0), (0.5, 1.0), (0.5, 0.9), (1.0, 0.8)))
-    with pytest.raises(ValidationError):
-        CostTrajectory(((0.1, 1.0), (1.0, 0.5)))
-    with pytest.raises(ValidationError):
-        CostTrajectory(((0.0, -1.0), (1.0, 0.5)))
+    with pytest.raises(ValidationError, match="at least pre- and post-training"):
+        CostTrajectory((1.0,))
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            CostTrajectory((bad, 0.5))
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            CostTrajectory((1.0, 0.9, bad))
 
 
 def test_two_point_integral_is_midpoint_exactly():
-    traj = CostTrajectory(((0.0, 1.3), (1.0, 0.7)))
+    traj = CostTrajectory((1.3, 0.7))
     assert traj.integral() == (1.3 + 0.7) / 2
 
 
 def test_integral_matches_manual_trapezoid():
-    traj = CostTrajectory(((0.0, 2.0), (0.25, 1.0), (1.0, 0.5)))
-    expected = 0.5 * (2.0 + 1.0) * 0.25 + 0.5 * (1.0 + 0.5) * 0.75
+    traj = CostTrajectory((2.0, 1.0, 0.5))
+    expected = 0.5 * (2.0 + 1.0) * 0.5 + 0.5 * (1.0 + 0.5) * 0.5
     assert traj.integral() == pytest.approx(expected, abs=1e-15)
+
+
+def pair_trapezoid(costs):
+    """The trapezoid over (e / n, cost) pairs, as the integral was once computed."""
+    n = len(costs) - 1
+    samples = [(e / n, cost) for e, cost in enumerate(costs)]
+    total = 0.0
+    for (f0, c0), (f1, c1) in zip(samples, samples[1:]):
+        total += 0.5 * (c0 + c1) * (f1 - f0)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+def test_integral_matches_the_pair_trapezoid_bitwise(costs):
+    assert CostTrajectory(costs).integral() == pair_trapezoid(costs)
 
 
 # ---------------------------------------------------------------- dice
