@@ -312,6 +312,9 @@ def _cmd_compare(args) -> int:
     for kind in kinds:
         if kind not in STRATEGY_KINDS:
             raise ValidationError(f"unknown strategy {kind!r}")
+        # Each strategy's run writes out/<kind> and its comparison columns.
+        if kinds.count(kind) > 1:
+            raise ValidationError(f"--strategies names {kind!r} more than once")
     out = Path(args.out)
     reports: dict[str, ExperimentReport] = {}
     for kind in kinds:

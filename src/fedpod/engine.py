@@ -153,6 +153,8 @@ class TimingProfile:
             raise ValidationError("jitter_sigma must be >= 0")
         if self.timeout_factor is not None and not self.timeout_factor > 1:
             raise ValidationError("timeout_factor must be > 1 (or None to disable drops)")
+        if self.inject_round is not None and self.inject_round < 1:
+            raise ValidationError("inject_round must be >= 1 (or None to disable injection)")
         if self.inject_factor <= 0:
             raise ValidationError("inject_factor must be positive")
 
@@ -223,7 +225,12 @@ class ExperimentConfig:
             raise ValidationError("max_simulated_time_s must be positive")
         if not 0 < self.holdout_fraction < 1:
             raise ValidationError("holdout_fraction must be in (0, 1)")
-        for round_index in range(1, self.max_rounds + 1):
+        # Which entries cover a round changes only at round 1, at an entry's
+        # first round and after its last, so the first round these rules
+        # reject is one of those.
+        changes = {1, *(entry.first_round for entry in self.schedule)}
+        changes.update(entry.last_round + 1 for entry in self.schedule if entry.last_round is not None)
+        for round_index in sorted(r for r in changes if r <= self.max_rounds):
             covering = [entry for entry in self.schedule if entry.covers(round_index)]
             if len(covering) != 1:
                 raise ValidationError(
@@ -271,15 +278,6 @@ def phase_for_round(schedule: Sequence[PhaseEntry], round_index: int) -> tuple[i
         if entry.covers(round_index):
             return number, entry
     raise ValidationError(f"no schedule entry covers round {round_index}")
-
-
-def train_seed(experiment_seed: int, round_index: int, node_index: int) -> int:
-    """Stable per-(round, node) training seed: `generate_state(1, np.uint64)`
-    of `SeedSequence([experiment_seed, _TRAIN_SALT, round_index, node_index])`.
-
-    The one-node form of the per-round pass in `run_experiment`.
-    """
-    return int(seed_states([(experiment_seed, _TRAIN_SALT, round_index, node_index)])[0, 0])
 
 
 def sample_timings(
@@ -448,11 +446,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             # Rank indexes the round's participants sorted by id; negative
             # ranks count from the end (where the largest primaries sit).
             ordered = sorted(plan.node_ids())
-            if -len(ordered) <= config.timing.inject_rank < len(ordered):
-                injected = ordered[config.timing.inject_rank]
+            if not -len(ordered) <= config.timing.inject_rank < len(ordered):
+                raise ValidationError(
+                    f"timing.inject_rank {config.timing.inject_rank} is outside the"
+                    f" {len(ordered)} participants of round {round_index}"
+                )
+            injected = ordered[config.timing.inject_rank]
 
         # One pass seeds every participant's training stream (its seed is
-        # `train_seed`) and timing stream (`default_rng` of its row).
+        # `SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
+        # np.uint64)`) and timing stream (`default_rng` of its row).
         nodes = [node_index[p.institution_id] for p in plan.participants]
         states = seed_states(
             [(config.seed, salt, round_index, node) for salt in (_TRAIN_SALT, _TIMING_SALT) for node in nodes]

@@ -7,6 +7,9 @@ Gaussian samples; validation cost is mean cross-entropy. A node's round
 output, `LocalUpdate`, holds each value once: its trained parameters, its
 training-set size and, in a `CostTrajectory`, its validation cost at every
 epoch boundary. Simulated timings stay with the engine.
+
+Local training has one implementation, `train_round`, which trains all of a
+round's nodes at once on stacked kernels; `train_local` is its one-node form.
 """
 
 from __future__ import annotations
@@ -205,14 +208,31 @@ def _logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_di
     return features @ w.T + b
 
 
-def _mean_cross_entropy(values: np.ndarray, shard: DataShard, n_classes: int, feature_dim: int) -> float:
+def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
+    """`_logits` of k models, (k, dim), on k equal-length batches, (k, L, feature_dim)."""
+    split = n_classes * feature_dim
+    w = values[:, :split].reshape(len(values), n_classes, feature_dim)
+    return np.matmul(features, w.transpose(0, 2, 1)) + values[:, None, split:]
+
+
+def _stacked_cost(
+    values: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    feature_dim: int,
+) -> np.ndarray:
+    """Mean cross-entropy of k models on k equal-size shards, before the clip at 0.
+
+    Each slice equals the one-model form in `tests/_oracle.py` bit for bit.
+    """
+    k, size = labels.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        z = _logits(values, shard.features, n_classes, feature_dim)
-        z = z - z.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(z).sum(axis=1))
-        picked = z[np.arange(len(shard)), shard.labels]
-        # Clip away the odd -1ulp rounding artefact; cost is non-negative by definition.
-        return max(float(np.mean(log_norm - picked)), 0.0)
+        z = _stacked_logits(values, features, n_classes, feature_dim)
+        z = z - z.max(axis=2, keepdims=True)
+        log_norm = np.log(np.exp(z).sum(axis=2))
+        picked = z[np.arange(k)[:, None], np.arange(size), labels]
+        return np.mean(log_norm - picked, axis=1)
 
 
 def evaluate_cost(model: ModelParams, shard: DataShard) -> float:
@@ -222,76 +242,15 @@ def evaluate_cost(model: ModelParams, shard: DataShard) -> float:
     no matter what the shard contains.
     """
     n_classes, feature_dim = _classifier_dims(model, shard)
-    return _mean_cross_entropy(model.values, shard, n_classes, feature_dim)
+    cost = _stacked_cost(model.values[None], shard.features[None], shard.labels[None], n_classes, feature_dim)
+    # Clip away the odd -1ulp rounding artefact; cost is non-negative by definition.
+    return max(float(cost[0]), 0.0)
 
 
 def predict_labels(model: ModelParams, shard: DataShard) -> np.ndarray:
     """Argmax class per sample (ties resolve to the lowest class id)."""
     n_classes, feature_dim = _classifier_dims(model, shard)
     return np.argmax(_logits(model.values, shard.features, n_classes, feature_dim), axis=1)
-
-
-def _batch_gradient(
-    values: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    feature_dim: int,
-) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _logits(values, features, n_classes, feature_dim)
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(len(labels)), labels] -= 1.0
-        p /= len(labels)
-        grad_w = p.T @ features
-        grad_b = p.sum(axis=0)
-        return np.concatenate([grad_w.ravel(), grad_b])
-
-
-def train_local(
-    start: ModelParams,
-    shard: DataShard,
-    val: DataShard,
-    cfg: TrainConfig,
-    node_id: str = "local",
-) -> LocalUpdate:
-    """Mini-batch SGD from `start` over `shard` for cfg.epochs.
-
-    Batch order is shuffled by the node's own seeded stream, so the result
-    is bit-reproducible for a fixed cfg.seed. Validation cost is sampled at
-    every epoch boundary, giving the trajectory the aggregation integral
-    needs. This is the single-node reference that `train_round` reproduces
-    bit for bit.
-    """
-    n_classes, feature_dim = _classifier_dims(start, shard)
-    _classifier_dims(start, val)
-    rng = np.random.default_rng(cfg.seed)
-    values = start.values.copy()
-
-    def sample(epoch: int) -> float:
-        cost = _mean_cross_entropy(values, val, n_classes, feature_dim)
-        if not math.isfinite(cost):
-            raise TrainingDivergenceError(node_id, f"validation cost at epoch {epoch}")
-        return cost
-
-    costs = [sample(0)]
-    n = len(shard)
-    # Overflow surfaces as the divergence checks' error, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            for lo in range(0, n, cfg.batch_size):
-                idx = order[lo : lo + cfg.batch_size]
-                grad = _batch_gradient(values, shard.features[idx], shard.labels[idx], n_classes, feature_dim)
-                if not np.all(np.isfinite(grad)):
-                    raise TrainingDivergenceError(node_id, f"gradient at epoch {epoch + 1}")
-                values -= cfg.learning_rate * grad
-                if not np.all(np.isfinite(values)):
-                    raise TrainingDivergenceError(node_id, f"parameters at epoch {epoch + 1}")
-            costs.append(sample(epoch + 1))
-    return LocalUpdate(node_id, ModelParams(values), n, CostTrajectory(tuple(costs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,13 +266,6 @@ class TrainJob:
     rows: np.ndarray | None = None
 
 
-def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
-    """`_logits` of k models, (k, dim), on k equal-length batches, (k, L, feature_dim)."""
-    split = n_classes * feature_dim
-    w = values[:, :split].reshape(len(values), n_classes, feature_dim)
-    return np.matmul(features, w.transpose(0, 2, 1)) + values[:, None, split:]
-
-
 def _stacked_gradient(
     values: np.ndarray,
     features: np.ndarray,
@@ -321,12 +273,13 @@ def _stacked_gradient(
     n_classes: int,
     feature_dim: int,
 ) -> np.ndarray:
-    """`_batch_gradient` of k models on k equal-length batches at once.
+    """Mean cross-entropy gradient of k models on k equal-length batches at once.
 
     `hot` is each sample's true-class index into the flat (k, length,
     n_classes) probabilities. Each slice goes through the same kernels, with
-    the same shapes and strides, as one `_batch_gradient` call, so every row
-    of the result equals it bit for bit. The caller holds the `np.errstate`.
+    the same shapes and strides, as one call of the one-model gradient in
+    `tests/_oracle.py`, so every row of the result equals it bit for bit.
+    The caller holds the `np.errstate`.
     """
     k, length = features.shape[:2]
     z = _stacked_logits(values, features, n_classes, feature_dim)
@@ -337,23 +290,6 @@ def _stacked_gradient(
     p /= length
     grad_w = np.matmul(p.transpose(0, 2, 1), features)
     return np.concatenate([grad_w.reshape(k, -1), p.sum(axis=1)], axis=1)
-
-
-def _stacked_cost(
-    values: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    feature_dim: int,
-) -> np.ndarray:
-    """`_mean_cross_entropy` of k models on k equal-size shards, before its clip at 0."""
-    k, size = labels.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _stacked_logits(values, features, n_classes, feature_dim)
-        z = z - z.max(axis=2, keepdims=True)
-        log_norm = np.log(np.exp(z).sum(axis=2))
-        picked = z[np.arange(k)[:, None], np.arange(size), labels]
-        return np.mean(log_norm - picked, axis=1)
 
 
 # Jobs trained together by `train_round`. Bounds the pooled rows, the gathered
@@ -391,7 +327,7 @@ def _train_block(
     `states` holds each job's batch-order stream, as `seed_states` rows.
     Returns the trained parameters (jobs, dim), the validation costs before
     the clip at 0 (epochs + 1, jobs), and the earliest fault of each job
-    that diverged, by position in `jobs`, in `train_local`'s order.
+    that diverged, by position in `jobs`, in the sequential oracle's order.
     """
     n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
     # The jobs' training rows back to back: job i owns [starts[i], starts[i] + sizes[i]).
@@ -436,7 +372,7 @@ def _train_block(
                     diverged.setdefault(lo + int(j), f"{'gradient' if bad_grad[j] else 'parameters'} at epoch {epoch}")
 
     # Each job's stream is its own, so drawing a job's epochs back to back
-    # gives the permutations `train_local` draws epoch by epoch.
+    # gives the permutations a one-node trainer draws epoch by epoch.
     perms = [[rng.permutation(n) for _ in range(epochs)] for n, rng in zip(sizes, generators(states))]
     owner_starts = np.repeat(starts, sizes)
     # With a finite learning rate, a non-finite gradient or parameter leaves
@@ -465,20 +401,20 @@ def train_round(
 ) -> list[LocalUpdate]:
     """Mini-batch SGD from `start` for all of one round's jobs at once.
 
-    Element i equals `train_local` run on job i's rows of its shard with
-    `TrainConfig(epochs, learning_rate, job.seed, batch_size)`, bit for bit.
-    Jobs train in blocks of similar size. At each SGD step a block's jobs
-    are grouped by their exact batch length, so nothing is padded and each
-    job's batch goes through the same kernels as in `train_local`. Every
-    job's parameters are checked once per epoch, an epoch that diverged is
-    replayed with every step's gradient and parameters checked, and every
-    validation cost is checked. If jobs diverge, the error is the one
-    `train_local` raises for the first of them in `jobs` order. Inputs are
-    checked before any training, and all shards must share one feature_dim.
-    One `seed_states` pass seeds every job's batch-order stream as
-    `default_rng(job.seed)` would.
+    Element i equals `tests/_oracle.train_local`, the sequential one-node
+    SGD, run on job i's rows of its shard with `TrainConfig(epochs,
+    learning_rate, job.seed, batch_size)`, bit for bit. Jobs train in blocks
+    of similar size. At each SGD step a block's jobs are grouped by their
+    exact batch length, so nothing is padded and each job's batch goes
+    through the same kernels as in the oracle. Every job's parameters are
+    checked once per epoch, an epoch that diverged is replayed with every
+    step's gradient and parameters checked, and every validation cost is
+    checked. If jobs diverge, the error is the one the oracle raises for the
+    first of them in `jobs` order. Inputs are checked before any training,
+    and all shards must share one feature_dim. One `seed_states` pass seeds
+    every job's batch-order stream as `default_rng(job.seed)` would.
     """
-    TrainConfig(epochs, learning_rate, 0, batch_size)  # train_local's argument checks
+    TrainConfig(epochs, learning_rate, 0, batch_size)  # the argument checks of a one-node config
     if not jobs:
         return []
     n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
@@ -517,6 +453,24 @@ def train_round(
         trajectory = CostTrajectory(tuple(max(cost, 0.0) for cost in job_costs))
         updates.append(LocalUpdate(job.node_id, ModelParams(values[i]), int(sizes[i]), trajectory))
     return updates
+
+
+def train_local(
+    start: ModelParams,
+    shard: DataShard,
+    val: DataShard,
+    cfg: TrainConfig,
+    node_id: str = "local",
+) -> LocalUpdate:
+    """Mini-batch SGD from `start` over all of `shard` for cfg.epochs: the
+    one-job form of `train_round`, so `shard` and `val` must share one
+    feature_dim.
+
+    Batch order is shuffled by the node's own `default_rng(cfg.seed)`
+    stream, and validation cost is sampled at every epoch boundary.
+    """
+    job = TrainJob(node_id, shard, val, cfg.seed)
+    return train_round(start, [job], cfg.epochs, cfg.learning_rate, cfg.batch_size)[0]
 
 
 def dice_score(pred: Sequence[int], truth: Sequence[int], cls: int) -> float:

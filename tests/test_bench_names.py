@@ -1,0 +1,53 @@
+"""The program names the benchmark's tracer wraps, read from `bench/tracer.py`.
+
+The tracer replaces each `TRACED` name in its module and binds a probed
+call's arguments by name, so renaming one of these breaks every benchmark
+run. The tracer is loaded by path and left as it is.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+# The arguments each probe in `tracer.PROBES` reads, by traced name.
+PROBED_PARAMETERS = {
+    "train_local": {"shard", "cfg"},
+    "aggregate": {"updates"},
+}
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through `sys.modules`.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_traced_name_is_bound(tracer):
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracer.TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
+
+
+def test_probed_functions_keep_the_parameters_their_probes_read(tracer):
+    traced = {name: module for module, names in tracer.TRACED.items() for name in names}
+    assert set(PROBED_PARAMETERS) <= set(tracer.PROBES) <= set(traced)
+    for name, wanted in PROBED_PARAMETERS.items():
+        fn = getattr(importlib.import_module(traced[name]), name)
+        assert wanted <= set(inspect.signature(fn).parameters), name

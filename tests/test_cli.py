@@ -76,6 +76,14 @@ def test_main_compare_writes_each_strategy_and_the_table(tiny_config, tmp_path):
     assert len(rows) == 1 + 2
 
 
+def test_main_compare_refuses_a_repeated_strategy(tiny_config, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    argv = ["compare", "--config", str(tiny_config), "--out", str(out), "--strategies", "fedpod,fedavg,FedPOD"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --strategies names 'fedpod' more than once\n"
+    assert not out.exists()
+
+
 def test_main_gen_cohort_defaults_match_the_config_defaults(tmp_path):
     out = tmp_path / "cohort.csv"
     assert main(["gen-cohort", "--out", str(out)]) == 0

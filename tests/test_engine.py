@@ -22,10 +22,10 @@ from fedpod.engine import (
     round_time,
     run_experiment,
     sample_timings,
-    train_seed,
 )
 from fedpod.errors import ValidationError
-from fedpod.params import ModelParams, TrainConfig, blob_geometry, make_blob_shard, train_local
+from fedpod.params import ModelParams, TrainConfig, blob_geometry, make_blob_shard
+from _oracle import train_local
 
 from dataclasses import replace
 
@@ -97,6 +97,66 @@ def test_only_task_participation_rejects_a_phase_of_no_nodes():
     # A phase past the last round is never run, and `all` ignores the counts.
     assert ExperimentConfig(schedule=schedule, max_rounds=2).schedule == schedule
     assert ExperimentConfig(schedule=schedule, max_rounds=3, participation="all").schedule == schedule
+
+
+def per_round_schedule_error(schedule, max_rounds, participation):
+    """The first error of the schedule check as it ran before, round by
+    round over every run round, or None."""
+    for round_index in range(1, max_rounds + 1):
+        covering = [entry for entry in schedule if entry.covers(round_index)]
+        if len(covering) != 1:
+            return f"schedule must cover round {round_index} exactly once, got {len(covering)} entries"
+        if participation == "task" and covering[0].n_nodes == 0:
+            return (
+                f"schedule phase {schedule.index(covering[0]) + 1} has n_nodes = 0,"
+                f" so participation = task trains nobody in round {round_index}"
+            )
+    return None
+
+
+@st.composite
+def schedules(draw):
+    """0-4 phases laid out from round 1, each with a gap, an overlap or
+    neither before it, closed or open-ended, of 0 or 2 nodes, in any order."""
+    phases = []
+    cursor = 1
+    for _ in range(draw(st.integers(0, 4))):
+        first = max(1, cursor + draw(st.integers(-3, 2)))
+        last = draw(st.none() | st.integers(first, first + 12))
+        nodes = draw(st.sampled_from([0, 2]))
+        phases.append(PhaseEntry(first, last, nodes, nodes, 0, 1e-3, 1))
+        cursor = (first + 6 if last is None else last) + 1
+    return tuple(draw(st.permutations(phases)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedules(), st.integers(0, 40), st.sampled_from(["task", "all"]))
+def test_schedule_check_matches_the_per_round_loop(schedule, max_rounds, participation):
+    want = per_round_schedule_error(schedule, max_rounds, participation)
+    try:
+        ExperimentConfig(schedule=schedule, max_rounds=max_rounds, participation=participation)
+    except ValidationError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+
+
+def test_schedule_check_cost_does_not_grow_with_max_rounds(monkeypatch):
+    calls = []
+    real_covers = PhaseEntry.covers
+
+    def counting_covers(entry, round_index):
+        calls.append(round_index)
+        return real_covers(entry, round_index)
+
+    monkeypatch.setattr(PhaseEntry, "covers", counting_covers)
+    counts = []
+    for max_rounds in (20, 10**6):
+        calls.clear()
+        ExperimentConfig(max_rounds=max_rounds)
+        counts.append(len(calls))
+    # Rounds 1, 6, 11 and 16, each against the 4 default entries.
+    assert counts == [16, 16]
 
 
 def test_config_rejects_a_cohort_beside_a_partition_csv():
@@ -288,14 +348,16 @@ def test_single_node_fedavg_equals_centralized_sgd():
     ((inst, count),) = table.counts.items()
     geometry = blob_geometry(4, 8, 21)
     val = make_blob_shard(_val_size(count), geometry, np.random.default_rng([21, _NODE_VAL_SALT, 0]))
-    train_cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=train_seed(21, 1, 0), batch_size=16)
+    seed = int(np.random.SeedSequence([21, engine._TRAIN_SALT, 1, 0]).generate_state(1, np.uint64)[0])
+    train_cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=seed, batch_size=16)
     update = train_local(ModelParams.zeros(36), shards[inst], val, train_cfg, node_id=inst)
     assert np.array_equal(report.final_model.values, update.params.values)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3])
 def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
-    """Each job's seed is `train_seed` and its timings come from
+    """Each job's seed is `generate_state(1, np.uint64)` of
+    `SeedSequence([seed, _TRAIN_SALT, round, node])`, its timings come from
     `default_rng([seed, _TIMING_SALT, round, node])`, injection included.
     The timings are read where the engine hands them to `detect_stragglers`,
     with a timeout factor that drops no one."""
@@ -329,7 +391,6 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
         injected = sorted(record.participants)[0] if round_index == 2 else None
         for job in jobs:
             node = node_index[job.node_id]
-            assert job.seed == train_seed(seed, round_index, node)
             assert job.seed == int(
                 np.random.SeedSequence([seed, engine._TRAIN_SALT, round_index, node]).generate_state(1, np.uint64)[0]
             )
@@ -358,6 +419,18 @@ def test_summary_agrees_with_its_records(seed):
     assert summary.total_dropped == sum(len(record.dropped) for record in records)
     assert summary.fallback_rounds == sum(1 for record in records if record.fallbacks)
     assert summary.total_dropped >= 1  # the injected straggler at least
+
+
+def test_injection_rank_must_name_a_participant():
+    # Round 1 of the default run has 3 participants.
+    with pytest.raises(ValidationError) as err:
+        run_experiment(ExperimentConfig(max_rounds=1, timing=TimingProfile(inject_round=1, inject_rank=50)))
+    assert str(err.value) == "timing.inject_rank 50 is outside the 3 participants of round 1"
+    for rank in (3, -4):
+        with pytest.raises(ValidationError, match=f"^timing.inject_rank {rank} is outside"):
+            run_experiment(ExperimentConfig(max_rounds=1, timing=TimingProfile(inject_round=1, inject_rank=rank)))
+    for rank in (2, -3):
+        run_experiment(ExperimentConfig(max_rounds=1, timing=TimingProfile(inject_round=1, inject_rank=rank)))
 
 
 def test_best_dice_is_running_max():

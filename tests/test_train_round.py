@@ -1,10 +1,13 @@
-"""`train_round` against its oracle: `train_local` run node by node."""
+"""`train_round` against its oracle: the sequential `train_local` of
+`tests/_oracle.py` run node by node."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import train_local
+from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
     _BLOCK_NODES,
@@ -15,7 +18,6 @@ from fedpod.params import (
     _stacked_gradient,
     _step_ranges,
     _train_block,
-    train_local,
     train_round,
 )
 from fedpod.streams import seed_states
@@ -89,6 +91,12 @@ def rounds(draw):
 @given(rounds())
 def test_train_round_matches_train_local_bitwise(case):
     check(*case)
+    # `fedpod.params.train_local`, the one-job form of `train_round`, matches too.
+    start, jobs, epochs, learning_rate, batch_size = case
+    for job in jobs:
+        cfg = TrainConfig(epochs, learning_rate, job.seed, batch_size)
+        got = params.train_local(start, rows_of(job.shard, job.rows), job.val, cfg, node_id=job.node_id)
+        assert_bit_identical([got], sequential(start, [job], epochs, learning_rate, batch_size))
 
 
 def test_edge_shapes_match_train_local():
