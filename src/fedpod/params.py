@@ -15,6 +15,7 @@ round's nodes at once on stacked kernels; `train_local` is its one-node form.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -202,14 +203,8 @@ def _classifier_dims(model: ModelParams, shard: DataShard) -> tuple[int, int]:
     return c, f
 
 
-def _logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
-    w = values[: n_classes * feature_dim].reshape(n_classes, feature_dim)
-    b = values[n_classes * feature_dim :]
-    return features @ w.T + b
-
-
 def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
-    """`_logits` of k models, (k, dim), on k equal-length batches, (k, L, feature_dim)."""
+    """Logits of k models, (k, dim), on k equal-length batches, (k, L, feature_dim)."""
     split = n_classes * feature_dim
     w = values[:, :split].reshape(len(values), n_classes, feature_dim)
     return np.matmul(features, w.transpose(0, 2, 1)) + values[:, None, split:]
@@ -224,33 +219,57 @@ def _stacked_cost(
 ) -> np.ndarray:
     """Mean cross-entropy of k models on k equal-size shards, before the clip at 0.
 
-    Each slice equals the one-model form in `tests/_oracle.py` bit for bit.
+    Each slice equals the one-model form in `tests/_oracle.py` bit for bit:
+    the row sum over its size is what `np.mean` computes. The caller holds
+    the `np.errstate`.
     """
     k, size = labels.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _stacked_logits(values, features, n_classes, feature_dim)
-        z = z - z.max(axis=2, keepdims=True)
-        log_norm = np.log(np.exp(z).sum(axis=2))
-        picked = z[np.arange(k)[:, None], np.arange(size), labels]
-        return np.mean(log_norm - picked, axis=1)
+    z = _stacked_logits(values, features, n_classes, feature_dim)
+    z -= z.max(axis=2, keepdims=True)
+    picked = z.reshape(-1)[np.arange(k * size) * n_classes + labels.ravel()]
+    log_norm = np.log(np.exp(z, out=z).sum(axis=2))
+    return (log_norm - picked.reshape(k, size)).sum(axis=1) / size
 
 
 def evaluate_cost(model: ModelParams, shard: DataShard) -> float:
     """Mean cross-entropy of the softmax classifier over a shard.
 
     The all-zero model predicts uniformly, so its cost is ln(n_classes)
-    no matter what the shard contains.
+    no matter what the shard contains. A model whose logits overflow has no
+    finite cost, which raises `ValidationError`.
     """
     n_classes, feature_dim = _classifier_dims(model, shard)
-    cost = _stacked_cost(model.values[None], shard.features[None], shard.labels[None], n_classes, feature_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = _stacked_cost(model.values[None], shard.features[None], shard.labels[None], n_classes, feature_dim)
+    cost = float(costs[0])
+    if not math.isfinite(cost):
+        raise ValidationError(f"validation cost is {cost}, not finite")
     # Clip away the odd -1ulp rounding artefact; cost is non-negative by definition.
-    return max(float(cost[0]), 0.0)
+    return max(cost, 0.0)
 
 
 def predict_labels(model: ModelParams, shard: DataShard) -> np.ndarray:
-    """Argmax class per sample (ties resolve to the lowest class id)."""
+    """Argmax class per sample, as `np.argmax` of the logits gives it.
+
+    A tie goes to the lowest class id. A sample whose logits hold a NaN,
+    which an overflowing model can produce, gets the class of its first NaN.
+    """
     n_classes, feature_dim = _classifier_dims(model, shard)
-    return np.argmax(_logits(model.values, shard.features, n_classes, feature_dim), axis=1)
+    split = n_classes * feature_dim
+    # The logits class by class: the same product and bias sums as
+    # `features @ w.T + b`, laid out so each class's scores are contiguous.
+    z = (shard.features @ model.values[:split].reshape(n_classes, feature_dim).T).T.copy()
+    z += model.values[split:, None]
+    pred = np.zeros(len(shard), dtype=np.intp)
+    best = z[0].copy()
+    for c in range(1, n_classes):
+        pred += (z[c] > best) * (c - pred)
+        np.maximum(best, z[c], out=best)
+    # A NaN anywhere in a row makes its running maximum NaN.
+    nan = np.isnan(best)
+    if nan.any():
+        pred[nan] = np.argmax(z[:, nan], axis=0)
+    return pred
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,14 +321,20 @@ def _step_ranges(sizes: np.ndarray, batch_size: int) -> list[tuple[int, int, int
     """One epoch's SGD steps over jobs of ascending training `sizes`, as
     (row offset, lo, hi, length): jobs lo:hi share a batch length at that
     step, as full batches are a suffix and last batches ascend before it."""
-    if (np.diff(sizes) < 0).any():
+    sizes = sizes.tolist()
+    if any(a > b for a, b in zip(sizes, sizes[1:])):
         raise ValidationError("jobs must be sorted by training size")
     ranges = []
-    for offset in range(0, int(sizes[-1]), batch_size):
-        first = int(np.searchsorted(sizes, offset, side="right"))
-        lengths = np.minimum(sizes[first:] - offset, batch_size)
-        edges = [first, *(first + 1 + np.flatnonzero(np.diff(lengths))).tolist(), len(sizes)]
-        ranges += [(offset, lo, hi, int(lengths[lo - first])) for lo, hi in zip(edges, edges[1:])]
+    for offset in range(0, sizes[-1], batch_size):
+        lo = bisect_right(sizes, offset)
+        full = bisect_left(sizes, offset + batch_size, lo)
+        # Jobs lo:full take their last batch at this step, one range per size.
+        while lo < full:
+            hi = bisect_right(sizes, sizes[lo], lo, full)
+            ranges.append((offset, lo, hi, sizes[lo] - offset))
+            lo = hi
+        if full < len(sizes):
+            ranges.append((offset, full, len(sizes), batch_size))
     return ranges
 
 
@@ -343,12 +368,13 @@ def _train_block(
         (lo, hi, (starts[lo:hi] + offset)[:, None] + np.arange(length), np.arange((hi - lo) * length) * n_classes)
         for offset, lo, hi, length in _step_ranges(sizes, batch_size)
     ]
-    val_sizes = np.array([len(job.val) for job in jobs])
-    vals = []
-    for size in np.unique(val_sizes):
-        group = np.flatnonzero(val_sizes == size)
-        val_features = np.stack([jobs[i].val.features for i in group])
-        vals.append((group, val_features, np.stack([jobs[i].val.labels for i in group])))
+    by_val_size: dict[int, list[int]] = {}
+    for i, job in enumerate(jobs):
+        by_val_size.setdefault(len(job.val), []).append(i)
+    vals = [
+        (group, np.stack([jobs[i].val.features for i in group]), np.stack([jobs[i].val.labels for i in group]))
+        for group in by_val_size.values()
+    ]
 
     values = np.tile(start.values, (len(jobs), 1))
     costs = np.empty((epochs + 1, len(jobs)))

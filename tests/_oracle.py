@@ -3,6 +3,7 @@
 These are the per-node kernels `train_round` batches: one model, one batch
 per step, one `default_rng(cfg.seed)` stream of batch orders. They live here
 so the simulator keeps one trainer; tests compare it against this oracle.
+`np.argmax` of `_logits` is the reference for `predict_labels`.
 """
 
 import math
@@ -17,8 +18,13 @@ from fedpod.params import (
     ModelParams,
     TrainConfig,
     _classifier_dims,
-    _logits,
 )
+
+
+def _logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
+    w = values[: n_classes * feature_dim].reshape(n_classes, feature_dim)
+    b = values[n_classes * feature_dim :]
+    return features @ w.T + b
 
 
 def _mean_cross_entropy(values: np.ndarray, shard: DataShard, n_classes: int, feature_dim: int) -> float:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import _logits
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
     BlobGeometry,
@@ -120,6 +121,14 @@ def test_cost_is_non_negative_even_when_confident():
     assert evaluate_cost(confident, shard) >= 0.0
 
 
+def test_non_finite_cost_is_rejected():
+    overflowing = ModelParams(np.full(36, 1e300))
+    shard = DataShard(np.full((5, 8), 1e10), np.zeros(5, dtype=int))
+    with pytest.raises(ValidationError) as err:
+        evaluate_cost(overflowing, shard)
+    assert str(err.value) == "validation cost is nan, not finite"
+
+
 def test_empty_shard_is_unconstructible():
     with pytest.raises(ShapeError):
         DataShard(np.zeros((0, 3)), np.zeros(0, dtype=int))
@@ -186,6 +195,49 @@ def test_predict_labels_are_valid_classes():
     train, _ = _separable_shards()
     labels = predict_labels(ModelParams.zeros(8), train)
     assert set(np.unique(labels)) <= {0, 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(1, 8),
+    st.integers(1, 40),
+    st.sampled_from(["normal", "zero", "coarse", "duplicate rows", "overflow"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_predict_labels_is_argmax_of_the_logits(n_classes, feature_dim, n, kind, seed):
+    """Element for element and in dtype: ties go to the lowest class, and a
+    row holding a NaN logit to its first NaN. Each row is also scored alone,
+    because whether overflowing products sum to inf or NaN depends on the
+    BLAS kernel, which depends on the number of rows."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, feature_dim))
+    weights = rng.standard_normal((n_classes, feature_dim))
+    biases = rng.standard_normal(n_classes)
+    if kind == "zero":
+        weights[:], biases[:] = 0.0, 0.0
+    elif kind == "coarse":
+        # Small integers tie often, across different rows too.
+        features = rng.integers(-2, 3, size=features.shape).astype(float)
+        weights = rng.integers(-2, 3, size=weights.shape).astype(float)
+        biases = rng.integers(-2, 3, size=n_classes).astype(float)
+    elif kind == "duplicate rows":
+        copies = rng.integers(0, n_classes, size=n_classes)
+        weights, biases = weights[copies], biases[copies]
+    elif kind == "overflow":
+        # Products overflow to +-inf, and sums of opposite infinities are NaN.
+        features *= 1e10
+        weights = rng.choice([-1e300, 0.0, 1e300], size=weights.shape)
+        copies = rng.integers(0, n_classes, size=n_classes)
+        weights[::2], biases[::2] = weights[copies][::2], biases[copies][::2]
+    model = ModelParams(np.concatenate([weights.ravel(), biases]))
+    for rows in [slice(None), *(slice(i, i + 1) for i in range(n))]:
+        shard = DataShard(features[rows], np.zeros(len(features[rows]), dtype=int))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.argmax(_logits(model.values, shard.features, n_classes, feature_dim), axis=1)
+            got = predict_labels(model, shard)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------- trajectory

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import train_local
+from _oracle import _mean_cross_entropy, train_local
 from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
@@ -15,6 +15,7 @@ from fedpod.params import (
     ModelParams,
     TrainConfig,
     TrainJob,
+    _stacked_cost,
     _stacked_gradient,
     _step_ranges,
     _train_block,
@@ -286,6 +287,47 @@ def test_non_finite_parameters_stay_non_finite(injected, learning_rate, feature_
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=12), st.integers(1, 9))
 def test_step_ranges_match_flatnonzero_grouping(sizes, batch_size):
+    sizes = np.sort(np.array(sizes))
+    n_steps = -(-sizes // batch_size)
+    last_length = sizes - (n_steps - 1) * batch_size
+    want = []
+    for step in range(int(n_steps.max())):
+        lengths = np.where(n_steps > step + 1, batch_size, last_length)
+        for length in np.unique(lengths[n_steps > step]):
+            group = np.flatnonzero((n_steps > step) & (lengths == length))
+            want.append((step * batch_size, group.tolist(), int(length)))
+    got = [(offset, list(range(lo, hi)), length) for offset, lo, hi, length in _step_ranges(sizes, batch_size)]
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 70), st.sampled_from([1.0, 1e10]), st.integers(0, 2**32 - 1))
+def test_stacked_cost_matches_the_one_model_oracle_bitwise(k, size, feature_scale, seed):
+    """Clipped at 0, each slice is the oracle's cost, bit for bit; with
+    overflowing models the non-finite costs sit in the same places."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((k, DIM)) * rng.choice([1.0, 1e300], size=(k, 1))
+    features = feature_scale * rng.standard_normal((k, size, FEATURE_DIM))
+    labels = rng.integers(0, N_CLASSES, size=(k, size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.array([max(c, 0.0) for c in _stacked_cost(values, features, labels, N_CLASSES, FEATURE_DIM).tolist()])
+    want = np.array(
+        [_mean_cross_entropy(values[i], DataShard(features[i], labels[i]), N_CLASSES, FEATURE_DIM) for i in range(k)]
+    )
+    finite = np.isfinite(want)
+    assert np.isfinite(got).tolist() == finite.tolist()
+    assert got[finite].tobytes() == want[finite].tobytes()
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 3000), min_size=1, max_size=300).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)
+    ),
+    st.integers(1, 64),
+)
+def test_step_ranges_match_flatnonzero_grouping_at_workload_scale(sizes, batch_size):
     sizes = np.sort(np.array(sizes))
     n_steps = -(-sizes // batch_size)
     last_length = sizes - (n_steps - 1) * batch_size
