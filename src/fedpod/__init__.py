@@ -28,6 +28,7 @@ from .engine import (
     CohortSpec,
     ExperimentConfig,
     ExperimentReport,
+    PartitionSource,
     PhaseEntry,
     RoundRecord,
     TimingProfile,

@@ -50,6 +50,8 @@ class AggregationStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValidationError(f"unknown strategy kind {self.kind!r}; expected one of {STRATEGY_KINDS}")
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
+            raise ValidationError("alpha, beta, gamma must be finite")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValidationError("alpha, beta, gamma must be non-negative")
         if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-12:

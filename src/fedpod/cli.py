@@ -7,7 +7,8 @@ or `schedule.phaseN.`) plus a field name of `ExperimentConfig`, `CohortSpec`,
 dropped inside a section (`cohort.institutions` sets `n_institutions`). A
 value is read as its field's type; `none` sets an optional field to None.
 Three keys name no field: `cohort.source` (`synthetic` or `csv`),
-`cohort.path` (the partition CSV, relative to the config file) and
+`cohort.path` (the partition CSV, relative to the config file; with `csv`
+the cohort is a `PartitionSource` of that path) and
 `schedule.phaseN.rounds` (`first-last`, or `first-`). A cohort key the
 source does not read is an error: the `CohortSpec` keys with `csv`, and
 `cohort.path` with `synthetic`.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .aggregation import STRATEGY_KINDS
 from .cohort import PARTITION_HEADER, PartitionTable, generate_synthetic_cohort
-from .engine import CohortSpec, ExperimentConfig, ExperimentReport, PhaseEntry, run_experiment
+from .engine import CohortSpec, ExperimentConfig, ExperimentReport, PartitionSource, PhaseEntry, run_experiment
 from .errors import FedPodError, ParseError, ValidationError
 from .params import ModelParams
 
@@ -51,8 +52,8 @@ METRICS_COLUMNS = (
     "fallback_flags",
 )
 
-# Set by cohort.path and schedule.phaseN.rounds, not by keys of their own.
-_UNKEYED_FIELDS = {"partition_csv", "first_round", "last_round"}
+# Set by schedule.phaseN.rounds, not by keys of their own.
+_UNKEYED_FIELDS = {"first_round", "last_round"}
 
 
 def _field_keys(cls, in_section: bool = True) -> dict[str, tuple[str, tuple[type, bool]]]:
@@ -170,7 +171,7 @@ def parse_config(path) -> ExperimentConfig:
         partition_csv = path.parent / partition_name
         if not partition_csv.is_file():
             raise ValidationError(f"partition file not found: {partition_csv}")
-        kwargs["partition_csv"] = str(partition_csv)
+        kwargs["cohort"] = PartitionSource(str(partition_csv))
 
     strategy = given["strategy"]
     strategy["kind"] = kind = strategy.get("kind", _DEFAULTS.strategy.kind).lower()
@@ -178,7 +179,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ValidationError(f"strategy.kind: expected one of {STRATEGY_KINDS}, got {kind!r}")
 
     for section in _SECTIONS:
-        kwargs[section] = replace(getattr(_DEFAULTS, section), **given[section])
+        # A csv source has set the cohort already.
+        kwargs.setdefault(section, replace(getattr(_DEFAULTS, section), **given[section]))
     if phases:
         kwargs["schedule"] = tuple(_phase_entry(f"schedule.phase{n}", phases[n]) for n in sorted(phases))
 

@@ -101,26 +101,6 @@ class LazyShards(Mapping[str, DataShard]):
         return len(self._index)
 
 
-def _lazy_blob_shards(
-    counts: Mapping[str, int],
-    seed: int,
-    n_classes: int,
-    feature_dim: int,
-) -> LazyShards:
-    """Institution i of `counts` (in order) draws its shard of `counts[inst]`
-    samples from `default_rng([seed, _SHARD_SALT, i])`."""
-    geometry = blob_geometry(n_classes, feature_dim, seed)
-    # An institution with no samples can never get a shard: fail here, not
-    # at its first lookup mid-run.
-    if not all(counts.values()):
-        raise ValidationError("a shard needs at least one sample")
-
-    def build(inst: str, idx: int) -> DataShard:
-        return make_blob_shard(counts[inst], geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
-
-    return LazyShards({inst: idx for idx, inst in enumerate(counts)}, build)
-
-
 def generate_synthetic_cohort(
     n_institutions: int,
     lam: float,
@@ -141,16 +121,16 @@ def generate_synthetic_cohort(
         raise ValidationError("need at least one institution")
     if not 0 <= n_outliers < n_institutions:
         raise ValidationError("n_outliers must be in [0, n_institutions)")
-    if not lam > 0:
-        raise ValidationError("lam must be positive")
-    if outlier_scale < 1:
-        raise ValidationError("outlier_scale must be >= 1")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValidationError("lam must be a positive finite real")
+    if not (math.isfinite(outlier_scale) and outlier_scale >= 1):
+        raise ValidationError("outlier_scale must be finite and >= 1")
     rng = np.random.default_rng([seed, _COUNT_SALT])
     regular = rng.poisson(lam, size=n_institutions - n_outliers)
     outliers = rng.poisson(lam * outlier_scale, size=n_outliers)
     counts = np.maximum(np.concatenate([regular, outliers]), 1).astype(int)
     table = PartitionTable({f"inst{i:03d}": c for i, c in enumerate(counts.tolist())})
-    return table, _lazy_blob_shards(table.counts, seed, n_classes, feature_dim)
+    return table, synthesize_shards(table, seed, n_classes, feature_dim)
 
 
 def synthesize_shards(
@@ -159,13 +139,23 @@ def synthesize_shards(
     n_classes: int = 4,
     feature_dim: int = 8,
 ) -> LazyShards:
-    """Synthesize features and labels for an ingested table; only its counts are real.
+    """Synthesize features and labels for a table; only its counts are real.
 
-    A shard is built on its first lookup, from its own stream keyed by the
-    institution's position in `table.counts`, so institutions that are
-    never looked up cost nothing.
+    Institution i of `table.counts` (in order) draws its shard on its first
+    lookup from `default_rng([seed, _SHARD_SALT, i])`, so institutions that
+    are never looked up cost nothing.
     """
-    return _lazy_blob_shards(table.counts, seed, n_classes, feature_dim)
+    counts = table.counts
+    geometry = blob_geometry(n_classes, feature_dim, seed)
+    # An institution with no samples can never get a shard: fail here, not
+    # at its first lookup mid-run.
+    if not all(counts.values()):
+        raise ValidationError("a shard needs at least one sample")
+
+    def build(inst: str, idx: int) -> DataShard:
+        return make_blob_shard(counts[inst], geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
+
+    return LazyShards({inst: idx for idx, inst in enumerate(counts)}, build)
 
 
 def load_partition_csv(path) -> PartitionTable:

@@ -35,16 +35,7 @@ from .params import (
     train_local,  # noqa: F401 -- unused here, but the benchmark's tracer (bench/tracer.py) wraps this name
     train_round,
 )
-from .selection import (
-    ROLE_PRIMARY,
-    ROLE_SECONDARY,
-    NodeClassification,
-    TaskParticipant,
-    TaskPlan,
-    classify_nodes,
-    compose_task,
-    window_indices,
-)
+from .selection import classify_nodes, compose_task, window_indices
 from .streams import generators, seed_states
 
 _HOLDOUT_SALT = 7001
@@ -145,6 +136,10 @@ class TimingProfile:
     inject_factor: float = 10.0
 
     def __post_init__(self):
+        # Every field is a number, or None where optional.
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite")
         if min(self.per_sample_train_s, self.per_sample_val_s) <= 0:
             raise ValidationError("per-sample costs must be positive")
         if min(self.model_bytes, self.bandwidth_bps) <= 0:
@@ -161,12 +156,19 @@ class TimingProfile:
 
 @dataclass(frozen=True)
 class CohortSpec:
-    """Synthetic cohort parameters; left at the defaults when a partition CSV is given."""
+    """Synthetic cohort parameters."""
 
     n_institutions: int = 23
     mean_samples: float = 30.0
     n_outliers: int = 3
     outlier_scale: float = 10.0
+
+
+@dataclass(frozen=True)
+class PartitionSource:
+    """A cohort read from a `Subject_ID,Partition_ID` partition CSV."""
+
+    path: str
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,7 @@ class RoundRecord:
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 7
-    cohort: CohortSpec = field(default_factory=CohortSpec)
-    partition_csv: str | None = None
+    cohort: CohortSpec | PartitionSource = field(default_factory=CohortSpec)
     n_classes: int = 4
     feature_dim: int = 8
     batch_size: int = 16
@@ -209,8 +210,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if self.partition_csv is not None and self.cohort != CohortSpec():
-            raise ValidationError("a partition CSV sets the cohort; cohort must keep its defaults")
+        if not math.isfinite(self.z):
+            raise ValidationError("z must be finite")
         if self.n_classes < 2 or self.feature_dim < 1:
             raise ValidationError("need n_classes >= 2 and feature_dim >= 1")
         if self.batch_size < 1:
@@ -348,11 +349,10 @@ def convergence_score(records: Sequence[RoundRecord]) -> float:
 
 
 def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, LazyShards]:
-    if config.partition_csv is not None:
-        table = load_partition_csv(config.partition_csv)
-        shards = synthesize_shards(table, config.seed, config.n_classes, config.feature_dim)
-        return table, shards
     spec = config.cohort
+    if isinstance(spec, PartitionSource):
+        table = load_partition_csv(spec.path)
+        return table, synthesize_shards(table, config.seed, config.n_classes, config.feature_dim)
     return generate_synthetic_cohort(
         spec.n_institutions,
         spec.mean_samples,
@@ -366,26 +366,6 @@ def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, LazyShards]
 
 def _val_size(count: int) -> int:
     return max(_VAL_MIN, min(_VAL_MAX, round(_VAL_FRACTION * count)))
-
-
-def _all_nodes_plan(
-    round_index: int,
-    classification: NodeClassification,
-    table: PartitionTable,
-    blacklist: frozenset[str],
-) -> TaskPlan:
-    counts = table.counts
-    participants = [
-        TaskParticipant(inst, ROLE_PRIMARY, counts[inst], 0)
-        for inst in classification.primary
-        if inst not in blacklist
-    ]
-    participants += [
-        TaskParticipant(inst, ROLE_SECONDARY, counts[inst], 0)
-        for inst in classification.secondary
-        if inst not in blacklist
-    ]
-    return TaskPlan(round_index, tuple(participants))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -426,20 +406,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     for round_index in range(1, config.max_rounds + 1):
         phase_number, phase = phase_for_round(config.schedule, round_index)
-        if config.participation == PARTICIPATION_ALL:
-            plan = _all_nodes_plan(round_index, classification, table, blacklist)
-        else:
-            plan = compose_task(
-                round_index,
-                classification,
-                phase,
-                poisson.lam,
-                config.margin_fraction,
-                table,
-                blacklist=blacklist,
-                rng_seed=config.seed,
-                offsets=offsets,
-            )
+        plan = compose_task(
+            round_index,
+            classification,
+            phase if config.participation == PARTICIPATION_TASK else None,
+            poisson.lam,
+            config.margin_fraction,
+            table,
+            blacklist=blacklist,
+            rng_seed=config.seed,
+            offsets=offsets,
+        )
 
         injected: str | None = None
         if config.timing.inject_round == round_index:
@@ -467,12 +444,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             inst = participant.institution_id
             shard = shards[inst]
             rows = None
-            if participant.role == ROLE_PRIMARY:
+            # A primary whose quota is its whole shard always has offset 0,
+            # so its window would be every row in order.
+            if participant.quota < len(shard):
                 rows = window_indices(len(shard), participant.shard_offset, participant.quota)
                 offsets[inst] = (participant.shard_offset + participant.quota) % len(shard)
             val = node_val[inst]
-            quota = len(shard) if rows is None else len(rows)
-            timing = sample_timings(quota, phase.epochs, len(val), config.timing, timing_rng)
+            timing = sample_timings(participant.quota, phase.epochs, len(val), config.timing, timing_rng)
             timings[inst] = timing.scaled(config.timing.inject_factor) if inst == injected else timing
             jobs.append(TrainJob(inst, shard, val, seed, rows))
 

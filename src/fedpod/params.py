@@ -251,24 +251,23 @@ def evaluate_cost(model: ModelParams, shard: DataShard) -> float:
 def predict_labels(model: ModelParams, shard: DataShard) -> np.ndarray:
     """Argmax class per sample, as `np.argmax` of the logits gives it.
 
-    A tie goes to the lowest class id. A sample whose logits hold a NaN,
-    which an overflowing model can produce, gets the class of its first NaN.
+    A tie goes to the lowest class id. A model whose logits overflow is an
+    error, as its validation cost is in `evaluate_cost`.
     """
     n_classes, feature_dim = _classifier_dims(model, shard)
     split = n_classes * feature_dim
     # The logits class by class: the same product and bias sums as
     # `features @ w.T + b`, laid out so each class's scores are contiguous.
-    z = (shard.features @ model.values[:split].reshape(n_classes, feature_dim).T).T.copy()
-    z += model.values[split:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (shard.features @ model.values[:split].reshape(n_classes, feature_dim).T).T.copy()
+        z += model.values[split:, None]
+    if not np.isfinite(z).all():
+        raise ValidationError("logits are not finite")
     pred = np.zeros(len(shard), dtype=np.intp)
     best = z[0].copy()
     for c in range(1, n_classes):
         pred += (z[c] > best) * (c - pred)
         np.maximum(best, z[c], out=best)
-    # A NaN anywhere in a row makes its running maximum NaN.
-    nan = np.isnan(best)
-    if nan.any():
-        pred[nan] = np.argmax(z[:, nan], axis=0)
     return pred
 
 

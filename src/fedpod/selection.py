@@ -101,7 +101,7 @@ def primary_quota(lam: float, margin_fraction: float, holdings: int) -> int:
 def compose_task(
     round_index: int,
     classification: NodeClassification,
-    schedule_entry: "PhaseEntry",
+    schedule_entry: "PhaseEntry | None",
     lam: float,
     margin_fraction: float,
     table: PartitionTable,
@@ -115,6 +115,9 @@ def compose_task(
     secondaries are drawn uniformly without replacement from whoever is not
     blacklisted. The secondary draw is keyed by (rng_seed, round_index) so a
     substitution in one round never perturbs another round's draw.
+
+    With no schedule entry (`participation = all`) every node not
+    blacklisted takes part on its whole shard, primaries first.
     """
     if round_index < 1:
         raise ValidationError("round_index must be >= 1")
@@ -124,6 +127,16 @@ def compose_task(
         raise ValidationError("lam must be positive")
     offsets = offsets or {}
     counts = table.counts
+    if schedule_entry is None:
+        return TaskPlan(
+            round_index,
+            tuple(
+                TaskParticipant(inst, role, counts[inst], 0)
+                for role, group in ((ROLE_PRIMARY, classification.primary), (ROLE_SECONDARY, classification.secondary))
+                for inst in group
+                if inst not in blacklist
+            ),
+        )
 
     eligible_primary = [inst for inst in classification.primary if inst not in blacklist]
     if not eligible_primary:

@@ -34,6 +34,14 @@ def test_strategy_validation():
         AggregationStrategy("fedpidavg", history_window=0)
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+def test_strategy_rejects_a_non_finite_mix(name):
+    # NaN passes both the sign check and the sum check on its own.
+    with pytest.raises(ValidationError) as caught:
+        AggregationStrategy("fedavg", **{name: float("nan")})
+    assert str(caught.value) == "alpha, beta, gamma must be finite"
+
+
 # ---------------------------------------------------------------- fedavg
 
 

@@ -157,7 +157,25 @@ def test_main_plot_data_refuses_two_runs_of_one_strategy(tiny_config, tmp_path, 
 @pytest.mark.parametrize(
     ("text", "message"),
     [
+        ("cohort.outlier_scale = nan\n", "outlier_scale must be finite and >= 1"),
+        ("cohort.mean_samples = inf\n", "lam must be a positive finite real"),
+    ],
+)
+def test_main_reports_a_non_finite_cohort_value(tmp_path, monkeypatch, capsys, text, message):
+    # Caught when the run builds its cohort, before it reaches the RNG.
+    monkeypatch.delenv("FEDPOD_SEED", raising=False)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
         ("bogus = 1\n", "unknown config key 'bogus'"),
+        ("z = nan\n", "z must be finite"),
         ("seed 4\n", "line 1: expected 'key = value', got 'seed 4'"),
         ("timing.timeout_factor = abc\n", "timing.timeout_factor: could not convert string to float: 'abc'"),
         ("timing.inject_round = 1.5\n", "timing.inject_round: invalid literal for int() with base 10: '1.5'"),

@@ -141,6 +141,21 @@ def test_generator_rejects_bad_arguments():
         generate_synthetic_cohort(3, 5.0, 0, 0.5, seed=0)
 
 
+@pytest.mark.parametrize(
+    ("lam", "outlier_scale", "message"),
+    [
+        (float("inf"), 10.0, "lam must be a positive finite real"),
+        (float("nan"), 10.0, "lam must be a positive finite real"),
+        (30.0, float("nan"), "outlier_scale must be finite and >= 1"),
+        (30.0, float("inf"), "outlier_scale must be finite and >= 1"),
+    ],
+)
+def test_generate_rejects_a_non_finite_mean_or_scale(lam, outlier_scale, message):
+    with pytest.raises(ValidationError) as caught:
+        generate_synthetic_cohort(5, lam, 1, outlier_scale, seed=0)
+    assert str(caught.value) == message
+
+
 def test_outliers_exceed_upper_bound_across_seeds():
     # Monte Carlo oracle: with scale 10, outlier draws sit far above lam + 2*sqrt(lam).
     lam, z = 30.0, 2.0

@@ -4,7 +4,7 @@ import pytest
 
 from fedpod.aggregation import AggregationStrategy
 from fedpod.cli import parse_config
-from fedpod.engine import CohortSpec, ExperimentConfig, PhaseEntry, TimingProfile
+from fedpod.engine import CohortSpec, ExperimentConfig, PartitionSource, PhaseEntry, TimingProfile
 from fedpod.errors import ParseError, ValidationError
 
 EVERY_KEY = """\
@@ -115,8 +115,7 @@ def test_csv_source_reads_the_path(tmp_path):
     (tmp_path / "part.csv").write_text("Subject_ID,Partition_ID\ns1,a\n", encoding="utf-8")
     text = EVERY_KEY.format(cohort=CSV_COHORT, timeout_factor="2.5", inject_round="None")
     expected = _expected_every_key(
-        cohort=CohortSpec(),
-        partition_csv=str(tmp_path / "part.csv"),
+        cohort=PartitionSource(str(tmp_path / "part.csv")),
         timing=TimingProfile(
             per_sample_train_s=0.02,
             per_sample_val_s=0.004,
@@ -131,6 +130,14 @@ def test_csv_source_reads_the_path(tmp_path):
         ),
     )
     assert parse_config(_write(tmp_path, text)) == expected
+
+
+def test_csv_source_is_a_partition_source_beside_the_config(tmp_path):
+    (tmp_path / "runs" / "data").mkdir(parents=True)
+    (tmp_path / "runs" / "data" / "part.csv").write_text("Subject_ID,Partition_ID\ns1,a\n", encoding="utf-8")
+    config = parse_config(_write(tmp_path, "cohort.source = csv\ncohort.path = data/part.csv\n", "runs/run.cfg"))
+    assert config.cohort == PartitionSource(str(tmp_path / "runs" / "data" / "part.csv"))
+    assert config == ExperimentConfig(cohort=config.cohort)
 
 
 def test_empty_file_gives_the_default_config(tmp_path):

@@ -90,6 +90,34 @@ def test_config_rejects_gapped_schedule():
         )
 
 
+@pytest.mark.parametrize("z", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_a_non_finite_z(z):
+    # A NaN bound would put every institution in neither set.
+    with pytest.raises(ValidationError) as caught:
+        ExperimentConfig(z=z)
+    assert str(caught.value) == "z must be finite"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "per_sample_train_s",
+        "per_sample_val_s",
+        "model_bytes",
+        "bandwidth_bps",
+        "jitter_mu",
+        "jitter_sigma",
+        "timeout_factor",
+        "inject_factor",
+    ],
+)
+def test_timing_profile_rejects_a_non_finite_value(name, value):
+    with pytest.raises(ValidationError) as caught:
+        TimingProfile(**{name: value})
+    assert str(caught.value) == f"{name} must be finite"
+
+
 def test_only_task_participation_rejects_a_phase_of_no_nodes():
     schedule = (PhaseEntry(1, 2, 3, 3, 0, 1e-3, 1), PhaseEntry(3, None, 0, 0, 0, 1e-3, 1))
     with pytest.raises(ValidationError, match="^schedule phase 2 has n_nodes = 0"):
@@ -157,12 +185,6 @@ def test_schedule_check_cost_does_not_grow_with_max_rounds(monkeypatch):
         counts.append(len(calls))
     # Rounds 1, 6, 11 and 16, each against the 4 default entries.
     assert counts == [16, 16]
-
-
-def test_config_rejects_a_cohort_beside_a_partition_csv():
-    assert ExperimentConfig(partition_csv="x.csv").cohort == CohortSpec()
-    with pytest.raises(ValidationError, match="partition CSV"):
-        ExperimentConfig(partition_csv="x.csv", cohort=CohortSpec(n_institutions=5))
 
 
 # ---------------------------------------------------------------- timings

@@ -11,7 +11,7 @@ import pytest
 
 from fedpod.aggregation import AggregationStrategy
 from fedpod.cli import RunManifest, execute_run
-from fedpod.engine import CohortSpec, ExperimentConfig, PhaseEntry, TimingProfile
+from fedpod.engine import CohortSpec, ExperimentConfig, PartitionSource, PhaseEntry, TimingProfile
 
 GOLDEN_FILES = ("metrics.csv", "summary.json", "model.bin")
 GOLDEN_PARTITION = "partition.csv"
@@ -62,7 +62,7 @@ GOLDEN_CONFIGS = {
     # last participant by id (a secondary) is dropped and sits out round 3.
     "csv-task-mostly-idle": ExperimentConfig(
         seed=14,
-        partition_csv=GOLDEN_PARTITION,
+        cohort=PartitionSource(GOLDEN_PARTITION),
         strategy=AggregationStrategy("fedpidavg"),
         schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
         timing=TimingProfile(inject_round=2, inject_rank=-1),
@@ -98,9 +98,9 @@ GOLDEN_HASHES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_artifacts_match_golden_hashes(name, tmp_path):
     config = GOLDEN_CONFIGS[name]
-    if config.partition_csv is not None:
-        write_golden_partition(tmp_path / config.partition_csv)
-        config = replace(config, partition_csv=str(tmp_path / config.partition_csv))
+    if isinstance(config.cohort, PartitionSource):
+        write_golden_partition(tmp_path / config.cohort.path)
+        config = replace(config, cohort=PartitionSource(str(tmp_path / config.cohort.path)))
     execute_run(RunManifest(name, config, tmp_path))
     hashes = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN_FILES}
     assert hashes == GOLDEN_HASHES[name]

@@ -206,10 +206,10 @@ def test_predict_labels_are_valid_classes():
     st.integers(0, 2**32 - 1),
 )
 def test_predict_labels_is_argmax_of_the_logits(n_classes, feature_dim, n, kind, seed):
-    """Element for element and in dtype: ties go to the lowest class, and a
-    row holding a NaN logit to its first NaN. Each row is also scored alone,
-    because whether overflowing products sum to inf or NaN depends on the
-    BLAS kernel, which depends on the number of rows."""
+    """Element for element and in dtype, with ties to the lowest class; an
+    error exactly when a logit is not finite. Each row is also scored alone,
+    because whether overflowing products sum to a finite value depends on
+    the BLAS kernel, which depends on the number of rows."""
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, feature_dim))
     weights = rng.standard_normal((n_classes, feature_dim))
@@ -234,8 +234,14 @@ def test_predict_labels_is_argmax_of_the_logits(n_classes, feature_dim, n, kind,
     for rows in [slice(None), *(slice(i, i + 1) for i in range(n))]:
         shard = DataShard(features[rows], np.zeros(len(features[rows]), dtype=int))
         with np.errstate(over="ignore", invalid="ignore"):
-            want = np.argmax(_logits(model.values, shard.features, n_classes, feature_dim), axis=1)
-            got = predict_labels(model, shard)
+            logits = _logits(model.values, shard.features, n_classes, feature_dim)
+        if not np.isfinite(logits).all():
+            with pytest.raises(ValidationError) as caught:
+                predict_labels(model, shard)
+            assert str(caught.value) == "logits are not finite"
+            continue
+        want = np.argmax(logits, axis=1)
+        got = predict_labels(model, shard)
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
 

@@ -298,3 +298,35 @@ def test_compose_matches_the_whole_cohort_reference(
             compose_task(*args, blacklist=blacklist, rng_seed=rng_seed, offsets=offsets)
         return
     assert compose_task(*args, blacklist=blacklist, rng_seed=rng_seed, offsets=offsets) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 400), min_size=1, max_size=40),
+    z=st.floats(-1.0, 2.0),
+    round_index=st.integers(1, 50),
+    rng_seed=st.integers(0, 2**32 - 1),
+    offset_seed=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_compose_without_a_schedule_entry_takes_every_available_node(
+    counts, z, round_index, rng_seed, offset_seed, data
+):
+    """`participation = all`: whatever the offsets, every node not blacklisted
+    trains on its whole shard, primaries first, with no shortfall and no error
+    when every primary is blacklisted."""
+    table = table_from_counts(counts)
+    model = fit_poisson(table)
+    split = classify_nodes(table, model, z)
+    blacklist = set(data.draw(st.sets(st.sampled_from([*table.counts, "not-in-the-cohort"]))))
+    if data.draw(st.booleans()):
+        blacklist |= set(split.primary)
+    blacklist = frozenset(blacklist)
+    offsets = {inst: (offset_seed * (i + 3)) % 997 for i, inst in enumerate(split.primary)}
+    primaries = [TaskParticipant(i, "primary", table.counts[i], 0) for i in split.primary if i not in blacklist]
+    secondaries = [TaskParticipant(i, "secondary", table.counts[i], 0) for i in split.secondary if i not in blacklist]
+    expected = TaskPlan(round_index, (*primaries, *secondaries), secondary_shortfall=False, primary_shortfall=False)
+    plan = compose_task(
+        round_index, split, None, model.lam, 0.1, table, blacklist=blacklist, rng_seed=rng_seed, offsets=offsets
+    )
+    assert plan == expected
