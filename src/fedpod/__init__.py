@@ -16,6 +16,7 @@ from .aggregation import (
     fedpod_weights,
 )
 from .cohort import (
+    CohortSpec,
     PartitionTable,
     PoissonModel,
     fit_poisson,
@@ -25,7 +26,6 @@ from .cohort import (
 )
 from .engine import (
     DEFAULT_SCHEDULE,
-    CohortSpec,
     ExperimentConfig,
     ExperimentReport,
     PartitionSource,

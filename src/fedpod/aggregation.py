@@ -62,12 +62,18 @@ class AggregationStrategy:
 
 @dataclass
 class CostHistory:
-    """Per-node post-training validation costs from earlier rounds, oldest first."""
+    """Per-node post-training validation costs from earlier rounds, oldest
+    first. Given a `history_window`, each node keeps only its last
+    max(1, history_window - 1), all that `fedpid_weights` reads."""
 
     costs: dict[str, list[float]] = field(default_factory=dict)
+    history_window: int | None = None
 
     def record(self, node_id: str, cost: float) -> None:
-        self.costs.setdefault(node_id, []).append(float(cost))
+        past = self.costs.setdefault(node_id, [])
+        past.append(float(cost))
+        if self.history_window is not None:
+            del past[: -max(1, self.history_window - 1)]
 
     def last(self, node_id: str) -> float | None:
         past = self.costs.get(node_id)

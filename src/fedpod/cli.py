@@ -12,6 +12,10 @@ the cohort is a `PartitionSource` of that path) and
 `schedule.phaseN.rounds` (`first-last`, or `first-`). A cohort key the
 source does not read is an error: the `CohortSpec` keys with `csv`, and
 `cohort.path` with `synthetic`.
+
+metrics.csv has the columns of `METRICS_TABLE`, and comparison.csv three of
+them per strategy. `execute_run` refuses a config whose classes do not fit
+the table's BraTS Dice columns before it makes any directory.
 """
 
 from __future__ import annotations
@@ -29,28 +33,12 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .aggregation import STRATEGY_KINDS
-from .cohort import PARTITION_HEADER, PartitionTable, generate_synthetic_cohort
-from .engine import CohortSpec, ExperimentConfig, ExperimentReport, PartitionSource, PhaseEntry, run_experiment
+from .cohort import PARTITION_HEADER, CohortSpec, PartitionTable, generate_synthetic_cohort
+from .engine import ExperimentConfig, ExperimentReport, PartitionSource, PhaseEntry, run_experiment
 from .errors import FedPodError, ParseError, ValidationError
 from .params import ModelParams
 
 SEED_ENV_VAR = "FEDPOD_SEED"
-
-METRICS_COLUMNS = (
-    "round",
-    "phase",
-    "n_nodes",
-    "dropped",
-    "dice_label1",
-    "dice_label2",
-    "dice_label4",
-    "mean_dice",
-    "best_dice",
-    "round_time_s",
-    "cumulative_time_s",
-    "convergence_score",
-    "fallback_flags",
-)
 
 # Set by schedule.phaseN.rounds, not by keys of their own.
 _UNKEYED_FIELDS = {"first_round", "last_round"}
@@ -80,6 +68,29 @@ _PHASE_KEY_NAMES = ("rounds", *_PHASE_KEYS)
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+# The BraTS label each non-background class is reported under, in class order.
+BRATS_LABELS = (1, 2, 4)
+
+# metrics.csv, in column order: each column's name and its cell for a RoundRecord.
+METRICS_TABLE = (
+    ("round", lambda r: r.round_index),
+    ("phase", lambda r: r.phase),
+    ("n_nodes", lambda r: len(r.participants)),
+    ("dropped", lambda r: len(r.dropped)),
+    *((f"dice_label{label}", lambda r, i=i: _fmt(r.dice_per_class[i])) for i, label in enumerate(BRATS_LABELS)),
+    ("mean_dice", lambda r: _fmt(r.mean_dice)),
+    ("best_dice", lambda r: _fmt(r.best_dice)),
+    ("round_time_s", lambda r: _fmt(r.round_time_s)),
+    ("cumulative_time_s", lambda r: _fmt(r.cumulative_time_s)),
+    ("convergence_score", lambda r: _fmt(r.convergence_so_far)),
+    ("fallback_flags", lambda r: ";".join(r.fallbacks)),
+)
+# The metrics.csv columns that comparison.csv repeats for each strategy.
+COMPARED_COLUMNS = [
+    (name, cell) for name, cell in METRICS_TABLE if name in ("mean_dice", "best_dice", "convergence_score")
+]
 
 
 def _read_value(key: str, value_type: tuple[type, bool], raw: str):
@@ -190,10 +201,7 @@ def parse_config(path) -> ExperimentConfig:
         except ValueError:
             raise ValidationError(f"{SEED_ENV_VAR}: expected an integer") from None
 
-    config = ExperimentConfig(**kwargs)
-    if config.n_classes != 4:
-        raise ValidationError("n_classes must be 4: the metrics schema reports dice_label1/2/4")
-    return config
+    return ExperimentConfig(**kwargs)
 
 
 @dataclass
@@ -209,25 +217,12 @@ class RunManifest:
 def write_metrics_csv(records, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.round_index,
-                    r.phase,
-                    len(r.participants),
-                    len(r.dropped),
-                    _fmt(r.dice_per_class[0]),
-                    _fmt(r.dice_per_class[1]),
-                    _fmt(r.dice_per_class[2]),
-                    _fmt(r.mean_dice),
-                    _fmt(r.best_dice),
-                    _fmt(r.round_time_s),
-                    _fmt(r.cumulative_time_s),
-                    _fmt(r.convergence_so_far),
-                    ";".join(r.fallbacks),
-                ]
-            )
+        writer.writerow(name for name, _ in METRICS_TABLE)
+        writer.writerows([cell(r) for _, cell in METRICS_TABLE] for r in records)
+
+
+def _write_json(value, path: Path) -> None:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_model_bin(model: ModelParams, path: Path) -> None:
@@ -269,28 +264,19 @@ def write_partition_csv(table: PartitionTable, path) -> None:
 def execute_run(manifest: RunManifest) -> ExperimentReport:
     """Run one experiment and write metrics.csv, summary.json, model.bin,
     and manifest.json into the manifest's output directory."""
+    # METRICS_TABLE has one Dice column per non-background class.
+    if manifest.config.n_classes != len(BRATS_LABELS) + 1:
+        raise ValidationError("n_classes must be 4: the metrics schema reports dice_label1/2/4")
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
     report = run_experiment(manifest.config)
     write_metrics_csv(report.records, manifest.out_dir / "metrics.csv")
-    manifest.artifacts.append("metrics.csv")
-    with open(manifest.out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(report.summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.artifacts.append("summary.json")
+    _write_json(asdict(report.summary), manifest.out_dir / "summary.json")
     write_model_bin(report.final_model, manifest.out_dir / "model.bin")
-    manifest.artifacts.append("model.bin")
-    with open(manifest.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "config_path": manifest.config_path,
-                "out_dir": str(manifest.out_dir),
-                "artifacts": manifest.artifacts,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    manifest.artifacts += ["metrics.csv", "summary.json", "model.bin"]
+    _write_json(
+        {"config_path": manifest.config_path, "out_dir": str(manifest.out_dir), "artifacts": manifest.artifacts},
+        manifest.out_dir / "manifest.json",
+    )
     return report
 
 
@@ -323,22 +309,14 @@ def _cmd_compare(args) -> int:
         run_config = replace(config, strategy=replace(config.strategy, kind=kind))
         manifest = RunManifest(str(args.config), run_config, out / kind)
         reports[kind] = execute_run(manifest)
-    rows = max(len(r.records) for r in reports.values())
+    runs = [reports[kind].records for kind in kinds]
     with open(out / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["round"]
-        for kind in kinds:
-            header += [f"{kind}_mean_dice", f"{kind}_best_dice", f"{kind}_convergence_score"]
-        writer.writerow(header)
-        for i in range(rows):
-            row = [i + 1]
-            for kind in kinds:
-                records = reports[kind].records
-                if i < len(records):
-                    row += [_fmt(records[i].mean_dice), _fmt(records[i].best_dice), _fmt(records[i].convergence_so_far)]
-                else:
-                    row += ["", "", ""]
-            writer.writerow(row)
+        writer.writerow(["round", *(f"{kind}_{name}" for kind in kinds for name, _ in COMPARED_COLUMNS)])
+        for i in range(max(map(len, runs))):
+            # A run with fewer rounds has blank cells after its last one.
+            cells = [cell(r[i]) if i < len(r) else "" for r in runs for _, cell in COMPARED_COLUMNS]
+            writer.writerow([i + 1, *cells])
     for kind in kinds:
         s = reports[kind].summary
         print(f"{kind}: rounds {s.rounds_run}, best dice {s.best_mean_dice:.4f}, convergence {s.convergence_score:.4f}")
@@ -382,10 +360,9 @@ def _cmd_plot_data(args) -> int:
         runs[name] = metrics.parent
     for name, run_dir in runs.items():
         with open(run_dir / "metrics.csv", newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-        for column, suffix in (("mean_dice", "mean_dice"), ("convergence_score", "convergence_score")):
-            series = out / f"{name}_{suffix}.csv"
+            rows = list(csv.DictReader(fh))
+        for column in ("mean_dice", "convergence_score"):
+            series = out / f"{name}_{column}.csv"
             with open(series, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["round", column])

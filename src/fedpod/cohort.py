@@ -20,6 +20,9 @@ _SHARD_SALT = 7012
 
 PARTITION_HEADER = ("Subject_ID", "Partition_ID")
 
+# The largest mean `Generator.poisson` accepts (numpy's POISSON_LAM_MAX).
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 @dataclass(frozen=True)
 class PartitionTable:
@@ -101,33 +104,52 @@ class LazyShards(Mapping[str, DataShard]):
         return len(self._index)
 
 
+@dataclass(frozen=True)
+class CohortSpec:
+    """Synthetic cohort parameters: Poisson(mean_samples) counts, the last
+    `n_outliers` of them drawn at `mean_samples * outlier_scale`."""
+
+    n_institutions: int = 23
+    mean_samples: float = 30.0
+    n_outliers: int = 3
+    outlier_scale: float = 10.0
+
+    def __post_init__(self):
+        if self.n_institutions < 1:
+            raise ValidationError("n_institutions must be >= 1")
+        if not 0 <= self.n_outliers < self.n_institutions:
+            raise ValidationError("n_outliers must be in [0, n_institutions)")
+        if not (math.isfinite(self.mean_samples) and self.mean_samples > 0):
+            raise ValidationError("mean_samples must be a positive finite real")
+        if not (math.isfinite(self.outlier_scale) and self.outlier_scale >= 1):
+            raise ValidationError("outlier_scale must be finite and >= 1")
+        # The outliers' mean too whatever n_outliers is: numpy refuses it even for zero draws.
+        outlier_mean = self.mean_samples * self.outlier_scale
+        for name, mean in (("mean_samples", self.mean_samples), ("mean_samples * outlier_scale", outlier_mean)):
+            if mean > _POISSON_LAM_MAX:
+                raise ValidationError(f"{name} must be at most {_POISSON_LAM_MAX!r}, numpy's Poisson limit")
+
+
 def generate_synthetic_cohort(
     n_institutions: int,
-    lam: float,
+    mean_samples: float,
     n_outliers: int,
     outlier_scale: float,
     seed: int,
     n_classes: int = 4,
     feature_dim: int = 8,
 ) -> tuple[PartitionTable, LazyShards]:
-    """Draw a skewed cohort: Poisson(lam) counts plus a few large outliers.
+    """Draw a skewed cohort, checked as a `CohortSpec`: Poisson counts plus a few large outliers.
 
     Counts drawn as zero are clamped to 1 so every institution can
     participate. Deterministic under `seed`. Shards are built on first
     lookup, each from its own stream keyed by the institution's position,
     so building some or none of them changes no other.
     """
-    if n_institutions < 1:
-        raise ValidationError("need at least one institution")
-    if not 0 <= n_outliers < n_institutions:
-        raise ValidationError("n_outliers must be in [0, n_institutions)")
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValidationError("lam must be a positive finite real")
-    if not (math.isfinite(outlier_scale) and outlier_scale >= 1):
-        raise ValidationError("outlier_scale must be finite and >= 1")
+    CohortSpec(n_institutions, mean_samples, n_outliers, outlier_scale)
     rng = np.random.default_rng([seed, _COUNT_SALT])
-    regular = rng.poisson(lam, size=n_institutions - n_outliers)
-    outliers = rng.poisson(lam * outlier_scale, size=n_outliers)
+    regular = rng.poisson(mean_samples, size=n_institutions - n_outliers)
+    outliers = rng.poisson(mean_samples * outlier_scale, size=n_outliers)
     counts = np.maximum(np.concatenate([regular, outliers]), 1).astype(int)
     table = PartitionTable({f"inst{i:03d}": c for i, c in enumerate(counts.tolist())})
     return table, synthesize_shards(table, seed, n_classes, feature_dim)

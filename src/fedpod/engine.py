@@ -16,6 +16,7 @@ import numpy as np
 
 from .aggregation import AggregationStrategy, CostHistory, aggregate, compute_weights
 from .cohort import (
+    CohortSpec,
     LazyShards,
     PartitionTable,
     fit_poisson,
@@ -152,16 +153,6 @@ class TimingProfile:
             raise ValidationError("inject_round must be >= 1 (or None to disable injection)")
         if self.inject_factor <= 0:
             raise ValidationError("inject_factor must be positive")
-
-
-@dataclass(frozen=True)
-class CohortSpec:
-    """Synthetic cohort parameters."""
-
-    n_institutions: int = 23
-    mean_samples: float = 30.0
-    n_outliers: int = 3
-    outlier_scale: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -396,7 +387,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     node_val = LazyShards(node_index, build_val_shard)
 
     model = ModelParams.zeros(config.model_dim)
-    history = CostHistory()
+    history = CostHistory(history_window=config.strategy.history_window)
     offsets: dict[str, int] = {}
     blacklist: frozenset[str] = frozenset()
     records: list[RoundRecord] = []

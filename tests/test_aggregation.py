@@ -110,6 +110,25 @@ def test_fedpid_window_truncates_history():
     assert result.weights == pytest.approx((0.5, 0.5), abs=1e-15)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 12))
+def test_bounded_history_weighs_as_an_unbounded_one(seed, window, rounds):
+    # Each round a random subset of four nodes takes part, so nodes skip
+    # rounds and their histories grow unevenly.
+    strategy = AggregationStrategy("fedpidavg", alpha=0.2, beta=0.5, gamma=0.3, history_window=window)
+    rng = np.random.default_rng(seed)
+    bounded = CostHistory(history_window=window)
+    unbounded = CostHistory()
+    for _ in range(rounds):
+        updates = [u for u in random_updates(rng, 4) if rng.random() < 0.7] or random_updates(rng, 1)
+        assert fedpid_weights(updates, bounded, strategy) == fedpid_weights(updates, unbounded, strategy)
+        for update in updates:
+            bounded.record(update.node_id, update.trajectory.post_cost)
+            unbounded.record(update.node_id, update.trajectory.post_cost)
+        for node, past in unbounded.costs.items():
+            assert bounded.costs[node] == past[-max(1, window - 1) :]
+
+
 # ---------------------------------------------------------------- fedpod
 
 

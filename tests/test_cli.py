@@ -4,10 +4,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedpod.cli import main, read_model_bin, write_model_bin, write_partition_csv
+from fedpod.aggregation import AggregationStrategy
+from fedpod.cli import RunManifest, execute_run, main, read_model_bin, write_model_bin, write_partition_csv
 from fedpod.cohort import PartitionTable, generate_synthetic_cohort, load_partition_csv
-from fedpod.engine import CohortSpec, ExperimentConfig
-from fedpod.errors import ParseError
+from fedpod.engine import CohortSpec, ExperimentConfig, PhaseEntry, TimingProfile
+from fedpod.errors import ParseError, ValidationError
 from fedpod.params import ModelParams
 
 TINY_CONFIG = """\
@@ -157,29 +158,16 @@ def test_main_plot_data_refuses_two_runs_of_one_strategy(tiny_config, tmp_path, 
 @pytest.mark.parametrize(
     ("text", "message"),
     [
-        ("cohort.outlier_scale = nan\n", "outlier_scale must be finite and >= 1"),
-        ("cohort.mean_samples = inf\n", "lam must be a positive finite real"),
-    ],
-)
-def test_main_reports_a_non_finite_cohort_value(tmp_path, monkeypatch, capsys, text, message):
-    # Caught when the run builds its cohort, before it reaches the RNG.
-    monkeypatch.delenv("FEDPOD_SEED", raising=False)
-    path = tmp_path / "bad.cfg"
-    path.write_text(text, encoding="utf-8")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out" / "metrics.csv").exists()
-
-
-@pytest.mark.parametrize(
-    ("text", "message"),
-    [
         ("bogus = 1\n", "unknown config key 'bogus'"),
         ("z = nan\n", "z must be finite"),
         ("seed 4\n", "line 1: expected 'key = value', got 'seed 4'"),
         ("timing.timeout_factor = abc\n", "timing.timeout_factor: could not convert string to float: 'abc'"),
         ("timing.inject_round = 1.5\n", "timing.inject_round: invalid literal for int() with base 10: '1.5'"),
         ("cohort.source = csv\ncohort.path = absent.csv\n", "partition file not found: {dir}/absent.csv"),
+        ("cohort.outlier_scale = nan\n", "outlier_scale must be finite and >= 1"),
+        ("cohort.mean_samples = inf\n", "mean_samples must be a positive finite real"),
+        ("cohort.mean_samples = 1e19\n", "mean_samples must be at most 9.223372006484771e+18, numpy's Poisson limit"),
+        ("n_classes = 3\n", "n_classes must be 4: the metrics schema reports dice_label1/2/4"),
     ],
 )
 def test_main_reports_a_config_error(tmp_path, monkeypatch, capsys, text, message):
@@ -189,3 +177,67 @@ def test_main_reports_a_config_error(tmp_path, monkeypatch, capsys, text, messag
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_classes", [3, 5])
+def test_execute_run_refuses_classes_the_metrics_schema_does_not_fit(tmp_path, n_classes):
+    manifest = RunManifest("api", ExperimentConfig(n_classes=n_classes, max_rounds=2), tmp_path / "out")
+    with pytest.raises(ValidationError) as caught:
+        execute_run(manifest)
+    assert str(caught.value) == "n_classes must be 4: the metrics schema reports dice_label1/2/4"
+    assert not (tmp_path / "out").exists()
+
+
+def _dict_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_metrics_csv_columns_are_the_round_records(tmp_path):
+    # Round 2's last participant is slowed and dropped; phase 2's learning
+    # rate raises validation costs, so round 4 falls back on its derivative.
+    config = ExperimentConfig(
+        seed=3,
+        cohort=CohortSpec(n_institutions=8, mean_samples=12.0, n_outliers=2, outlier_scale=8.0),
+        strategy=AggregationStrategy("fedpidavg", alpha=0.2, beta=0.7, gamma=0.1),
+        schedule=(PhaseEntry(1, 2, 4, 2, 2, 1e-3, 2), PhaseEntry(3, None, 5, 2, 3, 1.0, 1)),
+        timing=TimingProfile(inject_round=2, inject_rank=-1),
+        batch_size=8,
+        max_rounds=4,
+    )
+    report = execute_run(RunManifest("api", config, tmp_path))
+    rows = _dict_rows(tmp_path / "metrics.csv")
+    assert len(rows) == len(report.records) == 4
+    assert report.records[1].dropped and report.records[3].fallbacks
+    for row, r in zip(rows, report.records):
+        values = {
+            "round": r.round_index,
+            "phase": r.phase,
+            "n_nodes": len(r.participants),
+            "dropped": len(r.dropped),
+            "dice_label1": r.dice_per_class[0],
+            "dice_label2": r.dice_per_class[1],
+            "dice_label4": r.dice_per_class[2],
+            "mean_dice": r.mean_dice,
+            "best_dice": r.best_dice,
+            "round_time_s": r.round_time_s,
+            "cumulative_time_s": r.cumulative_time_s,
+            "convergence_score": r.convergence_so_far,
+            "fallback_flags": ";".join(r.fallbacks),
+        }
+        assert list(row) == list(values)
+        for column, value in values.items():
+            assert type(value)(row[column]) == value, column
+
+
+def test_comparison_csv_repeats_each_strategys_metrics(tiny_config, tmp_path):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(tiny_config), "--out", str(out)]) == 0
+    comparison = _dict_rows(out / "comparison.csv")
+    for kind in ("fedavg", "fedpidavg", "fedpod"):
+        metrics = _dict_rows(out / kind / "metrics.csv")
+        assert len(metrics) == len(comparison) == 2
+        for got, want in zip(comparison, metrics):
+            assert got["round"] == want["round"]
+            for column in ("mean_dice", "best_dice", "convergence_score"):
+                assert got[f"{kind}_{column}"] == want[column]

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedpod
 from fedpod.cli import write_partition_csv
 from fedpod.cohort import (
+    _POISSON_LAM_MAX,
     _SHARD_SALT,
+    CohortSpec,
     PartitionTable,
     PoissonModel,
     fit_poisson,
@@ -142,18 +145,53 @@ def test_generator_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize(
-    ("lam", "outlier_scale", "message"),
+    ("mean_samples", "outlier_scale", "message"),
     [
-        (float("inf"), 10.0, "lam must be a positive finite real"),
-        (float("nan"), 10.0, "lam must be a positive finite real"),
+        (float("inf"), 10.0, "mean_samples must be a positive finite real"),
+        (float("nan"), 10.0, "mean_samples must be a positive finite real"),
         (30.0, float("nan"), "outlier_scale must be finite and >= 1"),
         (30.0, float("inf"), "outlier_scale must be finite and >= 1"),
     ],
 )
-def test_generate_rejects_a_non_finite_mean_or_scale(lam, outlier_scale, message):
+def test_generate_rejects_a_non_finite_mean_or_scale(mean_samples, outlier_scale, message):
     with pytest.raises(ValidationError) as caught:
-        generate_synthetic_cohort(5, lam, 1, outlier_scale, seed=0)
+        generate_synthetic_cohort(5, mean_samples, 1, outlier_scale, seed=0)
     assert str(caught.value) == message
+
+
+_TOO_LARGE = f"must be at most {_POISSON_LAM_MAX!r}, numpy's Poisson limit"
+
+
+@pytest.mark.parametrize(
+    ("mean_samples", "n_outliers", "outlier_scale", "message"),
+    [
+        (9.3e18, 1, 1.0, f"mean_samples {_TOO_LARGE}"),
+        (1e18, 1, 100.0, f"mean_samples * outlier_scale {_TOO_LARGE}"),
+        # numpy refuses the outliers' mean even for zero draws.
+        (1e18, 0, 100.0, f"mean_samples * outlier_scale {_TOO_LARGE}"),
+    ],
+)
+def test_cohort_spec_rejects_a_mean_numpy_cannot_draw(mean_samples, n_outliers, outlier_scale, message):
+    with pytest.raises(ValidationError) as caught:
+        CohortSpec(5, mean_samples, n_outliers, outlier_scale)
+    assert str(caught.value) == message
+    with pytest.raises(ValidationError) as caught:
+        generate_synthetic_cohort(5, mean_samples, n_outliers, outlier_scale, seed=0)
+    assert str(caught.value) == message
+
+
+def test_poisson_limit_is_numpys():
+    rng = np.random.default_rng(0)
+    assert rng.poisson(_POISSON_LAM_MAX, size=1) > 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(_POISSON_LAM_MAX, np.inf), size=0)
+    # Shards are built on first lookup, so a huge count costs nothing here.
+    table, _ = generate_synthetic_cohort(2, 9.2e18, 1, 1.0, seed=0)
+    assert min(table.counts.values()) > 9e18
+
+
+def test_cohort_spec_is_one_class_everywhere():
+    assert fedpod.CohortSpec is fedpod.engine.CohortSpec is CohortSpec
 
 
 def test_outliers_exceed_upper_bound_across_seeds():

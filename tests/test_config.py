@@ -247,7 +247,6 @@ CONFIG_ERRORS = {
     ),
     "inject-round-zero": ("timing.inject_round = 0\n", "inject_round must be >= 1 (or None to disable injection)"),
     "timing-check": ("timing.timeout_factor = 1\n", "timeout_factor must be > 1 (or None to disable drops)"),
-    "n-classes-not-4": ("n_classes = 3\n", "n_classes must be 4: the metrics schema reports dice_label1/2/4"),
 }
 
 
