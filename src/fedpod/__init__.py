@@ -22,7 +22,6 @@ from .cohort import (
     fit_poisson,
     generate_synthetic_cohort,
     load_partition_csv,
-    poisson_pmf,
 )
 from .engine import (
     DEFAULT_SCHEDULE,
@@ -33,7 +32,6 @@ from .engine import (
     RoundRecord,
     TimingProfile,
     TimingSample,
-    convergence_score,
     detect_stragglers,
     round_time,
     run_experiment,

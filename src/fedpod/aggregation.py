@@ -177,13 +177,13 @@ def fedpod_weights(updates: Sequence[LocalUpdate], strategy: AggregationStrategy
 def compute_weights(
     strategy: AggregationStrategy,
     updates: Sequence[LocalUpdate],
-    history: CostHistory | None = None,
+    history: CostHistory,
 ) -> WeightResult:
     """Dispatch to the strategy's rule. Only FedPIDAvg reads the history."""
     if strategy.kind == KIND_FEDAVG:
         return fedavg_weights(updates)
     if strategy.kind == KIND_FEDPIDAVG:
-        return fedpid_weights(updates, history if history is not None else CostHistory(), strategy)
+        return fedpid_weights(updates, history, strategy)
     return fedpod_weights(updates, strategy)
 
 

@@ -26,7 +26,7 @@ import json
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -39,6 +39,8 @@ from .errors import FedPodError, ParseError, ValidationError
 from .params import ModelParams
 
 SEED_ENV_VAR = "FEDPOD_SEED"
+# The files `execute_run` writes besides manifest.json, in the order manifest.json lists them.
+RUN_ARTIFACTS = ("metrics.csv", "summary.json", "model.bin")
 
 # Set by schedule.phaseN.rounds, not by keys of their own.
 _UNKEYED_FIELDS = {"first_round", "last_round"}
@@ -105,8 +107,12 @@ def _read_value(key: str, value_type: tuple[type, bool], raw: str):
 
 
 def _read_pairs(path: Path) -> dict[str, str]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -206,12 +212,11 @@ def parse_config(path) -> ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """One run's inputs and every file it emitted."""
+    """One run's inputs; it emits manifest.json and `RUN_ARTIFACTS`."""
 
     config_path: str
     config: ExperimentConfig
     out_dir: Path
-    artifacts: list[str] = field(default_factory=list)
 
 
 def write_metrics_csv(records, path: Path) -> None:
@@ -272,9 +277,8 @@ def execute_run(manifest: RunManifest) -> ExperimentReport:
     write_metrics_csv(report.records, manifest.out_dir / "metrics.csv")
     _write_json(asdict(report.summary), manifest.out_dir / "summary.json")
     write_model_bin(report.final_model, manifest.out_dir / "model.bin")
-    manifest.artifacts += ["metrics.csv", "summary.json", "model.bin"]
     _write_json(
-        {"config_path": manifest.config_path, "out_dir": str(manifest.out_dir), "artifacts": manifest.artifacts},
+        {"config_path": manifest.config_path, "out_dir": str(manifest.out_dir), "artifacts": list(RUN_ARTIFACTS)},
         manifest.out_dir / "manifest.json",
     )
     return report
@@ -341,7 +345,6 @@ def _cmd_gen_cohort(args) -> int:
 def _cmd_plot_data(args) -> int:
     results = Path(args.results)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     metrics_files = sorted(results.rglob("metrics.csv"))
     if not metrics_files:
         raise ValidationError(f"no metrics.csv found under {results}")
@@ -358,6 +361,7 @@ def _cmd_plot_data(args) -> int:
                 f"runs {runs[name]} and {metrics.parent} would both write the {name!r} series files"
             )
         runs[name] = metrics.parent
+    out.mkdir(parents=True, exist_ok=True)
     for name, run_dir in runs.items():
         with open(run_dir / "metrics.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -407,7 +411,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
+        # OSError: a path argument that is not a readable file or a writable place.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FedPodError as exc:

@@ -55,16 +55,6 @@ class PoissonModel:
             raise ValidationError("lam must be a positive finite real")
 
 
-def poisson_pmf(x: int, lam: float) -> float:
-    """P[X = x] for X ~ Poisson(lam), evaluated in log space."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValidationError("lam must be a positive finite real")
-    if x != int(x) or x < 0:
-        raise ValidationError("x must be a non-negative integer")
-    x = int(x)
-    return math.exp(x * math.log(lam) - lam - math.lgamma(x + 1))
-
-
 def fit_poisson(table: PartitionTable) -> PoissonModel:
     """Maximum-likelihood fit: lam is the mean institution count."""
     mean = table.total / len(table.counts)
@@ -183,27 +173,30 @@ def synthesize_shards(
 def load_partition_csv(path) -> PartitionTable:
     """Count `Subject_ID,Partition_ID` rows per partition id, in order of each
     partition's first row; every row is checked, subject ids are not kept."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != PARTITION_HEADER:
-            raise ParseError(f"expected header {','.join(PARTITION_HEADER)}", line=1)
-        counts: dict[str, int] = {}
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
-            subject, partition = row[0].strip(), row[1].strip()
-            if not subject:
-                raise ParseError("missing subject id", line=lineno)
-            if not partition:
-                raise ParseError("missing partition id", line=lineno)
-            if subject in seen:
-                raise ParseError(f"duplicate subject id {subject!r}", line=lineno)
-            seen.add(subject)
-            counts[partition] = counts.get(partition, 0) + 1
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != PARTITION_HEADER:
+                raise ParseError(f"expected header {','.join(PARTITION_HEADER)}", line=1)
+            counts: dict[str, int] = {}
+            seen: set[str] = set()
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
+                subject, partition = row[0].strip(), row[1].strip()
+                if not subject:
+                    raise ParseError("missing subject id", line=lineno)
+                if not partition:
+                    raise ParseError("missing partition id", line=lineno)
+                if subject in seen:
+                    raise ParseError(f"duplicate subject id {subject!r}", line=lineno)
+                seen.add(subject)
+                counts[partition] = counts.get(partition, 0) + 1
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not counts:
         raise ParseError("no data rows")
     return PartitionTable(counts)

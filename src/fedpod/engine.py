@@ -330,15 +330,6 @@ def round_time(samples: Iterable[TimingSample]) -> float:
     )
 
 
-def convergence_score(records: Sequence[RoundRecord]) -> float:
-    """Round-time-weighted mean of the running best mean Dice."""
-    if not records:
-        raise ValidationError("convergence_score needs at least one record")
-    weighted = sum(r.best_dice * r.round_time_s for r in records)
-    total = sum(r.round_time_s for r in records)
-    return weighted / total
-
-
 def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, LazyShards]:
     spec = config.cohort
     if isinstance(spec, PartitionSource):

@@ -51,7 +51,6 @@ class TaskPlan:
     """One round's participant set with per-node data quotas; a shortfall
     flag means fewer eligible nodes of that role than the phase asks for."""
 
-    round_index: int
     participants: tuple[TaskParticipant, ...]
     secondary_shortfall: bool = False
     primary_shortfall: bool = False
@@ -129,7 +128,6 @@ def compose_task(
     counts = table.counts
     if schedule_entry is None:
         return TaskPlan(
-            round_index,
             tuple(
                 TaskParticipant(inst, role, counts[inst], 0)
                 for role, group in ((ROLE_PRIMARY, classification.primary), (ROLE_SECONDARY, classification.secondary))
@@ -169,4 +167,4 @@ def compose_task(
         for j in sorted(chosen):
             participants.append(TaskParticipant(secondary[j], ROLE_SECONDARY, counts[secondary[j]], 0))
 
-    return TaskPlan(round_index, tuple(participants), shortfall, len(eligible_primary) < schedule_entry.n_primary)
+    return TaskPlan(tuple(participants), shortfall, len(eligible_primary) < schedule_entry.n_primary)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -152,7 +153,43 @@ def test_main_plot_data_refuses_two_runs_of_one_strategy(tiny_config, tmp_path, 
     assert capsys.readouterr().err == (
         f"error: runs {results / 'a'} and {results / 'b'} would both write the 'fedpod' series files\n"
     )
-    assert not list(plots.glob("*.csv"))
+    assert not plots.exists()
+
+
+def test_main_plot_data_refuses_results_without_runs(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    plots = tmp_path / "plots"
+    assert main(["plot-data", "--results", str(results), "--out", str(plots)]) == 1
+    assert capsys.readouterr().err == f"error: no metrics.csv found under {results}\n"
+    assert not plots.exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["config-is-a-directory", "config-not-utf8", "partition-not-utf8", "out-is-a-file", "out-dir-missing"]
+)
+def test_main_reports_an_unusable_path(tiny_config, tmp_path, capsys, case):
+    """A path that cannot be read or written ends in one `error:` line naming it, not a traceback."""
+    bad = tmp_path / "bad"
+    argv = ["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")]
+    if case == "config-is-a-directory":
+        bad.mkdir()
+        argv[2] = str(bad)
+    elif case == "config-not-utf8":
+        bad.write_bytes(b"seed = 7\xff\n")
+        argv[2] = str(bad)
+    elif case == "partition-not-utf8":
+        bad.write_bytes(b"Subject_ID,Partition_ID\ns1,site-\xff\n")
+        tiny_config.write_text("cohort.source = csv\ncohort.path = bad\n", encoding="utf-8")
+    elif case == "out-is-a-file":
+        bad.write_text("", encoding="utf-8")
+        argv[4] = str(bad)
+    else:
+        bad = tmp_path / "missing" / "cohort.csv"
+        argv = ["gen-cohort", "--out", str(bad)]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(bad) in line
 
 
 @pytest.mark.parametrize(
@@ -186,6 +223,15 @@ def test_execute_run_refuses_classes_the_metrics_schema_does_not_fit(tmp_path, n
         execute_run(manifest)
     assert str(caught.value) == "n_classes must be 4: the metrics schema reports dice_label1/2/4"
     assert not (tmp_path / "out").exists()
+
+
+def test_execute_run_twice_on_one_manifest_lists_each_artifact_once(tmp_path):
+    manifest = RunManifest("api", ExperimentConfig(max_rounds=1), tmp_path)
+    execute_run(manifest)
+    first = (tmp_path / "manifest.json").read_bytes()
+    execute_run(manifest)
+    assert (tmp_path / "manifest.json").read_bytes() == first
+    assert json.loads(first)["artifacts"] == ["metrics.csv", "summary.json", "model.bin"]
 
 
 def _dict_rows(path):

@@ -16,7 +16,6 @@ from fedpod.cohort import (
     fit_poisson,
     generate_synthetic_cohort,
     load_partition_csv,
-    poisson_pmf,
     synthesize_shards,
 )
 from fedpod.errors import DegenerateModelError, ParseError, ValidationError
@@ -25,42 +24,6 @@ from fedpod.params import blob_geometry, make_blob_shard
 
 def table_from_counts(counts):
     return PartitionTable({f"inst{i}": c for i, c in enumerate(counts)})
-
-
-# ---------------------------------------------------------------- pmf
-
-
-def test_pmf_at_zero_is_exp_minus_lambda():
-    for lam in (0.5, 1.0, 7.0, 64.0):
-        assert poisson_pmf(0, lam) == pytest.approx(math.exp(-lam), rel=1e-15)
-
-
-def test_pmf_matches_direct_evaluation():
-    assert poisson_pmf(1, 1.0) == pytest.approx(math.exp(-1), rel=1e-15)
-    assert poisson_pmf(2, 1.0) == pytest.approx(math.exp(-1) * 1.0**2 / math.factorial(2), rel=1e-15)
-
-
-def test_pmf_large_x_does_not_overflow():
-    value = poisson_pmf(10_000, 1000.0)
-    assert 0.0 <= value <= 1.0
-    assert poisson_pmf(10_000, 10_000.0) > 0.0
-
-
-def test_pmf_rejects_bad_inputs():
-    with pytest.raises(ValidationError):
-        poisson_pmf(1, 0.0)
-    with pytest.raises(ValidationError):
-        poisson_pmf(1, -3.0)
-    with pytest.raises(ValidationError):
-        poisson_pmf(-1, 1.0)
-
-
-@pytest.mark.parametrize("lam", [0.5, 10.0, 300.0, 1000.0])
-def test_pmf_mass_sums_to_one(lam):
-    upper = math.ceil(lam + 20 * math.sqrt(lam))
-    total = sum(poisson_pmf(x, lam) for x in range(upper + 1))
-    assert total >= 1 - 1e-9
-    assert total <= 1 + 1e-9
 
 
 # ---------------------------------------------------------------- fitting

@@ -13,10 +13,8 @@ from fedpod.engine import (
     CohortSpec,
     ExperimentConfig,
     PhaseEntry,
-    RoundRecord,
     TimingProfile,
     TimingSample,
-    convergence_score,
     detect_stragglers,
     phase_for_round,
     round_time,
@@ -289,48 +287,6 @@ def test_dropping_dominant_straggler_reduces_round_time():
     assert round_time(rest) < round_time([slow, *rest])
 
 
-# ---------------------------------------------------------------- convergence
-
-
-def _record(round_index, best, seconds):
-    return RoundRecord(
-        round_index=round_index,
-        phase=1,
-        epochs=1,
-        participants=("a",),
-        dropped=(),
-        weights=(("a", 1.0),),
-        dice_per_class=(best, best, best),
-        mean_dice=best,
-        best_dice=best,
-        round_time_s=seconds,
-        cumulative_time_s=seconds,
-        convergence_so_far=best,
-        fallbacks=(),
-        secondary_shortfall=False,
-        primary_shortfall=False,
-    )
-
-
-def test_convergence_single_round():
-    assert convergence_score([_record(1, 0.5, 7.0)]) == 0.5
-
-
-def test_convergence_equal_times_is_mean():
-    records = [_record(1, 0.5, 1.0), _record(2, 0.7, 1.0)]
-    assert convergence_score(records) == pytest.approx(0.6, abs=1e-15)
-
-
-def test_convergence_time_weighted():
-    records = [_record(1, 0.5, 3.0), _record(2, 0.7, 1.0)]
-    assert convergence_score(records) == pytest.approx((0.5 * 3 + 0.7 * 1) / 4, abs=1e-15)
-
-
-def test_convergence_requires_records():
-    with pytest.raises(ValidationError):
-        convergence_score([])
-
-
 # ---------------------------------------------------------------- run loop
 
 
@@ -436,8 +392,12 @@ def test_summary_agrees_with_its_records(seed):
     report = run_experiment(config)
     records, summary = report.records, report.summary
     assert summary.convergence_score == records[-1].convergence_so_far
-    # Python >= 3.12's `sum` is compensated, so the two need not agree bit for bit.
-    assert summary.convergence_score == pytest.approx(convergence_score(records), rel=1e-12)
+    # The score is the round-time-weighted mean of the running best Dice. The
+    # engine keeps it as running sums, so a fresh sum agrees only to rounding.
+    for n, record in enumerate(records, start=1):
+        seen = records[:n]
+        reference = sum(r.best_dice * r.round_time_s for r in seen) / sum(r.round_time_s for r in seen)
+        assert record.convergence_so_far == pytest.approx(reference, rel=1e-12)
     assert summary.total_dropped == sum(len(record.dropped) for record in records)
     assert summary.fallback_rounds == sum(1 for record in records if record.fallbacks)
     assert summary.total_dropped >= 1  # the injected straggler at least

@@ -265,7 +265,7 @@ def _reference_compose_task(
                     break
         for inst in sorted(chosen, key=lambda i: classification.secondary.index(i)):
             participants.append(TaskParticipant(inst, "secondary", counts[inst], 0))
-    return TaskPlan(round_index, tuple(participants), shortfall, len(eligible_primary) < schedule_entry.n_primary)
+    return TaskPlan(tuple(participants), shortfall, len(eligible_primary) < schedule_entry.n_primary)
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,7 +325,7 @@ def test_compose_without_a_schedule_entry_takes_every_available_node(
     offsets = {inst: (offset_seed * (i + 3)) % 997 for i, inst in enumerate(split.primary)}
     primaries = [TaskParticipant(i, "primary", table.counts[i], 0) for i in split.primary if i not in blacklist]
     secondaries = [TaskParticipant(i, "secondary", table.counts[i], 0) for i in split.secondary if i not in blacklist]
-    expected = TaskPlan(round_index, (*primaries, *secondaries), secondary_shortfall=False, primary_shortfall=False)
+    expected = TaskPlan((*primaries, *secondaries), secondary_shortfall=False, primary_shortfall=False)
     plan = compose_task(
         round_index, split, None, model.lam, 0.1, table, blacklist=blacklist, rng_seed=rng_seed, offsets=offsets
     )
