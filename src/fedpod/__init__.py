@@ -31,7 +31,6 @@ from .engine import (
     PhaseEntry,
     RoundRecord,
     TimingProfile,
-    TimingSample,
     detect_stragglers,
     round_time,
     run_experiment,

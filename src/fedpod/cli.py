@@ -21,6 +21,7 @@ the table's BraTS Dice columns before it makes any directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -110,7 +111,7 @@ def _read_pairs(path: Path) -> dict[str, str]:
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -272,8 +273,16 @@ def execute_run(manifest: RunManifest) -> ExperimentReport:
     # METRICS_TABLE has one Dice column per non-background class.
     if manifest.config.n_classes != len(BRATS_LABELS) + 1:
         raise ValidationError("n_classes must be 4: the metrics schema reports dice_label1/2/4")
+    # Made first, so an unwritable --out fails before the run.
+    made = [d for d in (manifest.out_dir, *manifest.out_dir.parents) if not d.exists()]
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_experiment(manifest.config)
+    try:
+        report = run_experiment(manifest.config)
+    except BaseException:
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     write_metrics_csv(report.records, manifest.out_dir / "metrics.csv")
     _write_json(asdict(report.summary), manifest.out_dir / "summary.json")
     write_model_bin(report.final_model, manifest.out_dir / "model.bin")

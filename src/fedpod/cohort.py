@@ -178,25 +178,25 @@ def load_partition_csv(path) -> PartitionTable:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != PARTITION_HEADER:
-                raise ParseError(f"expected header {','.join(PARTITION_HEADER)}", line=1)
+                raise ParseError(f"expected header {','.join(PARTITION_HEADER)}", line=1, path=path)
             counts: dict[str, int] = {}
             seen: set[str] = set()
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != 2:
-                    raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
+                    raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno, path=path)
                 subject, partition = row[0].strip(), row[1].strip()
                 if not subject:
-                    raise ParseError("missing subject id", line=lineno)
+                    raise ParseError("missing subject id", line=lineno, path=path)
                 if not partition:
-                    raise ParseError("missing partition id", line=lineno)
+                    raise ParseError("missing partition id", line=lineno, path=path)
                 if subject in seen:
-                    raise ParseError(f"duplicate subject id {subject!r}", line=lineno)
+                    raise ParseError(f"duplicate subject id {subject!r}", line=lineno, path=path)
                 seen.add(subject)
                 counts[partition] = counts.get(partition, 0) + 1
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     if not counts:
-        raise ParseError("no data rows")
+        raise ParseError("no data rows", path=path)
     return PartitionTable(counts)

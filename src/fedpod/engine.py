@@ -36,7 +36,7 @@ from .params import (
     train_local,  # noqa: F401 -- unused here, but the benchmark's tracer (bench/tracer.py) wraps this name
     train_round,
 )
-from .selection import classify_nodes, compose_task, window_indices
+from .selection import TaskPlan, classify_nodes, compose_task, window_indices
 from .streams import generators, seed_states
 
 _HOLDOUT_SALT = 7001
@@ -93,32 +93,6 @@ DEFAULT_SCHEDULE = (
     PhaseEntry(11, 15, 10, 6, 4, 1e-3, 3),
     PhaseEntry(16, None, 12, 6, 6, 1e-3, 3),
 )
-
-
-@dataclass(frozen=True)
-class TimingSample:
-    """Simulated seconds for one node's round, by component."""
-
-    download_s: float
-    pre_val_s: float
-    train_s: float
-    post_val_s: float
-
-    def __post_init__(self):
-        for value in (self.download_s, self.pre_val_s, self.train_s, self.post_val_s):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError("timing components must be finite and non-negative")
-
-    def total(self) -> float:
-        return self.download_s + self.pre_val_s + self.train_s + self.post_val_s
-
-    def scaled(self, factor: float) -> TimingSample:
-        return TimingSample(
-            self.download_s * factor,
-            self.pre_val_s * factor,
-            self.train_s * factor,
-            self.post_val_s * factor,
-        )
 
 
 @dataclass(frozen=True)
@@ -273,61 +247,70 @@ def phase_for_round(schedule: Sequence[PhaseEntry], round_index: int) -> tuple[i
 
 
 def sample_timings(
-    quota: int,
+    plan: TaskPlan,
+    round_index: int,
     epochs: int,
-    val_size: int,
+    val_sizes: Sequence[int],
     profile: TimingProfile,
-    rng: np.random.Generator,
-) -> TimingSample:
-    """Draw one node's round timings: per-component base cost times jitter.
+    rngs: Iterable[np.random.Generator],
+) -> np.ndarray:
+    """A round's simulated seconds: one row per participant in plan order,
+    columns download, pre-val, train and post-val.
 
-    The four jitter factors are one draw of four log-normals, in component
-    order download, pre-val, train, post-val (the same values as four
-    scalar draws); with jitter_sigma == 0 and jitter_mu == 0 the base costs
-    come back exactly.
+    Each row is its base costs times one draw of four log-normals from that
+    participant's generator (the same values as four scalar draws). In the
+    injection round, the row of the participant at `inject_rank` in id order
+    (negative ranks count from the end, where the largest primaries sit) is
+    multiplied by `inject_factor`.
     """
-    if quota < 1 or epochs < 1 or val_size < 1:
-        raise ValidationError("quota, epochs, val_size must be >= 1")
-    download, pre_val, train, post_val = rng.lognormal(profile.jitter_mu, profile.jitter_sigma, size=4).tolist()
-    return TimingSample(
-        profile.model_bytes / profile.bandwidth_bps * download,
-        val_size * profile.per_sample_val_s * pre_val,
-        quota * epochs * profile.per_sample_train_s * train,
-        val_size * profile.per_sample_val_s * post_val,
-    )
+    download_s = profile.model_bytes / profile.bandwidth_bps
+    rows = []
+    for participant, val_size, rng in zip(plan.participants, val_sizes, rngs, strict=True):
+        if participant.quota < 1 or epochs < 1 or val_size < 1:
+            raise ValidationError("quota, epochs, val_size must be >= 1")
+        download, pre_val, train, post_val = rng.lognormal(profile.jitter_mu, profile.jitter_sigma, size=4).tolist()
+        val_s = val_size * profile.per_sample_val_s
+        train_s = participant.quota * epochs * profile.per_sample_train_s
+        rows.append([download_s * download, val_s * pre_val, train_s * train, val_s * post_val])
+    if profile.inject_round == round_index:
+        ordered = sorted(plan.node_ids())
+        if not -len(ordered) <= profile.inject_rank < len(ordered):
+            raise ValidationError(
+                f"timing.inject_rank {profile.inject_rank} is outside the"
+                f" {len(ordered)} participants of round {round_index}"
+            )
+        row = rows[plan.node_ids().index(ordered[profile.inject_rank])]
+        row[:] = [value * profile.inject_factor for value in row]
+    times = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    # A product that overflows is inf, with no warning from Python floats.
+    if not (np.isfinite(times).all() and (times >= 0).all()):
+        raise ValidationError("timing components must be finite and non-negative")
+    return times
 
 
-def detect_stragglers(
-    timings: Sequence[tuple[str, TimingSample]],
-    timeout_factor: float,
-) -> frozenset[str]:
-    """Nodes whose total time exceeds timeout_factor times the lower median
-    total, `sorted(totals)[(n - 1) // 2]`.
+def detect_stragglers(times: np.ndarray, timeout_factor: float) -> np.ndarray:
+    """Mask of the rows whose total time exceeds timeout_factor times the
+    lower median total, `sorted(totals)[(n - 1) // 2]`.
 
-    The lower median is one node's own total, and that node is never above
+    The lower median is one row's own total, and that row is never above
     its own scaled threshold, so this can never drop everyone. With two
-    nodes it is the faster one's total, so a slow partner can be dropped.
+    rows it is the faster one's total, so a slow partner can be dropped.
     """
-    if not timings:
+    if not len(times):
         raise ValidationError("need at least one timing")
     if not timeout_factor > 1:
         raise ValidationError("timeout_factor must be > 1")
-    totals = {node: sample.total() for node, sample in timings}
-    median = sorted(totals.values())[(len(totals) - 1) // 2]
-    return frozenset(node for node, total in totals.items() if total > timeout_factor * median)
+    # In component order: `times.sum(axis=1)` may associate differently and move a drop.
+    totals = times[:, 0] + times[:, 1] + times[:, 2] + times[:, 3]
+    return totals > timeout_factor * np.sort(totals)[(len(totals) - 1) // 2]
 
 
-def round_time(samples: Iterable[TimingSample]) -> float:
-    """Componentwise maxima over surviving nodes, summed."""
-    samples = list(samples)
-    if not samples:
-        raise ValidationError("round_time needs at least one timing sample")
-    return (
-        max(s.download_s for s in samples)
-        + max(s.pre_val_s for s in samples)
-        + max(s.train_s for s in samples)
-        + max(s.post_val_s for s in samples)
-    )
+def round_time(times: np.ndarray) -> float:
+    """Componentwise maxima over the surviving rows, summed."""
+    if not len(times):
+        raise ValidationError("round_time needs at least one timing row")
+    download, pre_val, train, post_val = times.max(axis=0).tolist()
+    return download + pre_val + train + post_val
 
 
 def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, LazyShards]:
@@ -400,18 +383,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             offsets=offsets,
         )
 
-        injected: str | None = None
-        if config.timing.inject_round == round_index:
-            # Rank indexes the round's participants sorted by id; negative
-            # ranks count from the end (where the largest primaries sit).
-            ordered = sorted(plan.node_ids())
-            if not -len(ordered) <= config.timing.inject_rank < len(ordered):
-                raise ValidationError(
-                    f"timing.inject_rank {config.timing.inject_rank} is outside the"
-                    f" {len(ordered)} participants of round {round_index}"
-                )
-            injected = ordered[config.timing.inject_rank]
-
         # One pass seeds every participant's training stream (its seed is
         # `SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
         # np.uint64)`) and timing stream (`default_rng` of its row).
@@ -419,10 +390,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         states = seed_states(
             [(config.seed, salt, round_index, node) for salt in (_TRAIN_SALT, _TIMING_SALT) for node in nodes]
         )
-        train_seeds = states[: len(nodes), 0].tolist()
         jobs = []
-        timings: dict[str, TimingSample] = {}
-        for participant, seed, timing_rng in zip(plan.participants, train_seeds, generators(states[len(nodes) :])):
+        for participant, seed in zip(plan.participants, states[: len(nodes), 0].tolist()):
             inst = participant.institution_id
             shard = shards[inst]
             rows = None
@@ -431,17 +400,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if participant.quota < len(shard):
                 rows = window_indices(len(shard), participant.shard_offset, participant.quota)
                 offsets[inst] = (participant.shard_offset + participant.quota) % len(shard)
-            val = node_val[inst]
-            timing = sample_timings(participant.quota, phase.epochs, len(val), config.timing, timing_rng)
-            timings[inst] = timing.scaled(config.timing.inject_factor) if inst == injected else timing
-            jobs.append(TrainJob(inst, shard, val, seed, rows))
+            jobs.append(TrainJob(inst, shard, node_val[inst], seed, rows))
+        val_sizes = [len(job.val) for job in jobs]
+        timing_rngs = generators(states[len(nodes) :])
+        times = sample_timings(plan, round_index, phase.epochs, val_sizes, config.timing, timing_rngs)
 
         updates = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 
-        if config.timing.timeout_factor is not None:
-            dropped = detect_stragglers(list(timings.items()), config.timing.timeout_factor)
-        else:
-            dropped = frozenset()
+        timeout = config.timing.timeout_factor
+        slow = np.zeros(len(jobs), dtype=bool) if timeout is None else detect_stragglers(times, timeout)
+        dropped = frozenset(job.node_id for job, is_slow in zip(jobs, slow.tolist()) if is_slow)
         survivors = sorted((u for u in updates if u.node_id not in dropped), key=lambda u: u.node_id)
 
         result = compute_weights(config.strategy, survivors, history)
@@ -450,11 +418,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             history.record(update.node_id, update.trajectory.post_cost)
 
         predictions = predict_labels(model, holdout)
-        dice_per_class = tuple(
-            dice_score(predictions, holdout.labels, cls) for cls in range(1, config.n_classes)
-        )
+        dice_per_class = tuple(dice_score(predictions, holdout.labels, cls) for cls in range(1, config.n_classes))
         mean_dice = float(np.mean(dice_per_class))
-        elapsed = round_time(timings[u.node_id] for u in survivors)
+        elapsed = round_time(times[~slow])
         cumulative += elapsed
         best = max(best, mean_dice)
         weighted_best += best * elapsed

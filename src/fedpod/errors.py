@@ -14,11 +14,13 @@ class ShapeError(ValidationError):
 
 
 class ParseError(ValidationError):
-    """A file could not be parsed."""
+    """A file could not be parsed; the message names the path and line when given."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -2,7 +2,8 @@
 
 The tracer replaces each `TRACED` name in its module and binds a probed
 call's arguments by name, so renaming one of these breaks every benchmark
-run. The tracer is loaded by path and left as it is.
+run, and a name the engine no longer calls through its binding drops out of
+the per-layer times unnoticed. The tracer is loaded by path and left as it is.
 """
 
 import importlib
@@ -12,6 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fedpod import engine
+from fedpod.cli import write_partition_csv
+from fedpod.cohort import PartitionTable
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -51,3 +56,21 @@ def test_probed_functions_keep_the_parameters_their_probes_read(tracer):
     for name, wanted in PROBED_PARAMETERS.items():
         fn = getattr(importlib.import_module(traced[name]), name)
         assert wanted <= set(inspect.signature(fn).parameters), name
+
+
+def test_every_traced_engine_name_records_a_span(tracer, tmp_path):
+    # `train_local` is bound for the tracer but no longer called by the engine.
+    part = tmp_path / "part.csv"
+    write_partition_csv(PartitionTable({"a": 9, "b": 12, "c": 30, "d": 14}), part)
+    configs = [
+        engine.ExperimentConfig(max_rounds=2),
+        engine.ExperimentConfig(cohort=engine.PartitionSource(str(part)), max_rounds=2),
+    ]
+    with tracer.Tracer() as active:
+        for config in configs:
+            engine.run_experiment(config)
+    seen = {span.name for span in active.spans}
+    missing = [
+        name for name in tracer.TRACED["fedpod.engine"] if name != "train_local" and f"engine.{name}" not in seen
+    ]
+    assert missing == []

@@ -192,6 +192,34 @@ def test_main_reports_an_unusable_path(tiny_config, tmp_path, capsys, case):
     assert line.startswith("error: ") and str(bad) in line
 
 
+def test_main_names_the_partition_csv_in_its_errors(tiny_config, tmp_path, capsys):
+    part = tmp_path / "part.csv"
+    part.write_text("Subject_ID,Partition_ID\ns1,a\ns2,a\ns1,b\n", encoding="utf-8")
+    tiny_config.write_text("cohort.source = csv\ncohort.path = part.csv\n", encoding="utf-8")
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {part}: line 4: duplicate subject id 's1'\n"
+
+
+@pytest.mark.parametrize("case", ["duplicate-subject", "inject-rank"])
+def test_main_removes_the_directories_a_refused_run_made(tiny_config, tmp_path, capsys, case):
+    """The output directory is made before the run; a run that raises removes
+    every directory it made and keeps the ones that were there before."""
+    (tmp_path / "kept").mkdir()
+    if case == "duplicate-subject":
+        (tmp_path / "part.csv").write_text("Subject_ID,Partition_ID\ns1,a\ns1,b\n", encoding="utf-8")
+        tiny_config.write_text("cohort.source = csv\ncohort.path = part.csv\n", encoding="utf-8")
+        message = f"{tmp_path / 'part.csv'}: line 3: duplicate subject id 's1'"
+    else:
+        # Round 1 runs; round 2 has one participant, so rank 50 names none.
+        tiny_config.write_text(TINY_CONFIG + "timing.inject_round = 2\ntiming.inject_rank = 50\n", encoding="utf-8")
+        message = "timing.inject_rank 50 is outside the 1 participants of round 2"
+    before = sorted(tmp_path.rglob("*"))
+    for out in (tmp_path / "out", tmp_path / "kept" / "a" / "b"):
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize(
     ("text", "message"),
     [

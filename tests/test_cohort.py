@@ -242,21 +242,21 @@ def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
 
 def test_load_groups_by_partition(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text("Subject_ID,Partition_ID\ns1,h2\ns2,h1\ns3,h2\n")
+    path.write_text("Subject_ID,Partition_ID\ns1,h2\ns2,h1\ns3,h2\n", encoding="utf-8")
     table = load_partition_csv(path)
     assert list(table.counts.items()) == [("h2", 2), ("h1", 1)]
 
 
 def test_load_rejects_empty_data(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text("Subject_ID,Partition_ID\n")
+    path.write_text("Subject_ID,Partition_ID\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_partition_csv(path)
 
 
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text("subject,partition\ns1,h1\n")
+    path.write_text("subject,partition\ns1,h1\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
         load_partition_csv(path)
     assert err.value.line == 1
@@ -264,7 +264,7 @@ def test_load_rejects_bad_header(tmp_path):
 
 def test_load_rejects_duplicate_subject_with_line_number(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text("Subject_ID,Partition_ID\ns1,h1\ns1,h2\n")
+    path.write_text("Subject_ID,Partition_ID\ns1,h1\ns1,h2\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
         load_partition_csv(path)
     assert err.value.line == 3
@@ -272,13 +272,32 @@ def test_load_rejects_duplicate_subject_with_line_number(tmp_path):
 
 def test_load_rejects_malformed_rows(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text("Subject_ID,Partition_ID\ns1,h1,extra\n")
+    path.write_text("Subject_ID,Partition_ID\ns1,h1,extra\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
         load_partition_csv(path)
     assert err.value.line == 2
-    path.write_text("Subject_ID,Partition_ID\n,h1\n")
+    path.write_text("Subject_ID,Partition_ID\n,h1\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_partition_csv(path)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("", "line 1: expected header Subject_ID,Partition_ID"),
+        ("Subject_ID,Partition_ID\n", "no data rows"),
+        ("Subject_ID,Partition_ID\ns1,h1,extra\n", "line 2: expected 2 columns, got 3"),
+        ("Subject_ID,Partition_ID\n,h1\n", "line 2: missing subject id"),
+        ("Subject_ID,Partition_ID\ns1, \n", "line 2: missing partition id"),
+        ("Subject_ID,Partition_ID\ns1,h1\ns1,h2\n", "line 3: duplicate subject id 's1'"),
+    ],
+)
+def test_load_errors_start_with_the_path(tmp_path, text, message):
+    path = tmp_path / "p.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_partition_csv(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_load_distribution_file_with_23_partitions(tmp_path):

@@ -14,7 +14,6 @@ from fedpod.engine import (
     ExperimentConfig,
     PhaseEntry,
     TimingProfile,
-    TimingSample,
     detect_stragglers,
     phase_for_round,
     round_time,
@@ -23,6 +22,7 @@ from fedpod.engine import (
 )
 from fedpod.errors import ValidationError
 from fedpod.params import ModelParams, TrainConfig, blob_geometry, make_blob_shard
+from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
 from _oracle import train_local
 
 from dataclasses import replace
@@ -188,25 +188,31 @@ def test_schedule_check_cost_does_not_grow_with_max_rounds(monkeypatch):
 # ---------------------------------------------------------------- timings
 
 
+def one_node_timings(quota, epochs, val_size, profile, rng, round_index=1):
+    plan = TaskPlan((TaskParticipant("n0", ROLE_PRIMARY, quota, 0),))
+    (row,) = sample_timings(plan, round_index, epochs, [val_size], profile, [rng]).tolist()
+    return row
+
+
 def test_zero_jitter_returns_base_costs():
     profile = TimingProfile(jitter_sigma=0.0, per_sample_train_s=0.01, per_sample_val_s=0.002)
-    sample = sample_timings(50, 4, 10, profile, np.random.default_rng(0))
-    assert sample.train_s == 50 * 4 * 0.01
-    assert sample.download_s == profile.model_bytes / profile.bandwidth_bps
-    assert sample.pre_val_s == sample.post_val_s == 10 * 0.002
+    download_s, pre_val_s, train_s, post_val_s = one_node_timings(50, 4, 10, profile, np.random.default_rng(0))
+    assert train_s == 50 * 4 * 0.01
+    assert download_s == profile.model_bytes / profile.bandwidth_bps
+    assert pre_val_s == post_val_s == 10 * 0.002
 
 
 def test_doubling_quota_doubles_train_time():
     profile = TimingProfile(jitter_sigma=0.0)
-    a = sample_timings(30, 2, 10, profile, np.random.default_rng(0))
-    b = sample_timings(60, 2, 10, profile, np.random.default_rng(0))
-    assert b.train_s == 2 * a.train_s
+    a = one_node_timings(30, 2, 10, profile, np.random.default_rng(0))
+    b = one_node_timings(60, 2, 10, profile, np.random.default_rng(0))
+    assert b[2] == 2 * a[2]
 
 
 def test_same_seed_same_timings():
     profile = TimingProfile(jitter_sigma=0.3)
-    a = sample_timings(30, 2, 10, profile, np.random.default_rng(42))
-    b = sample_timings(30, 2, 10, profile, np.random.default_rng(42))
+    a = one_node_timings(30, 2, 10, profile, np.random.default_rng(42))
+    b = one_node_timings(30, 2, 10, profile, np.random.default_rng(42))
     assert a == b
 
 
@@ -216,17 +222,44 @@ def test_timings_are_four_scalar_lognormal_draws(seed, mu, sigma):
     profile = TimingProfile(jitter_mu=mu, jitter_sigma=sigma)
     rng = np.random.default_rng(seed)
     jitter = [float(rng.lognormal(mu, sigma)) for _ in range(4)]
-    expected = TimingSample(
+    expected = [
         profile.model_bytes / profile.bandwidth_bps * jitter[0],
         10 * profile.per_sample_val_s * jitter[1],
         30 * 2 * profile.per_sample_train_s * jitter[2],
         10 * profile.per_sample_val_s * jitter[3],
-    )
+    ]
     after = rng.random()
     rng = np.random.default_rng(seed)
-    assert sample_timings(30, 2, 10, profile, rng) == expected
+    assert one_node_timings(30, 2, 10, profile, rng) == expected
     # The draw leaves the stream where the four scalar draws left it.
     assert rng.random() == after
+
+
+def test_an_injection_that_overflows_is_rejected():
+    # 1e300 s of download is finite; injecting a factor of 1e10 is not.
+    profile = TimingProfile(jitter_sigma=0.0, model_bytes=1e300, bandwidth_bps=1.0, inject_round=2, inject_factor=1e10)
+    assert one_node_timings(30, 2, 10, profile, np.random.default_rng(0), round_index=1)[0] == 1e300
+    with pytest.raises(ValidationError) as err:
+        one_node_timings(30, 2, 10, profile, np.random.default_rng(0), round_index=2)
+    assert str(err.value) == "timing components must be finite and non-negative"
+
+
+def test_timing_inputs_are_checked():
+    profile = TimingProfile()
+    message = "^quota, epochs, val_size must be >= 1$"
+    for quota, epochs, val_size in ((0, 2, 10), (5, 0, 10), (5, 2, 0)):
+        plan = TaskPlan((TaskParticipant("n0", ROLE_PRIMARY, quota, 0),))
+        with pytest.raises(ValidationError, match=message):
+            sample_timings(plan, 1, epochs, [val_size], profile, [np.random.default_rng(0)])
+    # One validation size and one generator per participant.
+    with pytest.raises(ValueError, match="zip"):
+        sample_timings(plan, 1, 2, [10, 10], profile, [np.random.default_rng(0)])
+    with pytest.raises(ValidationError, match="^need at least one timing$"):
+        detect_stragglers(np.empty((0, 4)), 2.0)
+    with pytest.raises(ValidationError, match="^timeout_factor must be > 1$"):
+        detect_stragglers(np.ones((2, 4)), 1.0)
+    with pytest.raises(ValidationError, match="^round_time needs at least one timing row$"):
+        round_time(np.empty((0, 4)))
 
 
 def test_val_size_bounds():
@@ -238,53 +271,45 @@ def test_val_size_bounds():
 # ---------------------------------------------------------------- stragglers
 
 
-def sample(d, p, t, q):
-    return TimingSample(d, p, t, q)
+def timing_rows(*rows):
+    return np.array(rows, dtype=np.float64)
 
 
 def test_equal_times_drop_nobody():
-    timings = [(f"n{i}", sample(1, 1, 1, 1)) for i in range(4)]
-    assert detect_stragglers(timings, 2.0) == frozenset()
+    assert detect_stragglers(np.ones((4, 4)), 2.0).tolist() == [False] * 4
 
 
 def test_single_slow_node_is_dropped():
-    timings = [
-        ("a", sample(2, 2, 3, 3)),
-        ("b", sample(2, 2, 3, 3)),
-        ("c", sample(2, 2, 3, 3)),
-        ("d", sample(25, 25, 25, 25)),
-    ]
+    times = timing_rows((2, 2, 3, 3), (2, 2, 3, 3), (2, 2, 3, 3), (25, 25, 25, 25))
     # totals {10, 10, 10, 100}: median 10, factor 2 keeps everything <= 20
-    assert detect_stragglers(timings, 2.0) == frozenset({"d"})
+    assert detect_stragglers(times, 2.0).tolist() == [False, False, False, True]
 
 
 def test_single_node_survives():
-    assert detect_stragglers([("solo", sample(9, 9, 9, 9))], 1.5) == frozenset()
+    assert detect_stragglers(timing_rows((9, 9, 9, 9)), 1.5).tolist() == [False]
 
 
 @settings(max_examples=100)
 @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=9), st.floats(1.01, 5.0))
 def test_never_drops_everyone(totals, factor):
-    timings = [(f"n{i}", sample(t / 4, t / 4, t / 4, t / 4)) for i, t in enumerate(totals)]
-    dropped = detect_stragglers(timings, factor)
-    assert len(dropped) < len(timings)
+    times = timing_rows(*((t / 4, t / 4, t / 4, t / 4) for t in totals))
+    assert not detect_stragglers(times, factor).all()
 
 
 # ---------------------------------------------------------------- round time
 
 
 def test_round_time_single_node():
-    assert round_time([sample(1, 2, 3, 4)]) == 10
+    assert round_time(timing_rows((1, 2, 3, 4))) == 10
 
 
 def test_round_time_componentwise_max():
-    assert round_time([sample(1, 2, 3, 4), sample(4, 3, 2, 1)]) == 4 + 3 + 3 + 4
+    assert round_time(timing_rows((1, 2, 3, 4), (4, 3, 2, 1))) == 4 + 3 + 3 + 4
 
 
 def test_dropping_dominant_straggler_reduces_round_time():
-    slow = sample(9, 9, 9, 9)
-    rest = [sample(1, 2, 3, 4), sample(2, 1, 4, 3)]
-    assert round_time(rest) < round_time([slow, *rest])
+    times = timing_rows((9, 9, 9, 9), (1, 2, 3, 4), (2, 1, 4, 3))
+    assert round_time(times[1:]) < round_time(times)
 
 
 # ---------------------------------------------------------------- run loop
@@ -335,16 +360,13 @@ def test_single_node_fedavg_equals_centralized_sgd():
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3])
 def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
     """Each job's seed is `generate_state(1, np.uint64)` of
-    `SeedSequence([seed, _TRAIN_SALT, round, node])`, its timings come from
+    `SeedSequence([seed, _TRAIN_SALT, round, node])`, its timings are its
+    base costs times four scalar log-normal draws from
     `default_rng([seed, _TIMING_SALT, round, node])`, injection included.
     The timings are read where the engine hands them to `detect_stragglers`,
     with a timeout factor that drops no one."""
-    config = small_config(
-        seed=seed,
-        participation="all",
-        max_rounds=3,
-        timing=fast_timing(jitter_sigma=0.3, inject_round=2, inject_rank=0, inject_factor=4.0, timeout_factor=1e9),
-    )
+    profile = fast_timing(jitter_sigma=0.3, inject_round=2, inject_rank=0, inject_factor=4.0, timeout_factor=1e9)
+    config = small_config(seed=seed, participation="all", max_rounds=3, timing=profile)
     rounds = []
     round_timings = []
     real_train_round = engine.train_round
@@ -354,30 +376,37 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
         rounds.append(jobs)
         return real_train_round(model, jobs, *args)
 
-    def capture_timings(timings, timeout_factor):
-        round_timings.append(dict(timings))
-        return real_detect_stragglers(timings, timeout_factor)
+    def capture_timings(times, timeout_factor):
+        round_timings.append(times.copy())
+        return real_detect_stragglers(times, timeout_factor)
 
     monkeypatch.setattr(engine, "train_round", capture)
     monkeypatch.setattr(engine, "detect_stragglers", capture_timings)
     report = run_experiment(config)
     node_index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].counts))}
     assert len(rounds) == len(round_timings) == len(report.records) == 3
-    for round_index, (jobs, timings, record) in enumerate(zip(rounds, round_timings, report.records), start=1):
-        assert [job.node_id for job in jobs] == list(record.participants) == list(timings)
+    for round_index, (jobs, times, record) in enumerate(zip(rounds, round_timings, report.records), start=1):
+        assert [job.node_id for job in jobs] == list(record.participants)
+        assert times.shape == (len(jobs), 4)
         assert record.dropped == ()
         injected = sorted(record.participants)[0] if round_index == 2 else None
-        for job in jobs:
+        for job, row in zip(jobs, times.tolist()):
             node = node_index[job.node_id]
             assert job.seed == int(
                 np.random.SeedSequence([seed, engine._TRAIN_SALT, round_index, node]).generate_state(1, np.uint64)[0]
             )
             quota = len(job.shard) if job.rows is None else len(job.rows)
             rng = np.random.default_rng([seed, engine._TIMING_SALT, round_index, node])
-            expected = sample_timings(quota, record.epochs, len(job.val), config.timing, rng)
+            jitter = [float(rng.lognormal(profile.jitter_mu, profile.jitter_sigma)) for _ in range(4)]
+            expected = [
+                profile.model_bytes / profile.bandwidth_bps * jitter[0],
+                len(job.val) * profile.per_sample_val_s * jitter[1],
+                quota * record.epochs * profile.per_sample_train_s * jitter[2],
+                len(job.val) * profile.per_sample_val_s * jitter[3],
+            ]
             if job.node_id == injected:
-                expected = expected.scaled(config.timing.inject_factor)
-            assert timings[job.node_id] == expected
+                expected = [value * profile.inject_factor for value in expected]
+            assert row == expected
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -453,6 +482,58 @@ def test_straggler_blacklist_lasts_one_round():
     assert victim in report.records[3].participants
     # the dropped node's update is excluded from the merge
     assert victim not in [node for node, _ in report.records[1].weights]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    institutions=st.integers(3, 11),
+    sigma=st.floats(0.0, 1.0),
+    timeout_factor=st.floats(1.1, 4.0),
+    inject_round=st.integers(1, 5),
+    inject_rank=st.sampled_from([0, -1]),
+    inject_factor=st.floats(1.0, 50.0),
+)
+def test_straggler_drops_follow_the_timings_and_sit_out_one_round(
+    seed, institutions, sigma, timeout_factor, inject_round, inject_rank, inject_factor
+):
+    timing = fast_timing(
+        jitter_sigma=sigma,
+        timeout_factor=timeout_factor,
+        inject_round=inject_round,
+        inject_rank=inject_rank,
+        inject_factor=inject_factor,
+    )
+    config = small_config(
+        seed=seed,
+        cohort=CohortSpec(n_institutions=institutions, mean_samples=12.0, n_outliers=1, outlier_scale=4.0),
+        participation="all",
+        max_rounds=5,
+        schedule=(PhaseEntry(1, None, 2, 2, 0, 1e-3, 1),),
+        timing=timing,
+    )
+    captured = []
+    real_sample_timings = engine.sample_timings
+
+    def capture(*args):
+        captured.append(real_sample_timings(*args))
+        return captured[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "sample_timings", capture)
+        records = run_experiment(config).records
+    assert len(captured) == len(records) == 5
+    for times, record in zip(captured, records):
+        assert set(record.dropped) <= set(record.participants)
+        survived = [node not in record.dropped for node in record.participants]
+        assert any(survived)
+        assert record.round_time_s == round_time(times[survived])
+    for r, record in enumerate(records):
+        for node in record.dropped:
+            if r + 1 < len(records):
+                assert node not in records[r + 1].participants
+            if r + 2 < len(records):
+                assert node in records[r + 2].participants
 
 
 def test_default_run_records_its_primary_shortfall():
