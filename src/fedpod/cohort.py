@@ -8,12 +8,13 @@ import csv
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateModelError, ParseError, ValidationError
 from .params import DataShard, blob_geometry, make_blob_shard
+from .streams import generators
 
 _COUNT_SALT = 7011
 _SHARD_SALT = 7012
@@ -65,23 +66,45 @@ def fit_poisson(table: PartitionTable) -> PoissonModel:
 
 class LazyShards(Mapping[str, DataShard]):
     """Read-only institution -> DataShard mapping that builds a shard on its
-    first lookup, as `build(institution, index[institution])`, and keeps it.
+    first lookup and keeps it.
 
-    Iteration follows `index`. Each shard comes from its own RNG stream, so
-    the order of lookups, and which institutions are never looked up,
-    change no shard.
+    Institution `inst`'s shard is `build(inst, rng)`, where `rng` is
+    `default_rng(seed_row(index[inst]))`, its own stream, so the order of
+    lookups, and which institutions are never looked up, change no shard.
+    A lookup builds one shard. A caller that is about to look up many can
+    instead take the `seed_rows` of those not built yet into a `seed_states`
+    pass it makes anyway and hand the states to `build_seeded`, which builds
+    each from the same stream. Iteration follows `index`.
     """
 
-    def __init__(self, index: Mapping[str, int], build: Callable[[str, int], DataShard]):
+    def __init__(
+        self,
+        index: Mapping[str, int],
+        seed_row: Callable[[int], tuple[int, ...]],
+        build: Callable[[str, np.random.Generator], DataShard],
+    ):
         self._index = index
+        self._seed_row = seed_row
         self._build = build
         self._built: dict[str, DataShard] = {}
 
     def __getitem__(self, inst: str) -> DataShard:
         shard = self._built.get(inst)
         if shard is None:
-            shard = self._built[inst] = self._build(inst, self._index[inst])
+            rng = np.random.default_rng(self._seed_row(self._index[inst]))
+            shard = self._built[inst] = self._build(inst, rng)
         return shard
+
+    def seed_rows(self, insts: Iterable[str]) -> tuple[list[str], list[tuple[int, ...]]]:
+        """The institutions of `insts` whose shards are not built yet, and
+        the seed rows of their streams."""
+        pending = [inst for inst in insts if inst not in self._built]
+        return pending, [self._seed_row(self._index[inst]) for inst in pending]
+
+    def build_seeded(self, insts: Sequence[str], states: np.ndarray) -> None:
+        """Build the shards of `insts`, given `seed_states` of their `seed_rows`."""
+        for inst, rng in zip(insts, generators(states), strict=True):
+            self._built[inst] = self._build(inst, rng)
 
     def __contains__(self, inst) -> bool:
         # Mapping's default would look the key up, building its shard.
@@ -153,9 +176,10 @@ def synthesize_shards(
 ) -> LazyShards:
     """Synthesize features and labels for a table; only its counts are real.
 
-    Institution i of `table.counts` (in order) draws its shard on its first
-    lookup from `default_rng([seed, _SHARD_SALT, i])`, so institutions that
-    are never looked up cost nothing.
+    Institution i of `table.counts` (in order) draws its shard from the
+    stream of seed row `(seed, _SHARD_SALT, i)`, when it is first looked up
+    or when the engine builds a round's new shards in its one seeding pass,
+    so institutions that never take part cost nothing.
     """
     counts = table.counts
     geometry = blob_geometry(n_classes, feature_dim, seed)
@@ -164,10 +188,10 @@ def synthesize_shards(
     if not all(counts.values()):
         raise ValidationError("a shard needs at least one sample")
 
-    def build(inst: str, idx: int) -> DataShard:
-        return make_blob_shard(counts[inst], geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
+    def build(inst: str, rng: np.random.Generator) -> DataShard:
+        return make_blob_shard(counts[inst], geometry, rng)
 
-    return LazyShards({inst: idx for idx, inst in enumerate(counts)}, build)
+    return LazyShards({inst: idx for idx, inst in enumerate(counts)}, lambda idx: (seed, _SHARD_SALT, idx), build)
 
 
 def load_partition_csv(path) -> PartitionTable:

@@ -36,7 +36,7 @@ from .params import (
     train_local,  # noqa: F401 -- unused here, but the benchmark's tracer (bench/tracer.py) wraps this name
     train_round,
 )
-from .selection import TaskPlan, classify_nodes, compose_task, window_indices
+from .selection import NodeClassification, TaskPlan, classify_nodes, compose_task, window_indices
 from .streams import generators, seed_states
 
 _HOLDOUT_SALT = 7001
@@ -329,6 +329,27 @@ def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, LazyShards]
     )
 
 
+def _check_inject_rank(config: ExperimentConfig, classification: NodeClassification, n_institutions: int) -> None:
+    """Reject, before any round trains, an injection rank outside every
+    participant count the injection round can have. A rank inside that bound
+    can still miss a round the blacklist shrinks; `sample_timings` finds it."""
+    timing = config.timing
+    if timing.inject_round is None or timing.inject_round > config.max_rounds:
+        return
+    if config.participation == PARTICIPATION_ALL:
+        bound = n_institutions
+    else:
+        _, phase = phase_for_round(config.schedule, timing.inject_round)
+        bound = min(phase.n_primary, len(classification.primary)) + min(
+            phase.n_secondary, len(classification.secondary)
+        )
+    if not -bound <= timing.inject_rank < bound:
+        raise ValidationError(
+            f"timing.inject_rank {timing.inject_rank} is outside the {bound}"
+            f" participants round {timing.inject_round} can have"
+        )
+
+
 def _val_size(count: int) -> int:
     return max(_VAL_MIN, min(_VAL_MAX, round(_VAL_FRACTION * count)))
 
@@ -351,14 +372,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     holdout_n = max(32, round(config.holdout_fraction * table.total))
     holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
 
-    def build_val_shard(inst: str, index: int) -> DataShard:
-        return make_blob_shard(
-            _val_size(table.counts[inst]), geometry, np.random.default_rng([config.seed, _NODE_VAL_SALT, index])
-        )
+    def build_val_shard(inst: str, rng: np.random.Generator) -> DataShard:
+        return make_blob_shard(_val_size(table.counts[inst]), geometry, rng)
 
     # Like the training shards, each validation shard is built when its
-    # institution first takes part.
-    node_val = LazyShards(node_index, build_val_shard)
+    # institution first takes part, from the stream of `(seed, _NODE_VAL_SALT,
+    # node index)`.
+    node_val = LazyShards(node_index, lambda index: (config.seed, _NODE_VAL_SALT, index), build_val_shard)
+    _check_inject_rank(config, classification, len(table.counts))
 
     model = ModelParams.zeros(config.model_dim)
     history = CostHistory(history_window=config.strategy.history_window)
@@ -385,11 +406,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
         # One pass seeds every participant's training stream (its seed is
         # `SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
-        # np.uint64)`) and timing stream (`default_rng` of its row).
-        nodes = [node_index[p.institution_id] for p in plan.participants]
+        # np.uint64)`) and timing stream (`default_rng` of its row), and the
+        # streams of the training and validation shards first needed now.
+        insts = plan.node_ids()
+        nodes = [node_index[inst] for inst in insts]
+        new_train, train_rows = shards.seed_rows(insts)
+        new_val, val_rows = node_val.seed_rows(insts)
         states = seed_states(
             [(config.seed, salt, round_index, node) for salt in (_TRAIN_SALT, _TIMING_SALT) for node in nodes]
+            + train_rows
+            + val_rows
         )
+        shard_states = states[2 * len(nodes) :]
+        shards.build_seeded(new_train, shard_states[: len(new_train)])
+        node_val.build_seeded(new_val, shard_states[len(new_train) :])
         jobs = []
         for participant, seed in zip(plan.participants, states[: len(nodes), 0].tolist()):
             inst = participant.institution_id
@@ -402,7 +432,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 offsets[inst] = (participant.shard_offset + participant.quota) % len(shard)
             jobs.append(TrainJob(inst, shard, node_val[inst], seed, rows))
         val_sizes = [len(job.val) for job in jobs]
-        timing_rngs = generators(states[len(nodes) :])
+        timing_rngs = generators(states[len(nodes) : 2 * len(nodes)])
         times = sample_timings(plan, round_index, phase.epochs, val_sizes, config.timing, timing_rngs)
 
         updates = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)

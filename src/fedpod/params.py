@@ -53,6 +53,23 @@ class ModelParams:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _rows_of(cls, block: np.ndarray) -> list[ModelParams]:
+        """One model per row of a float64 (k, dim) block that no one else
+        holds. The block is checked once and made read-only, and the models
+        are its rows, not copies."""
+        if block.ndim != 2 or block.shape[1] == 0:
+            raise ShapeError("model parameters must be a non-empty 1-D vector")
+        if not np.isfinite(block).all():
+            raise ValidationError("model parameters must be finite")
+        block.setflags(write=False)
+        models = []
+        for row in block:
+            model = object.__new__(cls)
+            object.__setattr__(model, "values", row)
+            models.append(model)
+        return models
+
     @property
     def dim(self) -> int:
         return int(self.values.size)
@@ -73,12 +90,23 @@ class DataShard:
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, copy=True)
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
+        self._set_checked(feats, np.array(self.labels, dtype=np.int64, copy=True))
+
+    @classmethod
+    def _adopt(cls, features: np.ndarray, labels: np.ndarray) -> DataShard:
+        """A shard of float64 features and int64 labels that no one else
+        holds: checked once and kept, not copied."""
+        shard = object.__new__(cls)
+        shard._set_checked(features, labels)
+        return shard
+
+    def _set_checked(self, feats: np.ndarray, labels: np.ndarray) -> None:
+        """Check the shard's own arrays, make them read-only and set them."""
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ShapeError("features must be a non-empty (n, feature_dim) array")
         if labels.shape != (feats.shape[0],):
             raise ShapeError("labels must align with features")
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(feats).all():
             raise ValidationError("features must be finite")
         if labels.min() < 0:
             raise ValidationError("labels must be non-negative class ids")
@@ -169,25 +197,30 @@ class LocalUpdate:
 
 
 def combine(weighted: Sequence[tuple[float, ModelParams]]) -> ModelParams:
-    """Elementwise weighted sum of parameter vectors.
+    """Elementwise weighted sum of parameter vectors, in one reduction over
+    the stacked weighted rows.
 
     Accumulation follows the input order; callers that need order
-    independence must sort first.
+    independence must sort first. Weights are checked as one column.
     """
     if not weighted:
         raise ValidationError("combine needs at least one (weight, model) pair")
     dims = {model.dim for _, model in weighted}
     if len(dims) != 1:
         raise ShapeError(f"mixed parameter dims {sorted(dims)}")
-    acc = np.zeros(dims.pop())
+    dim = dims.pop()
+    weights = np.array([float(weight) for weight, _ in weighted])
+    if not np.isfinite(weights).all():
+        raise ValidationError("weights must be finite")
+    # One axis-0 reduction adds each element's rows one at a time, in input
+    # order, from 0.0, as `acc += w * v` model by model would. numpy sums a
+    # lone axis pairwise instead, so a 1-wide model gets a spare zero column.
+    rows = np.zeros((len(weighted), max(dim, 2)))
     # Overflow surfaces as the constructor's finiteness error, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for weight, model in weighted:
-            w = float(weight)
-            if not np.isfinite(w):
-                raise ValidationError("weights must be finite")
-            acc += w * model.values
-    return ModelParams(acc)
+        np.multiply(weights[:, None], np.stack([model.values for _, model in weighted]), out=rows[:, :dim])
+        acc = np.add.reduce(rows, axis=0, initial=0.0)
+    return ModelParams(acc[:dim])
 
 
 def _classifier_dims(model: ModelParams, shard: DataShard) -> tuple[int, int]:
@@ -397,9 +430,15 @@ def _train_block(
                     diverged.setdefault(lo + int(j), f"{'gradient' if bad_grad[j] else 'parameters'} at epoch {epoch}")
 
     # Each job's stream is its own, so drawing a job's epochs back to back
-    # gives the permutations a one-node trainer draws epoch by epoch.
-    perms = [[rng.permutation(n) for _ in range(epochs)] for n, rng in zip(sizes, generators(states))]
-    owner_starts = np.repeat(starts, sizes)
+    # gives the permutations a one-node trainer draws epoch by epoch. One
+    # `permuted` call shuffles each row of `arange(n)` as `permutation(n)`
+    # would, row after row: the same orders, leaving the same stream state.
+    # Job i's rows are the first sizes[i] columns of one broadcast arange.
+    aranges = np.broadcast_to(np.arange(sizes[-1]), (epochs, sizes[-1]))
+    orders = np.concatenate(
+        [rng.permuted(aranges[:, :n], axis=1) for n, rng in zip(sizes.tolist(), generators(states))], axis=1
+    )
+    orders += np.repeat(starts, sizes)
     # With a finite learning rate, a non-finite gradient or parameter leaves
     # its row non-finite through every later step, so one check at the end of
     # an epoch finds any divergence in it. That epoch is then replayed with
@@ -407,7 +446,7 @@ def _train_block(
     with np.errstate(over="ignore", invalid="ignore"):
         validate(0)
         for epoch in range(1, epochs + 1):
-            order = np.concatenate([job_perms[epoch - 1] for job_perms in perms]) + owner_starts
+            order = orders[epoch - 1]
             saved = values.copy()
             sgd(order, None)
             if not np.isfinite(values).all():
@@ -415,6 +454,40 @@ def _train_block(
                 sgd(order, epoch)
             validate(epoch)
     return values, costs, diverged
+
+
+def _job_sizes(
+    start: ModelParams, jobs: Sequence[TrainJob], rows: Sequence[np.ndarray | slice], n_classes: int, feature_dim: int
+) -> np.ndarray:
+    """Each job's number of training rows, its inputs checked as columns over
+    all jobs: feature dims, empty rows, and training and validation label
+    ranges. Only a failed check walks the jobs, to raise the first job's
+    first error as checking job by job would."""
+    try:
+        train_labels = [job.shard.labels[r] for job, r in zip(jobs, rows)]
+    except IndexError:  # a row outside its shard; an earlier job may fail first
+        train_labels = None
+    if train_labels is not None:
+        sizes = np.array([len(labels) for labels in train_labels])
+        if (
+            all(job.shard.features.shape[1] == job.val.features.shape[1] == feature_dim for job in jobs)
+            and sizes.all()
+            and np.concatenate(train_labels).max() < n_classes
+            and np.concatenate([job.val.labels for job in jobs]).max() < n_classes
+        ):
+            return sizes
+    sizes = np.empty(len(jobs), dtype=np.int64)
+    for i, (job, r) in enumerate(zip(jobs, rows)):
+        if job.shard.feature_dim != feature_dim or job.val.feature_dim != feature_dim:
+            raise ShapeError(f"job {job.node_id!r}: shards must share feature dim {feature_dim}")
+        _classifier_dims(start, job.val)
+        labels = job.shard.labels[r]
+        if not len(labels):
+            raise ValidationError(f"job {job.node_id!r} has no training rows")
+        if int(labels.max()) >= n_classes:
+            raise ValidationError(f"label {int(labels.max())} out of range for {n_classes} classes")
+        sizes[i] = len(labels)
+    return sizes
 
 
 def train_round(
@@ -435,26 +508,21 @@ def train_round(
     checked once per epoch, an epoch that diverged is replayed with every
     step's gradient and parameters checked, and every validation cost is
     checked. If jobs diverge, the error is the one the oracle raises for the
-    first of them in `jobs` order. Inputs are checked before any training,
-    and all shards must share one feature_dim. One `seed_states` pass seeds
-    every job's batch-order stream as `default_rng(job.seed)` would.
+    first of them in `jobs` order.
+
+    Inputs are checked before any training, as columns over all jobs
+    (`_job_sizes`); all shards must share one feature_dim. One `seed_states`
+    pass seeds every job's batch-order stream as `default_rng(job.seed)`
+    would, and each job draws all its epochs' orders in one call. The
+    updates' parameters are the rows of one trained block, made read-only
+    and checked for finiteness once.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # the argument checks of a one-node config
     if not jobs:
         return []
     n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
     rows = [slice(None) if job.rows is None else np.asarray(job.rows, dtype=np.int64) for job in jobs]
-    sizes = np.empty(len(jobs), dtype=np.int64)
-    for i, (job, r) in enumerate(zip(jobs, rows)):
-        if job.shard.feature_dim != feature_dim or job.val.feature_dim != feature_dim:
-            raise ShapeError(f"job {job.node_id!r}: shards must share feature dim {feature_dim}")
-        _classifier_dims(start, job.val)
-        train_labels = job.shard.labels[r]
-        if not len(train_labels):
-            raise ValidationError(f"job {job.node_id!r} has no training rows")
-        if int(train_labels.max()) >= n_classes:
-            raise ValidationError(f"label {int(train_labels.max())} out of range for {n_classes} classes")
-        sizes[i] = len(train_labels)
+    sizes = _job_sizes(start, jobs, rows, n_classes, feature_dim)
 
     states = seed_states([(job.seed,) for job in jobs])
     values = np.empty((len(jobs), start.dim))
@@ -471,13 +539,13 @@ def train_round(
         costs[:, block] = block_costs
         diverged.update((int(block[j]), detail) for j, detail in block_diverged.items())
 
-    updates = []
-    for i, (job, job_costs) in enumerate(zip(jobs, costs.T.tolist())):
-        if i in diverged:
-            raise TrainingDivergenceError(job.node_id, diverged[i])
-        trajectory = CostTrajectory(tuple(max(cost, 0.0) for cost in job_costs))
-        updates.append(LocalUpdate(job.node_id, ModelParams(values[i]), int(sizes[i]), trajectory))
-    return updates
+    if diverged:
+        first = min(diverged)
+        raise TrainingDivergenceError(jobs[first].node_id, diverged[first])
+    return [
+        LocalUpdate(job.node_id, model, size, CostTrajectory(tuple(max(cost, 0.0) for cost in job_costs)))
+        for job, model, size, job_costs in zip(jobs, ModelParams._rows_of(values), sizes.tolist(), costs.T.tolist())
+    ]
 
 
 def train_local(
@@ -571,4 +639,4 @@ def make_blob_shard(n: int, geometry: BlobGeometry, rng: np.random.Generator) ->
     labels = geometry.cdf.searchsorted(rng.random(n), side="right")
     noise = rng.standard_normal((n, geometry.centers.shape[1]))
     features = geometry.centers[labels] + geometry.scales[labels] * noise
-    return DataShard(features, labels)
+    return DataShard._adopt(features, labels.astype(np.int64, copy=False))

@@ -210,9 +210,9 @@ def test_main_removes_the_directories_a_refused_run_made(tiny_config, tmp_path, 
         tiny_config.write_text("cohort.source = csv\ncohort.path = part.csv\n", encoding="utf-8")
         message = f"{tmp_path / 'part.csv'}: line 3: duplicate subject id 's1'"
     else:
-        # Round 1 runs; round 2 has one participant, so rank 50 names none.
+        # Round 2 can have one participant, so rank 50 names none.
         tiny_config.write_text(TINY_CONFIG + "timing.inject_round = 2\ntiming.inject_rank = 50\n", encoding="utf-8")
-        message = "timing.inject_rank 50 is outside the 1 participants of round 2"
+        message = "timing.inject_rank 50 is outside the 1 participants round 2 can have"
     before = sorted(tmp_path.rglob("*"))
     for out in (tmp_path / "out", tmp_path / "kept" / "a" / "b"):
         assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1

@@ -20,6 +20,7 @@ from fedpod.cohort import (
 )
 from fedpod.errors import DegenerateModelError, ParseError, ValidationError
 from fedpod.params import blob_geometry, make_blob_shard
+from fedpod.streams import seed_states
 
 
 def table_from_counts(counts):
@@ -235,6 +236,31 @@ def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
     assert "absent" not in shards
     with pytest.raises(KeyError):
         shards["absent"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 25), min_size=1, max_size=14),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_batch_built_shards_match_eager_synthesis(counts, seed, data):
+    # A round's new shards are built from states of a `seed_states` pass that
+    # also seeds other streams; each equals the shard its own stream gives.
+    table = table_from_counts(counts)
+    shards = synthesize_shards(table, seed=seed)
+    expected = _eager_shards(table.counts, seed)
+    looked_up = data.draw(st.lists(st.sampled_from(list(table.counts)), unique=True))
+    for inst in looked_up:
+        shards[inst]
+    batch = data.draw(st.lists(st.sampled_from(list(table.counts)), unique=True))
+    pending, rows = shards.seed_rows(batch)
+    assert pending == [inst for inst in batch if inst not in looked_up]
+    other = [(seed, 1, 2, 3)] * data.draw(st.integers(0, 3))
+    shards.build_seeded(pending, seed_states(other + rows)[len(other) :])
+    assert shards.seed_rows(batch) == ([], [])
+    for inst in table.counts:
+        _assert_same_shard(shards[inst], expected[inst])
 
 
 # ---------------------------------------------------------------- csv

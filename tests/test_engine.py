@@ -436,12 +436,53 @@ def test_injection_rank_must_name_a_participant():
     # Round 1 of the default run has 3 participants.
     with pytest.raises(ValidationError) as err:
         run_experiment(ExperimentConfig(max_rounds=1, timing=TimingProfile(inject_round=1, inject_rank=50)))
-    assert str(err.value) == "timing.inject_rank 50 is outside the 3 participants of round 1"
+    assert str(err.value) == "timing.inject_rank 50 is outside the 3 participants round 1 can have"
     for rank in (3, -4):
         with pytest.raises(ValidationError, match=f"^timing.inject_rank {rank} is outside"):
             run_experiment(ExperimentConfig(max_rounds=1, timing=TimingProfile(inject_round=1, inject_rank=rank)))
     for rank in (2, -3):
         run_experiment(ExperimentConfig(max_rounds=1, timing=TimingProfile(inject_round=1, inject_rank=rank)))
+
+
+@pytest.fixture
+def train_round_calls(monkeypatch):
+    """A list that grows by one at each `train_round` call the engine makes."""
+    calls = []
+    train_round = engine.train_round
+    monkeypatch.setattr(engine, "train_round", lambda *args: calls.append(1) or train_round(*args))
+    return calls
+
+
+def test_injection_rank_no_round_can_have_is_refused_before_training(train_round_calls):
+    calls = train_round_calls
+    # 2 primaries and 6 secondaries: round 2 has at most min(3, 2) + min(1, 6).
+    task = small_config(schedule=(PhaseEntry(1, None, 4, 3, 1, 1e-3, 1),), max_rounds=3)
+    # `all` trains at most every one of the 8 institutions.
+    every = small_config(participation="all", max_rounds=3)
+    for config, bound in ((task, 3), (every, 8)):
+        for rank in (bound, -bound - 1, 50):
+            with pytest.raises(ValidationError) as err:
+                run_experiment(replace(config, timing=replace(config.timing, inject_round=2, inject_rank=rank)))
+            assert str(err.value) == f"timing.inject_rank {rank} is outside the {bound} participants round 2 can have"
+            assert calls == []
+        for rank in (bound - 1, -bound):
+            run_experiment(replace(config, timing=replace(config.timing, inject_round=2, inject_rank=rank)))
+        calls.clear()
+    # An injection round past max_rounds never fires, so its rank is not checked.
+    run_experiment(replace(task, max_rounds=1, timing=replace(task.timing, inject_round=2, inject_rank=50)))
+    assert len(calls) == 1
+
+
+def test_injection_rank_the_blacklist_pushes_out_is_a_mid_run_error(train_round_calls):
+    calls = train_round_calls
+    # Round 1 drops the two outliers, so round 2 has 6 of the 8 institutions.
+    config = small_config(participation="all", max_rounds=3, timing=fast_timing(timeout_factor=3.0))
+    assert run_experiment(config).records[0].dropped == ("inst006", "inst007")
+    calls.clear()
+    with pytest.raises(ValidationError) as err:
+        run_experiment(replace(config, timing=replace(config.timing, inject_round=2, inject_rank=7)))
+    assert str(err.value) == "timing.inject_rank 7 is outside the 6 participants of round 2"
+    assert len(calls) == 1
 
 
 def test_best_dice_is_running_max():
@@ -570,22 +611,27 @@ def test_only_participants_get_shards(monkeypatch):
     # Training and validation shards are built on first use, once each, so a
     # cohort where few institutions take part synthesizes only theirs. A
     # shard's stream key, `[seed, salt, index]`, names what it was built for.
+    # Shards built in the engine's seeding pass get generators set to a
+    # stream's start state, with no seed sequence to read, so a stream is
+    # named by matching its start state against `default_rng` of every key.
+    config = small_config(
+        cohort=CohortSpec(n_institutions=40, mean_samples=10.0, n_outliers=3, outlier_scale=8.0),
+        schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
+        max_rounds=3,
+    )
     built = {"train": [], "val": []}
+    keys = [(engine._HOLDOUT_SALT,)] + [(salt, i) for salt in (cohort._SHARD_SALT, _NODE_VAL_SALT) for i in range(40)]
+    key_of_state = {str(np.random.default_rng([config.seed, *key]).bit_generator.state): key for key in keys}
 
     def counting(kind, original):
         def counted(n, geometry, rng):
-            built[kind].append(tuple(rng.bit_generator.seed_seq.entropy[1:]))
+            built[kind].append(key_of_state[str(rng.bit_generator.state)])
             return original(n, geometry, rng)
 
         return counted
 
     monkeypatch.setattr(cohort, "make_blob_shard", counting("train", cohort.make_blob_shard))
     monkeypatch.setattr(engine, "make_blob_shard", counting("val", engine.make_blob_shard))
-    config = small_config(
-        cohort=CohortSpec(n_institutions=40, mean_samples=10.0, n_outliers=3, outlier_scale=8.0),
-        schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
-        max_rounds=3,
-    )
     report = run_experiment(config)
     taking_part = {inst for record in report.records for inst in record.participants}
     assert len(taking_part) < 40
@@ -596,3 +642,68 @@ def test_only_participants_get_shards(monkeypatch):
     assert sorted(built["val"]) == sorted(
         [(engine._HOLDOUT_SALT,)] + [(_NODE_VAL_SALT, index[inst]) for inst in taking_part]
     )
+
+
+def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch):
+    # The engine builds each round's new training and validation shards in
+    # its one seeding pass. Each equals `make_blob_shard` on the stream
+    # `default_rng([seed, salt, index])`, and so does a shard first looked up
+    # on its own.
+    config = small_config(
+        cohort=CohortSpec(n_institutions=30, mean_samples=10.0, n_outliers=3, outlier_scale=8.0),
+        schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
+        max_rounds=4,
+    )
+    table, _ = engine._build_cohort(config)
+    geometry = blob_geometry(config.n_classes, config.feature_dim, config.seed)
+    position = {inst: i for i, inst in enumerate(table.counts)}
+    node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
+
+    def expected(kind, inst):
+        if kind == "train":
+            n, key = table.counts[inst], (cohort._SHARD_SALT, position[inst])
+        else:
+            n, key = _val_size(table.counts[inst]), (_NODE_VAL_SALT, node_index[inst])
+        return make_blob_shard(n, geometry, np.random.default_rng([config.seed, *key]))
+
+    train_shards = []
+    build_cohort = engine._build_cohort
+
+    def kept(c):
+        built_cohort = build_cohort(c)
+        train_shards.append(built_cohort[1])
+        return built_cohort
+
+    monkeypatch.setattr(engine, "_build_cohort", kept)
+    batches = []
+    build_seeded = cohort.LazyShards.build_seeded
+
+    def recorded(self, insts, states):
+        build_seeded(self, insts, states)
+        batches.append((self, list(insts)))
+
+    monkeypatch.setattr(cohort.LazyShards, "build_seeded", recorded)
+    report = run_experiment(config)
+    taking_part = {inst for record in report.records for inst in record.participants}
+
+    built = {"train": [], "val": []}
+    for lazy, insts in batches:
+        kind = "train" if lazy is train_shards[0] else "val"
+        for inst in insts:
+            shard = lazy[inst]
+            want = expected(kind, inst)
+            assert len(shard) == len(want)
+            assert shard.labels.tobytes() == want.labels.tobytes()
+            assert shard.features.tobytes() == want.features.tobytes()
+        built[kind] += insts
+    # Every participant's shards came from the batch, each once.
+    assert sorted(built["train"]) == sorted(built["val"]) == sorted(taking_part)
+
+    # A shard first looked up on its own comes from the same stream.
+    val_shards = next(lazy for lazy, _ in batches if lazy is not train_shards[0])
+    for kind, lazy in (("train", train_shards[0]), ("val", val_shards)):
+        absent = next(inst for inst in table.counts if inst not in taking_part)
+        assert lazy.seed_rows([absent])[0] == [absent]
+        shard, want = lazy[absent], expected(kind, absent)
+        assert shard.labels.tobytes() == want.labels.tobytes()
+        assert shard.features.tobytes() == want.features.tobytes()

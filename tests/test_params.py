@@ -45,6 +45,21 @@ def test_combine_weighted_sum_matches_scalar_oracle():
     assert np.array_equal(combine(pairs).values, expected)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_combine_adds_in_input_order_bitwise(n, dim, seed):
+    # The running sum from 0.0, model by model: a 1-wide model too, which a
+    # lone-axis numpy sum would add pairwise, and -0.0 products.
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-8, 8, n)
+    values = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+    values[rng.random((n, dim)) < 0.2] = -0.0
+    acc = np.zeros(dim)
+    for w, v in zip(weights.tolist(), values):
+        acc += w * v
+    assert combine([(w, ModelParams(v)) for w, v in zip(weights.tolist(), values)]).values.tobytes() == acc.tobytes()
+
+
 def test_combine_rejects_empty_and_mismatched():
     with pytest.raises(ValidationError):
         combine([])
@@ -132,6 +147,27 @@ def test_non_finite_cost_is_rejected():
 def test_empty_shard_is_unconstructible():
     with pytest.raises(ShapeError):
         DataShard(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
+def test_constructors_copy_a_callers_writeable_arrays():
+    features, labels, values = np.ones((3, 2)), np.array([0, 1, 0]), np.array([1.0, -2.0])
+    shard, model = DataShard(features, labels), ModelParams(values)
+    features[:] = 7.0
+    labels[:] = 1
+    values[:] = 7.0
+    assert shard.features.tolist() == [[1.0, 1.0]] * 3 and shard.labels.tolist() == [0, 1, 0]
+    assert model.values.tolist() == [1.0, -2.0]
+    for array in (shard.features, shard.labels, model.values):
+        assert not array.flags.writeable
+
+
+def test_blob_shards_keep_their_arrays_read_only():
+    shard = make_blob_shard(9, blob_geometry(3, 4, seed=2), np.random.default_rng(0))
+    assert shard.features.dtype == np.float64 and shard.labels.dtype == np.int64
+    for array in (shard.features, shard.labels):
+        assert not array.flags.writeable and array.base is None
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_model_dim_must_fit_shard():

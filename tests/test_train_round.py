@@ -15,6 +15,7 @@ from fedpod.params import (
     ModelParams,
     TrainConfig,
     TrainJob,
+    _classifier_dims,
     _stacked_cost,
     _stacked_gradient,
     _step_ranges,
@@ -132,6 +133,24 @@ def test_many_jobs_span_several_blocks():
     rng = np.random.default_rng(4)
     jobs = [TrainJob(f"n{k:03d}", shard(rng, 1 + k % 7), shard(rng, 2 + k % 3), k) for k in range(300)]
     check(ModelParams.zeros(DIM), jobs, 2, 0.05, 4)
+
+
+def test_updates_share_one_read_only_block():
+    rng = np.random.default_rng(16)
+    jobs = [TrainJob(f"n{k}", shard(rng, 3 + k), shard(rng, 2), k) for k in range(5)]
+    updates = train_round(ModelParams.zeros(DIM), jobs, 2, 0.05, 4)
+    blocks = set()
+    for update in updates:
+        # Neither the row nor any array it views can be written through.
+        array = update.params.values
+        while array is not None:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+            blocks.add(id(array))
+            array = array.base
+        assert update.params.dim == DIM
+    assert len(blocks) == len(updates) + 1
 
 
 def test_no_jobs_trains_nothing():
@@ -347,3 +366,90 @@ def test_train_block_rejects_jobs_out_of_size_order():
     states = seed_states([(job.seed,) for job in jobs])
     with pytest.raises(ValidationError, match="sorted by training size"):
         _train_block(ModelParams.zeros(DIM), jobs, [slice(None)] * 2, states, 1, 0.1, 4)
+
+
+def per_job_input_error(start, jobs):
+    """(type, str) of the first input error of checking job by job in `jobs`
+    order, after the model against the first job's validation shard, or None."""
+    try:
+        n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
+        for job in jobs:
+            rows = slice(None) if job.rows is None else np.asarray(job.rows, dtype=np.int64)
+            if job.shard.feature_dim != feature_dim or job.val.feature_dim != feature_dim:
+                raise ShapeError(f"job {job.node_id!r}: shards must share feature dim {feature_dim}")
+            _classifier_dims(start, job.val)
+            labels = job.shard.labels[rows]
+            if not len(labels):
+                raise ValidationError(f"job {job.node_id!r} has no training rows")
+            if int(labels.max()) >= n_classes:
+                raise ValidationError(f"label {int(labels.max())} out of range for {n_classes} classes")
+    except (ShapeError, ValidationError, IndexError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+FAULTS = ("train-dim", "val-dim", "empty", "train-label", "val-label", "row-outside")
+
+
+def faulty_job(rng, node_id, faults, bad_label):
+    """A job with each named input fault; a bad label is `bad_label`."""
+    n = 6
+    data, val, rows = shard(rng, n), shard(rng, 3), None
+    if "train-dim" in faults:
+        data = DataShard(rng.standard_normal((n, FEATURE_DIM + 1)), data.labels)
+    if "val-dim" in faults:
+        val = DataShard(rng.standard_normal((3, FEATURE_DIM + 1)), val.labels)
+    if "train-label" in faults:
+        data = DataShard(data.features, np.append(data.labels[:-1], bad_label))
+    if "val-label" in faults:
+        val = DataShard(val.features, np.append(val.labels[:-1], bad_label))
+    if "empty" in faults:
+        rows = np.array([], dtype=np.int64)
+    if "row-outside" in faults:
+        rows = np.array([0, n])
+    return TrainJob(node_id, data, val, 0, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sets(st.sampled_from(FAULTS), max_size=2), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_input_errors_match_the_per_job_checks(faults, seed):
+    # With several jobs bad at once, `train_round` raises the error that
+    # checking job by job raises, for the same first job.
+    rng = np.random.default_rng(seed)
+    jobs = [faulty_job(rng, f"n{k}", job_faults, N_CLASSES + k) for k, job_faults in enumerate(faults)]
+    want = per_job_input_error(ModelParams.zeros(DIM), jobs)
+    if want is None:
+        train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
+        return
+    with pytest.raises(want[0]) as err:
+        train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
+    assert str(err.value) == want[1]
+
+
+@pytest.mark.parametrize(
+    ("first", "second", "message"),
+    [
+        ("train-dim", "train-dim", "job 'b': shards must share feature dim 4"),
+        ("val-dim", "empty", "job 'b': shards must share feature dim 4"),
+        ("empty", "empty", "job 'b' has no training rows"),
+        ("empty", "val-dim", "job 'b' has no training rows"),
+        ("train-label", "train-label", "label 4 out of range for 3 classes"),
+        ("train-label", "val-label", "label 4 out of range for 3 classes"),
+        ("val-label", "val-label", "label 4 out of range for 3 classes"),
+        ("val-label", "row-outside", "label 4 out of range for 3 classes"),
+    ],
+)
+def test_input_error_names_the_first_bad_job(first, second, message):
+    rng = np.random.default_rng(15)
+    jobs = [
+        faulty_job(rng, "a", (), 0),
+        faulty_job(rng, "b", {first}, N_CLASSES + 1),
+        faulty_job(rng, "c", (), 0),
+        faulty_job(rng, "d", {second}, N_CLASSES + 2),
+    ]
+    with pytest.raises((ShapeError, ValidationError)) as err:
+        train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
+    assert str(err.value) == message
