@@ -37,13 +37,11 @@ from .engine import (
     sample_timings,
 )
 from .params import (
-    CostTrajectory,
     DataShard,
-    LocalUpdate,
     ModelParams,
+    RoundUpdates,
     TrainConfig,
     TrainJob,
-    combine,
     dice_score,
     evaluate_cost,
     train_local,

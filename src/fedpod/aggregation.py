@@ -1,11 +1,14 @@
 """Merge-weight rules for the global model update.
 
-Three strategies share one blend: a data-share term, a derivative term
-(validation-cost drop) and an integral term (accumulated validation cost),
-mixed by alpha/beta/gamma. FedAvg keeps only the data share. FedPIDAvg
-takes derivative and integral from previous rounds' cost history. FedPOD
-computes both from the current round's own pre/post validation, scaled by
-each node's data share, so no cross-round participant continuity is needed.
+A round's updates arrive as one `RoundUpdates`, and each rule works on its
+columns. Three strategies share one blend: a data-share term, a derivative
+term (validation-cost drop) and an integral term (accumulated validation
+cost), mixed by alpha/beta/gamma. FedAvg keeps only the data share.
+FedPIDAvg takes derivative and integral from previous rounds' cost history,
+looked up by node id. FedPOD computes both from the current round's own
+pre/post validation, scaled by each node's data share, so no cross-round
+participant continuity is needed. `aggregate` merges the parameter block in
+one reduction, in node-id order.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ShapeError, ValidationError
-from .params import LocalUpdate, ModelParams, combine
+from .params import ModelParams, RoundUpdates
 
 __all__ = [
     "AggregationStrategy",
@@ -93,55 +98,53 @@ class WeightResult:
     fallbacks: tuple[str, ...] = ()
 
 
-def _data_shares(updates: Sequence[LocalUpdate]) -> list[float]:
-    if not updates:
+def _data_shares(updates: RoundUpdates) -> np.ndarray:
+    if not len(updates):
         raise ValidationError("need at least one update")
-    total = sum(u.data_size for u in updates)
-    return [u.data_size / total for u in updates]
+    return updates.sizes / int(updates.sizes.sum())
 
 
-def fedavg_weights(updates: Sequence[LocalUpdate]) -> WeightResult:
+def fedavg_weights(updates: RoundUpdates) -> WeightResult:
     """Pure data-share weighting."""
-    return WeightResult(tuple(_data_shares(updates)))
+    return WeightResult(tuple(_data_shares(updates).tolist()))
 
 
 def _blend(
-    shares: Sequence[float],
+    shares: np.ndarray,
     strategy: AggregationStrategy,
-    k_terms: Sequence[float],
-    m_terms: Sequence[float],
+    k_terms: np.ndarray,
+    m_terms: np.ndarray,
 ) -> WeightResult:
     """Mix share/derivative/integral terms, redistributing a term's mass to
     the share term when its denominator is not positive."""
     alpha = strategy.alpha
     fallbacks = []
     # fsum is correctly rounded, so the totals (and hence the weights) are
-    # invariant under permutation of the update list.
-    k_total = math.fsum(k_terms)
+    # invariant under permutation of the updates.
+    k_total = math.fsum(k_terms.tolist())
     use_derivative = strategy.beta > 0
     if use_derivative and k_total <= 0:
         alpha += strategy.beta
         use_derivative = False
         fallbacks.append(FALLBACK_DERIVATIVE)
-    m_total = math.fsum(m_terms)
+    m_total = math.fsum(m_terms.tolist())
     use_integral = strategy.gamma > 0
     if use_integral and m_total <= 0:
         alpha += strategy.gamma
         use_integral = False
         fallbacks.append(FALLBACK_INTEGRAL)
-    weights = []
-    for share, k, m in zip(shares, k_terms, m_terms):
-        w = alpha * share
-        if use_derivative:
-            w += strategy.beta * (k / k_total)
-        if use_integral:
-            w += strategy.gamma * (m / m_total)
-        weights.append(w)
-    return WeightResult(tuple(weights), tuple(fallbacks))
+    # Each node's weight takes the scalar rule's operations in its order, so
+    # it equals that rule's weight bit for bit.
+    weights = alpha * shares
+    if use_derivative:
+        weights += strategy.beta * (k_terms / k_total)
+    if use_integral:
+        weights += strategy.gamma * (m_terms / m_total)
+    return WeightResult(tuple(weights.tolist()), tuple(fallbacks))
 
 
 def fedpid_weights(
-    updates: Sequence[LocalUpdate],
+    updates: RoundUpdates,
     history: CostHistory,
     strategy: AggregationStrategy,
 ) -> WeightResult:
@@ -154,29 +157,29 @@ def fedpid_weights(
     shares = _data_shares(updates)
     k_terms = []
     m_terms = []
-    for update in updates:
-        previous = history.last(update.node_id)
+    for node_id, pre_cost, post_cost in zip(updates.node_ids, updates.costs[0].tolist(), updates.costs[-1].tolist()):
+        previous = history.last(node_id)
         if previous is None:
-            previous = update.trajectory.pre_cost
-        k_terms.append(previous - update.trajectory.post_cost)
-        window = history.recent(update.node_id, strategy.history_window - 1) + (update.trajectory.post_cost,)
+            previous = pre_cost
+        k_terms.append(previous - post_cost)
+        window = history.recent(node_id, strategy.history_window - 1) + (post_cost,)
         m_terms.append(sum(window))
-    return _blend(shares, strategy, k_terms, m_terms)
+    return _blend(shares, strategy, np.array(k_terms), np.array(m_terms))
 
 
-def fedpod_weights(updates: Sequence[LocalUpdate], strategy: AggregationStrategy) -> WeightResult:
+def fedpod_weights(updates: RoundUpdates, strategy: AggregationStrategy) -> WeightResult:
     """Current-round blend: derivative and integral come from each node's own
     pre/post validation, pre-scaled by its data share. Nothing here depends
     on earlier rounds, so the participant set may change freely."""
     shares = _data_shares(updates)
-    k_terms = [share * (u.trajectory.pre_cost - u.trajectory.post_cost) for share, u in zip(shares, updates)]
-    m_terms = [share * u.trajectory.integral() for share, u in zip(shares, updates)]
+    k_terms = shares * (updates.costs[0] - updates.costs[-1])
+    m_terms = shares * updates.integral()
     return _blend(shares, strategy, k_terms, m_terms)
 
 
 def compute_weights(
     strategy: AggregationStrategy,
-    updates: Sequence[LocalUpdate],
+    updates: RoundUpdates,
     history: CostHistory,
 ) -> WeightResult:
     """Dispatch to the strategy's rule. Only FedPIDAvg reads the history."""
@@ -187,10 +190,10 @@ def compute_weights(
     return fedpod_weights(updates, strategy)
 
 
-def aggregate(updates: Sequence[LocalUpdate], weights: Sequence[float]) -> ModelParams:
+def aggregate(updates: RoundUpdates, weights: Sequence[float]) -> ModelParams:
     """Weighted merge into the next global model.
 
-    Pairs are summed in node-id order, so the result does not depend on the
+    Rows are summed in node-id order, so the result does not depend on the
     order of `updates`.
     """
     if len(updates) != len(weights):
@@ -198,5 +201,17 @@ def aggregate(updates: Sequence[LocalUpdate], weights: Sequence[float]) -> Model
     total = sum(weights)
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"weights must sum to 1, got {total!r}")
-    pairs = sorted(zip(updates, weights), key=lambda pair: pair[0].node_id)
-    return combine([(w, u.params) for u, w in pairs])
+    order = sorted(range(len(updates)), key=updates.node_ids.__getitem__)
+    column = np.array(weights, dtype=np.float64)[order, None]
+    if not np.isfinite(column).all():
+        raise ValidationError("weights must be finite")
+    # One axis-0 reduction adds each element's rows one at a time, in node-id
+    # order, from 0.0, as `acc += w * v` node by node would. numpy sums a
+    # lone axis pairwise instead, so a 1-wide model gets a spare zero column.
+    dim = updates.params.shape[1]
+    rows = np.zeros((len(order), max(dim, 2)))
+    # Overflow surfaces as the constructor's finiteness error, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(column, updates.params[order], out=rows[:, :dim])
+        acc = np.add.reduce(rows, axis=0, initial=0.0)
+    return ModelParams(acc[:dim])

@@ -440,12 +440,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         timeout = config.timing.timeout_factor
         slow = np.zeros(len(jobs), dtype=bool) if timeout is None else detect_stragglers(times, timeout)
         dropped = frozenset(job.node_id for job, is_slow in zip(jobs, slow.tolist()) if is_slow)
-        survivors = sorted((u for u in updates if u.node_id not in dropped), key=lambda u: u.node_id)
+        survivors = updates.take(sorted(np.flatnonzero(~slow).tolist(), key=insts.__getitem__))
 
         result = compute_weights(config.strategy, survivors, history)
         model = aggregate(survivors, result.weights)
-        for update in survivors:
-            history.record(update.node_id, update.trajectory.post_cost)
+        for node_id, post_cost in zip(survivors.node_ids, survivors.costs[-1].tolist()):
+            history.record(node_id, post_cost)
 
         predictions = predict_labels(model, holdout)
         dice_per_class = tuple(dice_score(predictions, holdout.labels, cls) for cls in range(1, config.n_classes))
@@ -462,7 +462,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 epochs=phase.epochs,
                 participants=plan.node_ids(),
                 dropped=tuple(sorted(dropped)),
-                weights=tuple((u.node_id, w) for u, w in zip(survivors, result.weights)),
+                weights=tuple(zip(survivors.node_ids, result.weights)),
                 dice_per_class=dice_per_class,
                 mean_dice=mean_dice,
                 best_dice=best,

@@ -3,13 +3,14 @@
 The model everywhere is a multinomial logistic regression stored as one flat
 float64 vector: a (classes x features) weight matrix in row-major order
 followed by one bias per class. Institutions hold `DataShard`s of per-class
-Gaussian samples; validation cost is mean cross-entropy. A node's round
-output, `LocalUpdate`, holds each value once: its trained parameters, its
-training-set size and, in a `CostTrajectory`, its validation cost at every
-epoch boundary. Simulated timings stay with the engine.
+Gaussian samples; validation cost is mean cross-entropy.
 
 Local training has one implementation, `train_round`, which trains all of a
 round's nodes at once on stacked kernels; `train_local` is its one-node form.
+A round's output is one `RoundUpdates` of columns, one entry per node: the
+trained parameters as a (nodes, dim) block, the training-set sizes and the
+validation cost at every epoch boundary. Simulated timings stay with the
+engine.
 """
 
 from __future__ import annotations
@@ -52,23 +53,6 @@ class ModelParams:
             raise ValidationError("model parameters must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def _rows_of(cls, block: np.ndarray) -> list[ModelParams]:
-        """One model per row of a float64 (k, dim) block that no one else
-        holds. The block is checked once and made read-only, and the models
-        are its rows, not copies."""
-        if block.ndim != 2 or block.shape[1] == 0:
-            raise ShapeError("model parameters must be a non-empty 1-D vector")
-        if not np.isfinite(block).all():
-            raise ValidationError("model parameters must be finite")
-        block.setflags(write=False)
-        models = []
-        for row in block:
-            model = object.__new__(cls)
-            object.__setattr__(model, "values", row)
-            models.append(model)
-        return models
 
     @property
     def dim(self) -> int:
@@ -124,45 +108,6 @@ class DataShard:
 
 
 @dataclass(frozen=True)
-class CostTrajectory:
-    """Validation cost at each epoch boundary of local training.
-
-    Over n = len(costs) - 1 epochs, boundary e sits at training fraction
-    e / n: the first cost is taken before training and the last after it.
-    """
-
-    costs: tuple[float, ...]
-
-    def __post_init__(self):
-        costs = tuple(map(float, self.costs))
-        object.__setattr__(self, "costs", costs)
-        if len(costs) < 2:
-            raise ValidationError("trajectory needs at least pre- and post-training costs")
-        if not all(0 <= c < math.inf for c in costs):
-            raise ValidationError("trajectory costs must be finite and non-negative")
-
-    @property
-    def pre_cost(self) -> float:
-        return self.costs[0]
-
-    @property
-    def post_cost(self) -> float:
-        return self.costs[-1]
-
-    def integral(self) -> float:
-        """Trapezoidal integral of cost over the training fraction in [0, 1].
-
-        Each step spans (e + 1) / n - e / n, which is not always 1 / n in
-        floating point.
-        """
-        n = len(self.costs) - 1
-        total = 0.0
-        for e, (c0, c1) in enumerate(zip(self.costs, self.costs[1:])):
-            total += 0.5 * (c0 + c1) * ((e + 1) / n - e / n)
-        return total
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int
     learning_rate: float
@@ -181,46 +126,75 @@ class TrainConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class LocalUpdate:
-    """One node's round output: trained params, the number of samples it
-    trained on, and its validation costs, the evidence the aggregation
-    rules weigh (pre- and post-training cost are the trajectory's ends)."""
+class RoundUpdates:
+    """One round's node outputs as columns, in job order: the nodes' ids,
+    their trained parameters as one (nodes, dim) block, the number of
+    samples each trained on, and their validation costs at every epoch
+    boundary as an (epochs + 1, nodes) array, the evidence the aggregation
+    rules weigh.
 
-    node_id: str
-    params: ModelParams
-    data_size: int
-    trajectory: CostTrajectory
+    Over n = epochs, cost row e sits at training fraction e / n: the first
+    row is taken before training and the last after it. The constructor
+    copies the columns and checks them once; all are kept read-only.
+    """
+
+    node_ids: tuple[str, ...]
+    params: np.ndarray
+    sizes: np.ndarray
+    costs: np.ndarray
 
     def __post_init__(self):
-        if self.data_size < 1:
-            raise ValidationError("data_size must be positive")
+        node_ids = tuple(self.node_ids)
+        params = np.array(self.params, dtype=np.float64)
+        sizes = np.array(self.sizes, dtype=np.int64)
+        costs = np.array(self.costs, dtype=np.float64)
+        n = len(node_ids)
+        if params.ndim != 2 or params.shape[0] != n or params.shape[1] == 0:
+            raise ShapeError(f"params must be a non-empty ({n}, dim) block")
+        if sizes.shape != (n,) or costs.ndim != 2 or costs.shape[1] != n:
+            raise ShapeError(f"sizes and costs must hold one column per node, {n} nodes")
+        if len(costs) < 2:
+            raise ValidationError("costs need at least pre- and post-training rows")
+        if not (sizes >= 1).all():
+            raise ValidationError("sizes must be positive")
+        if not np.isfinite(params).all():
+            raise ValidationError("model parameters must be finite")
+        if not (np.isfinite(costs).all() and (costs >= 0).all()):
+            raise ValidationError("costs must be finite and non-negative")
+        self._set_frozen(node_ids, params, sizes, costs)
 
+    def _set_frozen(self, node_ids: tuple[str, ...], params: np.ndarray, sizes: np.ndarray, costs: np.ndarray) -> None:
+        """Set columns that no one else holds, made read-only."""
+        object.__setattr__(self, "node_ids", node_ids)
+        for name, value in (("params", params), ("sizes", sizes), ("costs", costs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
-def combine(weighted: Sequence[tuple[float, ModelParams]]) -> ModelParams:
-    """Elementwise weighted sum of parameter vectors, in one reduction over
-    the stacked weighted rows.
+    def __len__(self) -> int:
+        return len(self.node_ids)
 
-    Accumulation follows the input order; callers that need order
-    independence must sort first. Weights are checked as one column.
-    """
-    if not weighted:
-        raise ValidationError("combine needs at least one (weight, model) pair")
-    dims = {model.dim for _, model in weighted}
-    if len(dims) != 1:
-        raise ShapeError(f"mixed parameter dims {sorted(dims)}")
-    dim = dims.pop()
-    weights = np.array([float(weight) for weight, _ in weighted])
-    if not np.isfinite(weights).all():
-        raise ValidationError("weights must be finite")
-    # One axis-0 reduction adds each element's rows one at a time, in input
-    # order, from 0.0, as `acc += w * v` model by model would. numpy sums a
-    # lone axis pairwise instead, so a 1-wide model gets a spare zero column.
-    rows = np.zeros((len(weighted), max(dim, 2)))
-    # Overflow surfaces as the constructor's finiteness error, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(weights[:, None], np.stack([model.values for _, model in weighted]), out=rows[:, :dim])
-        acc = np.add.reduce(rows, axis=0, initial=0.0)
-    return ModelParams(acc[:dim])
+    def take(self, index: Sequence[int]) -> RoundUpdates:
+        """The nodes at positions `index`, in that order. Their columns are
+        new arrays of values already checked, so they are not checked again."""
+        index = np.asarray(index, dtype=np.intp)
+        taken = object.__new__(RoundUpdates)
+        node_ids = tuple(self.node_ids[i] for i in index.tolist())
+        taken._set_frozen(node_ids, self.params[index], self.sizes[index], self.costs[:, index])
+        return taken
+
+    def integral(self) -> np.ndarray:
+        """Each node's trapezoidal integral of cost over the training
+        fraction in [0, 1].
+
+        Each step spans (e + 1) / n - e / n, which is not always 1 / n in
+        floating point. Steps are added epoch by epoch, elementwise, so each
+        node's total is the scalar running sum, bit for bit.
+        """
+        n = len(self.costs) - 1
+        total = np.zeros(len(self))
+        for e in range(n):
+            total += 0.5 * (self.costs[e] + self.costs[e + 1]) * ((e + 1) / n - e / n)
+        return total
 
 
 def _classifier_dims(model: ModelParams, shard: DataShard) -> tuple[int, int]:
@@ -496,30 +470,30 @@ def train_round(
     epochs: int,
     learning_rate: float,
     batch_size: int,
-) -> list[LocalUpdate]:
+) -> RoundUpdates:
     """Mini-batch SGD from `start` for all of one round's jobs at once.
 
-    Element i equals `tests/_oracle.train_local`, the sequential one-node
-    SGD, run on job i's rows of its shard with `TrainConfig(epochs,
-    learning_rate, job.seed, batch_size)`, bit for bit. Jobs train in blocks
-    of similar size. At each SGD step a block's jobs are grouped by their
-    exact batch length, so nothing is padded and each job's batch goes
-    through the same kernels as in the oracle. Every job's parameters are
-    checked once per epoch, an epoch that diverged is replayed with every
-    step's gradient and parameters checked, and every validation cost is
-    checked. If jobs diverge, the error is the one the oracle raises for the
-    first of them in `jobs` order.
+    Node i, in `jobs` order, equals `tests/_oracle.train_local`, the
+    sequential one-node SGD, run on job i's rows of its shard with
+    `TrainConfig(epochs, learning_rate, job.seed, batch_size)`, bit for
+    bit. Jobs train in blocks of similar size. At each SGD step a block's
+    jobs are grouped by their exact batch length, so nothing is padded and
+    each job's batch goes through the same kernels as in the oracle. Every
+    job's parameters are checked once per epoch, an epoch that diverged is
+    replayed with every step's gradient and parameters checked, and every
+    validation cost is checked. If jobs diverge, the error is the one the
+    oracle raises for the first of them in `jobs` order.
 
     Inputs are checked before any training, as columns over all jobs
     (`_job_sizes`); all shards must share one feature_dim. One `seed_states`
     pass seeds every job's batch-order stream as `default_rng(job.seed)`
     would, and each job draws all its epochs' orders in one call. The
-    updates' parameters are the rows of one trained block, made read-only
-    and checked for finiteness once.
+    trained block and the costs, clipped at 0, are checked once, as the
+    columns of the returned `RoundUpdates`.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # the argument checks of a one-node config
     if not jobs:
-        return []
+        return RoundUpdates((), np.empty((0, start.dim)), (), np.empty((epochs + 1, 0)))
     n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
     rows = [slice(None) if job.rows is None else np.asarray(job.rows, dtype=np.int64) for job in jobs]
     sizes = _job_sizes(start, jobs, rows, n_classes, feature_dim)
@@ -542,10 +516,8 @@ def train_round(
     if diverged:
         first = min(diverged)
         raise TrainingDivergenceError(jobs[first].node_id, diverged[first])
-    return [
-        LocalUpdate(job.node_id, model, size, CostTrajectory(tuple(max(cost, 0.0) for cost in job_costs)))
-        for job, model, size, job_costs in zip(jobs, ModelParams._rows_of(values), sizes.tolist(), costs.T.tolist())
-    ]
+    # Clip away the odd -1ulp rounding artefact, as `max(cost, 0.0)` would.
+    return RoundUpdates(tuple(job.node_id for job in jobs), values, sizes, np.where(costs < 0.0, 0.0, costs))
 
 
 def train_local(
@@ -554,16 +526,16 @@ def train_local(
     val: DataShard,
     cfg: TrainConfig,
     node_id: str = "local",
-) -> LocalUpdate:
+) -> RoundUpdates:
     """Mini-batch SGD from `start` over all of `shard` for cfg.epochs: the
-    one-job form of `train_round`, so `shard` and `val` must share one
-    feature_dim.
+    one-job form of `train_round`, returning one node's `RoundUpdates`, so
+    `shard` and `val` must share one feature_dim.
 
     Batch order is shuffled by the node's own `default_rng(cfg.seed)`
     stream, and validation cost is sampled at every epoch boundary.
     """
     job = TrainJob(node_id, shard, val, cfg.seed)
-    return train_round(start, [job], cfg.epochs, cfg.learning_rate, cfg.batch_size)[0]
+    return train_round(start, [job], cfg.epochs, cfg.learning_rate, cfg.batch_size)
 
 
 def dice_score(pred: Sequence[int], truth: Sequence[int], cls: int) -> float:

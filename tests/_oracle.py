@@ -1,21 +1,33 @@
-"""Sequential one-node SGD: the reference `train_round` must match bit for bit.
+"""Node-by-node references the columnar code must match bit for bit.
 
-These are the per-node kernels `train_round` batches: one model, one batch
-per step, one `default_rng(cfg.seed)` stream of batch orders. They live here
-so the simulator keeps one trainer; tests compare it against this oracle.
-`np.argmax` of `_logits` is the reference for `predict_labels`.
+Sequential one-node SGD: these are the per-node kernels `train_round`
+batches: one model, one batch per step, one `default_rng(cfg.seed)` stream
+of batch orders. They live here so the simulator keeps one trainer; tests
+compare it against this oracle. `np.argmax` of `_logits` is the reference
+for `predict_labels`.
+
+The scalar weight rules: FedAvg, FedPIDAvg and FedPOD written node by node
+over Python floats, with the per-node trapezoid, as the reference for the
+column rules of `fedpod.aggregation`.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from fedpod.errors import TrainingDivergenceError
+from fedpod.aggregation import (
+    FALLBACK_DERIVATIVE,
+    FALLBACK_INTEGRAL,
+    KIND_FEDAVG,
+    KIND_FEDPIDAVG,
+    WeightResult,
+)
+from fedpod.errors import TrainingDivergenceError, ValidationError
 from fedpod.params import (
-    CostTrajectory,
     DataShard,
-    LocalUpdate,
     ModelParams,
+    RoundUpdates,
     TrainConfig,
     _classifier_dims,
 )
@@ -62,14 +74,15 @@ def train_local(
     val: DataShard,
     cfg: TrainConfig,
     node_id: str = "local",
-) -> LocalUpdate:
-    """Mini-batch SGD from `start` over `shard` for cfg.epochs.
+) -> RoundUpdates:
+    """Mini-batch SGD from `start` over `shard` for cfg.epochs, as one node's
+    `RoundUpdates`.
 
     Batch order is shuffled by the node's own seeded stream, so the result
     is bit-reproducible for a fixed cfg.seed. Validation cost is sampled at
-    every epoch boundary, giving the trajectory the aggregation integral
-    needs. This is the single-node reference that `train_round` reproduces
-    bit for bit.
+    every epoch boundary, giving the costs the aggregation integral needs.
+    This is the single-node reference that `train_round` reproduces bit for
+    bit.
     """
     n_classes, feature_dim = _classifier_dims(start, shard)
     _classifier_dims(start, val)
@@ -97,4 +110,109 @@ def train_local(
                 if not np.all(np.isfinite(values)):
                     raise TrainingDivergenceError(node_id, f"parameters at epoch {epoch + 1}")
             costs.append(sample(epoch + 1))
-    return LocalUpdate(node_id, ModelParams(values), n, CostTrajectory(tuple(costs)))
+    return RoundUpdates((node_id,), values[None], [n], np.array(costs)[:, None])
+
+
+@dataclass(frozen=True)
+class Node:
+    """One node's column of a `RoundUpdates`, as Python numbers."""
+
+    node_id: str
+    data_size: int
+    costs: tuple[float, ...]
+
+    @property
+    def pre_cost(self) -> float:
+        return self.costs[0]
+
+    @property
+    def post_cost(self) -> float:
+        return self.costs[-1]
+
+
+def per_node(updates: RoundUpdates) -> list[Node]:
+    return [
+        Node(node_id, size, tuple(costs))
+        for node_id, size, costs in zip(updates.node_ids, updates.sizes.tolist(), updates.costs.T.tolist())
+    ]
+
+
+def trapezoid(costs) -> float:
+    """Trapezoidal integral of cost over the training fraction in [0, 1].
+
+    Each step spans (e + 1) / n - e / n, which is not always 1 / n in
+    floating point.
+    """
+    n = len(costs) - 1
+    total = 0.0
+    for e, (c0, c1) in enumerate(zip(costs, costs[1:])):
+        total += 0.5 * (c0 + c1) * ((e + 1) / n - e / n)
+    return total
+
+
+def _data_shares(nodes):
+    if not nodes:
+        raise ValidationError("need at least one update")
+    total = sum(u.data_size for u in nodes)
+    return [u.data_size / total for u in nodes]
+
+
+def fedavg_weights(updates):
+    return WeightResult(tuple(_data_shares(per_node(updates))))
+
+
+def _blend(shares, strategy, k_terms, m_terms):
+    alpha = strategy.alpha
+    fallbacks = []
+    k_total = math.fsum(k_terms)
+    use_derivative = strategy.beta > 0
+    if use_derivative and k_total <= 0:
+        alpha += strategy.beta
+        use_derivative = False
+        fallbacks.append(FALLBACK_DERIVATIVE)
+    m_total = math.fsum(m_terms)
+    use_integral = strategy.gamma > 0
+    if use_integral and m_total <= 0:
+        alpha += strategy.gamma
+        use_integral = False
+        fallbacks.append(FALLBACK_INTEGRAL)
+    weights = []
+    for share, k, m in zip(shares, k_terms, m_terms):
+        w = alpha * share
+        if use_derivative:
+            w += strategy.beta * (k / k_total)
+        if use_integral:
+            w += strategy.gamma * (m / m_total)
+        weights.append(w)
+    return WeightResult(tuple(weights), tuple(fallbacks))
+
+
+def fedpid_weights(updates, history, strategy):
+    nodes = per_node(updates)
+    shares = _data_shares(nodes)
+    k_terms = []
+    m_terms = []
+    for update in nodes:
+        previous = history.last(update.node_id)
+        if previous is None:
+            previous = update.pre_cost
+        k_terms.append(previous - update.post_cost)
+        window = history.recent(update.node_id, strategy.history_window - 1) + (update.post_cost,)
+        m_terms.append(sum(window))
+    return _blend(shares, strategy, k_terms, m_terms)
+
+
+def fedpod_weights(updates, strategy):
+    nodes = per_node(updates)
+    shares = _data_shares(nodes)
+    k_terms = [share * (u.pre_cost - u.post_cost) for share, u in zip(shares, nodes)]
+    m_terms = [share * trapezoid(u.costs) for share, u in zip(shares, nodes)]
+    return _blend(shares, strategy, k_terms, m_terms)
+
+
+def compute_weights(strategy, updates, history):
+    if strategy.kind == KIND_FEDAVG:
+        return fedavg_weights(updates)
+    if strategy.kind == KIND_FEDPIDAVG:
+        return fedpid_weights(updates, history, strategy)
+    return fedpod_weights(updates, strategy)

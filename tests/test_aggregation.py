@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import build_update, random_updates
+import _oracle
+from _helpers import build_update, random_updates, round_of
 from fedpod.aggregation import (
     AggregationStrategy,
     CostHistory,
@@ -14,6 +15,7 @@ from fedpod.aggregation import (
     fedpod_weights,
 )
 from fedpod.errors import ShapeError, ValidationError
+from fedpod.params import RoundUpdates
 
 FEDAVG = AggregationStrategy("fedavg")
 POD = AggregationStrategy("fedpod", alpha=0.2, beta=0.7, gamma=0.1)
@@ -46,22 +48,22 @@ def test_strategy_rejects_a_non_finite_mix(name):
 
 
 def test_fedavg_single_node():
-    assert fedavg_weights([build_update("a", 10, 1.0, 0.5)]).weights == (1.0,)
+    assert fedavg_weights(build_update("a", 10, 1.0, 0.5)).weights == (1.0,)
 
 
 def test_fedavg_two_nodes():
-    updates = [build_update("a", 1, 1.0, 0.5), build_update("b", 3, 1.0, 0.5)]
+    updates = round_of([build_update("a", 1, 1.0, 0.5), build_update("b", 3, 1.0, 0.5)])
     assert fedavg_weights(updates).weights == (0.25, 0.75)
 
 
 def test_fedavg_three_nodes_match_shares():
-    updates = [build_update(n, s, 1.0, 0.5) for n, s in (("a", 2), ("b", 3), ("c", 5))]
+    updates = round_of([build_update(n, s, 1.0, 0.5) for n, s in (("a", 2), ("b", 3), ("c", 5))])
     assert fedavg_weights(updates).weights == (0.2, 0.3, 0.5)
 
 
 def test_fedavg_rejects_empty():
     with pytest.raises(ValidationError):
-        fedavg_weights([])
+        fedavg_weights(random_updates(np.random.default_rng(0), 0))
 
 
 # ---------------------------------------------------------------- fedpid
@@ -69,14 +71,14 @@ def test_fedavg_rejects_empty():
 
 def test_fedpid_reduces_to_fedavg_without_pid_terms():
     strategy = AggregationStrategy("fedpidavg", alpha=1.0, beta=0.0, gamma=0.0)
-    updates = [build_update("a", 2, 1.0, 0.4), build_update("b", 6, 1.5, 0.9)]
+    updates = round_of([build_update("a", 2, 1.0, 0.4), build_update("b", 6, 1.5, 0.9)])
     history = CostHistory({"a": [1.1], "b": [1.7]})
     assert fedpid_weights(updates, history, strategy).weights == fedavg_weights(updates).weights
 
 
 def test_fedpid_derivative_only_matches_scalar_oracle():
     strategy = AggregationStrategy("fedpidavg", alpha=0.0, beta=1.0, gamma=0.0)
-    updates = [build_update("a", 4, 1.2, 0.5), build_update("b", 4, 1.2, 0.9)]
+    updates = round_of([build_update("a", 4, 1.2, 0.5), build_update("b", 4, 1.2, 0.9)])
     history = CostHistory({"a": [1.0], "b": [1.0]})
     result = fedpid_weights(updates, history, strategy)
     # k = prior post - current post: {0.5, 0.1}; K = 0.6
@@ -88,13 +90,13 @@ def test_fedpid_single_node_gets_weight_one():
     for alpha, beta, gamma in ((1.0, 0.0, 0.0), (0.2, 0.7, 0.1), (0.0, 0.0, 1.0)):
         strategy = AggregationStrategy("fedpidavg", alpha=alpha, beta=beta, gamma=gamma)
         update = build_update("solo", 9, 1.0, 0.4)
-        result = fedpid_weights([update], CostHistory({"solo": [1.3]}), strategy)
+        result = fedpid_weights(update, CostHistory({"solo": [1.3]}), strategy)
         assert sum(result.weights) == pytest.approx(1.0, abs=1e-12)
         assert result.weights[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fedpid_cold_start_uses_current_pre_cost():
-    updates = [build_update("new", 5, 1.4, 0.9)]
+    updates = build_update("new", 5, 1.4, 0.9)
     result = fedpid_weights(updates, CostHistory(), AggregationStrategy("fedpidavg", 0.0, 1.0, 0.0))
     # previous := pre_cost, so k = 1.4 - 0.9 > 0 and the node keeps weight 1
     assert result.fallbacks == ()
@@ -104,7 +106,7 @@ def test_fedpid_cold_start_uses_current_pre_cost():
 def test_fedpid_window_truncates_history():
     strategy = AggregationStrategy("fedpidavg", alpha=0.0, beta=0.0, gamma=1.0, history_window=3)
     history = CostHistory({"a": [9.0, 1.0, 1.0], "b": [1.0, 1.0, 1.0]})
-    updates = [build_update("a", 2, 1.0, 1.0), build_update("b", 2, 1.0, 1.0)]
+    updates = round_of([build_update("a", 2, 1.0, 1.0), build_update("b", 2, 1.0, 1.0)])
     result = fedpid_weights(updates, history, strategy)
     # window 3 keeps the last two history entries plus the current cost: both sum to 3
     assert result.weights == pytest.approx((0.5, 0.5), abs=1e-15)
@@ -120,11 +122,12 @@ def test_bounded_history_weighs_as_an_unbounded_one(seed, window, rounds):
     bounded = CostHistory(history_window=window)
     unbounded = CostHistory()
     for _ in range(rounds):
-        updates = [u for u in random_updates(rng, 4) if rng.random() < 0.7] or random_updates(rng, 1)
+        updates = random_updates(rng, 4)
+        updates = updates.take([i for i in range(4) if rng.random() < 0.7]) or random_updates(rng, 1)
         assert fedpid_weights(updates, bounded, strategy) == fedpid_weights(updates, unbounded, strategy)
-        for update in updates:
-            bounded.record(update.node_id, update.trajectory.post_cost)
-            unbounded.record(update.node_id, update.trajectory.post_cost)
+        for node_id, post_cost in zip(updates.node_ids, updates.costs[-1].tolist()):
+            bounded.record(node_id, post_cost)
+            unbounded.record(node_id, post_cost)
         for node, past in unbounded.costs.items():
             assert bounded.costs[node] == past[-max(1, window - 1) :]
 
@@ -133,10 +136,10 @@ def test_bounded_history_weighs_as_an_unbounded_one(seed, window, rounds):
 
 
 def _worked_example_updates():
-    return [
+    return round_of([
         build_update("big", 3, 1.0, 0.5),
         build_update("small", 1, 1.0, 0.9),
-    ]
+    ])
 
 
 def test_fedpod_worked_example_frozen_values():
@@ -167,7 +170,7 @@ def test_fedpod_worked_example_term_decomposition():
 
 
 def test_fedpod_identical_updates_share_equally():
-    updates = [build_update(f"n{i}", 7, 1.1, 0.6) for i in range(5)]
+    updates = round_of([build_update(f"n{i}", 7, 1.1, 0.6) for i in range(5)])
     result = fedpod_weights(updates, POD)
     assert result.weights == pytest.approx([0.2] * 5, abs=1e-12)
 
@@ -182,13 +185,13 @@ def test_fedpod_is_permutation_invariant():
     updates = random_updates(np.random.default_rng(8), 5)
     base = fedpod_weights(updates, POD).weights
     perm = [3, 0, 4, 2, 1]
-    shuffled = fedpod_weights([updates[i] for i in perm], POD).weights
+    shuffled = fedpod_weights(updates.take(perm), POD).weights
     assert shuffled == tuple(base[i] for i in perm)
 
 
 def test_fedpod_monotone_in_cost_drop():
-    low = [build_update("a", 5, 1.0, 0.8), build_update("b", 5, 1.0, 0.5)]
-    high = [build_update("a", 5, 1.0, 0.6), build_update("b", 5, 1.0, 0.5)]
+    low = round_of([build_update("a", 5, 1.0, 0.8), build_update("b", 5, 1.0, 0.5)])
+    high = round_of([build_update("a", 5, 1.0, 0.6), build_update("b", 5, 1.0, 0.5)])
     w_low = fedpod_weights(low, POD).weights[0]
     w_high = fedpod_weights(high, POD).weights[0]
     assert w_high > w_low
@@ -197,7 +200,7 @@ def test_fedpod_monotone_in_cost_drop():
 def test_fedpod_trapezoid_uses_full_trajectory():
     flat = build_update("a", 2, 1.0, 1.0, 1.0)
     dipped = build_update("b", 2, 1.0, 0.0, 1.0)
-    result = fedpod_weights([flat, dipped], AggregationStrategy("fedpod", 0.0, 0.0, 1.0))
+    result = fedpod_weights(round_of([flat, dipped]), AggregationStrategy("fedpod", 0.0, 0.0, 1.0))
     # integrals: 1.0 vs 0.5, shares equal, so weights are 2/3 vs 1/3
     assert result.weights == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
@@ -206,21 +209,21 @@ def test_fedpod_trapezoid_uses_full_trajectory():
 
 
 def test_fedpod_derivative_fallback_when_costs_worsen():
-    updates = [build_update("a", 5, 0.5, 1.0), build_update("b", 5, 0.5, 0.9)]
+    updates = round_of([build_update("a", 5, 0.5, 1.0), build_update("b", 5, 0.5, 0.9)])
     result = fedpod_weights(updates, POD)
     assert "derivative" in result.fallbacks
     assert sum(result.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fedpod_integral_fallback_when_costs_are_zero():
-    updates = [build_update("a", 5, 0.0, 0.0), build_update("b", 5, 0.0, 0.0)]
+    updates = round_of([build_update("a", 5, 0.0, 0.0), build_update("b", 5, 0.0, 0.0)])
     result = fedpod_weights(updates, POD)
     assert "integral" in result.fallbacks
     assert sum(result.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_negative_individual_derivative_is_kept():
-    updates = [build_update("worse", 5, 1.0, 1.2), build_update("better", 5, 1.0, 0.2)]
+    updates = round_of([build_update("worse", 5, 1.0, 1.2), build_update("better", 5, 1.0, 0.2)])
     result = fedpod_weights(updates, AggregationStrategy("fedpod", 0.0, 1.0, 0.0))
     assert result.fallbacks == ()
     assert result.weights[0] < 0 < result.weights[1]
@@ -233,7 +236,7 @@ def test_all_strategies_normalize_or_flag(seed, n_nodes):
     rng = np.random.default_rng(seed)
     updates = random_updates(rng, n_nodes)
     history = CostHistory(
-        {u.node_id: [float(c) for c in rng.uniform(0.0, 2.0, size=int(rng.integers(0, 4)))] for u in updates[::2]}
+        {node_id: rng.uniform(0.0, 2.0, size=int(rng.integers(0, 4))).tolist() for node_id in updates.node_ids[::2]}
     )
     for strategy in (FEDAVG, PID, POD):
         result = compute_weights(strategy, updates, history)
@@ -241,26 +244,72 @@ def test_all_strategies_normalize_or_flag(seed, n_nodes):
             assert sum(result.weights) == pytest.approx(1.0, abs=1e-9)
 
 
+# ---------------------------------------------------------------- scalar oracle
+
+
+MIXES = ((0.2, 0.7, 0.1), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.25, 0.25))
+
+
+@st.composite
+def weighed_rounds(draw):
+    """A round of 1-11 nodes and 1-5 epochs, in shuffled id order, whose
+    costs may be all zero (both fallbacks fire), all worsening (the
+    derivative fallback fires) or zero in places; plus a cost history of
+    some of its nodes and of others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, epochs = draw(st.integers(1, 11)), draw(st.integers(1, 5))
+    costs = rng.uniform(0.0, 2.0, (epochs + 1, n)) * 10.0 ** rng.integers(-3, 3, n)
+    kind = draw(st.sampled_from(["random", "zero", "worsening", "some zero"]))
+    if kind == "zero":
+        costs[:] = 0.0
+    elif kind == "worsening":
+        costs.sort(axis=0)
+    elif kind == "some zero":
+        costs[rng.random(costs.shape) < 0.4] = 0.0
+    node_ids = tuple(f"n{j:02d}" for j in rng.permutation(n).tolist())
+    sizes = rng.integers(1, 10 ** int(rng.integers(1, 7)), n)
+    updates = RoundUpdates(node_ids, rng.standard_normal((n, 2)), sizes, costs)
+    past = [node_id for node_id in (*node_ids, "gone") if rng.random() < 0.6]
+    history = CostHistory({node_id: rng.uniform(0.0, 2.0, int(rng.integers(1, 5))).tolist() for node_id in past})
+    alpha, beta, gamma = draw(st.sampled_from(MIXES))
+    return updates, history, alpha, beta, gamma, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighed_rounds(), st.randoms(use_true_random=False))
+def test_column_rules_match_the_scalar_oracle_bitwise(case, rnd):
+    updates, history, alpha, beta, gamma, window = case
+    order = list(range(len(updates)))
+    rnd.shuffle(order)
+    for kind in ("fedavg", "fedpidavg", "fedpod"):
+        strategy = AggregationStrategy(kind, alpha, beta, gamma, history_window=window)
+        for round_ in (updates, updates.take(order)):
+            got = compute_weights(strategy, round_, history)
+            want = _oracle.compute_weights(strategy, round_, history)
+            assert [w.hex() for w in got.weights] == [w.hex() for w in want.weights]
+            assert got.fallbacks == want.fallbacks
+
+
 # ---------------------------------------------------------------- aggregate
 
 
 def test_aggregate_single_update_returns_its_params():
     update = build_update("a", 3, 1.0, 0.5, params=(2.0, -1.0))
-    merged = aggregate([update], [1.0])
-    assert np.array_equal(merged.values, update.params.values)
+    merged = aggregate(update, [1.0])
+    assert np.array_equal(merged.values, update.params[0])
 
 
 def test_aggregate_identical_models_any_weights():
-    updates = [build_update(n, 3, 1.0, 0.5, params=(4.0, 2.0)) for n in ("a", "b")]
+    updates = round_of([build_update(n, 3, 1.0, 0.5, params=(4.0, 2.0)) for n in ("a", "b")])
     merged = aggregate(updates, [0.3, 0.7])
     assert np.max(np.abs(merged.values - [4.0, 2.0])) <= 1e-12
 
 
 def test_aggregate_matches_scalar_oracle():
-    updates = [
+    updates = round_of([
         build_update("a", 3, 1.0, 0.5, params=(0.0, 0.0)),
         build_update("b", 3, 1.0, 0.5, params=(2.0, 4.0)),
-    ]
+    ])
     merged = aggregate(updates, [0.5, 0.5])
     assert np.array_equal(merged.values, [1.0, 2.0])
 
@@ -271,12 +320,12 @@ def test_aggregate_is_order_independent_bitwise():
     weights = fedpod_weights(updates, POD).weights
     merged = aggregate(updates, weights)
     perm = [4, 2, 0, 5, 1, 3]
-    shuffled = aggregate([updates[i] for i in perm], [weights[i] for i in perm])
+    shuffled = aggregate(updates.take(perm), [weights[i] for i in perm])
     assert np.array_equal(merged.values, shuffled.values)
 
 
 def test_aggregate_validates_inputs():
-    updates = [build_update("a", 3, 1.0, 0.5), build_update("b", 1, 1.0, 0.5)]
+    updates = round_of([build_update("a", 3, 1.0, 0.5), build_update("b", 1, 1.0, 0.5)])
     with pytest.raises(ShapeError):
         aggregate(updates, [1.0])
     with pytest.raises(ValidationError):

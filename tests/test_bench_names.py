@@ -74,3 +74,21 @@ def test_every_traced_engine_name_records_a_span(tracer, tmp_path):
         name for name in tracer.TRACED["fedpod.engine"] if name != "train_local" and f"engine.{name}" not in seen
     ]
     assert missing == []
+
+
+def test_traced_aggregate_counts_the_merged_updates(tracer):
+    # `aggregation.updates_merged` sums this count, so it must be the rows
+    # merged, one per survivor's weight, not any other length.
+    configs = [
+        engine.ExperimentConfig(max_rounds=3),
+        engine.ExperimentConfig(
+            participation="all", max_rounds=3, timing=engine.TimingProfile(inject_round=2, inject_factor=50.0)
+        ),
+    ]
+    for config in configs:
+        with tracer.Tracer() as active:
+            report = engine.run_experiment(config)
+        counts = [span.counts["updates"] for span in active.spans if span.name == "engine.aggregate"]
+        assert counts == [len(record.weights) for record in report.records]
+    # The last config drops its injected straggler, so survivors and participants differ.
+    assert any(len(record.weights) < len(record.participants) for record in report.records)

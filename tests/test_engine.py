@@ -354,7 +354,7 @@ def test_single_node_fedavg_equals_centralized_sgd():
     seed = int(np.random.SeedSequence([21, engine._TRAIN_SALT, 1, 0]).generate_state(1, np.uint64)[0])
     train_cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=seed, batch_size=16)
     update = train_local(ModelParams.zeros(36), shards[inst], val, train_cfg, node_id=inst)
-    assert np.array_equal(report.final_model.values, update.params.values)
+    assert np.array_equal(report.final_model.values, update.params[0])
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3])
@@ -508,6 +508,39 @@ def test_round_times_do_not_depend_on_strategy():
     fedavg_report = run_experiment(replace(base, strategy=AggregationStrategy("fedavg")))
     assert [r.round_time_s for r in fedpod_report.records] == [r.round_time_s for r in fedavg_report.records]
     assert [r.participants for r in fedpod_report.records] == [r.participants for r in fedavg_report.records]
+
+
+STRATEGY_RUNS = [(kind, mode) for kind in ("fedavg", "fedpidavg", "fedpod") for mode in ("task", "all")]
+
+
+@pytest.mark.parametrize("kind, participation", STRATEGY_RUNS)
+def test_timing_profile_moves_no_weight_dice_or_model_byte(kind, participation):
+    """Timings draw from their own streams. With no straggler drop and the
+    time cap unreached, another profile (jitter, per-sample cost, an
+    injection) changes round times and nothing the merge reads."""
+    base = small_config(strategy=AggregationStrategy(kind), participation=participation, max_rounds=8)
+    timing = fast_timing(jitter_mu=0.3, jitter_sigma=0.6, per_sample_train_s=0.05, inject_round=2, inject_factor=50.0)
+    other = replace(base, timing=timing)
+    first, second = run_experiment(base), run_experiment(other)
+    assert len(first.records) == len(second.records) == base.max_rounds
+    assert [r.round_time_s for r in first.records] != [r.round_time_s for r in second.records]
+    assert [(r.weights, r.dice_per_class) for r in first.records] == [
+        (r.weights, r.dice_per_class) for r in second.records
+    ]
+    assert first.final_model.values.tobytes() == second.final_model.values.tobytes()
+
+
+@pytest.mark.parametrize("kind, participation", STRATEGY_RUNS)
+def test_holdout_fraction_moves_no_weight_drop_or_model_byte(kind, participation):
+    """The holdout draws from its own stream and only scores the model, so
+    its size changes Dice and nothing that trains, times, drops or merges."""
+    timing = fast_timing(timeout_factor=2.0, jitter_sigma=0.4, inject_round=3, inject_factor=10.0)
+    base = small_config(strategy=AggregationStrategy(kind), participation=participation, max_rounds=8, timing=timing)
+    first, second = run_experiment(base), run_experiment(replace(base, holdout_fraction=0.55))
+    assert any(r.dropped for r in first.records)
+    assert [r.dice_per_class for r in first.records] != [r.dice_per_class for r in second.records]
+    assert [(r.weights, r.dropped) for r in first.records] == [(r.weights, r.dropped) for r in second.records]
+    assert first.final_model.values.tobytes() == second.final_model.values.tobytes()
 
 
 def test_straggler_blacklist_lasts_one_round():

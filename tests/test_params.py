@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import _logits
+from _helpers import build_update
+from _oracle import _logits, trapezoid
+from fedpod.aggregation import aggregate
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
     BlobGeometry,
-    CostTrajectory,
     DataShard,
     ModelParams,
+    RoundUpdates,
     TrainConfig,
     blob_geometry,
-    combine,
     dice_score,
     evaluate_cost,
     make_blob_shard,
@@ -27,58 +28,73 @@ def vec(*values):
     return ModelParams(np.array(values, dtype=float))
 
 
-# ---------------------------------------------------------------- combine
+def round_with(*models):
+    """A round whose node ids sort in the order of `models`."""
+    return RoundUpdates(
+        tuple(f"n{i:03d}" for i in range(len(models))),
+        np.array(models, dtype=float),
+        np.ones(len(models), dtype=np.int64),
+        np.zeros((2, len(models))),
+    )
+
+
+# ---------------------------------------------------------------- combine: the weighted merge in `aggregate`
 
 
 def test_combine_identity_weight():
-    assert np.array_equal(combine([(1.0, vec(1, 2, 3))]).values, [1, 2, 3])
+    assert np.array_equal(aggregate(round_with([1, 2, 3]), [1.0]).values, [1, 2, 3])
 
 
 def test_combine_equal_weight_mean():
-    out = combine([(0.5, vec(1, 3)), (0.5, vec(3, 5))])
+    out = aggregate(round_with([1, 3], [3, 5]), [0.5, 0.5])
     assert np.array_equal(out.values, [2, 4])
 
 
 def test_combine_weighted_sum_matches_scalar_oracle():
-    pairs = [(0.25, vec(4, 0)), (0.75, vec(0, 4))]
     expected = [0.25 * 4 + 0.75 * 0, 0.25 * 0 + 0.75 * 4]
-    assert np.array_equal(combine(pairs).values, expected)
+    assert np.array_equal(aggregate(round_with([4, 0], [0, 4]), [0.25, 0.75]).values, expected)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_combine_adds_in_input_order_bitwise(n, dim, seed):
-    # The running sum from 0.0, model by model: a 1-wide model too, which a
-    # lone-axis numpy sum would add pairwise, and -0.0 products.
+    # The running sum from 0.0, node by node in node-id order, which is the
+    # input order here: a 1-wide model too, which a lone-axis numpy sum would
+    # add pairwise, and -0.0 products. The weights must sum to 1.
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-8, 8, n)
+    weights = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-8, 1, n)
+    weights[-1] = 1.0 - math.fsum(weights[:-1].tolist())
     values = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 8, (n, 1))
     values[rng.random((n, dim)) < 0.2] = -0.0
     acc = np.zeros(dim)
     for w, v in zip(weights.tolist(), values):
         acc += w * v
-    assert combine([(w, ModelParams(v)) for w, v in zip(weights.tolist(), values)]).values.tobytes() == acc.tobytes()
+    assert aggregate(round_with(*values), weights.tolist()).values.tobytes() == acc.tobytes()
 
 
 def test_combine_rejects_empty_and_mismatched():
     with pytest.raises(ValidationError):
-        combine([])
+        aggregate(round_with([1.0]).take([]), [])
     with pytest.raises(ShapeError):
-        combine([(1.0, vec(1, 2)), (1.0, vec(1, 2, 3))])
-    with pytest.raises(ValidationError):
-        combine([(float("nan"), vec(1.0))])
+        aggregate(round_with([1, 2], [1, 2]), [1.0])
+    with pytest.raises(ValidationError, match="weights must be finite"):
+        aggregate(round_with([1.0]), [float("nan")])
 
 
 def test_combine_overflow_is_rejected():
     with pytest.raises(ValidationError):
-        combine([(1e308, vec(1e308, 1.0)), (1e308, vec(1e308, 1.0))])
+        aggregate(round_with([1e308, 1.0], [1e308, 1.0]), [2.0, -1.0])
 
 
 @given(st.floats(-10, 10), st.lists(st.floats(-5, 5), min_size=1, max_size=6))
-def test_combine_is_linear_in_weights(scale, weights):
-    models = [vec(float(i + 1), float(-i)) for i in range(len(weights))]
-    left = combine([(scale * w, m) for w, m in zip(weights, models)]).values
-    right = scale * combine(list(zip(weights, models))).values
+def test_combine_is_linear_in_weights(scale, raw):
+    # Weights must sum to 1, so the line runs through two weight vectors that do.
+    n = len(raw)
+    models = round_with(*([float(i + 1), float(-i)] for i in range(n)))
+    first = raw[:-1] + [1.0 - sum(raw[:-1])]
+    second = [1.0 / n] * n
+    left = aggregate(models, [scale * a + (1 - scale) * b for a, b in zip(first, second)]).values
+    right = scale * aggregate(models, first).values + (1 - scale) * aggregate(models, second).values
     assert np.allclose(left, right, atol=1e-9)
 
 
@@ -87,7 +103,7 @@ def test_combine_convex_weights_of_identical_model_is_identity(raw):
     total = sum(raw)
     weights = [w / total for w in raw]
     model = vec(0.25, -1.5, 3.0)
-    out = combine([(w, model) for w in weights])
+    out = aggregate(round_with(*[model.values] * len(weights)), weights)
     assert np.max(np.abs(out.values - model.values)) <= 1e-12
 
 
@@ -203,9 +219,9 @@ def test_training_reduces_validation_cost_and_is_deterministic():
     cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=77, batch_size=8)
     first = train_local(start, train, val, cfg, node_id="n0")
     second = train_local(start, train, val, cfg, node_id="n0")
-    assert first.trajectory.post_cost < first.trajectory.pre_cost
-    assert np.array_equal(first.params.values, second.params.values)
-    assert first.trajectory == second.trajectory
+    assert first.costs[-1, 0] < first.costs[0, 0]
+    assert np.array_equal(first.params, second.params)
+    assert first.costs.tobytes() == second.costs.tobytes()
 
 
 def test_trajectory_samples_every_epoch_boundary():
@@ -213,10 +229,10 @@ def test_trajectory_samples_every_epoch_boundary():
     start = ModelParams.zeros(8)
     cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=1, batch_size=16)
     update = train_local(start, train, val, cfg)
-    assert len(update.trajectory.costs) == cfg.epochs + 1
-    assert update.trajectory.pre_cost == evaluate_cost(start, val)
-    assert update.trajectory.post_cost == evaluate_cost(update.params, val)
-    assert update.data_size == len(train)
+    assert update.costs.shape == (cfg.epochs + 1, 1)
+    assert update.costs[0, 0] == evaluate_cost(start, val)
+    assert update.costs[-1, 0] == evaluate_cost(ModelParams(update.params[0]), val)
+    assert update.node_ids == ("local",) and update.sizes.tolist() == [len(train)]
 
 
 def test_divergence_names_the_node():
@@ -282,28 +298,62 @@ def test_predict_labels_is_argmax_of_the_logits(n_classes, feature_dim, n, kind,
         assert got.tolist() == want.tolist()
 
 
-# ---------------------------------------------------------------- trajectory
+# ---------------------------------------------------------------- round updates and their trajectories
 
 
 def test_trajectory_validation():
     with pytest.raises(ValidationError, match="at least pre- and post-training"):
-        CostTrajectory((1.0,))
+        build_update("a", 1, 1.0)
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValidationError, match="finite and non-negative"):
-            CostTrajectory((bad, 0.5))
+            build_update("a", 1, bad, 0.5)
         with pytest.raises(ValidationError, match="finite and non-negative"):
-            CostTrajectory((1.0, 0.9, bad))
+            build_update("a", 1, 1.0, 0.9, bad)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="model parameters must be finite"):
+            build_update("a", 1, 1.0, 0.5, params=(0.0, bad))
+    with pytest.raises(ValidationError, match="sizes must be positive"):
+        build_update("a", 0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        dict(params=np.zeros((2, 3))),
+        dict(params=np.zeros((1, 0))),
+        dict(params=np.zeros(3)),
+        dict(sizes=[1, 1]),
+        dict(costs=np.zeros((2, 2))),
+        dict(costs=np.zeros(2)),
+    ],
+    ids=["params-rows", "params-empty", "params-1d", "sizes", "costs-columns", "costs-1d"],
+)
+def test_round_updates_check_their_shapes(columns):
+    good = dict(params=np.zeros((1, 3)), sizes=[1], costs=np.zeros((2, 1)))
+    with pytest.raises(ShapeError):
+        RoundUpdates(("a",), **{**good, **columns})
+
+
+def test_round_updates_copy_and_freeze_their_columns():
+    params, costs = np.ones((2, 3)), np.full((3, 2), 0.5)
+    updates = RoundUpdates(("a", "b"), params, [4, 5], costs)
+    params[:] = 7.0
+    costs[:] = 7.0
+    assert updates.params.tolist() == [[1.0] * 3] * 2 and updates.costs.tolist() == [[0.5, 0.5]] * 3
+    for array in (updates.params, updates.sizes, updates.costs):
+        assert not array.flags.writeable
+    taken = updates.take([1, 0, 1])
+    assert taken.node_ids == ("b", "a", "b") and taken.sizes.tolist() == [5, 4, 5] and len(taken) == 3
+    assert len(updates.take([])) == 0
 
 
 def test_two_point_integral_is_midpoint_exactly():
-    traj = CostTrajectory((1.3, 0.7))
-    assert traj.integral() == (1.3 + 0.7) / 2
+    assert build_update("a", 1, 1.3, 0.7).integral().tolist() == [(1.3 + 0.7) / 2]
 
 
 def test_integral_matches_manual_trapezoid():
-    traj = CostTrajectory((2.0, 1.0, 0.5))
     expected = 0.5 * (2.0 + 1.0) * 0.5 + 0.5 * (1.0 + 0.5) * 0.5
-    assert traj.integral() == pytest.approx(expected, abs=1e-15)
+    assert build_update("a", 1, 2.0, 1.0, 0.5).integral()[0] == pytest.approx(expected, abs=1e-15)
 
 
 def pair_trapezoid(costs):
@@ -317,9 +367,17 @@ def pair_trapezoid(costs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 9).flatmap(lambda n: st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
-def test_integral_matches_the_pair_trapezoid_bitwise(costs):
-    assert CostTrajectory(costs).integral() == pair_trapezoid(costs)
+@given(
+    st.integers(2, 9).flatmap(
+        lambda n: st.lists(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n), min_size=1, max_size=5)
+    )
+)
+def test_integral_matches_the_pair_trapezoid_bitwise(nodes):
+    # Column by column, the scalar trapezoid of each node's costs.
+    n = len(nodes)
+    updates = RoundUpdates(tuple(map(str, range(n))), np.zeros((n, 1)), [1] * n, np.array(nodes).T)
+    got = [value.hex() for value in updates.integral().tolist()]
+    assert got == [trapezoid(costs).hex() for costs in nodes] == [pair_trapezoid(costs).hex() for costs in nodes]
 
 
 # ---------------------------------------------------------------- dice

@@ -56,12 +56,14 @@ def sequential(start, jobs, epochs, learning_rate, batch_size):
 
 
 def assert_bit_identical(batched, reference):
+    """Node i of the round `batched` against the one-node update `reference[i]`."""
     assert len(batched) == len(reference)
-    for got, want in zip(batched, reference):
-        assert got.node_id == want.node_id
-        assert got.data_size == want.data_size
-        assert got.params.values.tobytes() == want.params.values.tobytes()
-        assert got.trajectory.costs == want.trajectory.costs
+    for i, want in enumerate(reference):
+        got = batched.take([i])
+        assert got.node_ids == want.node_ids
+        assert got.sizes.tolist() == want.sizes.tolist()
+        assert got.params.tobytes() == want.params.tobytes()
+        assert got.costs.tobytes() == want.costs.tobytes()
 
 
 def check(start, jobs, epochs, learning_rate, batch_size):
@@ -98,7 +100,7 @@ def test_train_round_matches_train_local_bitwise(case):
     for job in jobs:
         cfg = TrainConfig(epochs, learning_rate, job.seed, batch_size)
         got = params.train_local(start, rows_of(job.shard, job.rows), job.val, cfg, node_id=job.node_id)
-        assert_bit_identical([got], sequential(start, [job], epochs, learning_rate, batch_size))
+        assert_bit_identical(got, sequential(start, [job], epochs, learning_rate, batch_size))
 
 
 def test_edge_shapes_match_train_local():
@@ -139,22 +141,19 @@ def test_updates_share_one_read_only_block():
     rng = np.random.default_rng(16)
     jobs = [TrainJob(f"n{k}", shard(rng, 3 + k), shard(rng, 2), k) for k in range(5)]
     updates = train_round(ModelParams.zeros(DIM), jobs, 2, 0.05, 4)
-    blocks = set()
-    for update in updates:
-        # Neither the row nor any array it views can be written through.
-        array = update.params.values
+    assert updates.params.shape == (5, DIM) and updates.costs.shape == (3, 5)
+    for array in (updates.params, updates.sizes, updates.costs):
+        # Neither the column nor any array it views can be written through.
         while array is not None:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array.flat[0] = 0.0
-            blocks.add(id(array))
+                array.flat[0] = 0
             array = array.base
-        assert update.params.dim == DIM
-    assert len(blocks) == len(updates) + 1
 
 
 def test_no_jobs_trains_nothing():
-    assert train_round(ModelParams.zeros(DIM), [], 1, 0.1, 4) == []
+    updates = train_round(ModelParams.zeros(DIM), [], 1, 0.1, 4)
+    assert len(updates) == 0 and updates.params.shape == (0, DIM) and updates.costs.shape == (2, 0)
 
 
 def test_divergence_names_first_diverging_job_in_plan_order():
