@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateModelError, ParseError, ValidationError
-from .params import DataShard, blob_geometry, make_blob_shard
+from .params import DataShard, blob_geometry, make_blob_shards
 from .streams import generators
 
 _COUNT_SALT = 7011
@@ -68,20 +68,22 @@ class LazyShards(Mapping[str, DataShard]):
     """Read-only institution -> DataShard mapping that builds a shard on its
     first lookup and keeps it.
 
-    Institution `inst`'s shard is `build(inst, rng)`, where `rng` is
-    `default_rng(seed_row(index[inst]))`, its own stream, so the order of
+    `build(insts, rngs)` returns the shards of `insts`, institution i's
+    drawn from the i-th generator of `rngs`, which is
+    `default_rng(seed_row(index[inst]))`, its own stream. So the order of
     lookups, and which institutions are never looked up, change no shard.
     A lookup builds one shard. A caller that is about to look up many can
     instead take the `seed_rows` of those not built yet into a `seed_states`
     pass it makes anyway and hand the states to `build_seeded`, which builds
-    each from the same stream. Iteration follows `index`.
+    them all in one `build` call from the same streams. Iteration follows
+    `index`.
     """
 
     def __init__(
         self,
         index: Mapping[str, int],
         seed_row: Callable[[int], tuple[int, ...]],
-        build: Callable[[str, np.random.Generator], DataShard],
+        build: Callable[[Sequence[str], Iterable[np.random.Generator]], list[DataShard]],
     ):
         self._index = index
         self._seed_row = seed_row
@@ -92,7 +94,7 @@ class LazyShards(Mapping[str, DataShard]):
         shard = self._built.get(inst)
         if shard is None:
             rng = np.random.default_rng(self._seed_row(self._index[inst]))
-            shard = self._built[inst] = self._build(inst, rng)
+            shard = self._built[inst] = self._build([inst], [rng])[0]
         return shard
 
     def seed_rows(self, insts: Iterable[str]) -> tuple[list[str], list[tuple[int, ...]]]:
@@ -103,8 +105,9 @@ class LazyShards(Mapping[str, DataShard]):
 
     def build_seeded(self, insts: Sequence[str], states: np.ndarray) -> None:
         """Build the shards of `insts`, given `seed_states` of their `seed_rows`."""
-        for inst, rng in zip(insts, generators(states), strict=True):
-            self._built[inst] = self._build(inst, rng)
+        if len(insts) != len(states):
+            raise ValueError(f"{len(insts)} institutions but {len(states)} seed states")
+        self._built.update(zip(insts, self._build(insts, generators(states))))
 
     def __contains__(self, inst) -> bool:
         # Mapping's default would look the key up, building its shard.
@@ -179,7 +182,8 @@ def synthesize_shards(
     Institution i of `table.counts` (in order) draws its shard from the
     stream of seed row `(seed, _SHARD_SALT, i)`, when it is first looked up
     or when the engine builds a round's new shards in its one seeding pass,
-    so institutions that never take part cost nothing.
+    one `make_blob_shards` call for them all, so institutions that never
+    take part cost nothing.
     """
     counts = table.counts
     geometry = blob_geometry(n_classes, feature_dim, seed)
@@ -188,8 +192,8 @@ def synthesize_shards(
     if not all(counts.values()):
         raise ValidationError("a shard needs at least one sample")
 
-    def build(inst: str, rng: np.random.Generator) -> DataShard:
-        return make_blob_shard(counts[inst], geometry, rng)
+    def build(insts: Sequence[str], rngs: Iterable[np.random.Generator]) -> list[DataShard]:
+        return make_blob_shards([counts[inst] for inst in insts], geometry, rngs)
 
     return LazyShards({inst: idx for idx, inst in enumerate(counts)}, lambda idx: (seed, _SHARD_SALT, idx), build)
 
@@ -198,7 +202,9 @@ def load_partition_csv(path) -> PartitionTable:
     """Count `Subject_ID,Partition_ID` rows per partition id, in order of each
     partition's first row; every row is checked, subject ids are not kept."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig also reads a file saved with a byte-order mark, as
+        # spreadsheet programs save "CSV UTF-8".
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != PARTITION_HEADER:

@@ -372,13 +372,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     holdout_n = max(32, round(config.holdout_fraction * table.total))
     holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
 
-    def build_val_shard(inst: str, rng: np.random.Generator) -> DataShard:
-        return make_blob_shard(_val_size(table.counts[inst]), geometry, rng)
+    def build_val_shards(insts: Sequence[str], rngs: Iterable[np.random.Generator]) -> list[DataShard]:
+        return [make_blob_shard(_val_size(table.counts[inst]), geometry, rng) for inst, rng in zip(insts, rngs)]
 
     # Like the training shards, each validation shard is built when its
     # institution first takes part, from the stream of `(seed, _NODE_VAL_SALT,
-    # node index)`.
-    node_val = LazyShards(node_index, lambda index: (config.seed, _NODE_VAL_SALT, index), build_val_shard)
+    # node index)`. Each is its own `make_blob_shard` call, which the
+    # benchmark's tracer counts as `engine.val_shards`.
+    node_val = LazyShards(node_index, lambda index: (config.seed, _NODE_VAL_SALT, index), build_val_shards)
     _check_inject_rank(config, classification, len(table.counts))
 
     model = ModelParams.zeros(config.model_dim)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,18 +75,7 @@ class DataShard:
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, copy=True)
-        self._set_checked(feats, np.array(self.labels, dtype=np.int64, copy=True))
-
-    @classmethod
-    def _adopt(cls, features: np.ndarray, labels: np.ndarray) -> DataShard:
-        """A shard of float64 features and int64 labels that no one else
-        holds: checked once and kept, not copied."""
-        shard = object.__new__(cls)
-        shard._set_checked(features, labels)
-        return shard
-
-    def _set_checked(self, feats: np.ndarray, labels: np.ndarray) -> None:
-        """Check the shard's own arrays, make them read-only and set them."""
+        labels = np.array(self.labels, dtype=np.int64, copy=True)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ShapeError("features must be a non-empty (n, feature_dim) array")
         if labels.shape != (feats.shape[0],):
@@ -94,6 +84,18 @@ class DataShard:
             raise ValidationError("features must be finite")
         if labels.min() < 0:
             raise ValidationError("labels must be non-negative class ids")
+        self._set_frozen(feats, labels)
+
+    @classmethod
+    def _adopt(cls, features: np.ndarray, labels: np.ndarray) -> DataShard:
+        """A shard of float64 features and int64 labels already checked as the
+        constructor checks them, which no one writes to: kept, not copied."""
+        shard = object.__new__(cls)
+        shard._set_frozen(features, labels)
+        return shard
+
+    def _set_frozen(self, feats: np.ndarray, labels: np.ndarray) -> None:
+        """Make the shard's arrays read-only and set them."""
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -217,6 +219,42 @@ def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, fe
     return np.matmul(features, w.transpose(0, 2, 1)) + values[:, None, split:]
 
 
+# Stacked rows, k models times their equal batch or shard length, from which
+# `_stacked_gradient` and `_stacked_cost` reduce over class slices instead of
+# along each row. One per-row reduction costs a call per row; a slice pass
+# costs a call per class, so small stacks stay on the per-row reductions. At
+# 4 classes the two cross at about 100 to 250 rows.
+_WIDE_ROWS = 256
+
+# Class counts below which the slice passes run. Below 8 classes numpy sums a
+# row left to right, which `_class_sum` repeats; from 8 it sums pairwise, and
+# those class counts keep the per-row reductions.
+_SLICE_CLASSES = 8
+
+
+def _class_max(z: np.ndarray) -> np.ndarray:
+    """`z.max(axis=-1)` as a chain of `np.maximum` over the class slices. A
+    maximum is exact in any order, and a NaN propagates as it does in `max`."""
+    out = z[..., 0].copy()
+    for c in range(1, z.shape[-1]):
+        np.maximum(out, z[..., c], out=out)
+    return out
+
+
+def _class_sum(z: np.ndarray) -> np.ndarray:
+    """`np.add.reduce(z, axis=-1)` bit for bit for fewer than `_SLICE_CLASSES`
+    classes: numpy adds so short a contiguous row left to right, onto an
+    initial 0.0, and so do these elementwise adds of the class slices.
+    Starting from `0.0 + slice` turns -0.0 into 0.0, as that initial value
+    does, and changes no other value. `tests/test_kernels.py` pins the order
+    against numpy itself, so a numpy release that changed it fails there.
+    """
+    out = z[..., 0] + 0.0
+    for c in range(1, z.shape[-1]):
+        out += z[..., c]
+    return out
+
+
 def _stacked_cost(
     values: np.ndarray,
     features: np.ndarray,
@@ -227,14 +265,19 @@ def _stacked_cost(
     """Mean cross-entropy of k models on k equal-size shards, before the clip at 0.
 
     Each slice equals the one-model form in `tests/_oracle.py` bit for bit:
-    the row sum over its size is what `np.mean` computes. The caller holds
-    the `np.errstate`.
+    the row sum over its size is what `np.mean` computes. From `_WIDE_ROWS`
+    stacked rows of fewer than `_SLICE_CLASSES` classes, the class max and
+    the sum of exponentials run over class slices (`_class_max`,
+    `_class_sum`), which give what the per-row reductions give, bit for bit.
+    The caller holds the `np.errstate`.
     """
     k, size = labels.shape
+    wide = k * size >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
     z = _stacked_logits(values, features, n_classes, feature_dim)
-    z -= z.max(axis=2, keepdims=True)
+    z -= _class_max(z)[..., None] if wide else z.max(axis=2, keepdims=True)
     picked = z.reshape(-1)[np.arange(k * size) * n_classes + labels.ravel()]
-    log_norm = np.log(np.exp(z, out=z).sum(axis=2))
+    np.exp(z, out=z)
+    log_norm = np.log(_class_sum(z) if wide else z.sum(axis=2))
     return (log_norm - picked.reshape(k, size)).sum(axis=1) / size
 
 
@@ -304,17 +347,28 @@ def _stacked_gradient(
     n_classes) probabilities. Each slice goes through the same kernels, with
     the same shapes and strides, as one call of the one-model gradient in
     `tests/_oracle.py`, so every row of the result equals it bit for bit.
+
+    From `_WIDE_ROWS` stacked rows of fewer than `_SLICE_CLASSES` classes,
+    the three reductions run as whole-array passes that give the same bits:
+    - the class max is `_class_max`, exact in any order;
+    - the class sum is `_class_sum`, numpy's left-to-right order over slices;
+    - the bias gradient adds each model's rows one after another, as
+      `p.sum(axis=1)` does, as one axis-0 reduction of a (length, k,
+      n_classes) copy, whose inner loop runs over all k models at once.
+
     The caller holds the `np.errstate`.
     """
     k, length = features.shape[:2]
+    wide = k * length >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
     z = _stacked_logits(values, features, n_classes, feature_dim)
-    z -= z.max(axis=2, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=2, keepdims=True)
+    z -= _class_max(z)[..., None] if wide else z.max(axis=2, keepdims=True)
+    p = np.exp(z, out=z)
+    p /= _class_sum(p)[..., None] if wide else p.sum(axis=2, keepdims=True)
     p.reshape(-1)[hot] -= 1.0
     p /= length
     grad_w = np.matmul(p.transpose(0, 2, 1), features)
-    return np.concatenate([grad_w.reshape(k, -1), p.sum(axis=1)], axis=1)
+    grad_b = np.add.reduce(p.transpose(1, 0, 2).copy(), axis=0) if wide else p.sum(axis=1)
+    return np.concatenate([grad_w.reshape(k, -1), grad_b], axis=1)
 
 
 # Jobs trained together by `train_round`. Bounds the pooled rows, the gathered
@@ -600,15 +654,53 @@ def blob_geometry(n_classes: int, feature_dim: int, seed: int) -> BlobGeometry:
     return BlobGeometry(centers, scales, probs)
 
 
-def make_blob_shard(n: int, geometry: BlobGeometry, rng: np.random.Generator) -> DataShard:
-    """`n` Gaussian samples around per-class centers, mixed by the class priors.
+# Rows of a shard batch that `make_blob_shards` scales and shifts at a time,
+# so the gathered per-row scales and centers stay small however many shards
+# a round builds.
+_SYNTH_ROWS = 4096
 
-    Labels are drawn as `rng.choice(n_classes, size=n, p=class_probs)` draws
-    them once its checks pass, which `BlobGeometry` has already made.
+
+def make_blob_shards(
+    sizes: Sequence[int], geometry: BlobGeometry, rngs: Iterable[np.random.Generator]
+) -> list[DataShard]:
+    """Shard i is `sizes[i]` Gaussian samples around per-class centers, mixed
+    by the class priors, drawn from the i-th generator of `rngs`.
+
+    Each generator draws `random(n)` for the labels, as `rng.choice(n_classes,
+    size=n, p=class_probs)` draws them once its checks pass, which
+    `BlobGeometry` has already made, and then `standard_normal((n,
+    feature_dim))` for the noise. Each is drawn from before the next is
+    taken, so `rngs` may re-set one generator, as `streams.generators` does.
+    The draws land in one block for all shards, which one `searchsorted`
+    turns into labels and one pass, in bounded row chunks, into features
+    `centers[label] + scales[label] * noise`; one check finds any
+    non-finite feature. The shards are read-only views into the block.
     """
-    if n < 1:
+    if min(sizes, default=1) < 1:
         raise ValidationError("a shard needs at least one sample")
-    labels = geometry.cdf.searchsorted(rng.random(n), side="right")
-    noise = rng.standard_normal((n, geometry.centers.shape[1]))
-    features = geometry.centers[labels] + geometry.scales[labels] * noise
-    return DataShard._adopt(features, labels.astype(np.int64, copy=False))
+    offsets = [0, *accumulate(sizes)]
+    total = offsets[-1]
+    uniform = np.empty(total)
+    features = np.empty((total, geometry.centers.shape[1]))
+    for lo, hi, rng in zip(offsets[:-1], offsets[1:], rngs, strict=True):
+        rng.random(out=uniform[lo:hi])
+        rng.standard_normal(out=features[lo:hi])
+    labels = geometry.cdf.searchsorted(uniform, side="right").astype(np.int64, copy=False)
+    for lo in range(0, total, _SYNTH_ROWS):
+        chunk, chunk_labels = features[lo : lo + _SYNTH_ROWS], labels[lo : lo + _SYNTH_ROWS]
+        chunk *= geometry.scales[chunk_labels]
+        chunk += geometry.centers[chunk_labels]
+    if not np.isfinite(features).all():
+        raise ValidationError("features must be finite")
+    # A lone shard owns its arrays, as a shard built on its own always has:
+    # its `base` is None.
+    if len(sizes) == 1:
+        return [DataShard._adopt(features, labels)]
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    return [DataShard._adopt(features[lo:hi], labels[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+
+
+def make_blob_shard(n: int, geometry: BlobGeometry, rng: np.random.Generator) -> DataShard:
+    """`n` samples drawn from `rng`: the one-shard case of `make_blob_shards`."""
+    return make_blob_shards([n], geometry, [rng])[0]

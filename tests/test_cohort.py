@@ -273,6 +273,16 @@ def test_load_groups_by_partition(tmp_path):
     assert list(table.counts.items()) == [("h2", 2), ("h1", 1)]
 
 
+def test_load_reads_a_file_with_a_byte_order_mark(tmp_path):
+    # Spreadsheet programs save "CSV UTF-8" with a leading U+FEFF.
+    text = "Subject_ID,Partition_ID\ns1,h2\ns2,h1\ns3,h2\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert list(load_partition_csv(marked).counts.items()) == list(load_partition_csv(plain).counts.items())
+
+
 def test_load_rejects_empty_data(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("Subject_ID,Partition_ID\n", encoding="utf-8")

@@ -647,6 +647,9 @@ def test_only_participants_get_shards(monkeypatch):
     # Shards built in the engine's seeding pass get generators set to a
     # stream's start state, with no seed sequence to read, so a stream is
     # named by matching its start state against `default_rng` of every key.
+    # Training shards are built in batches by `cohort.make_blob_shards`, which
+    # takes each generator just before drawing from it; validation shards and
+    # the holdout one by one by `engine.make_blob_shard`.
     config = small_config(
         cohort=CohortSpec(n_institutions=40, mean_samples=10.0, n_outliers=3, outlier_scale=8.0),
         schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
@@ -656,15 +659,24 @@ def test_only_participants_get_shards(monkeypatch):
     keys = [(engine._HOLDOUT_SALT,)] + [(salt, i) for salt in (cohort._SHARD_SALT, _NODE_VAL_SALT) for i in range(40)]
     key_of_state = {str(np.random.default_rng([config.seed, *key]).bit_generator.state): key for key in keys}
 
-    def counting(kind, original):
-        def counted(n, geometry, rng):
-            built[kind].append(key_of_state[str(rng.bit_generator.state)])
-            return original(n, geometry, rng)
+    def name(kind, rng):
+        built[kind].append(key_of_state[str(rng.bit_generator.state)])
+        return rng
+
+    def counting_batch(original):
+        def counted(sizes, geometry, rngs):
+            return original(sizes, geometry, (name("train", rng) for rng in rngs))
 
         return counted
 
-    monkeypatch.setattr(cohort, "make_blob_shard", counting("train", cohort.make_blob_shard))
-    monkeypatch.setattr(engine, "make_blob_shard", counting("val", engine.make_blob_shard))
+    def counting(original):
+        def counted(n, geometry, rng):
+            return original(n, geometry, name("val", rng))
+
+        return counted
+
+    monkeypatch.setattr(cohort, "make_blob_shards", counting_batch(cohort.make_blob_shards))
+    monkeypatch.setattr(engine, "make_blob_shard", counting(engine.make_blob_shard))
     report = run_experiment(config)
     taking_part = {inst for record in report.records for inst in record.participants}
     assert len(taking_part) < 40

@@ -10,6 +10,7 @@ from _oracle import _logits, trapezoid
 from fedpod.aggregation import aggregate
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
+    _SYNTH_ROWS,
     BlobGeometry,
     DataShard,
     ModelParams,
@@ -19,9 +20,11 @@ from fedpod.params import (
     dice_score,
     evaluate_cost,
     make_blob_shard,
+    make_blob_shards,
     predict_labels,
     train_local,
 )
+from fedpod.streams import generators, seed_states
 
 
 def vec(*values):
@@ -451,6 +454,66 @@ def test_blob_shard_draws_as_choice_with_priors(n_classes, feature_dim, seed, n)
     shard = make_blob_shard(n, geometry, np.random.default_rng(seed))
     assert shard.labels.tolist() == labels.tolist()
     assert shard.features.tobytes() == (geometry.centers[labels] + geometry.scales[labels] * noise).tobytes()
+
+
+def _assert_batch_matches_one_by_one(sizes, geometry, seed):
+    """`make_blob_shards` from generators re-set per stream, as the engine's
+    seeding pass makes them, equals `make_blob_shard` of each stream alone,
+    and the choice-and-noise formula of each stream."""
+    rows = [(seed, i) for i in range(len(sizes))]
+    shards = make_blob_shards(sizes, geometry, generators(seed_states(rows)))
+    assert len(shards) == len(sizes)
+    for n, row, shard in zip(sizes, rows, shards):
+        want = make_blob_shard(n, geometry, np.random.default_rng(row))
+        assert len(shard) == n
+        assert shard.labels.dtype == np.int64 and shard.labels.tobytes() == want.labels.tobytes()
+        assert shard.features.dtype == np.float64 and shard.features.tobytes() == want.features.tobytes()
+        rng = np.random.default_rng(row)
+        labels = rng.choice(geometry.n_classes, size=n, p=geometry.class_probs)
+        noise = rng.standard_normal((n, geometry.centers.shape[1]))
+        assert shard.features.tobytes() == (geometry.centers[labels] + geometry.scales[labels] * noise).tobytes()
+        for array in (shard.features, shard.labels):
+            assert not array.flags.writeable and not array.base.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 60), min_size=2, max_size=20),
+    st.integers(2, 6),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_blob_shard_batches_match_one_shard_at_a_time(sizes, n_classes, feature_dim, seed):
+    _assert_batch_matches_one_by_one(sizes, blob_geometry(n_classes, feature_dim, seed % 1000), seed)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [1, 1, 1],
+        [_SYNTH_ROWS - 1, 2, 1],
+        [_SYNTH_ROWS, _SYNTH_ROWS],
+        [3, _SYNTH_ROWS + 5, 1, _SYNTH_ROWS - 3],
+        [1, 2 * _SYNTH_ROWS + 1],
+    ],
+    ids=["ones", "straddle", "on-edge", "longer-than-a-chunk", "one-then-two-chunks"],
+)
+def test_blob_shard_batches_across_chunk_edges(sizes):
+    _assert_batch_matches_one_by_one(sizes, blob_geometry(4, 8, 3), 17)
+
+
+def test_empty_blob_shard_batch_builds_nothing():
+    assert make_blob_shards([], blob_geometry(4, 8, 3), iter(())) == []
+
+
+def test_blob_shard_batch_checks_sizes_and_streams():
+    geometry = blob_geometry(3, 2, 1)
+    with pytest.raises(ValidationError, match="at least one sample"):
+        make_blob_shards([4, 0], geometry, [np.random.default_rng(0)] * 2)
+    with pytest.raises(ValueError):
+        make_blob_shards([4, 5], geometry, [np.random.default_rng(0)])
 
 
 @pytest.mark.parametrize(

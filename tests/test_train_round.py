@@ -1,6 +1,8 @@
 """`train_round` against its oracle: the sequential `train_local` of
 `tests/_oracle.py` run node by node."""
 
+from itertools import repeat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from fedpod.params import (
     _stacked_gradient,
     _step_ranges,
     _train_block,
+    blob_geometry,
+    make_blob_shards,
     train_round,
 )
 from fedpod.streams import seed_states
@@ -116,6 +120,20 @@ def test_edge_shapes_match_train_local():
     ]
     check(start, jobs, 3, 0.05, 8)
     check(start, jobs, 2, 0.05, 1)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(40, 140), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_train_round_matches_train_local_at_workload_scale(n_jobs, epochs, seed):
+    # A wide round as the benchmark's runs it: 4 classes and 8 features,
+    # Poisson(30) shards in batches of 16, and validation shards of a few
+    # sizes, so most SGD steps and validation groups stack past `_WIDE_ROWS`.
+    rng = np.random.default_rng(seed)
+    geometry = blob_geometry(4, 8, seed % 1000)
+    train = make_blob_shards(np.maximum(rng.poisson(30, n_jobs), 1).tolist(), geometry, repeat(rng, n_jobs))
+    val = make_blob_shards(rng.integers(8, 11, n_jobs).tolist(), geometry, repeat(rng, n_jobs))
+    jobs = [TrainJob(f"n{k:03d}", t, v, seed + k) for k, (t, v) in enumerate(zip(train, val))]
+    check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
 
 
 def test_one_and_two_word_seeds_share_a_round():
