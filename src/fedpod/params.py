@@ -216,7 +216,9 @@ def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, fe
     """Logits of k models, (k, dim), on k equal-length batches, (k, L, feature_dim)."""
     split = n_classes * feature_dim
     w = values[:, :split].reshape(len(values), n_classes, feature_dim)
-    return np.matmul(features, w.transpose(0, 2, 1)) + values[:, None, split:]
+    z = np.matmul(features, w.transpose(0, 2, 1))
+    z += values[:, None, split:]
+    return z
 
 
 # Stacked rows, k models times their equal batch or shard length, from which
@@ -337,16 +339,24 @@ class TrainJob:
 def _stacked_gradient(
     values: np.ndarray,
     features: np.ndarray,
-    hot: np.ndarray,
+    onehot: np.ndarray,
     n_classes: int,
     feature_dim: int,
 ) -> np.ndarray:
     """Mean cross-entropy gradient of k models on k equal-length batches at once.
 
-    `hot` is each sample's true-class index into the flat (k, length,
-    n_classes) probabilities. Each slice goes through the same kernels, with
-    the same shapes and strides, as one call of the one-model gradient in
+    `onehot` holds each sample's true class as a (k, length, n_classes) block
+    of 0.0 and 1.0. Each slice goes through the same kernels, with the same
+    shapes and strides, as one call of the one-model gradient in
     `tests/_oracle.py`, so every row of the result equals it bit for bit.
+    The steps that differ in form give the same bits:
+    - `p -= onehot` subtracts 1.0 where the oracle's fancy index does, and
+      0.0 elsewhere, which leaves every value as it was, -0.0 and NaN too;
+    - the bias is added in place to the logits, the same one addition;
+    - the weight gradient's matmul and the bias gradient's reduction write
+      into the two column ranges of one (k, dim) block through `out=`, with
+      the same operands and order as the oracle's product and `sum`, so no
+      concatenation copies them.
 
     From `_WIDE_ROWS` stacked rows of fewer than `_SLICE_CLASSES` classes,
     the three reductions run as whole-array passes that give the same bits:
@@ -356,19 +366,30 @@ def _stacked_gradient(
       `p.sum(axis=1)` does, as one axis-0 reduction of a (length, k,
       n_classes) copy, whose inner loop runs over all k models at once.
 
-    The caller holds the `np.errstate`.
+    The gradient is returned unscaled and the caller owns it: it may scale
+    it in place by the learning rate, `grad *= learning_rate`, which is the
+    product `learning_rate * grad` bit for bit. A caller that checks for
+    divergence keeps the gradient unscaled, as `_train_block`'s replay
+    does: the oracle checks the gradient before the update, so a finite
+    gradient whose scaled product overflows is a parameter fault, not a
+    gradient fault. The caller holds the `np.errstate`.
     """
     k, length = features.shape[:2]
+    split = n_classes * feature_dim
     wide = k * length >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
     z = _stacked_logits(values, features, n_classes, feature_dim)
     z -= _class_max(z)[..., None] if wide else z.max(axis=2, keepdims=True)
     p = np.exp(z, out=z)
     p /= _class_sum(p)[..., None] if wide else p.sum(axis=2, keepdims=True)
-    p.reshape(-1)[hot] -= 1.0
+    p -= onehot
     p /= length
-    grad_w = np.matmul(p.transpose(0, 2, 1), features)
-    grad_b = np.add.reduce(p.transpose(1, 0, 2).copy(), axis=0) if wide else p.sum(axis=1)
-    return np.concatenate([grad_w.reshape(k, -1), grad_b], axis=1)
+    grad = np.empty((k, split + n_classes))
+    np.matmul(p.transpose(0, 2, 1), features, out=grad[:, :split].reshape(k, n_classes, feature_dim))
+    if wide:
+        np.add.reduce(p.transpose(1, 0, 2).copy(), axis=0, out=grad[:, split:])
+    else:
+        np.add.reduce(p, axis=1, out=grad[:, split:])
+    return grad
 
 
 # Jobs trained together by `train_round`. Bounds the pooled rows, the gathered
@@ -398,6 +419,52 @@ def _step_ranges(sizes: np.ndarray, batch_size: int) -> list[tuple[int, int, int
     return ranges
 
 
+# Batch rows `_train_block` gathers at a time. Each epoch's batches are
+# gathered for a run of whole steps of at most this many rows, or for one
+# larger step alone, so the gathered features and one-hot labels stay small
+# however many rows a block trains on.
+_GATHER_ROWS = 2048
+
+_StepRun = tuple[int, int, list[tuple[int, int, int, int, int]]]
+
+
+def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[_StepRun]]:
+    """One epoch's SGD steps over jobs of ascending training `sizes`, whose
+    rows lie back to back, job i's at sizes[:i].sum() onwards, as one flat
+    array of positions into the epoch's order and the steps in gather runs.
+
+    `positions` holds every step's batch rows back to back, in step order:
+    at a step from `_step_ranges`, jobs lo:hi each take `length` rows from
+    the step's row offset into their own. A run (first, end, steps) covers
+    positions first:end; each of its steps is (lo, hi, length, row lo, row
+    hi), its rows counted from `first`. Runs split at whole steps after at
+    most `_GATHER_ROWS` rows. The positions take a fixed number of numpy
+    calls however many steps there are.
+    """
+    offset, step_lo, step_hi, length = np.array(_step_ranges(sizes, batch_size)).T
+    jobs = step_hi - step_lo
+    # One entry per (step, job) pair, in step order: the job, the position of
+    # its batch's first row and the batch length.
+    pair_job = np.arange(jobs.sum()) + np.repeat(step_lo - (np.cumsum(jobs) - jobs), jobs)
+    pair_length = np.repeat(length, jobs)
+    pair_first = (np.cumsum(sizes) - sizes)[pair_job] + np.repeat(offset, jobs)
+    pair_end = np.cumsum(pair_length)
+    positions = np.arange(pair_end[-1]) + np.repeat(pair_first - (pair_end - pair_length), pair_length)
+
+    runs: list[_StepRun] = []
+    first = start = 0
+    steps: list[tuple[int, int, int, int, int]] = []
+    step_ends = np.cumsum(jobs * length).tolist()
+    for lo, hi, n, end in zip(step_lo.tolist(), step_hi.tolist(), length.tolist(), step_ends):
+        if steps and end - first > _GATHER_ROWS:
+            runs.append((first, start, steps))
+            first, steps = start, []
+        steps.append((lo, hi, n, start - first, end - first))
+        start = end
+    runs.append((first, start, steps))
+    return positions, runs
+
+
 def _train_block(
     start: ModelParams,
     jobs: Sequence[TrainJob],
@@ -422,12 +489,8 @@ def _train_block(
     sizes = np.array([len(y) for y in job_labels])
     starts = np.cumsum(sizes) - sizes
 
-    # One epoch as (jobs lo:hi, positions of their batches in the epoch's
-    # shuffled rows, one-hot base of `_stacked_gradient`'s `hot`), step by step.
-    steps = [
-        (lo, hi, (starts[lo:hi] + offset)[:, None] + np.arange(length), np.arange((hi - lo) * length) * n_classes)
-        for offset, lo, hi, length in _step_ranges(sizes, batch_size)
-    ]
+    positions, runs = _step_plan(sizes, batch_size)
+    eye = np.eye(n_classes)
     by_val_size: dict[int, list[int]] = {}
     for i, job in enumerate(jobs):
         by_val_size.setdefault(len(job.val), []).append(i)
@@ -447,15 +510,31 @@ def _train_block(
             diverged.setdefault(int(j), f"validation cost at epoch {epoch}")
 
     def sgd(order: np.ndarray, epoch: int | None) -> None:
-        for lo, hi, positions, base in steps:
-            batch = order[positions]
-            params = values[lo:hi]
-            grad = _stacked_gradient(params, features[batch], base + labels[batch].ravel(), n_classes, feature_dim)
-            params -= learning_rate * grad
-            if epoch is not None and not (np.isfinite(grad).all() and np.isfinite(params).all()):
-                bad_grad = ~np.isfinite(grad).all(axis=1)
-                for j in np.flatnonzero(bad_grad | ~np.isfinite(params).all(axis=1)):
-                    diverged.setdefault(lo + int(j), f"{'gradient' if bad_grad[j] else 'parameters'} at epoch {epoch}")
+        for first, end, steps in runs:
+            # The run's batch rows, in step order, as features and one-hot labels.
+            batch = order[positions[first:end]]
+            run_features = features[batch]
+            run_onehot = eye[labels[batch]]
+            for lo, hi, length, row_lo, row_hi in steps:
+                params = values[lo:hi]
+                grad = _stacked_gradient(
+                    params,
+                    run_features[row_lo:row_hi].reshape(hi - lo, length, feature_dim),
+                    run_onehot[row_lo:row_hi].reshape(hi - lo, length, n_classes),
+                    n_classes,
+                    feature_dim,
+                )
+                if epoch is None:
+                    grad *= learning_rate
+                    params -= grad
+                    continue
+                # Checked before scaling, as the oracle checks the gradient.
+                params -= learning_rate * grad
+                if not (np.isfinite(grad).all() and np.isfinite(params).all()):
+                    bad_grad = ~np.isfinite(grad).all(axis=1)
+                    for j in np.flatnonzero(bad_grad | ~np.isfinite(params).all(axis=1)):
+                        fault = "gradient" if bad_grad[j] else "parameters"
+                        diverged.setdefault(lo + int(j), f"{fault} at epoch {epoch}")
 
     # Each job's stream is its own, so drawing a job's epochs back to back
     # gives the permutations a one-node trainer draws epoch by epoch. One
@@ -670,7 +749,8 @@ def make_blob_shards(
     size=n, p=class_probs)` draws them once its checks pass, which
     `BlobGeometry` has already made, and then `standard_normal((n,
     feature_dim))` for the noise. Each is drawn from before the next is
-    taken, so `rngs` may re-set one generator, as `streams.generators` does.
+    taken, so `rngs` may re-set one generator, as `streams.generators` does;
+    a generator past the last shard is not drawn from.
     The draws land in one block for all shards, which one `searchsorted`
     turns into labels and one pass, in bounded row chunks, into features
     `centers[label] + scales[label] * noise`; one check finds any
@@ -678,16 +758,23 @@ def make_blob_shards(
     """
     if min(sizes, default=1) < 1:
         raise ValidationError("a shard needs at least one sample")
-    offsets = [0, *accumulate(sizes)]
-    total = offsets[-1]
+    total = sum(sizes)
     uniform = np.empty(total)
     features = np.empty((total, geometry.centers.shape[1]))
-    for lo, hi, rng in zip(offsets[:-1], offsets[1:], rngs, strict=True):
+    hi = 0
+    for n, rng in zip(sizes, rngs):
+        lo, hi = hi, hi + n
         rng.random(out=uniform[lo:hi])
         rng.standard_normal(out=features[lo:hi])
+    if hi < total:
+        raise ValueError("make_blob_shards needs a generator for every shard")
     labels = geometry.cdf.searchsorted(uniform, side="right").astype(np.int64, copy=False)
-    for lo in range(0, total, _SYNTH_ROWS):
-        chunk, chunk_labels = features[lo : lo + _SYNTH_ROWS], labels[lo : lo + _SYNTH_ROWS]
+    chunks = (
+        [(features, labels)]
+        if total <= _SYNTH_ROWS
+        else [(features[lo : lo + _SYNTH_ROWS], labels[lo : lo + _SYNTH_ROWS]) for lo in range(0, total, _SYNTH_ROWS)]
+    )
+    for chunk, chunk_labels in chunks:
         chunk *= geometry.scales[chunk_labels]
         chunk += geometry.centers[chunk_labels]
     if not np.isfinite(features).all():
@@ -698,6 +785,7 @@ def make_blob_shards(
         return [DataShard._adopt(features, labels)]
     features.setflags(write=False)
     labels.setflags(write=False)
+    offsets = [0, *accumulate(sizes)]
     return [DataShard._adopt(features[lo:hi], labels[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
 
 

@@ -3,8 +3,9 @@
 Sequential one-node SGD: these are the per-node kernels `train_round`
 batches: one model, one batch per step, one `default_rng(cfg.seed)` stream
 of batch orders. They live here so the simulator keeps one trainer; tests
-compare it against this oracle. `np.argmax` of `_logits` is the reference
-for `predict_labels`.
+compare it against this oracle. `step_plan` is one block's epoch as a list
+of per-step positions, the reference for the flat plan `train_round` lays
+out. `np.argmax` of `_logits` is the reference for `predict_labels`.
 
 The scalar weight rules: FedAvg, FedPIDAvg and FedPOD written node by node
 over Python floats, with the per-node trapezoid, as the reference for the
@@ -30,6 +31,7 @@ from fedpod.params import (
     RoundUpdates,
     TrainConfig,
     _classifier_dims,
+    _step_ranges,
 )
 
 
@@ -66,6 +68,18 @@ def _batch_gradient(
         grad_w = p.T @ features
         grad_b = p.sum(axis=0)
         return np.concatenate([grad_w.ravel(), grad_b])
+
+
+def step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple[int, int, np.ndarray]]:
+    """One epoch's SGD steps over jobs of ascending training `sizes`, whose
+    rows lie back to back, step by step: (jobs lo:hi, the (hi - lo, length)
+    positions of their batches in the epoch's shuffled rows). The reference
+    for the flat plan of `fedpod.params._step_plan`."""
+    starts = np.cumsum(sizes) - sizes
+    return [
+        (lo, hi, (starts[lo:hi] + offset)[:, None] + np.arange(length))
+        for offset, lo, hi, length in _step_ranges(sizes, batch_size)
+    ]
 
 
 def train_local(

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import _mean_cross_entropy, train_local
+from _oracle import _mean_cross_entropy, step_plan, train_local
 from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
     _BLOCK_NODES,
+    _GATHER_ROWS,
     DataShard,
     ModelParams,
     TrainConfig,
@@ -20,6 +21,7 @@ from fedpod.params import (
     _classifier_dims,
     _stacked_cost,
     _stacked_gradient,
+    _step_plan,
     _step_ranges,
     _train_block,
     blob_geometry,
@@ -133,6 +135,26 @@ def test_train_round_matches_train_local_at_workload_scale(n_jobs, epochs, seed)
     train = make_blob_shards(np.maximum(rng.poisson(30, n_jobs), 1).tolist(), geometry, repeat(rng, n_jobs))
     val = make_blob_shards(rng.integers(8, 11, n_jobs).tolist(), geometry, repeat(rng, n_jobs))
     jobs = [TrainJob(f"n{k:03d}", t, v, seed + k) for k, (t, v) in enumerate(zip(train, val))]
+    check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
+
+
+@pytest.mark.parametrize(("epochs", "n_whole"), [(3, 2), (4, 4)])
+def test_train_round_matches_train_local_at_deep_local_scale(epochs, n_whole):
+    # A narrow, deep round as `deep-local-23` runs it: 4 classes and 8
+    # features, three jobs on quota windows of about 1,450 rows of
+    # 10,000-row shards and a few whole shards of about 1,000 rows, in
+    # batches of 16 at the default learning rate, so every job takes
+    # hundreds of sequential steps, stacked no wider than `_WIDE_ROWS`.
+    rng = np.random.default_rng(23 + epochs)
+    geometry = blob_geometry(4, 8, 23)
+    windowed = make_blob_shards([10_000] * 3, geometry, repeat(rng, 3))
+    whole = make_blob_shards(rng.integers(950, 1_050, n_whole).tolist(), geometry, repeat(rng, n_whole))
+    val = make_blob_shards(rng.integers(8, 65, 3 + n_whole).tolist(), geometry, repeat(rng, 3 + n_whole))
+    rows = [window_indices(10_000, int(rng.integers(10_000)), int(rng.integers(1_400, 1_500))) for _ in windowed]
+    jobs = [
+        TrainJob(f"n{k}", data, v, int(rng.integers(2**63)), r)
+        for k, (data, v, r) in enumerate(zip(windowed + whole, val, rows + [None] * n_whole))
+    ]
     check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
 
 
@@ -310,10 +332,10 @@ def test_non_finite_parameters_stay_non_finite(injected, learning_rate, feature_
     for value in injected:
         params[rng.integers(k), rng.integers(DIM)] = value
     features = feature_scale * rng.standard_normal((k, length, FEATURE_DIM))
-    hot = np.arange(k * length) * N_CLASSES + rng.integers(0, N_CLASSES, size=k * length)
+    onehot = np.eye(N_CLASSES)[rng.integers(0, N_CLASSES, size=(k, length))]
     was_bad = ~np.isfinite(params).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = _stacked_gradient(params, features, hot, N_CLASSES, FEATURE_DIM)
+        grad = _stacked_gradient(params, features, onehot, N_CLASSES, FEATURE_DIM)
         params -= learning_rate * grad
     is_bad = ~np.isfinite(params).all(axis=1)
     assert is_bad[was_bad].all()
@@ -375,6 +397,50 @@ def test_step_ranges_match_flatnonzero_grouping_at_workload_scale(sizes, batch_s
             want.append((step * batch_size, group.tolist(), int(length)))
     got = [(offset, list(range(lo, hi)), length) for offset, lo, hi, length in _step_ranges(sizes, batch_size)]
     assert got == want
+
+
+@st.composite
+def plans(draw):
+    """Sorted job sizes and a batch size: equal sizes, sizes below one batch
+    and exact multiples of it, or a mix, some long enough that the plan's
+    gather runs split."""
+    batch_size = draw(st.integers(1, 32))
+    size = st.one_of(
+        st.integers(1, max(batch_size - 1, 1)),
+        st.integers(1, 40).map(lambda m: m * batch_size),
+        st.integers(1, 700),
+    )
+    n_jobs = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        sizes = [draw(size)] * n_jobs
+    else:
+        sizes = draw(st.lists(size, min_size=n_jobs, max_size=n_jobs))
+    return np.sort(np.array(sizes)), batch_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans())
+def test_step_plan_matches_the_per_step_oracle(plan):
+    # The flat plan's runs tile its positions in order, each run's steps tile
+    # the run, and no run passes `_GATHER_ROWS` rows unless it is one step.
+    # Step by step, its jobs and batch rows are the per-step oracle's.
+    sizes, batch_size = plan
+    positions, runs = _step_plan(sizes, batch_size)
+    assert len(positions) == sizes.sum()
+    got = []
+    run_first = 0
+    for first, end, steps in runs:
+        assert first == run_first and steps
+        assert end - first <= _GATHER_ROWS or len(steps) == 1
+        row = 0
+        for lo, hi, length, row_lo, row_hi in steps:
+            assert row_lo == row and row_hi - row_lo == (hi - lo) * length
+            got.append((lo, hi, positions[first + row_lo : first + row_hi].reshape(hi - lo, length).tolist()))
+            row = row_hi
+        assert first + row == end
+        run_first = end
+    assert run_first == len(positions)
+    assert got == [(lo, hi, rows.tolist()) for lo, hi, rows in step_plan(sizes, batch_size)]
 
 
 def test_train_block_rejects_jobs_out_of_size_order():
