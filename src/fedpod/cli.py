@@ -351,6 +351,34 @@ def _cmd_gen_cohort(args) -> int:
     return 0
 
 
+# The metrics.csv columns `plot-data` writes a series file for, each against `round`.
+_SERIES_COLUMNS = ("mean_dice", "convergence_score")
+
+
+def _read_run(metrics: Path) -> tuple[str, list[dict[str, str]]]:
+    """A run directory's series name, its summary.json strategy or else the
+    directory's name, and its metrics.csv rows, with the series columns."""
+    summary = metrics.parent / "summary.json"
+    name = metrics.parent.name
+    if summary.exists():
+        try:
+            name = json.loads(summary.read_text(encoding="utf-8"))["strategy"]
+        except (ValueError, TypeError, KeyError):  # not UTF-8, not JSON, not an object or no strategy
+            name = None
+        if not isinstance(name, str):
+            raise ValidationError(f"{summary} is not a JSON object with a strategy")
+    try:
+        with open(metrics, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise ValidationError(f"{metrics} is not UTF-8 text") from None
+    for column in ("round", *_SERIES_COLUMNS):
+        if column not in (reader.fieldnames or ()):
+            raise ValidationError(f"{metrics} has no {column} column")
+    return name, rows
+
+
 def _cmd_plot_data(args) -> int:
     results = Path(args.results)
     out = Path(args.out)
@@ -358,23 +386,18 @@ def _cmd_plot_data(args) -> int:
     if not metrics_files:
         raise ValidationError(f"no metrics.csv found under {results}")
     # Series files are named by strategy; each name must come from one run.
-    runs: dict[str, Path] = {}
+    # Every run is read and checked before anything is written.
+    runs: dict[str, tuple[Path, list[dict[str, str]]]] = {}
     for metrics in metrics_files:
-        summary = metrics.parent / "summary.json"
-        if summary.exists():
-            name = json.loads(summary.read_text(encoding="utf-8"))["strategy"]
-        else:
-            name = metrics.parent.name
+        name, rows = _read_run(metrics)
         if name in runs:
             raise ValidationError(
-                f"runs {runs[name]} and {metrics.parent} would both write the {name!r} series files"
+                f"runs {runs[name][0]} and {metrics.parent} would both write the {name!r} series files"
             )
-        runs[name] = metrics.parent
+        runs[name] = metrics.parent, rows
     out.mkdir(parents=True, exist_ok=True)
-    for name, run_dir in runs.items():
-        with open(run_dir / "metrics.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        for column in ("mean_dice", "convergence_score"):
+    for name, (_, rows) in runs.items():
+        for column in _SERIES_COLUMNS:
             series = out / f"{name}_{column}.csv"
             with open(series, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)

@@ -8,12 +8,12 @@ import csv
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateModelError, ParseError, ValidationError
-from .params import DataShard, blob_geometry, make_blob_shards
+from .params import BlobGeometry, DataShard, blob_geometry, make_blob_shards
 from .streams import generators
 
 _COUNT_SALT = 7011
@@ -65,49 +65,47 @@ def fit_poisson(table: PartitionTable) -> PoissonModel:
 
 
 class LazyShards(Mapping[str, DataShard]):
-    """Read-only institution -> DataShard mapping that builds a shard on its
-    first lookup and keeps it.
+    """Read-only institution -> DataShard mapping of a table's synthetic
+    shards, which builds a shard on its first lookup and keeps it.
 
-    `build(insts, rngs)` returns the shards of `insts`, institution i's
-    drawn from the i-th generator of `rngs`, which is
-    `default_rng(seed_row(index[inst]))`, its own stream. So the order of
-    lookups, and which institutions are never looked up, change no shard.
-    A lookup builds one shard. A caller that is about to look up many can
-    instead take the `seed_rows` of those not built yet into a `seed_states`
-    pass it makes anyway and hand the states to `build_seeded`, which builds
-    them all in one `build` call from the same streams. Iteration follows
-    `index`.
+    Institution i of `counts` (in order) has `counts[inst]` samples drawn by
+    `make_blob_shards` from the stream of seed row `(seed, _SHARD_SALT, i)`,
+    its own. So the order of lookups, and which institutions are never
+    looked up, change no shard. A lookup builds one shard. A caller that is
+    about to look up many can instead take the `seed_rows` of those not
+    built yet into a `seed_states` pass it makes anyway and hand the states
+    to `build_seeded`, which builds them all in one `make_blob_shards` call
+    from the same streams. Iteration follows `counts`.
     """
 
-    def __init__(
-        self,
-        index: Mapping[str, int],
-        seed_row: Callable[[int], tuple[int, ...]],
-        build: Callable[[Sequence[str], Iterable[np.random.Generator]], list[DataShard]],
-    ):
-        self._index = index
-        self._seed_row = seed_row
-        self._build = build
+    def __init__(self, counts: Mapping[str, int], seed: int, geometry: BlobGeometry):
+        self._counts = counts
+        self._index = {inst: i for i, inst in enumerate(counts)}
+        self._seed = seed
+        self._geometry = geometry
         self._built: dict[str, DataShard] = {}
+
+    def _make(self, insts: Sequence[str], rngs: Iterable[np.random.Generator]) -> list[DataShard]:
+        return make_blob_shards([self._counts[inst] for inst in insts], self._geometry, rngs)
 
     def __getitem__(self, inst: str) -> DataShard:
         shard = self._built.get(inst)
         if shard is None:
-            rng = np.random.default_rng(self._seed_row(self._index[inst]))
-            shard = self._built[inst] = self._build([inst], [rng])[0]
+            rng = np.random.default_rng((self._seed, _SHARD_SALT, self._index[inst]))
+            shard = self._built[inst] = self._make([inst], [rng])[0]
         return shard
 
     def seed_rows(self, insts: Iterable[str]) -> tuple[list[str], list[tuple[int, ...]]]:
         """The institutions of `insts` whose shards are not built yet, and
         the seed rows of their streams."""
         pending = [inst for inst in insts if inst not in self._built]
-        return pending, [self._seed_row(self._index[inst]) for inst in pending]
+        return pending, [(self._seed, _SHARD_SALT, self._index[inst]) for inst in pending]
 
     def build_seeded(self, insts: Sequence[str], states: np.ndarray) -> None:
         """Build the shards of `insts`, given `seed_states` of their `seed_rows`."""
         if len(insts) != len(states):
             raise ValueError(f"{len(insts)} institutions but {len(states)} seed states")
-        self._built.update(zip(insts, self._build(insts, generators(states))))
+        self._built.update(zip(insts, self._make(insts, generators(states))))
 
     def __contains__(self, inst) -> bool:
         # Mapping's default would look the key up, building its shard.
@@ -179,23 +177,17 @@ def synthesize_shards(
 ) -> LazyShards:
     """Synthesize features and labels for a table; only its counts are real.
 
-    Institution i of `table.counts` (in order) draws its shard from the
-    stream of seed row `(seed, _SHARD_SALT, i)`, when it is first looked up
-    or when the engine builds a round's new shards in its one seeding pass,
-    one `make_blob_shards` call for them all, so institutions that never
-    take part cost nothing.
+    Each shard is built when it is first looked up, or when the engine
+    builds a round's new shards in its one seeding pass, from its own
+    stream (see `LazyShards`), so institutions that never take part cost
+    nothing.
     """
-    counts = table.counts
     geometry = blob_geometry(n_classes, feature_dim, seed)
     # An institution with no samples can never get a shard: fail here, not
     # at its first lookup mid-run.
-    if not all(counts.values()):
+    if not all(table.counts.values()):
         raise ValidationError("a shard needs at least one sample")
-
-    def build(insts: Sequence[str], rngs: Iterable[np.random.Generator]) -> list[DataShard]:
-        return make_blob_shards([counts[inst] for inst in insts], geometry, rngs)
-
-    return LazyShards({inst: idx for idx, inst in enumerate(counts)}, lambda idx: (seed, _SHARD_SALT, idx), build)
+    return LazyShards(table.counts, seed, geometry)
 
 
 def load_partition_csv(path) -> PartitionTable:

@@ -372,14 +372,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     holdout_n = max(32, round(config.holdout_fraction * table.total))
     holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
 
-    def build_val_shards(insts: Sequence[str], rngs: Iterable[np.random.Generator]) -> list[DataShard]:
-        return [make_blob_shard(_val_size(table.counts[inst]), geometry, rng) for inst, rng in zip(insts, rngs)]
-
-    # Like the training shards, each validation shard is built when its
-    # institution first takes part, from the stream of `(seed, _NODE_VAL_SALT,
-    # node index)`. Each is its own `make_blob_shard` call, which the
-    # benchmark's tracer counts as `engine.val_shards`.
-    node_val = LazyShards(node_index, lambda index: (config.seed, _NODE_VAL_SALT, index), build_val_shards)
+    node_val: dict[str, DataShard] = {}
     _check_inject_rank(config, classification, len(table.counts))
 
     model = ModelParams.zeros(config.model_dim)
@@ -408,19 +401,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # One pass seeds every participant's training stream (its seed is
         # `SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
         # np.uint64)`) and timing stream (`default_rng` of its row), and the
-        # streams of the training and validation shards first needed now.
+        # streams of the training and validation shards of the institutions
+        # taking part for the first time. A validation shard's stream is
+        # `(seed, _NODE_VAL_SALT, node index)`, and each is its own
+        # `make_blob_shard` call, which the benchmark's tracer counts as
+        # `engine.val_shards`.
         insts = plan.node_ids()
         nodes = [node_index[inst] for inst in insts]
-        new_train, train_rows = shards.seed_rows(insts)
-        new_val, val_rows = node_val.seed_rows(insts)
+        new, train_rows = shards.seed_rows(insts)
         states = seed_states(
             [(config.seed, salt, round_index, node) for salt in (_TRAIN_SALT, _TIMING_SALT) for node in nodes]
             + train_rows
-            + val_rows
+            + [(config.seed, _NODE_VAL_SALT, node_index[inst]) for inst in new]
         )
         shard_states = states[2 * len(nodes) :]
-        shards.build_seeded(new_train, shard_states[: len(new_train)])
-        node_val.build_seeded(new_val, shard_states[len(new_train) :])
+        shards.build_seeded(new, shard_states[: len(new)])
+        for inst, rng in zip(new, generators(shard_states[len(new) :])):
+            node_val[inst] = make_blob_shard(_val_size(table.counts[inst]), geometry, rng)
         jobs = []
         for participant, seed in zip(plan.participants, states[: len(nodes), 0].tolist()):
             inst = participant.institution_id

@@ -398,70 +398,52 @@ def _stacked_gradient(
 _BLOCK_NODES = 128
 
 
-def _step_ranges(sizes: np.ndarray, batch_size: int) -> list[tuple[int, int, int, int]]:
-    """One epoch's SGD steps over jobs of ascending training `sizes`, as
-    (row offset, lo, hi, length): jobs lo:hi share a batch length at that
-    step, as full batches are a suffix and last batches ascend before it."""
-    sizes = sizes.tolist()
-    if any(a > b for a, b in zip(sizes, sizes[1:])):
-        raise ValidationError("jobs must be sorted by training size")
-    ranges = []
-    for offset in range(0, sizes[-1], batch_size):
-        lo = bisect_right(sizes, offset)
-        full = bisect_left(sizes, offset + batch_size, lo)
-        # Jobs lo:full take their last batch at this step, one range per size.
-        while lo < full:
-            hi = bisect_right(sizes, sizes[lo], lo, full)
-            ranges.append((offset, lo, hi, sizes[lo] - offset))
-            lo = hi
-        if full < len(sizes):
-            ranges.append((offset, full, len(sizes), batch_size))
-    return ranges
-
-
 # Batch rows `_train_block` gathers at a time. Each epoch's batches are
 # gathered for a run of whole steps of at most this many rows, or for one
 # larger step alone, so the gathered features and one-hot labels stay small
 # however many rows a block trains on.
 _GATHER_ROWS = 2048
 
-_StepRun = tuple[int, int, list[tuple[int, int, int, int, int]]]
 
-
-def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[_StepRun]]:
+def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tuple[int, int, list]]]:
     """One epoch's SGD steps over jobs of ascending training `sizes`, whose
     rows lie back to back, job i's at sizes[:i].sum() onwards, as one flat
     array of positions into the epoch's order and the steps in gather runs.
 
-    `positions` holds every step's batch rows back to back, in step order:
-    at a step from `_step_ranges`, jobs lo:hi each take `length` rows from
-    the step's row offset into their own. A run (first, end, steps) covers
-    positions first:end; each of its steps is (lo, hi, length, row lo, row
-    hi), its rows counted from `first`. Runs split at whole steps after at
-    most `_GATHER_ROWS` rows. The positions take a fixed number of numpy
-    calls however many steps there are.
+    Job i's row r falls in its batch r // batch_size. At each batch offset,
+    full batches are a suffix of the jobs and last batches ascend before it,
+    so a step is jobs lo:hi that share a batch length there, one step per
+    last-batch size and one for the full batches. `positions` holds every
+    step's batch rows back to back, in step order, which within an offset
+    is job order: one stable sort of the rows by batch. A run (first, end,
+    steps) covers positions first:end; each of its steps is (lo, hi, length,
+    row lo, row hi), its rows counted from `first`. Runs split at whole
+    steps after at most `_GATHER_ROWS` rows.
     """
-    offset, step_lo, step_hi, length = np.array(_step_ranges(sizes, batch_size)).T
-    jobs = step_hi - step_lo
-    # One entry per (step, job) pair, in step order: the job, the position of
-    # its batch's first row and the batch length.
-    pair_job = np.arange(jobs.sum()) + np.repeat(step_lo - (np.cumsum(jobs) - jobs), jobs)
-    pair_length = np.repeat(length, jobs)
-    pair_first = (np.cumsum(sizes) - sizes)[pair_job] + np.repeat(offset, jobs)
-    pair_end = np.cumsum(pair_length)
-    positions = np.arange(pair_end[-1]) + np.repeat(pair_first - (pair_end - pair_length), pair_length)
-
-    runs: list[_StepRun] = []
-    first = start = 0
+    row_in_job = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # numpy's default sort is not stable.
+    positions = np.argsort(row_in_job // batch_size, kind="stable")
+    sizes = sizes.tolist()
+    if any(a > b for a, b in zip(sizes, sizes[1:])):
+        raise ValidationError("jobs must be sorted by training size")
+    runs: list[tuple[int, int, list]] = []
+    first = end = 0
     steps: list[tuple[int, int, int, int, int]] = []
-    step_ends = np.cumsum(jobs * length).tolist()
-    for lo, hi, n, end in zip(step_lo.tolist(), step_hi.tolist(), length.tolist(), step_ends):
-        if steps and end - first > _GATHER_ROWS:
-            runs.append((first, start, steps))
-            first, steps = start, []
-        steps.append((lo, hi, n, start - first, end - first))
-        start = end
-    runs.append((first, start, steps))
+    for offset in range(0, sizes[-1], batch_size):
+        lo = bisect_right(sizes, offset)
+        full = bisect_left(sizes, offset + batch_size, lo)
+        while lo < len(sizes):
+            if lo < full:
+                hi, length = bisect_right(sizes, sizes[lo], lo, full), sizes[lo] - offset
+            else:
+                hi, length = len(sizes), batch_size
+            step_end = end + (hi - lo) * length
+            if steps and step_end - first > _GATHER_ROWS:
+                runs.append((first, end, steps))
+                first, steps = end, []
+            steps.append((lo, hi, length, end - first, step_end - first))
+            lo, end = hi, step_end
+    runs.append((first, end, steps))
     return positions, runs
 
 

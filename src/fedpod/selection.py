@@ -68,6 +68,9 @@ def upper_bound(lam: float, z: float) -> float:
     """Participation threshold lam + z*sqrt(lam)."""
     if not lam > 0:
         raise ValidationError("lam must be positive")
+    # A NaN threshold would put every institution in neither set.
+    if not math.isfinite(z):
+        raise ValidationError("z must be finite")
     return lam + z * math.sqrt(lam)
 
 

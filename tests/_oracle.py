@@ -3,9 +3,10 @@
 Sequential one-node SGD: these are the per-node kernels `train_round`
 batches: one model, one batch per step, one `default_rng(cfg.seed)` stream
 of batch orders. They live here so the simulator keeps one trainer; tests
-compare it against this oracle. `step_plan` is one block's epoch as a list
-of per-step positions, the reference for the flat plan `train_round` lays
-out. `np.argmax` of `_logits` is the reference for `predict_labels`.
+compare it against this oracle. `step_ranges` groups one block's epoch
+into steps and `step_plan` lists each step's positions: the references for
+the flat plan `train_round` lays out. `np.argmax` of `_logits` is the
+reference for `predict_labels`.
 
 The scalar weight rules: FedAvg, FedPIDAvg and FedPOD written node by node
 over Python floats, with the per-node trapezoid, as the reference for the
@@ -31,7 +32,6 @@ from fedpod.params import (
     RoundUpdates,
     TrainConfig,
     _classifier_dims,
-    _step_ranges,
 )
 
 
@@ -70,15 +70,33 @@ def _batch_gradient(
         return np.concatenate([grad_w.ravel(), grad_b])
 
 
+def step_ranges(sizes: np.ndarray, batch_size: int) -> list[tuple[int, np.ndarray, int]]:
+    """One epoch's SGD steps over jobs of ascending training `sizes`, as
+    (row offset, jobs, length): at each batch offset, the jobs that still
+    have rows there, grouped by the length of their batch at it, shortest
+    first. Found job by job with `flatnonzero` masks, not by bisecting the
+    sorted sizes as `fedpod.params._step_plan` does."""
+    n_steps = -(-sizes // batch_size)
+    last_length = sizes - (n_steps - 1) * batch_size
+    steps = []
+    for step in range(int(n_steps.max())):
+        lengths = np.where(n_steps > step + 1, batch_size, last_length)
+        for length in np.unique(lengths[n_steps > step]):
+            jobs = np.flatnonzero((n_steps > step) & (lengths == length))
+            steps.append((step * batch_size, jobs, int(length)))
+    return steps
+
+
 def step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple[int, int, np.ndarray]]:
     """One epoch's SGD steps over jobs of ascending training `sizes`, whose
     rows lie back to back, step by step: (jobs lo:hi, the (hi - lo, length)
-    positions of their batches in the epoch's shuffled rows). The reference
-    for the flat plan of `fedpod.params._step_plan`."""
+    positions of their batches in the epoch's shuffled rows), from
+    `step_ranges`. The reference for the flat plan of
+    `fedpod.params._step_plan`."""
     starts = np.cumsum(sizes) - sizes
     return [
-        (lo, hi, (starts[lo:hi] + offset)[:, None] + np.arange(length))
-        for offset, lo, hi, length in _step_ranges(sizes, batch_size)
+        (int(jobs[0]), int(jobs[-1]) + 1, (starts[jobs] + offset)[:, None] + np.arange(length))
+        for offset, jobs, length in step_ranges(sizes, batch_size)
     ]
 
 

@@ -166,6 +166,31 @@ def test_main_plot_data_refuses_results_without_runs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "case, bad_file, content",
+    [
+        ("summary-not-json", "summary.json", b"{"),
+        ("summary-without-strategy", "summary.json", b'{"rounds_run": 1}'),
+        ("metrics-without-mean-dice", "metrics.csv", b"round,convergence_score\n1,0.1\n"),
+        ("metrics-not-utf8", "metrics.csv", b"round,mean_dice,convergence_score\n1,\xff,0.1\n"),
+    ],
+)
+def test_main_plot_data_checks_every_run_before_writing(tmp_path, capsys, case, bad_file, content):
+    # The run that sorts first is whole, so a check made run by run would
+    # write its series files before it reaches the bad one.
+    results = tmp_path / "results"
+    for run in ("a", "b"):
+        (results / run).mkdir(parents=True)
+        (results / run / "metrics.csv").write_text("round,mean_dice,convergence_score\n1,0.5,0.1\n", encoding="utf-8")
+    (results / "b" / bad_file).write_bytes(content)
+    plots = tmp_path / "plots"
+    assert main(["plot-data", "--results", str(results), "--out", str(plots)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(results / "b" / bad_file) in err
+    assert not plots.exists()
+
+
+@pytest.mark.parametrize(
     "case", ["config-is-a-directory", "config-not-utf8", "partition-not-utf8", "out-is-a-file", "out-dir-missing"]
 )
 def test_main_reports_an_unusable_path(tiny_config, tmp_path, capsys, case):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,14 @@ from hypothesis import strategies as st
 
 from fedpod import cohort, engine
 from fedpod.aggregation import AggregationStrategy
-from fedpod.cohort import generate_synthetic_cohort
+from fedpod.cohort import PARTITION_HEADER, generate_synthetic_cohort
 from fedpod.engine import (
     DEFAULT_SCHEDULE,
     _NODE_VAL_SALT,
     _val_size,
     CohortSpec,
     ExperimentConfig,
+    PartitionSource,
     PhaseEntry,
     TimingProfile,
     detect_stragglers,
@@ -689,13 +692,22 @@ def test_only_participants_get_shards(monkeypatch):
     )
 
 
-def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch):
+def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch, tmp_path):
     # The engine builds each round's new training and validation shards in
     # its one seeding pass. Each equals `make_blob_shard` on the stream
-    # `default_rng([seed, salt, index])`, and so does a shard first looked up
-    # on its own.
+    # `default_rng([seed, salt, index])`, and so does a training shard first
+    # looked up on its own. A training shard's index is its institution's
+    # position in the table, a validation shard's its place in id order: the
+    # partition CSV lists institutions in reverse id order, so the two differ.
+    synthetic, _ = generate_synthetic_cohort(30, 10.0, 3, 8.0, seed=1)
+    path = tmp_path / "part.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PARTITION_HEADER)
+        for inst in reversed(list(synthetic.counts)):
+            writer.writerows([f"{inst}-s{k}", inst] for k in range(synthetic.counts[inst]))
     config = small_config(
-        cohort=CohortSpec(n_institutions=30, mean_samples=10.0, n_outliers=3, outlier_scale=8.0),
+        cohort=PartitionSource(str(path)),
         schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
         max_rounds=4,
     )
@@ -703,13 +715,13 @@ def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch):
     geometry = blob_geometry(config.n_classes, config.feature_dim, config.seed)
     position = {inst: i for i, inst in enumerate(table.counts)}
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
+    assert all(position[inst] != node_index[inst] for inst in table.counts)
 
-    def expected(kind, inst):
-        if kind == "train":
-            n, key = table.counts[inst], (cohort._SHARD_SALT, position[inst])
-        else:
-            n, key = _val_size(table.counts[inst]), (_NODE_VAL_SALT, node_index[inst])
-        return make_blob_shard(n, geometry, np.random.default_rng([config.seed, *key]))
+    def assert_built_from(shard, n, salt, index):
+        want = make_blob_shard(n, geometry, np.random.default_rng([config.seed, salt, index]))
+        assert len(shard) == len(want)
+        assert shard.labels.tobytes() == want.labels.tobytes()
+        assert shard.features.tobytes() == want.features.tobytes()
 
     train_shards = []
     build_cohort = engine._build_cohort
@@ -728,27 +740,39 @@ def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch):
         batches.append((self, list(insts)))
 
     monkeypatch.setattr(cohort.LazyShards, "build_seeded", recorded)
+    # Validation shards, and the holdout, are built one by one by
+    # `engine.make_blob_shard`; each is named by its stream's start state.
+    val_keys = {(engine._HOLDOUT_SALT,): None} | {(_NODE_VAL_SALT, i): inst for inst, i in node_index.items()}
+    inst_of_state = {
+        str(np.random.default_rng([config.seed, *key]).bit_generator.state): inst for key, inst in val_keys.items()
+    }
+    val_built = []
+    make_val = engine.make_blob_shard
+
+    def recorded_val(n, geometry, rng):
+        inst = inst_of_state[str(rng.bit_generator.state)]
+        shard = make_val(n, geometry, rng)
+        if inst is not None:
+            val_built.append((inst, shard))
+        return shard
+
+    monkeypatch.setattr(engine, "make_blob_shard", recorded_val)
     report = run_experiment(config)
     taking_part = {inst for record in report.records for inst in record.participants}
 
-    built = {"train": [], "val": []}
-    for lazy, insts in batches:
-        kind = "train" if lazy is train_shards[0] else "val"
+    lazy = train_shards[0]
+    built_train = []
+    for shards, insts in batches:
+        assert shards is lazy
         for inst in insts:
-            shard = lazy[inst]
-            want = expected(kind, inst)
-            assert len(shard) == len(want)
-            assert shard.labels.tobytes() == want.labels.tobytes()
-            assert shard.features.tobytes() == want.features.tobytes()
-        built[kind] += insts
-    # Every participant's shards came from the batch, each once.
-    assert sorted(built["train"]) == sorted(built["val"]) == sorted(taking_part)
+            assert_built_from(lazy[inst], table.counts[inst], cohort._SHARD_SALT, position[inst])
+        built_train += insts
+    for inst, shard in val_built:
+        assert_built_from(shard, _val_size(table.counts[inst]), _NODE_VAL_SALT, node_index[inst])
+    # Every participant's shards came from the seeding pass, each once.
+    assert sorted(built_train) == sorted(inst for inst, _ in val_built) == sorted(taking_part)
 
-    # A shard first looked up on its own comes from the same stream.
-    val_shards = next(lazy for lazy, _ in batches if lazy is not train_shards[0])
-    for kind, lazy in (("train", train_shards[0]), ("val", val_shards)):
-        absent = next(inst for inst in table.counts if inst not in taking_part)
-        assert lazy.seed_rows([absent])[0] == [absent]
-        shard, want = lazy[absent], expected(kind, absent)
-        assert shard.labels.tobytes() == want.labels.tobytes()
-        assert shard.features.tobytes() == want.features.tobytes()
+    # A training shard first looked up on its own comes from the same stream.
+    absent = next(inst for inst in table.counts if inst not in taking_part)
+    assert lazy.seed_rows([absent])[0] == [absent]
+    assert_built_from(lazy[absent], table.counts[absent], cohort._SHARD_SALT, position[absent])

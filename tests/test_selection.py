@@ -41,6 +41,13 @@ def test_upper_bound_requires_positive_lambda():
         upper_bound(0.0, 2.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_classify_nodes_rejects_a_non_finite_z(z):
+    table = table_from_counts([3, 10, 40])
+    with pytest.raises(ValidationError, match="z must be finite"):
+        classify_nodes(table, fit_poisson(table), z)
+
+
 # ---------------------------------------------------------------- classify
 
 

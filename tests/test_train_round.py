@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import _mean_cross_entropy, step_plan, train_local
+from _oracle import _mean_cross_entropy, step_plan, step_ranges, train_local
 from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
@@ -22,7 +22,6 @@ from fedpod.params import (
     _stacked_cost,
     _stacked_gradient,
     _step_plan,
-    _step_ranges,
     _train_block,
     blob_geometry,
     make_blob_shards,
@@ -342,20 +341,17 @@ def test_non_finite_parameters_stay_non_finite(injected, learning_rate, feature_
     assert is_bad[~np.isfinite(grad).all(axis=1)].all()
 
 
+def assert_steps_match_flatnonzero_grouping(sizes, batch_size):
+    """`_step_plan`'s steps, in order, are the oracle's groups of jobs and batch lengths."""
+    _, runs = _step_plan(sizes, batch_size)
+    got = [(list(range(lo, hi)), length) for _, _, steps in runs for lo, hi, length, _, _ in steps]
+    assert got == [(jobs.tolist(), length) for _, jobs, length in step_ranges(sizes, batch_size)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=12), st.integers(1, 9))
 def test_step_ranges_match_flatnonzero_grouping(sizes, batch_size):
-    sizes = np.sort(np.array(sizes))
-    n_steps = -(-sizes // batch_size)
-    last_length = sizes - (n_steps - 1) * batch_size
-    want = []
-    for step in range(int(n_steps.max())):
-        lengths = np.where(n_steps > step + 1, batch_size, last_length)
-        for length in np.unique(lengths[n_steps > step]):
-            group = np.flatnonzero((n_steps > step) & (lengths == length))
-            want.append((step * batch_size, group.tolist(), int(length)))
-    got = [(offset, list(range(lo, hi)), length) for offset, lo, hi, length in _step_ranges(sizes, batch_size)]
-    assert got == want
+    assert_steps_match_flatnonzero_grouping(np.sort(np.array(sizes)), batch_size)
 
 
 @settings(max_examples=100, deadline=None)
@@ -386,17 +382,7 @@ def test_stacked_cost_matches_the_one_model_oracle_bitwise(k, size, feature_scal
     st.integers(1, 64),
 )
 def test_step_ranges_match_flatnonzero_grouping_at_workload_scale(sizes, batch_size):
-    sizes = np.sort(np.array(sizes))
-    n_steps = -(-sizes // batch_size)
-    last_length = sizes - (n_steps - 1) * batch_size
-    want = []
-    for step in range(int(n_steps.max())):
-        lengths = np.where(n_steps > step + 1, batch_size, last_length)
-        for length in np.unique(lengths[n_steps > step]):
-            group = np.flatnonzero((n_steps > step) & (lengths == length))
-            want.append((step * batch_size, group.tolist(), int(length)))
-    got = [(offset, list(range(lo, hi)), length) for offset, lo, hi, length in _step_ranges(sizes, batch_size)]
-    assert got == want
+    assert_steps_match_flatnonzero_grouping(np.sort(np.array(sizes)), batch_size)
 
 
 @st.composite
