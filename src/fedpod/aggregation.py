@@ -22,17 +22,6 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .params import ModelParams, RoundUpdates
 
-__all__ = [
-    "AggregationStrategy",
-    "CostHistory",
-    "WeightResult",
-    "aggregate",
-    "compute_weights",
-    "fedavg_weights",
-    "fedpid_weights",
-    "fedpod_weights",
-]
-
 KIND_FEDAVG = "fedavg"
 KIND_FEDPIDAVG = "fedpidavg"
 KIND_FEDPOD = "fedpod"

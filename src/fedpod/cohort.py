@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, ParseError, ValidationError
 from .params import BlobGeometry, DataShard, blob_geometry, make_blob_shards
-from .streams import generators
+from .streams import generators, seed_states
 
 _COUNT_SALT = 7011
 _SHARD_SALT = 7012
@@ -71,29 +71,27 @@ class LazyShards(Mapping[str, DataShard]):
     Institution i of `counts` (in order) has `counts[inst]` samples drawn by
     `make_blob_shards` from the stream of seed row `(seed, _SHARD_SALT, i)`,
     its own. So the order of lookups, and which institutions are never
-    looked up, change no shard. A lookup builds one shard. A caller that is
-    about to look up many can instead take the `seed_rows` of those not
-    built yet into a `seed_states` pass it makes anyway and hand the states
-    to `build_seeded`, which builds them all in one `make_blob_shards` call
-    from the same streams. Iteration follows `counts`.
+    looked up, change no shard. A lookup builds one shard from a
+    `seed_states` pass of its own. A caller that is about to look up many
+    can instead take the `seed_rows` of those not built yet into a
+    `seed_states` pass it makes anyway and hand the states to
+    `build_seeded`, which builds them all in one `make_blob_shards` call
+    from the same streams. Iteration follows `counts`. `geometry` is the
+    run's one blob geometry, which its other shards use too.
     """
 
     def __init__(self, counts: Mapping[str, int], seed: int, geometry: BlobGeometry):
         self._counts = counts
         self._index = {inst: i for i, inst in enumerate(counts)}
         self._seed = seed
-        self._geometry = geometry
+        self.geometry = geometry
         self._built: dict[str, DataShard] = {}
 
-    def _make(self, insts: Sequence[str], rngs: Iterable[np.random.Generator]) -> list[DataShard]:
-        return make_blob_shards([self._counts[inst] for inst in insts], self._geometry, rngs)
-
     def __getitem__(self, inst: str) -> DataShard:
-        shard = self._built.get(inst)
-        if shard is None:
-            rng = np.random.default_rng((self._seed, _SHARD_SALT, self._index[inst]))
-            shard = self._built[inst] = self._make([inst], [rng])[0]
-        return shard
+        if inst not in self._built:
+            new, rows = self.seed_rows([inst])
+            self.build_seeded(new, seed_states(rows))
+        return self._built[inst]
 
     def seed_rows(self, insts: Iterable[str]) -> tuple[list[str], list[tuple[int, ...]]]:
         """The institutions of `insts` whose shards are not built yet, and
@@ -105,7 +103,8 @@ class LazyShards(Mapping[str, DataShard]):
         """Build the shards of `insts`, given `seed_states` of their `seed_rows`."""
         if len(insts) != len(states):
             raise ValueError(f"{len(insts)} institutions but {len(states)} seed states")
-        self._built.update(zip(insts, self._make(insts, generators(states))))
+        sizes = [self._counts[inst] for inst in insts]
+        self._built.update(zip(insts, make_blob_shards(sizes, self.geometry, generators(states))))
 
     def __contains__(self, inst) -> bool:
         # Mapping's default would look the key up, building its shard.
@@ -161,7 +160,8 @@ def generate_synthetic_cohort(
     so building some or none of them changes no other.
     """
     CohortSpec(n_institutions, mean_samples, n_outliers, outlier_scale)
-    rng = np.random.default_rng([seed, _COUNT_SALT])
+    # The stream of seed row `(seed, _COUNT_SALT)`, seeded as the shards' streams are.
+    rng = next(generators(seed_states([(seed, _COUNT_SALT)])))
     regular = rng.poisson(mean_samples, size=n_institutions - n_outliers)
     outliers = rng.poisson(mean_samples * outlier_scale, size=n_outliers)
     counts = np.maximum(np.concatenate([regular, outliers]), 1).astype(int)

@@ -29,7 +29,6 @@ from .params import (
     DataShard,
     ModelParams,
     TrainJob,
-    blob_geometry,
     dice_score,
     make_blob_shard,
     predict_labels,
@@ -367,10 +366,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     poisson = fit_poisson(table)
     classification = classify_nodes(table, poisson, config.z)
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
-    geometry = blob_geometry(config.n_classes, config.feature_dim, config.seed)
 
     holdout_n = max(32, round(config.holdout_fraction * table.total))
-    holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
+    holdout = make_blob_shard(holdout_n, shards.geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
 
     node_val: dict[str, DataShard] = {}
     _check_inject_rank(config, classification, len(table.counts))
@@ -408,18 +406,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # `engine.val_shards`.
         insts = plan.node_ids()
         nodes = [node_index[inst] for inst in insts]
-        new, train_rows = shards.seed_rows(insts)
+        new, shard_rows = shards.seed_rows(insts)
         states = seed_states(
             [(config.seed, salt, round_index, node) for salt in (_TRAIN_SALT, _TIMING_SALT) for node in nodes]
-            + train_rows
+            + shard_rows
             + [(config.seed, _NODE_VAL_SALT, node_index[inst]) for inst in new]
         )
-        shard_states = states[2 * len(nodes) :]
-        shards.build_seeded(new, shard_states[: len(new)])
-        for inst, rng in zip(new, generators(shard_states[len(new) :])):
-            node_val[inst] = make_blob_shard(_val_size(table.counts[inst]), geometry, rng)
+        train_states, timing_states, shard_states, val_states = np.split(
+            states, np.cumsum([len(nodes), len(nodes), len(new)])
+        )
+        shards.build_seeded(new, shard_states)
+        for inst, rng in zip(new, generators(val_states)):
+            node_val[inst] = make_blob_shard(_val_size(table.counts[inst]), shards.geometry, rng)
         jobs = []
-        for participant, seed in zip(plan.participants, states[: len(nodes), 0].tolist()):
+        for participant, seed in zip(plan.participants, train_states[:, 0].tolist()):
             inst = participant.institution_id
             shard = shards[inst]
             rows = None
@@ -430,15 +430,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 offsets[inst] = (participant.shard_offset + participant.quota) % len(shard)
             jobs.append(TrainJob(inst, shard, node_val[inst], seed, rows))
         val_sizes = [len(job.val) for job in jobs]
-        timing_rngs = generators(states[len(nodes) : 2 * len(nodes)])
-        times = sample_timings(plan, round_index, phase.epochs, val_sizes, config.timing, timing_rngs)
+        times = sample_timings(plan, round_index, phase.epochs, val_sizes, config.timing, generators(timing_states))
 
         updates = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 
         timeout = config.timing.timeout_factor
         slow = np.zeros(len(jobs), dtype=bool) if timeout is None else detect_stragglers(times, timeout)
         dropped = frozenset(job.node_id for job, is_slow in zip(jobs, slow.tolist()) if is_slow)
-        survivors = updates.take(sorted(np.flatnonzero(~slow).tolist(), key=insts.__getitem__))
+        # In plan order: `aggregate` sums the rows in node-id order itself.
+        survivors = updates.take(np.flatnonzero(~slow))
 
         result = compute_weights(config.strategy, survivors, history)
         model = aggregate(survivors, result.weights)
@@ -458,7 +458,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 round_index=round_index,
                 phase=phase_number,
                 epochs=phase.epochs,
-                participants=plan.node_ids(),
+                participants=insts,
                 dropped=tuple(sorted(dropped)),
                 weights=tuple(zip(survivors.node_ids, result.weights)),
                 dice_per_class=dice_per_class,

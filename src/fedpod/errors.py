@@ -30,7 +30,7 @@ class DegenerateModelError(ValidationError):
 
 
 class EmptyCohortError(FedPodError, RuntimeError):
-    """No eligible primary institution is available for a round."""
+    """A round has no eligible institution, or the cohort has no primary one."""
 
 
 class TrainingDivergenceError(FedPodError, RuntimeError):

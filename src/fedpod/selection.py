@@ -139,9 +139,11 @@ def compose_task(
             ),
         )
 
+    if not classification.primary:
+        raise EmptyCohortError(f"round {round_index}: the cohort has no primary institution")
+    # A round whose primaries all sit out on the blacklist trains its
+    # secondaries alone, with `primary_shortfall` set.
     eligible_primary = [inst for inst in classification.primary if inst not in blacklist]
-    if not eligible_primary:
-        raise EmptyCohortError(f"round {round_index}: no eligible primary institutions")
     chosen_primary = eligible_primary[: schedule_entry.n_primary]
 
     participants = []
@@ -170,4 +172,6 @@ def compose_task(
         for j in sorted(chosen):
             participants.append(TaskParticipant(secondary[j], ROLE_SECONDARY, counts[secondary[j]], 0))
 
+    if not participants:
+        raise EmptyCohortError(f"round {round_index}: no eligible institutions")
     return TaskPlan(tuple(participants), shortfall, len(eligible_primary) < schedule_entry.n_primary)

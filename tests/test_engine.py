@@ -629,6 +629,20 @@ def test_schedule_within_the_primaries_records_no_shortfall():
     assert not any(record.primary_shortfall for record in report.records)
 
 
+def test_a_round_whose_primaries_all_sit_out_trains_its_secondaries():
+    # Round 6 drops both primaries, so round 7 has no eligible primary: it
+    # trains secondaries alone, and the run goes on.
+    config = small_config(max_rounds=8, timing=fast_timing(timeout_factor=1.5, jitter_sigma=0.4))
+    report = run_experiment(config)
+    assert len(report.records) == 8
+    primaries = {"inst006", "inst007"}
+    assert report.summary.n_primary == 2 and set(report.records[5].dropped) == primaries
+    seventh = report.records[6]
+    assert seventh.participants and not primaries & set(seventh.participants)
+    assert seventh.primary_shortfall
+    assert primaries <= set(report.records[7].participants)
+
+
 def test_participation_all_includes_every_institution():
     cfg = small_config(participation="all", max_rounds=2)
     report = run_experiment(cfg)
@@ -641,6 +655,17 @@ def test_weights_are_recorded_per_survivor():
         nodes = [node for node, _ in record.weights]
         assert sorted(nodes) == sorted(set(record.participants) - set(record.dropped))
         assert sum(w for _, w in record.weights) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("timeout_factor, jitter_sigma", [(None, 0.05), (1.5, 0.4)])
+def test_weights_list_the_survivors_in_participant_order(timeout_factor, jitter_sigma):
+    # `aggregate` sums in node-id order, so the engine keeps the plan's order.
+    timing = fast_timing(timeout_factor=timeout_factor, jitter_sigma=jitter_sigma)
+    records = run_experiment(small_config(max_rounds=8, timing=timing)).records
+    assert any(list(record.participants) != sorted(record.participants) for record in records)
+    for record in records:
+        survivors = [node for node in record.participants if node not in record.dropped]
+        assert [node for node, _ in record.weights] == survivors
 
 
 def test_only_participants_get_shards(monkeypatch):

@@ -256,15 +256,17 @@ def test_predict_labels_are_valid_classes():
 @given(
     st.integers(2, 6),
     st.integers(1, 8),
-    st.integers(1, 40),
+    # Holdout-scale row counts too (the last three are the workloads'
+    # seed-1 holdouts), since the BLAS kernel of a product depends on them.
+    st.one_of(st.integers(1, 40), st.sampled_from([257, 1000, 6143, 10024, 12166])),
     st.sampled_from(["normal", "zero", "coarse", "duplicate rows", "overflow"]),
     st.integers(0, 2**32 - 1),
 )
 def test_predict_labels_is_argmax_of_the_logits(n_classes, feature_dim, n, kind, seed):
     """Element for element and in dtype, with ties to the lowest class; an
-    error exactly when a logit is not finite. Each row is also scored alone,
-    because whether overflowing products sum to a finite value depends on
-    the BLAS kernel, which depends on the number of rows."""
+    error exactly when a logit is not finite. Each of the first 40 rows is
+    also scored alone, because whether overflowing products sum to a finite
+    value depends on the BLAS kernel, which depends on the number of rows."""
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, feature_dim))
     weights = rng.standard_normal((n_classes, feature_dim))
@@ -286,7 +288,7 @@ def test_predict_labels_is_argmax_of_the_logits(n_classes, feature_dim, n, kind,
         copies = rng.integers(0, n_classes, size=n_classes)
         weights[::2], biases[::2] = weights[copies][::2], biases[copies][::2]
     model = ModelParams(np.concatenate([weights.ravel(), biases]))
-    for rows in [slice(None), *(slice(i, i + 1) for i in range(n))]:
+    for rows in [slice(None), *(slice(i, i + 1) for i in range(min(n, 40)))]:
         shard = DataShard(features[rows], np.zeros(len(features[rows]), dtype=int))
         with np.errstate(over="ignore", invalid="ignore"):
             logits = _logits(model.values, shard.features, n_classes, feature_dim)

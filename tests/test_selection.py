@@ -246,11 +246,12 @@ def test_rotating_windows_cover_all_samples():
 def _reference_compose_task(
     round_index, classification, schedule_entry, lam, margin_fraction, table, blacklist, rng_seed, offsets
 ):
-    """The selection as first written: whole-cohort scans, kept as the oracle."""
+    """The selection as first written: whole-cohort scans, kept as the oracle.
+    With every primary blacklisted, the round takes its secondaries alone."""
     counts = dict(table.counts)
+    if not classification.primary:
+        raise EmptyCohortError(f"round {round_index}: the cohort has no primary institution")
     eligible_primary = [inst for inst in classification.primary if inst not in blacklist]
-    if not eligible_primary:
-        raise EmptyCohortError(f"round {round_index}: no eligible primary institutions")
     participants = []
     for inst in eligible_primary[: schedule_entry.n_primary]:
         quota = primary_quota(lam, margin_fraction, counts[inst])
@@ -272,6 +273,8 @@ def _reference_compose_task(
                     break
         for inst in sorted(chosen, key=lambda i: classification.secondary.index(i)):
             participants.append(TaskParticipant(inst, "secondary", counts[inst], 0))
+    if not participants:
+        raise EmptyCohortError(f"round {round_index}: no eligible institutions")
     return TaskPlan(tuple(participants), shortfall, len(eligible_primary) < schedule_entry.n_primary)
 
 
