@@ -293,10 +293,23 @@ def execute_run(manifest: RunManifest) -> ExperimentReport:
     return report
 
 
+def _warn_unfired_injection(label: str, config: ExperimentConfig, report: ExperimentReport) -> None:
+    """Say on stderr that `timing.inject_round` never fired when the run
+    stopped, at `max_rounds` or at the simulated-time cap, before it."""
+    inject_round = config.timing.inject_round
+    if inject_round is not None and inject_round > report.summary.rounds_run:
+        print(
+            f"warning: {label}timing.inject_round {inject_round} never fired;"
+            f" the run stopped after round {report.summary.rounds_run}",
+            file=sys.stderr,
+        )
+
+
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
     manifest = RunManifest(str(args.config), config, Path(args.out))
     report = execute_run(manifest)
+    _warn_unfired_injection("", config, report)
     print(
         f"{report.summary.strategy}: {report.summary.rounds_run} rounds, "
         f"best dice {report.summary.best_mean_dice:.4f}, "
@@ -322,6 +335,7 @@ def _cmd_compare(args) -> int:
         run_config = replace(config, strategy=replace(config.strategy, kind=kind))
         manifest = RunManifest(str(args.config), run_config, out / kind)
         reports[kind] = execute_run(manifest)
+        _warn_unfired_injection(f"{kind}: ", run_config, reports[kind])
     runs = [reports[kind].records for kind in kinds]
     with open(out / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

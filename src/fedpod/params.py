@@ -229,24 +229,28 @@ _WIDE_ROWS = 256
 _SLICE_CLASSES = 8
 
 
-def _class_max(z: np.ndarray) -> np.ndarray:
-    """`z.max(axis=-1)` as a chain of `np.maximum` over the class slices. A
-    maximum is exact in any order, and a NaN propagates as it does in `max`."""
-    out = z[..., 0].copy()
+def _class_max(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`z.max(axis=-1)` as a chain of `np.maximum` over the class slices,
+    written into `out` if given. A maximum is exact in any order, and a NaN
+    propagates as it does in `max`."""
+    if out is None:
+        out = np.empty(z.shape[:-1])
+    np.copyto(out, z[..., 0])
     for c in range(1, z.shape[-1]):
         np.maximum(out, z[..., c], out=out)
     return out
 
 
-def _class_sum(z: np.ndarray) -> np.ndarray:
+def _class_sum(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """`np.add.reduce(z, axis=-1)` bit for bit for fewer than `_SLICE_CLASSES`
-    classes: numpy adds so short a contiguous row left to right, onto an
-    initial 0.0, and so do these elementwise adds of the class slices.
-    Starting from `0.0 + slice` turns -0.0 into 0.0, as that initial value
-    does, and changes no other value. `tests/test_kernels.py` pins the order
-    against numpy itself, so a numpy release that changed it fails there.
+    classes, written into `out` if given: numpy adds so short a contiguous
+    row left to right, onto an initial 0.0, and so do these elementwise adds
+    of the class slices. Starting from `0.0 + slice` turns -0.0 into 0.0, as
+    that initial value does, and changes no other value.
+    `tests/test_kernels.py` pins the order against numpy itself, so a numpy
+    release that changed it fails there.
     """
-    out = z[..., 0] + 0.0
+    out = np.add(z[..., 0], 0.0, out=out)
     for c in range(1, z.shape[-1]):
         out += z[..., c]
     return out
@@ -331,27 +335,62 @@ class TrainJob:
     rows: np.ndarray | None = None
 
 
-def _stacked_gradient(
-    values: np.ndarray,
-    features: np.ndarray,
-    onehot: np.ndarray,
-    n_classes: int,
-    feature_dim: int,
-) -> np.ndarray:
-    """Mean cross-entropy gradient of k models on k equal-length batches at once.
+def _gradient_views(values: np.ndarray, grad: np.ndarray, n_classes: int, feature_dim: int) -> tuple:
+    """The block views that `_bind_step` slices by job: the transposed
+    weights and the biases of the (jobs, dim) `values`, and the weight and
+    bias columns of the (jobs, dim) `grad`."""
+    split = n_classes * feature_dim
+    shape = (len(values), n_classes, feature_dim)
+    return (
+        values[:, :split].reshape(shape).transpose(0, 2, 1),
+        values[:, None, split:],
+        grad[:, :split].reshape(shape),
+        grad[:, split:],
+    )
 
-    `onehot` holds each sample's true class as a (k, length, n_classes) block
-    of 0.0 and 1.0. Each slice goes through the same kernels, with the same
-    shapes and strides, as one call of the one-model gradient in
-    `tests/_oracle.py`, so every row of the result equals it bit for bit.
-    The steps that differ in form give the same bits:
+
+def _step_scratch(k: int, length: int, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scratch of `_stacked_gradient` steps of k models on batches of
+    `length`: logits (k, length, n_classes), their transposed view, and row
+    maxima or sums (k, length, 1). Steps of one shape may share it."""
+    logits = np.empty((k, length, n_classes))
+    return logits, logits.transpose(0, 2, 1), np.empty((k, length, 1))
+
+
+def _bind_step(views: tuple, lo: int, hi: int, features: np.ndarray, onehot: np.ndarray, scratch: tuple) -> tuple:
+    """The operands of one `_stacked_gradient` call, for jobs lo:hi of the
+    block whose `_gradient_views` are `views`, on their (k, length,
+    feature_dim) batches `features` and (k, length, n_classes) `onehot`,
+    with `_step_scratch` of that shape. Whether the step runs the
+    class-slice passes is decided here, once."""
+    weights_t, bias, grad_w, grad_b = views
+    k, length, n_classes = onehot.shape
+    wide = k * length >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
+    return (features, weights_t[lo:hi], bias[lo:hi], onehot, *scratch, grad_w[lo:hi], grad_b[lo:hi], length, wide)
+
+
+def _stacked_gradient(step: tuple) -> None:
+    """Mean cross-entropy gradient of k models on k equal-length batches at
+    once, for the operands `_bind_step` bound, written into rows lo:hi of
+    the block's gradient.
+
+    The operands are views: the weights and biases of rows lo:hi of a
+    block's parameters, rows lo:hi of its gradient, and the batch and
+    scratch buffers. `_train_block` binds every step once and calls it each
+    epoch, so the block's parameters must be updated in place and never
+    rebound: a view of an array that was replaced still reads the old one.
+    Each slice goes through the same kernels, with the same shapes, strides
+    and order, as one call of the one-model gradient in `tests/_oracle.py`,
+    so every row of the result equals it bit for bit. The steps that differ
+    in form give the same bits:
     - `p -= onehot` subtracts 1.0 where the oracle's fancy index does, and
       0.0 elsewhere, which leaves every value as it was, -0.0 and NaN too;
     - the bias is added in place to the logits, the same one addition;
+    - the logits, the row maxima and the row sums go into the scratch
+      buffers through `out=`, in the layout numpy would allocate them;
     - the weight gradient's matmul and the bias gradient's reduction write
-      into the two column ranges of one (k, dim) block through `out=`, with
-      the same operands and order as the oracle's product and `sum`, so no
-      concatenation copies them.
+      into the two column ranges of the gradient through `out=`, with the
+      same operands and order as the oracle's product and `sum`.
 
     From `_WIDE_ROWS` stacked rows of fewer than `_SLICE_CLASSES` classes,
     the three reductions run as whole-array passes that give the same bits:
@@ -361,30 +400,36 @@ def _stacked_gradient(
       `p.sum(axis=1)` does, as one axis-0 reduction of a (length, k,
       n_classes) copy, whose inner loop runs over all k models at once.
 
-    The gradient is returned unscaled and the caller owns it: it may scale
-    it in place by the learning rate, `grad *= learning_rate`, which is the
-    product `learning_rate * grad` bit for bit. A caller that checks for
-    divergence keeps the gradient unscaled, as `_train_block`'s replay
-    does: the oracle checks the gradient before the update, so a finite
-    gradient whose scaled product overflows is a parameter fault, not a
-    gradient fault. The caller holds the `np.errstate`.
+    The gradient is written unscaled, and the block's gradient buffer
+    belongs to the caller until the next call: it may scale it in place by
+    the learning rate, `grad *= learning_rate`, which is the product
+    `learning_rate * grad` bit for bit. A caller that checks for divergence
+    reads its finiteness before scaling, as `_train_block`'s replay does:
+    the oracle checks the gradient before the update, so a finite gradient
+    whose scaled product overflows is a parameter fault, not a gradient
+    fault. The caller holds the `np.errstate`.
     """
-    k, length = features.shape[:2]
-    split = n_classes * feature_dim
-    wide = k * length >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
-    z = _stacked_logits(values, features, n_classes, feature_dim)
-    z -= _class_max(z)[..., None] if wide else z.max(axis=2, keepdims=True)
-    p = np.exp(z, out=z)
-    p /= _class_sum(p)[..., None] if wide else p.sum(axis=2, keepdims=True)
-    p -= onehot
-    p /= length
-    grad = np.empty((k, split + n_classes))
-    np.matmul(p.transpose(0, 2, 1), features, out=grad[:, :split].reshape(k, n_classes, feature_dim))
+    features, weights_t, bias, onehot, z, z_t, row_max, grad_w, grad_b, length, wide = step
+    np.matmul(features, weights_t, out=z)
+    z += bias
     if wide:
-        np.add.reduce(p.transpose(1, 0, 2).copy(), axis=0, out=grad[:, split:])
+        _class_max(z, row_max[..., 0])
     else:
-        np.add.reduce(p, axis=1, out=grad[:, split:])
-    return grad
+        np.maximum.reduce(z, axis=2, keepdims=True, out=row_max)
+    z -= row_max
+    np.exp(z, out=z)
+    if wide:
+        _class_sum(z, row_max[..., 0])
+    else:
+        np.add.reduce(z, axis=2, keepdims=True, out=row_max)
+    z /= row_max
+    z -= onehot
+    z /= length
+    np.matmul(z_t, features, out=grad_w)
+    if wide:
+        np.add.reduce(z.transpose(1, 0, 2).copy(), axis=0, out=grad_b)
+    else:
+        np.add.reduce(z, axis=1, out=grad_b)
 
 
 # Jobs trained together by `train_round`. Bounds the pooled rows, the gathered
@@ -457,17 +502,27 @@ def _train_block(
     Returns the trained parameters (jobs, dim), the validation costs before
     the clip at 0 (epochs + 1, jobs), and the earliest fault of each job
     that diverged, by position in `jobs`, in the sequential oracle's order.
+
+    Every SGD step's operands are bound once, with the step plan, and used
+    in every epoch: views of the block's parameters `values` and of its one
+    gradient buffer, views of one feature and one one-hot buffer that each
+    gather run of the plan refills with its batches, rows counted from the
+    run's first, and logits and row-max scratch shared by the steps of one
+    shape. `values` is therefore only ever written in place: an epoch that
+    is replayed restores it with `values[:] = saved`. The gradient buffer is
+    the step loop's: each step scales its rows by the learning rate in place
+    and subtracts them from its parameters.
     """
     n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
     # The jobs' training rows back to back: job i owns [starts[i], starts[i] + sizes[i]).
     features = np.concatenate([job.shard.features[r] for job, r in zip(jobs, rows)])
     job_labels = [job.shard.labels[r] for job, r in zip(jobs, rows)]
     labels = np.concatenate(job_labels)
+    eye = np.eye(n_classes)
     sizes = np.array([len(y) for y in job_labels])
     starts = np.cumsum(sizes) - sizes
 
     positions, runs = _step_plan(sizes, batch_size)
-    eye = np.eye(n_classes)
     by_val_size: dict[int, list[int]] = {}
     for i, job in enumerate(jobs):
         by_val_size.setdefault(len(job.val), []).append(i)
@@ -476,7 +531,32 @@ def _train_block(
         for group in by_val_size.values()
     ]
 
-    values = np.tile(start.values, (len(jobs), 1))
+    values = np.empty((len(jobs), start.dim))
+    values[:] = start.values
+    grad = np.empty_like(values)
+    views = _gradient_views(values, grad, n_classes, feature_dim)
+    run_rows = max(end - first for first, end, _ in runs)
+    run_features = np.empty((run_rows, feature_dim))
+    run_onehot = np.empty((run_rows, n_classes))
+    scratch: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    bound = []
+    for first, end, steps in runs:
+        bound_steps = []
+        for lo, hi, length, row_lo, row_hi in steps:
+            k = hi - lo
+            if (k, length) not in scratch:
+                scratch[k, length] = _step_scratch(k, length, n_classes)
+            step = _bind_step(
+                views,
+                lo,
+                hi,
+                run_features[row_lo:row_hi].reshape(k, length, feature_dim),
+                run_onehot[row_lo:row_hi].reshape(k, length, n_classes),
+                scratch[k, length],
+            )
+            bound_steps.append((lo, values[lo:hi], grad[lo:hi], step))
+        bound.append((first, end, run_features[: end - first], run_onehot[: end - first], bound_steps))
+
     costs = np.empty((epochs + 1, len(jobs)))
     diverged: dict[int, str] = {}
 
@@ -486,29 +566,20 @@ def _train_block(
         for j in np.flatnonzero(~np.isfinite(costs[epoch])):
             diverged.setdefault(int(j), f"validation cost at epoch {epoch}")
 
-    def sgd(order: np.ndarray, epoch: int | None) -> None:
-        for first, end, steps in runs:
-            # The run's batch rows, in step order, as features and one-hot labels.
-            batch = order[positions[first:end]]
-            run_features = features[batch]
-            run_onehot = eye[labels[batch]]
-            for lo, hi, length, row_lo, row_hi in steps:
-                params = values[lo:hi]
-                grad = _stacked_gradient(
-                    params,
-                    run_features[row_lo:row_hi].reshape(hi - lo, length, feature_dim),
-                    run_onehot[row_lo:row_hi].reshape(hi - lo, length, n_classes),
-                    n_classes,
-                    feature_dim,
-                )
-                if epoch is None:
-                    grad *= learning_rate
-                    params -= grad
-                    continue
-                # Checked before scaling, as the oracle checks the gradient.
-                params -= learning_rate * grad
-                if not (np.isfinite(grad).all() and np.isfinite(params).all()):
-                    bad_grad = ~np.isfinite(grad).all(axis=1)
+    def sgd(batches: np.ndarray, epoch: int | None) -> None:
+        for first, end, batch_features, batch_onehot, steps in bound:
+            # The run's batch rows, in step order. Every index is in range;
+            # "clip" spares `take` the copy it makes of `out` in "raise" mode.
+            features.take(batches[first:end], axis=0, out=batch_features, mode="clip")
+            eye.take(labels.take(batches[first:end]), axis=0, out=batch_onehot, mode="clip")
+            for lo, params, step_grad, step in steps:
+                _stacked_gradient(step)
+                if epoch is not None:
+                    # Checked before scaling, as the oracle checks the gradient.
+                    bad_grad = ~np.isfinite(step_grad).all(axis=1)
+                step_grad *= learning_rate
+                params -= step_grad
+                if epoch is not None:
                     for j in np.flatnonzero(bad_grad | ~np.isfinite(params).all(axis=1)):
                         fault = "gradient" if bad_grad[j] else "parameters"
                         diverged.setdefault(lo + int(j), f"{fault} at epoch {epoch}")
@@ -523,6 +594,8 @@ def _train_block(
         [rng.permuted(aranges[:, :n], axis=1) for n, rng in zip(sizes.tolist(), generators(states))], axis=1
     )
     orders += np.repeat(starts, sizes)
+    # Each epoch's batch rows, in step order.
+    orders = orders.take(positions, axis=1)
     # With a finite learning rate, a non-finite gradient or parameter leaves
     # its row non-finite through every later step, so one check at the end of
     # an epoch finds any divergence in it. That epoch is then replayed with
@@ -530,12 +603,11 @@ def _train_block(
     with np.errstate(over="ignore", invalid="ignore"):
         validate(0)
         for epoch in range(1, epochs + 1):
-            order = orders[epoch - 1]
             saved = values.copy()
-            sgd(order, None)
+            sgd(orders[epoch - 1], None)
             if not np.isfinite(values).all():
                 values[:] = saved
-                sgd(order, epoch)
+                sgd(orders[epoch - 1], epoch)
             validate(epoch)
     return values, costs, diverged
 

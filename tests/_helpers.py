@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fedpod.params import RoundUpdates
+from fedpod.params import RoundUpdates, _bind_step, _gradient_views, _stacked_gradient, _step_scratch
 
 
 def build_update(node_id, data_size, *costs, params=(0.0,)):
@@ -30,3 +30,13 @@ def random_updates(rng, n_nodes, dim=3):
         rng.integers(1, 500, n_nodes),
         np.vstack([rng.uniform(0.05, 2.0, n_nodes), rng.uniform(0.0, 2.0, (epochs, n_nodes))]),
     )
+
+
+def stacked_gradient(values, features, onehot, n_classes, feature_dim):
+    """`_stacked_gradient` of the k models `values` on their batches, bound
+    to fresh views and scratch, as a new (k, dim) gradient."""
+    k, length = onehot.shape[:2]
+    grad = np.empty_like(values)
+    views = _gradient_views(values, grad, n_classes, feature_dim)
+    _stacked_gradient(_bind_step(views, 0, k, features, onehot, _step_scratch(k, length, n_classes)))
+    return grad

@@ -86,6 +86,29 @@ def test_main_compare_refuses_a_repeated_strategy(tiny_config, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("stop", "inject_round", "rounds_run"),
+    [
+        ("max_rounds = 2\n", 9, 2),
+        # Under the simulated-time cap, round 1 ends the run.
+        ("max_rounds = 5\nmax_simulated_time_s = 1e-9\n", 3, 1),
+    ],
+)
+def test_main_says_when_the_injection_round_never_fired(tiny_config, tmp_path, capsys, stop, inject_round, rounds_run):
+    text = TINY_CONFIG.replace("max_rounds = 2\n", stop)
+    tiny_config.write_text(text + f"timing.inject_round = {inject_round}\n", encoding="utf-8")
+    warning = f"timing.inject_round {inject_round} never fired; the run stopped after round {rounds_run}"
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+    argv = ["compare", "--config", str(tiny_config), "--out", str(tmp_path / "cmp"), "--strategies", "fedavg,fedpod"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == f"warning: fedavg: {warning}\nwarning: fedpod: {warning}\n"
+    # An injection in the last round run fires, and nothing is said.
+    tiny_config.write_text(text + f"timing.inject_round = {rounds_run}\n", encoding="utf-8")
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "fired")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_main_gen_cohort_defaults_match_the_config_defaults(tmp_path):
     out = tmp_path / "cohort.csv"
     assert main(["gen-cohort", "--out", str(out)]) == 0

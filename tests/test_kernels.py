@@ -6,15 +6,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import stacked_gradient
 from _oracle import _batch_gradient, _mean_cross_entropy
 from fedpod.params import (
     _SLICE_CLASSES,
     _WIDE_ROWS,
     DataShard,
+    _bind_step,
     _class_max,
     _class_sum,
+    _gradient_views,
     _stacked_cost,
     _stacked_gradient,
+    _step_scratch,
 )
 
 # Both sides of `_SLICE_CLASSES`: the slice passes run below it, and the
@@ -76,7 +80,7 @@ def test_stacked_gradient_matches_the_one_model_oracle_bitwise(stack):
     k, length = labels.shape
     onehot = np.eye(n_classes)[labels]
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _stacked_gradient(values, features, onehot, n_classes, feature_dim)
+        got = stacked_gradient(values, features, onehot, n_classes, feature_dim)
     for i in range(k):
         assert_same_bits(got[i], _batch_gradient(values[i], features[i], labels[i], n_classes, feature_dim))
 
@@ -94,3 +98,42 @@ def test_stacked_cost_matches_the_one_model_oracle_bitwise_on_both_sides_of_the_
         ]
     )
     assert_same_bits(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks(), st.integers(0, 3), st.integers(0, 3))
+def test_bound_steps_on_block_slices_with_stale_scratch_match_the_oracle_bitwise(stack, before, after):
+    # As `_train_block` binds them: two steps of one shape, jobs lo:hi of one
+    # parameter block and one gradient block, batches as rows of one run
+    # buffer, and one logits and row-max scratch between them that starts
+    # as NaN and keeps the other step's values. Each call writes its rows of
+    # the gradient and nothing else.
+    values, features, labels, n_classes, feature_dim = stack
+    k, length = labels.shape
+    cases = [(values, features, labels), (values[::-1].copy(), features[::-1].copy(), labels[::-1].copy())]
+    block = np.full((before + 2 * k + after, values.shape[1]), 0.5)
+    grad = np.full_like(block, 7.0)
+    views = _gradient_views(block, grad, n_classes, feature_dim)
+    run = np.full((2 * k * length, feature_dim), np.nan)
+    run_onehot = np.full((2 * k * length, n_classes), np.nan)
+    scratch = _step_scratch(k, length, n_classes)
+    for buffer in scratch:
+        buffer.fill(np.nan)
+    steps = []
+    for i, (v, f, y) in enumerate(cases):
+        lo, rows = before + i * k, slice(i * k * length, (i + 1) * k * length)
+        block[lo : lo + k] = v
+        run[rows] = f.reshape(-1, feature_dim)
+        run_onehot[rows] = np.eye(n_classes)[y.ravel()]
+        batch = run[rows].reshape(k, length, feature_dim), run_onehot[rows].reshape(k, length, n_classes)
+        steps.append((lo, v, f, y, _bind_step(views, lo, lo + k, *batch, scratch)))
+    block_bytes = block.tobytes()
+    written = np.zeros(len(block), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, v, f, y, step in steps + steps[:1]:
+            _stacked_gradient(step)
+            written[lo : lo + k] = True
+            for i in range(k):
+                assert_same_bits(grad[lo + i], _batch_gradient(v[i], f[i], y[i], n_classes, feature_dim))
+            assert (grad[~written] == 7.0).all()
+            assert block.tobytes() == block_bytes

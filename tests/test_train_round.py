@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import stacked_gradient
 from _oracle import _mean_cross_entropy, step_plan, step_ranges, train_local
 from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
@@ -20,7 +21,6 @@ from fedpod.params import (
     TrainJob,
     _classifier_dims,
     _stacked_cost,
-    _stacked_gradient,
     _step_plan,
     _train_block,
     blob_geometry,
@@ -155,6 +155,41 @@ def test_train_round_matches_train_local_at_deep_local_scale(epochs, n_whole):
         for k, (data, v, r) in enumerate(zip(windowed + whole, val, rows + [None] * n_whole))
     ]
     check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
+
+
+def unequal_runs_round(rng):
+    """Five jobs in one block, in batches of 9, whose last batches hold 9,
+    8, 1, 7 and 2 rows, and whose epoch splits into at least three gather
+    runs of unequal length."""
+    sizes = [153, 611, 1342, 2005, 2891]
+    geometry = blob_geometry(N_CLASSES, FEATURE_DIM, 31)
+    train = make_blob_shards(sizes, geometry, repeat(rng, len(sizes)))
+    val = make_blob_shards([5, 9, 7, 5, 11], geometry, repeat(rng, len(sizes)))
+    _, runs = _step_plan(np.array(sizes), 9)
+    assert len({end - first for first, end, _ in runs}) >= 3
+    return [TrainJob(f"n{k}", t, v, 40 + k) for k, (t, v) in enumerate(zip(train, val))]
+
+
+def test_reused_run_buffers_across_unequal_gather_runs_match_train_local():
+    # Every gather run refills the same batch buffers, and each step reads
+    # them at rows counted from its run's first row, epoch after epoch.
+    rng = np.random.default_rng(31)
+    check(ModelParams(0.1 * rng.standard_normal(DIM)), unequal_runs_round(rng), 2, 0.05, 9)
+
+
+def test_divergence_in_the_last_gather_run_is_found_by_the_replay():
+    # The largest job's last row in its first epoch's order overflows its
+    # logits, so its gradient. That row is in its last batch, which only the
+    # plan's last step trains, in the last gather run; the replay of epoch 1
+    # runs the bound steps of every run again to find it.
+    rng = np.random.default_rng(32)
+    jobs = unequal_runs_round(rng)
+    big = jobs[-1]
+    features = big.shard.features.copy()
+    features[np.random.default_rng(big.seed).permutation(len(features))[-1]] *= 1e300
+    jobs[-1] = TrainJob(big.node_id, DataShard(features, big.shard.labels), big.val, big.seed)
+    got = check_with_divergence(ModelParams(0.1 * rng.standard_normal(DIM)), jobs, 2, 1e10, 9)
+    assert got == "training diverged on node 'n4': gradient at epoch 1"
 
 
 def test_one_and_two_word_seeds_share_a_round():
@@ -334,7 +369,7 @@ def test_non_finite_parameters_stay_non_finite(injected, learning_rate, feature_
     onehot = np.eye(N_CLASSES)[rng.integers(0, N_CLASSES, size=(k, length))]
     was_bad = ~np.isfinite(params).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = _stacked_gradient(params, features, onehot, N_CLASSES, FEATURE_DIM)
+        grad = stacked_gradient(params, features, onehot, N_CLASSES, FEATURE_DIM)
         params -= learning_rate * grad
     is_bad = ~np.isfinite(params).all(axis=1)
     assert is_bad[was_bad].all()
