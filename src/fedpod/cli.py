@@ -257,8 +257,11 @@ def write_partition_csv(table: PartitionTable, path) -> None:
     Institution X's k-th subject is written `X-s{k:05d}`, and subjects are
     sorted as strings within each institution. A table holds counts only, so
     a loaded CSV's own subject ids are not kept; the callers, `gen-cohort`
-    and the benchmark's workload inputs, write synthetic tables only.
+    and the benchmark's workload inputs, write synthetic tables only. An id
+    the loader would strip to another, or to nothing, is refused.
     """
+    if any(not inst or inst != inst.strip() for inst in table.counts):
+        raise ValidationError("institution ids must be non-empty and have no surrounding whitespace")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PARTITION_HEADER)

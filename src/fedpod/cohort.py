@@ -1,12 +1,16 @@
 """Institutional data distributions: Poisson modeling, skewed synthetic
 cohorts, and partition-file ingestion. Below the partition-file reader and
-writer an institution is its sample count; sample ids exist only in the file."""
+writer an institution is its sample count; sample ids exist only in the file.
+A plain partition file is counted in whole-text passes, and any other is read
+by a `csv.reader` row walk, the only ingest code that raises."""
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -192,7 +196,16 @@ def synthesize_shards(
 
 def load_partition_csv(path) -> PartitionTable:
     """Count `Subject_ID,Partition_ID` rows per partition id, in order of each
-    partition's first row; every row is checked, subject ids are not kept."""
+    partition's first row; every row is checked, subject ids are not kept.
+
+    Chunks of lines are counted in whole-text passes while splitting on
+    newlines and commas reads what `csv.reader` reads (no `"`, no NUL, no chunk
+    over `csv.field_size_limit()`) and every row check passes. Otherwise the
+    row walk below reads the file from its start. It alone raises, so each
+    error keeps its message, line and precedence."""
+    if plain := _count_plain_rows(path):
+        return PartitionTable(plain)
+    lineno = 0
     try:
         # utf-8-sig also reads a file saved with a byte-order mark, as
         # spreadsheet programs save "CSV UTF-8".
@@ -201,6 +214,7 @@ def load_partition_csv(path) -> PartitionTable:
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != PARTITION_HEADER:
                 raise ParseError(f"expected header {','.join(PARTITION_HEADER)}", line=1, path=path)
+            lineno = 1
             counts: dict[str, int] = {}
             seen: set[str] = set()
             for lineno, row in enumerate(reader, start=2):
@@ -219,6 +233,34 @@ def load_partition_csv(path) -> PartitionTable:
                 counts[partition] = counts.get(partition, 0) + 1
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
+    except csv.Error as exc:  # in row lineno + 1: a field over the limit, or a NUL before Python 3.11
+        raise ParseError(str(exc), line=lineno + 1, path=path) from None
     if not counts:
         raise ParseError("no data rows", path=path)
     return PartitionTable(counts)
+
+
+def _count_plain_rows(path) -> Counter[str] | None:
+    """A plain partition file's counts, or None where the row walk must read it."""
+    counts, seen = Counter(), set()
+    try:
+        # Universal newlines end a line at LF, CRLF or a lone CR, as csv does.
+        with open(path, encoding="utf-8-sig") as fh:
+            if tuple(map(str.strip, fh.readline().split(","))) != PARTITION_HEADER:
+                return None
+            # Whole lines in chunks of about 16K characters: larger chunks raise peak RSS.
+            for text in iter(lambda: fh.read(1 << 14) + fh.readline(), ""):
+                rows = list(filter(None, text.split("\n")))  # csv skips blank lines
+                n = len(rows)
+                splittable = '"' not in text and "\0" not in text and len(text) <= csv.field_size_limit()
+                if not splittable or text.count(",") != n or not all(map(str.__contains__, rows, repeat(","))):
+                    return None
+                fields = ",".join(rows).split(",")
+                subjects, partitions = (list(map(str.strip, fields[i::2])) for i in (0, 1))
+                seen.update(subjects)
+                counts.update(partitions)
+                if not (all(subjects) and all(partitions)) or len(seen) != counts.total():
+                    return None
+    except UnicodeDecodeError:
+        return None
+    return counts

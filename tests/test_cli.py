@@ -248,6 +248,18 @@ def test_main_names_the_partition_csv_in_its_errors(tiny_config, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {part}: line 4: duplicate subject id 's1'\n"
 
 
+def test_main_reports_a_partition_field_over_the_csv_limit(tiny_config, tmp_path, capsys):
+    part = tmp_path / "part.csv"
+    part.write_text("Subject_ID,Partition_ID\ns1,a\ns2," + "b" * 40 + "\n", encoding="utf-8")
+    tiny_config.write_text("cohort.source = csv\ncohort.path = part.csv\n", encoding="utf-8")
+    limit = csv.field_size_limit(16)
+    try:
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")]) == 1
+    finally:
+        csv.field_size_limit(limit)
+    assert capsys.readouterr().err == f"error: {part}: line 3: field larger than field limit (16)\n"
+
+
 @pytest.mark.parametrize("case", ["duplicate-subject", "inject-rank"])
 def test_main_removes_the_directories_a_refused_run_made(tiny_config, tmp_path, capsys, case):
     """The output directory is made before the run; a run that raises removes

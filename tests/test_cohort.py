@@ -1,11 +1,16 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedpod
+from fedpod import cohort
 from fedpod.cli import write_partition_csv
 from fedpod.cohort import (
     _POISSON_LAM_MAX,
@@ -348,21 +353,157 @@ def test_load_distribution_file_with_23_partitions(tmp_path):
 @settings(max_examples=50, deadline=None)
 @given(
     st.dictionaries(
-        st.text(alphabet="abcdefgh0123456789-", min_size=1, max_size=8),
+        st.text(alphabet="abcdefgh0123456789- \t\xa0", min_size=1, max_size=8),
         st.integers(1, 30),
         min_size=1,
         max_size=5,
     )
 )
 def test_partition_csv_round_trip(counts):
+    """A table is written so that it loads back as itself, or it is refused:
+    the loader strips ids, so one with surrounding whitespace is refused."""
     table = PartitionTable(counts)
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/t.csv"
+        path = Path(tmp) / "t.csv"
+        if any(inst != inst.strip() for inst in counts):
+            with pytest.raises(ValidationError):
+                write_partition_csv(table, path)
+            assert not path.exists()
+            return
         write_partition_csv(table, path)
         loaded = load_partition_csv(path)
     assert loaded == table
     assert list(loaded.counts) == sorted(counts)
     shards = synthesize_shards(loaded, seed=3)
     assert all(len(shards[inst]) == count for inst, count in counts.items())
+
+
+@pytest.mark.parametrize("inst", ["", " ", " a", "a\t", "\xa0a"])
+def test_write_partition_csv_refuses_ids_that_do_not_round_trip(tmp_path, inst):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValidationError, match="institution ids must be non-empty and have no surrounding whitespace"):
+        write_partition_csv(PartitionTable({"a": 1, inst: 2}), path)
+    assert not path.exists()
+
+
+def test_load_reports_a_field_over_the_csv_limit(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("Subject_ID,Partition_ID\ns1,a\ns2," + "b" * 40 + "\n", encoding="utf-8")
+    limit = csv.field_size_limit(16)
+    try:
+        with pytest.raises(ParseError) as err:
+            load_partition_csv(path)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(err.value) == f"{path}: line 3: field larger than field limit (16)"
+    assert err.value.line == 3
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader was called")
+
+
+def test_a_written_partition_file_is_counted_without_csv(tmp_path, monkeypatch):
+    table, _ = generate_synthetic_cohort(23, 30.0, 3, 10.0, seed=1)
+    written = tmp_path / "written.csv"
+    write_partition_csv(table, written)
+    assert b"\r\n" in written.read_bytes()
+    marked = tmp_path / "marked.csv"
+    marked.write_text("Subject_ID,Partition_ID\ns1,h2\ns2,h1\n\ns3,h2\n", encoding="utf-8-sig")
+    monkeypatch.setattr(cohort.csv, "reader", _no_csv_reader)
+    assert load_partition_csv(written) == table
+    assert list(load_partition_csv(marked).counts.items()) == [("h2", 2), ("h1", 1)]
+
+
+def test_a_quoted_partition_file_is_read_by_csv(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b'"Subject_ID","Partition_ID"\r\n"s1","site, a"\r\n"s2","b"\r\n"s3","site, a"\r\n')
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(cohort.csv, "reader", lambda fh: calls.append(fh) or reader(fh))
+    assert list(load_partition_csv(path).counts.items()) == [("site, a", 2), ("b", 1)]
+    assert len(calls) == 1
+
+
+def _load_outcome(path):
+    """The loaded counts in order, or the error's type, message and line."""
+    try:
+        return list(load_partition_csv(path).counts.items())
+    except ParseError as err:
+        return type(err), str(err), err.line
+
+
+_ID = st.text(alphabet="ab1-", max_size=3)
+_PAD = st.sampled_from(["", " ", "\t", "\xa0"])
+_ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+_PLAIN_ROW = st.builds(lambda a, s, b, p: f"{a}{s}{b},{b}{p}{a}", _PAD, _ID.filter(bool), _PAD, _ID.filter(bool))
+# Rows that are faults, blank, or plain only to the csv module.
+_OTHER_ROW = st.one_of(
+    st.builds(lambda s, p: f"{s},{p}", _ID, _ID),
+    st.just(""),
+    st.builds(lambda s, p: f'"{s}","{p}"', _ID, _ID),
+    st.builds(lambda s, p, inner: f'{s},"{p}{inner}x"', _ID, _ID, st.sampled_from([",", "\n", "\r\n"])),
+    st.builds(lambda s, p: f"{s}\0,{p}", _ID, _ID),
+    st.builds(lambda s: f"{s},{'x' * 60}", _ID),
+    _ID,
+    st.lists(_ID, min_size=3, max_size=4).map(",".join),
+    # One comma short on a line and one over on the next: as many commas as lines.
+    st.builds(lambda s, t, p, q: f"{s}\n{t},{p},{q}", _ID, _ID, _ID, _ID),
+)
+
+
+@st.composite
+def _rows(draw):
+    """Plain rows with distinct subjects, and at most two other rows among them."""
+    rows = draw(st.lists(st.tuples(_PLAIN_ROW, _ENDING), max_size=6, unique_by=lambda row: row[0].split(",")[0].strip()))
+    for row in draw(st.lists(st.tuples(_OTHER_ROW, _ENDING), max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return "".join(row + ending for row, ending in rows)
+
+
+# About 20 KB of plain rows with subjects the drawn rows cannot repeat, so
+# that rows on either side of it fall in different 8 KB decoding blocks and in
+# different chunks of the whole-text pass.
+_PADDING = "".join(f"pad{i:05d},p{i % 7}\r\n" for i in range(1500))
+
+
+_PLAIN_FILE = dict(bom=False, header="Subject_ID,Partition_ID", padded=False, after="", bad_utf8=None, last_ending="", limit=None)
+
+
+@settings(max_examples=300, deadline=None)
+# Rare draws that are plain to every other check: as many commas as lines but
+# one line without a comma, and two extra columns that keep the fields paired.
+@example(**_PLAIN_FILE, before="s\nt,p,q\n")
+@example(**_PLAIN_FILE, before="s,p,q,r\n")
+@given(
+    bom=st.booleans(),
+    header=st.one_of(
+        st.just("Subject_ID,Partition_ID"),
+        st.sampled_from([" Subject_ID ,Partition_ID\t", '"Subject_ID","Partition_ID"', "s,p", ""]),
+    ),
+    before=_rows(),
+    padded=st.booleans(),
+    after=_rows(),
+    bad_utf8=st.one_of(st.none(), st.sampled_from(["before", "after"])),
+    last_ending=st.sampled_from(["", "\n", "\r\n"]),
+    limit=st.one_of(st.none(), st.none(), st.just(50)),
+)
+def test_load_equals_the_row_walk(bom, header, before, padded, after, bad_utf8, last_ending, limit):
+    """Whether or not the whole-text pass takes a file, the result is the
+    row walk's: the same counts in order, or the same error at the same line."""
+    parts = [header.encode() + b"\r\n", before.encode(), _PADDING.encode() if padded else b"", after.encode()]
+    if bad_utf8 is not None:
+        parts.insert(2 if bad_utf8 == "before" else 4, b"s\xff,p\n")
+    data = (b"\xef\xbb\xbf" if bom else b"") + b"".join(parts) + b"zz,z" + last_ending.encode()
+    old_limit = csv.field_size_limit(limit) if limit is not None else None
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            path.write_bytes(data)
+            loaded = _load_outcome(path)
+            with mock.patch.object(cohort, "_count_plain_rows", return_value=None):
+                walked = _load_outcome(path)
+    finally:
+        if old_limit is not None:
+            csv.field_size_limit(old_limit)
+    assert loaded == walked
