@@ -205,7 +205,6 @@ def load_partition_csv(path) -> PartitionTable:
     error keeps its message, line and precedence."""
     if plain := _count_plain_rows(path):
         return PartitionTable(plain)
-    lineno = 0
     try:
         # utf-8-sig also reads a file saved with a byte-order mark, as
         # spreadsheet programs save "CSV UTF-8".
@@ -214,10 +213,12 @@ def load_partition_csv(path) -> PartitionTable:
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != PARTITION_HEADER:
                 raise ParseError(f"expected header {','.join(PARTITION_HEADER)}", line=1, path=path)
-            lineno = 1
             counts: dict[str, int] = {}
             seen: set[str] = set()
-            for lineno, row in enumerate(reader, start=2):
+            # A row's errors name its first physical line; a quoted field may hold a newline.
+            last = reader.line_num
+            for row in reader:
+                lineno, last = last + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != 2:
@@ -233,8 +234,8 @@ def load_partition_csv(path) -> PartitionTable:
                 counts[partition] = counts.get(partition, 0) + 1
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
-    except csv.Error as exc:  # in row lineno + 1: a field over the limit, or a NUL before Python 3.11
-        raise ParseError(str(exc), line=lineno + 1, path=path) from None
+    except csv.Error as exc:  # on the line being read: a field over the limit, or a NUL before Python 3.11
+        raise ParseError(str(exc), line=reader.line_num, path=path) from None
     if not counts:
         raise ParseError("no data rows", path=path)
     return PartitionTable(counts)

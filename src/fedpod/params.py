@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -207,17 +207,8 @@ def _classifier_dims(model: ModelParams, shard: DataShard) -> tuple[int, int]:
     return c, f
 
 
-def _stacked_logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
-    """Logits of k models, (k, dim), on k equal-length batches, (k, L, feature_dim)."""
-    split = n_classes * feature_dim
-    w = values[:, :split].reshape(len(values), n_classes, feature_dim)
-    z = np.matmul(features, w.transpose(0, 2, 1))
-    z += values[:, None, split:]
-    return z
-
-
 # Stacked rows, k models times their equal batch or shard length, from which
-# `_stacked_gradient` and `_stacked_cost` reduce over class slices instead of
+# `_stacked_gradient` and `_bind_costs` reduce over class slices instead of
 # along each row. One per-row reduction costs a call per row; a slice pass
 # costs a call per class, so small stacks stay on the per-row reductions. At
 # 4 classes the two cross at about 100 to 250 rows.
@@ -256,30 +247,74 @@ def _class_sum(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _stacked_cost(
-    values: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    feature_dim: int,
-) -> np.ndarray:
-    """Mean cross-entropy of k models on k equal-size shards, before the clip at 0.
+def _bind_costs(
+    values: np.ndarray, vals: Sequence[DataShard], n_classes: int, feature_dim: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The mean cross-entropy, before the clip at 0, of each model of the
+    (k, dim) `values` on its shard in `vals`, as a call that writes the k
+    costs into `out`; it reads `values` afresh, which must change in place.
 
-    Each slice equals the one-model form in `tests/_oracle.py` bit for bit:
-    the row sum over its size is what `np.mean` computes. From `_WIDE_ROWS`
-    stacked rows of fewer than `_SLICE_CLASSES` classes, the class max and
-    the sum of exponentials run over class slices (`_class_max`,
-    `_class_sum`), which give what the per-row reductions give, bit for bit.
-    The caller holds the `np.errstate`.
+    The shards' rows lie back to back, grouped by size. A call runs one
+    (k, size, feature_dim) product and bias add per group into its slice of
+    one (rows, n_classes) logits buffer, one pass over all rows (class max,
+    label pick, log of the sum of exponentials) and a row sum of each
+    group's (k, size) losses over its size. Each product has the shapes of
+    the one-model cost in `tests/_oracle.py` and every later step works
+    element by element or row by row, so each cost is the oracle's bit for
+    bit, also where the class max and sum run over class slices (from
+    `_WIDE_ROWS` rows of fewer than `_SLICE_CLASSES` classes). The caller
+    holds the `np.errstate`.
     """
-    k, size = labels.shape
-    wide = k * size >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
-    z = _stacked_logits(values, features, n_classes, feature_dim)
-    z -= _class_max(z)[..., None] if wide else z.max(axis=2, keepdims=True)
-    picked = z.reshape(-1)[np.arange(k * size) * n_classes + labels.ravel()]
-    np.exp(z, out=z)
-    log_norm = np.log(_class_sum(z) if wide else z.sum(axis=2))
-    return (log_norm - picked.reshape(k, size)).sum(axis=1) / size
+    groups: dict[int, list[int]] = {}
+    for i, val in enumerate(vals):
+        groups.setdefault(len(val), []).append(i)
+    order = [i for group in groups.values() for i in group]
+    features = np.concatenate([vals[i].features for i in order])
+    labels = np.concatenate([vals[i].labels for i in order])
+    sizes = np.array([len(vals[i]) for i in order], dtype=np.float64)
+    rows, split = len(labels), n_classes * feature_dim
+    wide = rows >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
+    picks = np.arange(rows) * n_classes + labels
+    models, group_costs = np.empty((len(order), values.shape[1])), np.empty(len(order))
+    logits, (row, picked) = np.empty((rows, n_classes)), np.empty((2, rows))
+    products, sums = [], []
+    lo = row_lo = 0
+    for size, group in groups.items():
+        k = len(group)
+        hi, row_hi = lo + k, row_lo + k * size
+        weights_t = models[lo:hi, :split].reshape(k, n_classes, feature_dim).transpose(0, 2, 1)
+        x, z = features[row_lo:row_hi].reshape(k, size, feature_dim), logits[row_lo:row_hi].reshape(k, size, n_classes)
+        products.append((x, weights_t, models[lo:hi, None, split:], z))
+        sums.append((row[row_lo:row_hi].reshape(k, size), group_costs[lo:hi]))
+        lo, row_lo = hi, row_hi
+    order, flat = np.array(order), logits.reshape(-1)
+
+    def costs(out: np.ndarray) -> np.ndarray:
+        # Every index is in range; "clip" spares `take` the copy of `out` it makes in "raise" mode.
+        values.take(order, axis=0, out=models, mode="clip")
+        for x, weights_t, bias, z in products:
+            np.matmul(x, weights_t, out=z)
+            z += bias
+        if wide:
+            _class_max(logits, row)
+        else:
+            np.maximum.reduce(logits, axis=1, out=row)
+        np.subtract(logits, row[:, None], out=logits)
+        flat.take(picks, out=picked, mode="clip")
+        np.exp(logits, out=logits)
+        if wide:
+            _class_sum(logits, row)
+        else:
+            np.add.reduce(logits, axis=1, out=row)
+        np.log(row, out=row)
+        np.subtract(row, picked, out=row)
+        for losses, cost in sums:
+            np.add.reduce(losses, axis=1, out=cost)
+        np.divide(group_costs, sizes, out=group_costs)
+        out[order] = group_costs
+        return out
+
+    return costs
 
 
 def evaluate_cost(model: ModelParams, shard: DataShard) -> float:
@@ -287,12 +322,12 @@ def evaluate_cost(model: ModelParams, shard: DataShard) -> float:
 
     The all-zero model predicts uniformly, so its cost is ln(n_classes)
     no matter what the shard contains. A model whose logits overflow has no
-    finite cost, which raises `ValidationError`.
+    finite cost, which raises `ValidationError`. It is `train_round`'s
+    validation kernel, `_bind_costs`, on one shard.
     """
     n_classes, feature_dim = _classifier_dims(model, shard)
     with np.errstate(over="ignore", invalid="ignore"):
-        costs = _stacked_cost(model.values[None], shard.features[None], shard.labels[None], n_classes, feature_dim)
-    cost = float(costs[0])
+        cost = float(_bind_costs(model.values[None], [shard], n_classes, feature_dim)(np.empty(1))[0])
     if not math.isfinite(cost):
         raise ValidationError(f"validation cost is {cost}, not finite")
     # Clip away the odd -1ulp rounding artefact; cost is non-negative by definition.
@@ -300,10 +335,12 @@ def evaluate_cost(model: ModelParams, shard: DataShard) -> float:
 
 
 def predict_labels(model: ModelParams, shard: DataShard) -> np.ndarray:
-    """Argmax class per sample, as `np.argmax` of the logits gives it.
+    """Argmax class per sample, as `np.argmax` of the logits gives it, as intp.
 
     A tie goes to the lowest class id. A model whose logits overflow is an
-    error, as its validation cost is in `evaluate_cost`.
+    error, as its validation cost is in `evaluate_cost`. The running argmax
+    is one byte wide up to 256 classes and has no branch: class c exceeds
+    every earlier label, so where its logit is strictly greater it is the max.
     """
     n_classes, feature_dim = _classifier_dims(model, shard)
     split = n_classes * feature_dim
@@ -314,12 +351,12 @@ def predict_labels(model: ModelParams, shard: DataShard) -> np.ndarray:
         z += model.values[split:, None]
     if not np.isfinite(z).all():
         raise ValidationError("logits are not finite")
-    pred = np.zeros(len(shard), dtype=np.intp)
-    best = z[0].copy()
+    pred = np.zeros(len(shard), dtype=np.min_scalar_type(n_classes - 1))
+    best = z[0]
     for c in range(1, n_classes):
-        pred += (z[c] > best) * (c - pred)
+        np.maximum(pred, (z[c] > best).view(np.uint8) * pred.dtype.type(c), out=pred)
         np.maximum(best, z[c], out=best)
-    return pred
+    return pred.astype(np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,6 +539,8 @@ def _train_block(
     Returns the trained parameters (jobs, dim), the validation costs before
     the clip at 0 (epochs + 1, jobs), and the earliest fault of each job
     that diverged, by position in `jobs`, in the sequential oracle's order.
+    Every job's validation rows are laid out once, by `_bind_costs`, and
+    each epoch boundary scores all of them in one flat pass.
 
     Every SGD step's operands are bound once, with the step plan, and used
     in every epoch: views of the block's parameters `values` and of its one
@@ -523,16 +562,9 @@ def _train_block(
     starts = np.cumsum(sizes) - sizes
 
     positions, runs = _step_plan(sizes, batch_size)
-    by_val_size: dict[int, list[int]] = {}
-    for i, job in enumerate(jobs):
-        by_val_size.setdefault(len(job.val), []).append(i)
-    vals = [
-        (group, np.stack([jobs[i].val.features for i in group]), np.stack([jobs[i].val.labels for i in group]))
-        for group in by_val_size.values()
-    ]
-
     values = np.empty((len(jobs), start.dim))
     values[:] = start.values
+    val_costs = _bind_costs(values, [job.val for job in jobs], n_classes, feature_dim)
     grad = np.empty_like(values)
     views = _gradient_views(values, grad, n_classes, feature_dim)
     run_rows = max(end - first for first, end, _ in runs)
@@ -561,8 +593,7 @@ def _train_block(
     diverged: dict[int, str] = {}
 
     def validate(epoch: int) -> None:
-        for group, val_features, val_labels in vals:
-            costs[epoch, group] = _stacked_cost(values[group], val_features, val_labels, n_classes, feature_dim)
+        val_costs(costs[epoch])
         for j in np.flatnonzero(~np.isfinite(costs[epoch])):
             diverged.setdefault(int(j), f"validation cost at epoch {epoch}")
 
@@ -731,7 +762,7 @@ def dice_score(pred: Sequence[int], truth: Sequence[int], cls: int) -> float:
         raise ShapeError("pred and truth must be equal-length non-empty sequences")
     x = p == cls
     y = t == cls
-    denom = int(x.sum()) + int(y.sum())
+    denom = int(np.count_nonzero(x) + np.count_nonzero(y))
     if denom == 0:
         return 1.0
     return 2.0 * int(np.count_nonzero(x & y)) / denom
@@ -802,8 +833,9 @@ def make_blob_shards(
     a generator past the last shard is not drawn from.
     The draws land in one block for all shards, which one `searchsorted`
     turns into labels and one pass, in bounded row chunks, into features
-    `centers[label] + scales[label] * noise`; one check finds any
-    non-finite feature. The shards are read-only views into the block.
+    `centers[label] + scales[label] * noise`, each gathered with `take`; one
+    check finds any non-finite feature. The shards are read-only views into
+    the block.
     """
     if min(sizes, default=1) < 1:
         raise ValidationError("a shard needs at least one sample")
@@ -825,8 +857,8 @@ def make_blob_shards(
         else [(features[lo : lo + _SYNTH_ROWS], labels[lo : lo + _SYNTH_ROWS]) for lo in range(0, total, _SYNTH_ROWS)]
     )
     for chunk, chunk_labels in chunks:
-        chunk *= geometry.scales[chunk_labels]
-        chunk += geometry.centers[chunk_labels]
+        chunk *= geometry.scales.take(chunk_labels, axis=0)
+        chunk += geometry.centers.take(chunk_labels, axis=0)
     if not np.isfinite(features).all():
         raise ValidationError("features must be finite")
     # A lone shard owns its arrays (`base` None) and skips the offsets and views: see the chunk case.

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from fedpod.params import RoundUpdates, _bind_step, _gradient_views, _stacked_gradient, _step_scratch
+from fedpod.params import (
+    DataShard,
+    RoundUpdates,
+    _bind_costs,
+    _bind_step,
+    _gradient_views,
+    _stacked_gradient,
+    _step_scratch,
+)
 
 
 def build_update(node_id, data_size, *costs, params=(0.0,)):
@@ -40,3 +48,11 @@ def stacked_gradient(values, features, onehot, n_classes, feature_dim):
     views = _gradient_views(values, grad, n_classes, feature_dim)
     _stacked_gradient(_bind_step(views, 0, k, features, onehot, _step_scratch(k, length, n_classes)))
     return grad
+
+
+def stacked_cost(values, features, labels, n_classes, feature_dim):
+    """The costs `_bind_costs` gives the k models `values` on k equal-size
+    shards, (k, size, feature_dim) `features` and (k, size) `labels`, before
+    the clip at 0."""
+    shards = [DataShard(f, y) for f, y in zip(features, labels)]
+    return _bind_costs(values, shards, n_classes, feature_dim)(np.empty(len(values)))

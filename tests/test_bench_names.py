@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fedpod import engine
+from fedpod import cli, engine
 from fedpod.cli import write_partition_csv
 from fedpod.cohort import PartitionTable
 
@@ -92,3 +92,26 @@ def test_traced_aggregate_counts_the_merged_updates(tracer):
         assert counts == [len(record.weights) for record in report.records]
     # The last config drops its injected straggler, so survivors and participants differ.
     assert any(len(record.weights) < len(record.participants) for record in report.records)
+
+
+def test_every_layer_records_a_span_on_the_user_path(tracer, tmp_path, monkeypatch):
+    # The path the benchmark times, `cli.parse_config` then `cli.execute_run`,
+    # on a small synthetic config, artifacts written into tmp_path. A layer
+    # whose spans all drop out would read 0 s and still sum to the run.
+    # `params.train_local_s` is exempt: the engine trains a round at once,
+    # not through `train_local`.
+    monkeypatch.delenv("FEDPOD_SEED", raising=False)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("seed = 3\nmax_rounds = 2\ncohort.institutions = 6\n", encoding="utf-8")
+    with tracer.Tracer() as active:
+        cli.execute_run(cli.RunManifest(str(config_path), cli.parse_config(config_path), tmp_path / "out"))
+    seen = {span.name for span in active.spans}
+    silent = [
+        layer
+        for layer, names in tracer.LAYER_SPANS.items()
+        if layer != "params.train_local_s" and not seen.intersection(names)
+    ]
+    assert silent == []
+    metrics, failures = tracer.per_layer(active.spans, 1.0)
+    assert failures == []
+    assert all(metrics[layer] > 0.0 for layer in tracer.LAYER_SPANS if layer != "params.train_local_s")

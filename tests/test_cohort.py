@@ -341,6 +341,37 @@ def test_load_errors_start_with_the_path(tmp_path, text, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ('Subject_ID,Partition_ID\ns1,"a\nb"\ns1,c\n', "line 4: duplicate subject id 's1'"),
+        ('Subject_ID,Partition_ID\ns1,"a\r\nb\rc"\n\ns2,c,d\n', "line 6: expected 2 columns, got 3"),
+        # A row that spans lines is named by its first line.
+        ('Subject_ID,Partition_ID\ns1,"a\nb"\n"s1","b\nc"\n', "line 4: duplicate subject id 's1'"),
+        ('Subject_ID,Partition_ID\ns1,"a\nb"\n"\n\n",c\n', "line 4: missing subject id"),
+    ],
+)
+def test_load_errors_name_physical_lines_after_a_quoted_newline(tmp_path, text, message):
+    path = tmp_path / "p.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ParseError) as err:
+        load_partition_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert err.value.line == int(message.split(":")[0].removeprefix("line "))
+
+
+def test_load_reports_a_field_over_the_csv_limit_on_its_physical_line(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text('Subject_ID,Partition_ID\ns1,"a\nb"\ns2,' + "b" * 40 + "\n", encoding="utf-8", newline="")
+    limit = csv.field_size_limit(16)
+    try:
+        with pytest.raises(ParseError) as err:
+            load_partition_csv(path)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(err.value) == f"{path}: line 4: field larger than field limit (16)"
+
+
 def test_load_distribution_file_with_23_partitions(tmp_path):
     table, _ = generate_synthetic_cohort(23, 30.0, 3, 10.0, seed=1)
     path = tmp_path / "partitioning.csv"

@@ -1,25 +1,34 @@
-"""The stacked SGD kernels on both sides of `_WIDE_ROWS`, against the one-model
-kernels of `tests/_oracle.py`, and the class-slice reductions of the wide
-side against numpy's own reductions."""
+"""The stacked SGD and validation kernels on both sides of `_WIDE_ROWS`,
+against the one-model kernels of `tests/_oracle.py`, and the class-slice
+reductions of the wide side against numpy's own reductions."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import stacked_gradient
-from _oracle import _batch_gradient, _mean_cross_entropy
+from _helpers import stacked_cost, stacked_gradient
+from _oracle import _batch_gradient, _mean_cross_entropy, train_local
+from fedpod.errors import TrainingDivergenceError, ValidationError
 from fedpod.params import (
+    _BLOCK_NODES,
     _SLICE_CLASSES,
     _WIDE_ROWS,
     DataShard,
+    ModelParams,
+    TrainConfig,
+    TrainJob,
     _bind_step,
     _class_max,
     _class_sum,
     _gradient_views,
-    _stacked_cost,
     _stacked_gradient,
     _step_scratch,
+    _train_block,
+    evaluate_cost,
+    train_round,
 )
+from fedpod.streams import seed_states
 
 # Both sides of `_SLICE_CLASSES`: the slice passes run below it, and the
 # per-row reductions from it, on numpy's pairwise sums.
@@ -90,7 +99,7 @@ def test_stacked_gradient_matches_the_one_model_oracle_bitwise(stack):
 def test_stacked_cost_matches_the_one_model_oracle_bitwise_on_both_sides_of_the_gate(stack):
     values, features, labels, n_classes, feature_dim = stack
     with np.errstate(over="ignore", invalid="ignore"):
-        got = np.array([max(c, 0.0) for c in _stacked_cost(values, features, labels, n_classes, feature_dim).tolist()])
+        got = np.array([max(c, 0.0) for c in stacked_cost(values, features, labels, n_classes, feature_dim).tolist()])
     want = np.array(
         [
             _mean_cross_entropy(values[i], DataShard(features[i], labels[i]), n_classes, feature_dim)
@@ -137,3 +146,77 @@ def test_bound_steps_on_block_slices_with_stale_scratch_match_the_oracle_bitwise
                 assert_same_bits(grad[lo + i], _batch_gradient(v[i], f[i], y[i], n_classes, feature_dim))
             assert (grad[~written] == 7.0).all()
             assert block.tobytes() == block_bytes
+
+
+@st.composite
+def validation_blocks(draw):
+    """One block of 3 classes: jobs whose validation shards take at least 3
+    distinct sizes, with all their rows together on either side of
+    `_WIDE_ROWS`, and maybe one job whose validation logits overflow."""
+    n_classes, feature_dim = 3, 4
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n_jobs, size_range = draw(st.integers(6, 14)), (45, 80)  # at least 270 rows
+    else:
+        n_jobs, size_range = draw(st.integers(3, 10)), (1, 25)  # at most 250 rows
+    distinct = draw(st.lists(st.integers(*size_range), min_size=3, max_size=4, unique=True))
+    val_sizes = rng.permutation(distinct[:3] + rng.choice(distinct, n_jobs - 3).tolist())
+    # Class 0's weights are all 1, so features of 1e308 overflow its logit.
+    start = 0.3 * rng.standard_normal(n_classes * (feature_dim + 1))
+    start[:feature_dim] = 1.0
+    bad = draw(st.one_of(st.none(), st.integers(0, n_jobs - 1)))
+    jobs = []
+    for i, size in enumerate(val_sizes.tolist()):
+        val = rng.standard_normal((size, feature_dim)) if i != bad else np.full((size, feature_dim), 1e308)
+        n_train = int(rng.integers(1, 20))
+        jobs.append(
+            TrainJob(
+                f"n{i}",
+                DataShard(rng.standard_normal((n_train, feature_dim)), rng.integers(0, n_classes, n_train)),
+                DataShard(val, rng.integers(0, n_classes, size)),
+                int(rng.integers(2**63)),
+            )
+        )
+    assert len(jobs) <= _BLOCK_NODES and len({len(job.val) for job in jobs}) >= 3
+    return ModelParams(start), jobs, None if bad is None else f"n{bad}", n_classes, feature_dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(validation_blocks())
+def test_flat_validation_pass_matches_the_one_model_oracle_bitwise(block):
+    # Each job's cost column from one `_train_block` of one epoch: before
+    # training on the start model and after it on the trained one. A job
+    # whose validation cost is not finite leaves every other cost exact.
+    start, jobs, bad, n_classes, feature_dim = block
+    jobs.sort(key=lambda job: len(job.shard))
+    states = seed_states([(job.seed,) for job in jobs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, costs, diverged = _train_block(start, jobs, [slice(None)] * len(jobs), states, 1, 1e-3, 8)
+    want_diverged = {}
+    for i, job in enumerate(jobs):
+        want = np.array(
+            [_mean_cross_entropy(v, job.val, n_classes, feature_dim) for v in (start.values, values[i])]
+        )
+        assert_same_bits(np.where(costs[:, i] < 0.0, 0.0, costs[:, i]), want)
+        if not np.isfinite(want[0]):
+            want_diverged[i] = "validation cost at epoch 0"
+            with pytest.raises(ValidationError, match="not finite"):
+                evaluate_cost(start, job.val)
+        else:
+            assert evaluate_cost(start, job.val) == want[0]
+    assert diverged == want_diverged
+    assert [jobs[i].node_id for i in diverged] == ([] if bad is None else [bad])
+    # The round raises the oracle's first error, or has the oracle's costs.
+    oracle_error = None
+    for job in jobs:
+        try:
+            train_local(start, job.shard, job.val, TrainConfig(1, 1e-3, job.seed, 8), node_id=job.node_id)
+        except TrainingDivergenceError as exc:
+            oracle_error = str(exc)
+            break
+    if oracle_error is not None:
+        with pytest.raises(TrainingDivergenceError) as err:
+            train_round(start, jobs, 1, 1e-3, 8)
+        assert str(err.value) == oracle_error
+    else:
+        assert train_round(start, jobs, 1, 1e-3, 8).costs.tobytes() == np.where(costs < 0.0, 0.0, costs).tobytes()

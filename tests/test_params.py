@@ -303,6 +303,25 @@ def test_predict_labels_is_argmax_of_the_logits(n_classes, feature_dim, n, kind,
         assert got.tolist() == want.tolist()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 255, 256, 257, 300]), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_predict_labels_break_exact_ties_to_the_lowest_class_in_any_label_width(n_classes, feature_dim, seed):
+    """Tied logits everywhere: small integers, and every class's row copied
+    to other classes. Past 256 classes the running argmax is two bytes
+    wide; the labels are intp either way."""
+    rng = np.random.default_rng(seed)
+    features = rng.integers(-1, 2, size=(50, feature_dim)).astype(float)
+    copies = rng.integers(0, n_classes, size=n_classes)
+    weights = rng.integers(-1, 2, size=(n_classes, feature_dim)).astype(float)[copies]
+    biases = rng.integers(-1, 2, size=n_classes).astype(float)[copies]
+    model = ModelParams(np.concatenate([weights.ravel(), biases]))
+    shard = DataShard(features, np.zeros(50, dtype=int))
+    want = np.argmax(_logits(model.values, features, n_classes, feature_dim), axis=1)
+    got = predict_labels(model, shard)
+    assert got.dtype == np.intp
+    assert got.tolist() == want.tolist()
+
+
 # ---------------------------------------------------------------- round updates and their trajectories
 
 
@@ -408,6 +427,31 @@ def test_dice_empty_sets_count_as_agreement():
 def test_dice_length_mismatch():
     with pytest.raises(ShapeError):
         dice_score([1, 2], [1], 1)
+
+
+def reference_dice(pred, truth, cls) -> float:
+    """Dice over Python ints and the same float expression."""
+    x = [int(p) == cls for p in pred]
+    y = [int(t) == cls for t in truth]
+    denom = sum(x) + sum(y)
+    return 1.0 if denom == 0 else 2.0 * sum(a and b for a, b in zip(x, y)) / denom
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=300),
+    st.integers(0, 5),
+    st.sampled_from([list, np.int8, np.intp]),
+    st.randoms(use_true_random=False),
+)
+def test_dice_matches_the_reference_for_list_int8_and_intp_predictions(pred, cls, kind, rnd):
+    # Class 5 never occurs, so both sets are empty for it.
+    truth = pred.copy()
+    rnd.shuffle(truth)
+    got_pred = pred if kind is list else np.array(pred, dtype=kind)
+    got = dice_score(got_pred, np.array(truth, dtype=np.int64), cls)
+    assert type(got) is float
+    assert got.hex() == reference_dice(pred, truth, cls).hex()
 
 
 @settings(max_examples=200)

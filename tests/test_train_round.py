@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import stacked_gradient
+from _helpers import stacked_cost, stacked_gradient
 from _oracle import _mean_cross_entropy, step_plan, step_ranges, train_local
 from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
@@ -20,7 +20,6 @@ from fedpod.params import (
     TrainConfig,
     TrainJob,
     _classifier_dims,
-    _stacked_cost,
     _step_plan,
     _train_block,
     blob_geometry,
@@ -399,7 +398,7 @@ def test_stacked_cost_matches_the_one_model_oracle_bitwise(k, size, feature_scal
     features = feature_scale * rng.standard_normal((k, size, FEATURE_DIM))
     labels = rng.integers(0, N_CLASSES, size=(k, size))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = np.array([max(c, 0.0) for c in _stacked_cost(values, features, labels, N_CLASSES, FEATURE_DIM).tolist()])
+        got = np.array([max(c, 0.0) for c in stacked_cost(values, features, labels, N_CLASSES, FEATURE_DIM).tolist()])
     want = np.array(
         [_mean_cross_entropy(values[i], DataShard(features[i], labels[i]), N_CLASSES, FEATURE_DIM) for i in range(k)]
     )
