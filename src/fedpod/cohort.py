@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, ParseError, ValidationError
 from .params import BlobGeometry, DataShard, blob_geometry, make_blob_shards
-from .streams import generators, seed_states
+from .streams import KeyBlock, generators, seed_states
 
 _COUNT_SALT = 7011
 _SHARD_SALT = 7012
@@ -73,12 +73,12 @@ class LazyShards(Mapping[str, DataShard]):
     shards, which builds a shard on its first lookup and keeps it.
 
     Institution i of `counts` (in order) has `counts[inst]` samples drawn by
-    `make_blob_shards` from the stream of seed row `(seed, _SHARD_SALT, i)`,
+    `make_blob_shards` from the stream of key `(seed, _SHARD_SALT, i)`,
     its own. So the order of lookups, and which institutions are never
     looked up, change no shard. A lookup builds one shard from a
     `seed_states` pass of its own. A caller that is about to look up many
-    can instead take the `seed_rows` of those not built yet into a
-    `seed_states` pass it makes anyway and hand the states to
+    can instead take the key block from `seed_rows` of those not built yet
+    into a `seed_states` pass it makes anyway and hand the states to
     `build_seeded`, which builds them all in one `make_blob_shards` call
     from the same streams. Iteration follows `counts`. `geometry` is the
     run's one blob geometry, which its other shards use too.
@@ -93,18 +93,20 @@ class LazyShards(Mapping[str, DataShard]):
 
     def __getitem__(self, inst: str) -> DataShard:
         if inst not in self._built:
-            new, rows = self.seed_rows([inst])
-            self.build_seeded(new, seed_states(rows))
+            new, blocks = self.seed_rows([inst])
+            self.build_seeded(new, seed_states(blocks))
         return self._built[inst]
 
-    def seed_rows(self, insts: Iterable[str]) -> tuple[list[str], list[tuple[int, ...]]]:
+    def seed_rows(self, insts: Iterable[str]) -> tuple[list[str], list[KeyBlock]]:
         """The institutions of `insts` whose shards are not built yet, and
-        the seed rows of their streams."""
+        the key block of their streams: none if there are none."""
         pending = [inst for inst in insts if inst not in self._built]
-        return pending, [(self._seed, _SHARD_SALT, self._index[inst]) for inst in pending]
+        if not pending:
+            return pending, []
+        return pending, [((self._seed, _SHARD_SALT), [self._index[inst] for inst in pending])]
 
     def build_seeded(self, insts: Sequence[str], states: np.ndarray) -> None:
-        """Build the shards of `insts`, given `seed_states` of their `seed_rows`."""
+        """Build the shards of `insts`, given `seed_states` of their `seed_rows` blocks."""
         if len(insts) != len(states):
             raise ValueError(f"{len(insts)} institutions but {len(states)} seed states")
         sizes = [self._counts[inst] for inst in insts]
@@ -164,8 +166,8 @@ def generate_synthetic_cohort(
     so building some or none of them changes no other.
     """
     CohortSpec(n_institutions, mean_samples, n_outliers, outlier_scale)
-    # The stream of seed row `(seed, _COUNT_SALT)`, seeded as the shards' streams are.
-    rng = next(generators(seed_states([(seed, _COUNT_SALT)])))
+    # The stream of key `(seed, _COUNT_SALT)`, seeded as the shards' streams are.
+    rng = next(generators(seed_states([((seed,), [_COUNT_SALT])])))
     regular = rng.poisson(mean_samples, size=n_institutions - n_outliers)
     outliers = rng.poisson(mean_samples * outlier_scale, size=n_outliers)
     counts = np.maximum(np.concatenate([regular, outliers]), 1).astype(int)

@@ -260,28 +260,31 @@ def sample_timings(
     participant's generator (the same values as four scalar draws). In the
     injection round, the row of the participant at `inject_rank` in id order
     (negative ranks count from the end, where the largest primaries sit) is
-    multiplied by `inject_factor`.
+    multiplied by `inject_factor`. The draws are scaled in place by an array
+    of the base costs, each a factor of one scalar product: the same bits.
     """
-    download_s = profile.model_bytes / profile.bandwidth_bps
-    rows = []
-    for participant, val_size, rng in zip(plan.participants, val_sizes, rngs, strict=True):
+    times = np.empty((len(plan.participants), 4))
+    for i, (participant, val_size, rng) in enumerate(zip(plan.participants, val_sizes, rngs, strict=True)):
         if participant.quota < 1 or epochs < 1 or val_size < 1:
             raise ValidationError("quota, epochs, val_size must be >= 1")
-        download, pre_val, train, post_val = rng.lognormal(profile.jitter_mu, profile.jitter_sigma, size=4).tolist()
-        val_s = val_size * profile.per_sample_val_s
-        train_s = participant.quota * epochs * profile.per_sample_train_s
-        rows.append([download_s * download, val_s * pre_val, train_s * train, val_s * post_val])
-    if profile.inject_round == round_index:
-        ordered = sorted(plan.node_ids())
-        if not -len(ordered) <= profile.inject_rank < len(ordered):
-            raise ValidationError(
-                f"timing.inject_rank {profile.inject_rank} is outside the"
-                f" {len(ordered)} participants of round {round_index}"
-            )
-        row = rows[plan.node_ids().index(ordered[profile.inject_rank])]
-        row[:] = [value * profile.inject_factor for value in row]
-    times = np.array(rows, dtype=np.float64).reshape(-1, 4)
-    # A product that overflows is inf, with no warning from Python floats.
+        times[i] = rng.lognormal(profile.jitter_mu, profile.jitter_sigma, size=4)
+    base = np.empty_like(times)
+    base[:, 0] = profile.model_bytes / profile.bandwidth_bps
+    base[:, 1] = base[:, 3] = np.array(val_sizes, dtype=np.int64) * profile.per_sample_val_s
+    quotas = np.array([participant.quota for participant in plan.participants], dtype=np.int64)
+    base[:, 2] = quotas * epochs * profile.per_sample_train_s
+    # As with Python floats, a product that overflows is inf (and 0 * inf
+    # is nan) with no warning; the check below refuses both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        times *= base
+        if profile.inject_round == round_index:
+            ordered = sorted(plan.node_ids())
+            if not -len(ordered) <= profile.inject_rank < len(ordered):
+                raise ValidationError(
+                    f"timing.inject_rank {profile.inject_rank} is outside the"
+                    f" {len(ordered)} participants of round {round_index}"
+                )
+            times[plan.node_ids().index(ordered[profile.inject_rank])] *= profile.inject_factor
     if not (np.isfinite(times).all() and (times >= 0).all()):
         raise ValidationError("timing components must be finite and non-negative")
     return times
@@ -396,21 +399,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             offsets=offsets,
         )
 
-        # One pass seeds every participant's training stream (its seed is
-        # `SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
-        # np.uint64)`) and timing stream (`default_rng` of its row), and the
-        # streams of the training and validation shards of the institutions
-        # taking part for the first time. A validation shard's stream is
-        # `(seed, _NODE_VAL_SALT, node index)`, and each is its own
-        # `make_blob_shard` call, which the benchmark's tracer counts as
-        # `engine.val_shards`.
+        # One pass seeds four key blocks: each participant's training stream
+        # (its seed is `SeedSequence([seed, _TRAIN_SALT, round, node])
+        # .generate_state(1, np.uint64)`) and timing stream, keyed by node
+        # index, and the streams of the training shards (keyed by table
+        # place, `shards.seed_rows`) and validation shards (`(seed,
+        # _NODE_VAL_SALT, node index)`) of first-time participants. With a
+        # seed below 2**32 every key fits the pool: one `_generate_state`
+        # pass. Each validation shard is its own `make_blob_shard` call,
+        # which the benchmark's tracer counts as `engine.val_shards`.
         insts = plan.node_ids()
-        nodes = [node_index[inst] for inst in insts]
-        new, shard_rows = shards.seed_rows(insts)
+        nodes = np.array([node_index[inst] for inst in insts], dtype=np.uint64)
+        new, shard_blocks = shards.seed_rows(insts)
         states = seed_states(
-            [(config.seed, salt, round_index, node) for salt in (_TRAIN_SALT, _TIMING_SALT) for node in nodes]
-            + shard_rows
-            + [(config.seed, _NODE_VAL_SALT, node_index[inst]) for inst in new]
+            [
+                ((config.seed, _TRAIN_SALT, round_index), nodes),
+                ((config.seed, _TIMING_SALT, round_index), nodes),
+                *shard_blocks,
+                ((config.seed, _NODE_VAL_SALT), [node_index[inst] for inst in new]),
+            ]
         )
         train_states, timing_states, shard_states, val_states = np.split(
             states, np.cumsum([len(nodes), len(nodes), len(new)])

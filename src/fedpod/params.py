@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError, TrainingDivergenceError, ValidationError
-from .streams import generators, seed_states
+from .streams import generators, seed_states, seed_words
 
 # Seed-stream salt for the blob geometry; every shard of one experiment must
 # be generated against the same geometry.
@@ -700,9 +700,9 @@ def train_round(
     Inputs are checked before any training, as columns over all jobs
     (`_job_sizes`); all shards must share one feature_dim. One `seed_states`
     pass seeds every job's batch-order stream as `default_rng(job.seed)`
-    would, and each job draws all its epochs' orders in one call. The
-    trained block and the costs, clipped at 0, are checked once, as the
-    columns of the returned `RoundUpdates`.
+    would, from the seeds as one id column, and each job draws all its
+    epochs' orders in one call. The trained block and the costs, clipped at
+    0, are checked once, as the columns of the returned `RoundUpdates`.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # the argument checks of a one-node config
     if not jobs:
@@ -711,7 +711,13 @@ def train_round(
     rows = [slice(None) if job.rows is None else np.asarray(job.rows, dtype=np.int64) for job in jobs]
     sizes = _job_sizes(start, jobs, rows, n_classes, feature_dim)
 
-    states = seed_states([(job.seed,) for job in jobs])
+    try:
+        # Seeds below 2**64 as one id column: the entropy [lo, hi], which
+        # mixes as [lo] does when hi is 0.
+        states = seed_states([((), [job.seed for job in jobs])])
+    except OverflowError:
+        # A seed of 2**64 or more keeps its wider key, its top word as the id.
+        states = seed_states([(words[:-1], words[-1:]) for words in (seed_words([job.seed]) for job in jobs)])
     values = np.empty((len(jobs), start.dim))
     costs = np.empty((epochs + 1, len(jobs)))
     diverged: dict[int, str] = {}

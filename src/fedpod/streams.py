@@ -1,13 +1,17 @@
 """Many seeded numpy streams at once.
 
-`seed_states` computes `np.random.SeedSequence(row).generate_state(4,
-np.uint64)` for every row of ints in one vectorized pass, and `generators`
-turns each such row into the generator `np.random.default_rng(row)` would
-return, by setting the state of one reused `Generator`. The two mirror
-numpy's algorithms step for step:
+Every per-node stream is keyed by a row of ints `(*prefix, id)`: a few
+fixed ints and the node's id. `seed_states` takes such keys as blocks
+`(prefix, ids)` and computes `np.random.SeedSequence([*prefix, id])
+.generate_state(4, np.uint64)` for every id of every block in one
+vectorized pass per entropy width, and `generators` turns each such state
+into the generator `np.random.default_rng([*prefix, id])` would return, by
+setting the state of one reused `Generator`. The two mirror numpy's
+algorithms step for step:
 
 - ints become uint32 words as numpy's `_coerce_to_uint32_array` makes them:
   least significant word first, 0 as one word, a negative int a ValueError;
+  a prefix is split once per block, its ids as uint32 word columns;
 - `SeedSequence.mix_entropy` hashes the words into a pool of 4 words with
   `hashmix` and `mix`, and `generate_state` hashes the pool into the output;
 - `PCG64` seeds itself from that output with one 128-bit LCG step
@@ -21,7 +25,7 @@ algorithm would fail there.
 from __future__ import annotations
 
 import operator
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -121,41 +125,94 @@ def _generate_state(entropy: np.ndarray) -> np.ndarray:
     return (out[0::2] | out[1::2] << 32).T
 
 
-def seed_states(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """`np.random.SeedSequence(row).generate_state(4, np.uint64)` for every
-    row, as an (n, 4) uint64 array; column 0 is `generate_state(1, np.uint64)`.
+KeyBlock = tuple[Sequence[int], Sequence[int] | np.ndarray]
+
+
+def _id_words(ids: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high uint32 words of a column of ids in [0, 2**64)."""
+    if isinstance(ids, np.ndarray):
+        if ids.dtype.kind == "i" and (ids < 0).any():
+            raise ValueError("expected non-negative integer")
+    else:
+        try:
+            ids = np.fromiter(map(operator.index, ids), dtype=np.uint64, count=len(ids))
+        except OverflowError:
+            if min(ids) < 0:
+                raise ValueError("expected non-negative integer") from None
+            raise
+    words = np.ascontiguousarray(ids, dtype="<u8").view("<u4").reshape(-1, 2)
+    return words[:, 0], words[:, 1]
+
+
+def seed_states(blocks: Iterable[KeyBlock]) -> np.ndarray:
+    """`np.random.SeedSequence([*prefix, id]).generate_state(4, np.uint64)`
+    for every id of every block `(prefix, ids)`, as an (n, 4) uint64 array
+    with rows in block order; column 0 is `generate_state(1, np.uint64)`.
+    An id is a uint32 word or two, so each must be in [0, 2**64).
 
     Entropy shorter than the pool mixes as if padded with zero words, so
-    rows of up to POOL_SIZE words share one pass; longer rows pass once per
-    word count.
+    keys of up to POOL_SIZE words share one pass; longer keys pass once per
+    word count. An id of two words makes a key one word wider than an id
+    of one, unless both fit the pool.
     """
-    words = [seed_words(row) for row in rows]
-    by_width: dict[int, list[int]] = {}
-    for i, row_words in enumerate(words):
-        by_width.setdefault(max(len(row_words), POOL_SIZE), []).append(i)
-    states = np.empty((len(words), POOL_SIZE), dtype=np.uint64)
-    for width, members in by_width.items():
-        entropy = np.array([words[i] + [0] * (width - len(words[i])) for i in members], dtype=np.uint32)
-        states[members] = _generate_state(entropy.T)
+    # Entropy width -> (prefix words, id words, rows) of the keys of that width.
+    pieces: dict[int, list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]] = {}
+    n = 0
+    for prefix, ids in blocks:
+        words = seed_words(prefix)
+        lo, hi = _id_words(ids)
+        if not len(lo):
+            continue
+        rows = np.arange(n, n + len(lo))
+        n += len(lo)
+        narrow = max(len(words) + 1, POOL_SIZE)
+        wide = max(len(words) + 2, POOL_SIZE)
+        if narrow == wide or not hi.any():
+            pieces.setdefault(narrow, []).append((words, lo, hi, rows))
+        else:
+            two_word = hi != 0
+            one_word = ~two_word
+            pieces.setdefault(narrow, []).append((words, lo[one_word], hi[one_word], rows[one_word]))
+            pieces.setdefault(wide, []).append((words, lo[two_word], hi[two_word], rows[two_word]))
+    states = np.empty((n, POOL_SIZE), dtype=np.uint64)
+    for width, group in pieces.items():
+        # One column per key: its prefix words, its id's words, then zeros.
+        entropy = np.zeros((width, sum(len(rows) for _, _, _, rows in group)), dtype=np.uint32)
+        end = 0
+        for words, lo, hi, rows in group:
+            start, end = end, end + len(rows)
+            entropy[: len(words), start:end] = _columns(words)
+            entropy[len(words), start:end] = lo
+            if len(words) + 1 < width:
+                entropy[len(words) + 1, start:end] = hi
+        if len(pieces) == 1:  # one width: the keys are in block order
+            return _generate_state(entropy)
+        states[np.concatenate([rows for _, _, _, rows in group])] = _generate_state(entropy)
     return states
 
 
-def generators(states: np.ndarray) -> Iterator[np.random.Generator]:
-    """For each row of `seed_states(rows)`, a generator in the state that
-    `np.random.default_rng(row)` starts in.
+# The generator `generators` re-sets, built from a ready seed sequence.
+_SEED_SEQUENCE = np.random.SeedSequence(0)
 
-    One `Generator` is re-set and yielded for every row, so draw from it
-    before advancing the iterator.
+
+def generators(states: np.ndarray) -> Iterator[np.random.Generator]:
+    """For each row of `seed_states(blocks)`, a generator in the state that
+    `np.random.default_rng([*prefix, id])` starts in.
+
+    One `Generator` is re-set through one state dict and yielded for every
+    row, so draw from it before advancing the iterator.
     """
-    generator = np.random.Generator(np.random.PCG64(0))
+    generator = np.random.Generator(np.random.PCG64(_SEED_SEQUENCE))
     bit_generator = generator.bit_generator
-    for seed_hi, seed_lo, seq_hi, seq_lo in states.tolist():
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    seed_hi, seed_lo, seq_hi, seq_lo = states.T.tolist()
+    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(seq_hi, seq_lo)]
+    starts = [
+        ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128 for inc, hi, lo in zip(incs, seed_hi, seed_lo)
+    ]
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for start, inc in zip(starts, incs):
+        pcg["state"] = start
+        pcg["inc"] = inc
+        bit_generator.state = state
         yield generator

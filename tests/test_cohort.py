@@ -259,10 +259,10 @@ def test_batch_built_shards_match_eager_synthesis(counts, seed, data):
     for inst in looked_up:
         shards[inst]
     batch = data.draw(st.lists(st.sampled_from(list(table.counts)), unique=True))
-    pending, rows = shards.seed_rows(batch)
+    pending, blocks = shards.seed_rows(batch)
     assert pending == [inst for inst in batch if inst not in looked_up]
-    other = [(seed, 1, 2, 3)] * data.draw(st.integers(0, 3))
-    shards.build_seeded(pending, seed_states(other + rows)[len(other) :])
+    other = [((seed, 1, 2), [3])] * data.draw(st.integers(0, 3))
+    shards.build_seeded(pending, seed_states(other + blocks)[len(other) :])
     assert shards.seed_rows(batch) == ([], [])
     for inst in table.counts:
         _assert_same_shard(shards[inst], expected[inst])

@@ -1,4 +1,4 @@
-"""Behaviour lock: sha256 of every behaviour-defining artifact for four tiny runs.
+"""Behaviour lock: sha256 of every behaviour-defining artifact for five tiny runs.
 
 A refactor must leave these hashes unchanged. A change that alters behaviour
 on purpose updates them and says why in CHANGES.md.
@@ -69,6 +69,18 @@ GOLDEN_CONFIGS = {
         batch_size=8,
         max_rounds=6,
     ),
+    # A seed of more than one uint32 word, so every stream key is wider than
+    # the pool. Task participation on the partition CSV; round 3's first
+    # participant by id (a primary) is dropped and sits out round 4.
+    "csv-multiword-seed": ExperimentConfig(
+        seed=2**40 + 3,
+        cohort=PartitionSource(GOLDEN_PARTITION),
+        strategy=AggregationStrategy("fedpod"),
+        schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 2),),
+        timing=TimingProfile(inject_round=3, inject_rank=0),
+        batch_size=8,
+        max_rounds=5,
+    ),
 }
 
 GOLDEN_HASHES = {
@@ -91,6 +103,11 @@ GOLDEN_HASHES = {
         "metrics.csv": "58fe54ce387b2f8b89cf0952d2fe2f6f969e848a1dc2334bb8cfe1a0ba834ad7",
         "summary.json": "9d8b0a55076e44dd1a3523490af735857fa7067bfc2f39b9330c67ea1a8b90f3",
         "model.bin": "cc408225cf0fb814d1e2996ed55424853d9d6457078b9a93a58b32bf93e7c892",
+    },
+    "csv-multiword-seed": {
+        "metrics.csv": "8d730620e2764e31ffa7b336baad055a918fa43ade562783d84dc7ffa64922b0",
+        "summary.json": "7072d8d06b85df20300e54a19189849c7e8ccbfda151f2976883a8cbd6ec897d",
+        "model.bin": "576543c794bd662a6b2ade08bb74d9cee50f0f2a2d43952636d505a6b6f5c83f",
     },
 }
 

@@ -189,7 +189,7 @@ def test_flat_validation_pass_matches_the_one_model_oracle_bitwise(block):
     # whose validation cost is not finite leaves every other cost exact.
     start, jobs, bad, n_classes, feature_dim = block
     jobs.sort(key=lambda job: len(job.shard))
-    states = seed_states([(job.seed,) for job in jobs])
+    states = seed_states([((), [job.seed for job in jobs])])
     with np.errstate(over="ignore", invalid="ignore"):
         values, costs, diverged = _train_block(start, jobs, [slice(None)] * len(jobs), states, 1, 1e-3, 8)
     want_diverged = {}

@@ -507,7 +507,7 @@ def _assert_batch_matches_one_by_one(sizes, geometry, seed):
     seeding pass makes them, equals `make_blob_shard` of each stream alone,
     and the choice-and-noise formula of each stream."""
     rows = [(seed, i) for i in range(len(sizes))]
-    shards = make_blob_shards(sizes, geometry, generators(seed_states(rows)))
+    shards = make_blob_shards(sizes, geometry, generators(seed_states([((seed,), np.arange(len(sizes)))])))
     assert len(shards) == len(sizes)
     for n, row, shard in zip(sizes, rows, shards):
         want = make_blob_shard(n, geometry, np.random.default_rng(row))

@@ -5,22 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedpod import cohort, engine, params, streams
+from fedpod.engine import CohortSpec, ExperimentConfig, run_experiment
 from fedpod.streams import generators, seed_states, seed_words
 
 # Word-count boundaries of numpy's int coercion, plus multi-word values.
 EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**96 + 7, 2**130 + 3]
 ints = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64 - 1), st.integers(0, 2**160))
 uint64s = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+ID_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
 
 
-def assert_streams_match(rows):
-    states = seed_states(rows)
-    assert states.shape == (len(rows), 4) and states.dtype == np.uint64
-    for row, state, generator in zip(rows, states, generators(states)):
-        sequence = np.random.SeedSequence(row)
+def row_block(row):
+    """A key row of any ints as a one-key block: every word of the row but
+    the last as a prefix int of its own, and the last word as the id."""
+    words = seed_words(row)
+    return words[:-1], [words[-1]]
+
+
+def keys_of(blocks):
+    return [[*prefix, int(i)] for prefix, ids in blocks for i in np.asarray(ids, dtype=object).tolist()]
+
+
+def assert_streams_match(blocks, keys=None):
+    """`seed_states(blocks)` and its generators against numpy for every key
+    `[*prefix, id]` in block order, or for `keys` if the blocks stand for
+    keys of other ints with the same words."""
+    keys = keys_of(blocks) if keys is None else keys
+    states = seed_states(blocks)
+    assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+    for key, state, generator in zip(keys, states, generators(states)):
+        sequence = np.random.SeedSequence(key)
         assert state.tolist() == sequence.generate_state(4, np.uint64).tolist()
         assert state[0] == sequence.generate_state(1, np.uint64)[0]
-        reference = np.random.default_rng(row)
+        reference = np.random.default_rng(key)
         assert generator.bit_generator.state == reference.bit_generator.state
         assert generator.random(3).tolist() == reference.random(3).tolist()
         assert generator.permutation(17).tolist() == reference.permutation(17).tolist()
@@ -28,15 +46,22 @@ def assert_streams_match(rows):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.lists(ints, max_size=6), st.lists(uint64s, min_size=1, max_size=12))
+def test_prefixed_blocks_match_numpy(prefix, ids):
+    assert_streams_match([(prefix, np.array(ids, dtype=np.uint64))])
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.lists(ints, max_size=6), st.lists(ints, min_size=1, max_size=12))
 def test_prefixed_rows_match_numpy(prefix, column):
-    assert_streams_match([[*prefix, c] for c in column])
+    rows = [[*prefix, c] for c in column]
+    assert_streams_match([row_block(row) for row in rows], keys=rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(uint64s, min_size=1, max_size=20))
 def test_int_seeds_match_default_rng(seeds):
-    states = seed_states([(seed,) for seed in seeds])
+    states = seed_states([((), np.array(seeds, dtype=np.uint64))])
     for seed, state, generator in zip(seeds, states, generators(states)):
         assert state.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
         reference = np.random.default_rng(seed)
@@ -45,8 +70,44 @@ def test_int_seeds_match_default_rng(seeds):
 
 
 def test_rows_of_every_width_share_one_call():
-    rows = [[], [0], [2**32 - 1, 2**32], [7, 7003, 3, 9], [2**64 - 1, 7004, 3, 9], [1, 2, 3, 4, 5], [2**200, 0, 1]]
-    assert_streams_match(rows)
+    rows = [[0], [2**32 - 1, 2**32], [7, 7003, 3, 9], [2**64 - 1, 7004, 3, 9], [1, 2, 3, 4, 5], [2**200, 0, 1]]
+    assert_streams_match([row_block(row) for row in rows], keys=rows)
+
+
+@pytest.mark.parametrize("prefix", [(), (5,), (5, 7003), (5, 7003, 2), (2**40 + 3, 7003), (2**40 + 3, 7003, 2)])
+def test_ids_at_word_edges(prefix):
+    # One block whose ids make keys of two widths once the prefix fills
+    # the pool; as an array and as ints.
+    ids = np.array(ID_EDGES, dtype=np.uint64)
+    assert_streams_match([(prefix, ids)])
+    assert_streams_match([(prefix, ids[::-1])])
+    assert_streams_match([(prefix, [0, 2**32 - 1, 2**32, 2**63 - 1])])
+
+
+def test_multiword_prefixes():
+    prefixes = [(2**64 - 1,), (2**96 + 7, 1), (2**40 + 3, 7003, 2), (2**200, 0, 2**33), (1, 2, 3, 4, 5, 6)]
+    assert_streams_match([(prefix, np.arange(5)) for prefix in prefixes])
+
+
+def test_blocks_of_mixed_widths_keep_block_order():
+    blocks = [
+        ((2**40 + 3, 7003, 2), np.arange(4)),
+        ((5, 7002), [3, 1, 2]),
+        ((2**40 + 3, 7002), np.array([2**64 - 1, 0, 2**32], dtype=np.uint64)),
+        ((), np.array([2**64 - 1, 9], dtype=np.uint64)),
+        ((1, 2, 3, 4, 5), np.array([7], dtype=np.int64)),
+        ((5, 7003, 2), np.arange(3)),
+    ]
+    assert_streams_match(blocks)
+
+
+def test_no_rows_give_no_states():
+    assert seed_states([]).shape == (0, 4)
+    assert list(generators(seed_states([]))) == []
+    assert seed_states([((5, 7003), [])]).shape == (0, 4)
+    assert seed_states([((2**40 + 3, 7003, 2), np.arange(0))]).shape == (0, 4)
+    blocks = [((5,), []), ((5, 7003), [1, 2]), ((2**40 + 3, 1, 2), []), ((), np.array([2**64 - 1], dtype=np.uint64))]
+    assert_streams_match(blocks)
 
 
 def test_words_follow_numpy_coercion():
@@ -57,14 +118,68 @@ def test_words_follow_numpy_coercion():
     assert seed_words([]) == []
 
 
-@pytest.mark.parametrize("row", [(-1,), (5, -1), (0, 2**40, -(2**40))])
+@pytest.mark.parametrize("row", [(-1,), (5, -1), (0, 2**40, -(2**40)), (-1, 5)])
 def test_negative_values_raise_like_numpy(row):
     with pytest.raises(ValueError, match="expected non-negative integer"):
         np.random.SeedSequence(list(row))
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        seed_states([row])
+        seed_states([(row[:-1], [row[-1]])])
 
 
-def test_no_rows_give_no_states():
-    assert seed_states([]).shape == (0, 4)
-    assert list(generators(seed_states([]))) == []
+@pytest.mark.parametrize("ids", [[-1], [3, -1], np.array([0, -5]), np.array([-(2**40)], dtype=np.int64)])
+def test_a_negative_id_raises(ids):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        seed_states([((5, 7003), [1]), ((5,), ids)])
+
+
+def _passes(monkeypatch, config):
+    """(caller, entropy widths) of every `seed_states` call in a run, one
+    entry per call; the widths are those of its `_generate_state` passes."""
+    calls = []
+    generate_state = streams._generate_state
+
+    def counted(entropy):
+        calls[-1][1].append(len(entropy))
+        return generate_state(entropy)
+
+    def tagged(module, caller):
+        original = module.seed_states
+
+        def recorded(blocks):
+            calls.append((caller, []))
+            return original(blocks)
+
+        monkeypatch.setattr(module, "seed_states", recorded)
+
+    monkeypatch.setattr(streams, "_generate_state", counted)
+    for module in (cohort, engine, params):
+        tagged(module, module.__name__.rsplit(".", 1)[1])
+    run_experiment(config)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "seed, first, later",
+    [
+        # Every key fits the pool: one width.
+        (5, [4], [4]),
+        # Two-word seed: the training and timing keys are five words, the
+        # shard keys (first round only, every node takes part) four.
+        (2**40 + 3, [4, 5], [5]),
+    ],
+)
+def test_one_generate_state_pass_per_width_a_round(monkeypatch, seed, first, later):
+    config = ExperimentConfig(
+        seed=seed,
+        cohort=CohortSpec(n_institutions=9, mean_samples=12.0, n_outliers=2, outlier_scale=6.0),
+        participation="all",
+        batch_size=8,
+        max_rounds=3,
+    )
+    calls = _passes(monkeypatch, config)
+    # The cohort's count stream, then per round the engine's one call and
+    # `train_round`'s, whose job seeds are uint64s: one pass of 4 words.
+    assert [(caller, sorted(widths)) for caller, widths in calls] == [("cohort", [4])] + [
+        ("engine", first),
+        ("params", [4]),
+    ] + [("engine", later), ("params", [4])] * 2

@@ -198,6 +198,13 @@ def test_one_and_two_word_seeds_share_a_round():
     check(ModelParams(0.2 * rng.standard_normal(DIM)), jobs, 3, 0.05, 4)
 
 
+def test_seeds_of_more_than_two_words_keep_their_streams():
+    rng = np.random.default_rng(8)
+    seeds = [2**64, 5, 2**96 + 7, 2**64 - 1, 2**130 + 3, 0]
+    jobs = [TrainJob(f"n{k}", shard(rng, 4 + k), shard(rng, 3), seed) for k, seed in enumerate(seeds)]
+    check(ModelParams(0.2 * rng.standard_normal(DIM)), jobs, 2, 0.05, 4)
+
+
 def test_negative_seed_raises_like_default_rng():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -466,7 +473,7 @@ def test_step_plan_matches_the_per_step_oracle(plan):
 def test_train_block_rejects_jobs_out_of_size_order():
     rng = np.random.default_rng(14)
     jobs = [TrainJob("big", shard(rng, 5), shard(rng, 3), 1), TrainJob("small", shard(rng, 4), shard(rng, 3), 2)]
-    states = seed_states([(job.seed,) for job in jobs])
+    states = seed_states([((), [job.seed for job in jobs])])
     with pytest.raises(ValidationError, match="sorted by training size"):
         _train_block(ModelParams.zeros(DIM), jobs, [slice(None)] * 2, states, 1, 0.1, 4)
 
