@@ -384,6 +384,9 @@ def _read_run(metrics: Path) -> tuple[str, list[dict[str, str]]]:
             name = None
         if not isinstance(name, str):
             raise ValidationError(f"{summary} is not a JSON object with a strategy")
+        # The name prefixes file names in --out, so it must be one plain path component.
+        if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+            raise ValidationError(f"{summary} has strategy {name!r}, which is not a file name")
     try:
         with open(metrics, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)

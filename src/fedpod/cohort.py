@@ -1,6 +1,7 @@
 """Institutional data distributions: Poisson modeling, skewed synthetic
 cohorts, and partition-file ingestion. Below the partition-file reader and
-writer an institution is its sample count; sample ids exist only in the file.
+writer an institution is its sample count; sample ids exist only in the file,
+and its features and labels only in the shard the engine draws for it.
 A plain partition file is counted in whole-text passes, and any other is read
 by a `csv.reader` row walk, the only ingest code that raises."""
 
@@ -12,16 +13,14 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DegenerateModelError, ParseError, ValidationError
-from .params import BlobGeometry, DataShard, blob_geometry, make_blob_shards
-from .streams import KeyBlock, generators, seed_states
+from .params import BlobGeometry, blob_geometry
 
 _COUNT_SALT = 7011
-_SHARD_SALT = 7012
 
 PARTITION_HEADER = ("Subject_ID", "Partition_ID")
 
@@ -68,61 +67,6 @@ def fit_poisson(table: PartitionTable) -> PoissonModel:
     return PoissonModel(mean)
 
 
-class LazyShards(Mapping[str, DataShard]):
-    """Read-only institution -> DataShard mapping of a table's synthetic
-    shards, which builds a shard on its first lookup and keeps it.
-
-    Institution i of `counts` (in order) has `counts[inst]` samples drawn by
-    `make_blob_shards` from the stream of key `(seed, _SHARD_SALT, i)`,
-    its own. So the order of lookups, and which institutions are never
-    looked up, change no shard. A lookup builds one shard from a
-    `seed_states` pass of its own. A caller that is about to look up many
-    can instead take the key block from `seed_rows` of those not built yet
-    into a `seed_states` pass it makes anyway and hand the states to
-    `build_seeded`, which builds them all in one `make_blob_shards` call
-    from the same streams. Iteration follows `counts`. `geometry` is the
-    run's one blob geometry, which its other shards use too.
-    """
-
-    def __init__(self, counts: Mapping[str, int], seed: int, geometry: BlobGeometry):
-        self._counts = counts
-        self._index = {inst: i for i, inst in enumerate(counts)}
-        self._seed = seed
-        self.geometry = geometry
-        self._built: dict[str, DataShard] = {}
-
-    def __getitem__(self, inst: str) -> DataShard:
-        if inst not in self._built:
-            new, blocks = self.seed_rows([inst])
-            self.build_seeded(new, seed_states(blocks))
-        return self._built[inst]
-
-    def seed_rows(self, insts: Iterable[str]) -> tuple[list[str], list[KeyBlock]]:
-        """The institutions of `insts` whose shards are not built yet, and
-        the key block of their streams: none if there are none."""
-        pending = [inst for inst in insts if inst not in self._built]
-        if not pending:
-            return pending, []
-        return pending, [((self._seed, _SHARD_SALT), [self._index[inst] for inst in pending])]
-
-    def build_seeded(self, insts: Sequence[str], states: np.ndarray) -> None:
-        """Build the shards of `insts`, given `seed_states` of their `seed_rows` blocks."""
-        if len(insts) != len(states):
-            raise ValueError(f"{len(insts)} institutions but {len(states)} seed states")
-        sizes = [self._counts[inst] for inst in insts]
-        self._built.update(zip(insts, make_blob_shards(sizes, self.geometry, generators(states))))
-
-    def __contains__(self, inst) -> bool:
-        # Mapping's default would look the key up, building its shard.
-        return inst in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
 @dataclass(frozen=True)
 class CohortSpec:
     """Synthetic cohort parameters: Poisson(mean_samples) counts, the last
@@ -157,17 +101,15 @@ def generate_synthetic_cohort(
     seed: int,
     n_classes: int = 4,
     feature_dim: int = 8,
-) -> tuple[PartitionTable, LazyShards]:
-    """Draw a skewed cohort, checked as a `CohortSpec`: Poisson counts plus a few large outliers.
+) -> tuple[PartitionTable, BlobGeometry]:
+    """Draw a skewed cohort, checked as a `CohortSpec`: Poisson counts plus a
+    few large outliers, and the blob geometry its shards are drawn from.
 
     Counts drawn as zero are clamped to 1 so every institution can
-    participate. Deterministic under `seed`. Shards are built on first
-    lookup, each from its own stream keyed by the institution's position,
-    so building some or none of them changes no other.
+    participate. Deterministic under `seed`.
     """
     CohortSpec(n_institutions, mean_samples, n_outliers, outlier_scale)
-    # The stream of key `(seed, _COUNT_SALT)`, seeded as the shards' streams are.
-    rng = next(generators(seed_states([((seed,), [_COUNT_SALT])])))
+    rng = np.random.default_rng([seed, _COUNT_SALT])
     regular = rng.poisson(mean_samples, size=n_institutions - n_outliers)
     outliers = rng.poisson(mean_samples * outlier_scale, size=n_outliers)
     counts = np.maximum(np.concatenate([regular, outliers]), 1).astype(int)
@@ -180,20 +122,20 @@ def synthesize_shards(
     seed: int,
     n_classes: int = 4,
     feature_dim: int = 8,
-) -> LazyShards:
-    """Synthesize features and labels for a table; only its counts are real.
+) -> BlobGeometry:
+    """The blob geometry of a table's synthetic shards; only its counts are real.
 
-    Each shard is built when it is first looked up, or when the engine
-    builds a round's new shards in its one seeding pass, from its own
-    stream (see `LazyShards`), so institutions that never take part cost
-    nothing.
+    The engine builds an institution's shard from this geometry when the
+    institution first takes part, so institutions that never take part cost
+    nothing. The name is kept, though no shard is built here, because the
+    benchmark's tracer wraps `engine.synthesize_shards` as cohort build time.
     """
     geometry = blob_geometry(n_classes, feature_dim, seed)
     # An institution with no samples can never get a shard: fail here, not
-    # at its first lookup mid-run.
+    # when it first takes part mid-run.
     if not all(table.counts.values()):
         raise ValidationError("a shard needs at least one sample")
-    return LazyShards(table.counts, seed, geometry)
+    return geometry
 
 
 def load_partition_csv(path) -> PartitionTable:

@@ -17,7 +17,6 @@ import numpy as np
 from .aggregation import AggregationStrategy, CostHistory, aggregate, compute_weights
 from .cohort import (
     CohortSpec,
-    LazyShards,
     PartitionTable,
     fit_poisson,
     generate_synthetic_cohort,
@@ -26,11 +25,13 @@ from .cohort import (
 )
 from .errors import ValidationError
 from .params import (
+    BlobGeometry,
     DataShard,
     ModelParams,
     TrainJob,
     dice_score,
     make_blob_shard,
+    make_blob_shards,
     predict_labels,
     train_local,  # noqa: F401 -- unused here, but the benchmark's tracer (bench/tracer.py) wraps this name
     train_round,
@@ -42,6 +43,7 @@ _HOLDOUT_SALT = 7001
 _NODE_VAL_SALT = 7002
 _TRAIN_SALT = 7003
 _TIMING_SALT = 7004
+_SHARD_SALT = 7012
 
 # Per-node validation shards stay small so validation time never dominates.
 _VAL_FRACTION = 0.2
@@ -315,7 +317,7 @@ def round_time(times: np.ndarray) -> float:
     return download + pre_val + train + post_val
 
 
-def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, LazyShards]:
+def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, BlobGeometry]:
     spec = config.cohort
     if isinstance(spec, PartitionSource):
         table = load_partition_csv(spec.path)
@@ -365,14 +367,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     configured strategy, and score the global model on a fixed held-out
     shard. Stops at max_rounds or once simulated time reaches the cap.
     """
-    table, shards = _build_cohort(config)
+    table, geometry = _build_cohort(config)
     poisson = fit_poisson(table)
     classification = classify_nodes(table, poisson, config.z)
+    position = {inst: i for i, inst in enumerate(table.counts)}
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
 
     holdout_n = max(32, round(config.holdout_fraction * table.total))
-    holdout = make_blob_shard(holdout_n, shards.geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
+    holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
 
+    # Each institution's training and validation shards, built in the round
+    # it first takes part.
+    shards: dict[str, DataShard] = {}
     node_val: dict[str, DataShard] = {}
     _check_inject_rank(config, classification, len(table.counts))
 
@@ -402,29 +408,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # One pass seeds four key blocks: each participant's training stream
         # (its seed is `SeedSequence([seed, _TRAIN_SALT, round, node])
         # .generate_state(1, np.uint64)`) and timing stream, keyed by node
-        # index, and the streams of the training shards (keyed by table
-        # place, `shards.seed_rows`) and validation shards (`(seed,
-        # _NODE_VAL_SALT, node index)`) of first-time participants. With a
-        # seed below 2**32 every key fits the pool: one `_generate_state`
-        # pass. Each validation shard is its own `make_blob_shard` call,
-        # which the benchmark's tracer counts as `engine.val_shards`.
+        # index, and the streams of first-time participants' training shards
+        # (`(seed, _SHARD_SALT, table position)`) and validation shards
+        # (`(seed, _NODE_VAL_SALT, node index)`), so a node's data does not
+        # depend on the round it joins. With a seed below 2**32 every key
+        # fits the pool: one `_generate_state` pass. Each validation shard is
+        # its own `make_blob_shard` call, which the benchmark's tracer counts
+        # as `engine.val_shards`.
         insts = plan.node_ids()
         nodes = np.array([node_index[inst] for inst in insts], dtype=np.uint64)
-        new, shard_blocks = shards.seed_rows(insts)
+        new = [inst for inst in insts if inst not in shards]
         states = seed_states(
             [
                 ((config.seed, _TRAIN_SALT, round_index), nodes),
                 ((config.seed, _TIMING_SALT, round_index), nodes),
-                *shard_blocks,
+                ((config.seed, _SHARD_SALT), [position[inst] for inst in new]),
                 ((config.seed, _NODE_VAL_SALT), [node_index[inst] for inst in new]),
             ]
         )
         train_states, timing_states, shard_states, val_states = np.split(
             states, np.cumsum([len(nodes), len(nodes), len(new)])
         )
-        shards.build_seeded(new, shard_states)
-        for inst, rng in zip(new, generators(val_states)):
-            node_val[inst] = make_blob_shard(_val_size(table.counts[inst]), shards.geometry, rng)
+        sizes = [table.counts[inst] for inst in new]
+        shards.update(zip(new, make_blob_shards(sizes, geometry, generators(shard_states))))
+        for inst, size, rng in zip(new, sizes, generators(val_states)):
+            node_val[inst] = make_blob_shard(_val_size(size), geometry, rng)
         jobs = []
         for participant, seed in zip(plan.participants, train_states[:, 0].tolist()):
             inst = participant.institution_id

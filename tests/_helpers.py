@@ -1,7 +1,10 @@
 """Small builders shared across test modules."""
 
+from unittest import mock
+
 import numpy as np
 
+from fedpod import engine
 from fedpod.params import (
     DataShard,
     RoundUpdates,
@@ -11,6 +14,7 @@ from fedpod.params import (
     _stacked_gradient,
     _step_scratch,
 )
+from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
 
 
 def build_update(node_id, data_size, *costs, params=(0.0,)):
@@ -56,3 +60,37 @@ def stacked_cost(values, features, labels, n_classes, feature_dim):
     the clip at 0."""
     shards = [DataShard(f, y) for f, y in zip(features, labels)]
     return _bind_costs(values, shards, n_classes, feature_dim)(np.empty(len(values)))
+
+
+def engine_shards(table, geometry, seed, rounds):
+    """Run the engine on `table` and `geometry` for one round per entry of
+    `rounds`, a list of the institutions taking part in it, in plan order,
+    each training on its whole shard. Returns, per round, the training
+    shard of each job as {institution: shard}, and the sizes of each
+    `engine.make_blob_shards` call."""
+    plans = iter(
+        [TaskPlan(tuple(TaskParticipant(inst, ROLE_PRIMARY, table.counts[inst], 0) for inst in insts)) for insts in rounds]
+    )
+    trained, batches = [], []
+    train_round, make_blob_shards = engine.train_round, engine.make_blob_shards
+
+    def recorded_round(model, jobs, *args):
+        trained.append({job.node_id: job.shard for job in jobs})
+        return train_round(model, jobs, *args)
+
+    def recorded_batch(sizes, geometry, rngs):
+        batches.append(list(sizes))
+        return make_blob_shards(sizes, geometry, rngs)
+
+    config = engine.ExperimentConfig(
+        seed=seed, max_rounds=len(rounds), timing=engine.TimingProfile(timeout_factor=None)
+    )
+    with mock.patch.multiple(
+        engine,
+        _build_cohort=lambda _: (table, geometry),
+        compose_task=lambda *args, **kwargs: next(plans),
+        train_round=recorded_round,
+        make_blob_shards=recorded_batch,
+    ):
+        engine.run_experiment(config)
+    return trained, batches

@@ -213,6 +213,23 @@ def test_main_plot_data_checks_every_run_before_writing(tmp_path, capsys, case, 
     assert not plots.exists()
 
 
+@pytest.mark.parametrize("strategy", ["../../escaped", "no/such", "", ".", "..", "a\0b"])
+def test_main_plot_data_refuses_a_strategy_that_is_not_a_file_name(tmp_path, capsys, strategy):
+    # A summary's strategy prefixes the series file names; one that is a
+    # path would write outside --out, or fail after the first run's files.
+    results = tmp_path / "results"
+    for run in ("a", "b"):
+        (results / run).mkdir(parents=True)
+        (results / run / "metrics.csv").write_text("round,mean_dice,convergence_score\n1,0.5,0.1\n", encoding="utf-8")
+    (results / "b" / "summary.json").write_text(json.dumps({"strategy": strategy}), encoding="utf-8")
+    inputs = sorted(tmp_path.rglob("*"))
+    plots = tmp_path / "out" / "plots"
+    assert main(["plot-data", "--results", str(results), "--out", str(plots)]) == 1
+    summary = results / "b" / "summary.json"
+    assert capsys.readouterr().err == f"error: {summary} has strategy {strategy!r}, which is not a file name\n"
+    assert sorted(tmp_path.rglob("*")) == inputs
+
+
 @pytest.mark.parametrize(
     "case", ["config-is-a-directory", "config-not-utf8", "partition-not-utf8", "out-is-a-file", "out-dir-missing"]
 )

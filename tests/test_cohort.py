@@ -14,7 +14,6 @@ from fedpod import cohort
 from fedpod.cli import write_partition_csv
 from fedpod.cohort import (
     _POISSON_LAM_MAX,
-    _SHARD_SALT,
     CohortSpec,
     PartitionTable,
     PoissonModel,
@@ -23,9 +22,10 @@ from fedpod.cohort import (
     load_partition_csv,
     synthesize_shards,
 )
+from fedpod.engine import _SHARD_SALT
 from fedpod.errors import DegenerateModelError, ParseError, ValidationError
 from fedpod.params import blob_geometry, make_blob_shard
-from fedpod.streams import seed_states
+from _helpers import engine_shards
 
 
 def table_from_counts(counts):
@@ -82,24 +82,40 @@ def test_table_counts_and_total():
 # ---------------------------------------------------------------- generator
 
 
+def everyone_once(table, geometry, seed):
+    """The training shards the engine builds when every institution takes
+    part in its first round."""
+    (built,), _ = engine_shards(table, geometry, seed, [list(table.counts)])
+    return built
+
+
+def _assert_same_geometry(a, b):
+    for name in ("centers", "scales", "class_probs"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def test_generator_is_deterministic():
-    a_table, a_shards = generate_synthetic_cohort(6, 12.0, 1, 5.0, seed=99)
-    b_table, b_shards = generate_synthetic_cohort(6, 12.0, 1, 5.0, seed=99)
+    a_table, a_geometry = generate_synthetic_cohort(6, 12.0, 1, 5.0, seed=99)
+    b_table, b_geometry = generate_synthetic_cohort(6, 12.0, 1, 5.0, seed=99)
     assert a_table == b_table
-    for inst in a_shards:
+    _assert_same_geometry(a_geometry, b_geometry)
+    a_shards, b_shards = everyone_once(a_table, a_geometry, 99), everyone_once(b_table, b_geometry, 99)
+    for inst in a_table.counts:
         assert np.array_equal(a_shards[inst].features, b_shards[inst].features)
 
 
 def test_generator_single_institution():
-    table, shards = generate_synthetic_cohort(1, 3.0, 0, 1.0, seed=0)
+    table, geometry = generate_synthetic_cohort(1, 3.0, 0, 1.0, seed=0)
     (count,) = table.counts.values()
     assert count >= 1
-    assert len(shards) == 1
+    _assert_same_geometry(geometry, blob_geometry(4, 8, 0))
+    assert len(everyone_once(table, geometry, 0)) == 1
 
 
 def test_generator_shards_align_with_table():
-    table, shards = generate_synthetic_cohort(5, 8.0, 1, 4.0, seed=2)
+    table, geometry = generate_synthetic_cohort(5, 8.0, 1, 4.0, seed=2)
     assert list(table.counts) == [f"inst{i:03d}" for i in range(5)]
+    shards = everyone_once(table, geometry, 2)
     for inst, count in table.counts.items():
         assert len(shards[inst]) == count
 
@@ -188,7 +204,9 @@ def test_generate_then_fit_round_trips_lambda():
 
 def test_synthesize_shards_covers_every_institution():
     table = table_from_counts([4, 2, 9])
-    shards = synthesize_shards(table, seed=5)
+    geometry = synthesize_shards(table, seed=5)
+    _assert_same_geometry(geometry, blob_geometry(4, 8, 5))
+    shards = everyone_once(table, geometry, 5)
     assert set(shards) == set(table.counts)
     for inst, count in table.counts.items():
         assert len(shards[inst]) == count
@@ -223,24 +241,23 @@ def _assert_same_shard(a, b):
     data=st.data(),
 )
 def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
-    # Any lookup order, with repeats, over any subset of institutions gives
-    # the shards an eager pass over the whole table would have built.
+    # Institutions first taking part in any order, in any rounds, over any
+    # subset of the table get the shards an eager pass over the whole table
+    # would have built, and one taking part again keeps its shard.
     if synthetic:
-        table, shards = generate_synthetic_cohort(len(counts), 6.0, 0, 1.0, seed=seed)
+        table, geometry = generate_synthetic_cohort(len(counts), 6.0, 0, 1.0, seed=seed)
     else:
         # inst10 sorts before inst2, so position and id order differ.
         table = table_from_counts(counts)
-        shards = synthesize_shards(table, seed=seed)
-    assert list(shards) == list(table.counts) and len(shards) == len(table.counts)
+        geometry = synthesize_shards(table, seed=seed)
     expected = _eager_shards(table.counts, seed)
-    lookups = data.draw(st.lists(st.sampled_from(list(table.counts)), max_size=2 * len(counts)))
-    for inst in lookups:
-        shard = shards[inst]
-        _assert_same_shard(shard, expected[inst])
-        assert shards[inst] is shard
-    assert "absent" not in shards
-    with pytest.raises(KeyError):
-        shards["absent"]
+    participants = st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True)
+    trained, _ = engine_shards(table, geometry, seed, data.draw(st.lists(participants, min_size=1, max_size=3)))
+    first = {}
+    for shards in trained:
+        for inst, shard in shards.items():
+            assert first.setdefault(inst, shard) is shard
+            _assert_same_shard(shard, expected[inst])
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,22 +267,20 @@ def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
     data=st.data(),
 )
 def test_batch_built_shards_match_eager_synthesis(counts, seed, data):
-    # A round's new shards are built from states of a `seed_states` pass that
-    # also seeds other streams; each equals the shard its own stream gives.
+    # A round's new shards are built in one `make_blob_shards` call from
+    # states of the engine's one `seed_states` pass, which also seeds the
+    # round's training and timing streams (in two entropy widths for a seed
+    # of 2**32 or more); each equals the shard its own stream gives.
     table = table_from_counts(counts)
-    shards = synthesize_shards(table, seed=seed)
     expected = _eager_shards(table.counts, seed)
-    looked_up = data.draw(st.lists(st.sampled_from(list(table.counts)), unique=True))
-    for inst in looked_up:
-        shards[inst]
-    batch = data.draw(st.lists(st.sampled_from(list(table.counts)), unique=True))
-    pending, blocks = shards.seed_rows(batch)
-    assert pending == [inst for inst in batch if inst not in looked_up]
-    other = [((seed, 1, 2), [3])] * data.draw(st.integers(0, 3))
-    shards.build_seeded(pending, seed_states(other + blocks)[len(other) :])
-    assert shards.seed_rows(batch) == ([], [])
-    for inst in table.counts:
-        _assert_same_shard(shards[inst], expected[inst])
+    participants = st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True)
+    earlier, batch = data.draw(participants), data.draw(participants)
+    trained, batches = engine_shards(table, synthesize_shards(table, seed=seed), seed, [earlier, batch])
+    pending = [inst for inst in batch if inst not in earlier]
+    assert batches == [[table.counts[inst] for inst in earlier], [table.counts[inst] for inst in pending]]
+    for shards in trained:
+        for inst, shard in shards.items():
+            _assert_same_shard(shard, expected[inst])
 
 
 # ---------------------------------------------------------------- csv
@@ -405,7 +420,7 @@ def test_partition_csv_round_trip(counts):
         loaded = load_partition_csv(path)
     assert loaded == table
     assert list(loaded.counts) == sorted(counts)
-    shards = synthesize_shards(loaded, seed=3)
+    shards = everyone_once(loaded, synthesize_shards(loaded, seed=3), 3)
     assert all(len(shards[inst]) == count for inst, count in counts.items())
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedpod import cohort, engine
+from fedpod import engine
 from fedpod.aggregation import AggregationStrategy
 from fedpod.cohort import PARTITION_HEADER, generate_synthetic_cohort
 from fedpod.engine import (
@@ -350,13 +350,13 @@ def test_single_node_fedavg_equals_centralized_sgd():
     )
     report = run_experiment(cfg)
 
-    table, shards = generate_synthetic_cohort(1, 40.0, 0, 1.0, seed=21)
+    table, geometry = generate_synthetic_cohort(1, 40.0, 0, 1.0, seed=21)
     ((inst, count),) = table.counts.items()
-    geometry = blob_geometry(4, 8, 21)
+    shard = make_blob_shard(count, geometry, np.random.default_rng([21, engine._SHARD_SALT, 0]))
     val = make_blob_shard(_val_size(count), geometry, np.random.default_rng([21, _NODE_VAL_SALT, 0]))
     seed = int(np.random.SeedSequence([21, engine._TRAIN_SALT, 1, 0]).generate_state(1, np.uint64)[0])
     train_cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=seed, batch_size=16)
-    update = train_local(ModelParams.zeros(36), shards[inst], val, train_cfg, node_id=inst)
+    update = train_local(ModelParams.zeros(36), shard, val, train_cfg, node_id=inst)
     assert np.array_equal(report.final_model.values, update.params[0])
 
 
@@ -675,7 +675,7 @@ def test_only_participants_get_shards(monkeypatch):
     # Shards built in the engine's seeding pass get generators set to a
     # stream's start state, with no seed sequence to read, so a stream is
     # named by matching its start state against `default_rng` of every key.
-    # Training shards are built in batches by `cohort.make_blob_shards`, which
+    # Training shards are built in batches by `engine.make_blob_shards`, which
     # takes each generator just before drawing from it; validation shards and
     # the holdout one by one by `engine.make_blob_shard`.
     config = small_config(
@@ -684,7 +684,7 @@ def test_only_participants_get_shards(monkeypatch):
         max_rounds=3,
     )
     built = {"train": [], "val": []}
-    keys = [(engine._HOLDOUT_SALT,)] + [(salt, i) for salt in (cohort._SHARD_SALT, _NODE_VAL_SALT) for i in range(40)]
+    keys = [(engine._HOLDOUT_SALT,)] + [(salt, i) for salt in (engine._SHARD_SALT, _NODE_VAL_SALT) for i in range(40)]
     key_of_state = {str(np.random.default_rng([config.seed, *key]).bit_generator.state): key for key in keys}
 
     def name(kind, rng):
@@ -703,7 +703,7 @@ def test_only_participants_get_shards(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(cohort, "make_blob_shards", counting_batch(cohort.make_blob_shards))
+    monkeypatch.setattr(engine, "make_blob_shards", counting_batch(engine.make_blob_shards))
     monkeypatch.setattr(engine, "make_blob_shard", counting(engine.make_blob_shard))
     report = run_experiment(config)
     taking_part = {inst for record in report.records for inst in record.participants}
@@ -711,7 +711,7 @@ def test_only_participants_get_shards(monkeypatch):
     # Synthetic institutions are named in position order, so the training
     # index and the validation (sorted) index agree.
     index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].counts))}
-    assert sorted(built["train"]) == sorted((cohort._SHARD_SALT, index[inst]) for inst in taking_part)
+    assert sorted(built["train"]) == sorted((engine._SHARD_SALT, index[inst]) for inst in taking_part)
     assert sorted(built["val"]) == sorted(
         [(engine._HOLDOUT_SALT,)] + [(_NODE_VAL_SALT, index[inst]) for inst in taking_part]
     )
@@ -719,11 +719,12 @@ def test_only_participants_get_shards(monkeypatch):
 
 def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch, tmp_path):
     # The engine builds each round's new training and validation shards in
-    # its one seeding pass. Each equals `make_blob_shard` on the stream
-    # `default_rng([seed, salt, index])`, and so does a training shard first
-    # looked up on its own. A training shard's index is its institution's
-    # position in the table, a validation shard's its place in id order: the
-    # partition CSV lists institutions in reverse id order, so the two differ.
+    # its one seeding pass, the training shards in one `make_blob_shards`
+    # call. Each equals `make_blob_shard` on the stream
+    # `default_rng([seed, salt, index])`. A training shard's index is its
+    # institution's position in the table, a validation shard's its place in
+    # id order: the partition CSV lists institutions in reverse id order, so
+    # the two differ.
     synthetic, _ = generate_synthetic_cohort(30, 10.0, 3, 8.0, seed=1)
     path = tmp_path / "part.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -748,23 +749,22 @@ def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch, tmp_path
         assert shard.labels.tobytes() == want.labels.tobytes()
         assert shard.features.tobytes() == want.features.tobytes()
 
-    train_shards = []
-    build_cohort = engine._build_cohort
-
-    def kept(c):
-        built_cohort = build_cohort(c)
-        train_shards.append(built_cohort[1])
-        return built_cohort
-
-    monkeypatch.setattr(engine, "_build_cohort", kept)
+    # Each round's training shards as built, and as its jobs train on them.
     batches = []
-    build_seeded = cohort.LazyShards.build_seeded
+    trained = []
+    make_train = engine.make_blob_shards
+    train_round = engine.train_round
 
-    def recorded(self, insts, states):
-        build_seeded(self, insts, states)
-        batches.append((self, list(insts)))
+    def recorded_batch(sizes, geometry, rngs):
+        batches.append(make_train(sizes, geometry, rngs))
+        return batches[-1]
 
-    monkeypatch.setattr(cohort.LazyShards, "build_seeded", recorded)
+    def recorded_round(model, jobs, *args):
+        trained.append({job.node_id: job.shard for job in jobs})
+        return train_round(model, jobs, *args)
+
+    monkeypatch.setattr(engine, "make_blob_shards", recorded_batch)
+    monkeypatch.setattr(engine, "train_round", recorded_round)
     # Validation shards, and the holdout, are built one by one by
     # `engine.make_blob_shard`; each is named by its stream's start state.
     val_keys = {(engine._HOLDOUT_SALT,): None} | {(_NODE_VAL_SALT, i): inst for inst, i in node_index.items()}
@@ -785,19 +785,20 @@ def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch, tmp_path
     report = run_experiment(config)
     taking_part = {inst for record in report.records for inst in record.participants}
 
-    lazy = train_shards[0]
+    # One batch a round; a job trains on the shard its round's batch built
+    # for it, or on the one an earlier round built.
+    assert len(batches) == len(trained) == len(report.records)
     built_train = []
-    for shards, insts in batches:
-        assert shards is lazy
-        for inst in insts:
-            assert_built_from(lazy[inst], table.counts[inst], cohort._SHARD_SALT, position[inst])
-        built_train += insts
+    kept = {}
+    for batch, jobs in zip(batches, trained):
+        new = [inst for inst in jobs if inst not in kept]
+        assert [id(shard) for shard in batch] == [id(jobs[inst]) for inst in new]
+        kept.update((inst, jobs[inst]) for inst in new)
+        assert all(jobs[inst] is kept[inst] for inst in jobs)
+        built_train += new
+    for inst in built_train:
+        assert_built_from(kept[inst], table.counts[inst], engine._SHARD_SALT, position[inst])
     for inst, shard in val_built:
         assert_built_from(shard, _val_size(table.counts[inst]), _NODE_VAL_SALT, node_index[inst])
     # Every participant's shards came from the seeding pass, each once.
     assert sorted(built_train) == sorted(inst for inst, _ in val_built) == sorted(taking_part)
-
-    # A training shard first looked up on its own comes from the same stream.
-    absent = next(inst for inst in table.counts if inst not in taking_part)
-    assert lazy.seed_rows([absent])[0] == [absent]
-    assert_built_from(lazy[absent], table.counts[absent], cohort._SHARD_SALT, position[absent])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedpod import cohort, engine, params, streams
+from fedpod import engine, params, streams
 from fedpod.engine import CohortSpec, ExperimentConfig, run_experiment
 from fedpod.streams import generators, seed_states, seed_words
 
@@ -152,7 +152,7 @@ def _passes(monkeypatch, config):
         monkeypatch.setattr(module, "seed_states", recorded)
 
     monkeypatch.setattr(streams, "_generate_state", counted)
-    for module in (cohort, engine, params):
+    for module in (engine, params):
         tagged(module, module.__name__.rsplit(".", 1)[1])
     run_experiment(config)
     return calls
@@ -177,9 +177,9 @@ def test_one_generate_state_pass_per_width_a_round(monkeypatch, seed, first, lat
         max_rounds=3,
     )
     calls = _passes(monkeypatch, config)
-    # The cohort's count stream, then per round the engine's one call and
-    # `train_round`'s, whose job seeds are uint64s: one pass of 4 words.
-    assert [(caller, sorted(widths)) for caller, widths in calls] == [("cohort", [4])] + [
+    # Per round the engine's one call and `train_round`'s, whose job seeds
+    # are uint64s: one pass of 4 words.
+    assert [(caller, sorted(widths)) for caller, widths in calls] == [
         ("engine", first),
         ("params", [4]),
     ] + [("engine", later), ("params", [4])] * 2
