@@ -374,9 +374,11 @@ _SERIES_COLUMNS = ("mean_dice", "convergence_score")
 
 def _read_run(metrics: Path) -> tuple[str, list[dict[str, str]]]:
     """A run directory's series name, its summary.json strategy or else the
-    directory's name, and its metrics.csv rows, with the series columns."""
+    resolved directory's name, and its metrics.csv rows, with the series columns."""
     summary = metrics.parent / "summary.json"
-    name = metrics.parent.name
+    # Resolved, since the name of `.` (a metrics.csv under `--results .`) is "".
+    name = metrics.parent.resolve().name
+    source = f"{metrics.parent} is named"
     if summary.exists():
         try:
             name = json.loads(summary.read_text(encoding="utf-8"))["strategy"]
@@ -384,9 +386,10 @@ def _read_run(metrics: Path) -> tuple[str, list[dict[str, str]]]:
             name = None
         if not isinstance(name, str):
             raise ValidationError(f"{summary} is not a JSON object with a strategy")
-        # The name prefixes file names in --out, so it must be one plain path component.
-        if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
-            raise ValidationError(f"{summary} has strategy {name!r}, which is not a file name")
+        source = f"{summary} has strategy"
+    # The name prefixes file names in --out, so it must be one plain path component.
+    if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+        raise ValidationError(f"{source} {name!r}, which is not a file name")
     try:
         with open(metrics, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)

@@ -1,5 +1,9 @@
-"""Round loop: phase schedule, one batched local-training pass per round,
-straggler drop and replacement, aggregation, and metric accumulation.
+"""An experiment in two passes: plan every round, then train them.
+
+The plan pass reads no model: phase schedule, task composition, timings,
+straggler drop and replacement, and the round the run stops at. The
+training pass runs one batched local-training pass per planned round,
+aggregation, and metric accumulation.
 
 Everything is driven by one `ExperimentConfig`; identical configs produce
 identical reports. Per-purpose RNG streams are derived from the experiment
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +31,6 @@ from .cohort import (
 from .errors import ValidationError
 from .params import (
     BlobGeometry,
-    DataShard,
     ModelParams,
     TrainJob,
     dice_score,
@@ -333,125 +337,121 @@ def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, BlobGeometr
     )
 
 
-def _check_inject_rank(config: ExperimentConfig, classification: NodeClassification, n_institutions: int) -> None:
-    """Reject, before any round trains, an injection rank outside every
-    participant count the injection round can have. A rank inside that bound
-    can still miss a round the blacklist shrinks; `sample_timings` finds it."""
-    timing = config.timing
-    if timing.inject_round is None or timing.inject_round > config.max_rounds:
-        return
-    if config.participation == PARTICIPATION_ALL:
-        bound = n_institutions
-    else:
-        _, phase = phase_for_round(config.schedule, timing.inject_round)
-        bound = min(phase.n_primary, len(classification.primary)) + min(
-            phase.n_secondary, len(classification.secondary)
-        )
-    if not -bound <= timing.inject_rank < bound:
-        raise ValidationError(
-            f"timing.inject_rank {timing.inject_rank} is outside the {bound}"
-            f" participants round {timing.inject_round} can have"
-        )
-
-
 def _val_size(count: int) -> int:
     return max(_VAL_MIN, min(_VAL_MAX, round(_VAL_FRACTION * count)))
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the full round loop and return per-round records plus the final model.
+def _plan_run(
+    config: ExperimentConfig,
+    table: PartitionTable,
+    classification: NodeClassification,
+    lam: float,
+    node_index: dict[str, int],
+) -> list[tuple[int, PhaseEntry, TaskPlan, np.ndarray, np.ndarray, float]]:
+    """The plan pass: per round, until max_rounds or the round whose time
+    reaches the cap, its phase number and phase, task, training seeds (a
+    uint64 copy, not the round's state rows) and straggler mask, both in
+    plan order, and round time.
 
-    Per round: resolve the phase, compose the task (stragglers from the
-    previous round sit out exactly one round), train every participant,
-    simulate timings, drop stragglers, merge the survivors with the
-    configured strategy, and score the global model on a fixed held-out
-    shard. Stops at max_rounds or once simulated time reaches the cap.
+    It reads neither the model nor any shard. A round's drops sit out the
+    next round, and a primary's window moves on by its quota. One pass a
+    round seeds each participant's training stream (its seed is
+    `SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
+    np.uint64)`) and timing stream, keyed by node index; with a seed below
+    2**32 every key fits the pool, so that is one `_generate_state` pass.
     """
-    table, geometry = _build_cohort(config)
-    poisson = fit_poisson(table)
-    classification = classify_nodes(table, poisson, config.z)
-    position = {inst: i for i, inst in enumerate(table.counts)}
-    node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
-
-    holdout_n = max(32, round(config.holdout_fraction * table.total))
-    holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
-
-    # Each institution's training and validation shards, built in the round
-    # it first takes part.
-    shards: dict[str, DataShard] = {}
-    node_val: dict[str, DataShard] = {}
-    _check_inject_rank(config, classification, len(table.counts))
-
-    model = ModelParams.zeros(config.model_dim)
-    history = CostHistory(history_window=config.strategy.history_window)
+    rounds = []
     offsets: dict[str, int] = {}
     blacklist: frozenset[str] = frozenset()
-    records: list[RoundRecord] = []
     cumulative = 0.0
-    best = 0.0
-    weighted_best = 0.0
-
     for round_index in range(1, config.max_rounds + 1):
         phase_number, phase = phase_for_round(config.schedule, round_index)
         plan = compose_task(
             round_index,
             classification,
             phase if config.participation == PARTICIPATION_TASK else None,
-            poisson.lam,
+            lam,
             config.margin_fraction,
             table,
             blacklist=blacklist,
             rng_seed=config.seed,
             offsets=offsets,
         )
-
-        # One pass seeds four key blocks: each participant's training stream
-        # (its seed is `SeedSequence([seed, _TRAIN_SALT, round, node])
-        # .generate_state(1, np.uint64)`) and timing stream, keyed by node
-        # index, and the streams of first-time participants' training shards
-        # (`(seed, _SHARD_SALT, table position)`) and validation shards
-        # (`(seed, _NODE_VAL_SALT, node index)`), so a node's data does not
-        # depend on the round it joins. With a seed below 2**32 every key
-        # fits the pool: one `_generate_state` pass. Each validation shard is
-        # its own `make_blob_shard` call, which the benchmark's tracer counts
-        # as `engine.val_shards`.
         insts = plan.node_ids()
         nodes = np.array([node_index[inst] for inst in insts], dtype=np.uint64)
-        new = [inst for inst in insts if inst not in shards]
-        states = seed_states(
-            [
-                ((config.seed, _TRAIN_SALT, round_index), nodes),
-                ((config.seed, _TIMING_SALT, round_index), nodes),
-                ((config.seed, _SHARD_SALT), [position[inst] for inst in new]),
-                ((config.seed, _NODE_VAL_SALT), [node_index[inst] for inst in new]),
-            ]
-        )
-        train_states, timing_states, shard_states, val_states = np.split(
-            states, np.cumsum([len(nodes), len(nodes), len(new)])
-        )
-        sizes = [table.counts[inst] for inst in new]
-        shards.update(zip(new, make_blob_shards(sizes, geometry, generators(shard_states))))
-        for inst, size, rng in zip(new, sizes, generators(val_states)):
-            node_val[inst] = make_blob_shard(_val_size(size), geometry, rng)
+        keys = [((config.seed, _TRAIN_SALT, round_index), nodes), ((config.seed, _TIMING_SALT, round_index), nodes)]
+        train_states, timing_states = np.split(seed_states(keys), 2)
+        val_sizes = [_val_size(table.counts[inst]) for inst in insts]
+        times = sample_timings(plan, round_index, phase.epochs, val_sizes, config.timing, generators(timing_states))
+        timeout = config.timing.timeout_factor
+        slow = np.zeros(len(insts), dtype=bool) if timeout is None else detect_stragglers(times, timeout)
+        elapsed = round_time(times[~slow])
+        rounds.append((phase_number, phase, plan, train_states[:, 0].copy(), slow, elapsed))
+        for p in plan.participants:
+            if p.quota < table.counts[p.institution_id]:
+                offsets[p.institution_id] = (p.shard_offset + p.quota) % table.counts[p.institution_id]
+        blacklist = frozenset(compress(insts, slow.tolist()))
+        cumulative += elapsed
+        if cumulative >= config.max_simulated_time_s:
+            break
+    return rounds
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Plan every round, then train them; return per-round records plus the
+    final model.
+
+    The plan pass (`_plan_run`) decides each round without the model: the
+    phase, the task (stragglers from the previous round sit out exactly one
+    round), the timings, the drops and the round time, and stops at
+    max_rounds or once simulated time reaches the cap. So a config fault in
+    any round is raised before anything trains. The training pass builds
+    every planned participant's shards, then per round trains every
+    participant, merges the survivors with the configured strategy, and
+    scores the global model on a fixed held-out shard.
+    """
+    table, geometry = _build_cohort(config)
+    poisson = fit_poisson(table)
+    classification = classify_nodes(table, poisson, config.z)
+    node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
+    rounds = _plan_run(config, table, classification, poisson.lam, node_index)
+
+    holdout_n = max(32, round(config.holdout_fraction * table.total))
+    holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
+    # One pass seeds every planned participant's training shard stream,
+    # `(seed, _SHARD_SALT, table position)`, and validation shard stream,
+    # `(seed, _NODE_VAL_SALT, node index)`, so a node's data does not depend
+    # on the round it joins. One `make_blob_shards` call builds the training
+    # shards. Each validation shard is its own `make_blob_shard` call, which
+    # the benchmark's tracer counts as `engine.val_shards`.
+    position = {inst: i for i, inst in enumerate(table.counts)}
+    insts = list(dict.fromkeys(inst for _, _, plan, *_ in rounds for inst in plan.node_ids()))
+    # A run of no rounds, as the benchmark's set-up timing makes, seeds nothing.
+    if insts:
+        shard_keys = ((config.seed, _SHARD_SALT), [position[inst] for inst in insts])
+        val_keys = ((config.seed, _NODE_VAL_SALT), [node_index[inst] for inst in insts])
+        shard_states, val_states = np.split(seed_states([shard_keys, val_keys]), 2)
+        sizes = [table.counts[inst] for inst in insts]
+        shards = dict(zip(insts, make_blob_shards(sizes, geometry, generators(shard_states))))
+        node_val = {
+            inst: make_blob_shard(_val_size(size), geometry, rng)
+            for inst, size, rng in zip(insts, sizes, generators(val_states))
+        }
+
+    model = ModelParams.zeros(config.model_dim)
+    history = CostHistory(history_window=config.strategy.history_window)
+    records: list[RoundRecord] = []
+    cumulative = best = weighted_best = 0.0
+
+    for round_index, (phase_number, phase, plan, seeds, slow, elapsed) in enumerate(rounds, start=1):
         jobs = []
-        for participant, seed in zip(plan.participants, train_states[:, 0].tolist()):
-            inst = participant.institution_id
-            shard = shards[inst]
-            rows = None
+        for p, seed in zip(plan.participants, seeds.tolist()):
+            shard = shards[p.institution_id]
             # A primary whose quota is its whole shard always has offset 0,
             # so its window would be every row in order.
-            if participant.quota < len(shard):
-                rows = window_indices(len(shard), participant.shard_offset, participant.quota)
-                offsets[inst] = (participant.shard_offset + participant.quota) % len(shard)
-            jobs.append(TrainJob(inst, shard, node_val[inst], seed, rows))
-        val_sizes = [len(job.val) for job in jobs]
-        times = sample_timings(plan, round_index, phase.epochs, val_sizes, config.timing, generators(timing_states))
-
+            rows = None if p.quota == len(shard) else window_indices(len(shard), p.shard_offset, p.quota)
+            jobs.append(TrainJob(p.institution_id, shard, node_val[p.institution_id], seed, rows))
         updates = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
-
-        timeout = config.timing.timeout_factor
-        slow = np.zeros(len(jobs), dtype=bool) if timeout is None else detect_stragglers(times, timeout)
-        dropped = frozenset(job.node_id for job, is_slow in zip(jobs, slow.tolist()) if is_slow)
         # In plan order: `aggregate` sums the rows in node-id order itself.
         survivors = updates.take(np.flatnonzero(~slow))
 
@@ -463,7 +463,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         predictions = predict_labels(model, holdout)
         dice_per_class = tuple(dice_score(predictions, holdout.labels, cls) for cls in range(1, config.n_classes))
         mean_dice = float(np.mean(dice_per_class))
-        elapsed = round_time(times[~slow])
         cumulative += elapsed
         best = max(best, mean_dice)
         weighted_best += best * elapsed
@@ -473,8 +472,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 round_index=round_index,
                 phase=phase_number,
                 epochs=phase.epochs,
-                participants=insts,
-                dropped=tuple(sorted(dropped)),
+                participants=plan.node_ids(),
+                dropped=tuple(sorted(compress(plan.node_ids(), slow.tolist()))),
                 weights=tuple(zip(survivors.node_ids, result.weights)),
                 dice_per_class=dice_per_class,
                 mean_dice=mean_dice,
@@ -487,11 +486,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 primary_shortfall=plan.primary_shortfall,
             )
         )
-        blacklist = dropped
         # Free this round's updates before the next round trains.
         del updates, survivors, result
-        if cumulative >= config.max_simulated_time_s:
-            break
 
     summary = Summary(
         strategy=config.strategy.kind,

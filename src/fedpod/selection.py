@@ -38,7 +38,7 @@ class NodeClassification:
         return frozenset(self.secondary)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskParticipant:
     institution_id: str
     role: str

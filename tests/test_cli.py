@@ -1,12 +1,13 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedpod.aggregation import AggregationStrategy
-from fedpod.cli import RunManifest, execute_run, main, read_model_bin, write_model_bin, write_partition_csv
+from fedpod.cli import RunManifest, _read_run, execute_run, main, read_model_bin, write_model_bin, write_partition_csv
 from fedpod.cohort import PartitionTable, generate_synthetic_cohort, load_partition_csv
 from fedpod.engine import CohortSpec, ExperimentConfig, PhaseEntry, TimingProfile
 from fedpod.errors import ParseError, ValidationError
@@ -107,6 +108,28 @@ def test_main_says_when_the_injection_round_never_fired(tiny_config, tmp_path, c
     tiny_config.write_text(text + f"timing.inject_round = {rounds_run}\n", encoding="utf-8")
     assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "fired")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_main_checks_no_injection_rank_the_time_cap_stops_before(tiny_config, tmp_path, capsys):
+    # Round 2 has one participant, but the cap ends the run after round 1.
+    text = TINY_CONFIG + "max_simulated_time_s = 1e-9\ntiming.inject_round = 2\ntiming.inject_rank = 50\n"
+    tiny_config.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "run")]) == 0
+    warning = "timing.inject_round 2 never fired; the run stopped after round 1"
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+
+
+def test_main_reports_a_divergence_as_a_runtime_error(tiny_config, tmp_path, capsys):
+    # A learning rate of 1e308 overflows round 1's gradient. The run exits 2
+    # and removes every directory it made.
+    phase = "schedule.phase1.{}\n".format
+    keys = ["rounds = 1-", "nodes = 2", "primary = 1", "secondary = 1", "epochs = 1", "learning_rate = 1e308"]
+    tiny_config.write_text(TINY_CONFIG + "".join(phase(key) for key in keys), encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out" / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: training diverged on node ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_main_gen_cohort_defaults_match_the_config_defaults(tmp_path):
@@ -230,6 +253,24 @@ def test_main_plot_data_refuses_a_strategy_that_is_not_a_file_name(tmp_path, cap
     assert sorted(tmp_path.rglob("*")) == inputs
 
 
+def test_main_plot_data_names_a_run_under_the_working_directory_by_its_name(tmp_path, monkeypatch):
+    # `--results .` finds `./metrics.csv`, whose directory's name is "".
+    run = tmp_path / "solo"
+    run.mkdir()
+    (run / "metrics.csv").write_text("round,mean_dice,convergence_score\n1,0.5,0.1\n", encoding="utf-8")
+    monkeypatch.chdir(run)
+    assert main(["plot-data", "--results", ".", "--out", "plots"]) == 0
+    written = sorted(path.name for path in (run / "plots").iterdir())
+    assert written == ["solo_convergence_score.csv", "solo_mean_dice.csv"]
+
+
+def test_read_run_refuses_a_directory_name_that_is_not_a_file_name():
+    # Only the file system's root resolves to a directory with no name.
+    with pytest.raises(ValidationError) as caught:
+        _read_run(Path("/metrics.csv"))
+    assert str(caught.value) == "/ is named '', which is not a file name"
+
+
 @pytest.mark.parametrize(
     "case", ["config-is-a-directory", "config-not-utf8", "partition-not-utf8", "out-is-a-file", "out-dir-missing"]
 )
@@ -289,7 +330,7 @@ def test_main_removes_the_directories_a_refused_run_made(tiny_config, tmp_path, 
     else:
         # Round 2 can have one participant, so rank 50 names none.
         tiny_config.write_text(TINY_CONFIG + "timing.inject_round = 2\ntiming.inject_rank = 50\n", encoding="utf-8")
-        message = "timing.inject_rank 50 is outside the 1 participants round 2 can have"
+        message = "timing.inject_rank 50 is outside the 1 participants of round 2"
     before = sorted(tmp_path.rglob("*"))
     for out in (tmp_path / "out", tmp_path / "kept" / "a" / "b"):
         assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1

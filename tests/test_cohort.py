@@ -267,17 +267,17 @@ def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
     data=st.data(),
 )
 def test_batch_built_shards_match_eager_synthesis(counts, seed, data):
-    # A round's new shards are built in one `make_blob_shards` call from
-    # states of the engine's one `seed_states` pass, which also seeds the
-    # round's training and timing streams (in two entropy widths for a seed
-    # of 2**32 or more); each equals the shard its own stream gives.
+    # Every planned participant's shard is built in one `make_blob_shards`
+    # call, in the order the rounds first name them, from states of the
+    # engine's one run-wide shard seeding pass; each equals the shard its own
+    # stream gives.
     table = table_from_counts(counts)
     expected = _eager_shards(table.counts, seed)
     participants = st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True)
-    earlier, batch = data.draw(participants), data.draw(participants)
-    trained, batches = engine_shards(table, synthesize_shards(table, seed=seed), seed, [earlier, batch])
-    pending = [inst for inst in batch if inst not in earlier]
-    assert batches == [[table.counts[inst] for inst in earlier], [table.counts[inst] for inst in pending]]
+    earlier, later = data.draw(participants), data.draw(participants)
+    trained, batches = engine_shards(table, synthesize_shards(table, seed=seed), seed, [earlier, later])
+    pending = [inst for inst in later if inst not in earlier]
+    assert batches == [[table.counts[inst] for inst in earlier + pending]]
     for shards in trained:
         for inst, shard in shards.items():
             _assert_same_shard(shard, expected[inst])

@@ -23,7 +23,7 @@ from fedpod.engine import (
     run_experiment,
     sample_timings,
 )
-from fedpod.errors import ValidationError
+from fedpod.errors import TrainingDivergenceError, ValidationError
 from fedpod.params import ModelParams, TrainConfig, blob_geometry, make_blob_shard
 from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
 from _oracle import train_local
@@ -439,7 +439,7 @@ def test_injection_rank_must_name_a_participant():
     # Round 1 of the default run has 3 participants.
     with pytest.raises(ValidationError) as err:
         run_experiment(ExperimentConfig(max_rounds=1, timing=TimingProfile(inject_round=1, inject_rank=50)))
-    assert str(err.value) == "timing.inject_rank 50 is outside the 3 participants round 1 can have"
+    assert str(err.value) == "timing.inject_rank 50 is outside the 3 participants of round 1"
     for rank in (3, -4):
         with pytest.raises(ValidationError, match=f"^timing.inject_rank {rank} is outside"):
             run_experiment(ExperimentConfig(max_rounds=1, timing=TimingProfile(inject_round=1, inject_rank=rank)))
@@ -458,34 +458,54 @@ def train_round_calls(monkeypatch):
 
 def test_injection_rank_no_round_can_have_is_refused_before_training(train_round_calls):
     calls = train_round_calls
-    # 2 primaries and 6 secondaries: round 2 has at most min(3, 2) + min(1, 6).
+    # 2 primaries and 6 secondaries: round 2 has min(3, 2) + min(1, 6), as
+    # no round drops anyone.
     task = small_config(schedule=(PhaseEntry(1, None, 4, 3, 1, 1e-3, 1),), max_rounds=3)
-    # `all` trains at most every one of the 8 institutions.
+    # `all` trains every one of the 8 institutions.
     every = small_config(participation="all", max_rounds=3)
     for config, bound in ((task, 3), (every, 8)):
         for rank in (bound, -bound - 1, 50):
             with pytest.raises(ValidationError) as err:
                 run_experiment(replace(config, timing=replace(config.timing, inject_round=2, inject_rank=rank)))
-            assert str(err.value) == f"timing.inject_rank {rank} is outside the {bound} participants round 2 can have"
+            assert str(err.value) == f"timing.inject_rank {rank} is outside the {bound} participants of round 2"
             assert calls == []
         for rank in (bound - 1, -bound):
             run_experiment(replace(config, timing=replace(config.timing, inject_round=2, inject_rank=rank)))
         calls.clear()
-    # An injection round past max_rounds never fires, so its rank is not checked.
+    # An injection round past max_rounds never fires, so its rank is not
+    # checked, nor is one past the round where the time cap stops the run.
     run_experiment(replace(task, max_rounds=1, timing=replace(task.timing, inject_round=2, inject_rank=50)))
     assert len(calls) == 1
+    capped = replace(task, max_simulated_time_s=1e-9, timing=replace(task.timing, inject_round=2, inject_rank=50))
+    assert run_experiment(capped).summary.rounds_run == 1
 
 
 def test_injection_rank_the_blacklist_pushes_out_is_a_mid_run_error(train_round_calls):
     calls = train_round_calls
     # Round 1 drops the two outliers, so round 2 has 6 of the 8 institutions.
+    # The plan pass finds that before round 1 trains.
     config = small_config(participation="all", max_rounds=3, timing=fast_timing(timeout_factor=3.0))
     assert run_experiment(config).records[0].dropped == ("inst006", "inst007")
     calls.clear()
     with pytest.raises(ValidationError) as err:
         run_experiment(replace(config, timing=replace(config.timing, inject_round=2, inject_rank=7)))
     assert str(err.value) == "timing.inject_rank 7 is outside the 6 participants of round 2"
+    assert calls == []
+
+
+def test_a_planned_fault_wins_over_an_earlier_divergence(train_round_calls):
+    calls = train_round_calls
+    # A learning rate of 1e308 overflows the first round's gradient.
+    config = small_config(schedule=(PhaseEntry(1, None, 4, 3, 1, 1e308, 1),), max_rounds=3)
+    with pytest.raises(TrainingDivergenceError, match="^training diverged on node "):
+        run_experiment(config)
     assert len(calls) == 1
+    calls.clear()
+    # Round 3 has 3 participants, so rank 50 is a fault the plan finds first.
+    with pytest.raises(ValidationError) as err:
+        run_experiment(replace(config, timing=replace(config.timing, inject_round=3, inject_rank=50)))
+    assert str(err.value) == "timing.inject_rank 50 is outside the 3 participants of round 3"
+    assert calls == []
 
 
 def test_best_dice_is_running_max():
@@ -505,12 +525,31 @@ def test_time_cap_stops_the_loop():
     assert report.summary.total_time_s - report.records[-1].round_time_s < 3.0
 
 
+PLAN_FIELDS = (
+    "participants",
+    "dropped",
+    "phase",
+    "epochs",
+    "secondary_shortfall",
+    "primary_shortfall",
+    "round_time_s",
+    "cumulative_time_s",
+)
+
+
 def test_round_times_do_not_depend_on_strategy():
-    base = small_config(max_rounds=3)
-    fedpod_report = run_experiment(base)
-    fedavg_report = run_experiment(replace(base, strategy=AggregationStrategy("fedavg")))
-    assert [r.round_time_s for r in fedpod_report.records] == [r.round_time_s for r in fedavg_report.records]
-    assert [r.participants for r in fedpod_report.records] == [r.participants for r in fedavg_report.records]
+    # The plan never reads the model: in either participation mode every
+    # strategy gets the same rounds. Round 3's injected straggler is dropped.
+    timing = fast_timing(timeout_factor=3.0, jitter_sigma=0.3, inject_round=3, inject_rank=-1, inject_factor=50.0)
+    schedule = (PhaseEntry(1, 2, 4, 2, 2, 1e-3, 2), PhaseEntry(3, None, 6, 2, 4, 1e-3, 1))
+    for participation in ("task", "all"):
+        base = small_config(max_rounds=6, participation=participation, timing=timing, schedule=schedule)
+        plans = []
+        for kind in ("fedavg", "fedpidavg", "fedpod"):
+            records = run_experiment(replace(base, strategy=AggregationStrategy(kind))).records
+            plans.append([tuple(getattr(record, name) for name in PLAN_FIELDS) for record in records])
+        assert plans[0] == plans[1] == plans[2]
+        assert len(plans[0]) == 6 and plans[0][2][1]
 
 
 STRATEGY_RUNS = [(kind, mode) for kind in ("fedavg", "fedpidavg", "fedpod") for mode in ("task", "all")]
@@ -718,13 +757,13 @@ def test_only_participants_get_shards(monkeypatch):
 
 
 def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch, tmp_path):
-    # The engine builds each round's new training and validation shards in
-    # its one seeding pass, the training shards in one `make_blob_shards`
-    # call. Each equals `make_blob_shard` on the stream
-    # `default_rng([seed, salt, index])`. A training shard's index is its
-    # institution's position in the table, a validation shard's its place in
-    # id order: the partition CSV lists institutions in reverse id order, so
-    # the two differ.
+    # Before round 1 trains, the engine builds the training and validation
+    # shards of every planned participant in one seeding pass, the training
+    # shards in one `make_blob_shards` call. Each equals `make_blob_shard` on
+    # the stream `default_rng([seed, salt, index])`. A training shard's index
+    # is its institution's position in the table, a validation shard's its
+    # place in id order: the partition CSV lists institutions in reverse id
+    # order, so the two differ.
     synthetic, _ = generate_synthetic_cohort(30, 10.0, 3, 8.0, seed=1)
     path = tmp_path / "part.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -749,13 +788,14 @@ def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch, tmp_path
         assert shard.labels.tobytes() == want.labels.tobytes()
         assert shard.features.tobytes() == want.features.tobytes()
 
-    # Each round's training shards as built, and as its jobs train on them.
+    # The training shards as built, and as each round's jobs train on them.
     batches = []
     trained = []
     make_train = engine.make_blob_shards
     train_round = engine.train_round
 
     def recorded_batch(sizes, geometry, rngs):
+        assert trained == []
         batches.append(make_train(sizes, geometry, rngs))
         return batches[-1]
 
@@ -785,17 +825,15 @@ def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch, tmp_path
     report = run_experiment(config)
     taking_part = {inst for record in report.records for inst in record.participants}
 
-    # One batch a round; a job trains on the shard its round's batch built
-    # for it, or on the one an earlier round built.
-    assert len(batches) == len(trained) == len(report.records)
-    built_train = []
-    kept = {}
-    for batch, jobs in zip(batches, trained):
-        new = [inst for inst in jobs if inst not in kept]
-        assert [id(shard) for shard in batch] == [id(jobs[inst]) for inst in new]
-        kept.update((inst, jobs[inst]) for inst in new)
+    # One batch for the run, a shard for each participant in the order the
+    # rounds first name them; every job trains on its institution's shard.
+    assert len(trained) == len(report.records) == 4
+    (batch,) = batches
+    built_train = list(dict.fromkeys(inst for jobs in trained for inst in jobs))
+    assert len(batch) == len(built_train)
+    kept = dict(zip(built_train, batch))
+    for jobs in trained:
         assert all(jobs[inst] is kept[inst] for inst in jobs)
-        built_train += new
     for inst in built_train:
         assert_built_from(kept[inst], table.counts[inst], engine._SHARD_SALT, position[inst])
     for inst, shard in val_built:

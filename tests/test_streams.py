@@ -164,11 +164,14 @@ def _passes(monkeypatch, config):
         # Every key fits the pool: one width.
         (5, [4], [4]),
         # Two-word seed: the training and timing keys are five words, the
-        # shard keys (first round only, every node takes part) four.
-        (2**40 + 3, [4, 5], [5]),
+        # shard and validation keys four.
+        (2**40 + 3, [5], [4]),
     ],
 )
 def test_one_generate_state_pass_per_width_a_round(monkeypatch, seed, first, later):
+    """The engine first plans each round in one pass, of widths `first`, over
+    its training and timing keys, and later seeds every shard in one pass, of
+    widths `later`; then `train_round` makes one pass a round."""
     config = ExperimentConfig(
         seed=seed,
         cohort=CohortSpec(n_institutions=9, mean_samples=12.0, n_outliers=2, outlier_scale=6.0),
@@ -177,9 +180,6 @@ def test_one_generate_state_pass_per_width_a_round(monkeypatch, seed, first, lat
         max_rounds=3,
     )
     calls = _passes(monkeypatch, config)
-    # Per round the engine's one call and `train_round`'s, whose job seeds
-    # are uint64s: one pass of 4 words.
-    assert [(caller, sorted(widths)) for caller, widths in calls] == [
-        ("engine", first),
-        ("params", [4]),
-    ] + [("engine", later), ("params", [4])] * 2
+    # `train_round`'s job seeds are uint64s: one pass of 4 words.
+    expected = [("engine", first)] * 3 + [("engine", later)] + [("params", [4])] * 3
+    assert [(caller, sorted(widths)) for caller, widths in calls] == expected
