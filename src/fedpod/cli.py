@@ -109,7 +109,9 @@ def _read_value(key: str, value_type: tuple[type, bool], raw: str):
 
 def _read_pairs(path: Path) -> dict[str, str]:
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig also reads a file saved with a byte-order mark, as the
+        # partition CSV reader does.
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     pairs: dict[str, str] = {}

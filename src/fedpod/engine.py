@@ -2,8 +2,8 @@
 
 The plan pass reads no model: phase schedule, task composition, timings,
 straggler drop and replacement, and the round the run stops at. The
-training pass runs one batched local-training pass per planned round,
-aggregation, and metric accumulation.
+training pass trains the round's survivors in one batched local-training
+pass per planned round, then aggregates and accumulates metrics.
 
 Everything is driven by one `ExperimentConfig`; identical configs produce
 identical reports. Per-purpose RNG streams are derived from the experiment
@@ -349,16 +349,17 @@ def _plan_run(
     node_index: dict[str, int],
 ) -> list[tuple[int, PhaseEntry, TaskPlan, np.ndarray, np.ndarray, float]]:
     """The plan pass: per round, until max_rounds or the round whose time
-    reaches the cap, its phase number and phase, task, training seeds (a
-    uint64 copy, not the round's state rows) and straggler mask, both in
-    plan order, and round time.
+    reaches the cap, its phase number and phase, task, its survivors'
+    training seeds (a uint64 copy, not the round's state rows) and its
+    straggler mask, both in plan order, and round time.
 
     It reads neither the model nor any shard. A round's drops sit out the
-    next round, and a primary's window moves on by its quota. One pass a
-    round seeds each participant's training stream (its seed is
-    `SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
-    np.uint64)`) and timing stream, keyed by node index; with a seed below
-    2**32 every key fits the pool, so that is one `_generate_state` pass.
+    next round, and a primary's window moves on by its quota. One
+    `seed_states` call a round seeds each participant's training stream
+    (its seed is `SeedSequence([seed, _TRAIN_SALT, round, node])
+    .generate_state(1, np.uint64)`) and timing stream, keyed by node index:
+    keys of one width, so one `_generate_state` pass. A dropped straggler
+    never trains, so only the survivors' seeds are kept.
     """
     rounds = []
     offsets: dict[str, int] = {}
@@ -386,7 +387,7 @@ def _plan_run(
         timeout = config.timing.timeout_factor
         slow = np.zeros(len(insts), dtype=bool) if timeout is None else detect_stragglers(times, timeout)
         elapsed = round_time(times[~slow])
-        rounds.append((phase_number, phase, plan, train_states[:, 0].copy(), slow, elapsed))
+        rounds.append((phase_number, phase, plan, train_states[~slow, 0], slow, elapsed))
         for p in plan.participants:
             if p.quota < table.counts[p.institution_id]:
                 offsets[p.institution_id] = (p.shard_offset + p.quota) % table.counts[p.institution_id]
@@ -406,9 +407,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     round), the timings, the drops and the round time, and stops at
     max_rounds or once simulated time reaches the cap. So a config fault in
     any round is raised before anything trains. The training pass builds
-    every planned participant's shards, then per round trains every
-    participant, merges the survivors with the configured strategy, and
-    scores the global model on a fixed held-out shard.
+    every planned participant's shards, then per round trains the round's
+    survivors, merges them with the configured strategy, and scores the
+    global model on a fixed held-out shard.
     """
     table, geometry = _build_cohort(config)
     poisson = fit_poisson(table)
@@ -445,15 +446,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     for round_index, (phase_number, phase, plan, seeds, slow, elapsed) in enumerate(rounds, start=1):
         jobs = []
-        for p, seed in zip(plan.participants, seeds.tolist()):
+        # In plan order: `aggregate` sums the rows in node-id order itself.
+        for p, seed in zip(compress(plan.participants, (~slow).tolist()), seeds.tolist(), strict=True):
             shard = shards[p.institution_id]
             # A primary whose quota is its whole shard always has offset 0,
             # so its window would be every row in order.
             rows = None if p.quota == len(shard) else window_indices(len(shard), p.shard_offset, p.quota)
             jobs.append(TrainJob(p.institution_id, shard, node_val[p.institution_id], seed, rows))
-        updates = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
-        # In plan order: `aggregate` sums the rows in node-id order itself.
-        survivors = updates.take(np.flatnonzero(~slow))
+        survivors = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 
         result = compute_weights(config.strategy, survivors, history)
         model = aggregate(survivors, result.weights)
@@ -487,7 +487,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         )
         # Free this round's updates before the next round trains.
-        del updates, survivors, result
+        del survivors, result
 
     summary = Summary(
         strategy=config.strategy.kind,

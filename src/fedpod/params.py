@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError, TrainingDivergenceError, ValidationError
-from .streams import generators, seed_states, seed_words
+from .streams import generators, seed_states
 
 # Seed-stream salt for the blob geometry; every shard of one experiment must
 # be generated against the same geometry.
@@ -167,17 +167,6 @@ class RoundUpdates:
 
     def __len__(self) -> int:
         return len(self.node_ids)
-
-    def take(self, index: Sequence[int]) -> RoundUpdates:
-        """The nodes at positions `index`, in that order. Their columns are
-        new arrays of values already checked, so they are not checked again."""
-        index = np.asarray(index, dtype=np.intp)
-        taken = object.__new__(RoundUpdates)
-        node_ids = tuple(self.node_ids[i] for i in index.tolist())
-        _set_read_only(
-            taken, node_ids=node_ids, params=self.params[index], sizes=self.sizes[index], costs=self.costs[:, index]
-        )
-        return taken
 
     def integral(self) -> np.ndarray:
         """Each node's trapezoidal integral of cost over the training
@@ -700,7 +689,8 @@ def train_round(
     Inputs are checked before any training, as columns over all jobs
     (`_job_sizes`); all shards must share one feature_dim. One `seed_states`
     pass seeds every job's batch-order stream as `default_rng(job.seed)`
-    would, from the seeds as one id column, and each job draws all its
+    would, from the seeds as one id column (if every seed is below 2**64),
+    and each job draws all its
     epochs' orders in one call. The trained block and the costs, clipped at
     0, are checked once, as the columns of the returned `RoundUpdates`.
     """
@@ -716,8 +706,8 @@ def train_round(
         # mixes as [lo] does when hi is 0.
         states = seed_states([((), [job.seed for job in jobs])])
     except OverflowError:
-        # A seed of 2**64 or more keeps its wider key, its top word as the id.
-        states = seed_states([(words[:-1], words[-1:]) for words in (seed_words([job.seed]) for job in jobs)])
+        # A seed of 2**64 or more: numpy's own seed sequences, job by job.
+        states = np.array([np.random.SeedSequence(job.seed).generate_state(4, np.uint64) for job in jobs])
     values = np.empty((len(jobs), start.dim))
     costs = np.empty((epochs + 1, len(jobs)))
     diverged: dict[int, str] = {}

@@ -4,10 +4,10 @@ Every per-node stream is keyed by a row of ints `(*prefix, id)`: a few
 fixed ints and the node's id. `seed_states` takes such keys as blocks
 `(prefix, ids)` and computes `np.random.SeedSequence([*prefix, id])
 .generate_state(4, np.uint64)` for every id of every block in one
-vectorized pass per entropy width, and `generators` turns each such state
-into the generator `np.random.default_rng([*prefix, id])` would return, by
-setting the state of one reused `Generator`. The two mirror numpy's
-algorithms step for step:
+vectorized pass per call (all its keys of one entropy width), and
+`generators` turns each such state into the generator
+`np.random.default_rng([*prefix, id])` would return, by setting the state
+of one reused `Generator`. The two mirror numpy's algorithms step for step:
 
 - ints become uint32 words as numpy's `_coerce_to_uint32_array` makes them:
   least significant word first, 0 as one word, a negative int a ValueError;
@@ -150,45 +150,37 @@ def seed_states(blocks: Iterable[KeyBlock]) -> np.ndarray:
     with rows in block order; column 0 is `generate_state(1, np.uint64)`.
     An id is a uint32 word or two, so each must be in [0, 2**64).
 
-    Entropy shorter than the pool mixes as if padded with zero words, so
-    keys of up to POOL_SIZE words share one pass; longer keys pass once per
-    word count. An id of two words makes a key one word wider than an id
-    of one, unless both fit the pool.
+    One `_generate_state` pass serves the call, so its keys must share one
+    entropy width, or it raises ValueError. Entropy shorter than the pool
+    mixes as if padded with zero words, so keys of up to POOL_SIZE words
+    have one width; an id of two words makes a key one word wider than an
+    id of one, unless both fit the pool.
     """
-    # Entropy width -> (prefix words, id words, rows) of the keys of that width.
-    pieces: dict[int, list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]] = {}
-    n = 0
+    keys = []
+    widths = set()
     for prefix, ids in blocks:
         words = seed_words(prefix)
         lo, hi = _id_words(ids)
         if not len(lo):
             continue
-        rows = np.arange(n, n + len(lo))
-        n += len(lo)
-        narrow = max(len(words) + 1, POOL_SIZE)
-        wide = max(len(words) + 2, POOL_SIZE)
-        if narrow == wide or not hi.any():
-            pieces.setdefault(narrow, []).append((words, lo, hi, rows))
-        else:
-            two_word = hi != 0
-            one_word = ~two_word
-            pieces.setdefault(narrow, []).append((words, lo[one_word], hi[one_word], rows[one_word]))
-            pieces.setdefault(wide, []).append((words, lo[two_word], hi[two_word], rows[two_word]))
-    states = np.empty((n, POOL_SIZE), dtype=np.uint64)
-    for width, group in pieces.items():
-        # One column per key: its prefix words, its id's words, then zeros.
-        entropy = np.zeros((width, sum(len(rows) for _, _, _, rows in group)), dtype=np.uint32)
-        end = 0
-        for words, lo, hi, rows in group:
-            start, end = end, end + len(rows)
-            entropy[: len(words), start:end] = _columns(words)
-            entropy[len(words), start:end] = lo
-            if len(words) + 1 < width:
-                entropy[len(words) + 1, start:end] = hi
-        if len(pieces) == 1:  # one width: the keys are in block order
-            return _generate_state(entropy)
-        states[np.concatenate([rows for _, _, _, rows in group])] = _generate_state(entropy)
-    return states
+        keys.append((words, lo, hi))
+        if not hi.all():
+            widths.add(max(len(words) + 1, POOL_SIZE))
+        if hi.any():
+            widths.add(max(len(words) + 2, POOL_SIZE))
+    if len(widths) > 1:
+        raise ValueError(f"keys of entropy widths {sorted(widths)} need one seed_states call per width")
+    width = max(widths, default=POOL_SIZE)
+    # One column per key: its prefix words, its id's words, then zeros.
+    entropy = np.zeros((width, sum(len(lo) for _, lo, _ in keys)), dtype=np.uint32)
+    end = 0
+    for words, lo, hi in keys:
+        start, end = end, end + len(lo)
+        entropy[: len(words), start:end] = _columns(words)
+        entropy[len(words), start:end] = lo
+        if len(words) + 1 < width:
+            entropy[len(words) + 1, start:end] = hi
+    return _generate_state(entropy)
 
 
 # The generator `generators` re-sets, built from a ready seed sequence.

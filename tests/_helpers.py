@@ -33,6 +33,13 @@ def round_of(updates):
     )
 
 
+def take(updates, index):
+    """The nodes of `updates` at positions `index`, in that order, rebuilt through the checking constructor."""
+    index = np.asarray(index, dtype=np.intp)
+    node_ids = tuple(updates.node_ids[i] for i in index.tolist())
+    return RoundUpdates(node_ids, updates.params[index], updates.sizes[index], updates.costs[:, index])
+
+
 def random_updates(rng, n_nodes, dim=3):
     """A random-but-valid round of 1-4 epochs for property suites."""
     epochs = int(rng.integers(1, 5))

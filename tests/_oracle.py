@@ -11,6 +11,10 @@ reference for `predict_labels`.
 The scalar weight rules: FedAvg, FedPIDAvg and FedPOD written node by node
 over Python floats, with the per-node trapezoid, as the reference for the
 column rules of `fedpod.aggregation`.
+
+`plan_reference`: a run's plan (participants, drops and round times) drawn
+node by node from numpy's own streams, as the reference for the engine's
+batched plan pass.
 """
 
 import math
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fedpod import engine
 from fedpod.aggregation import (
     FALLBACK_DERIVATIVE,
     FALLBACK_INTEGRAL,
@@ -25,6 +30,7 @@ from fedpod.aggregation import (
     KIND_FEDPIDAVG,
     WeightResult,
 )
+from fedpod.cohort import fit_poisson
 from fedpod.errors import TrainingDivergenceError, ValidationError
 from fedpod.params import (
     DataShard,
@@ -33,6 +39,7 @@ from fedpod.params import (
     TrainConfig,
     _classifier_dims,
 )
+from fedpod.selection import classify_nodes, compose_task
 
 
 def _logits(values: np.ndarray, features: np.ndarray, n_classes: int, feature_dim: int) -> np.ndarray:
@@ -248,3 +255,82 @@ def compute_weights(strategy, updates, history):
     if strategy.kind == KIND_FEDPIDAVG:
         return fedpid_weights(updates, history, strategy)
     return fedpod_weights(updates, strategy)
+
+
+def plan_reference(config):
+    """Per round of `config`'s run: its participants, dropped ids (sorted),
+    round time and cumulative time, planned node by node over scalars.
+
+    Each round calls `compose_task`. A participant's four timings are its
+    base costs times four scalar log-normal draws from
+    `default_rng([seed, _TIMING_SALT, round, node index])`, and the injected
+    participant's are then times `inject_factor`. A participant whose total
+    exceeds `timeout_factor` times the lower median total is dropped and
+    sits out the next round. The round time sums the survivors' column
+    maxima, and the run stops at max_rounds or once the cumulative time
+    reaches the cap.
+    """
+    table, _ = engine._build_cohort(config)
+    poisson = fit_poisson(table)
+    classification = classify_nodes(table, poisson, config.z)
+    node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
+    profile = config.timing
+    rounds = []
+    offsets = {}
+    blacklist = frozenset()
+    cumulative = 0.0
+    for round_index in range(1, config.max_rounds + 1):
+        _, phase = engine.phase_for_round(config.schedule, round_index)
+        entry = phase if config.participation == engine.PARTICIPATION_TASK else None
+        plan = compose_task(
+            round_index,
+            classification,
+            entry,
+            poisson.lam,
+            config.margin_fraction,
+            table,
+            blacklist=blacklist,
+            rng_seed=config.seed,
+            offsets=offsets,
+        )
+        insts = plan.node_ids()
+        injected = None
+        if profile.inject_round == round_index:
+            if not -len(insts) <= profile.inject_rank < len(insts):
+                raise ValidationError(
+                    f"timing.inject_rank {profile.inject_rank} is outside the"
+                    f" {len(insts)} participants of round {round_index}"
+                )
+            injected = sorted(insts)[profile.inject_rank]
+        rows = []
+        for p in plan.participants:
+            rng = np.random.default_rng([config.seed, engine._TIMING_SALT, round_index, node_index[p.institution_id]])
+            val_s = engine._val_size(table.counts[p.institution_id]) * profile.per_sample_val_s
+            base = (
+                profile.model_bytes / profile.bandwidth_bps,
+                val_s,
+                p.quota * phase.epochs * profile.per_sample_train_s,
+                val_s,
+            )
+            row = [float(rng.lognormal(profile.jitter_mu, profile.jitter_sigma)) * cost for cost in base]
+            if p.institution_id == injected:
+                row = [value * profile.inject_factor for value in row]
+            rows.append(row)
+        totals = [download + pre_val + train + post_val for download, pre_val, train, post_val in rows]
+        if profile.timeout_factor is None:
+            slow = [False] * len(rows)
+        else:
+            threshold = profile.timeout_factor * sorted(totals)[(len(totals) - 1) // 2]
+            slow = [total > threshold for total in totals]
+        download, pre_val, train, post_val = (max(column) for column in zip(*(r for r, s in zip(rows, slow) if not s)))
+        elapsed = download + pre_val + train + post_val
+        cumulative += elapsed
+        dropped = tuple(sorted(inst for inst, s in zip(insts, slow) if s))
+        rounds.append((insts, dropped, elapsed, cumulative))
+        for p in plan.participants:
+            if p.quota < table.counts[p.institution_id]:
+                offsets[p.institution_id] = (p.shard_offset + p.quota) % table.counts[p.institution_id]
+        blacklist = frozenset(dropped)
+        if cumulative >= config.max_simulated_time_s:
+            break
+    return rounds

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle
-from _helpers import build_update, random_updates, round_of
+from _helpers import build_update, random_updates, round_of, take
 from fedpod.aggregation import (
     AggregationStrategy,
     CostHistory,
@@ -123,7 +123,7 @@ def test_bounded_history_weighs_as_an_unbounded_one(seed, window, rounds):
     unbounded = CostHistory()
     for _ in range(rounds):
         updates = random_updates(rng, 4)
-        updates = updates.take([i for i in range(4) if rng.random() < 0.7]) or random_updates(rng, 1)
+        updates = take(updates, [i for i in range(4) if rng.random() < 0.7]) or random_updates(rng, 1)
         assert fedpid_weights(updates, bounded, strategy) == fedpid_weights(updates, unbounded, strategy)
         for node_id, post_cost in zip(updates.node_ids, updates.costs[-1].tolist()):
             bounded.record(node_id, post_cost)
@@ -185,7 +185,7 @@ def test_fedpod_is_permutation_invariant():
     updates = random_updates(np.random.default_rng(8), 5)
     base = fedpod_weights(updates, POD).weights
     perm = [3, 0, 4, 2, 1]
-    shuffled = fedpod_weights(updates.take(perm), POD).weights
+    shuffled = fedpod_weights(take(updates, perm), POD).weights
     assert shuffled == tuple(base[i] for i in perm)
 
 
@@ -283,7 +283,7 @@ def test_column_rules_match_the_scalar_oracle_bitwise(case, rnd):
     rnd.shuffle(order)
     for kind in ("fedavg", "fedpidavg", "fedpod"):
         strategy = AggregationStrategy(kind, alpha, beta, gamma, history_window=window)
-        for round_ in (updates, updates.take(order)):
+        for round_ in (updates, take(updates, order)):
             got = compute_weights(strategy, round_, history)
             want = _oracle.compute_weights(strategy, round_, history)
             assert [w.hex() for w in got.weights] == [w.hex() for w in want.weights]
@@ -320,7 +320,7 @@ def test_aggregate_is_order_independent_bitwise():
     weights = fedpod_weights(updates, POD).weights
     merged = aggregate(updates, weights)
     perm = [4, 2, 0, 5, 1, 3]
-    shuffled = aggregate(updates.take(perm), [weights[i] for i in perm])
+    shuffled = aggregate(take(updates, perm), [weights[i] for i in perm])
     assert np.array_equal(merged.values, shuffled.values)
 
 

@@ -111,6 +111,17 @@ def test_every_key_sets_its_field(tmp_path):
     assert parse_config(_write(tmp_path, text)) == _expected_every_key()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [EVERY_KEY.format(cohort=SYNTHETIC_COHORT, timeout_factor="none", inject_round="2"), "seed = 5\n"],
+    ids=["before-a-comment", "before-a-key"],
+)
+def test_a_byte_order_mark_parses_as_the_unmarked_file(tmp_path, text):
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config(marked) == parse_config(_write(tmp_path, text))
+
+
 def test_csv_source_reads_the_path(tmp_path):
     (tmp_path / "part.csv").write_text("Subject_ID,Partition_ID\ns1,a\n", encoding="utf-8")
     text = EVERY_KEY.format(cohort=CSV_COHORT, timeout_factor="2.5", inject_round="None")

@@ -1,8 +1,9 @@
 import csv
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from fedpod import engine
@@ -23,10 +24,10 @@ from fedpod.engine import (
     run_experiment,
     sample_timings,
 )
-from fedpod.errors import TrainingDivergenceError, ValidationError
+from fedpod.errors import EmptyCohortError, TrainingDivergenceError, ValidationError
 from fedpod.params import ModelParams, TrainConfig, blob_geometry, make_blob_shard
 from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
-from _oracle import train_local
+from _oracle import plan_reference, train_local
 
 from dataclasses import replace
 
@@ -650,6 +651,114 @@ def test_straggler_drops_follow_the_timings_and_sit_out_one_round(
                 assert node not in records[r + 1].participants
             if r + 2 < len(records):
                 assert node in records[r + 2].participants
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    participation=st.sampled_from(["task", "all"]),
+    kind=st.sampled_from(["fedavg", "fedpidavg", "fedpod"]),
+    institutions=st.integers(3, 10),
+    outliers=st.integers(0, 2),
+    outlier_scale=st.floats(2.0, 10.0),
+    timeout_factor=st.floats(1.2, 4.0),
+    sigma=st.floats(0.0, 0.3),
+    inject_round=st.integers(1, 4),
+    inject_rank=st.sampled_from([0, -1]),
+)
+def test_only_the_round_survivors_train(
+    seed, participation, kind, institutions, outliers, outlier_scale, timeout_factor, sigma, inject_round, inject_rank
+):
+    """A job for a participant its round drops never reaches `train_round`:
+    a `train_round` that diverges on any such job leaves the run as it was,
+    and each round trains its participants minus its dropped, in plan order."""
+    config = small_config(
+        seed=seed,
+        cohort=CohortSpec(
+            n_institutions=institutions, mean_samples=12.0, n_outliers=outliers, outlier_scale=outlier_scale
+        ),
+        participation=participation,
+        strategy=AggregationStrategy(kind),
+        schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
+        timing=fast_timing(
+            timeout_factor=timeout_factor,
+            jitter_sigma=sigma,
+            inject_round=inject_round,
+            inject_rank=inject_rank,
+            inject_factor=1000.0,
+        ),
+    )
+    try:
+        report = run_experiment(config)
+    except EmptyCohortError:
+        reject()  # participation = task with no primary plans no round
+    records = report.records
+    # The injected straggler is dropped whenever it has a partner to lag.
+    injected = records[inject_round - 1]
+    assert injected.dropped or len(injected.participants) == 1
+    trained = []
+    real_train_round = engine.train_round
+
+    def diverging_on_the_dropped(model, jobs, *args):
+        record = records[len(trained)]
+        trained.append([job.node_id for job in jobs])
+        for job in jobs:
+            if job.node_id in record.dropped:
+                raise TrainingDivergenceError(job.node_id, "trained after its round dropped it")
+        return real_train_round(model, jobs, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "train_round", diverging_on_the_dropped)
+        wrapped = run_experiment(config)
+    assert wrapped.records == records
+    assert wrapped.final_model.values.tobytes() == report.final_model.values.tobytes()
+    assert trained == [[node for node in r.participants if node not in r.dropped] for r in records]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+    participation=st.sampled_from(["task", "all"]),
+    institutions=st.integers(2, 12),
+    outliers=st.integers(0, 1),
+    sigma=st.floats(0.0, 0.8),
+    timeout_factor=st.one_of(st.none(), st.floats(1.1, 4.0)),
+    inject_round=st.one_of(st.none(), st.integers(1, 3)),
+    inject_rank=st.integers(-3, 2),
+    cap=st.floats(0.05, 4.0),
+)
+def test_the_plan_equals_its_scalar_reference(
+    seed, participation, institutions, outliers, sigma, timeout_factor, inject_round, inject_rank, cap
+):
+    """Participants, drops and round times, each drawn from numpy's own
+    per-node streams by `_oracle.plan_reference`, equal the run's records:
+    one- and two-word seeds, injection ranks from either end, and a time
+    cap that often stops the run before max_rounds."""
+    config = small_config(
+        seed=seed,
+        cohort=CohortSpec(n_institutions=institutions, mean_samples=12.0, n_outliers=outliers, outlier_scale=8.0),
+        z=0.5,
+        participation=participation,
+        schedule=(PhaseEntry(1, 2, 3, 2, 1, 1e-3, 1), PhaseEntry(3, None, 4, 2, 2, 1e-3, 2)),
+        max_rounds=6,
+        max_simulated_time_s=cap,
+        timing=fast_timing(
+            timeout_factor=timeout_factor,
+            jitter_sigma=sigma,
+            inject_round=inject_round,
+            inject_rank=inject_rank,
+            inject_factor=50.0,
+        ),
+    )
+    try:
+        expected = plan_reference(config)
+    except (EmptyCohortError, ValidationError) as err:
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            run_experiment(config)
+        return
+    records = run_experiment(config).records
+    got = [(r.participants, r.dropped, r.round_time_s, r.cumulative_time_s) for r in records]
+    assert got == expected
 
 
 def test_default_run_records_its_primary_shortfall():

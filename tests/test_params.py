@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import build_update
+from _helpers import build_update, take
 from _oracle import _logits, trapezoid
 from fedpod.aggregation import aggregate
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
@@ -77,7 +77,7 @@ def test_combine_adds_in_input_order_bitwise(n, dim, seed):
 
 def test_combine_rejects_empty_and_mismatched():
     with pytest.raises(ValidationError):
-        aggregate(round_with([1.0]).take([]), [])
+        aggregate(take(round_with([1.0]), []), [])
     with pytest.raises(ShapeError):
         aggregate(round_with([1, 2], [1, 2]), [1.0])
     with pytest.raises(ValidationError, match="weights must be finite"):
@@ -366,9 +366,11 @@ def test_round_updates_copy_and_freeze_their_columns():
     assert updates.params.tolist() == [[1.0] * 3] * 2 and updates.costs.tolist() == [[0.5, 0.5]] * 3
     for array in (updates.params, updates.sizes, updates.costs):
         assert not array.flags.writeable
-    taken = updates.take([1, 0, 1])
+    # A round built from another's read-only columns holds copies it freezes too.
+    taken = take(updates, [1, 0, 1])
     assert taken.node_ids == ("b", "a", "b") and taken.sizes.tolist() == [5, 4, 5] and len(taken) == 3
-    assert len(updates.take([])) == 0
+    assert not any(array.flags.writeable for array in (taken.params, taken.sizes, taken.costs))
+    assert len(take(updates, [])) == 0
 
 
 def test_two_point_integral_is_midpoint_exactly():

@@ -1,5 +1,7 @@
 """`fedpod.streams` against numpy's own `SeedSequence` and `default_rng`."""
 
+from itertools import compress
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,17 +47,42 @@ def assert_streams_match(blocks, keys=None):
         assert generator.integers(2**40) == reference.integers(2**40)
 
 
+def by_width(blocks, keys=None):
+    """`blocks` as one `seed_states` call per key entropy width: {width:
+    (blocks, keys)}, each block cut into its ids of that width in order (an
+    array stays an array), beside the keys they stand for."""
+    keys = iter(keys_of(blocks) if keys is None else keys)
+    calls = {}
+    for prefix, ids in blocks:
+        column = np.asarray(ids, dtype=object).tolist()
+        widths = [max(len(seed_words([*prefix, i])), streams.POOL_SIZE) for i in column]
+        block_keys = [next(keys) for _ in column]
+        for width in dict.fromkeys(widths):
+            picks = [w == width for w in widths]
+            part = ids[np.array(picks)] if isinstance(ids, np.ndarray) else list(compress(ids, picks))
+            call_blocks, call_keys = calls.setdefault(width, ([], []))
+            call_blocks.append((prefix, part))
+            call_keys.extend(compress(block_keys, picks))
+    return calls
+
+
+def assert_streams_match_by_width(blocks, keys=None):
+    """`assert_streams_match` over one call per key entropy width."""
+    for call_blocks, call_keys in by_width(blocks, keys).values():
+        assert_streams_match(call_blocks, call_keys)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(ints, max_size=6), st.lists(uint64s, min_size=1, max_size=12))
 def test_prefixed_blocks_match_numpy(prefix, ids):
-    assert_streams_match([(prefix, np.array(ids, dtype=np.uint64))])
+    assert_streams_match_by_width([(prefix, np.array(ids, dtype=np.uint64))])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(ints, max_size=6), st.lists(ints, min_size=1, max_size=12))
 def test_prefixed_rows_match_numpy(prefix, column):
     rows = [[*prefix, c] for c in column]
-    assert_streams_match([row_block(row) for row in rows], keys=rows)
+    assert_streams_match_by_width([row_block(row) for row in rows], keys=rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,27 +96,47 @@ def test_int_seeds_match_default_rng(seeds):
         assert generator.random() == reference.random()
 
 
-def test_rows_of_every_width_share_one_call():
+def test_rows_of_every_width_match_numpy():
     rows = [[0], [2**32 - 1, 2**32], [7, 7003, 3, 9], [2**64 - 1, 7004, 3, 9], [1, 2, 3, 4, 5], [2**200, 0, 1]]
-    assert_streams_match([row_block(row) for row in rows], keys=rows)
+    calls = by_width([row_block(row) for row in rows], keys=rows)
+    assert sorted(calls) == [4, 5, 9]
+    for blocks, keys in calls.values():
+        assert_streams_match(blocks, keys)
 
 
 @pytest.mark.parametrize("prefix", [(), (5,), (5, 7003), (5, 7003, 2), (2**40 + 3, 7003), (2**40 + 3, 7003, 2)])
 def test_ids_at_word_edges(prefix):
     # One block whose ids make keys of two widths once the prefix fills
-    # the pool; as an array and as ints.
+    # the pool, cut into one call per width; as an array and as ints.
     ids = np.array(ID_EDGES, dtype=np.uint64)
-    assert_streams_match([(prefix, ids)])
-    assert_streams_match([(prefix, ids[::-1])])
-    assert_streams_match([(prefix, [0, 2**32 - 1, 2**32, 2**63 - 1])])
+    assert_streams_match_by_width([(prefix, ids)])
+    assert_streams_match_by_width([(prefix, ids[::-1])])
+    assert_streams_match_by_width([(prefix, [0, 2**32 - 1, 2**32, 2**63 - 1])])
 
 
 def test_multiword_prefixes():
     prefixes = [(2**64 - 1,), (2**96 + 7, 1), (2**40 + 3, 7003, 2), (2**200, 0, 2**33), (1, 2, 3, 4, 5, 6)]
-    assert_streams_match([(prefix, np.arange(5)) for prefix in prefixes])
+    assert_streams_match_by_width([(prefix, np.arange(5)) for prefix in prefixes])
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        # Prefixes of different lengths past the pool: keys of 5 and 6 words.
+        [((1, 2, 3, 4), [0]), ((1, 2, 3, 4, 5), np.arange(2))],
+        # One block under a 3-word prefix, ids on both sides of 2**32: keys
+        # of 4 and 5 words.
+        [((5, 7003, 2), [1, 2**32])],
+        [((5, 7003, 2), np.array([2**32 - 1, 2**32], dtype=np.uint64))],
+    ],
+)
+def test_keys_of_two_widths_raise(blocks):
+    with pytest.raises(ValueError, match="one seed_states call per width"):
+        seed_states(blocks)
 
 
 def test_blocks_of_mixed_widths_keep_block_order():
+    # One call per width; within each, the keys keep block order.
     blocks = [
         ((2**40 + 3, 7003, 2), np.arange(4)),
         ((5, 7002), [3, 1, 2]),
@@ -98,7 +145,7 @@ def test_blocks_of_mixed_widths_keep_block_order():
         ((1, 2, 3, 4, 5), np.array([7], dtype=np.int64)),
         ((5, 7003, 2), np.arange(3)),
     ]
-    assert_streams_match(blocks)
+    assert_streams_match_by_width(blocks)
 
 
 def test_no_rows_give_no_states():

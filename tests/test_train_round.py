@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import stacked_cost, stacked_gradient
+from _helpers import stacked_cost, stacked_gradient, take
 from _oracle import _mean_cross_entropy, step_plan, step_ranges, train_local
 from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
@@ -63,7 +63,7 @@ def assert_bit_identical(batched, reference):
     """Node i of the round `batched` against the one-node update `reference[i]`."""
     assert len(batched) == len(reference)
     for i, want in enumerate(reference):
-        got = batched.take([i])
+        got = take(batched, [i])
         assert got.node_ids == want.node_ids
         assert got.sizes.tolist() == want.sizes.tolist()
         assert got.params.tobytes() == want.params.tobytes()
