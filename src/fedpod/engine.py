@@ -40,7 +40,7 @@ from .params import (
     train_local,  # noqa: F401 -- unused here, but the benchmark's tracer (bench/tracer.py) wraps this name
     train_round,
 )
-from .selection import NodeClassification, TaskPlan, classify_nodes, compose_task, window_indices
+from .selection import NodeClassification, TaskPlan, classify_nodes, compose_task
 from .streams import generators, seed_states
 
 _HOLDOUT_SALT = 7001
@@ -351,7 +351,7 @@ def _plan_run(
     """The plan pass: per round, until max_rounds or the round whose time
     reaches the cap, its phase number and phase, task, its survivors'
     training seeds (a uint64 copy, not the round's state rows) and its
-    straggler mask, both in plan order, and round time.
+    straggler mask, both in plan order, and round time, which must be positive.
 
     It reads neither the model nor any shard. A round's drops sit out the
     next round, and a primary's window moves on by its quota. One
@@ -387,6 +387,9 @@ def _plan_run(
         timeout = config.timing.timeout_factor
         slow = np.zeros(len(insts), dtype=bool) if timeout is None else detect_stragglers(times, timeout)
         elapsed = round_time(times[~slow])
+        # Log-normal factors that underflow to 0 give a round no time, which the score divides by.
+        if not elapsed > 0:
+            raise ValidationError(f"round {round_index} has a simulated time of {elapsed}, not a positive one")
         rounds.append((phase_number, phase, plan, train_states[~slow, 0], slow, elapsed))
         for p in plan.participants:
             if p.quota < table.counts[p.institution_id]:
@@ -427,17 +430,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # the benchmark's tracer counts as `engine.val_shards`.
     position = {inst: i for i, inst in enumerate(table.counts)}
     insts = list(dict.fromkeys(inst for _, _, plan, *_ in rounds for inst in plan.node_ids()))
-    # A run of no rounds, as the benchmark's set-up timing makes, seeds nothing.
-    if insts:
-        shard_keys = ((config.seed, _SHARD_SALT), [position[inst] for inst in insts])
-        val_keys = ((config.seed, _NODE_VAL_SALT), [node_index[inst] for inst in insts])
-        shard_states, val_states = np.split(seed_states([shard_keys, val_keys]), 2)
-        sizes = [table.counts[inst] for inst in insts]
-        shards = dict(zip(insts, make_blob_shards(sizes, geometry, generators(shard_states))))
-        node_val = {
-            inst: make_blob_shard(_val_size(size), geometry, rng)
-            for inst, size, rng in zip(insts, sizes, generators(val_states))
-        }
+    shard_keys = ((config.seed, _SHARD_SALT), [position[inst] for inst in insts])
+    val_keys = ((config.seed, _NODE_VAL_SALT), [node_index[inst] for inst in insts])
+    shard_states, val_states = np.split(seed_states([shard_keys, val_keys]), 2)
+    sizes = [table.counts[inst] for inst in insts]
+    shards = make_blob_shards(sizes, geometry, generators(shard_states))
+    vals = [make_blob_shard(_val_size(size), geometry, rng) for size, rng in zip(sizes, generators(val_states))]
+    data = dict(zip(insts, zip(shards, vals)))
 
     model = ModelParams.zeros(config.model_dim)
     history = CostHistory(history_window=config.strategy.history_window)
@@ -445,14 +444,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     cumulative = best = weighted_best = 0.0
 
     for round_index, (phase_number, phase, plan, seeds, slow, elapsed) in enumerate(rounds, start=1):
-        jobs = []
         # In plan order: `aggregate` sums the rows in node-id order itself.
-        for p, seed in zip(compress(plan.participants, (~slow).tolist()), seeds.tolist(), strict=True):
-            shard = shards[p.institution_id]
-            # A primary whose quota is its whole shard always has offset 0,
-            # so its window would be every row in order.
-            rows = None if p.quota == len(shard) else window_indices(len(shard), p.shard_offset, p.quota)
-            jobs.append(TrainJob(p.institution_id, shard, node_val[p.institution_id], seed, rows))
+        jobs = [
+            TrainJob(p.institution_id, *data[p.institution_id], seed, p.shard_offset, p.quota)
+            for p, seed in zip(compress(plan.participants, (~slow).tolist()), seeds.tolist(), strict=True)
+        ]
         survivors = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 
         result = compute_weights(config.strategy, survivors, history)

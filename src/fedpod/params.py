@@ -350,15 +350,27 @@ def predict_labels(model: ModelParams, shard: DataShard) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TrainJob:
-    """One participant of a round: the positional rows of `shard` it trains
-    on (None for every row), its validation shard, and the seed of its
-    batch-order stream."""
+    """One participant of a round: its training shard, its validation shard,
+    the seed of its batch-order stream, and its window of the shard: rows
+    `(offset + k) % len(shard)` for k < quota, in that order. A quota of
+    None is the whole shard, and is set to `len(shard)` here."""
 
     node_id: str
     shard: DataShard
     val: DataShard
     seed: int
-    rows: np.ndarray | None = None
+    offset: int = 0
+    quota: int | None = None
+
+    def __post_init__(self):
+        if self.quota is None:
+            object.__setattr__(self, "quota", len(self.shard))
+
+
+def _window(job: TrainJob) -> slice | np.ndarray:
+    """The rows of job's window: a slice, or an index array if it wraps."""
+    end = job.offset + job.quota
+    return slice(job.offset, end) if end <= len(job.shard) else np.arange(job.offset, end) % len(job.shard)
 
 
 def _gradient_views(values: np.ndarray, grad: np.ndarray, n_classes: int, feature_dim: int) -> tuple:
@@ -516,7 +528,6 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tup
 def _train_block(
     start: ModelParams,
     jobs: Sequence[TrainJob],
-    rows: Sequence[np.ndarray | slice],
     states: np.ndarray,
     epochs: int,
     learning_rate: float,
@@ -542,12 +553,12 @@ def _train_block(
     and subtracts them from its parameters.
     """
     n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
-    # The jobs' training rows back to back: job i owns [starts[i], starts[i] + sizes[i]).
-    features = np.concatenate([job.shard.features[r] for job, r in zip(jobs, rows)])
-    job_labels = [job.shard.labels[r] for job, r in zip(jobs, rows)]
-    labels = np.concatenate(job_labels)
+    # The jobs' windows back to back: job i owns [starts[i], starts[i] + sizes[i]).
+    windows = [_window(job) for job in jobs]
+    features = np.concatenate([job.shard.features[w] for job, w in zip(jobs, windows)])
+    labels = np.concatenate([job.shard.labels[w] for job, w in zip(jobs, windows)])
     eye = np.eye(n_classes)
-    sizes = np.array([len(y) for y in job_labels])
+    sizes = np.array([job.quota for job in jobs])
     starts = np.cumsum(sizes) - sizes
 
     positions, runs = _step_plan(sizes, batch_size)
@@ -632,37 +643,31 @@ def _train_block(
     return values, costs, diverged
 
 
-def _job_sizes(
-    start: ModelParams, jobs: Sequence[TrainJob], rows: Sequence[np.ndarray | slice], n_classes: int, feature_dim: int
-) -> np.ndarray:
-    """Each job's number of training rows, its inputs checked as columns over
-    all jobs: feature dims, empty rows, and training and validation label
-    ranges. Only a failed check walks the jobs, to raise the first job's
-    first error as checking job by job would."""
-    try:
-        train_labels = [job.shard.labels[r] for job, r in zip(jobs, rows)]
-    except IndexError:  # a row outside its shard; an earlier job may fail first
-        train_labels = None
-    if train_labels is not None:
-        sizes = np.array([len(labels) for labels in train_labels])
-        if (
-            all(job.shard.features.shape[1] == job.val.features.shape[1] == feature_dim for job in jobs)
-            and sizes.all()
-            and np.concatenate(train_labels).max() < n_classes
-            and np.concatenate([job.val.labels for job in jobs]).max() < n_classes
-        ):
-            return sizes
-    sizes = np.empty(len(jobs), dtype=np.int64)
-    for i, (job, r) in enumerate(zip(jobs, rows)):
+def _job_sizes(start: ModelParams, jobs: Sequence[TrainJob], n_classes: int, feature_dim: int) -> np.ndarray:
+    """Each job's quota, its inputs checked as columns over all jobs: feature
+    dims, windows inside their shards, and label ranges, over whole training
+    shards. Only a failed check walks the jobs, to raise the first job's
+    first error as checking job by job, each over its window, would."""
+    lengths = np.array([len(job.shard) for job in jobs])
+    offsets = np.array([job.offset for job in jobs])
+    sizes = np.array([job.quota for job in jobs])
+    if (
+        all(job.shard.features.shape[1] == job.val.features.shape[1] == feature_dim for job in jobs)
+        and ((0 <= offsets) & (offsets < lengths) & (1 <= sizes) & (sizes <= lengths)).all()
+        and np.concatenate([job.shard.labels for job in jobs]).max() < n_classes
+        and np.concatenate([job.val.labels for job in jobs]).max() < n_classes
+    ):
+        return sizes
+    for job in jobs:
         if job.shard.feature_dim != feature_dim or job.val.feature_dim != feature_dim:
             raise ShapeError(f"job {job.node_id!r}: shards must share feature dim {feature_dim}")
         _classifier_dims(start, job.val)
-        labels = job.shard.labels[r]
-        if not len(labels):
-            raise ValidationError(f"job {job.node_id!r} has no training rows")
+        n = len(job.shard)
+        if not (0 <= job.offset < n and 1 <= job.quota <= n):
+            raise ValidationError(f"job {job.node_id!r}: window of {job.quota} at {job.offset} is outside its {n} rows")
+        labels = job.shard.labels[_window(job)]
         if int(labels.max()) >= n_classes:
             raise ValidationError(f"label {int(labels.max())} out of range for {n_classes} classes")
-        sizes[i] = len(labels)
     return sizes
 
 
@@ -676,7 +681,7 @@ def train_round(
     """Mini-batch SGD from `start` for all of one round's jobs at once.
 
     Node i, in `jobs` order, equals `tests/_oracle.train_local`, the
-    sequential one-node SGD, run on job i's rows of its shard with
+    sequential one-node SGD, run on job i's window of its shard with
     `TrainConfig(epochs, learning_rate, job.seed, batch_size)`, bit for
     bit. Jobs train in blocks of similar size. At each SGD step a block's
     jobs are grouped by their exact batch length, so nothing is padded and
@@ -698,8 +703,7 @@ def train_round(
     if not jobs:
         return RoundUpdates((), np.empty((0, start.dim)), (), np.empty((epochs + 1, 0)))
     n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
-    rows = [slice(None) if job.rows is None else np.asarray(job.rows, dtype=np.int64) for job in jobs]
-    sizes = _job_sizes(start, jobs, rows, n_classes, feature_dim)
+    sizes = _job_sizes(start, jobs, n_classes, feature_dim)
 
     try:
         # Seeds below 2**64 as one id column: the entropy [lo, hi], which
@@ -716,7 +720,7 @@ def train_round(
     for lo in range(0, len(jobs), _BLOCK_NODES):
         block = by_size[lo : lo + _BLOCK_NODES]
         block_values, block_costs, block_diverged = _train_block(
-            start, [jobs[i] for i in block], [rows[i] for i in block], states[block], epochs, learning_rate, batch_size
+            start, [jobs[i] for i in block], states[block], epochs, learning_rate, batch_size
         )
         values[block] = block_values
         costs[:, block] = block_costs

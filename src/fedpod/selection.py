@@ -86,13 +86,6 @@ def classify_nodes(table: PartitionTable, model: PoissonModel, z: float) -> Node
     return NodeClassification(primary, secondary, threshold)
 
 
-def window_indices(holdings: int, offset: int, quota: int) -> np.ndarray:
-    """Positional indices of a wrapping window of `quota` samples."""
-    if holdings < 1 or quota < 1 or quota > holdings:
-        raise ValidationError("need 1 <= quota <= holdings")
-    return (offset + np.arange(quota)) % holdings
-
-
 def primary_quota(lam: float, margin_fraction: float, holdings: int) -> int:
     """Per-round supply cap: round(lam) held inside lam*(1 +/- margin),
     then clamped to what the node actually holds."""

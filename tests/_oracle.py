@@ -14,7 +14,12 @@ column rules of `fedpod.aggregation`.
 
 `plan_reference`: a run's plan (participants, drops and round times) drawn
 node by node from numpy's own streams, as the reference for the engine's
-batched plan pass.
+batched plan pass. `run_reference`: the whole run on that plan, each node's
+shards and training seed drawn from its own stream, trained by
+`train_local` on its window, weighed by the scalar rules, merged as scalars
+and scored with `np.argmax` of `_logits` and a set-based Dice, as the
+reference for `engine.run_experiment`. Every generator of the two comes from
+`_stream`.
 """
 
 import math
@@ -257,9 +262,15 @@ def compute_weights(strategy, updates, history):
     return fedpod_weights(updates, strategy)
 
 
+def _stream(*key):
+    """numpy's own generator of one entropy key."""
+    return np.random.default_rng(list(key))
+
+
 def plan_reference(config):
-    """Per round of `config`'s run: its participants, dropped ids (sorted),
-    round time and cumulative time, planned node by node over scalars.
+    """Per round of `config`'s run: its phase number, phase, task plan,
+    dropped ids (sorted), round time and cumulative time, planned node by
+    node over scalars.
 
     Each round calls `compose_task`. A participant's four timings are its
     base costs times four scalar log-normal draws from
@@ -267,8 +278,8 @@ def plan_reference(config):
     participant's are then times `inject_factor`. A participant whose total
     exceeds `timeout_factor` times the lower median total is dropped and
     sits out the next round. The round time sums the survivors' column
-    maxima, and the run stops at max_rounds or once the cumulative time
-    reaches the cap.
+    maxima and must be positive, and the run stops at max_rounds or once
+    the cumulative time reaches the cap.
     """
     table, _ = engine._build_cohort(config)
     poisson = fit_poisson(table)
@@ -280,7 +291,7 @@ def plan_reference(config):
     blacklist = frozenset()
     cumulative = 0.0
     for round_index in range(1, config.max_rounds + 1):
-        _, phase = engine.phase_for_round(config.schedule, round_index)
+        phase_number, phase = engine.phase_for_round(config.schedule, round_index)
         entry = phase if config.participation == engine.PARTICIPATION_TASK else None
         plan = compose_task(
             round_index,
@@ -304,7 +315,7 @@ def plan_reference(config):
             injected = sorted(insts)[profile.inject_rank]
         rows = []
         for p in plan.participants:
-            rng = np.random.default_rng([config.seed, engine._TIMING_SALT, round_index, node_index[p.institution_id]])
+            rng = _stream(config.seed, engine._TIMING_SALT, round_index, node_index[p.institution_id])
             val_s = engine._val_size(table.counts[p.institution_id]) * profile.per_sample_val_s
             base = (
                 profile.model_bytes / profile.bandwidth_bps,
@@ -324,9 +335,11 @@ def plan_reference(config):
             slow = [total > threshold for total in totals]
         download, pre_val, train, post_val = (max(column) for column in zip(*(r for r, s in zip(rows, slow) if not s)))
         elapsed = download + pre_val + train + post_val
+        if not elapsed > 0:
+            raise ValidationError(f"round {round_index} has a simulated time of {elapsed}, not a positive one")
         cumulative += elapsed
         dropped = tuple(sorted(inst for inst, s in zip(insts, slow) if s))
-        rounds.append((insts, dropped, elapsed, cumulative))
+        rounds.append((phase_number, phase, plan, dropped, elapsed, cumulative))
         for p in plan.participants:
             if p.quota < table.counts[p.institution_id]:
                 offsets[p.institution_id] = (p.shard_offset + p.quota) % table.counts[p.institution_id]
@@ -334,3 +347,127 @@ def plan_reference(config):
         if cumulative >= config.max_simulated_time_s:
             break
     return rounds
+
+
+class _History(dict):
+    """Every post-training cost of each node, oldest first, as the scalar
+    FedPIDAvg rule reads it."""
+
+    def last(self, node_id):
+        return self[node_id][-1] if node_id in self else None
+
+    def recent(self, node_id, n):
+        return tuple(self.get(node_id, [])[-n:]) if n > 0 else ()
+
+
+def _blob_shard(n, geometry, rng):
+    """n samples from `rng`: labels by `choice` over the class priors, then
+    each row's class center plus its class scales times standard normals."""
+    labels = rng.choice(geometry.n_classes, size=n, p=geometry.class_probs)
+    noise = rng.standard_normal((n, geometry.centers.shape[1]))
+    return DataShard(geometry.centers[labels] + geometry.scales[labels] * noise, labels)
+
+
+def run_reference(config):
+    """`config`'s run, node by node over scalars: (records, summary, final
+    model), built on `plan_reference`.
+
+    A node's training shard is drawn from `(seed, _SHARD_SALT, table
+    position)`, its validation shard from `(seed, _NODE_VAL_SALT, node
+    index)` and the holdout from `(seed, _HOLDOUT_SALT)`. Each round's
+    survivors train in plan order with `train_local` on their windows, rows
+    `(offset + k) % n` for k < quota, each seeded by
+    `SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1, np.uint64)`.
+    The round is weighed by `compute_weights` with every earlier post cost
+    of its nodes, merged as scalar sums in node-id order, and scored on the
+    holdout.
+    """
+    table, geometry = engine._build_cohort(config)
+    poisson = fit_poisson(table)
+    classification = classify_nodes(table, poisson, config.z)
+    node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
+    position = {inst: i for i, inst in enumerate(table.counts)}
+    n_classes, feature_dim = config.n_classes, config.feature_dim
+    holdout_n = max(32, round(config.holdout_fraction * table.total))
+    holdout = _blob_shard(holdout_n, geometry, _stream(config.seed, engine._HOLDOUT_SALT))
+    values = [0.0] * config.model_dim
+    history = _History()
+    records = []
+    best = weighted_best = 0.0
+    for round_index, (phase_number, phase, plan, dropped, elapsed, cumulative) in enumerate(
+        plan_reference(config), start=1
+    ):
+        updates = []
+        for p in plan.participants:
+            inst = p.institution_id
+            if inst in dropped:
+                continue
+            count, node = table.counts[inst], node_index[inst]
+            shard = _blob_shard(count, geometry, _stream(config.seed, engine._SHARD_SALT, position[inst]))
+            val = _blob_shard(engine._val_size(count), geometry, _stream(config.seed, engine._NODE_VAL_SALT, node))
+            rows = [(p.shard_offset + k) % count for k in range(p.quota)]
+            seed_key = [config.seed, engine._TRAIN_SALT, round_index, node]
+            seed = int(np.random.SeedSequence(seed_key).generate_state(1, np.uint64)[0])
+            cfg = TrainConfig(phase.epochs, phase.learning_rate, seed, config.batch_size)
+            window = DataShard(shard.features[rows], shard.labels[rows])
+            updates.append(train_local(ModelParams(values), window, val, cfg, node_id=inst))
+        survivors = RoundUpdates(
+            tuple(u.node_ids[0] for u in updates),
+            np.concatenate([u.params for u in updates]),
+            [int(u.sizes[0]) for u in updates],
+            np.concatenate([u.costs for u in updates], axis=1),
+        )
+        result = compute_weights(config.strategy, survivors, history)
+        for node in per_node(survivors):
+            history.setdefault(node.node_id, []).append(node.post_cost)
+        values = [0.0] * config.model_dim
+        for i in sorted(range(len(survivors)), key=survivors.node_ids.__getitem__):
+            for j, value in enumerate(survivors.params[i].tolist()):
+                values[j] += result.weights[i] * value
+        predictions = np.argmax(_logits(np.array(values), holdout.features, n_classes, feature_dim), axis=1).tolist()
+        truth = holdout.labels.tolist()
+        dice = []
+        for cls in range(1, n_classes):
+            predicted = {i for i, label in enumerate(predictions) if label == cls}
+            actual = {i for i, label in enumerate(truth) if label == cls}
+            both = len(predicted) + len(actual)
+            dice.append(2.0 * len(predicted & actual) / both if both else 1.0)
+        mean_dice = float(np.mean(dice))
+        best = max(best, mean_dice)
+        weighted_best += best * elapsed
+        records.append(
+            engine.RoundRecord(
+                round_index=round_index,
+                phase=phase_number,
+                epochs=phase.epochs,
+                participants=plan.node_ids(),
+                dropped=dropped,
+                weights=tuple(zip(survivors.node_ids, result.weights)),
+                dice_per_class=tuple(dice),
+                mean_dice=mean_dice,
+                best_dice=best,
+                round_time_s=elapsed,
+                cumulative_time_s=cumulative,
+                convergence_so_far=weighted_best / cumulative,
+                fallbacks=result.fallbacks,
+                secondary_shortfall=plan.secondary_shortfall,
+                primary_shortfall=plan.primary_shortfall,
+            )
+        )
+    total_time = records[-1].cumulative_time_s if records else 0.0
+    summary = engine.Summary(
+        strategy=config.strategy.kind,
+        seed=config.seed,
+        rounds_run=len(records),
+        total_time_s=total_time,
+        best_mean_dice=best,
+        convergence_score=weighted_best / total_time if records else 0.0,
+        total_dropped=sum(len(r.dropped) for r in records),
+        fallback_rounds=sum(1 for r in records if r.fallbacks),
+        n_institutions=len(table.counts),
+        n_primary=len(classification.primary),
+        n_secondary=len(classification.secondary),
+        fitted_mean=poisson.lam,
+        model_dim=config.model_dim,
+    )
+    return tuple(records), summary, ModelParams(values)

@@ -132,6 +132,16 @@ def test_main_reports_a_divergence_as_a_runtime_error(tiny_config, tmp_path, cap
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_main_refuses_a_run_whose_simulated_time_is_zero(tiny_config, tmp_path, capsys):
+    # Every log-normal timing factor underflows to 0.0. The plan pass refuses
+    # round 1 before any training, and the run leaves no directory.
+    tiny_config.write_text(TINY_CONFIG + "timing.jitter_mu = -1000\n", encoding="utf-8")
+    out = tmp_path / "out" / "run"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: round 1 has a simulated time of 0.0, not a positive one\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_gen_cohort_defaults_match_the_config_defaults(tmp_path):
     out = tmp_path / "cohort.csv"
     assert main(["gen-cohort", "--out", str(out)]) == 0

@@ -1,9 +1,11 @@
 import csv
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from fedpod import engine
@@ -27,7 +29,7 @@ from fedpod.engine import (
 from fedpod.errors import EmptyCohortError, TrainingDivergenceError, ValidationError
 from fedpod.params import ModelParams, TrainConfig, blob_geometry, make_blob_shard
 from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
-from _oracle import plan_reference, train_local
+from _oracle import plan_reference, run_reference, train_local
 
 from dataclasses import replace
 
@@ -399,7 +401,7 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
             assert job.seed == int(
                 np.random.SeedSequence([seed, engine._TRAIN_SALT, round_index, node]).generate_state(1, np.uint64)[0]
             )
-            quota = len(job.shard) if job.rows is None else len(job.rows)
+            quota = job.quota
             rng = np.random.default_rng([seed, engine._TIMING_SALT, round_index, node])
             jitter = [float(rng.lognormal(profile.jitter_mu, profile.jitter_sigma)) for _ in range(4)]
             expected = [
@@ -507,6 +509,18 @@ def test_a_planned_fault_wins_over_an_earlier_divergence(train_round_calls):
         run_experiment(replace(config, timing=replace(config.timing, inject_round=3, inject_rank=50)))
     assert str(err.value) == "timing.inject_rank 50 is outside the 3 participants of round 3"
     assert calls == []
+
+
+def test_a_round_of_no_simulated_time_is_refused_before_training(train_round_calls):
+    # Every log-normal factor underflows to 0.0, so every round would take no
+    # time and the convergence score would divide by a cumulative time of 0.
+    config = small_config(max_rounds=2, timing=fast_timing(jitter_mu=-1000.0))
+    with pytest.raises(ValidationError) as err:
+        run_experiment(config)
+    assert str(err.value) == "round 1 has a simulated time of 0.0, not a positive one"
+    assert train_round_calls == []
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(err.value))}$"):
+        plan_reference(config)
 
 
 def test_best_dice_is_running_max():
@@ -758,7 +772,109 @@ def test_the_plan_equals_its_scalar_reference(
         return
     records = run_experiment(config).records
     got = [(r.participants, r.dropped, r.round_time_s, r.cumulative_time_s) for r in records]
-    assert got == expected
+    assert got == [(plan.node_ids(), *times) for _, _, plan, *times in expected]
+
+
+def whole_run_config(directory, csv_counts, institutions, outliers, kind, history_window, learning_rate, cap, **timing):
+    """A small run for the whole-run reference: a partition CSV of
+    `csv_counts` written into `directory`, listed in reverse id order so
+    table positions and node indices differ, or else a synthetic cohort,
+    and two phases whose primaries train on rotating quota windows."""
+    cohort = CohortSpec(n_institutions=institutions, mean_samples=12.0, n_outliers=outliers, outlier_scale=8.0)
+    if csv_counts is not None:
+        path = Path(directory) / "part.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(PARTITION_HEADER)
+            for i, count in reversed(list(enumerate(csv_counts))):
+                writer.writerows([f"s{i}-{k}", f"p{i:02d}"] for k in range(count))
+        cohort = PartitionSource(str(path))
+    return small_config(
+        cohort=cohort,
+        z=0.5,
+        strategy=AggregationStrategy(kind, history_window=history_window),
+        schedule=(PhaseEntry(1, 2, 3, 2, 1, learning_rate, 1), PhaseEntry(3, None, 4, 2, 2, learning_rate, 2)),
+        max_rounds=5,
+        max_simulated_time_s=cap,
+        timing=fast_timing(inject_factor=50.0, **timing),
+    )
+
+
+# Runs the property always draws: a CSV cohort under a two-word seed whose
+# 40-sample primary trains on a wrapping window, with an injected straggler
+# and a cap that binds; and a synthetic cohort whose outliers wrap theirs.
+WHOLE_RUN_EXAMPLES = (
+    dict(
+        seed=2**40 + 7, participation="task", kind="fedpidavg", csv_counts=[40, 12, 10, 15, 8, 11, 9], institutions=2,
+        outliers=0, timeout_factor=1.5, jitter_sigma=0.4, inject_round=2, inject_rank=-1, cap=1.0, learning_rate=0.05,
+        history_window=3,
+    ),
+    dict(
+        seed=11, participation="task", kind="fedpod", csv_counts=None, institutions=8, outliers=2,
+        timeout_factor=2.0, jitter_sigma=0.3, inject_round=None, inject_rank=0, cap=100.0, learning_rate=0.05,
+        history_window=6,
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+    participation=st.sampled_from(["task", "all"]),
+    kind=st.sampled_from(["fedavg", "fedpidavg", "fedpod"]),
+    csv_counts=st.one_of(st.none(), st.lists(st.integers(1, 100), min_size=2, max_size=8)),
+    institutions=st.integers(3, 8),
+    outliers=st.integers(0, 2),
+    timeout_factor=st.one_of(st.none(), st.floats(1.1, 3.0)),
+    jitter_sigma=st.floats(0.0, 0.8),
+    inject_round=st.one_of(st.none(), st.integers(1, 4)),
+    inject_rank=st.integers(-2, 1),
+    cap=st.floats(0.5, 8.0),
+    learning_rate=st.sampled_from([1e-3, 0.05]),
+    history_window=st.integers(1, 4),
+)
+@example(**WHOLE_RUN_EXAMPLES[0])
+@example(**WHOLE_RUN_EXAMPLES[1])
+def test_the_run_equals_its_whole_run_scalar_reference(seed, participation, **kwargs):
+    """Records, summary and final model equal `_oracle.run_reference`'s bit
+    for bit: every shard, training seed and timing drawn from numpy's own
+    per-node streams, every survivor trained alone on its window, weighed
+    and merged over scalars. A run the reference refuses raises the same."""
+    with tempfile.TemporaryDirectory() as directory:
+        config = replace(whole_run_config(directory, **kwargs), seed=seed, participation=participation)
+        try:
+            expected = run_reference(config)
+        except (EmptyCohortError, ValidationError, TrainingDivergenceError) as err:
+            event(f"refused: {type(err).__name__}")
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                run_experiment(config)
+            return
+        report = run_experiment(config)
+    records, summary, model = expected
+    event(f"{len(records)} rounds")
+    assert report.records == records and repr(report.records) == repr(records)
+    assert report.summary == summary and repr(report.summary) == repr(summary)
+    assert report.final_model.values.tobytes() == model.values.tobytes()
+
+
+def test_the_whole_run_examples_wrap_windows_drop_stragglers_and_stop_at_the_cap():
+    # What the property's fixed examples are there to cover.
+    with tempfile.TemporaryDirectory() as directory:
+        configs = []
+        for kwargs in WHOLE_RUN_EXAMPLES:
+            kwargs = dict(kwargs)
+            seed, participation = kwargs.pop("seed"), kwargs.pop("participation")
+            configs.append(replace(whole_run_config(directory, **kwargs), seed=seed, participation=participation))
+        plans = [plan_reference(config) for config in configs]
+        counts = [engine._build_cohort(config)[0].counts for config in configs]
+    for rounds, count in zip(plans, counts):
+        trained = [p for _, _, plan, out, *_ in rounds for p in plan.participants if p.institution_id not in out]
+        assert any(p.shard_offset + p.quota > count[p.institution_id] for p in trained)
+    csv_run = plans[0]
+    assert configs[0].seed >= 2**32 and isinstance(configs[0].cohort, PartitionSource)
+    assert len(csv_run) < configs[0].max_rounds
+    _, _, plan, dropped, *_ = csv_run[1]
+    assert sorted(plan.node_ids())[-1] in dropped
 
 
 def test_default_run_records_its_primary_shortfall():

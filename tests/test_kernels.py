@@ -191,7 +191,7 @@ def test_flat_validation_pass_matches_the_one_model_oracle_bitwise(block):
     jobs.sort(key=lambda job: len(job.shard))
     states = seed_states([((), [job.seed for job in jobs])])
     with np.errstate(over="ignore", invalid="ignore"):
-        values, costs, diverged = _train_block(start, jobs, [slice(None)] * len(jobs), states, 1, 1e-3, 8)
+        values, costs, diverged = _train_block(start, jobs, states, 1, 1e-3, 8)
     want_diverged = {}
     for i, job in enumerate(jobs):
         want = np.array(

@@ -15,7 +15,6 @@ from fedpod.selection import (
     compose_task,
     primary_quota,
     upper_bound,
-    window_indices,
 )
 
 
@@ -102,12 +101,6 @@ def test_primary_quota_round_and_clamp():
     assert primary_quota(100.0, 0.1, holdings=42) == 42
     assert primary_quota(3.4, 0.1, holdings=300) == 3
     assert primary_quota(1.0, 0.0, holdings=1) == 1
-
-
-def test_window_indices_wrap():
-    assert list(window_indices(5, 3, 4)) == [3, 4, 0, 1]
-    with pytest.raises(ValidationError):
-        window_indices(3, 0, 4)
 
 
 # ---------------------------------------------------------------- compose
@@ -237,8 +230,7 @@ def test_rotating_windows_cover_all_samples():
     for round_index in range(1, rounds_needed + 1):
         plan = compose_task(round_index, split, phase(1, 0), 7.0, 0.0, table, offsets=offsets)
         (p,) = plan.participants
-        for idx in window_indices(23, p.shard_offset, p.quota):
-            seen.add(int(idx))
+        seen.update((p.shard_offset + k) % 23 for k in range(p.quota))
         offsets[inst] = (p.shard_offset + p.quota) % 23
     assert seen == set(range(23))
 

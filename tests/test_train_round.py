@@ -27,7 +27,6 @@ from fedpod.params import (
     train_round,
 )
 from fedpod.streams import seed_states
-from fedpod.selection import window_indices
 
 N_CLASSES = 3
 FEATURE_DIM = 4
@@ -39,18 +38,23 @@ def shard(rng, n, scale=1.0):
     return DataShard(scale * rng.standard_normal((n, FEATURE_DIM)), labels)
 
 
-def rows_of(data, rows):
-    """The shard `train_local` sees for a job: its rows, in order."""
-    if rows is None:
-        return data
-    return DataShard(data.features[rows], data.labels[rows])
+def window_rows(job):
+    """The rows of `job`'s window, in order, computed in plain Python. A
+    quota given as None is the whole shard's length by now."""
+    return [(job.offset + k) % len(job.shard) for k in range(job.quota)]
+
+
+def window_of(job):
+    """The shard `train_local` sees for a job: its window's rows, in order."""
+    rows = window_rows(job)
+    return DataShard(job.shard.features[rows], job.shard.labels[rows])
 
 
 def sequential(start, jobs, epochs, learning_rate, batch_size):
     return [
         train_local(
             start,
-            rows_of(job.shard, job.rows),
+            window_of(job),
             job.val,
             TrainConfig(epochs, learning_rate, job.seed, batch_size),
             node_id=job.node_id,
@@ -82,12 +86,11 @@ def rounds(draw):
     for k in range(draw(st.integers(1, 7))):
         n = draw(st.integers(1, 40))
         data = shard(rng, n)
-        rows = None
-        if draw(st.booleans()):
-            quota = draw(st.integers(1, n))
-            rows = window_indices(n, draw(st.integers(0, n - 1)), quota)
+        # A whole shard, or a window that may wrap past the shard's end.
+        offset = draw(st.integers(0, n - 1))
+        quota = draw(st.one_of(st.none(), st.integers(1, n)))
         val = shard(rng, draw(st.integers(1, 12)))
-        jobs.append(TrainJob(f"node{k}", data, val, draw(st.integers(0, 2**64 - 1)), rows))
+        jobs.append(TrainJob(f"node{k}", data, val, draw(st.integers(0, 2**64 - 1)), offset, quota))
     start = ModelParams(0.3 * rng.standard_normal(DIM))
     epochs = draw(st.integers(1, 4))
     learning_rate = draw(st.sampled_from([1e-3, 0.05, 0.5]))
@@ -103,7 +106,7 @@ def test_train_round_matches_train_local_bitwise(case):
     start, jobs, epochs, learning_rate, batch_size = case
     for job in jobs:
         cfg = TrainConfig(epochs, learning_rate, job.seed, batch_size)
-        got = params.train_local(start, rows_of(job.shard, job.rows), job.val, cfg, node_id=job.node_id)
+        got = params.train_local(start, window_of(job), job.val, cfg, node_id=job.node_id)
         assert_bit_identical(got, sequential(start, [job], epochs, learning_rate, batch_size))
 
 
@@ -114,9 +117,12 @@ def test_edge_shapes_match_train_local():
     jobs = [
         TrainJob("one-sample", shard(rng, 1), shard(rng, 5), 1),
         TrainJob("last-batch-of-one", shard(rng, 17), shard(rng, 5), 2),  # 17 = 2 * 8 + 1
-        TrainJob("wrapping-window", big, shard(rng, 7), 3, window_indices(23, 18, 12)),
+        TrainJob("wrapping-window", big, shard(rng, 7), 3, 18, 12),
         TrainJob("full-batches", shard(rng, 16), shard(rng, 7), 4),
         TrainJob("same-shard-whole", big, shard(rng, 1), 5),
+        TrainJob("inner-window", big, shard(rng, 3), 6, 4, 11),
+        TrainJob("window-to-the-last-row", big, shard(rng, 3), 7, 12, 11),
+        TrainJob("rotated-whole-shard", big, shard(rng, 2), 8, 5),
     ]
     check(start, jobs, 3, 0.05, 8)
     check(start, jobs, 2, 0.05, 1)
@@ -148,10 +154,10 @@ def test_train_round_matches_train_local_at_deep_local_scale(epochs, n_whole):
     windowed = make_blob_shards([10_000] * 3, geometry, repeat(rng, 3))
     whole = make_blob_shards(rng.integers(950, 1_050, n_whole).tolist(), geometry, repeat(rng, n_whole))
     val = make_blob_shards(rng.integers(8, 65, 3 + n_whole).tolist(), geometry, repeat(rng, 3 + n_whole))
-    rows = [window_indices(10_000, int(rng.integers(10_000)), int(rng.integers(1_400, 1_500))) for _ in windowed]
+    windows = [(int(rng.integers(10_000)), int(rng.integers(1_400, 1_500))) for _ in windowed]
     jobs = [
-        TrainJob(f"n{k}", data, v, int(rng.integers(2**63)), r)
-        for k, (data, v, r) in enumerate(zip(windowed + whole, val, rows + [None] * n_whole))
+        TrainJob(f"n{k}", data, v, int(rng.integers(2**63)), *window)
+        for k, (data, v, window) in enumerate(zip(windowed + whole, val, windows + [(0, None)] * n_whole))
     ]
     check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
 
@@ -243,7 +249,7 @@ def test_divergence_names_first_diverging_job_in_plan_order():
         TrainJob("calm-a", shard(rng, 9), shard(rng, 4), 1),
         # One step per epoch: logits overflow on the second step.
         TrainJob("late", shard(rng, 4, scale=1e150), shard(rng, 4), 2),
-        TrainJob("calm-b", shard(rng, 12), shard(rng, 4), 3, window_indices(12, 10, 4)),
+        TrainJob("calm-b", shard(rng, 12), shard(rng, 4), 3, 10, 4),
         # The very first update overflows the parameters.
         TrainJob("early", shard(rng, 4, scale=1e300), shard(rng, 4), 4),
     ]
@@ -280,8 +286,25 @@ def test_inputs_are_checked():
     bad_label = DataShard(np.zeros((2, FEATURE_DIM)), np.array([0, N_CLASSES]))
     with pytest.raises(ValidationError, match="out of range"):
         train_round(start, [TrainJob("m", bad_label, job.val, 0)], 1, 0.1, 4)
-    with pytest.raises(ValidationError, match="no training rows"):
-        train_round(start, [TrainJob("m", job.shard, job.val, 0, np.array([], dtype=np.int64))], 1, 0.1, 4)
+    for offset, quota in ((0, 0), (5, 1), (-1, 2), (1, 6)):
+        with pytest.raises(ValidationError) as err:
+            train_round(start, [job, TrainJob("m", job.shard, job.val, 0, offset, quota)], 1, 0.1, 4)
+        assert str(err.value) == f"job 'm': window of {quota} at {offset} is outside its 5 rows"
+
+
+def test_windows_wrap_and_refuse_a_quota_above_the_shard():
+    # A window of 4 at row 3 of a 5-row shard trains on rows 3, 4, 0 and 1,
+    # in that order, and one of 4 rows on a 3-row shard is refused.
+    rng = np.random.default_rng(17)
+    data, val = shard(rng, 5), shard(rng, 3)
+    job = TrainJob("n", data, val, 9, 3, 4)
+    assert window_rows(job) == [3, 4, 0, 1]
+    rows = DataShard(data.features[[3, 4, 0, 1]], data.labels[[3, 4, 0, 1]])
+    want = train_local(ModelParams.zeros(DIM), rows, val, TrainConfig(3, 0.05, 9, 2), node_id="n")
+    assert_bit_identical(train_round(ModelParams.zeros(DIM), [job], 3, 0.05, 2), [want])
+    small = TrainJob("small", shard(rng, 3), val, 9, 0, 4)
+    with pytest.raises(ValidationError, match="^job 'small': window of 4 at 0 is outside its 3 rows$"):
+        train_round(ModelParams.zeros(DIM), [small], 1, 0.1, 4)
 
 
 def first_error(start, jobs, epochs, learning_rate, batch_size):
@@ -321,7 +344,7 @@ def diverging_rounds(draw):
             data = scaled(data, 10.0 ** draw(st.integers(100, 300)))
         if draw(st.integers(0, 3)) == 0:
             val = scaled(val, 10.0 ** draw(st.integers(300, 308)))
-        out.append(TrainJob(job.node_id, data, val, job.seed, job.rows))
+        out.append(TrainJob(job.node_id, data, val, job.seed, job.offset, job.quota))
     learning_rate = draw(st.sampled_from([0.05, 1.0, 1e10, 1e100]))
     return start, out, epochs, learning_rate, batch_size
 
@@ -475,36 +498,52 @@ def test_train_block_rejects_jobs_out_of_size_order():
     jobs = [TrainJob("big", shard(rng, 5), shard(rng, 3), 1), TrainJob("small", shard(rng, 4), shard(rng, 3), 2)]
     states = seed_states([((), [job.seed for job in jobs])])
     with pytest.raises(ValidationError, match="sorted by training size"):
-        _train_block(ModelParams.zeros(DIM), jobs, [slice(None)] * 2, states, 1, 0.1, 4)
+        _train_block(ModelParams.zeros(DIM), jobs, states, 1, 0.1, 4)
 
 
 def per_job_input_error(start, jobs):
     """(type, str) of the first input error of checking job by job in `jobs`
-    order, after the model against the first job's validation shard, or None."""
+    order, after the model against the first job's validation shard, or None.
+    A job's training labels are checked over its window's rows only."""
     try:
         n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
         for job in jobs:
-            rows = slice(None) if job.rows is None else np.asarray(job.rows, dtype=np.int64)
             if job.shard.feature_dim != feature_dim or job.val.feature_dim != feature_dim:
                 raise ShapeError(f"job {job.node_id!r}: shards must share feature dim {feature_dim}")
             _classifier_dims(start, job.val)
-            labels = job.shard.labels[rows]
-            if not len(labels):
-                raise ValidationError(f"job {job.node_id!r} has no training rows")
+            n, offset, quota = len(job.shard), job.offset, job.quota
+            if not (0 <= offset < n and 1 <= quota <= n):
+                raise ValidationError(f"job {job.node_id!r}: window of {quota} at {offset} is outside its {n} rows")
+            labels = job.shard.labels[window_rows(job)]
             if int(labels.max()) >= n_classes:
                 raise ValidationError(f"label {int(labels.max())} out of range for {n_classes} classes")
-    except (ShapeError, ValidationError, IndexError) as exc:
+    except (ShapeError, ValidationError) as exc:
         return type(exc), str(exc)
     return None
 
 
-FAULTS = ("train-dim", "val-dim", "empty", "train-label", "val-label", "row-outside")
+# Window faults: "empty" is a quota of 0, "row-outside" an offset at the
+# shard's end, "offset-negative" an offset of -1 and "quota-past" a quota
+# above the shard. "window" is a valid window drawn from the job's stream,
+# which may leave a bad training label in the last row outside it.
+FAULTS = (
+    "train-dim",
+    "val-dim",
+    "empty",
+    "train-label",
+    "val-label",
+    "row-outside",
+    "offset-negative",
+    "quota-past",
+    "window",
+)
 
 
 def faulty_job(rng, node_id, faults, bad_label):
     """A job with each named input fault; a bad label is `bad_label`."""
     n = 6
-    data, val, rows = shard(rng, n), shard(rng, 3), None
+    data, val = shard(rng, n), shard(rng, 3)
+    offset, quota = (int(rng.integers(n)), int(rng.integers(1, n + 1))) if "window" in faults else (0, None)
     if "train-dim" in faults:
         data = DataShard(rng.standard_normal((n, FEATURE_DIM + 1)), data.labels)
     if "val-dim" in faults:
@@ -514,10 +553,14 @@ def faulty_job(rng, node_id, faults, bad_label):
     if "val-label" in faults:
         val = DataShard(val.features, np.append(val.labels[:-1], bad_label))
     if "empty" in faults:
-        rows = np.array([], dtype=np.int64)
+        quota = 0
     if "row-outside" in faults:
-        rows = np.array([0, n])
-    return TrainJob(node_id, data, val, 0, rows)
+        offset = n
+    if "offset-negative" in faults:
+        offset = -1
+    if "quota-past" in faults:
+        quota = n + 1
+    return TrainJob(node_id, data, val, 0, offset, quota)
 
 
 @settings(max_examples=150, deadline=None)
@@ -544,12 +587,15 @@ def test_input_errors_match_the_per_job_checks(faults, seed):
     [
         ("train-dim", "train-dim", "job 'b': shards must share feature dim 4"),
         ("val-dim", "empty", "job 'b': shards must share feature dim 4"),
-        ("empty", "empty", "job 'b' has no training rows"),
-        ("empty", "val-dim", "job 'b' has no training rows"),
+        ("empty", "empty", "job 'b': window of 0 at 0 is outside its 6 rows"),
+        ("empty", "val-dim", "job 'b': window of 0 at 0 is outside its 6 rows"),
         ("train-label", "train-label", "label 4 out of range for 3 classes"),
         ("train-label", "val-label", "label 4 out of range for 3 classes"),
         ("val-label", "val-label", "label 4 out of range for 3 classes"),
         ("val-label", "row-outside", "label 4 out of range for 3 classes"),
+        ("row-outside", "train-label", "job 'b': window of 6 at 6 is outside its 6 rows"),
+        ("quota-past", "empty", "job 'b': window of 7 at 0 is outside its 6 rows"),
+        ("val-label", "quota-past", "label 4 out of range for 3 classes"),
     ],
 )
 def test_input_error_names_the_first_bad_job(first, second, message):
