@@ -43,7 +43,6 @@ from .params import (
     TrainConfig,
     TrainJob,
     dice_score,
-    evaluate_cost,
     train_local,
     train_round,
 )

@@ -351,15 +351,15 @@ def _plan_run(
     """The plan pass: per round, until max_rounds or the round whose time
     reaches the cap, its phase number and phase, task, its survivors'
     training seeds (a uint64 copy, not the round's state rows) and its
-    straggler mask, both in plan order, and round time, which must be positive.
+    straggler mask, both in plan order, and round time (> 0, finite in sum).
 
     It reads neither the model nor any shard. A round's drops sit out the
     next round, and a primary's window moves on by its quota. One
-    `seed_states` call a round seeds each participant's training stream
-    (its seed is `SeedSequence([seed, _TRAIN_SALT, round, node])
-    .generate_state(1, np.uint64)`) and timing stream, keyed by node index:
-    keys of one width, so one `_generate_state` pass. A dropped straggler
-    never trains, so only the survivors' seeds are kept.
+    `seed_states` call a round makes each participant's training seed
+    (`SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
+    np.uint64)`, which the training pass hashes into its stream) and timing
+    stream, keyed by node index: keys of one width, so one pass. A dropped
+    straggler never trains, so only the survivors' seeds are kept.
     """
     rounds = []
     offsets: dict[str, int] = {}
@@ -387,15 +387,17 @@ def _plan_run(
         timeout = config.timing.timeout_factor
         slow = np.zeros(len(insts), dtype=bool) if timeout is None else detect_stragglers(times, timeout)
         elapsed = round_time(times[~slow])
+        cumulative += elapsed
         # Log-normal factors that underflow to 0 give a round no time, which the score divides by.
         if not elapsed > 0:
             raise ValidationError(f"round {round_index} has a simulated time of {elapsed}, not a positive one")
+        if not math.isfinite(cumulative):
+            raise ValidationError(f"round {round_index} brings the cumulative simulated time to {cumulative}")
         rounds.append((phase_number, phase, plan, train_states[~slow, 0], slow, elapsed))
         for p in plan.participants:
             if p.quota < table.counts[p.institution_id]:
                 offsets[p.institution_id] = (p.shard_offset + p.quota) % table.counts[p.institution_id]
         blacklist = frozenset(compress(insts, slow.tolist()))
-        cumulative += elapsed
         if cumulative >= config.max_simulated_time_s:
             break
     return rounds
@@ -445,9 +447,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     for round_index, (phase_number, phase, plan, seeds, slow, elapsed) in enumerate(rounds, start=1):
         # In plan order: `aggregate` sums the rows in node-id order itself.
+        streams = seed_states([((), seeds)])
         jobs = [
-            TrainJob(p.institution_id, *data[p.institution_id], seed, p.shard_offset, p.quota)
-            for p, seed in zip(compress(plan.participants, (~slow).tolist()), seeds.tolist(), strict=True)
+            TrainJob(p.institution_id, *data[p.institution_id], stream, p.shard_offset, p.quota)
+            for p, stream in zip(compress(plan.participants, (~slow).tolist()), streams, strict=True)
         ]
         survivors = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError, TrainingDivergenceError, ValidationError
-from .streams import generators, seed_states
+from .streams import generators
 
 # Seed-stream salt for the blob geometry; every shard of one experiment must
 # be generated against the same geometry.
@@ -306,28 +306,11 @@ def _bind_costs(
     return costs
 
 
-def evaluate_cost(model: ModelParams, shard: DataShard) -> float:
-    """Mean cross-entropy of the softmax classifier over a shard.
-
-    The all-zero model predicts uniformly, so its cost is ln(n_classes)
-    no matter what the shard contains. A model whose logits overflow has no
-    finite cost, which raises `ValidationError`. It is `train_round`'s
-    validation kernel, `_bind_costs`, on one shard.
-    """
-    n_classes, feature_dim = _classifier_dims(model, shard)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cost = float(_bind_costs(model.values[None], [shard], n_classes, feature_dim)(np.empty(1))[0])
-    if not math.isfinite(cost):
-        raise ValidationError(f"validation cost is {cost}, not finite")
-    # Clip away the odd -1ulp rounding artefact; cost is non-negative by definition.
-    return max(cost, 0.0)
-
-
 def predict_labels(model: ModelParams, shard: DataShard) -> np.ndarray:
     """Argmax class per sample, as `np.argmax` of the logits gives it, as intp.
 
     A tie goes to the lowest class id. A model whose logits overflow is an
-    error, as its validation cost is in `evaluate_cost`. The running argmax
+    error, as its validation cost is in `train_round`. The running argmax
     is one byte wide up to 256 classes and has no branch: class c exceeds
     every earlier label, so where its logit is strictly greater it is the max.
     """
@@ -351,14 +334,14 @@ def predict_labels(model: ModelParams, shard: DataShard) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TrainJob:
     """One participant of a round: its training shard, its validation shard,
-    the seed of its batch-order stream, and its window of the shard: rows
-    `(offset + k) % len(shard)` for k < quota, in that order. A quota of
-    None is the whole shard, and is set to `len(shard)` here."""
+    its batch-order stream (the 4 uint64 words `default_rng(seed)` seeds
+    itself from) and its window: shard rows `(offset + k) % len(shard)` for
+    k < quota, in that order. A quota of None is set to `len(shard)` here."""
 
     node_id: str
     shard: DataShard
     val: DataShard
-    seed: int
+    stream: np.ndarray
     offset: int = 0
     quota: int | None = None
 
@@ -498,6 +481,7 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tup
     row lo, row hi), its rows counted from `first`. Runs split at whole
     steps after at most `_GATHER_ROWS` rows.
     """
+    batch_size = min(batch_size, int(sizes.max()))  # a larger batch takes the same steps, past int64 too
     row_in_job = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     # numpy's default sort is not stable.
     positions = np.argsort(row_in_job // batch_size, kind="stable")
@@ -535,7 +519,7 @@ def _train_block(
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
     """`train_round`'s SGD for one block of jobs, sorted by training size.
 
-    `states` holds each job's batch-order stream, as `seed_states` rows.
+    `states` holds each job's batch-order stream, one row per job.
     Returns the trained parameters (jobs, dim), the validation costs before
     the clip at 0 (epochs + 1, jobs), and the earliest fault of each job
     that diverged, by position in `jobs`, in the sequential oracle's order.
@@ -682,22 +666,22 @@ def train_round(
 
     Node i, in `jobs` order, equals `tests/_oracle.train_local`, the
     sequential one-node SGD, run on job i's window of its shard with
-    `TrainConfig(epochs, learning_rate, job.seed, batch_size)`, bit for
-    bit. Jobs train in blocks of similar size. At each SGD step a block's
-    jobs are grouped by their exact batch length, so nothing is padded and
-    each job's batch goes through the same kernels as in the oracle. Every
-    job's parameters are checked once per epoch, an epoch that diverged is
+    `TrainConfig(epochs, learning_rate, seed, batch_size)`, bit for bit,
+    when its stream is `SeedSequence(seed).generate_state(4, np.uint64)`.
+    Jobs train in blocks of similar size. At each SGD step a block's jobs
+    are grouped by their exact batch length, so nothing is padded and each
+    job's batch goes through the same kernels as in the oracle. Every job's
+    parameters are checked once per epoch, an epoch that diverged is
     replayed with every step's gradient and parameters checked, and every
     validation cost is checked. If jobs diverge, the error is the one the
     oracle raises for the first of them in `jobs` order.
 
     Inputs are checked before any training, as columns over all jobs
-    (`_job_sizes`); all shards must share one feature_dim. One `seed_states`
-    pass seeds every job's batch-order stream as `default_rng(job.seed)`
-    would, from the seeds as one id column (if every seed is below 2**64),
-    and each job draws all its
-    epochs' orders in one call. The trained block and the costs, clipped at
-    0, are checked once, as the columns of the returned `RoundUpdates`.
+    (`_job_sizes`); all shards must share one feature_dim, and the jobs'
+    streams must stack into a (jobs, 4) uint64 column, or it raises
+    `ShapeError`. Each job draws all its epochs' orders in one call. The
+    trained block and the costs, clipped at 0, are checked once, as the
+    columns of the returned `RoundUpdates`.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # the argument checks of a one-node config
     if not jobs:
@@ -706,12 +690,11 @@ def train_round(
     sizes = _job_sizes(start, jobs, n_classes, feature_dim)
 
     try:
-        # Seeds below 2**64 as one id column: the entropy [lo, hi], which
-        # mixes as [lo] does when hi is 0.
-        states = seed_states([((), [job.seed for job in jobs])])
-    except OverflowError:
-        # A seed of 2**64 or more: numpy's own seed sequences, job by job.
-        states = np.array([np.random.SeedSequence(job.seed).generate_state(4, np.uint64) for job in jobs])
+        states = np.array([job.stream for job in jobs])
+    except ValueError:  # streams of unequal shapes
+        states = np.empty(0)
+    if states.shape != (len(jobs), 4) or states.dtype != np.uint64:
+        raise ShapeError("each job's stream must be 4 uint64 words")
     values = np.empty((len(jobs), start.dim))
     costs = np.empty((epochs + 1, len(jobs)))
     diverged: dict[int, str] = {}
@@ -744,10 +727,10 @@ def train_local(
     one-job form of `train_round`, returning one node's `RoundUpdates`, so
     `shard` and `val` must share one feature_dim.
 
-    Batch order is shuffled by the node's own `default_rng(cfg.seed)`
-    stream, and validation cost is sampled at every epoch boundary.
+    Batch order is shuffled by numpy's `default_rng(cfg.seed)` stream, for
+    any non-negative seed; validation cost is sampled at every epoch boundary.
     """
-    job = TrainJob(node_id, shard, val, cfg.seed)
+    job = TrainJob(node_id, shard, val, np.random.SeedSequence(cfg.seed).generate_state(4, np.uint64))
     return train_round(start, [job], cfg.epochs, cfg.learning_rate, cfg.batch_size)
 
 

@@ -150,11 +150,11 @@ def seed_states(blocks: Iterable[KeyBlock]) -> np.ndarray:
     with rows in block order; column 0 is `generate_state(1, np.uint64)`.
     An id is a uint32 word or two, so each must be in [0, 2**64).
 
-    One `_generate_state` pass serves the call, so its keys must share one
-    entropy width, or it raises ValueError. Entropy shorter than the pool
-    mixes as if padded with zero words, so keys of up to POOL_SIZE words
-    have one width; an id of two words makes a key one word wider than an
-    id of one, unless both fit the pool.
+    One `_generate_state` pass serves the call (none a call of no ids), so
+    its keys must share one entropy width, or it raises ValueError. Entropy
+    shorter than the pool mixes as if padded with zero words, so keys of up
+    to POOL_SIZE words have one width; an id of two words makes a key one
+    word wider than an id of one, unless both fit the pool.
     """
     keys = []
     widths = set()
@@ -168,9 +168,11 @@ def seed_states(blocks: Iterable[KeyBlock]) -> np.ndarray:
             widths.add(max(len(words) + 1, POOL_SIZE))
         if hi.any():
             widths.add(max(len(words) + 2, POOL_SIZE))
+    if not keys:
+        return np.empty((0, POOL_SIZE), dtype=np.uint64)
     if len(widths) > 1:
         raise ValueError(f"keys of entropy widths {sorted(widths)} need one seed_states call per width")
-    width = max(widths, default=POOL_SIZE)
+    width = max(widths)
     # One column per key: its prefix words, its id's words, then zeros.
     entropy = np.zeros((width, sum(len(lo) for _, lo, _ in keys)), dtype=np.uint32)
     end = 0

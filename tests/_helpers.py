@@ -17,6 +17,11 @@ from fedpod.params import (
 from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
 
 
+def stream(seed):
+    """The batch-order stream of `default_rng(seed)`: numpy's own `SeedSequence` words."""
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
 def build_update(node_id, data_size, *costs, params=(0.0,)):
     """One node's update whose validation costs at its epoch boundaries are
     `costs`, pre-training cost first and post-training cost last."""

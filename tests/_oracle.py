@@ -112,6 +112,22 @@ def step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple[int, int, np.nda
     ]
 
 
+class StreamSeed(np.random.bit_generator.ISeedSequence):
+    """A seed for `default_rng` made from a job's stream, its 4 uint64 words.
+
+    numpy's PCG64 seeds itself from `generate_state(4, np.uint64)` of its
+    seed sequence, so `default_rng(StreamSeed(words))` is `default_rng(seed)`
+    where `words` is `SeedSequence(seed).generate_state(4, np.uint64)`.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+        return self.words.copy()
+
+
 def train_local(
     start: ModelParams,
     shard: DataShard,
@@ -122,9 +138,11 @@ def train_local(
     """Mini-batch SGD from `start` over `shard` for cfg.epochs, as one node's
     `RoundUpdates`.
 
-    Batch order is shuffled by the node's own seeded stream, so the result
-    is bit-reproducible for a fixed cfg.seed. Validation cost is sampled at
-    every epoch boundary, giving the costs the aggregation integral needs.
+    Batch order is shuffled by the node's own `default_rng(cfg.seed)`
+    stream, so the result is bit-reproducible for a fixed cfg.seed, which
+    may be any seed `default_rng` takes, a `StreamSeed` among them.
+    Validation cost is sampled at every epoch boundary, giving the costs the
+    aggregation integral needs.
     This is the single-node reference that `train_round` reproduces bit for
     bit.
     """
@@ -278,8 +296,8 @@ def plan_reference(config):
     participant's are then times `inject_factor`. A participant whose total
     exceeds `timeout_factor` times the lower median total is dropped and
     sits out the next round. The round time sums the survivors' column
-    maxima and must be positive, and the run stops at max_rounds or once
-    the cumulative time reaches the cap.
+    maxima and must be positive, the cumulative time must stay finite, and
+    the run stops at max_rounds or once the cumulative time reaches the cap.
     """
     table, _ = engine._build_cohort(config)
     poisson = fit_poisson(table)
@@ -338,6 +356,8 @@ def plan_reference(config):
         if not elapsed > 0:
             raise ValidationError(f"round {round_index} has a simulated time of {elapsed}, not a positive one")
         cumulative += elapsed
+        if not math.isfinite(cumulative):
+            raise ValidationError(f"round {round_index} brings the cumulative simulated time to {cumulative}")
         dropped = tuple(sorted(inst for inst, s in zip(insts, slow) if s))
         rounds.append((phase_number, phase, plan, dropped, elapsed, cumulative))
         for p in plan.participants:

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "compute_weights",
     "detect_stragglers",
     "dice_score",
-    "evaluate_cost",
     "fedavg_weights",
     "fedpid_weights",
     "fedpod_weights",

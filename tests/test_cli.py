@@ -142,6 +142,30 @@ def test_main_refuses_a_run_whose_simulated_time_is_zero(tiny_config, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_main_refuses_a_run_whose_cumulative_time_overflows(tiny_config, tmp_path, capsys):
+    # With no cap on simulated time, rounds of finite time add up past the
+    # largest float in round 17. The plan pass refuses that round before any
+    # training, so no summary holds an `Infinity`, and the run leaves no directory.
+    text = TINY_CONFIG.replace("max_rounds = 2\n", "max_rounds = 20\n")
+    tiny_config.write_text(text + "max_simulated_time_s = inf\ntiming.per_sample_train_s = 1e305\n", encoding="utf-8")
+    out = tmp_path / "out" / "run"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: round 17 brings the cumulative simulated time to inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_run_takes_any_batch_past_every_shard_alike(tiny_config, tmp_path):
+    # Every batch at least as large as the largest window takes the same
+    # steps, also one past int64's range.
+    outputs = []
+    for batch_size in (100000, 2**63, 10**21):
+        tiny_config.write_text(TINY_CONFIG.replace("batch_size = 8", f"batch_size = {batch_size}"), encoding="utf-8")
+        out = tmp_path / str(batch_size)
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "summary.json", "model.bin")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_main_gen_cohort_defaults_match_the_config_defaults(tmp_path):
     out = tmp_path / "cohort.csv"
     assert main(["gen-cohort", "--out", str(out)]) == 0

@@ -365,7 +365,8 @@ def test_single_node_fedavg_equals_centralized_sgd():
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3])
 def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
-    """Each job's seed is `generate_state(1, np.uint64)` of
+    """Each job's stream is `SeedSequence(s).generate_state(4, np.uint64)`,
+    where its training seed s is `generate_state(1, np.uint64)` of
     `SeedSequence([seed, _TRAIN_SALT, round, node])`, its timings are its
     base costs times four scalar log-normal draws from
     `default_rng([seed, _TIMING_SALT, round, node])`, injection included.
@@ -398,9 +399,10 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
         injected = sorted(record.participants)[0] if round_index == 2 else None
         for job, row in zip(jobs, times.tolist()):
             node = node_index[job.node_id]
-            assert job.seed == int(
-                np.random.SeedSequence([seed, engine._TRAIN_SALT, round_index, node]).generate_state(1, np.uint64)[0]
-            )
+            key = [seed, engine._TRAIN_SALT, round_index, node]
+            training_seed = np.random.SeedSequence(key).generate_state(1, np.uint64)[0]
+            want = np.random.SeedSequence(int(training_seed)).generate_state(4, np.uint64)
+            assert job.stream.dtype == np.uint64 and job.stream.tolist() == want.tolist()
             quota = job.quota
             rng = np.random.default_rng([seed, engine._TIMING_SALT, round_index, node])
             jitter = [float(rng.lognormal(profile.jitter_mu, profile.jitter_sigma)) for _ in range(4)]
@@ -521,6 +523,24 @@ def test_a_round_of_no_simulated_time_is_refused_before_training(train_round_cal
     assert train_round_calls == []
     with pytest.raises(ValidationError, match=f"^{re.escape(str(err.value))}$"):
         plan_reference(config)
+
+
+def test_a_run_whose_cumulative_time_overflows_is_refused_before_training(train_round_calls):
+    # Each round's time is finite, but with no cap on simulated time their
+    # sum passes the largest float in round 15, where the total would become
+    # inf and the score 0.
+    config = small_config(
+        max_rounds=20, max_simulated_time_s=float("inf"), timing=fast_timing(per_sample_train_s=1e305)
+    )
+    with pytest.raises(ValidationError) as err:
+        run_experiment(config)
+    assert str(err.value) == "round 15 brings the cumulative simulated time to inf"
+    assert train_round_calls == []
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(err.value))}$"):
+        plan_reference(config)
+    # One round fewer keeps a finite total, and the run is its reference's.
+    shorter = replace(config, max_rounds=14)
+    assert run_experiment(shorter).records == run_reference(shorter)[0]
 
 
 def test_best_dice_is_running_max():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import build_update, take
-from _oracle import _logits, trapezoid
+from _helpers import build_update, stream, take
+from _oracle import _logits, _mean_cross_entropy, trapezoid
 from fedpod.aggregation import aggregate
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
@@ -16,13 +16,14 @@ from fedpod.params import (
     ModelParams,
     RoundUpdates,
     TrainConfig,
+    TrainJob,
     blob_geometry,
     dice_score,
-    evaluate_cost,
     make_blob_shard,
     make_blob_shards,
     predict_labels,
     train_local,
+    train_round,
 )
 from fedpod.streams import generators, seed_states
 
@@ -133,11 +134,17 @@ def _shard(n, n_classes=3, feature_dim=4, seed=0):
     return make_blob_shard(n, geometry, rng)
 
 
+def _cost(model, shard):
+    """The validation cost `train_round` reports for `model` on `shard`
+    before training, clipped at 0."""
+    return float(train_round(model, [TrainJob("n", shard, shard, stream(0))], 1, 1e-3, 8).costs[0, 0])
+
+
 def test_uniform_model_cost_is_log_n_classes():
     for n_classes in (2, 4):
         shard = _shard(40, n_classes=n_classes)
         model = ModelParams.zeros(n_classes * (shard.feature_dim + 1))
-        assert evaluate_cost(model, shard) == pytest.approx(math.log(n_classes), abs=1e-9)
+        assert _cost(model, shard) == pytest.approx(math.log(n_classes), abs=1e-9)
 
 
 def test_cost_matches_per_sample_oracle():
@@ -145,22 +152,22 @@ def test_cost_matches_per_sample_oracle():
     rng = np.random.default_rng(42)
     model = ModelParams(rng.standard_normal(3 * 5))
     expected = _cross_entropy_oracle(model.values, shard, 3, 4)
-    assert evaluate_cost(model, shard) == pytest.approx(expected, abs=1e-12)
+    assert _cost(model, shard) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cost_is_non_negative_even_when_confident():
     shard = _shard(10, n_classes=2, feature_dim=4, seed=3)
     # Saturated logits drive per-sample cross-entropy to the 0 boundary.
     confident = ModelParams(1e4 * np.random.default_rng(1).standard_normal(2 * 5))
-    assert evaluate_cost(confident, shard) >= 0.0
+    assert _cost(confident, shard) >= 0.0
 
 
 def test_non_finite_cost_is_rejected():
     overflowing = ModelParams(np.full(36, 1e300))
     shard = DataShard(np.full((5, 8), 1e10), np.zeros(5, dtype=int))
-    with pytest.raises(ValidationError) as err:
-        evaluate_cost(overflowing, shard)
-    assert str(err.value) == "validation cost is nan, not finite"
+    with pytest.raises(TrainingDivergenceError) as err:
+        _cost(overflowing, shard)
+    assert str(err.value) == "training diverged on node 'n': validation cost at epoch 0"
 
 
 def test_empty_shard_is_unconstructible():
@@ -192,7 +199,7 @@ def test_blob_shards_keep_their_arrays_read_only():
 def test_model_dim_must_fit_shard():
     shard = _shard(5, n_classes=3, feature_dim=4)
     with pytest.raises(ShapeError):
-        evaluate_cost(ModelParams.zeros(7), shard)
+        _cost(ModelParams.zeros(7), shard)
 
 
 # ---------------------------------------------------------------- training
@@ -233,8 +240,9 @@ def test_trajectory_samples_every_epoch_boundary():
     cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=1, batch_size=16)
     update = train_local(start, train, val, cfg)
     assert update.costs.shape == (cfg.epochs + 1, 1)
-    assert update.costs[0, 0] == evaluate_cost(start, val)
-    assert update.costs[-1, 0] == evaluate_cost(ModelParams(update.params[0]), val)
+    # The one-model oracle's cost, clipped at 0, before training and after it.
+    assert update.costs[0, 0] == max(_mean_cross_entropy(start.values, val, 2, 3), 0.0)
+    assert update.costs[-1, 0] == max(_mean_cross_entropy(update.params[0], val, 2, 3), 0.0)
     assert update.node_ids == ("local",) and update.sizes.tolist() == [len(train)]
 
 

@@ -1,5 +1,6 @@
 """`fedpod.streams` against numpy's own `SeedSequence` and `default_rng`."""
 
+import sys
 from itertools import compress
 
 import numpy as np
@@ -157,6 +158,22 @@ def test_no_rows_give_no_states():
     assert_streams_match(blocks)
 
 
+def test_no_ids_make_no_generate_state_pass(monkeypatch):
+    # A call of no ids returns at once, also in a run of no rounds, whose
+    # one seeding call, the shard pass, has no participant to seed.
+    def refused(entropy):
+        raise AssertionError("a _generate_state pass over no keys")
+
+    monkeypatch.setattr(streams, "_generate_state", refused)
+    results = [seed_states([]), seed_states([((5, 7012), [])])]
+    original = engine.seed_states
+    monkeypatch.setattr(engine, "seed_states", lambda blocks: results.append(original(blocks)) or results[-1])
+    assert run_experiment(ExperimentConfig(max_rounds=0)).records == ()
+    assert len(results) == 3
+    for states in results:
+        assert states.shape == (0, 4) and states.dtype == np.uint64
+
+
 def test_words_follow_numpy_coercion():
     assert seed_words([0]) == [0]
     assert seed_words([2**32 - 1, 2**32]) == [2**32 - 1, 0, 1]
@@ -180,27 +197,23 @@ def test_a_negative_id_raises(ids):
 
 
 def _passes(monkeypatch, config):
-    """(caller, entropy widths) of every `seed_states` call in a run, one
-    entry per call; the widths are those of its `_generate_state` passes."""
+    """(calling function, entropy widths) of every `seed_states` call in a
+    run, one entry per call; the widths are those of its `_generate_state`
+    passes. Only `engine` seeds: `params` does not import `seed_states`."""
+    assert not hasattr(params, "seed_states")
     calls = []
-    generate_state = streams._generate_state
+    generate_state, original = streams._generate_state, engine.seed_states
 
     def counted(entropy):
         calls[-1][1].append(len(entropy))
         return generate_state(entropy)
 
-    def tagged(module, caller):
-        original = module.seed_states
-
-        def recorded(blocks):
-            calls.append((caller, []))
-            return original(blocks)
-
-        monkeypatch.setattr(module, "seed_states", recorded)
+    def recorded(blocks):
+        calls.append((sys._getframe(1).f_code.co_name, []))
+        return original(blocks)
 
     monkeypatch.setattr(streams, "_generate_state", counted)
-    for module in (engine, params):
-        tagged(module, module.__name__.rsplit(".", 1)[1])
+    monkeypatch.setattr(engine, "seed_states", recorded)
     run_experiment(config)
     return calls
 
@@ -218,7 +231,8 @@ def _passes(monkeypatch, config):
 def test_one_generate_state_pass_per_width_a_round(monkeypatch, seed, first, later):
     """The engine first plans each round in one pass, of widths `first`, over
     its training and timing keys, and later seeds every shard in one pass, of
-    widths `later`; then `train_round` makes one pass a round."""
+    widths `later`; then its training pass makes one pass a round, over the
+    survivors' training seeds."""
     config = ExperimentConfig(
         seed=seed,
         cohort=CohortSpec(n_institutions=9, mean_samples=12.0, n_outliers=2, outlier_scale=6.0),
@@ -227,6 +241,6 @@ def test_one_generate_state_pass_per_width_a_round(monkeypatch, seed, first, lat
         max_rounds=3,
     )
     calls = _passes(monkeypatch, config)
-    # `train_round`'s job seeds are uint64s: one pass of 4 words.
-    expected = [("engine", first)] * 3 + [("engine", later)] + [("params", [4])] * 3
+    # The training seeds are uint64s: one pass of 4 words a round.
+    expected = [("_plan_run", first)] * 3 + [("run_experiment", later)] + [("run_experiment", [4])] * 3
     assert [(caller, sorted(widths)) for caller, widths in calls] == expected

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import stacked_cost, stacked_gradient, take
-from _oracle import _mean_cross_entropy, step_plan, step_ranges, train_local
+from _helpers import stacked_cost, stacked_gradient, stream, take
+from _oracle import StreamSeed, _mean_cross_entropy, step_plan, step_ranges, train_local
 from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
@@ -26,7 +26,6 @@ from fedpod.params import (
     make_blob_shards,
     train_round,
 )
-from fedpod.streams import seed_states
 
 N_CLASSES = 3
 FEATURE_DIM = 4
@@ -51,12 +50,13 @@ def window_of(job):
 
 
 def sequential(start, jobs, epochs, learning_rate, batch_size):
+    """The oracle, job by job, each drawing its batch orders from its own stream."""
     return [
         train_local(
             start,
             window_of(job),
             job.val,
-            TrainConfig(epochs, learning_rate, job.seed, batch_size),
+            TrainConfig(epochs, learning_rate, StreamSeed(job.stream), batch_size),
             node_id=job.node_id,
         )
         for job in jobs
@@ -80,9 +80,11 @@ def check(start, jobs, epochs, learning_rate, batch_size):
 
 
 @st.composite
-def rounds(draw):
+def seeded_rounds(draw):
+    """A round, `(start, jobs, epochs, learning_rate, batch_size)`, and the
+    seed of each job's stream."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    jobs = []
+    jobs, seeds = [], []
     for k in range(draw(st.integers(1, 7))):
         n = draw(st.integers(1, 40))
         data = shard(rng, n)
@@ -90,22 +92,29 @@ def rounds(draw):
         offset = draw(st.integers(0, n - 1))
         quota = draw(st.one_of(st.none(), st.integers(1, n)))
         val = shard(rng, draw(st.integers(1, 12)))
-        jobs.append(TrainJob(f"node{k}", data, val, draw(st.integers(0, 2**64 - 1)), offset, quota))
+        seeds.append(draw(st.integers(0, 2**64 - 1)))
+        jobs.append(TrainJob(f"node{k}", data, val, stream(seeds[-1]), offset, quota))
     start = ModelParams(0.3 * rng.standard_normal(DIM))
     epochs = draw(st.integers(1, 4))
     learning_rate = draw(st.sampled_from([1e-3, 0.05, 0.5]))
     batch_size = draw(st.integers(1, 9))
-    return start, jobs, epochs, learning_rate, batch_size
+    return (start, jobs, epochs, learning_rate, batch_size), seeds
+
+
+def rounds():
+    return seeded_rounds().map(lambda drawn: drawn[0])
 
 
 @settings(max_examples=60, deadline=None)
-@given(rounds())
-def test_train_round_matches_train_local_bitwise(case):
+@given(seeded_rounds())
+def test_train_round_matches_train_local_bitwise(drawn):
+    case, seeds = drawn
     check(*case)
-    # `fedpod.params.train_local`, the one-job form of `train_round`, matches too.
+    # `fedpod.params.train_local`, the one-job form of `train_round`, matches
+    # too, on the seed of the job's stream.
     start, jobs, epochs, learning_rate, batch_size = case
-    for job in jobs:
-        cfg = TrainConfig(epochs, learning_rate, job.seed, batch_size)
+    for job, seed in zip(jobs, seeds):
+        cfg = TrainConfig(epochs, learning_rate, seed, batch_size)
         got = params.train_local(start, window_of(job), job.val, cfg, node_id=job.node_id)
         assert_bit_identical(got, sequential(start, [job], epochs, learning_rate, batch_size))
 
@@ -115,14 +124,14 @@ def test_edge_shapes_match_train_local():
     start = ModelParams(0.1 * rng.standard_normal(DIM))
     big = shard(rng, 23)
     jobs = [
-        TrainJob("one-sample", shard(rng, 1), shard(rng, 5), 1),
-        TrainJob("last-batch-of-one", shard(rng, 17), shard(rng, 5), 2),  # 17 = 2 * 8 + 1
-        TrainJob("wrapping-window", big, shard(rng, 7), 3, 18, 12),
-        TrainJob("full-batches", shard(rng, 16), shard(rng, 7), 4),
-        TrainJob("same-shard-whole", big, shard(rng, 1), 5),
-        TrainJob("inner-window", big, shard(rng, 3), 6, 4, 11),
-        TrainJob("window-to-the-last-row", big, shard(rng, 3), 7, 12, 11),
-        TrainJob("rotated-whole-shard", big, shard(rng, 2), 8, 5),
+        TrainJob("one-sample", shard(rng, 1), shard(rng, 5), stream(1)),
+        TrainJob("last-batch-of-one", shard(rng, 17), shard(rng, 5), stream(2)),  # 17 = 2 * 8 + 1
+        TrainJob("wrapping-window", big, shard(rng, 7), stream(3), 18, 12),
+        TrainJob("full-batches", shard(rng, 16), shard(rng, 7), stream(4)),
+        TrainJob("same-shard-whole", big, shard(rng, 1), stream(5)),
+        TrainJob("inner-window", big, shard(rng, 3), stream(6), 4, 11),
+        TrainJob("window-to-the-last-row", big, shard(rng, 3), stream(7), 12, 11),
+        TrainJob("rotated-whole-shard", big, shard(rng, 2), stream(8), 5),
     ]
     check(start, jobs, 3, 0.05, 8)
     check(start, jobs, 2, 0.05, 1)
@@ -138,7 +147,7 @@ def test_train_round_matches_train_local_at_workload_scale(n_jobs, epochs, seed)
     geometry = blob_geometry(4, 8, seed % 1000)
     train = make_blob_shards(np.maximum(rng.poisson(30, n_jobs), 1).tolist(), geometry, repeat(rng, n_jobs))
     val = make_blob_shards(rng.integers(8, 11, n_jobs).tolist(), geometry, repeat(rng, n_jobs))
-    jobs = [TrainJob(f"n{k:03d}", t, v, seed + k) for k, (t, v) in enumerate(zip(train, val))]
+    jobs = [TrainJob(f"n{k:03d}", t, v, stream(seed + k)) for k, (t, v) in enumerate(zip(train, val))]
     check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
 
 
@@ -156,7 +165,7 @@ def test_train_round_matches_train_local_at_deep_local_scale(epochs, n_whole):
     val = make_blob_shards(rng.integers(8, 65, 3 + n_whole).tolist(), geometry, repeat(rng, 3 + n_whole))
     windows = [(int(rng.integers(10_000)), int(rng.integers(1_400, 1_500))) for _ in windowed]
     jobs = [
-        TrainJob(f"n{k}", data, v, int(rng.integers(2**63)), *window)
+        TrainJob(f"n{k}", data, v, stream(int(rng.integers(2**63))), *window)
         for k, (data, v, window) in enumerate(zip(windowed + whole, val, windows + [(0, None)] * n_whole))
     ]
     check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
@@ -172,7 +181,7 @@ def unequal_runs_round(rng):
     val = make_blob_shards([5, 9, 7, 5, 11], geometry, repeat(rng, len(sizes)))
     _, runs = _step_plan(np.array(sizes), 9)
     assert len({end - first for first, end, _ in runs}) >= 3
-    return [TrainJob(f"n{k}", t, v, 40 + k) for k, (t, v) in enumerate(zip(train, val))]
+    return [TrainJob(f"n{k}", t, v, stream(40 + k)) for k, (t, v) in enumerate(zip(train, val))]
 
 
 def test_reused_run_buffers_across_unequal_gather_runs_match_train_local():
@@ -191,41 +200,71 @@ def test_divergence_in_the_last_gather_run_is_found_by_the_replay():
     jobs = unequal_runs_round(rng)
     big = jobs[-1]
     features = big.shard.features.copy()
-    features[np.random.default_rng(big.seed).permutation(len(features))[-1]] *= 1e300
-    jobs[-1] = TrainJob(big.node_id, DataShard(features, big.shard.labels), big.val, big.seed)
+    features[np.random.default_rng(StreamSeed(big.stream)).permutation(len(features))[-1]] *= 1e300
+    jobs[-1] = TrainJob(big.node_id, DataShard(features, big.shard.labels), big.val, big.stream)
     got = check_with_divergence(ModelParams(0.1 * rng.standard_normal(DIM)), jobs, 2, 1e10, 9)
     assert got == "training diverged on node 'n4': gradient at epoch 1"
 
 
+def check_train_local(start, seeds, sizes, epochs, learning_rate, batch_size, rng):
+    """`fedpod.params.train_local` on each seed against the oracle on
+    `default_rng(seed)`, each on a fresh shard of the next size."""
+    for seed, n in zip(seeds, sizes, strict=True):
+        data, val = shard(rng, n), shard(rng, 3)
+        cfg = TrainConfig(epochs, learning_rate, seed, batch_size)
+        assert_bit_identical(params.train_local(start, data, val, cfg), [train_local(start, data, val, cfg)])
+
+
 def test_one_and_two_word_seeds_share_a_round():
+    # `train_local` takes any seed below 2**64, one uint32 word or two.
     rng = np.random.default_rng(7)
     seeds = [0, 2**32 - 1, 2**32, 1, 2**64 - 1, 2**63 + 12345, 99, 2**32 + 1]
-    jobs = [TrainJob(f"n{k}", shard(rng, 5 + k), shard(rng, 3), seed) for k, seed in enumerate(seeds)]
-    check(ModelParams(0.2 * rng.standard_normal(DIM)), jobs, 3, 0.05, 4)
+    check_train_local(ModelParams(0.2 * rng.standard_normal(DIM)), seeds, range(5, 13), 3, 0.05, 4, rng)
 
 
 def test_seeds_of_more_than_two_words_keep_their_streams():
     rng = np.random.default_rng(8)
     seeds = [2**64, 5, 2**96 + 7, 2**64 - 1, 2**130 + 3, 0]
-    jobs = [TrainJob(f"n{k}", shard(rng, 4 + k), shard(rng, 3), seed) for k, seed in enumerate(seeds)]
-    check(ModelParams(0.2 * rng.standard_normal(DIM)), jobs, 2, 0.05, 4)
+    check_train_local(ModelParams(0.2 * rng.standard_normal(DIM)), seeds, range(4, 10), 2, 0.05, 4, rng)
 
 
 def test_negative_seed_raises_like_default_rng():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        train_round(ModelParams.zeros(DIM), [TrainJob("n", shard(rng, 4), shard(rng, 3), -1)], 1, 0.1, 4)
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        params.train_local(ModelParams.zeros(DIM), shard(rng, 4), shard(rng, 3), TrainConfig(1, 0.1, -1, 4))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        stream(5)[:3],
+        np.append(stream(5), np.uint64(1)),
+        stream(5).astype(np.int64),
+        stream(5).reshape(2, 2),
+        [int(word) for word in stream(5)],
+        5,
+    ],
+    ids=["3 words", "5 words", "int64 words", "2x2 words", "a list of ints", "an int seed"],
+)
+def test_a_stream_that_is_not_4_uint64_words_is_refused(bad):
+    rng = np.random.default_rng(18)
+    good = TrainJob("good", shard(rng, 4), shard(rng, 3), stream(1))
+    for jobs in ([TrainJob("bad", shard(rng, 4), shard(rng, 3), bad)], [good, TrainJob("bad", good.shard, good.val, bad)]):
+        with pytest.raises(ShapeError, match="^each job's stream must be 4 uint64 words$"):
+            train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
 
 
 def test_many_jobs_span_several_blocks():
     rng = np.random.default_rng(4)
-    jobs = [TrainJob(f"n{k:03d}", shard(rng, 1 + k % 7), shard(rng, 2 + k % 3), k) for k in range(300)]
+    jobs = [TrainJob(f"n{k:03d}", shard(rng, 1 + k % 7), shard(rng, 2 + k % 3), stream(k)) for k in range(300)]
     check(ModelParams.zeros(DIM), jobs, 2, 0.05, 4)
 
 
 def test_updates_share_one_read_only_block():
     rng = np.random.default_rng(16)
-    jobs = [TrainJob(f"n{k}", shard(rng, 3 + k), shard(rng, 2), k) for k in range(5)]
+    jobs = [TrainJob(f"n{k}", shard(rng, 3 + k), shard(rng, 2), stream(k)) for k in range(5)]
     updates = train_round(ModelParams.zeros(DIM), jobs, 2, 0.05, 4)
     assert updates.params.shape == (5, DIM) and updates.costs.shape == (3, 5)
     for array in (updates.params, updates.sizes, updates.costs):
@@ -246,12 +285,12 @@ def test_divergence_names_first_diverging_job_in_plan_order():
     rng = np.random.default_rng(5)
     start = ModelParams.zeros(DIM)
     jobs = [
-        TrainJob("calm-a", shard(rng, 9), shard(rng, 4), 1),
+        TrainJob("calm-a", shard(rng, 9), shard(rng, 4), stream(1)),
         # One step per epoch: logits overflow on the second step.
-        TrainJob("late", shard(rng, 4, scale=1e150), shard(rng, 4), 2),
-        TrainJob("calm-b", shard(rng, 12), shard(rng, 4), 3, 10, 4),
+        TrainJob("late", shard(rng, 4, scale=1e150), shard(rng, 4), stream(2)),
+        TrainJob("calm-b", shard(rng, 12), shard(rng, 4), stream(3), 10, 4),
         # The very first update overflows the parameters.
-        TrainJob("early", shard(rng, 4, scale=1e300), shard(rng, 4), 4),
+        TrainJob("early", shard(rng, 4, scale=1e300), shard(rng, 4), stream(4)),
     ]
     epochs, learning_rate, batch_size = 3, 1e10, 4
     messages = {}
@@ -273,7 +312,7 @@ def test_divergence_names_first_diverging_job_in_plan_order():
 def test_inputs_are_checked():
     rng = np.random.default_rng(6)
     start = ModelParams.zeros(DIM)
-    job = TrainJob("n", shard(rng, 5), shard(rng, 3), 0)
+    job = TrainJob("n", shard(rng, 5), shard(rng, 3), stream(0))
     with pytest.raises(ValidationError):
         train_round(start, [job], 0, 0.1, 4)
     with pytest.raises(ValidationError):
@@ -282,13 +321,13 @@ def test_inputs_are_checked():
         train_round(start, [job], 1, np.inf, 4)
     other_dim = DataShard(np.zeros((2, 2)), np.zeros(2, dtype=int))
     with pytest.raises(ShapeError):
-        train_round(start, [job, TrainJob("m", other_dim, job.val, 0)], 1, 0.1, 4)
+        train_round(start, [job, TrainJob("m", other_dim, job.val, job.stream)], 1, 0.1, 4)
     bad_label = DataShard(np.zeros((2, FEATURE_DIM)), np.array([0, N_CLASSES]))
     with pytest.raises(ValidationError, match="out of range"):
-        train_round(start, [TrainJob("m", bad_label, job.val, 0)], 1, 0.1, 4)
+        train_round(start, [TrainJob("m", bad_label, job.val, job.stream)], 1, 0.1, 4)
     for offset, quota in ((0, 0), (5, 1), (-1, 2), (1, 6)):
         with pytest.raises(ValidationError) as err:
-            train_round(start, [job, TrainJob("m", job.shard, job.val, 0, offset, quota)], 1, 0.1, 4)
+            train_round(start, [job, TrainJob("m", job.shard, job.val, job.stream, offset, quota)], 1, 0.1, 4)
         assert str(err.value) == f"job 'm': window of {quota} at {offset} is outside its 5 rows"
 
 
@@ -297,12 +336,12 @@ def test_windows_wrap_and_refuse_a_quota_above_the_shard():
     # in that order, and one of 4 rows on a 3-row shard is refused.
     rng = np.random.default_rng(17)
     data, val = shard(rng, 5), shard(rng, 3)
-    job = TrainJob("n", data, val, 9, 3, 4)
+    job = TrainJob("n", data, val, stream(9), 3, 4)
     assert window_rows(job) == [3, 4, 0, 1]
     rows = DataShard(data.features[[3, 4, 0, 1]], data.labels[[3, 4, 0, 1]])
     want = train_local(ModelParams.zeros(DIM), rows, val, TrainConfig(3, 0.05, 9, 2), node_id="n")
     assert_bit_identical(train_round(ModelParams.zeros(DIM), [job], 3, 0.05, 2), [want])
-    small = TrainJob("small", shard(rng, 3), val, 9, 0, 4)
+    small = TrainJob("small", shard(rng, 3), val, stream(9), 0, 4)
     with pytest.raises(ValidationError, match="^job 'small': window of 4 at 0 is outside its 3 rows$"):
         train_round(ModelParams.zeros(DIM), [small], 1, 0.1, 4)
 
@@ -344,7 +383,7 @@ def diverging_rounds(draw):
             data = scaled(data, 10.0 ** draw(st.integers(100, 300)))
         if draw(st.integers(0, 3)) == 0:
             val = scaled(val, 10.0 ** draw(st.integers(300, 308)))
-        out.append(TrainJob(job.node_id, data, val, job.seed, job.offset, job.quota))
+        out.append(TrainJob(job.node_id, data, val, job.stream, job.offset, job.quota))
     learning_rate = draw(st.sampled_from([0.05, 1.0, 1e10, 1e100]))
     return start, out, epochs, learning_rate, batch_size
 
@@ -358,11 +397,11 @@ def test_divergence_matches_train_local_first_error(case):
 def test_divergence_across_blocks_names_first_job_in_plan_order():
     rng = np.random.default_rng(12)
     start = ModelParams(0.1 * rng.standard_normal(DIM))
-    calm = [TrainJob(f"n{k:03d}", shard(rng, 5 + k % 5), shard(rng, 3), k) for k in range(2 * _BLOCK_NODES + 5)]
+    calm = [TrainJob(f"n{k:03d}", shard(rng, 5 + k % 5), shard(rng, 3), stream(k)) for k in range(2 * _BLOCK_NODES + 5)]
     # The smallest job trains in the first block and the largest in the last;
     # the first diverges in a later epoch than the second.
-    late = TrainJob("late", shard(rng, 4, scale=1e150), shard(rng, 3), 1)
-    early = TrainJob("early", shard(rng, 40, scale=1e300), shard(rng, 3), 2)
+    late = TrainJob("late", shard(rng, 4, scale=1e150), shard(rng, 3), stream(1))
+    early = TrainJob("early", shard(rng, 40, scale=1e300), shard(rng, 3), stream(2))
     assert first_error(start, [late], 3, 1e10, 4)[1] == "training diverged on node 'late': gradient at epoch 2"
     assert first_error(start, [early], 3, 1e10, 4)[1] == "training diverged on node 'early': parameters at epoch 1"
     for first, second in ((late, early), (early, late)):
@@ -372,8 +411,8 @@ def test_divergence_across_blocks_names_first_job_in_plan_order():
 
 def test_non_finite_validation_cost_names_the_node():
     rng = np.random.default_rng(13)
-    calm = TrainJob("calm", shard(rng, 6), shard(rng, 3), 1)
-    job = TrainJob("overflowing-val", shard(rng, 6), scaled(shard(rng, 3), 1.7e308), 2)
+    calm = TrainJob("calm", shard(rng, 6), shard(rng, 3), stream(1))
+    job = TrainJob("overflowing-val", shard(rng, 6), scaled(shard(rng, 3), 1.7e308), stream(2))
     # A unit-scale model overflows the validation logits before training; the
     # zero model's logits are its biases until the first epoch moves its weights.
     for start, epoch in ((ModelParams(rng.standard_normal(DIM)), 0), (ModelParams.zeros(DIM), 1)):
@@ -495,8 +534,8 @@ def test_step_plan_matches_the_per_step_oracle(plan):
 
 def test_train_block_rejects_jobs_out_of_size_order():
     rng = np.random.default_rng(14)
-    jobs = [TrainJob("big", shard(rng, 5), shard(rng, 3), 1), TrainJob("small", shard(rng, 4), shard(rng, 3), 2)]
-    states = seed_states([((), [job.seed for job in jobs])])
+    jobs = [TrainJob("big", shard(rng, 5), shard(rng, 3), stream(1)), TrainJob("small", shard(rng, 4), shard(rng, 3), stream(2))]
+    states = np.array([job.stream for job in jobs])
     with pytest.raises(ValidationError, match="sorted by training size"):
         _train_block(ModelParams.zeros(DIM), jobs, states, 1, 0.1, 4)
 
@@ -560,7 +599,7 @@ def faulty_job(rng, node_id, faults, bad_label):
         offset = -1
     if "quota-past" in faults:
         quota = n + 1
-    return TrainJob(node_id, data, val, 0, offset, quota)
+    return TrainJob(node_id, data, val, stream(0), offset, quota)
 
 
 @settings(max_examples=150, deadline=None)
@@ -609,3 +648,21 @@ def test_input_error_names_the_first_bad_job(first, second, message):
     with pytest.raises((ShapeError, ValidationError)) as err:
         train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("batch_size", [9, 10, 2**62, 2**63 - 1, 2**63, 10**21])
+def test_a_batch_past_the_largest_job_takes_the_steps_of_one_that_size(batch_size):
+    # From the largest job's size on, every job's window is one batch: the
+    # steps and positions of a batch of that size, also past int64's range.
+    sizes = np.array([3, 5, 5, 9])
+    positions, runs = _step_plan(sizes, batch_size)
+    want_positions, want_runs = _step_plan(sizes, 9)
+    assert positions.tolist() == want_positions.tolist() and runs == want_runs
+    assert [(lo, hi, rows.tolist()) for lo, hi, rows in step_plan(sizes, 9)] == [
+        (lo, hi, positions[row_lo:row_hi].reshape(hi - lo, length).tolist())
+        for _, _, steps in runs
+        for lo, hi, length, row_lo, row_hi in steps
+    ]
+    rng = np.random.default_rng(19)
+    jobs = [TrainJob(f"n{k}", shard(rng, n), shard(rng, 3), stream(k)) for k, n in enumerate(sizes.tolist())]
+    check(ModelParams(0.1 * rng.standard_normal(DIM)), jobs, 2, 0.05, batch_size)
