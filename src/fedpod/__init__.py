@@ -39,9 +39,9 @@ from .engine import (
 from .params import (
     DataShard,
     ModelParams,
+    RoundJobs,
     RoundUpdates,
     TrainConfig,
-    TrainJob,
     dice_score,
     train_local,
     train_round,

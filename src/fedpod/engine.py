@@ -2,8 +2,8 @@
 
 The plan pass reads no model: phase schedule, task composition, timings,
 straggler drop and replacement, and the round the run stops at. The
-training pass trains the round's survivors in one batched local-training
-pass per planned round, then aggregates and accumulates metrics.
+training pass stores every participant's data once, then per planned round
+trains the survivors in one batched pass, aggregates and keeps metrics.
 
 Everything is driven by one `ExperimentConfig`; identical configs produce
 identical reports. Per-purpose RNG streams are derived from the experiment
@@ -31,8 +31,9 @@ from .cohort import (
 from .errors import ValidationError
 from .params import (
     BlobGeometry,
+    DataShard,
     ModelParams,
-    TrainJob,
+    RoundJobs,
     dice_score,
     make_blob_shard,
     make_blob_shards,
@@ -379,6 +380,9 @@ def _plan_run(
             offsets=offsets,
         )
         insts = plan.node_ids()
+        n = max((p.quota for p in plan.participants), default=0)
+        if n * phase.epochs >= 2**63:  # training and `sample_timings` count them in int64
+            raise ValidationError(f"schedule phase {phase_number}: epochs = {phase.epochs} times {n} rows passes 2**63")
         nodes = np.array([node_index[inst] for inst in insts], dtype=np.uint64)
         keys = [((config.seed, _TRAIN_SALT, round_index), nodes), ((config.seed, _TIMING_SALT, round_index), nodes)]
         train_states, timing_states = np.split(seed_states(keys), 2)
@@ -403,6 +407,28 @@ def _plan_run(
     return rounds
 
 
+def _build_stores(
+    seed: int, table: PartitionTable, geometry: BlobGeometry, node_index: dict[str, int], insts: Sequence[str]
+) -> tuple[DataShard, DataShard, np.ndarray]:
+    """The training and the validation store of `insts`, and column i of a
+    (4, len(insts)) layout holds insts[i]'s training start and count and
+    validation start and count. One pass seeds each training stream, `(seed,
+    _SHARD_SALT, table position)`, and validation stream, `(seed,
+    _NODE_VAL_SALT, node index)`. Each validation shard is its own
+    `make_blob_shard` call, as the benchmark's tracer counts them."""
+    position = {inst: i for i, inst in enumerate(table.counts)}
+    shard_keys = ((seed, _SHARD_SALT), [position[inst] for inst in insts])
+    val_keys = ((seed, _NODE_VAL_SALT), [node_index[inst] for inst in insts])
+    shard_states, val_states = np.split(seed_states([shard_keys, val_keys]), 2)
+    sizes = np.array([table.counts[inst] for inst in insts], dtype=np.int64)
+    val_sizes = np.array([_val_size(size) for size in sizes.tolist()], dtype=np.int64)
+    train = make_blob_shards(sizes.tolist(), geometry, generators(shard_states))
+    vals = [make_blob_shard(n, geometry, rng) for n, rng in zip(val_sizes.tolist(), generators(val_states))]
+    features = np.concatenate([np.empty((0, train.feature_dim)), *(shard.features for shard in vals)])
+    val = DataShard._adopt(features, np.concatenate([np.empty(0, np.int64), *(shard.labels for shard in vals)]))
+    return train, val, np.array([np.cumsum(sizes) - sizes, sizes, np.cumsum(val_sizes) - val_sizes, val_sizes])
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Plan every round, then train them; return per-round records plus the
     final model.
@@ -412,9 +438,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     round), the timings, the drops and the round time, and stops at
     max_rounds or once simulated time reaches the cap. So a config fault in
     any round is raised before anything trains. The training pass builds
-    every planned participant's shards, then per round trains the round's
-    survivors, merges them with the configured strategy, and scores the
-    global model on a fixed held-out shard.
+    every planned participant's data into two stores, then per round trains
+    the round's survivors on them, merges them with the configured
+    strategy, and scores the global model on a fixed held-out shard.
     """
     table, geometry = _build_cohort(config)
     poisson = fit_poisson(table)
@@ -424,21 +450,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     holdout_n = max(32, round(config.holdout_fraction * table.total))
     holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
-    # One pass seeds every planned participant's training shard stream,
-    # `(seed, _SHARD_SALT, table position)`, and validation shard stream,
-    # `(seed, _NODE_VAL_SALT, node index)`, so a node's data does not depend
-    # on the round it joins. One `make_blob_shards` call builds the training
-    # shards. Each validation shard is its own `make_blob_shard` call, which
-    # the benchmark's tracer counts as `engine.val_shards`.
-    position = {inst: i for i, inst in enumerate(table.counts)}
+    # Every planned participant's data, in the order the rounds first name them.
     insts = list(dict.fromkeys(inst for _, _, plan, *_ in rounds for inst in plan.node_ids()))
-    shard_keys = ((config.seed, _SHARD_SALT), [position[inst] for inst in insts])
-    val_keys = ((config.seed, _NODE_VAL_SALT), [node_index[inst] for inst in insts])
-    shard_states, val_states = np.split(seed_states([shard_keys, val_keys]), 2)
-    sizes = [table.counts[inst] for inst in insts]
-    shards = make_blob_shards(sizes, geometry, generators(shard_states))
-    vals = [make_blob_shard(_val_size(size), geometry, rng) for size, rng in zip(sizes, generators(val_states))]
-    data = dict(zip(insts, zip(shards, vals)))
+    train, val, layout = _build_stores(config.seed, table, geometry, node_index, insts)
+    slot = {inst: i for i, inst in enumerate(insts)}
 
     model = ModelParams.zeros(config.model_dim)
     history = CostHistory(history_window=config.strategy.history_window)
@@ -447,12 +462,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     for round_index, (phase_number, phase, plan, seeds, slow, elapsed) in enumerate(rounds, start=1):
         # In plan order: `aggregate` sums the rows in node-id order itself.
-        streams = seed_states([((), seeds)])
-        jobs = [
-            TrainJob(p.institution_id, *data[p.institution_id], stream, p.shard_offset, p.quota)
-            for p, stream in zip(compress(plan.participants, (~slow).tolist()), streams, strict=True)
-        ]
-        survivors = train_round(model, jobs, phase.epochs, phase.learning_rate, config.batch_size)
+        kept = list(compress(plan.participants, (~slow).tolist()))
+        ids = tuple(p.institution_id for p in kept)
+        offsets, quotas = [p.shard_offset for p in kept], [p.quota for p in kept]
+        jobs = RoundJobs(ids, *layout[:, [slot[inst] for inst in ids]], offsets, quotas, seed_states([((), seeds)]))
+        survivors = train_round(model, train, val, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 
         result = compute_weights(config.strategy, survivors, history)
         model = aggregate(survivors, result.weights)

@@ -2,15 +2,15 @@
 
 The model everywhere is a multinomial logistic regression stored as one flat
 float64 vector: a (classes x features) weight matrix in row-major order
-followed by one bias per class. Institutions hold `DataShard`s of per-class
+followed by one bias per class. A `DataShard` holds rows of per-class
 Gaussian samples; validation cost is mean cross-entropy.
 
 Local training has one implementation, `train_round`, which trains all of a
 round's nodes at once on stacked kernels; `train_local` is its one-node form.
-A round's output is one `RoundUpdates` of columns, one entry per node: the
+It reads the rows `RoundJobs` columns place in a training and a validation
+store, and returns one `RoundUpdates` of columns, one entry per node: the
 trained parameters as a (nodes, dim) block, the training-set sizes and the
-validation cost at every epoch boundary. Simulated timings stay with the
-engine.
+validation cost at every epoch boundary. Timings stay with the engine.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -95,8 +94,8 @@ class DataShard:
 
     @classmethod
     def _adopt(cls, features: np.ndarray, labels: np.ndarray) -> DataShard:
-        """A shard of float64 features and int64 labels already checked as the
-        constructor checks them, which no one writes to: kept, not copied."""
+        """A shard of float64 features and int64 labels, checked as the constructor
+        checks them but maybe empty, which no one writes to: kept, not copied."""
         shard = object.__new__(cls)
         _set_read_only(shard, features=features, labels=labels)
         return shard
@@ -184,15 +183,13 @@ class RoundUpdates:
 
 
 def _classifier_dims(model: ModelParams, shard: DataShard) -> tuple[int, int]:
-    """Infer (n_classes, feature_dim) and check the model fits the shard."""
+    """Infer (n_classes, feature_dim) and check the model fits the shard's features."""
     f = shard.feature_dim
     if model.dim % (f + 1) != 0:
         raise ShapeError(f"model dim {model.dim} does not fit feature dim {f}")
     c = model.dim // (f + 1)
     if c < 2:
         raise ShapeError("classifier needs at least 2 classes")
-    if int(shard.labels.max()) >= c:
-        raise ValidationError(f"label {int(shard.labels.max())} out of range for {c} classes")
     return c, f
 
 
@@ -237,17 +234,17 @@ def _class_sum(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _bind_costs(
-    values: np.ndarray, vals: Sequence[DataShard], n_classes: int, feature_dim: int
+    values: np.ndarray, val: DataShard, starts: np.ndarray, counts: np.ndarray, n_classes: int, feature_dim: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The mean cross-entropy, before the clip at 0, of each model of the
-    (k, dim) `values` on its shard in `vals`, as a call that writes the k
-    costs into `out`; it reads `values` afresh, which must change in place.
+    """The mean cross-entropy, before the clip at 0, of model i of the (k,
+    dim) `values` on `counts[i]` rows of the store `val` from `starts[i]`,
+    as a call that writes the k costs into `out`; it reads `values` afresh.
 
-    The shards' rows lie back to back, grouped by size. A call runs one
-    (k, size, feature_dim) product and bias add per group into its slice of
-    one (rows, n_classes) logits buffer, one pass over all rows (class max,
-    label pick, log of the sum of exponentials) and a row sum of each
-    group's (k, size) losses over its size. Each product has the shapes of
+    One `take` of the store lays the models' rows back to back, grouped by
+    count. A call runs one (k, size, feature_dim) product and bias add per
+    group into its slice of one (rows, n_classes) logits buffer, one pass
+    over all rows (class max, label pick, log of the sum of exponentials)
+    and a row sum of each group's (k, size) losses over its size. Each product has the shapes of
     the one-model cost in `tests/_oracle.py` and every later step works
     element by element or row by row, so each cost is the oracle's bit for
     bit, also where the class max and sum run over class slices (from
@@ -255,12 +252,13 @@ def _bind_costs(
     holds the `np.errstate`.
     """
     groups: dict[int, list[int]] = {}
-    for i, val in enumerate(vals):
-        groups.setdefault(len(val), []).append(i)
-    order = [i for group in groups.values() for i in group]
-    features = np.concatenate([vals[i].features for i in order])
-    labels = np.concatenate([vals[i].labels for i in order])
-    sizes = np.array([len(vals[i]) for i in order], dtype=np.float64)
+    for i, count in enumerate(counts.tolist()):
+        groups.setdefault(count, []).append(i)
+    order = np.array([i for group in groups.values() for i in group])
+    counts = counts[order]
+    index = _ranges(starts[order], counts)
+    features, labels = val.features.take(index, axis=0), val.labels.take(index)
+    sizes = counts.astype(np.float64)
     rows, split = len(labels), n_classes * feature_dim
     wide = rows >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
     picks = np.arange(rows) * n_classes + labels
@@ -276,7 +274,7 @@ def _bind_costs(
         products.append((x, weights_t, models[lo:hi, None, split:], z))
         sums.append((row[row_lo:row_hi].reshape(k, size), group_costs[lo:hi]))
         lo, row_lo = hi, row_hi
-    order, flat = np.array(order), logits.reshape(-1)
+    flat = logits.reshape(-1)
 
     def costs(out: np.ndarray) -> np.ndarray:
         # Every index is in range; "clip" spares `take` the copy of `out` it makes in "raise" mode.
@@ -331,29 +329,46 @@ def predict_labels(model: ModelParams, shard: DataShard) -> np.ndarray:
     return pred.astype(np.intp)
 
 
-@dataclass(frozen=True, eq=False)
-class TrainJob:
-    """One participant of a round: its training shard, its validation shard,
-    its batch-order stream (the 4 uint64 words `default_rng(seed)` seeds
-    itself from) and its window: shard rows `(offset + k) % len(shard)` for
-    k < quota, in that order. A quota of None is set to `len(shard)` here."""
+_JOB_COLUMNS = ("train_start", "train_count", "val_start", "val_count", "offset", "quota")
 
-    node_id: str
-    shard: DataShard
-    val: DataShard
-    stream: np.ndarray
-    offset: int = 0
-    quota: int | None = None
+
+@dataclass(frozen=True, eq=False)
+class RoundJobs:
+    """One round's jobs as read-only columns over a training and a validation
+    store: node ids; each node's `train_count` training rows from `train_start`
+    and `val_count` validation rows from `val_start`; its window, training rows
+    train_start + (offset + k) % train_count for k < quota, in order; and its
+    stream, a row of `streams`, the 4 uint64 words `default_rng(seed)` seeds
+    itself from. Checked once, here; `train_round` checks rows against stores."""
+
+    node_ids: tuple[str, ...]
+    train_start: np.ndarray
+    train_count: np.ndarray
+    val_start: np.ndarray
+    val_count: np.ndarray
+    offset: np.ndarray
+    quota: np.ndarray
+    streams: np.ndarray
 
     def __post_init__(self):
-        if self.quota is None:
-            object.__setattr__(self, "quota", len(self.shard))
+        ids, streams = tuple(self.node_ids), np.asarray(self.streams)
+        block = np.array([getattr(self, name) for name in _JOB_COLUMNS], dtype=np.int64)
+        if block.shape != (len(_JOB_COLUMNS), len(ids)):
+            raise ShapeError(f"every job column must hold one entry per node, {len(ids)} nodes")
+        if streams.shape != (len(ids), 4) or streams.dtype != np.uint64:
+            raise ShapeError("each job's stream must be 4 uint64 words")
+        n, offset, quota = block[1], block[4], block[5]
+        outside = (offset < 0) | (offset >= n) | (quota < 1) | (quota > n)
+        if outside.any():
+            j = int(outside.argmax())
+            raise ValidationError(f"job {ids[j]!r}: window of {quota[j]} at {offset[j]} is outside its {n[j]} rows")
+        block.setflags(write=False)
+        _set_read_only(self, node_ids=ids, streams=streams, **dict(zip(_JOB_COLUMNS, block)))
 
 
-def _window(job: TrainJob) -> slice | np.ndarray:
-    """The rows of job's window: a slice, or an index array if it wraps."""
-    end = job.offset + job.quota
-    return slice(job.offset, end) if end <= len(job.shard) else np.arange(job.offset, end) % len(job.shard)
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The rows starts[i] + k for k < counts[i], for each i in turn, as one array."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
 def _gradient_views(values: np.ndarray, grad: np.ndarray, n_classes: int, feature_dim: int) -> tuple:
@@ -482,7 +497,7 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tup
     steps after at most `_GATHER_ROWS` rows.
     """
     batch_size = min(batch_size, int(sizes.max()))  # a larger batch takes the same steps, past int64 too
-    row_in_job = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row_in_job = _ranges(np.zeros_like(sizes), sizes)
     # numpy's default sort is not stable.
     positions = np.argsort(row_in_job // batch_size, kind="stable")
     sizes = sizes.tolist()
@@ -511,20 +526,21 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tup
 
 def _train_block(
     start: ModelParams,
-    jobs: Sequence[TrainJob],
-    states: np.ndarray,
+    train: DataShard,
+    val: DataShard,
+    jobs: RoundJobs,
+    block: np.ndarray,
     epochs: int,
     learning_rate: float,
     batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """`train_round`'s SGD for one block of jobs, sorted by training size.
+    """`train_round`'s SGD for the jobs `block` of `jobs`, sorted by quota.
 
-    `states` holds each job's batch-order stream, one row per job.
-    Returns the trained parameters (jobs, dim), the validation costs before
-    the clip at 0 (epochs + 1, jobs), and the earliest fault of each job
-    that diverged, by position in `jobs`, in the sequential oracle's order.
-    Every job's validation rows are laid out once, by `_bind_costs`, and
-    each epoch boundary scores all of them in one flat pass.
+    Returns the trained parameters (block, dim), the validation costs before
+    the clip at 0 (epochs + 1, block), and the earliest fault of each job
+    that diverged, by position in `block`, in the sequential oracle's order.
+    One index array gathers the windows, and `_bind_costs` the validation
+    rows, once; each epoch boundary scores all of them in one flat pass.
 
     Every SGD step's operands are bound once, with the step plan, and used
     in every epoch: views of the block's parameters `values` and of its one
@@ -536,19 +552,17 @@ def _train_block(
     the step loop's: each step scales its rows by the learning rate in place
     and subtracts them from its parameters.
     """
-    n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
-    # The jobs' windows back to back: job i owns [starts[i], starts[i] + sizes[i]).
-    windows = [_window(job) for job in jobs]
-    features = np.concatenate([job.shard.features[w] for job, w in zip(jobs, windows)])
-    labels = np.concatenate([job.shard.labels[w] for job, w in zip(jobs, windows)])
+    n_classes, feature_dim = _classifier_dims(start, train)
+    # The jobs' windows back to back: job i owns sizes[i] rows from sum(sizes[:i]).
+    sizes = jobs.quota[block]
+    rows = _ranges(jobs.offset[block], sizes) % np.repeat(jobs.train_count[block], sizes)
+    rows += np.repeat(jobs.train_start[block], sizes)
+    features, labels = train.features.take(rows, axis=0), train.labels.take(rows)
     eye = np.eye(n_classes)
-    sizes = np.array([job.quota for job in jobs])
-    starts = np.cumsum(sizes) - sizes
 
     positions, runs = _step_plan(sizes, batch_size)
-    values = np.empty((len(jobs), start.dim))
-    values[:] = start.values
-    val_costs = _bind_costs(values, [job.val for job in jobs], n_classes, feature_dim)
+    values = np.tile(start.values, (len(block), 1))
+    val_costs = _bind_costs(values, val, jobs.val_start[block], jobs.val_count[block], n_classes, feature_dim)
     grad = np.empty_like(values)
     views = _gradient_views(values, grad, n_classes, feature_dim)
     run_rows = max(end - first for first, end, _ in runs)
@@ -573,7 +587,7 @@ def _train_block(
             bound_steps.append((lo, values[lo:hi], grad[lo:hi], step))
         bound.append((first, end, run_features[: end - first], run_onehot[: end - first], bound_steps))
 
-    costs = np.empty((epochs + 1, len(jobs)))
+    costs = np.empty((epochs + 1, len(block)))
     diverged: dict[int, str] = {}
 
     def validate(epoch: int) -> None:
@@ -605,10 +619,9 @@ def _train_block(
     # would, row after row: the same orders, leaving the same stream state.
     # Job i's rows are the first sizes[i] columns of one broadcast arange.
     aranges = np.broadcast_to(np.arange(sizes[-1]), (epochs, sizes[-1]))
-    orders = np.concatenate(
-        [rng.permuted(aranges[:, :n], axis=1) for n, rng in zip(sizes.tolist(), generators(states))], axis=1
-    )
-    orders += np.repeat(starts, sizes)
+    rngs = generators(jobs.streams[block])
+    orders = np.concatenate([rng.permuted(aranges[:, :n], axis=1) for n, rng in zip(sizes.tolist(), rngs)], axis=1)
+    orders += np.repeat(np.cumsum(sizes) - sizes, sizes)
     # Each epoch's batch rows, in step order.
     orders = orders.take(positions, axis=1)
     # With a finite learning rate, a non-finite gradient or parameter leaves
@@ -627,48 +640,43 @@ def _train_block(
     return values, costs, diverged
 
 
-def _job_sizes(start: ModelParams, jobs: Sequence[TrainJob], n_classes: int, feature_dim: int) -> np.ndarray:
-    """Each job's quota, its inputs checked as columns over all jobs: feature
-    dims, windows inside their shards, and label ranges, over whole training
-    shards. Only a failed check walks the jobs, to raise the first job's
-    first error as checking job by job, each over its window, would."""
-    lengths = np.array([len(job.shard) for job in jobs])
-    offsets = np.array([job.offset for job in jobs])
-    sizes = np.array([job.quota for job in jobs])
-    if (
-        all(job.shard.features.shape[1] == job.val.features.shape[1] == feature_dim for job in jobs)
-        and ((0 <= offsets) & (offsets < lengths) & (1 <= sizes) & (sizes <= lengths)).all()
-        and np.concatenate([job.shard.labels for job in jobs]).max() < n_classes
-        and np.concatenate([job.val.labels for job in jobs]).max() < n_classes
-    ):
-        return sizes
-    for job in jobs:
-        if job.shard.feature_dim != feature_dim or job.val.feature_dim != feature_dim:
-            raise ShapeError(f"job {job.node_id!r}: shards must share feature dim {feature_dim}")
-        _classifier_dims(start, job.val)
-        n = len(job.shard)
-        if not (0 <= job.offset < n and 1 <= job.quota <= n):
-            raise ValidationError(f"job {job.node_id!r}: window of {job.quota} at {job.offset} is outside its {n} rows")
-        labels = job.shard.labels[_window(job)]
-        if int(labels.max()) >= n_classes:
-            raise ValidationError(f"label {int(labels.max())} out of range for {n_classes} classes")
-    return sizes
+def _check_round(start: ModelParams, train: DataShard, val: DataShard, jobs: RoundJobs) -> None:
+    """Check, as columns, that the model fits both stores, every job's rows lie
+    in them and every label is below the class count. A failed label check walks
+    the jobs for the first job's first bad label (validation rows, then window)."""
+    n_classes, feature_dim = _classifier_dims(start, val)
+    if train.feature_dim != feature_dim:
+        raise ShapeError(f"the stores' feature dims differ: {train.feature_dim} training, {feature_dim} validation")
+    ends = (jobs.train_start + jobs.train_count > len(train)) | (jobs.val_start + jobs.val_count > len(val))
+    outside = ends | (np.minimum(jobs.train_start, jobs.val_start) < 0) | (jobs.val_count < 1)
+    if outside.any():
+        raise ValidationError(f"job {jobs.node_ids[int(outside.argmax())]!r}: its rows are not all inside the stores")
+    if train.labels.max(initial=0) < n_classes and val.labels.max(initial=0) < n_classes:
+        return
+    for j in range(len(jobs.node_ids)):
+        window = (jobs.offset[j] + np.arange(jobs.quota[j])) % jobs.train_count[j] + jobs.train_start[j]
+        for labels in (val.labels[jobs.val_start[j] : jobs.val_start[j] + jobs.val_count[j]], train.labels[window]):
+            if labels.max() >= n_classes:
+                raise ValidationError(f"label {int(labels.max())} out of range for {n_classes} classes")
 
 
 def train_round(
     start: ModelParams,
-    jobs: Sequence[TrainJob],
+    train: DataShard,
+    val: DataShard,
+    jobs: RoundJobs,
     epochs: int,
     learning_rate: float,
     batch_size: int,
 ) -> RoundUpdates:
-    """Mini-batch SGD from `start` for all of one round's jobs at once.
+    """Mini-batch SGD from `start` for all of one round's `jobs` at once, on
+    their rows of the training store `train` and the validation store `val`.
 
     Node i, in `jobs` order, equals `tests/_oracle.train_local`, the
-    sequential one-node SGD, run on job i's window of its shard with
+    sequential one-node SGD, run on job i's window and validation rows with
     `TrainConfig(epochs, learning_rate, seed, batch_size)`, bit for bit,
     when its stream is `SeedSequence(seed).generate_state(4, np.uint64)`.
-    Jobs train in blocks of similar size. At each SGD step a block's jobs
+    Jobs train in blocks of similar quota. At each SGD step a block's jobs
     are grouped by their exact batch length, so nothing is padded and each
     job's batch goes through the same kernels as in the oracle. Every job's
     parameters are checked once per epoch, an epoch that diverged is
@@ -676,34 +684,20 @@ def train_round(
     validation cost is checked. If jobs diverge, the error is the one the
     oracle raises for the first of them in `jobs` order.
 
-    Inputs are checked before any training, as columns over all jobs
-    (`_job_sizes`); all shards must share one feature_dim, and the jobs'
-    streams must stack into a (jobs, 4) uint64 column, or it raises
-    `ShapeError`. Each job draws all its epochs' orders in one call. The
-    trained block and the costs, clipped at 0, are checked once, as the
-    columns of the returned `RoundUpdates`.
+    The stores and the rows the jobs read are checked before any training
+    (`_check_round`), the returned columns once, by `RoundUpdates`.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # the argument checks of a one-node config
-    if not jobs:
-        return RoundUpdates((), np.empty((0, start.dim)), (), np.empty((epochs + 1, 0)))
-    n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
-    sizes = _job_sizes(start, jobs, n_classes, feature_dim)
-
-    try:
-        states = np.array([job.stream for job in jobs])
-    except ValueError:  # streams of unequal shapes
-        states = np.empty(0)
-    if states.shape != (len(jobs), 4) or states.dtype != np.uint64:
-        raise ShapeError("each job's stream must be 4 uint64 words")
-    values = np.empty((len(jobs), start.dim))
-    costs = np.empty((epochs + 1, len(jobs)))
+    _check_round(start, train, val, jobs)
+    values = np.empty((len(jobs.node_ids), start.dim))
+    costs = np.empty((epochs + 1, len(jobs.node_ids)))
     diverged: dict[int, str] = {}
-    # Jobs of similar size share most of their batch lengths.
-    by_size = np.argsort(sizes, kind="stable")
-    for lo in range(0, len(jobs), _BLOCK_NODES):
+    # Jobs of similar quota share most of their batch lengths.
+    by_size = np.argsort(jobs.quota, kind="stable")
+    for lo in range(0, len(by_size), _BLOCK_NODES):
         block = by_size[lo : lo + _BLOCK_NODES]
         block_values, block_costs, block_diverged = _train_block(
-            start, [jobs[i] for i in block], states[block], epochs, learning_rate, batch_size
+            start, train, val, jobs, block, epochs, learning_rate, batch_size
         )
         values[block] = block_values
         costs[:, block] = block_costs
@@ -711,9 +705,9 @@ def train_round(
 
     if diverged:
         first = min(diverged)
-        raise TrainingDivergenceError(jobs[first].node_id, diverged[first])
+        raise TrainingDivergenceError(jobs.node_ids[first], diverged[first])
     # Clip away the odd -1ulp rounding artefact, as `max(cost, 0.0)` would.
-    return RoundUpdates(tuple(job.node_id for job in jobs), values, sizes, np.where(costs < 0.0, 0.0, costs))
+    return RoundUpdates(jobs.node_ids, values, jobs.quota, np.where(costs < 0.0, 0.0, costs))
 
 
 def train_local(
@@ -724,14 +718,15 @@ def train_local(
     node_id: str = "local",
 ) -> RoundUpdates:
     """Mini-batch SGD from `start` over all of `shard` for cfg.epochs: the
-    one-job form of `train_round`, returning one node's `RoundUpdates`, so
-    `shard` and `val` must share one feature_dim.
+    one-job form of `train_round`, with `shard` and `val` as its stores, so
+    they must share one feature_dim; returns one node's `RoundUpdates`.
 
     Batch order is shuffled by numpy's `default_rng(cfg.seed)` stream, for
     any non-negative seed; validation cost is sampled at every epoch boundary.
     """
-    job = TrainJob(node_id, shard, val, np.random.SeedSequence(cfg.seed).generate_state(4, np.uint64))
-    return train_round(start, [job], cfg.epochs, cfg.learning_rate, cfg.batch_size)
+    stream = np.random.SeedSequence(cfg.seed).generate_state(4, np.uint64)
+    jobs = RoundJobs((node_id,), [0], [len(shard)], [0], [len(val)], [0], [len(shard)], stream[None])
+    return train_round(start, shard, val, jobs, cfg.epochs, cfg.learning_rate, cfg.batch_size)
 
 
 def dice_score(pred: Sequence[int], truth: Sequence[int], cls: int) -> float:
@@ -804,9 +799,10 @@ _SYNTH_ROWS = 4096
 
 def make_blob_shards(
     sizes: Sequence[int], geometry: BlobGeometry, rngs: Iterable[np.random.Generator]
-) -> list[DataShard]:
-    """Shard i is `sizes[i]` Gaussian samples around per-class centers, mixed
-    by the class priors, drawn from the i-th generator of `rngs`.
+) -> DataShard:
+    """One store of shards back to back: shard i, rows sum(sizes[:i]) on, is
+    `sizes[i]` Gaussian samples around per-class centers, mixed by the class
+    priors, drawn from the i-th generator of `rngs`.
 
     Each generator draws `random(n)` for the labels, as `rng.choice(n_classes,
     size=n, p=class_probs)` draws them once its checks pass, which
@@ -817,8 +813,8 @@ def make_blob_shards(
     The draws land in one block for all shards, which one `searchsorted`
     turns into labels and one pass, in bounded row chunks, into features
     `centers[label] + scales[label] * noise`, each gathered with `take`; one
-    check finds any non-finite feature. The shards are read-only views into
-    the block.
+    check finds any non-finite feature. The block is the store, read-only; no
+    sizes give a store of no rows.
     """
     if min(sizes, default=1) < 1:
         raise ValidationError("a shard needs at least one sample")
@@ -833,26 +829,15 @@ def make_blob_shards(
     if hi < total:
         raise ValueError("make_blob_shards needs a generator for every shard")
     labels = geometry.cdf.searchsorted(uniform, side="right").astype(np.int64, copy=False)
-    # A small batch is one chunk, unsliced: without it and the lone-shard return, a lone shard cost +10-19%.
-    chunks = (
-        [(features, labels)]
-        if total <= _SYNTH_ROWS
-        else [(features[lo : lo + _SYNTH_ROWS], labels[lo : lo + _SYNTH_ROWS]) for lo in range(0, total, _SYNTH_ROWS)]
-    )
-    for chunk, chunk_labels in chunks:
+    for lo in range(0, total, _SYNTH_ROWS):
+        chunk, chunk_labels = features[lo : lo + _SYNTH_ROWS], labels[lo : lo + _SYNTH_ROWS]
         chunk *= geometry.scales.take(chunk_labels, axis=0)
         chunk += geometry.centers.take(chunk_labels, axis=0)
     if not np.isfinite(features).all():
         raise ValidationError("features must be finite")
-    # A lone shard owns its arrays (`base` None) and skips the offsets and views: see the chunk case.
-    if len(sizes) == 1:
-        return [DataShard._adopt(features, labels)]
-    features.setflags(write=False)
-    labels.setflags(write=False)
-    offsets = [0, *accumulate(sizes)]
-    return [DataShard._adopt(features[lo:hi], labels[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+    return DataShard._adopt(features, labels)
 
 
 def make_blob_shard(n: int, geometry: BlobGeometry, rng: np.random.Generator) -> DataShard:
     """`n` samples drawn from `rng`: the one-shard case of `make_blob_shards`."""
-    return make_blob_shards([n], geometry, [rng])[0]
+    return make_blob_shards([n], geometry, [rng])

@@ -1,12 +1,13 @@
 """Small builders shared across test modules."""
 
-from unittest import mock
+from typing import NamedTuple
 
 import numpy as np
 
 from fedpod import engine
 from fedpod.params import (
     DataShard,
+    RoundJobs,
     RoundUpdates,
     _bind_costs,
     _bind_step,
@@ -14,7 +15,6 @@ from fedpod.params import (
     _stacked_gradient,
     _step_scratch,
 )
-from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
 
 
 def stream(seed):
@@ -68,41 +68,57 @@ def stacked_gradient(values, features, onehot, n_classes, feature_dim):
 
 def stacked_cost(values, features, labels, n_classes, feature_dim):
     """The costs `_bind_costs` gives the k models `values` on k equal-size
-    shards, (k, size, feature_dim) `features` and (k, size) `labels`, before
-    the clip at 0."""
-    shards = [DataShard(f, y) for f, y in zip(features, labels)]
-    return _bind_costs(values, shards, n_classes, feature_dim)(np.empty(len(values)))
+    shards, (k, size, feature_dim) `features` and (k, size) `labels`, laid
+    into one store, before the clip at 0."""
+    k, size = labels.shape
+    store = DataShard(features.reshape(k * size, feature_dim), labels.reshape(-1))
+    starts, counts = np.arange(k) * size, np.full(k, size)
+    return _bind_costs(values, store, starts, counts, n_classes, feature_dim)(np.empty(k))
 
 
-def engine_shards(table, geometry, seed, rounds):
-    """Run the engine on `table` and `geometry` for one round per entry of
-    `rounds`, a list of the institutions taking part in it, in plan order,
-    each training on its whole shard. Returns, per round, the training
-    shard of each job as {institution: shard}, and the sizes of each
-    `engine.make_blob_shards` call."""
-    plans = iter(
-        [TaskPlan(tuple(TaskParticipant(inst, ROLE_PRIMARY, table.counts[inst], 0) for inst in insts)) for insts in rounds]
+class Job(NamedTuple):
+    """One node of a round as a test writes it: its own training and
+    validation shards, its stream and its window; a quota of None is the
+    whole shard."""
+
+    node_id: str
+    shard: DataShard
+    val: DataShard
+    stream: np.ndarray
+    offset: int = 0
+    quota: int | None = None
+
+
+def lay_out(jobs):
+    """`train_round`'s stores and columns for `jobs`: every job's training
+    shard, and every job's validation shard, laid back to back in job order
+    into one store each, and the `RoundJobs` that place each job's rows."""
+    counts, val_counts = np.array([len(job.shard) for job in jobs]), np.array([len(job.val) for job in jobs])
+
+    def store(shards):
+        return DataShard(np.concatenate([s.features for s in shards]), np.concatenate([s.labels for s in shards]))
+
+    train, val = store([job.shard for job in jobs]), store([job.val for job in jobs])
+    columns = RoundJobs(
+        tuple(job.node_id for job in jobs),
+        np.cumsum(counts) - counts,
+        counts,
+        np.cumsum(val_counts) - val_counts,
+        val_counts,
+        [job.offset for job in jobs],
+        [len(job.shard) if job.quota is None else job.quota for job in jobs],
+        np.array([job.stream for job in jobs]),
     )
-    trained, batches = [], []
-    train_round, make_blob_shards = engine.train_round, engine.make_blob_shards
+    return train, val, columns
 
-    def recorded_round(model, jobs, *args):
-        trained.append({job.node_id: job.shard for job in jobs})
-        return train_round(model, jobs, *args)
 
-    def recorded_batch(sizes, geometry, rngs):
-        batches.append(list(sizes))
-        return make_blob_shards(sizes, geometry, rngs)
-
-    config = engine.ExperimentConfig(
-        seed=seed, max_rounds=len(rounds), timing=engine.TimingProfile(timeout_factor=None)
-    )
-    with mock.patch.multiple(
-        engine,
-        _build_cohort=lambda _: (table, geometry),
-        compose_task=lambda *args, **kwargs: next(plans),
-        train_round=recorded_round,
-        make_blob_shards=recorded_batch,
-    ):
-        engine.run_experiment(config)
-    return trained, batches
+def stored_shards(seed, table, geometry, insts):
+    """The training rows and the validation rows of each of `insts` in the
+    stores the engine builds for them, as two {institution: shard} maps."""
+    node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
+    train, val, layout = engine._build_stores(seed, table, geometry, node_index, insts)
+    shards: tuple[dict, dict] = ({}, {})
+    for inst, (lo, n, val_lo, val_n) in zip(insts, layout.T.tolist(), strict=True):
+        shards[0][inst] = DataShard(train.features[lo : lo + n], train.labels[lo : lo + n])
+        shards[1][inst] = DataShard(val.features[val_lo : val_lo + val_n], val.labels[val_lo : val_lo + val_n])
+    return shards

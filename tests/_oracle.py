@@ -148,6 +148,8 @@ def train_local(
     """
     n_classes, feature_dim = _classifier_dims(start, shard)
     _classifier_dims(start, val)
+    if max(shard.labels.max(), val.labels.max()) >= n_classes:
+        raise ValidationError(f"a label is out of range for {n_classes} classes")
     rng = np.random.default_rng(cfg.seed)
     values = start.values.copy()
 

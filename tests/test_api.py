@@ -18,12 +18,12 @@ PUBLIC_NAMES = [
     "PartitionTable",
     "PhaseEntry",
     "PoissonModel",
+    "RoundJobs",
     "RoundRecord",
     "RoundUpdates",
     "TaskPlan",
     "TimingProfile",
     "TrainConfig",
-    "TrainJob",
     "WeightResult",
     "aggregate",
     "classify_nodes",

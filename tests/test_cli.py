@@ -154,6 +154,20 @@ def test_main_refuses_a_run_whose_cumulative_time_overflows(tiny_config, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_main_refuses_a_phase_whose_epochs_overflow_a_window(tiny_config, tmp_path, capsys):
+    # A window's rows times the epochs must count in int64. The plan pass
+    # refuses the phase before any training, and the run leaves no directory.
+    phase = "rounds = 1-\nnodes = 2\nprimary = 1\nsecondary = 1\nlearning_rate = 0.001\nepochs = 10"
+    text = TINY_CONFIG + "".join(f"schedule.phase1.{line}\n" for line in phase.splitlines())
+    tiny_config.write_text(text.replace("epochs = 10", "epochs = 1000000000000000000000"), encoding="utf-8")
+    out = tmp_path / "out" / "run"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: schedule phase 1: epochs = 1000000000000000000000 times ")
+    assert err.endswith(" rows passes 2**63\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_run_takes_any_batch_past_every_shard_alike(tiny_config, tmp_path):
     # Every batch at least as large as the largest window takes the same
     # steps, also one past int64's range.

@@ -25,7 +25,7 @@ from fedpod.cohort import (
 from fedpod.engine import _SHARD_SALT
 from fedpod.errors import DegenerateModelError, ParseError, ValidationError
 from fedpod.params import blob_geometry, make_blob_shard
-from _helpers import engine_shards
+from _helpers import stored_shards
 
 
 def table_from_counts(counts):
@@ -83,10 +83,8 @@ def test_table_counts_and_total():
 
 
 def everyone_once(table, geometry, seed):
-    """The training shards the engine builds when every institution takes
-    part in its first round."""
-    (built,), _ = engine_shards(table, geometry, seed, [list(table.counts)])
-    return built
+    """The training rows the engine stores for every institution of the table."""
+    return stored_shards(seed, table, geometry, list(table.counts))[0]
 
 
 def _assert_same_geometry(a, b):
@@ -235,29 +233,25 @@ def _assert_same_shard(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    counts=st.lists(st.integers(1, 25), min_size=1, max_size=14),
+    counts=st.lists(st.integers(1, 25), min_size=11, max_size=14),
     seed=st.integers(0, 2**32 - 1),
     synthetic=st.booleans(),
     data=st.data(),
 )
 def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
-    # Institutions first taking part in any order, in any rounds, over any
-    # subset of the table get the shards an eager pass over the whole table
-    # would have built, and one taking part again keeps its shard.
+    # Institutions stored in any order, over any subset of the table, get
+    # the shards an eager pass over the whole table would have built.
     if synthetic:
         table, geometry = generate_synthetic_cohort(len(counts), 6.0, 0, 1.0, seed=seed)
     else:
-        # inst10 sorts before inst2, so position and id order differ.
+        # With 11 institutions or more, inst10 sorts before inst2, so
+        # position and id order differ.
         table = table_from_counts(counts)
         geometry = synthesize_shards(table, seed=seed)
     expected = _eager_shards(table.counts, seed)
-    participants = st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True)
-    trained, _ = engine_shards(table, geometry, seed, data.draw(st.lists(participants, min_size=1, max_size=3)))
-    first = {}
-    for shards in trained:
-        for inst, shard in shards.items():
-            assert first.setdefault(inst, shard) is shard
-            _assert_same_shard(shard, expected[inst])
+    insts = data.draw(st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True))
+    for inst, shard in stored_shards(seed, table, geometry, insts)[0].items():
+        _assert_same_shard(shard, expected[inst])
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,20 +261,14 @@ def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
     data=st.data(),
 )
 def test_batch_built_shards_match_eager_synthesis(counts, seed, data):
-    # Every planned participant's shard is built in one `make_blob_shards`
-    # call, in the order the rounds first name them, from states of the
-    # engine's one run-wide shard seeding pass; each equals the shard its own
-    # stream gives.
+    # One `make_blob_shards` call builds the training store from states of
+    # the engine's one seeding pass, seeds of one or two words alike; each
+    # institution's rows equal the shard its own stream gives.
     table = table_from_counts(counts)
     expected = _eager_shards(table.counts, seed)
-    participants = st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True)
-    earlier, later = data.draw(participants), data.draw(participants)
-    trained, batches = engine_shards(table, synthesize_shards(table, seed=seed), seed, [earlier, later])
-    pending = [inst for inst in later if inst not in earlier]
-    assert batches == [[table.counts[inst] for inst in earlier + pending]]
-    for shards in trained:
-        for inst, shard in shards.items():
-            _assert_same_shard(shard, expected[inst])
+    insts = data.draw(st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True))
+    for inst, shard in stored_shards(seed, table, synthesize_shards(table, seed=seed), insts)[0].items():
+        _assert_same_shard(shard, expected[inst])
 
 
 # ---------------------------------------------------------------- csv

@@ -27,8 +27,9 @@ from fedpod.engine import (
     sample_timings,
 )
 from fedpod.errors import EmptyCohortError, TrainingDivergenceError, ValidationError
-from fedpod.params import ModelParams, TrainConfig, blob_geometry, make_blob_shard
+from fedpod.params import ModelParams, TrainConfig, make_blob_shard
 from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
+from _helpers import stored_shards
 from _oracle import plan_reference, run_reference, train_local
 
 from dataclasses import replace
@@ -371,7 +372,9 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
     base costs times four scalar log-normal draws from
     `default_rng([seed, _TIMING_SALT, round, node])`, injection included.
     The timings are read where the engine hands them to `detect_stragglers`,
-    with a timeout factor that drops no one."""
+    with a timeout factor that drops no one. It reads the engine's calls,
+    as it pins the perf contract that the roadmap keeps as measured: one
+    column seeding pass a round gives numpy's own per-node streams."""
     profile = fast_timing(jitter_sigma=0.3, inject_round=2, inject_rank=0, inject_factor=4.0, timeout_factor=1e9)
     config = small_config(seed=seed, participation="all", max_rounds=3, timing=profile)
     rounds = []
@@ -379,9 +382,9 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
     real_train_round = engine.train_round
     real_detect_stragglers = engine.detect_stragglers
 
-    def capture(model, jobs, *args):
+    def capture(model, train, val, jobs, *args):
         rounds.append(jobs)
-        return real_train_round(model, jobs, *args)
+        return real_train_round(model, train, val, jobs, *args)
 
     def capture_timings(times, timeout_factor):
         round_timings.append(times.copy())
@@ -393,26 +396,27 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
     node_index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].counts))}
     assert len(rounds) == len(round_timings) == len(report.records) == 3
     for round_index, (jobs, times, record) in enumerate(zip(rounds, round_timings, report.records), start=1):
-        assert [job.node_id for job in jobs] == list(record.participants)
-        assert times.shape == (len(jobs), 4)
+        assert list(jobs.node_ids) == list(record.participants)
+        assert times.shape == (len(jobs.node_ids), 4)
         assert record.dropped == ()
         injected = sorted(record.participants)[0] if round_index == 2 else None
-        for job, row in zip(jobs, times.tolist()):
-            node = node_index[job.node_id]
+        assert jobs.streams.dtype == np.uint64
+        for node_id, stream, quota, val_count, row in zip(
+            jobs.node_ids, jobs.streams.tolist(), jobs.quota.tolist(), jobs.val_count.tolist(), times.tolist()
+        ):
+            node = node_index[node_id]
             key = [seed, engine._TRAIN_SALT, round_index, node]
             training_seed = np.random.SeedSequence(key).generate_state(1, np.uint64)[0]
-            want = np.random.SeedSequence(int(training_seed)).generate_state(4, np.uint64)
-            assert job.stream.dtype == np.uint64 and job.stream.tolist() == want.tolist()
-            quota = job.quota
+            assert stream == np.random.SeedSequence(int(training_seed)).generate_state(4, np.uint64).tolist()
             rng = np.random.default_rng([seed, engine._TIMING_SALT, round_index, node])
             jitter = [float(rng.lognormal(profile.jitter_mu, profile.jitter_sigma)) for _ in range(4)]
             expected = [
                 profile.model_bytes / profile.bandwidth_bps * jitter[0],
-                len(job.val) * profile.per_sample_val_s * jitter[1],
+                val_count * profile.per_sample_val_s * jitter[1],
                 quota * record.epochs * profile.per_sample_train_s * jitter[2],
-                len(job.val) * profile.per_sample_val_s * jitter[3],
+                val_count * profile.per_sample_val_s * jitter[3],
             ]
-            if job.node_id == injected:
+            if node_id == injected:
                 expected = [value * profile.inject_factor for value in expected]
             assert row == expected
 
@@ -705,7 +709,9 @@ def test_only_the_round_survivors_train(
 ):
     """A job for a participant its round drops never reaches `train_round`:
     a `train_round` that diverges on any such job leaves the run as it was,
-    and each round trains its participants minus its dropped, in plan order."""
+    and each round trains its participants minus its dropped, in plan order.
+    It reads the engine's calls, as it pins a perf contract: a dropped
+    straggler is never trained."""
     config = small_config(
         seed=seed,
         cohort=CohortSpec(
@@ -733,13 +739,13 @@ def test_only_the_round_survivors_train(
     trained = []
     real_train_round = engine.train_round
 
-    def diverging_on_the_dropped(model, jobs, *args):
+    def diverging_on_the_dropped(model, train, val, jobs, *args):
         record = records[len(trained)]
-        trained.append([job.node_id for job in jobs])
-        for job in jobs:
-            if job.node_id in record.dropped:
-                raise TrainingDivergenceError(job.node_id, "trained after its round dropped it")
-        return real_train_round(model, jobs, *args)
+        trained.append(list(jobs.node_ids))
+        for node_id in jobs.node_ids:
+            if node_id in record.dropped:
+                raise TrainingDivergenceError(node_id, "trained after its round dropped it")
+        return real_train_round(model, train, val, jobs, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "train_round", diverging_on_the_dropped)
@@ -953,13 +959,13 @@ def test_weights_list_the_survivors_in_participant_order(timeout_factor, jitter_
 
 
 def test_only_participants_get_shards(monkeypatch):
-    # Training and validation shards are built on first use, once each, so a
-    # cohort where few institutions take part synthesizes only theirs. A
+    # It counts the engine's calls, as it pins a perf contract: a cohort
+    # where few institutions take part synthesizes only their data. A
     # shard's stream key, `[seed, salt, index]`, names what it was built for.
     # Shards built in the engine's seeding pass get generators set to a
     # stream's start state, with no seed sequence to read, so a stream is
     # named by matching its start state against `default_rng` of every key.
-    # Training shards are built in batches by `engine.make_blob_shards`, which
+    # Training shards are built in one batch by `engine.make_blob_shards`, which
     # takes each generator just before drawing from it; validation shards and
     # the holdout one by one by `engine.make_blob_shard`.
     config = small_config(
@@ -1001,14 +1007,13 @@ def test_only_participants_get_shards(monkeypatch):
     )
 
 
-def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch, tmp_path):
-    # Before round 1 trains, the engine builds the training and validation
-    # shards of every planned participant in one seeding pass, the training
-    # shards in one `make_blob_shards` call. Each equals `make_blob_shard` on
-    # the stream `default_rng([seed, salt, index])`. A training shard's index
-    # is its institution's position in the table, a validation shard's its
-    # place in id order: the partition CSV lists institutions in reverse id
-    # order, so the two differ.
+def test_round_batch_builds_each_shard_from_its_own_stream(tmp_path):
+    # The engine stores every planned participant's training and validation
+    # rows. Each institution's equal `make_blob_shard` on the stream
+    # `default_rng([seed, salt, index])`: a training shard's index is its
+    # institution's position in the table, a validation shard's its place in
+    # id order. The partition CSV lists institutions in reverse id order, so
+    # the two differ.
     synthetic, _ = generate_synthetic_cohort(30, 10.0, 3, 8.0, seed=1)
     path = tmp_path / "part.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -1016,72 +1021,18 @@ def test_round_batch_builds_each_shard_from_its_own_stream(monkeypatch, tmp_path
         writer.writerow(PARTITION_HEADER)
         for inst in reversed(list(synthetic.counts)):
             writer.writerows([f"{inst}-s{k}", inst] for k in range(synthetic.counts[inst]))
-    config = small_config(
-        cohort=PartitionSource(str(path)),
-        schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
-        max_rounds=4,
-    )
-    table, _ = engine._build_cohort(config)
-    geometry = blob_geometry(config.n_classes, config.feature_dim, config.seed)
+    config = small_config(cohort=PartitionSource(str(path)))
+    table, geometry = engine._build_cohort(config)
     position = {inst: i for i, inst in enumerate(table.counts)}
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
     assert all(position[inst] != node_index[inst] for inst in table.counts)
-
-    def assert_built_from(shard, n, salt, index):
-        want = make_blob_shard(n, geometry, np.random.default_rng([config.seed, salt, index]))
-        assert len(shard) == len(want)
-        assert shard.labels.tobytes() == want.labels.tobytes()
-        assert shard.features.tobytes() == want.features.tobytes()
-
-    # The training shards as built, and as each round's jobs train on them.
-    batches = []
-    trained = []
-    make_train = engine.make_blob_shards
-    train_round = engine.train_round
-
-    def recorded_batch(sizes, geometry, rngs):
-        assert trained == []
-        batches.append(make_train(sizes, geometry, rngs))
-        return batches[-1]
-
-    def recorded_round(model, jobs, *args):
-        trained.append({job.node_id: job.shard for job in jobs})
-        return train_round(model, jobs, *args)
-
-    monkeypatch.setattr(engine, "make_blob_shards", recorded_batch)
-    monkeypatch.setattr(engine, "train_round", recorded_round)
-    # Validation shards, and the holdout, are built one by one by
-    # `engine.make_blob_shard`; each is named by its stream's start state.
-    val_keys = {(engine._HOLDOUT_SALT,): None} | {(_NODE_VAL_SALT, i): inst for inst, i in node_index.items()}
-    inst_of_state = {
-        str(np.random.default_rng([config.seed, *key]).bit_generator.state): inst for key, inst in val_keys.items()
-    }
-    val_built = []
-    make_val = engine.make_blob_shard
-
-    def recorded_val(n, geometry, rng):
-        inst = inst_of_state[str(rng.bit_generator.state)]
-        shard = make_val(n, geometry, rng)
-        if inst is not None:
-            val_built.append((inst, shard))
-        return shard
-
-    monkeypatch.setattr(engine, "make_blob_shard", recorded_val)
-    report = run_experiment(config)
-    taking_part = {inst for record in report.records for inst in record.participants}
-
-    # One batch for the run, a shard for each participant in the order the
-    # rounds first name them; every job trains on its institution's shard.
-    assert len(trained) == len(report.records) == 4
-    (batch,) = batches
-    built_train = list(dict.fromkeys(inst for jobs in trained for inst in jobs))
-    assert len(batch) == len(built_train)
-    kept = dict(zip(built_train, batch))
-    for jobs in trained:
-        assert all(jobs[inst] is kept[inst] for inst in jobs)
-    for inst in built_train:
-        assert_built_from(kept[inst], table.counts[inst], engine._SHARD_SALT, position[inst])
-    for inst, shard in val_built:
-        assert_built_from(shard, _val_size(table.counts[inst]), _NODE_VAL_SALT, node_index[inst])
-    # Every participant's shards came from the seeding pass, each once.
-    assert sorted(built_train) == sorted(inst for inst, _ in val_built) == sorted(taking_part)
+    insts = [inst for i, inst in enumerate(sorted(table.counts)) if i % 3 != 1]
+    for kind, salt, index, size in (
+        (0, engine._SHARD_SALT, position, table.counts.get),
+        (1, _NODE_VAL_SALT, node_index, lambda inst: _val_size(table.counts[inst])),
+    ):
+        stored = stored_shards(config.seed, table, geometry, insts)[kind]
+        for inst in insts:
+            want = make_blob_shard(size(inst), geometry, np.random.default_rng([config.seed, salt, index[inst]]))
+            assert stored[inst].labels.tobytes() == want.labels.tobytes()
+            assert stored[inst].features.tobytes() == want.features.tobytes()

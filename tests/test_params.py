@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import build_update, stream, take
+from _helpers import build_update, take
 from _oracle import _logits, _mean_cross_entropy, trapezoid
 from fedpod.aggregation import aggregate
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
@@ -16,14 +16,12 @@ from fedpod.params import (
     ModelParams,
     RoundUpdates,
     TrainConfig,
-    TrainJob,
     blob_geometry,
     dice_score,
     make_blob_shard,
     make_blob_shards,
     predict_labels,
     train_local,
-    train_round,
 )
 from fedpod.streams import generators, seed_states
 
@@ -135,9 +133,9 @@ def _shard(n, n_classes=3, feature_dim=4, seed=0):
 
 
 def _cost(model, shard):
-    """The validation cost `train_round` reports for `model` on `shard`
+    """The validation cost `train_local` reports for `model` on `shard`
     before training, clipped at 0."""
-    return float(train_round(model, [TrainJob("n", shard, shard, stream(0))], 1, 1e-3, 8).costs[0, 0])
+    return float(train_local(model, shard, shard, TrainConfig(1, 1e-3, 0, 8), node_id="n").costs[0, 0])
 
 
 def test_uniform_model_cost_is_log_n_classes():
@@ -514,24 +512,26 @@ def test_blob_shard_draws_as_choice_with_priors(n_classes, feature_dim, seed, n)
 
 def _assert_batch_matches_one_by_one(sizes, geometry, seed):
     """`make_blob_shards` from generators re-set per stream, as the engine's
-    seeding pass makes them, equals `make_blob_shard` of each stream alone,
-    and the choice-and-noise formula of each stream."""
-    rows = [(seed, i) for i in range(len(sizes))]
-    shards = make_blob_shards(sizes, geometry, generators(seed_states([((seed,), np.arange(len(sizes)))])))
-    assert len(shards) == len(sizes)
-    for n, row, shard in zip(sizes, rows, shards):
-        want = make_blob_shard(n, geometry, np.random.default_rng(row))
-        assert len(shard) == n
-        assert shard.labels.dtype == np.int64 and shard.labels.tobytes() == want.labels.tobytes()
-        assert shard.features.dtype == np.float64 and shard.features.tobytes() == want.features.tobytes()
-        rng = np.random.default_rng(row)
+    seeding pass makes them, lays the shards back to back in one read-only
+    store: each shard's rows equal `make_blob_shard` of its stream alone,
+    and the choice-and-noise formula of that stream."""
+    store = make_blob_shards(sizes, geometry, generators(seed_states([((seed,), np.arange(len(sizes)))])))
+    assert len(store) == sum(sizes)
+    assert store.labels.dtype == np.int64 and store.features.dtype == np.float64
+    lo = 0
+    for i, n in enumerate(sizes):
+        labels, features = store.labels[lo : lo + n], store.features[lo : lo + n]
+        want = make_blob_shard(n, geometry, np.random.default_rng((seed, i)))
+        assert labels.tobytes() == want.labels.tobytes() and features.tobytes() == want.features.tobytes()
+        rng = np.random.default_rng((seed, i))
         labels = rng.choice(geometry.n_classes, size=n, p=geometry.class_probs)
         noise = rng.standard_normal((n, geometry.centers.shape[1]))
-        assert shard.features.tobytes() == (geometry.centers[labels] + geometry.scales[labels] * noise).tobytes()
-        for array in (shard.features, shard.labels):
-            assert not array.flags.writeable and not array.base.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0
+        assert features.tobytes() == (geometry.centers[labels] + geometry.scales[labels] * noise).tobytes()
+        lo += n
+    for array in (store.features, store.labels):
+        assert not array.flags.writeable and array.base is None
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -561,7 +561,8 @@ def test_blob_shard_batches_across_chunk_edges(sizes):
 
 
 def test_empty_blob_shard_batch_builds_nothing():
-    assert make_blob_shards([], blob_geometry(4, 8, 3), iter(())) == []
+    store = make_blob_shards([], blob_geometry(4, 8, 3), iter(()))
+    assert len(store) == 0 and store.features.shape == (0, 8)
 
 
 def test_blob_shard_batch_checks_sizes_and_streams():

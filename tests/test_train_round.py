@@ -1,15 +1,13 @@
 """`train_round` against its oracle: the sequential `train_local` of
 `tests/_oracle.py` run node by node."""
 
-from itertools import repeat
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import stacked_cost, stacked_gradient, stream, take
-from _oracle import StreamSeed, _mean_cross_entropy, step_plan, step_ranges, train_local
+from _helpers import Job, lay_out, stacked_gradient, stream, take
+from _oracle import StreamSeed, step_plan, step_ranges, train_local
 from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
@@ -17,13 +15,12 @@ from fedpod.params import (
     _GATHER_ROWS,
     DataShard,
     ModelParams,
+    RoundJobs,
     TrainConfig,
-    TrainJob,
-    _classifier_dims,
     _step_plan,
     _train_block,
     blob_geometry,
-    make_blob_shards,
+    make_blob_shard,
     train_round,
 )
 
@@ -37,10 +34,16 @@ def shard(rng, n, scale=1.0):
     return DataShard(scale * rng.standard_normal((n, FEATURE_DIM)), labels)
 
 
+def blob_shards(sizes, geometry, rng):
+    """A shard of each size, drawn one after another from `rng`."""
+    return [make_blob_shard(n, geometry, rng) for n in sizes]
+
+
 def window_rows(job):
     """The rows of `job`'s window, in order, computed in plain Python. A
-    quota given as None is the whole shard's length by now."""
-    return [(job.offset + k) % len(job.shard) for k in range(job.quota)]
+    quota of None is the whole shard."""
+    quota = len(job.shard) if job.quota is None else job.quota
+    return [(job.offset + k) % len(job.shard) for k in range(quota)]
 
 
 def window_of(job):
@@ -75,7 +78,7 @@ def assert_bit_identical(batched, reference):
 
 
 def check(start, jobs, epochs, learning_rate, batch_size):
-    batched = train_round(start, jobs, epochs, learning_rate, batch_size)
+    batched = train_round(start, *lay_out(jobs), epochs, learning_rate, batch_size)
     assert_bit_identical(batched, sequential(start, jobs, epochs, learning_rate, batch_size))
 
 
@@ -93,7 +96,7 @@ def seeded_rounds(draw):
         quota = draw(st.one_of(st.none(), st.integers(1, n)))
         val = shard(rng, draw(st.integers(1, 12)))
         seeds.append(draw(st.integers(0, 2**64 - 1)))
-        jobs.append(TrainJob(f"node{k}", data, val, stream(seeds[-1]), offset, quota))
+        jobs.append(Job(f"node{k}", data, val, stream(seeds[-1]), offset, quota))
     start = ModelParams(0.3 * rng.standard_normal(DIM))
     epochs = draw(st.integers(1, 4))
     learning_rate = draw(st.sampled_from([1e-3, 0.05, 0.5]))
@@ -124,14 +127,14 @@ def test_edge_shapes_match_train_local():
     start = ModelParams(0.1 * rng.standard_normal(DIM))
     big = shard(rng, 23)
     jobs = [
-        TrainJob("one-sample", shard(rng, 1), shard(rng, 5), stream(1)),
-        TrainJob("last-batch-of-one", shard(rng, 17), shard(rng, 5), stream(2)),  # 17 = 2 * 8 + 1
-        TrainJob("wrapping-window", big, shard(rng, 7), stream(3), 18, 12),
-        TrainJob("full-batches", shard(rng, 16), shard(rng, 7), stream(4)),
-        TrainJob("same-shard-whole", big, shard(rng, 1), stream(5)),
-        TrainJob("inner-window", big, shard(rng, 3), stream(6), 4, 11),
-        TrainJob("window-to-the-last-row", big, shard(rng, 3), stream(7), 12, 11),
-        TrainJob("rotated-whole-shard", big, shard(rng, 2), stream(8), 5),
+        Job("one-sample", shard(rng, 1), shard(rng, 5), stream(1)),
+        Job("last-batch-of-one", shard(rng, 17), shard(rng, 5), stream(2)),  # 17 = 2 * 8 + 1
+        Job("wrapping-window", big, shard(rng, 7), stream(3), 18, 12),
+        Job("full-batches", shard(rng, 16), shard(rng, 7), stream(4)),
+        Job("same-shard-whole", big, shard(rng, 1), stream(5)),
+        Job("inner-window", big, shard(rng, 3), stream(6), 4, 11),
+        Job("window-to-the-last-row", big, shard(rng, 3), stream(7), 12, 11),
+        Job("rotated-whole-shard", big, shard(rng, 2), stream(8), 5),
     ]
     check(start, jobs, 3, 0.05, 8)
     check(start, jobs, 2, 0.05, 1)
@@ -145,9 +148,9 @@ def test_train_round_matches_train_local_at_workload_scale(n_jobs, epochs, seed)
     # sizes, so most SGD steps and validation groups stack past `_WIDE_ROWS`.
     rng = np.random.default_rng(seed)
     geometry = blob_geometry(4, 8, seed % 1000)
-    train = make_blob_shards(np.maximum(rng.poisson(30, n_jobs), 1).tolist(), geometry, repeat(rng, n_jobs))
-    val = make_blob_shards(rng.integers(8, 11, n_jobs).tolist(), geometry, repeat(rng, n_jobs))
-    jobs = [TrainJob(f"n{k:03d}", t, v, stream(seed + k)) for k, (t, v) in enumerate(zip(train, val))]
+    train = blob_shards(np.maximum(rng.poisson(30, n_jobs), 1).tolist(), geometry, rng)
+    val = blob_shards(rng.integers(8, 11, n_jobs).tolist(), geometry, rng)
+    jobs = [Job(f"n{k:03d}", t, v, stream(seed + k)) for k, (t, v) in enumerate(zip(train, val))]
     check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
 
 
@@ -160,12 +163,12 @@ def test_train_round_matches_train_local_at_deep_local_scale(epochs, n_whole):
     # hundreds of sequential steps, stacked no wider than `_WIDE_ROWS`.
     rng = np.random.default_rng(23 + epochs)
     geometry = blob_geometry(4, 8, 23)
-    windowed = make_blob_shards([10_000] * 3, geometry, repeat(rng, 3))
-    whole = make_blob_shards(rng.integers(950, 1_050, n_whole).tolist(), geometry, repeat(rng, n_whole))
-    val = make_blob_shards(rng.integers(8, 65, 3 + n_whole).tolist(), geometry, repeat(rng, 3 + n_whole))
+    windowed = blob_shards([10_000] * 3, geometry, rng)
+    whole = blob_shards(rng.integers(950, 1_050, n_whole).tolist(), geometry, rng)
+    val = blob_shards(rng.integers(8, 65, 3 + n_whole).tolist(), geometry, rng)
     windows = [(int(rng.integers(10_000)), int(rng.integers(1_400, 1_500))) for _ in windowed]
     jobs = [
-        TrainJob(f"n{k}", data, v, stream(int(rng.integers(2**63))), *window)
+        Job(f"n{k}", data, v, stream(int(rng.integers(2**63))), *window)
         for k, (data, v, window) in enumerate(zip(windowed + whole, val, windows + [(0, None)] * n_whole))
     ]
     check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
@@ -177,11 +180,11 @@ def unequal_runs_round(rng):
     runs of unequal length."""
     sizes = [153, 611, 1342, 2005, 2891]
     geometry = blob_geometry(N_CLASSES, FEATURE_DIM, 31)
-    train = make_blob_shards(sizes, geometry, repeat(rng, len(sizes)))
-    val = make_blob_shards([5, 9, 7, 5, 11], geometry, repeat(rng, len(sizes)))
+    train = blob_shards(sizes, geometry, rng)
+    val = blob_shards([5, 9, 7, 5, 11], geometry, rng)
     _, runs = _step_plan(np.array(sizes), 9)
     assert len({end - first for first, end, _ in runs}) >= 3
-    return [TrainJob(f"n{k}", t, v, stream(40 + k)) for k, (t, v) in enumerate(zip(train, val))]
+    return [Job(f"n{k}", t, v, stream(40 + k)) for k, (t, v) in enumerate(zip(train, val))]
 
 
 def test_reused_run_buffers_across_unequal_gather_runs_match_train_local():
@@ -201,7 +204,7 @@ def test_divergence_in_the_last_gather_run_is_found_by_the_replay():
     big = jobs[-1]
     features = big.shard.features.copy()
     features[np.random.default_rng(StreamSeed(big.stream)).permutation(len(features))[-1]] *= 1e300
-    jobs[-1] = TrainJob(big.node_id, DataShard(features, big.shard.labels), big.val, big.stream)
+    jobs[-1] = Job(big.node_id, DataShard(features, big.shard.labels), big.val, big.stream)
     got = check_with_divergence(ModelParams(0.1 * rng.standard_normal(DIM)), jobs, 2, 1e10, 9)
     assert got == "training diverged on node 'n4': gradient at epoch 1"
 
@@ -249,23 +252,24 @@ def test_negative_seed_raises_like_default_rng():
     ids=["3 words", "5 words", "int64 words", "2x2 words", "a list of ints", "an int seed"],
 )
 def test_a_stream_that_is_not_4_uint64_words_is_refused(bad):
-    rng = np.random.default_rng(18)
-    good = TrainJob("good", shard(rng, 4), shard(rng, 3), stream(1))
-    for jobs in ([TrainJob("bad", shard(rng, 4), shard(rng, 3), bad)], [good, TrainJob("bad", good.shard, good.val, bad)]):
+    # The streams column of one job, and of two jobs where the other's is good.
+    with pytest.raises(ShapeError, match="^each job's stream must be 4 uint64 words$"):
+        RoundJobs(("bad",), [0], [4], [0], [3], [0], [4], [bad])
+    if np.shape(bad) == (4,):
         with pytest.raises(ShapeError, match="^each job's stream must be 4 uint64 words$"):
-            train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
+            RoundJobs(("good", "bad"), [0, 4], [4, 4], [0, 3], [3, 3], [0, 0], [4, 4], [stream(1), bad])
 
 
 def test_many_jobs_span_several_blocks():
     rng = np.random.default_rng(4)
-    jobs = [TrainJob(f"n{k:03d}", shard(rng, 1 + k % 7), shard(rng, 2 + k % 3), stream(k)) for k in range(300)]
+    jobs = [Job(f"n{k:03d}", shard(rng, 1 + k % 7), shard(rng, 2 + k % 3), stream(k)) for k in range(300)]
     check(ModelParams.zeros(DIM), jobs, 2, 0.05, 4)
 
 
 def test_updates_share_one_read_only_block():
     rng = np.random.default_rng(16)
-    jobs = [TrainJob(f"n{k}", shard(rng, 3 + k), shard(rng, 2), stream(k)) for k in range(5)]
-    updates = train_round(ModelParams.zeros(DIM), jobs, 2, 0.05, 4)
+    jobs = [Job(f"n{k}", shard(rng, 3 + k), shard(rng, 2), stream(k)) for k in range(5)]
+    updates = train_round(ModelParams.zeros(DIM), *lay_out(jobs), 2, 0.05, 4)
     assert updates.params.shape == (5, DIM) and updates.costs.shape == (3, 5)
     for array in (updates.params, updates.sizes, updates.costs):
         # Neither the column nor any array it views can be written through.
@@ -277,7 +281,9 @@ def test_updates_share_one_read_only_block():
 
 
 def test_no_jobs_trains_nothing():
-    updates = train_round(ModelParams.zeros(DIM), [], 1, 0.1, 4)
+    empty = RoundJobs((), [], [], [], [], [], [], np.empty((0, 4), np.uint64))
+    store = shard(np.random.default_rng(0), 1)
+    updates = train_round(ModelParams.zeros(DIM), store, store, empty, 1, 0.1, 4)
     assert len(updates) == 0 and updates.params.shape == (0, DIM) and updates.costs.shape == (2, 0)
 
 
@@ -285,12 +291,12 @@ def test_divergence_names_first_diverging_job_in_plan_order():
     rng = np.random.default_rng(5)
     start = ModelParams.zeros(DIM)
     jobs = [
-        TrainJob("calm-a", shard(rng, 9), shard(rng, 4), stream(1)),
+        Job("calm-a", shard(rng, 9), shard(rng, 4), stream(1)),
         # One step per epoch: logits overflow on the second step.
-        TrainJob("late", shard(rng, 4, scale=1e150), shard(rng, 4), stream(2)),
-        TrainJob("calm-b", shard(rng, 12), shard(rng, 4), stream(3), 10, 4),
+        Job("late", shard(rng, 4, scale=1e150), shard(rng, 4), stream(2)),
+        Job("calm-b", shard(rng, 12), shard(rng, 4), stream(3), 10, 4),
         # The very first update overflows the parameters.
-        TrainJob("early", shard(rng, 4, scale=1e300), shard(rng, 4), stream(4)),
+        Job("early", shard(rng, 4, scale=1e300), shard(rng, 4), stream(4)),
     ]
     epochs, learning_rate, batch_size = 3, 1e10, 4
     messages = {}
@@ -304,7 +310,7 @@ def test_divergence_names_first_diverging_job_in_plan_order():
         "early": "training diverged on node 'early': parameters at epoch 1",
     }
     with pytest.raises(TrainingDivergenceError) as err:
-        train_round(start, jobs, epochs, learning_rate, batch_size)
+        train_round(start, *lay_out(jobs), epochs, learning_rate, batch_size)
     assert err.value.node_id == "late"
     assert str(err.value) == messages["late"]
 
@@ -312,23 +318,56 @@ def test_divergence_names_first_diverging_job_in_plan_order():
 def test_inputs_are_checked():
     rng = np.random.default_rng(6)
     start = ModelParams.zeros(DIM)
-    job = TrainJob("n", shard(rng, 5), shard(rng, 3), stream(0))
+    job = Job("n", shard(rng, 5), shard(rng, 3), stream(0))
+    train, val, columns = lay_out([job])
     with pytest.raises(ValidationError):
-        train_round(start, [job], 0, 0.1, 4)
+        train_round(start, train, val, columns, 0, 0.1, 4)
     with pytest.raises(ValidationError):
-        train_round(start, [job], 1, 0.1, 0)
+        train_round(start, train, val, columns, 1, 0.1, 0)
     with pytest.raises(ValidationError, match="learning_rate must be finite"):
-        train_round(start, [job], 1, np.inf, 4)
-    other_dim = DataShard(np.zeros((2, 2)), np.zeros(2, dtype=int))
-    with pytest.raises(ShapeError):
-        train_round(start, [job, TrainJob("m", other_dim, job.val, job.stream)], 1, 0.1, 4)
+        train_round(start, train, val, columns, 1, np.inf, 4)
+    # Stores of a feature dim the other store or the model does not share.
+    other_dim = DataShard(np.zeros((5, 3)), np.zeros(5, dtype=int))
+    for stores in ((other_dim, val), (train, other_dim), (other_dim, other_dim)):
+        with pytest.raises(ShapeError):
+            train_round(start, *stores, columns, 1, 0.1, 4)
+    # A job's rows past the end of either store, before its start or empty.
+    bad_rows = [(shard(rng, 4), val, columns), (train, shard(rng, 2), columns)]
+    for rows in ([-1, 5, 0, 3], [0, 5, -1, 3], [0, 5, 0, 0]):
+        bad_rows.append((train, val, RoundJobs(("n",), *([row] for row in rows), [0], [5], [stream(0)])))
+    for case in bad_rows:
+        with pytest.raises(ValidationError, match="^job 'n': its rows are not all inside the stores$"):
+            train_round(start, *case, 1, 0.1, 4)
+    # A label out of range in a job's rows, and one that no job reads.
     bad_label = DataShard(np.zeros((2, FEATURE_DIM)), np.array([0, N_CLASSES]))
     with pytest.raises(ValidationError, match="out of range"):
-        train_round(start, [TrainJob("m", bad_label, job.val, job.stream)], 1, 0.1, 4)
+        train_round(start, *lay_out([Job("m", bad_label, job.val, job.stream)]), 1, 0.1, 4)
+    unread = DataShard(np.vstack([train.features, bad_label.features]), np.append(train.labels, bad_label.labels))
+    train_round(start, unread, val, columns, 1, 0.1, 4)
+    # The columns: windows inside each job's rows, and store places and counts.
     for offset, quota in ((0, 0), (5, 1), (-1, 2), (1, 6)):
         with pytest.raises(ValidationError) as err:
-            train_round(start, [job, TrainJob("m", job.shard, job.val, job.stream, offset, quota)], 1, 0.1, 4)
+            lay_out([job, Job("m", job.shard, job.val, job.stream, offset, quota)])
         assert str(err.value) == f"job 'm': window of {quota} at {offset} is outside its 5 rows"
+    with pytest.raises(ShapeError, match="^every job column must hold one entry per node, 2 nodes$"):
+        RoundJobs(("n", "m"), [0], [5], [0], [3], [0], [5], [stream(0), stream(1)])
+    with pytest.raises(ValueError):  # columns of unequal lengths do not stack
+        RoundJobs(("n", "m"), [0, 5], [5, 5], [0], [3], [0, 0], [5, 5], [stream(0), stream(1)])
+
+
+def test_a_window_wraps_within_its_own_rows_of_a_shared_store():
+    # Two institutions' rows lie next to each other in one training store.
+    # The first's window of 4 at row 3 of its 5 rows wraps to its own rows 0
+    # and 1: the modulo is its row count, not the store's length.
+    rng = np.random.default_rng(20)
+    jobs = [
+        Job("wraps", shard(rng, 5), shard(rng, 3), stream(1), 3, 4),
+        Job("next", shard(rng, 6), shard(rng, 3), stream(2)),
+    ]
+    train, _, columns = lay_out(jobs)
+    assert len(train) == 11 and columns.train_start.tolist() == [0, 5]
+    assert window_rows(jobs[0]) == [3, 4, 0, 1]
+    check(ModelParams(0.1 * rng.standard_normal(DIM)), jobs, 3, 0.05, 2)
 
 
 def test_windows_wrap_and_refuse_a_quota_above_the_shard():
@@ -336,14 +375,14 @@ def test_windows_wrap_and_refuse_a_quota_above_the_shard():
     # in that order, and one of 4 rows on a 3-row shard is refused.
     rng = np.random.default_rng(17)
     data, val = shard(rng, 5), shard(rng, 3)
-    job = TrainJob("n", data, val, stream(9), 3, 4)
+    job = Job("n", data, val, stream(9), 3, 4)
     assert window_rows(job) == [3, 4, 0, 1]
     rows = DataShard(data.features[[3, 4, 0, 1]], data.labels[[3, 4, 0, 1]])
     want = train_local(ModelParams.zeros(DIM), rows, val, TrainConfig(3, 0.05, 9, 2), node_id="n")
-    assert_bit_identical(train_round(ModelParams.zeros(DIM), [job], 3, 0.05, 2), [want])
-    small = TrainJob("small", shard(rng, 3), val, stream(9), 0, 4)
+    assert_bit_identical(train_round(ModelParams.zeros(DIM), *lay_out([job]), 3, 0.05, 2), [want])
+    small = Job("small", shard(rng, 3), val, stream(9), 0, 4)
     with pytest.raises(ValidationError, match="^job 'small': window of 4 at 0 is outside its 3 rows$"):
-        train_round(ModelParams.zeros(DIM), [small], 1, 0.1, 4)
+        lay_out([small])
 
 
 def first_error(start, jobs, epochs, learning_rate, batch_size):
@@ -363,7 +402,7 @@ def check_with_divergence(start, jobs, epochs, learning_rate, batch_size):
         check(start, jobs, epochs, learning_rate, batch_size)
         return None
     with pytest.raises(TrainingDivergenceError) as err:
-        train_round(start, jobs, epochs, learning_rate, batch_size)
+        train_round(start, *lay_out(jobs), epochs, learning_rate, batch_size)
     assert (err.value.node_id, str(err.value)) == want
     return want[1]
 
@@ -383,7 +422,7 @@ def diverging_rounds(draw):
             data = scaled(data, 10.0 ** draw(st.integers(100, 300)))
         if draw(st.integers(0, 3)) == 0:
             val = scaled(val, 10.0 ** draw(st.integers(300, 308)))
-        out.append(TrainJob(job.node_id, data, val, job.stream, job.offset, job.quota))
+        out.append(Job(job.node_id, data, val, job.stream, job.offset, job.quota))
     learning_rate = draw(st.sampled_from([0.05, 1.0, 1e10, 1e100]))
     return start, out, epochs, learning_rate, batch_size
 
@@ -397,11 +436,11 @@ def test_divergence_matches_train_local_first_error(case):
 def test_divergence_across_blocks_names_first_job_in_plan_order():
     rng = np.random.default_rng(12)
     start = ModelParams(0.1 * rng.standard_normal(DIM))
-    calm = [TrainJob(f"n{k:03d}", shard(rng, 5 + k % 5), shard(rng, 3), stream(k)) for k in range(2 * _BLOCK_NODES + 5)]
+    calm = [Job(f"n{k:03d}", shard(rng, 5 + k % 5), shard(rng, 3), stream(k)) for k in range(2 * _BLOCK_NODES + 5)]
     # The smallest job trains in the first block and the largest in the last;
     # the first diverges in a later epoch than the second.
-    late = TrainJob("late", shard(rng, 4, scale=1e150), shard(rng, 3), stream(1))
-    early = TrainJob("early", shard(rng, 40, scale=1e300), shard(rng, 3), stream(2))
+    late = Job("late", shard(rng, 4, scale=1e150), shard(rng, 3), stream(1))
+    early = Job("early", shard(rng, 40, scale=1e300), shard(rng, 3), stream(2))
     assert first_error(start, [late], 3, 1e10, 4)[1] == "training diverged on node 'late': gradient at epoch 2"
     assert first_error(start, [early], 3, 1e10, 4)[1] == "training diverged on node 'early': parameters at epoch 1"
     for first, second in ((late, early), (early, late)):
@@ -411,8 +450,8 @@ def test_divergence_across_blocks_names_first_job_in_plan_order():
 
 def test_non_finite_validation_cost_names_the_node():
     rng = np.random.default_rng(13)
-    calm = TrainJob("calm", shard(rng, 6), shard(rng, 3), stream(1))
-    job = TrainJob("overflowing-val", shard(rng, 6), scaled(shard(rng, 3), 1.7e308), stream(2))
+    calm = Job("calm", shard(rng, 6), shard(rng, 3), stream(1))
+    job = Job("overflowing-val", shard(rng, 6), scaled(shard(rng, 3), 1.7e308), stream(2))
     # A unit-scale model overflows the validation logits before training; the
     # zero model's logits are its biases until the first epoch moves its weights.
     for start, epoch in ((ModelParams(rng.standard_normal(DIM)), 0), (ModelParams.zeros(DIM), 1)):
@@ -455,26 +494,6 @@ def assert_steps_match_flatnonzero_grouping(sizes, batch_size):
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=12), st.integers(1, 9))
 def test_step_ranges_match_flatnonzero_grouping(sizes, batch_size):
     assert_steps_match_flatnonzero_grouping(np.sort(np.array(sizes)), batch_size)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 70), st.sampled_from([1.0, 1e10]), st.integers(0, 2**32 - 1))
-def test_stacked_cost_matches_the_one_model_oracle_bitwise(k, size, feature_scale, seed):
-    """Clipped at 0, each slice is the oracle's cost, bit for bit; with
-    overflowing models the non-finite costs sit in the same places."""
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((k, DIM)) * rng.choice([1.0, 1e300], size=(k, 1))
-    features = feature_scale * rng.standard_normal((k, size, FEATURE_DIM))
-    labels = rng.integers(0, N_CLASSES, size=(k, size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = np.array([max(c, 0.0) for c in stacked_cost(values, features, labels, N_CLASSES, FEATURE_DIM).tolist()])
-    want = np.array(
-        [_mean_cross_entropy(values[i], DataShard(features[i], labels[i]), N_CLASSES, FEATURE_DIM) for i in range(k)]
-    )
-    finite = np.isfinite(want)
-    assert np.isfinite(got).tolist() == finite.tolist()
-    assert got[finite].tobytes() == want[finite].tobytes()
-    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -534,30 +553,24 @@ def test_step_plan_matches_the_per_step_oracle(plan):
 
 def test_train_block_rejects_jobs_out_of_size_order():
     rng = np.random.default_rng(14)
-    jobs = [TrainJob("big", shard(rng, 5), shard(rng, 3), stream(1)), TrainJob("small", shard(rng, 4), shard(rng, 3), stream(2))]
-    states = np.array([job.stream for job in jobs])
+    jobs = [Job("big", shard(rng, 5), shard(rng, 3), stream(1)), Job("small", shard(rng, 4), shard(rng, 3), stream(2))]
     with pytest.raises(ValidationError, match="sorted by training size"):
-        _train_block(ModelParams.zeros(DIM), jobs, states, 1, 0.1, 4)
+        _train_block(ModelParams.zeros(DIM), *lay_out(jobs), np.arange(2), 1, 0.1, 4)
 
 
-def per_job_input_error(start, jobs):
-    """(type, str) of the first input error of checking job by job in `jobs`
-    order, after the model against the first job's validation shard, or None.
-    A job's training labels are checked over its window's rows only."""
-    try:
-        n_classes, feature_dim = _classifier_dims(start, jobs[0].val)
-        for job in jobs:
-            if job.shard.feature_dim != feature_dim or job.val.feature_dim != feature_dim:
-                raise ShapeError(f"job {job.node_id!r}: shards must share feature dim {feature_dim}")
-            _classifier_dims(start, job.val)
-            n, offset, quota = len(job.shard), job.offset, job.quota
-            if not (0 <= offset < n and 1 <= quota <= n):
-                raise ValidationError(f"job {job.node_id!r}: window of {quota} at {offset} is outside its {n} rows")
-            labels = job.shard.labels[window_rows(job)]
-            if int(labels.max()) >= n_classes:
-                raise ValidationError(f"label {int(labels.max())} out of range for {n_classes} classes")
-    except (ShapeError, ValidationError) as exc:
-        return type(exc), str(exc)
+def per_job_input_error(jobs):
+    """`str` of the first input error of checking job by job in `jobs`
+    order, or None: first every window inside its shard, then each job's
+    validation labels and its window's training labels. A label in no
+    job's window is not read."""
+    for job in jobs:
+        n, quota = len(job.shard), len(window_rows(job))
+        if not (0 <= job.offset < n and 1 <= quota <= n):
+            return f"job {job.node_id!r}: window of {quota} at {job.offset} is outside its {n} rows"
+    for job in jobs:
+        for labels in (job.val.labels, job.shard.labels[window_rows(job)]):
+            if labels.max() >= N_CLASSES:
+                return f"label {labels.max()} out of range for {N_CLASSES} classes"
     return None
 
 
@@ -566,8 +579,6 @@ def per_job_input_error(start, jobs):
 # above the shard. "window" is a valid window drawn from the job's stream,
 # which may leave a bad training label in the last row outside it.
 FAULTS = (
-    "train-dim",
-    "val-dim",
     "empty",
     "train-label",
     "val-label",
@@ -583,10 +594,6 @@ def faulty_job(rng, node_id, faults, bad_label):
     n = 6
     data, val = shard(rng, n), shard(rng, 3)
     offset, quota = (int(rng.integers(n)), int(rng.integers(1, n + 1))) if "window" in faults else (0, None)
-    if "train-dim" in faults:
-        data = DataShard(rng.standard_normal((n, FEATURE_DIM + 1)), data.labels)
-    if "val-dim" in faults:
-        val = DataShard(rng.standard_normal((3, FEATURE_DIM + 1)), val.labels)
     if "train-label" in faults:
         data = DataShard(data.features, np.append(data.labels[:-1], bad_label))
     if "val-label" in faults:
@@ -599,7 +606,7 @@ def faulty_job(rng, node_id, faults, bad_label):
         offset = -1
     if "quota-past" in faults:
         quota = n + 1
-    return TrainJob(node_id, data, val, stream(0), offset, quota)
+    return Job(node_id, data, val, stream(0), offset, quota)
 
 
 @settings(max_examples=150, deadline=None)
@@ -608,33 +615,32 @@ def faulty_job(rng, node_id, faults, bad_label):
     st.integers(0, 2**32 - 1),
 )
 def test_input_errors_match_the_per_job_checks(faults, seed):
-    # With several jobs bad at once, `train_round` raises the error that
-    # checking job by job raises, for the same first job.
+    # With several jobs bad at once, building the round's columns or
+    # training it raises the error that checking job by job raises, for the
+    # same first job.
     rng = np.random.default_rng(seed)
     jobs = [faulty_job(rng, f"n{k}", job_faults, N_CLASSES + k) for k, job_faults in enumerate(faults)]
-    want = per_job_input_error(ModelParams.zeros(DIM), jobs)
+    want = per_job_input_error(jobs)
     if want is None:
-        train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
+        train_round(ModelParams.zeros(DIM), *lay_out(jobs), 1, 0.1, 4)
         return
-    with pytest.raises(want[0]) as err:
-        train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
-    assert str(err.value) == want[1]
+    with pytest.raises(ValidationError) as err:
+        train_round(ModelParams.zeros(DIM), *lay_out(jobs), 1, 0.1, 4)
+    assert str(err.value) == want
 
 
 @pytest.mark.parametrize(
     ("first", "second", "message"),
     [
-        ("train-dim", "train-dim", "job 'b': shards must share feature dim 4"),
-        ("val-dim", "empty", "job 'b': shards must share feature dim 4"),
         ("empty", "empty", "job 'b': window of 0 at 0 is outside its 6 rows"),
-        ("empty", "val-dim", "job 'b': window of 0 at 0 is outside its 6 rows"),
+        ("empty", "val-label", "job 'b': window of 0 at 0 is outside its 6 rows"),
         ("train-label", "train-label", "label 4 out of range for 3 classes"),
         ("train-label", "val-label", "label 4 out of range for 3 classes"),
         ("val-label", "val-label", "label 4 out of range for 3 classes"),
-        ("val-label", "row-outside", "label 4 out of range for 3 classes"),
+        ("val-label", "row-outside", "job 'd': window of 6 at 6 is outside its 6 rows"),
         ("row-outside", "train-label", "job 'b': window of 6 at 6 is outside its 6 rows"),
         ("quota-past", "empty", "job 'b': window of 7 at 0 is outside its 6 rows"),
-        ("val-label", "quota-past", "label 4 out of range for 3 classes"),
+        ("val-label", "quota-past", "job 'd': window of 7 at 0 is outside its 6 rows"),
     ],
 )
 def test_input_error_names_the_first_bad_job(first, second, message):
@@ -645,8 +651,8 @@ def test_input_error_names_the_first_bad_job(first, second, message):
         faulty_job(rng, "c", (), 0),
         faulty_job(rng, "d", {second}, N_CLASSES + 2),
     ]
-    with pytest.raises((ShapeError, ValidationError)) as err:
-        train_round(ModelParams.zeros(DIM), jobs, 1, 0.1, 4)
+    with pytest.raises(ValidationError) as err:
+        train_round(ModelParams.zeros(DIM), *lay_out(jobs), 1, 0.1, 4)
     assert str(err.value) == message
 
 
@@ -664,5 +670,5 @@ def test_a_batch_past_the_largest_job_takes_the_steps_of_one_that_size(batch_siz
         for lo, hi, length, row_lo, row_hi in steps
     ]
     rng = np.random.default_rng(19)
-    jobs = [TrainJob(f"n{k}", shard(rng, n), shard(rng, 3), stream(k)) for k, n in enumerate(sizes.tolist())]
+    jobs = [Job(f"n{k}", shard(rng, n), shard(rng, 3), stream(k)) for k, n in enumerate(sizes.tolist())]
     check(ModelParams(0.1 * rng.standard_normal(DIM)), jobs, 2, 0.05, batch_size)
