@@ -358,9 +358,9 @@ def _plan_run(
     next round, and a primary's window moves on by its quota. One
     `seed_states` call a round makes each participant's training seed
     (`SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
-    np.uint64)`, which the training pass hashes into its stream) and timing
-    stream, keyed by node index: keys of one width, so one pass. A dropped
-    straggler never trains, so only the survivors' seeds are kept.
+    np.uint64)`) and timing stream, keyed by node index: keys of one width,
+    so one pass. A dropped straggler never trains, so only the survivors'
+    seeds are kept; the training pass hashes them all in one pass.
     """
     rounds = []
     offsets: dict[str, int] = {}
@@ -437,10 +437,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     phase, the task (stragglers from the previous round sit out exactly one
     round), the timings, the drops and the round time, and stops at
     max_rounds or once simulated time reaches the cap. So a config fault in
-    any round is raised before anything trains. The training pass builds
-    every planned participant's data into two stores, then per round trains
-    the round's survivors on them, merges them with the configured
-    strategy, and scores the global model on a fixed held-out shard.
+    any round is raised before anything trains. The training pass stores
+    every planned participant's data and hashes every round's job streams
+    in one pass, then per round trains the survivors, merges them with the
+    configured strategy and scores the global model on a fixed held-out shard.
     """
     table, geometry = _build_cohort(config)
     poisson = fit_poisson(table)
@@ -454,18 +454,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     insts = list(dict.fromkeys(inst for _, _, plan, *_ in rounds for inst in plan.node_ids()))
     train, val, layout = _build_stores(config.seed, table, geometry, node_index, insts)
     slot = {inst: i for i, inst in enumerate(insts)}
+    # One pass hashes every round's survivor seeds into job streams; the empty head serves a run of no rounds.
+    seeds = [np.empty(0, np.uint64)] + [seeds for *_, seeds, _, _ in rounds]
+    streams = np.split(seed_states([((), np.concatenate(seeds))]), np.cumsum([len(s) for s in seeds])[1:-1])
 
     model = ModelParams.zeros(config.model_dim)
     history = CostHistory(history_window=config.strategy.history_window)
     records: list[RoundRecord] = []
     cumulative = best = weighted_best = 0.0
 
-    for round_index, (phase_number, phase, plan, seeds, slow, elapsed) in enumerate(rounds, start=1):
+    for round_index, (phase_number, phase, plan, _, slow, elapsed) in enumerate(rounds, start=1):
         # In plan order: `aggregate` sums the rows in node-id order itself.
         kept = list(compress(plan.participants, (~slow).tolist()))
         ids = tuple(p.institution_id for p in kept)
         offsets, quotas = [p.shard_offset for p in kept], [p.quota for p in kept]
-        jobs = RoundJobs(ids, *layout[:, [slot[inst] for inst in ids]], offsets, quotas, seed_states([((), seeds)]))
+        jobs = RoundJobs(ids, *layout[:, [slot[inst] for inst in ids]], offsets, quotas, streams[round_index - 1])
         survivors = train_round(model, train, val, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 
         result = compute_weights(config.strategy, survivors, history)

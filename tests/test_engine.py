@@ -374,7 +374,8 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
     The timings are read where the engine hands them to `detect_stragglers`,
     with a timeout factor that drops no one. It reads the engine's calls,
     as it pins the perf contract that the roadmap keeps as measured: one
-    column seeding pass a round gives numpy's own per-node streams."""
+    column seeding pass a planned round, and one over every round's
+    training seeds, give numpy's own per-node streams."""
     profile = fast_timing(jitter_sigma=0.3, inject_round=2, inject_rank=0, inject_factor=4.0, timeout_factor=1e9)
     config = small_config(seed=seed, participation="all", max_rounds=3, timing=profile)
     rounds = []
@@ -901,6 +902,85 @@ def test_the_whole_run_examples_wrap_windows_drop_stragglers_and_stop_at_the_cap
     assert len(csv_run) < configs[0].max_rounds
     _, _, plan, dropped, *_ = csv_run[1]
     assert sorted(plan.node_ids())[-1] in dropped
+
+
+def prefix_config(seed, participation, kind, inject_round, cap):
+    """A small two-phase run whose straggler, the last participant of
+    `inject_round` in id order, is slowed 50-fold, under a simulated-time cap."""
+    return small_config(
+        seed=seed,
+        z=0.5,
+        participation=participation,
+        strategy=AggregationStrategy(kind, history_window=2),
+        schedule=(PhaseEntry(1, 2, 3, 2, 1, 0.05, 1), PhaseEntry(3, None, 4, 2, 2, 0.05, 2)),
+        max_simulated_time_s=cap,
+        timing=fast_timing(
+            timeout_factor=2.0, jitter_sigma=0.3, inject_round=inject_round, inject_rank=-1, inject_factor=50.0
+        ),
+    )
+
+
+# Runs the prefix property always draws: a straggler injected inside the
+# shorter run, one injected after it, and a cap that stops both runs early.
+PREFIX_EXAMPLES = (
+    dict(seed=3, participation="task", kind="fedpod", rounds=3, extra=2, inject_round=2, cap=8.0),
+    dict(seed=2**40 + 5, participation="all", kind="fedpidavg", rounds=2, extra=3, inject_round=4, cap=8.0),
+    dict(seed=9, participation="all", kind="fedpod", rounds=3, extra=1, inject_round=1, cap=0.3),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+    participation=st.sampled_from(["task", "all"]),
+    kind=st.sampled_from(["fedpod", "fedpidavg"]),
+    rounds=st.integers(1, 4),
+    extra=st.integers(1, 3),
+    inject_round=st.integers(1, 7),
+    cap=st.floats(0.2, 8.0),
+)
+@example(**PREFIX_EXAMPLES[0])
+@example(**PREFIX_EXAMPLES[1])
+@example(**PREFIX_EXAMPLES[2])
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(seed, participation, rounds, extra, **kwargs):
+    """A run of `rounds` rounds gives exactly the first records of the same
+    config run for `rounds + extra`, with the injected straggler before or
+    after the shorter run's end and a time cap that may stop either run; when
+    the cap stops both at one round, the final models are equal too. Every
+    round's job streams are hashed in one pass for the whole run, and this
+    pins that a round's streams do not depend on how many rounds the plan
+    holds."""
+    config = prefix_config(seed, participation, **kwargs)
+    try:
+        longer = run_experiment(replace(config, max_rounds=rounds + extra))
+    except EmptyCohortError:
+        reject()  # participation = task with no primary plans no round
+    shorter = run_experiment(replace(config, max_rounds=rounds))
+    n = len(shorter.records)
+    event(f"injected {'inside' if kwargs['inject_round'] <= n else 'after'} the shorter run")
+    capped = "both runs" if n < rounds else "the longer run" if len(longer.records) < rounds + extra else "no run"
+    event(f"the cap stops {capped}")
+    assert n == min(rounds, len(longer.records))
+    assert shorter.records == longer.records[:n] and repr(shorter.records) == repr(longer.records[:n])
+    if n == len(longer.records):
+        assert shorter.final_model.values.tobytes() == longer.final_model.values.tobytes()
+
+
+def test_the_prefix_examples_inject_inside_and_after_the_shorter_run_and_stop_at_the_cap():
+    # What the prefix property's fixed examples are there to cover.
+    runs = []
+    for kwargs in PREFIX_EXAMPLES:
+        kwargs = dict(kwargs)
+        rounds, extra = kwargs.pop("rounds"), kwargs.pop("extra")
+        records = run_experiment(replace(prefix_config(**kwargs), max_rounds=rounds + extra)).records
+        runs.append((rounds, kwargs["inject_round"], records))
+    inside, after, capped = runs
+    rounds, inject_round, records = inside
+    assert inject_round <= rounds and records[inject_round - 1].dropped
+    rounds, inject_round, records = after
+    assert rounds < inject_round <= len(records) and records[inject_round - 1].dropped
+    rounds, _, records = capped
+    assert len(records) < rounds
 
 
 def test_default_run_records_its_primary_shortfall():
