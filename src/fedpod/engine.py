@@ -2,8 +2,9 @@
 
 The plan pass reads no model: phase schedule, task composition, timings,
 straggler drop and replacement, and the round the run stops at. The
-training pass stores every participant's data once, then per planned round
-trains the survivors in one batched pass, aggregates and keeps metrics.
+training pass draws every participant's training and validation rows into
+one store, then per planned round trains the survivors in one batched pass,
+aggregates and keeps metrics.
 
 Everything is driven by one `ExperimentConfig`; identical configs produce
 identical reports. Per-purpose RNG streams are derived from the experiment
@@ -407,26 +408,23 @@ def _plan_run(
     return rounds
 
 
-def _build_stores(
+def _build_store(
     seed: int, table: PartitionTable, geometry: BlobGeometry, node_index: dict[str, int], insts: Sequence[str]
-) -> tuple[DataShard, DataShard, np.ndarray]:
-    """The training and the validation store of `insts`, and column i of a
-    (4, len(insts)) layout holds insts[i]'s training start and count and
-    validation start and count. One pass seeds each training stream, `(seed,
-    _SHARD_SALT, table position)`, and validation stream, `(seed,
-    _NODE_VAL_SALT, node index)`. Each validation shard is its own
-    `make_blob_shard` call, as the benchmark's tracer counts them."""
+) -> tuple[DataShard, np.ndarray]:
+    """The one store of `insts`' rows, every training shard and then every
+    validation shard, and a (4, len(insts)) layout whose column i holds
+    insts[i]'s training start and count and validation start and count. One
+    pass seeds each training stream, `(seed, _SHARD_SALT, table position)`,
+    and validation stream, `(seed, _NODE_VAL_SALT, node index)`, and one
+    `make_blob_shards` call draws every shard from its stream."""
     position = {inst: i for i, inst in enumerate(table.counts)}
     shard_keys = ((seed, _SHARD_SALT), [position[inst] for inst in insts])
     val_keys = ((seed, _NODE_VAL_SALT), [node_index[inst] for inst in insts])
-    shard_states, val_states = np.split(seed_states([shard_keys, val_keys]), 2)
-    sizes = np.array([table.counts[inst] for inst in insts], dtype=np.int64)
-    val_sizes = np.array([_val_size(size) for size in sizes.tolist()], dtype=np.int64)
-    train = make_blob_shards(sizes.tolist(), geometry, generators(shard_states))
-    vals = [make_blob_shard(n, geometry, rng) for n, rng in zip(val_sizes.tolist(), generators(val_states))]
-    features = np.concatenate([np.empty((0, train.feature_dim)), *(shard.features for shard in vals)])
-    val = DataShard._adopt(features, np.concatenate([np.empty(0, np.int64), *(shard.labels for shard in vals)]))
-    return train, val, np.array([np.cumsum(sizes) - sizes, sizes, np.cumsum(val_sizes) - val_sizes, val_sizes])
+    sizes = [table.counts[inst] for inst in insts]
+    counts = np.array(sizes + [_val_size(size) for size in sizes], dtype=np.int64)
+    store = make_blob_shards(counts.tolist(), geometry, generators(seed_states([shard_keys, val_keys])))
+    starts, n = np.cumsum(counts) - counts, len(insts)
+    return store, np.array([starts[:n], counts[:n], starts[n:], counts[n:]])
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -452,7 +450,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
     # Every planned participant's data, in the order the rounds first name them.
     insts = list(dict.fromkeys(inst for _, _, plan, *_ in rounds for inst in plan.node_ids()))
-    train, val, layout = _build_stores(config.seed, table, geometry, node_index, insts)
+    store, layout = _build_store(config.seed, table, geometry, node_index, insts)
     slot = {inst: i for i, inst in enumerate(insts)}
     # One pass hashes every round's survivor seeds into job streams; the empty head serves a run of no rounds.
     seeds = [np.empty(0, np.uint64)] + [seeds for *_, seeds, _, _ in rounds]
@@ -469,7 +467,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         ids = tuple(p.institution_id for p in kept)
         offsets, quotas = [p.shard_offset for p in kept], [p.quota for p in kept]
         jobs = RoundJobs(ids, *layout[:, [slot[inst] for inst in ids]], offsets, quotas, streams[round_index - 1])
-        survivors = train_round(model, train, val, jobs, phase.epochs, phase.learning_rate, config.batch_size)
+        survivors = train_round(model, store, jobs, phase.epochs, phase.learning_rate, config.batch_size)
 
         result = compute_weights(config.strategy, survivors, history)
         model = aggregate(survivors, result.weights)

@@ -7,8 +7,8 @@ Gaussian samples; validation cost is mean cross-entropy.
 
 Local training has one implementation, `train_round`, which trains all of a
 round's nodes at once on stacked kernels; `train_local` is its one-node form.
-It reads the rows `RoundJobs` columns place in a training and a validation
-store, and returns one `RoundUpdates` of columns, one entry per node: the
+It reads the training and validation rows that `RoundJobs` columns place in
+one store, and returns one `RoundUpdates` of columns, one entry per node: the
 trained parameters as a (nodes, dim) block, the training-set sizes and the
 validation cost at every epoch boundary. Timings stay with the engine.
 """
@@ -234,10 +234,10 @@ def _class_sum(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _bind_costs(
-    values: np.ndarray, val: DataShard, starts: np.ndarray, counts: np.ndarray, n_classes: int, feature_dim: int
+    values: np.ndarray, store: DataShard, starts: np.ndarray, counts: np.ndarray, n_classes: int, feature_dim: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The mean cross-entropy, before the clip at 0, of model i of the (k,
-    dim) `values` on `counts[i]` rows of the store `val` from `starts[i]`,
+    dim) `values` on `counts[i]` rows of `store` from `starts[i]`,
     as a call that writes the k costs into `out`; it reads `values` afresh.
 
     One `take` of the store lays the models' rows back to back, grouped by
@@ -257,7 +257,7 @@ def _bind_costs(
     order = np.array([i for group in groups.values() for i in group])
     counts = counts[order]
     index = _ranges(starts[order], counts)
-    features, labels = val.features.take(index, axis=0), val.labels.take(index)
+    features, labels = store.features.take(index, axis=0), store.labels.take(index)
     sizes = counts.astype(np.float64)
     rows, split = len(labels), n_classes * feature_dim
     wide = rows >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
@@ -334,12 +334,12 @@ _JOB_COLUMNS = ("train_start", "train_count", "val_start", "val_count", "offset"
 
 @dataclass(frozen=True, eq=False)
 class RoundJobs:
-    """One round's jobs as read-only columns over a training and a validation
-    store: node ids; each node's `train_count` training rows from `train_start`
-    and `val_count` validation rows from `val_start`; its window, training rows
+    """One round's jobs as read-only int64 columns over one store of rows: node
+    ids; each node's `train_count` training rows from `train_start` and
+    `val_count` validation rows from `val_start`; its window, training rows
     train_start + (offset + k) % train_count for k < quota, in order; and its
     stream, a row of `streams`, the 4 uint64 words `default_rng(seed)` seeds
-    itself from. Checked once, here; `train_round` checks rows against stores."""
+    itself from. Checked once, here; `train_round` checks rows against the store."""
 
     node_ids: tuple[str, ...]
     train_start: np.ndarray
@@ -352,9 +352,14 @@ class RoundJobs:
 
     def __post_init__(self):
         ids, streams = tuple(self.node_ids), np.asarray(self.streams)
-        block = np.array([getattr(self, name) for name in _JOB_COLUMNS], dtype=np.int64)
-        if block.shape != (len(_JOB_COLUMNS), len(ids)):
-            raise ShapeError(f"every job column must hold one entry per node, {len(ids)} nodes")
+        columns = [np.asarray(getattr(self, name)) for name in _JOB_COLUMNS]
+        for name, column in zip(_JOB_COLUMNS, columns):
+            if column.shape != (len(ids),):
+                raise ShapeError(f"every job column must hold one entry per node, {len(ids)} nodes")
+            # A Python int past uint64 makes an object column, and one past int64 a uint64 one.
+            if column.size and not (column.dtype.kind == "i" or (column.dtype.kind == "u" and column.max() < 2**63)):
+                raise ValidationError(f"job column {name!r} must hold integers in int64 range")
+        block = np.array(columns, dtype=np.int64)
         if streams.shape != (len(ids), 4) or streams.dtype != np.uint64:
             raise ShapeError("each job's stream must be 4 uint64 words")
         n, offset, quota = block[1], block[4], block[5]
@@ -526,8 +531,7 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tup
 
 def _train_block(
     start: ModelParams,
-    train: DataShard,
-    val: DataShard,
+    store: DataShard,
     jobs: RoundJobs,
     block: np.ndarray,
     epochs: int,
@@ -552,17 +556,17 @@ def _train_block(
     the step loop's: each step scales its rows by the learning rate in place
     and subtracts them from its parameters.
     """
-    n_classes, feature_dim = _classifier_dims(start, train)
+    n_classes, feature_dim = _classifier_dims(start, store)
     # The jobs' windows back to back: job i owns sizes[i] rows from sum(sizes[:i]).
     sizes = jobs.quota[block]
     rows = _ranges(jobs.offset[block], sizes) % np.repeat(jobs.train_count[block], sizes)
     rows += np.repeat(jobs.train_start[block], sizes)
-    features, labels = train.features.take(rows, axis=0), train.labels.take(rows)
+    features, labels = store.features.take(rows, axis=0), store.labels.take(rows)
     eye = np.eye(n_classes)
 
     positions, runs = _step_plan(sizes, batch_size)
     values = np.tile(start.values, (len(block), 1))
-    val_costs = _bind_costs(values, val, jobs.val_start[block], jobs.val_count[block], n_classes, feature_dim)
+    val_costs = _bind_costs(values, store, jobs.val_start[block], jobs.val_count[block], n_classes, feature_dim)
     grad = np.empty_like(values)
     views = _gradient_views(values, grad, n_classes, feature_dim)
     run_rows = max(end - first for first, end, _ in runs)
@@ -640,37 +644,30 @@ def _train_block(
     return values, costs, diverged
 
 
-def _check_round(start: ModelParams, train: DataShard, val: DataShard, jobs: RoundJobs) -> None:
-    """Check, as columns, that the model fits both stores, every job's rows lie
-    in them and every label is below the class count. A failed label check walks
+def _check_round(start: ModelParams, store: DataShard, jobs: RoundJobs) -> None:
+    """Check, as columns, that the model fits the store, every job's rows lie
+    in it and every label is below the class count. A failed label check walks
     the jobs for the first job's first bad label (validation rows, then window)."""
-    n_classes, feature_dim = _classifier_dims(start, val)
-    if train.feature_dim != feature_dim:
-        raise ShapeError(f"the stores' feature dims differ: {train.feature_dim} training, {feature_dim} validation")
-    ends = (jobs.train_start + jobs.train_count > len(train)) | (jobs.val_start + jobs.val_count > len(val))
+    n_classes, _ = _classifier_dims(start, store)
+    # Counts against the rows left after each start: a start plus its count may pass int64.
+    ends = (jobs.train_count > len(store) - jobs.train_start) | (jobs.val_count > len(store) - jobs.val_start)
     outside = ends | (np.minimum(jobs.train_start, jobs.val_start) < 0) | (jobs.val_count < 1)
     if outside.any():
-        raise ValidationError(f"job {jobs.node_ids[int(outside.argmax())]!r}: its rows are not all inside the stores")
-    if train.labels.max(initial=0) < n_classes and val.labels.max(initial=0) < n_classes:
+        raise ValidationError(f"job {jobs.node_ids[int(outside.argmax())]!r}: its rows are not all inside the store")
+    if store.labels.max(initial=0) < n_classes:
         return
     for j in range(len(jobs.node_ids)):
         window = (jobs.offset[j] + np.arange(jobs.quota[j])) % jobs.train_count[j] + jobs.train_start[j]
-        for labels in (val.labels[jobs.val_start[j] : jobs.val_start[j] + jobs.val_count[j]], train.labels[window]):
+        for labels in (store.labels[jobs.val_start[j] : jobs.val_start[j] + jobs.val_count[j]], store.labels[window]):
             if labels.max() >= n_classes:
                 raise ValidationError(f"label {int(labels.max())} out of range for {n_classes} classes")
 
 
 def train_round(
-    start: ModelParams,
-    train: DataShard,
-    val: DataShard,
-    jobs: RoundJobs,
-    epochs: int,
-    learning_rate: float,
-    batch_size: int,
+    start: ModelParams, store: DataShard, jobs: RoundJobs, epochs: int, learning_rate: float, batch_size: int
 ) -> RoundUpdates:
     """Mini-batch SGD from `start` for all of one round's `jobs` at once, on
-    their rows of the training store `train` and the validation store `val`.
+    their training and validation rows of `store`.
 
     Node i, in `jobs` order, equals `tests/_oracle.train_local`, the
     sequential one-node SGD, run on job i's window and validation rows with
@@ -684,11 +681,11 @@ def train_round(
     validation cost is checked. If jobs diverge, the error is the one the
     oracle raises for the first of them in `jobs` order.
 
-    The stores and the rows the jobs read are checked before any training
+    The store and the rows the jobs read are checked before any training
     (`_check_round`), the returned columns once, by `RoundUpdates`.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # the argument checks of a one-node config
-    _check_round(start, train, val, jobs)
+    _check_round(start, store, jobs)
     values = np.empty((len(jobs.node_ids), start.dim))
     costs = np.empty((epochs + 1, len(jobs.node_ids)))
     diverged: dict[int, str] = {}
@@ -697,7 +694,7 @@ def train_round(
     for lo in range(0, len(by_size), _BLOCK_NODES):
         block = by_size[lo : lo + _BLOCK_NODES]
         block_values, block_costs, block_diverged = _train_block(
-            start, train, val, jobs, block, epochs, learning_rate, batch_size
+            start, store, jobs, block, epochs, learning_rate, batch_size
         )
         values[block] = block_values
         costs[:, block] = block_costs
@@ -718,15 +715,18 @@ def train_local(
     node_id: str = "local",
 ) -> RoundUpdates:
     """Mini-batch SGD from `start` over all of `shard` for cfg.epochs: the
-    one-job form of `train_round`, with `shard` and `val` as its stores, so
+    one-job form of `train_round`, on one store of `shard` then `val`, so
     they must share one feature_dim; returns one node's `RoundUpdates`.
 
     Batch order is shuffled by numpy's `default_rng(cfg.seed)` stream, for
     any non-negative seed; validation cost is sampled at every epoch boundary.
     """
+    if shard.feature_dim != val.feature_dim:
+        raise ShapeError(f"the shards' feature dims differ: {shard.feature_dim} training, {val.feature_dim} validation")
+    store = DataShard._adopt(np.concatenate([shard.features, val.features]), np.concatenate([shard.labels, val.labels]))
     stream = np.random.SeedSequence(cfg.seed).generate_state(4, np.uint64)
-    jobs = RoundJobs((node_id,), [0], [len(shard)], [0], [len(val)], [0], [len(shard)], stream[None])
-    return train_round(start, shard, val, jobs, cfg.epochs, cfg.learning_rate, cfg.batch_size)
+    jobs = RoundJobs((node_id,), [0], [len(shard)], [len(shard)], [len(val)], [0], [len(shard)], stream[None])
+    return train_round(start, store, jobs, cfg.epochs, cfg.learning_rate, cfg.batch_size)
 
 
 def dice_score(pred: Sequence[int], truth: Sequence[int], cls: int) -> float:

@@ -89,36 +89,38 @@ class Job(NamedTuple):
     quota: int | None = None
 
 
-def lay_out(jobs):
-    """`train_round`'s stores and columns for `jobs`: every job's training
-    shard, and every job's validation shard, laid back to back in job order
-    into one store each, and the `RoundJobs` that place each job's rows."""
-    counts, val_counts = np.array([len(job.shard) for job in jobs]), np.array([len(job.val) for job in jobs])
-
-    def store(shards):
-        return DataShard(np.concatenate([s.features for s in shards]), np.concatenate([s.labels for s in shards]))
-
-    train, val = store([job.shard for job in jobs]), store([job.val for job in jobs])
+def lay_out(jobs, order=None, spare=()):
+    """`train_round`'s store and columns for `jobs`: every job's training
+    shard in job order, then every job's validation shard, then the `spare`
+    shards that no job reads, laid back to back into one store in that order
+    or in `order`, positions into it; and the `RoundJobs` that place each
+    job's rows."""
+    shards = [job.shard for job in jobs] + [job.val for job in jobs] + list(spare)
+    order = range(len(shards)) if order is None else order
+    laid = [shards[i] for i in order]
+    counts = [len(shard) for shard in laid]
+    at, n = dict(zip(order, np.cumsum(counts) - counts)), len(jobs)
+    store = DataShard(np.concatenate([s.features for s in laid]), np.concatenate([s.labels for s in laid]))
     columns = RoundJobs(
         tuple(job.node_id for job in jobs),
-        np.cumsum(counts) - counts,
-        counts,
-        np.cumsum(val_counts) - val_counts,
-        val_counts,
+        [at[i] for i in range(n)],
+        [len(job.shard) for job in jobs],
+        [at[n + i] for i in range(n)],
+        [len(job.val) for job in jobs],
         [job.offset for job in jobs],
         [len(job.shard) if job.quota is None else job.quota for job in jobs],
         np.array([job.stream for job in jobs]),
     )
-    return train, val, columns
+    return store, columns
 
 
 def stored_shards(seed, table, geometry, insts):
     """The training rows and the validation rows of each of `insts` in the
-    stores the engine builds for them, as two {institution: shard} maps."""
+    one store the engine builds for them, as two {institution: shard} maps."""
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
-    train, val, layout = engine._build_stores(seed, table, geometry, node_index, insts)
+    store, layout = engine._build_store(seed, table, geometry, node_index, insts)
     shards: tuple[dict, dict] = ({}, {})
     for inst, (lo, n, val_lo, val_n) in zip(insts, layout.T.tolist(), strict=True):
-        shards[0][inst] = DataShard(train.features[lo : lo + n], train.labels[lo : lo + n])
-        shards[1][inst] = DataShard(val.features[val_lo : val_lo + val_n], val.labels[val_lo : val_lo + val_n])
+        shards[0][inst] = DataShard(store.features[lo : lo + n], store.labels[lo : lo + n])
+        shards[1][inst] = DataShard(store.features[val_lo : val_lo + val_n], store.labels[val_lo : val_lo + val_n])
     return shards

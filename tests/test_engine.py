@@ -383,9 +383,9 @@ def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
     real_train_round = engine.train_round
     real_detect_stragglers = engine.detect_stragglers
 
-    def capture(model, train, val, jobs, *args):
+    def capture(model, store, jobs, *args):
         rounds.append(jobs)
-        return real_train_round(model, train, val, jobs, *args)
+        return real_train_round(model, store, jobs, *args)
 
     def capture_timings(times, timeout_factor):
         round_timings.append(times.copy())
@@ -740,13 +740,13 @@ def test_only_the_round_survivors_train(
     trained = []
     real_train_round = engine.train_round
 
-    def diverging_on_the_dropped(model, train, val, jobs, *args):
+    def diverging_on_the_dropped(model, store, jobs, *args):
         record = records[len(trained)]
         trained.append(list(jobs.node_ids))
         for node_id in jobs.node_ids:
             if node_id in record.dropped:
                 raise TrainingDivergenceError(node_id, "trained after its round dropped it")
-        return real_train_round(model, train, val, jobs, *args)
+        return real_train_round(model, store, jobs, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "train_round", diverging_on_the_dropped)
@@ -1040,20 +1040,21 @@ def test_weights_list_the_survivors_in_participant_order(timeout_factor, jitter_
 
 def test_only_participants_get_shards(monkeypatch):
     # It counts the engine's calls, as it pins a perf contract: a cohort
-    # where few institutions take part synthesizes only their data. A
+    # where few institutions take part synthesizes only their data, in one
+    # pass beside the holdout. A
     # shard's stream key, `[seed, salt, index]`, names what it was built for.
     # Shards built in the engine's seeding pass get generators set to a
     # stream's start state, with no seed sequence to read, so a stream is
     # named by matching its start state against `default_rng` of every key.
-    # Training shards are built in one batch by `engine.make_blob_shards`, which
-    # takes each generator just before drawing from it; validation shards and
-    # the holdout one by one by `engine.make_blob_shard`.
+    # Every training and validation shard is built in one call of
+    # `engine.make_blob_shards`, which takes each generator just before
+    # drawing from it; the holdout is the one `engine.make_blob_shard` call.
     config = small_config(
         cohort=CohortSpec(n_institutions=40, mean_samples=10.0, n_outliers=3, outlier_scale=8.0),
         schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
         max_rounds=3,
     )
-    built = {"train": [], "val": []}
+    built = {"batch": [], "lone": []}
     keys = [(engine._HOLDOUT_SALT,)] + [(salt, i) for salt in (engine._SHARD_SALT, _NODE_VAL_SALT) for i in range(40)]
     key_of_state = {str(np.random.default_rng([config.seed, *key]).bit_generator.state): key for key in keys}
 
@@ -1061,15 +1062,19 @@ def test_only_participants_get_shards(monkeypatch):
         built[kind].append(key_of_state[str(rng.bit_generator.state)])
         return rng
 
+    calls = {"batch": 0, "lone": 0}
+
     def counting_batch(original):
         def counted(sizes, geometry, rngs):
-            return original(sizes, geometry, (name("train", rng) for rng in rngs))
+            calls["batch"] += 1
+            return original(sizes, geometry, (name("batch", rng) for rng in rngs))
 
         return counted
 
     def counting(original):
         def counted(n, geometry, rng):
-            return original(n, geometry, name("val", rng))
+            calls["lone"] += 1
+            return original(n, geometry, name("lone", rng))
 
         return counted
 
@@ -1081,10 +1086,11 @@ def test_only_participants_get_shards(monkeypatch):
     # Synthetic institutions are named in position order, so the training
     # index and the validation (sorted) index agree.
     index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].counts))}
-    assert sorted(built["train"]) == sorted((engine._SHARD_SALT, index[inst]) for inst in taking_part)
-    assert sorted(built["val"]) == sorted(
-        [(engine._HOLDOUT_SALT,)] + [(_NODE_VAL_SALT, index[inst]) for inst in taking_part]
+    assert calls == {"batch": 1, "lone": 1}
+    assert sorted(built["batch"]) == sorted(
+        (salt, index[inst]) for salt in (engine._SHARD_SALT, _NODE_VAL_SALT) for inst in taking_part
     )
+    assert built["lone"] == [(engine._HOLDOUT_SALT,)]
 
 
 def test_round_batch_builds_each_shard_from_its_own_stream(tmp_path):

@@ -245,5 +245,5 @@ def test_one_generate_state_pass_per_width_a_round(monkeypatch, seed, first, lat
     )
     calls = _passes(monkeypatch, config)
     # The training seeds are uint64s: one pass of 4 words for every round.
-    expected = [("_plan_run", first)] * 3 + [("_build_stores", later), ("run_experiment", [4])]
+    expected = [("_plan_run", first)] * 3 + [("_build_store", later), ("run_experiment", [4])]
     assert [(caller, sorted(widths)) for caller, widths in calls] == expected

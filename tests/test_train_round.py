@@ -282,8 +282,7 @@ def test_updates_share_one_read_only_block():
 
 def test_no_jobs_trains_nothing():
     empty = RoundJobs((), [], [], [], [], [], [], np.empty((0, 4), np.uint64))
-    store = shard(np.random.default_rng(0), 1)
-    updates = train_round(ModelParams.zeros(DIM), store, store, empty, 1, 0.1, 4)
+    updates = train_round(ModelParams.zeros(DIM), shard(np.random.default_rng(0), 1), empty, 1, 0.1, 4)
     assert len(updates) == 0 and updates.params.shape == (0, DIM) and updates.costs.shape == (2, 0)
 
 
@@ -319,31 +318,39 @@ def test_inputs_are_checked():
     rng = np.random.default_rng(6)
     start = ModelParams.zeros(DIM)
     job = Job("n", shard(rng, 5), shard(rng, 3), stream(0))
-    train, val, columns = lay_out([job])
+    store, columns = lay_out([job])
     with pytest.raises(ValidationError):
-        train_round(start, train, val, columns, 0, 0.1, 4)
+        train_round(start, store, columns, 0, 0.1, 4)
     with pytest.raises(ValidationError):
-        train_round(start, train, val, columns, 1, 0.1, 0)
+        train_round(start, store, columns, 1, 0.1, 0)
     with pytest.raises(ValidationError, match="learning_rate must be finite"):
-        train_round(start, train, val, columns, 1, np.inf, 4)
-    # Stores of a feature dim the other store or the model does not share.
-    other_dim = DataShard(np.zeros((5, 3)), np.zeros(5, dtype=int))
-    for stores in ((other_dim, val), (train, other_dim), (other_dim, other_dim)):
-        with pytest.raises(ShapeError):
-            train_round(start, *stores, columns, 1, 0.1, 4)
-    # A job's rows past the end of either store, before its start or empty.
-    bad_rows = [(shard(rng, 4), val, columns), (train, shard(rng, 2), columns)]
-    for rows in ([-1, 5, 0, 3], [0, 5, -1, 3], [0, 5, 0, 0]):
-        bad_rows.append((train, val, RoundJobs(("n",), *([row] for row in rows), [0], [5], [stream(0)])))
+        train_round(start, store, columns, 1, np.inf, 4)
+    # A store of a feature dim the model does not fit.
+    other_dim = DataShard(np.zeros((8, 3)), np.zeros(8, dtype=int))
+    with pytest.raises(ShapeError, match="^model dim 15 does not fit feature dim 3$"):
+        train_round(start, other_dim, columns, 1, 0.1, 4)
+    # `train_local` lays its two shards into one store, so they must share a feature dim.
+    cfg = TrainConfig(1, 0.1, 0, 4)
+    for data, val, dims in ((job.shard, other_dim, "4 training, 3"), (other_dim, job.val, "3 training, 4")):
+        with pytest.raises(ShapeError, match=f"^the shards' feature dims differ: {dims} validation$"):
+            params.train_local(start, data, val, cfg)
+    # A job's training or validation rows past the end of the store, before its start or empty.
+    bad_rows = [(shard(rng, 7), columns)]
+    # A start plus its count past int64 must not wrap round into the store.
+    huge = [2**62, 2**62]
+    for rows in ([-1, 5, 5, 3], [0, 5, -1, 3], [0, 5, 5, 0], [0, 9, 5, 3], [0, 5, 6, 3], huge + [5, 3], [0, 5] + huge):
+        bad_rows.append((store, RoundJobs(("n",), *([row] for row in rows), [0], [5], [stream(0)])))
     for case in bad_rows:
-        with pytest.raises(ValidationError, match="^job 'n': its rows are not all inside the stores$"):
+        with pytest.raises(ValidationError, match="^job 'n': its rows are not all inside the store$"):
             train_round(start, *case, 1, 0.1, 4)
     # A label out of range in a job's rows, and one that no job reads.
     bad_label = DataShard(np.zeros((2, FEATURE_DIM)), np.array([0, N_CLASSES]))
     with pytest.raises(ValidationError, match="out of range"):
         train_round(start, *lay_out([Job("m", bad_label, job.val, job.stream)]), 1, 0.1, 4)
-    unread = DataShard(np.vstack([train.features, bad_label.features]), np.append(train.labels, bad_label.labels))
-    train_round(start, unread, val, columns, 1, 0.1, 4)
+    with pytest.raises(ValidationError, match="out of range"):
+        train_round(start, *lay_out([Job("m", job.shard, bad_label, job.stream)]), 1, 0.1, 4)
+    unread = DataShard(np.vstack([store.features, bad_label.features]), np.append(store.labels, bad_label.labels))
+    train_round(start, unread, columns, 1, 0.1, 4)
     # The columns: windows inside each job's rows, and store places and counts.
     for offset, quota in ((0, 0), (5, 1), (-1, 2), (1, 6)):
         with pytest.raises(ValidationError) as err:
@@ -351,8 +358,26 @@ def test_inputs_are_checked():
         assert str(err.value) == f"job 'm': window of {quota} at {offset} is outside its 5 rows"
     with pytest.raises(ShapeError, match="^every job column must hold one entry per node, 2 nodes$"):
         RoundJobs(("n", "m"), [0], [5], [0], [3], [0], [5], [stream(0), stream(1)])
-    with pytest.raises(ValueError):  # columns of unequal lengths do not stack
-        RoundJobs(("n", "m"), [0, 5], [5, 5], [0], [3], [0, 0], [5, 5], [stream(0), stream(1)])
+
+
+def test_job_columns_hold_one_int64_integer_per_node():
+    good = {"train_start": [0, 5], "train_count": [5, 5], "val_start": [10, 13], "val_count": [3, 3]}
+    good.update(offset=[4, 0], quota=[2, 5])
+    streams = [stream(0), stream(1)]
+    RoundJobs(("n", "m"), *good.values(), streams)
+    # Any integer dtype whose entries fit int64, and a round of no jobs.
+    jobs = RoundJobs(("n", "m"), *(np.array(column, np.uint64) for column in good.values()), streams)
+    assert [getattr(jobs, name).tolist() for name in good] == list(good.values())
+    RoundJobs((), [], [], [], [], [], [], np.empty((0, 4), np.uint64))
+    for name in good:
+        # Each column in turn: one entry too few or too many, or not one row.
+        for column in ([0], [0, 5, 5], [[0, 5]], 0):
+            with pytest.raises(ShapeError, match="^every job column must hold one entry per node, 2 nodes$"):
+                RoundJobs(("n", "m"), *{**good, name: column}.values(), streams)
+        # A fraction, which would truncate to a row, and integers past int64 at either end.
+        for column in ([0.5, 1], [1.0, 1], [1, 2**63], [-(2**63) - 1, 1], [1, 2**64], [1, None], ["1", "2"]):
+            with pytest.raises(ValidationError, match=f"^job column {name!r} must hold integers in int64 range$"):
+                RoundJobs(("n", "m"), *{**good, name: column}.values(), streams)
 
 
 def test_a_window_wraps_within_its_own_rows_of_a_shared_store():
@@ -364,10 +389,32 @@ def test_a_window_wraps_within_its_own_rows_of_a_shared_store():
         Job("wraps", shard(rng, 5), shard(rng, 3), stream(1), 3, 4),
         Job("next", shard(rng, 6), shard(rng, 3), stream(2)),
     ]
-    train, _, columns = lay_out(jobs)
-    assert len(train) == 11 and columns.train_start.tolist() == [0, 5]
+    store, columns = lay_out(jobs)
+    assert len(store) == 17 and columns.train_start.tolist() == [0, 5] and columns.val_start.tolist() == [11, 14]
     assert window_rows(jobs[0]) == [3, 4, 0, 1]
     check(ModelParams(0.1 * rng.standard_normal(DIM)), jobs, 3, 0.05, 2)
+
+
+@st.composite
+def scattered_rounds(draw):
+    """A round from `rounds()`, and the store and columns of its jobs'
+    training and validation shards and a few spare shards that no job
+    reads, laid out in a drawn order."""
+    start, jobs, epochs, learning_rate, batch_size = draw(rounds())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spare = [shard(rng, n) for n in draw(st.lists(st.integers(1, 5), max_size=3))]
+    order = draw(st.permutations(range(2 * len(jobs) + len(spare))))
+    return (start, jobs, epochs, learning_rate, batch_size), *lay_out(jobs, order, spare)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scattered_rounds())
+def test_validation_rows_may_lie_anywhere_in_the_store(drawn):
+    # A job's validation rows may come before its window, between other
+    # jobs' windows or after them all; only the columns place them.
+    (start, jobs, epochs, learning_rate, batch_size), store, columns = drawn
+    batched = train_round(start, store, columns, epochs, learning_rate, batch_size)
+    assert_bit_identical(batched, sequential(start, jobs, epochs, learning_rate, batch_size))
 
 
 def test_windows_wrap_and_refuse_a_quota_above_the_shard():
