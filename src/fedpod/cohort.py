@@ -1,9 +1,9 @@
 """Institutional data distributions: Poisson modeling, skewed synthetic
 cohorts, and partition-file ingestion. Below the partition-file reader and
-writer an institution is its sample count; sample ids exist only in the file,
-and its features and labels only in the shard the engine draws for it.
-A plain partition file is counted in whole-text passes, and any other is read
-by a `csv.reader` row walk, the only ingest code that raises."""
+writer an institution is its sample count; sample ids exist only in the file
+(the reader keeps 8-byte hashes of them), and its features and labels only in
+the shard the engine draws for it. A plain file is counted in whole-text
+passes, any other by a `csv.reader` row walk, the only ingest code that raises."""
 
 from __future__ import annotations
 
@@ -140,13 +140,13 @@ def synthesize_shards(
 
 def load_partition_csv(path) -> PartitionTable:
     """Count `Subject_ID,Partition_ID` rows per partition id, in order of each
-    partition's first row; every row is checked, subject ids are not kept.
+    partition's first row; every row is checked, subject ids kept only as hashes.
 
     Chunks of lines are counted in whole-text passes while splitting on
     newlines and commas reads what `csv.reader` reads (no `"`, no NUL, no chunk
-    over `csv.field_size_limit()`) and every row check passes. Otherwise the
-    row walk below reads the file from its start. It alone raises, so each
-    error keeps its message, line and precedence."""
+    over `csv.field_size_limit()`), every row check passes and no two subject
+    ids hash equal. Otherwise the row walk below reads the file from its start.
+    It alone raises, so each error keeps its message, line and precedence."""
     if plain := _count_plain_rows(path):
         return PartitionTable(plain)
     try:
@@ -186,8 +186,9 @@ def load_partition_csv(path) -> PartitionTable:
 
 
 def _count_plain_rows(path) -> Counter[str] | None:
-    """A plain partition file's counts, or None where the row walk must read it."""
-    counts, seen = Counter(), set()
+    """A plain partition file's counts, or None where the row walk must read it,
+    as it must where two subject ids share a hash (equal ids always do)."""
+    counts, hashes = Counter(), []
     try:
         # Universal newlines end a line at LF, CRLF or a lone CR, as csv does.
         with open(path, encoding="utf-8-sig") as fh:
@@ -196,16 +197,15 @@ def _count_plain_rows(path) -> Counter[str] | None:
             # Whole lines in chunks of about 16K characters: larger chunks raise peak RSS.
             for text in iter(lambda: fh.read(1 << 14) + fh.readline(), ""):
                 rows = list(filter(None, text.split("\n")))  # csv skips blank lines
-                n = len(rows)
                 splittable = '"' not in text and "\0" not in text and len(text) <= csv.field_size_limit()
-                if not splittable or text.count(",") != n or not all(map(str.__contains__, rows, repeat(","))):
+                if not splittable or text.count(",") != len(rows) or not all(map(str.__contains__, rows, repeat(","))):
                     return None
-                fields = ",".join(rows).split(",")
-                subjects, partitions = (list(map(str.strip, fields[i::2])) for i in (0, 1))
-                seen.update(subjects)
-                counts.update(partitions)
-                if not (all(subjects) and all(partitions)) or len(seen) != counts.total():
+                fields = list(map(str.strip, ",".join(rows).split(",")))
+                if not all(fields):
                     return None
+                hashes.append(np.fromiter(map(hash, fields[::2]), np.int64, len(rows)))
+                counts.update(fields[1::2])
     except UnicodeDecodeError:
         return None
-    return counts
+    (column := np.concatenate([np.empty(0, np.int64), *hashes])).sort()
+    return None if (column[1:] == column[:-1]).any() else counts

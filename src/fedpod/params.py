@@ -351,15 +351,20 @@ class RoundJobs:
     streams: np.ndarray
 
     def __post_init__(self):
-        ids, streams = tuple(self.node_ids), np.asarray(self.streams)
-        columns = [np.asarray(getattr(self, name)) for name in _JOB_COLUMNS]
-        for name, column in zip(_JOB_COLUMNS, columns):
-            if column.shape != (len(ids),):
-                raise ShapeError(f"every job column must hold one entry per node, {len(ids)} nodes")
+        ids, columns = tuple(self.node_ids), {}
+        for name in ("streams", *_JOB_COLUMNS):
+            try:
+                columns[name] = np.asarray(getattr(self, name))
+            except ValueError:  # numpy refuses a ragged column; no check below admits [None]
+                columns[name] = np.array([None])
+        streams = columns.pop("streams")
+        for name, column in columns.items():
             # A Python int past uint64 makes an object column, and one past int64 a uint64 one.
             if column.size and not (column.dtype.kind == "i" or (column.dtype.kind == "u" and column.max() < 2**63)):
                 raise ValidationError(f"job column {name!r} must hold integers in int64 range")
-        block = np.array(columns, dtype=np.int64)
+            if column.shape != (len(ids),):
+                raise ShapeError(f"every job column must hold one entry per node, {len(ids)} nodes")
+        block = np.array(list(columns.values()), dtype=np.int64)
         if streams.shape != (len(ids), 4) or streams.dtype != np.uint64:
             raise ShapeError("each job's stream must be 4 uint64 words")
         n, offset, quota = block[1], block[4], block[5]

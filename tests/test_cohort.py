@@ -1,6 +1,7 @@
 import csv
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -459,6 +460,43 @@ def test_a_quoted_partition_file_is_read_by_csv(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_hash_collision_sends_the_file_to_the_row_walk(tmp_path, monkeypatch):
+    """Subject ids are checked for duplicates by hash: when every id hashes
+    equal, a plain file is read by the row walk, which loads the same table
+    and still names a real duplicate's line."""
+    table, _ = generate_synthetic_cohort(23, 30.0, 3, 10.0, seed=1)
+    plain = tmp_path / "plain.csv"
+    write_partition_csv(table, plain)
+    duplicate = tmp_path / "duplicate.csv"
+    duplicate.write_text("Subject_ID,Partition_ID\ns1,h1\ns2,h2\ns1,h2\n", encoding="utf-8")
+    monkeypatch.setattr(cohort, "hash", lambda subject: 0, raising=False)
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(cohort.csv, "reader", lambda fh: calls.append(fh) or reader(fh))
+    assert list(load_partition_csv(plain).counts.items()) == list(table.counts.items())
+    assert len(calls) == 1
+    with pytest.raises(ParseError, match="line 4: duplicate subject id 's1'$") as err:
+        load_partition_csv(duplicate)
+    assert err.value.line == 4
+
+
+# ROADMAP item 17, group (c): a perf contract. The loader keeps each subject
+# id only as an 8-byte hash, so its traced peak grows by at most 32 B per
+# extra subject; keeping the ids themselves costs about 125 B a subject.
+def test_load_memory_grows_by_at_most_32_bytes_a_subject(tmp_path):
+    peaks = []
+    for n_institutions in (300, 1200):  # 9,000 and 36,000 subjects
+        path = tmp_path / f"{n_institutions}.csv"
+        write_partition_csv(PartitionTable({f"site{i:04d}": 30 for i in range(n_institutions)}), path)
+        tracemalloc.start()
+        try:
+            load_partition_csv(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (36_000 - 9_000) <= 32
+
+
 def _load_outcome(path):
     """The loaded counts in order, or the error's type, message and line."""
     try:
@@ -468,9 +506,10 @@ def _load_outcome(path):
 
 
 _ID = st.text(alphabet="ab1-", max_size=3)
+_NONEMPTY_ID = st.text(alphabet="ab1-", min_size=1, max_size=3)
 _PAD = st.sampled_from(["", " ", "\t", "\xa0"])
 _ENDING = st.sampled_from(["\n", "\r\n", "\r"])
-_PLAIN_ROW = st.builds(lambda a, s, b, p: f"{a}{s}{b},{b}{p}{a}", _PAD, _ID.filter(bool), _PAD, _ID.filter(bool))
+_PLAIN_ROW = st.builds(lambda a, s, b, p: f"{a}{s}{b},{b}{p}{a}", _PAD, _NONEMPTY_ID, _PAD, _NONEMPTY_ID)
 # Rows that are faults, blank, or plain only to the csv module.
 _OTHER_ROW = st.one_of(
     st.builds(lambda s, p: f"{s},{p}", _ID, _ID),

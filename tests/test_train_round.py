@@ -252,12 +252,12 @@ def test_negative_seed_raises_like_default_rng():
     ids=["3 words", "5 words", "int64 words", "2x2 words", "a list of ints", "an int seed"],
 )
 def test_a_stream_that_is_not_4_uint64_words_is_refused(bad):
-    # The streams column of one job, and of two jobs where the other's is good.
+    # The streams column of one job, and of two jobs where the other's is
+    # good: a ragged column, which numpy refuses, unless the bad one is 4 words.
     with pytest.raises(ShapeError, match="^each job's stream must be 4 uint64 words$"):
         RoundJobs(("bad",), [0], [4], [0], [3], [0], [4], [bad])
-    if np.shape(bad) == (4,):
-        with pytest.raises(ShapeError, match="^each job's stream must be 4 uint64 words$"):
-            RoundJobs(("good", "bad"), [0, 4], [4, 4], [0, 3], [3, 3], [0, 0], [4, 4], [stream(1), bad])
+    with pytest.raises(ShapeError, match="^each job's stream must be 4 uint64 words$"):
+        RoundJobs(("good", "bad"), [0, 4], [4, 4], [0, 3], [3, 3], [0, 0], [4, 4], [stream(1), bad])
 
 
 def test_many_jobs_span_several_blocks():
@@ -363,6 +363,7 @@ def test_inputs_are_checked():
 def test_job_columns_hold_one_int64_integer_per_node():
     good = {"train_start": [0, 5], "train_count": [5, 5], "val_start": [10, 13], "val_count": [3, 3]}
     good.update(offset=[4, 0], quota=[2, 5])
+    one = {name: column[:1] for name, column in good.items()}
     streams = [stream(0), stream(1)]
     RoundJobs(("n", "m"), *good.values(), streams)
     # Any integer dtype whose entries fit int64, and a round of no jobs.
@@ -374,10 +375,15 @@ def test_job_columns_hold_one_int64_integer_per_node():
         for column in ([0], [0, 5, 5], [[0, 5]], 0):
             with pytest.raises(ShapeError, match="^every job column must hold one entry per node, 2 nodes$"):
                 RoundJobs(("n", "m"), *{**good, name: column}.values(), streams)
-        # A fraction, which would truncate to a row, and integers past int64 at either end.
-        for column in ([0.5, 1], [1.0, 1], [1, 2**63], [-(2**63) - 1, 1], [1, 2**64], [1, None], ["1", "2"]):
+        # A fraction, which would truncate to a row, integers past int64 at
+        # either end, and an entry that is itself a sequence (a ragged column).
+        bad = ([0.5, 1], [1.0, 1], [1, 2**63], [-(2**63) - 1, 1], [1, 2**64], [1, None], ["1", "2"], [0, [1]], [[0], 1])
+        for column in bad:
             with pytest.raises(ValidationError, match=f"^job column {name!r} must hold integers in int64 range$"):
                 RoundJobs(("n", "m"), *{**good, name: column}.values(), streams)
+        # A ragged column is refused by name whatever its length.
+        with pytest.raises(ValidationError, match=f"^job column {name!r} must hold integers in int64 range$"):
+            RoundJobs(("n",), *{**one, name: [0, [1]]}.values(), [stream(0)])
 
 
 def test_a_window_wraps_within_its_own_rows_of_a_shared_store():
