@@ -35,7 +35,7 @@ from fedpod.aggregation import (
     KIND_FEDPIDAVG,
     WeightResult,
 )
-from fedpod.cohort import fit_poisson
+from fedpod.cohort import fit_poisson, generate_synthetic_cohort, load_partition_csv
 from fedpod.errors import TrainingDivergenceError, ValidationError
 from fedpod.params import (
     DataShard,
@@ -43,6 +43,7 @@ from fedpod.params import (
     RoundUpdates,
     TrainConfig,
     _classifier_dims,
+    blob_geometry,
 )
 from fedpod.selection import classify_nodes, compose_task
 
@@ -287,6 +288,24 @@ def _stream(*key):
     return np.random.default_rng(list(key))
 
 
+def reference_cohort(config):
+    """The run's table, read from its partition CSV or drawn as its synthetic
+    cohort, and the blob geometry of its seed: built here, not by the engine's
+    own cohort build, so that a fault there shows against this reference."""
+    spec = config.cohort
+    if isinstance(spec, engine.PartitionSource):
+        table = load_partition_csv(spec.path)
+    else:
+        shape = (spec.n_institutions, spec.mean_samples, spec.n_outliers, spec.outlier_scale)
+        table = generate_synthetic_cohort(*shape, config.seed, config.n_classes, config.feature_dim)[0]
+    return table, blob_geometry(config.n_classes, config.feature_dim, config.seed)
+
+
+def val_size(count):
+    """A node's validation rows: a fifth of its samples, kept within 8 to 64."""
+    return max(8, min(64, round(0.2 * count)))
+
+
 def plan_reference(config):
     """Per round of `config`'s run: its phase number, phase, task plan,
     dropped ids (sorted), round time and cumulative time, planned node by
@@ -301,7 +320,7 @@ def plan_reference(config):
     maxima and must be positive, the cumulative time must stay finite, and
     the run stops at max_rounds or once the cumulative time reaches the cap.
     """
-    table, _ = engine._build_cohort(config)
+    table, _ = reference_cohort(config)
     poisson = fit_poisson(table)
     classification = classify_nodes(table, poisson, config.z)
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
@@ -336,7 +355,7 @@ def plan_reference(config):
         rows = []
         for p in plan.participants:
             rng = _stream(config.seed, engine._TIMING_SALT, round_index, node_index[p.institution_id])
-            val_s = engine._val_size(table.counts[p.institution_id]) * profile.per_sample_val_s
+            val_s = val_size(table.counts[p.institution_id]) * profile.per_sample_val_s
             base = (
                 profile.model_bytes / profile.bandwidth_bps,
                 val_s,
@@ -404,7 +423,7 @@ def run_reference(config):
     of its nodes, merged as scalar sums in node-id order, and scored on the
     holdout.
     """
-    table, geometry = engine._build_cohort(config)
+    table, geometry = reference_cohort(config)
     poisson = fit_poisson(table)
     classification = classify_nodes(table, poisson, config.z)
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
@@ -426,7 +445,7 @@ def run_reference(config):
                 continue
             count, node = table.counts[inst], node_index[inst]
             shard = _blob_shard(count, geometry, _stream(config.seed, engine._SHARD_SALT, position[inst]))
-            val = _blob_shard(engine._val_size(count), geometry, _stream(config.seed, engine._NODE_VAL_SALT, node))
+            val = _blob_shard(val_size(count), geometry, _stream(config.seed, engine._NODE_VAL_SALT, node))
             rows = [(p.shard_offset + k) % count for k in range(p.quota)]
             seed_key = [config.seed, engine._TRAIN_SALT, round_index, node]
             seed = int(np.random.SeedSequence(seed_key).generate_state(1, np.uint64)[0])

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from fedpod import engine
 from fedpod.aggregation import AggregationStrategy
-from fedpod.cohort import PARTITION_HEADER, generate_synthetic_cohort
+from fedpod.cohort import PARTITION_HEADER, PartitionTable, generate_synthetic_cohort, synthesize_shards
 from fedpod.engine import (
     DEFAULT_SCHEDULE,
     _NODE_VAL_SALT,
-    _val_size,
+    _SHARD_SALT,
     CohortSpec,
     ExperimentConfig,
     PartitionSource,
@@ -30,7 +30,7 @@ from fedpod.errors import EmptyCohortError, TrainingDivergenceError, ValidationE
 from fedpod.params import ModelParams, TrainConfig, make_blob_shard
 from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
 from _helpers import stored_shards
-from _oracle import plan_reference, run_reference, train_local
+from _oracle import plan_reference, reference_cohort, run_reference, train_local, val_size
 
 from dataclasses import replace
 
@@ -174,6 +174,9 @@ def test_schedule_check_matches_the_per_round_loop(schedule, max_rounds, partici
         assert want is None
 
 
+# ROADMAP item 17, group (c): a perf contract. A config checks its schedule
+# only at the rounds where coverage can change, so building one costs the same
+# at 10**6 rounds as at 20; round by round it took 1.1 s.
 def test_schedule_check_cost_does_not_grow_with_max_rounds(monkeypatch):
     calls = []
     real_covers = PhaseEntry.covers
@@ -269,12 +272,6 @@ def test_timing_inputs_are_checked():
         round_time(np.empty((0, 4)))
 
 
-def test_val_size_bounds():
-    assert _val_size(10) == 8
-    assert _val_size(100) == 20
-    assert _val_size(10_000) == 64
-
-
 # ---------------------------------------------------------------- stragglers
 
 
@@ -356,70 +353,12 @@ def test_single_node_fedavg_equals_centralized_sgd():
 
     table, geometry = generate_synthetic_cohort(1, 40.0, 0, 1.0, seed=21)
     ((inst, count),) = table.counts.items()
-    shard = make_blob_shard(count, geometry, np.random.default_rng([21, engine._SHARD_SALT, 0]))
-    val = make_blob_shard(_val_size(count), geometry, np.random.default_rng([21, _NODE_VAL_SALT, 0]))
+    shard = make_blob_shard(count, geometry, np.random.default_rng([21, _SHARD_SALT, 0]))
+    val = make_blob_shard(val_size(count), geometry, np.random.default_rng([21, _NODE_VAL_SALT, 0]))
     seed = int(np.random.SeedSequence([21, engine._TRAIN_SALT, 1, 0]).generate_state(1, np.uint64)[0])
     train_cfg = TrainConfig(epochs=4, learning_rate=1e-3, seed=seed, batch_size=16)
     update = train_local(ModelParams.zeros(36), shard, val, train_cfg, node_id=inst)
     assert np.array_equal(report.final_model.values, update.params[0])
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3])
-def test_round_streams_match_the_per_node_oracles(monkeypatch, seed):
-    """Each job's stream is `SeedSequence(s).generate_state(4, np.uint64)`,
-    where its training seed s is `generate_state(1, np.uint64)` of
-    `SeedSequence([seed, _TRAIN_SALT, round, node])`, its timings are its
-    base costs times four scalar log-normal draws from
-    `default_rng([seed, _TIMING_SALT, round, node])`, injection included.
-    The timings are read where the engine hands them to `detect_stragglers`,
-    with a timeout factor that drops no one. It reads the engine's calls,
-    as it pins the perf contract that the roadmap keeps as measured: one
-    column seeding pass a planned round, and one over every round's
-    training seeds, give numpy's own per-node streams."""
-    profile = fast_timing(jitter_sigma=0.3, inject_round=2, inject_rank=0, inject_factor=4.0, timeout_factor=1e9)
-    config = small_config(seed=seed, participation="all", max_rounds=3, timing=profile)
-    rounds = []
-    round_timings = []
-    real_train_round = engine.train_round
-    real_detect_stragglers = engine.detect_stragglers
-
-    def capture(model, store, jobs, *args):
-        rounds.append(jobs)
-        return real_train_round(model, store, jobs, *args)
-
-    def capture_timings(times, timeout_factor):
-        round_timings.append(times.copy())
-        return real_detect_stragglers(times, timeout_factor)
-
-    monkeypatch.setattr(engine, "train_round", capture)
-    monkeypatch.setattr(engine, "detect_stragglers", capture_timings)
-    report = run_experiment(config)
-    node_index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].counts))}
-    assert len(rounds) == len(round_timings) == len(report.records) == 3
-    for round_index, (jobs, times, record) in enumerate(zip(rounds, round_timings, report.records), start=1):
-        assert list(jobs.node_ids) == list(record.participants)
-        assert times.shape == (len(jobs.node_ids), 4)
-        assert record.dropped == ()
-        injected = sorted(record.participants)[0] if round_index == 2 else None
-        assert jobs.streams.dtype == np.uint64
-        for node_id, stream, quota, val_count, row in zip(
-            jobs.node_ids, jobs.streams.tolist(), jobs.quota.tolist(), jobs.val_count.tolist(), times.tolist()
-        ):
-            node = node_index[node_id]
-            key = [seed, engine._TRAIN_SALT, round_index, node]
-            training_seed = np.random.SeedSequence(key).generate_state(1, np.uint64)[0]
-            assert stream == np.random.SeedSequence(int(training_seed)).generate_state(4, np.uint64).tolist()
-            rng = np.random.default_rng([seed, engine._TIMING_SALT, round_index, node])
-            jitter = [float(rng.lognormal(profile.jitter_mu, profile.jitter_sigma)) for _ in range(4)]
-            expected = [
-                profile.model_bytes / profile.bandwidth_bps * jitter[0],
-                val_count * profile.per_sample_val_s * jitter[1],
-                quota * record.epochs * profile.per_sample_train_s * jitter[2],
-                val_count * profile.per_sample_val_s * jitter[3],
-            ]
-            if node_id == injected:
-                expected = [value * profile.inject_factor for value in expected]
-            assert row == expected
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -457,6 +396,9 @@ def test_injection_rank_must_name_a_participant():
         run_experiment(ExperimentConfig(max_rounds=1, timing=TimingProfile(inject_round=1, inject_rank=rank)))
 
 
+# ROADMAP item 17, group (c): the tests that take this fixture pin the plan
+# pass's contract, that a config fault in any round is raised before any round
+# trains, so no SGD is spent on a run that cannot finish.
 @pytest.fixture
 def train_round_calls(monkeypatch):
     """A list that grows by one at each `train_round` call the engine makes."""
@@ -653,6 +595,10 @@ def test_straggler_blacklist_lasts_one_round():
 def test_straggler_drops_follow_the_timings_and_sit_out_one_round(
     seed, institutions, sigma, timeout_factor, inject_round, inject_rank, inject_factor
 ):
+    """North-star aim 3's straggler invariants, on runs with an injected
+    straggler: a round never drops everyone, and a dropped node sits out
+    exactly the next round. Which rows the timings drop, and the time of the
+    rest, are the plan oracle's to check."""
     timing = fast_timing(
         jitter_sigma=sigma,
         timeout_factor=timeout_factor,
@@ -668,22 +614,11 @@ def test_straggler_drops_follow_the_timings_and_sit_out_one_round(
         schedule=(PhaseEntry(1, None, 2, 2, 0, 1e-3, 1),),
         timing=timing,
     )
-    captured = []
-    real_sample_timings = engine.sample_timings
-
-    def capture(*args):
-        captured.append(real_sample_timings(*args))
-        return captured[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "sample_timings", capture)
-        records = run_experiment(config).records
-    assert len(captured) == len(records) == 5
-    for times, record in zip(captured, records):
+    records = run_experiment(config).records
+    assert len(records) == 5
+    for record in records:
         assert set(record.dropped) <= set(record.participants)
-        survived = [node not in record.dropped for node in record.participants]
-        assert any(survived)
-        assert record.round_time_s == round_time(times[survived])
+        assert any(node not in record.dropped for node in record.participants)
     for r, record in enumerate(records):
         for node in record.dropped:
             if r + 1 < len(records):
@@ -711,8 +646,8 @@ def test_only_the_round_survivors_train(
     """A job for a participant its round drops never reaches `train_round`:
     a `train_round` that diverges on any such job leaves the run as it was,
     and each round trains its participants minus its dropped, in plan order.
-    It reads the engine's calls, as it pins a perf contract: a dropped
-    straggler is never trained."""
+    ROADMAP item 17, group (c): it reads the engine's calls, as it pins a perf
+    contract, that a dropped straggler is never trained."""
     config = small_config(
         seed=seed,
         cohort=CohortSpec(
@@ -767,6 +702,16 @@ def test_only_the_round_survivors_train(
     inject_round=st.one_of(st.none(), st.integers(1, 3)),
     inject_rank=st.integers(-3, 2),
     cap=st.floats(0.05, 4.0),
+)
+# Seeds at the word edges of the training and timing keys, with every node
+# timed and an injected straggler that drops no one.
+@example(
+    seed=2**32 - 1, participation="all", institutions=8, outliers=2, sigma=0.3, timeout_factor=None, inject_round=2,
+    inject_rank=0, cap=4.0,
+)
+@example(
+    seed=2**40 + 3, participation="all", institutions=8, outliers=2, sigma=0.3, timeout_factor=None, inject_round=2,
+    inject_rank=0, cap=4.0,
 )
 def test_the_plan_equals_its_scalar_reference(
     seed, participation, institutions, outliers, sigma, timeout_factor, inject_round, inject_rank, cap
@@ -893,7 +838,7 @@ def test_the_whole_run_examples_wrap_windows_drop_stragglers_and_stop_at_the_cap
             seed, participation = kwargs.pop("seed"), kwargs.pop("participation")
             configs.append(replace(whole_run_config(directory, **kwargs), seed=seed, participation=participation))
         plans = [plan_reference(config) for config in configs]
-        counts = [engine._build_cohort(config)[0].counts for config in configs]
+        counts = [reference_cohort(config)[0].counts for config in configs]
     for rounds, count in zip(plans, counts):
         trained = [p for _, _, plan, out, *_ in rounds for p in plan.participants if p.institution_id not in out]
         assert any(p.shard_offset + p.quota > count[p.institution_id] for p in trained)
@@ -1038,87 +983,65 @@ def test_weights_list_the_survivors_in_participant_order(timeout_factor, jitter_
         assert [node for node, _ in record.weights] == survivors
 
 
+# ROADMAP item 17, group (c): a perf contract. A cohort where few
+# institutions take part synthesizes only their rows, in one
+# `make_blob_shards` call beside the holdout's one `make_blob_shard` call.
+# Which stream draws which rows is the whole-run oracle's to check.
 def test_only_participants_get_shards(monkeypatch):
-    # It counts the engine's calls, as it pins a perf contract: a cohort
-    # where few institutions take part synthesizes only their data, in one
-    # pass beside the holdout. A
-    # shard's stream key, `[seed, salt, index]`, names what it was built for.
-    # Shards built in the engine's seeding pass get generators set to a
-    # stream's start state, with no seed sequence to read, so a stream is
-    # named by matching its start state against `default_rng` of every key.
-    # Every training and validation shard is built in one call of
-    # `engine.make_blob_shards`, which takes each generator just before
-    # drawing from it; the holdout is the one `engine.make_blob_shard` call.
     config = small_config(
         cohort=CohortSpec(n_institutions=40, mean_samples=10.0, n_outliers=3, outlier_scale=8.0),
         schedule=(PhaseEntry(1, None, 4, 2, 2, 1e-3, 1),),
         max_rounds=3,
     )
-    built = {"batch": [], "lone": []}
-    keys = [(engine._HOLDOUT_SALT,)] + [(salt, i) for salt in (engine._SHARD_SALT, _NODE_VAL_SALT) for i in range(40)]
-    key_of_state = {str(np.random.default_rng([config.seed, *key]).bit_generator.state): key for key in keys}
-
-    def name(kind, rng):
-        built[kind].append(key_of_state[str(rng.bit_generator.state)])
-        return rng
-
-    calls = {"batch": 0, "lone": 0}
-
-    def counting_batch(original):
-        def counted(sizes, geometry, rngs):
-            calls["batch"] += 1
-            return original(sizes, geometry, (name("batch", rng) for rng in rngs))
-
-        return counted
-
-    def counting(original):
-        def counted(n, geometry, rng):
-            calls["lone"] += 1
-            return original(n, geometry, name("lone", rng))
-
-        return counted
-
-    monkeypatch.setattr(engine, "make_blob_shards", counting_batch(engine.make_blob_shards))
-    monkeypatch.setattr(engine, "make_blob_shard", counting(engine.make_blob_shard))
+    batches, lone = [], []
+    batch_call, lone_call = engine.make_blob_shards, engine.make_blob_shard
+    monkeypatch.setattr(engine, "make_blob_shards", lambda sizes, *a: batches.append(sizes) or batch_call(sizes, *a))
+    monkeypatch.setattr(engine, "make_blob_shard", lambda n, *a: lone.append(n) or lone_call(n, *a))
     report = run_experiment(config)
-    taking_part = {inst for record in report.records for inst in record.participants}
-    assert len(taking_part) < 40
-    # Synthetic institutions are named in position order, so the training
-    # index and the validation (sorted) index agree.
-    index = {inst: i for i, inst in enumerate(sorted(engine._build_cohort(config)[0].counts))}
-    assert calls == {"batch": 1, "lone": 1}
-    assert sorted(built["batch"]) == sorted(
-        (salt, index[inst]) for salt in (engine._SHARD_SALT, _NODE_VAL_SALT) for inst in taking_part
-    )
-    assert built["lone"] == [(engine._HOLDOUT_SALT,)]
+    table, _ = reference_cohort(config)
+    counts = sorted(table.counts[inst] for inst in {inst for r in report.records for inst in r.participants})
+    assert len(counts) < 40
+    (sizes,) = batches
+    assert sorted(sizes[: len(counts)]) == counts
+    assert sorted(sizes[len(counts) :]) == sorted(val_size(count) for count in counts)
+    assert lone == [max(32, round(config.holdout_fraction * table.total))]
 
 
-def test_round_batch_builds_each_shard_from_its_own_stream(tmp_path):
-    # The engine stores every planned participant's training and validation
-    # rows. Each institution's equal `make_blob_shard` on the stream
-    # `default_rng([seed, salt, index])`: a training shard's index is its
-    # institution's position in the table, a validation shard's its place in
-    # id order. The partition CSV lists institutions in reverse id order, so
-    # the two differ.
-    synthetic, _ = generate_synthetic_cohort(30, 10.0, 3, 8.0, seed=1)
-    path = tmp_path / "part.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PARTITION_HEADER)
-        for inst in reversed(list(synthetic.counts)):
-            writer.writerows([f"{inst}-s{k}", inst] for k in range(synthetic.counts[inst]))
-    config = small_config(cohort=PartitionSource(str(path)))
-    table, geometry = engine._build_cohort(config)
+@st.composite
+def stored_cohorts(draw):
+    """A seed of one or two words, a table and its geometry, and any of its
+    institutions in any order. The table is a synthetic cohort, or one listed
+    as a partition CSV may list it, in reverse id order, so that a table
+    position and a node index differ; some counts pass the validation size's
+    bounds."""
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)))
+    n = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        table, geometry = generate_synthetic_cohort(n, draw(st.sampled_from([6.0, 60.0])), 0, 1.0, seed=seed)
+    else:
+        counts = draw(st.lists(st.integers(1, 25) | st.integers(26, 400), min_size=n, max_size=n))
+        table = PartitionTable({f"p{i:02d}": count for i, count in reversed(list(enumerate(counts)))})
+        geometry = synthesize_shards(table, seed)
+    return seed, table, geometry, draw(st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stored_cohorts())
+def test_round_batch_builds_each_shard_from_its_own_stream(drawn):
+    """The store holds each institution's training rows as `make_blob_shard`
+    of its count on `default_rng([seed, _SHARD_SALT, table position])`, and
+    its validation rows as that of its validation size on
+    `default_rng([seed, _NODE_VAL_SALT, node index])`."""
+    seed, table, geometry, insts = drawn
     position = {inst: i for i, inst in enumerate(table.counts)}
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
-    assert all(position[inst] != node_index[inst] for inst in table.counts)
-    insts = [inst for i, inst in enumerate(sorted(table.counts)) if i % 3 != 1]
-    for kind, salt, index, size in (
-        (0, engine._SHARD_SALT, position, table.counts.get),
-        (1, _NODE_VAL_SALT, node_index, lambda inst: _val_size(table.counts[inst])),
-    ):
-        stored = stored_shards(config.seed, table, geometry, insts)[kind]
-        for inst in insts:
-            want = make_blob_shard(size(inst), geometry, np.random.default_rng([config.seed, salt, index[inst]]))
+    train, val = stored_shards(seed, table, geometry, insts)
+    for inst in insts:
+        count = table.counts[inst]
+        for stored, salt, index, size in (
+            (train, _SHARD_SALT, position, count),
+            (val, _NODE_VAL_SALT, node_index, val_size(count)),
+        ):
+            want = make_blob_shard(size, geometry, np.random.default_rng([seed, salt, index[inst]]))
             assert stored[inst].labels.tobytes() == want.labels.tobytes()
             assert stored[inst].features.tobytes() == want.features.tobytes()

@@ -1,6 +1,5 @@
 """`fedpod.streams` against numpy's own `SeedSequence` and `default_rng`."""
 
-import sys
 from itertools import compress
 
 import numpy as np
@@ -161,8 +160,9 @@ def test_no_rows_give_no_states():
 def test_no_ids_make_no_generate_state_pass(monkeypatch):
     # A call of no ids returns at once, also in a run of no rounds, whose
     # two seeding calls, the store pass and the job-stream pass, have no
-    # participant and no survivor to seed. It counts the engine's calls, as
-    # it pins a perf contract that the roadmap keeps as measured.
+    # participant and no survivor to seed. ROADMAP item 17, group (c): it
+    # counts the engine's calls, as it pins a perf contract, that a seeding
+    # call of no keys costs no `_generate_state` pass (38 us each).
     def refused(entropy):
         raise AssertionError("a _generate_state pass over no keys")
 
@@ -199,19 +199,19 @@ def test_a_negative_id_raises(ids):
 
 
 def _passes(monkeypatch, config):
-    """(calling function, entropy widths) of every `seed_states` call in a
-    run, one entry per call; the widths are those of its `_generate_state`
-    passes. Only `engine` seeds: `params` does not import `seed_states`."""
+    """The entropy widths of each `seed_states` call in a run, in call order:
+    one list per call, of its `_generate_state` passes. Only `engine` seeds:
+    `params` does not import `seed_states`."""
     assert not hasattr(params, "seed_states")
     calls = []
     generate_state, original = streams._generate_state, engine.seed_states
 
     def counted(entropy):
-        calls[-1][1].append(len(entropy))
+        calls[-1].append(len(entropy))
         return generate_state(entropy)
 
     def recorded(blocks):
-        calls.append((sys._getframe(1).f_code.co_name, []))
+        calls.append([])
         return original(blocks)
 
     monkeypatch.setattr(streams, "_generate_state", counted)
@@ -234,8 +234,9 @@ def test_one_generate_state_pass_per_width_a_round(monkeypatch, seed, first, lat
     """The engine first plans each round in one pass, of widths `first`, over
     its training and timing keys, and later seeds every shard in one pass, of
     widths `later`; then its training pass makes one pass for the whole run,
-    over every round's survivors' training seeds. It counts the engine's
-    calls, as it pins a perf contract that the roadmap keeps as measured."""
+    over every round's survivors' training seeds. ROADMAP item 17, group
+    (c): it counts the engine's calls, as it pins the measured keeper that
+    seeding in columns pays only when the passes are fused."""
     config = ExperimentConfig(
         seed=seed,
         cohort=CohortSpec(n_institutions=9, mean_samples=12.0, n_outliers=2, outlier_scale=6.0),
@@ -243,7 +244,5 @@ def test_one_generate_state_pass_per_width_a_round(monkeypatch, seed, first, lat
         batch_size=8,
         max_rounds=3,
     )
-    calls = _passes(monkeypatch, config)
     # The training seeds are uint64s: one pass of 4 words for every round.
-    expected = [("_plan_run", first)] * 3 + [("_build_store", later), ("run_experiment", [4])]
-    assert [(caller, sorted(widths)) for caller, widths in calls] == expected
+    assert _passes(monkeypatch, config) == [first] * 3 + [later, [4]]
