@@ -81,10 +81,15 @@ class CostHistory:
 
 @dataclass(frozen=True)
 class WeightResult:
-    """Normalized merge weights plus any degenerate-term fallbacks that fired."""
+    """Normalized merge weights, any degenerate-term fallbacks that fired, and
+    how many weights are below 0 (no fallback fires for them), counted from them."""
 
     weights: tuple[float, ...]
     fallbacks: tuple[str, ...] = ()
+    negative_weights: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "negative_weights", sum(w < 0 for w in self.weights))
 
 
 def _data_shares(updates: RoundUpdates) -> np.ndarray:

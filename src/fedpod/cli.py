@@ -121,9 +121,7 @@ def _read_pairs(path: Path) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise ParseError(f"expected 'key = value', got {stripped!r}", line=lineno)
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = map(str.strip, stripped.partition("="))
         if key in pairs:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         pairs[key] = value
@@ -157,15 +155,10 @@ def parse_config(path) -> ExperimentConfig:
         section, _, name = key.rpartition(".")
         if section.startswith("schedule.phase") and name in _PHASE_KEY_NAMES:
             digits = section[len("schedule.phase") :]
-            try:
-                number = int(digits)
-            except ValueError:
-                number = None
-            # int() also reads "01", "+1" and "1_0"; only the canonical
-            # spelling names a phase, so one phase has one key.
-            if number is None or str(number) != digits:
+            # Only the canonical spelling names a phase, not "01", "+1" or "1_0", so one phase has one key.
+            if not (digits.isascii() and digits.isdigit()) or str(int(digits)) != digits:
                 raise ValidationError(f"unknown config key {key!r}")
-            phases.setdefault(number, {})[name] = raw
+            phases.setdefault(int(digits), {})[name] = raw
         elif key in _KEYS:
             section, field_name, value_type = _KEYS[key]
             given[section][field_name] = _read_value(key, value_type, raw)
@@ -358,13 +351,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_gen_cohort(args) -> int:
     seed = replace(_DEFAULTS, seed=args.seed).seed  # the config's seed check
-    table, _ = generate_synthetic_cohort(
-        args.institutions,
-        args.mean_samples,
-        args.outliers,
-        args.outlier_scale,
-        seed,
-    )
+    table, _ = generate_synthetic_cohort(args.institutions, args.mean_samples, args.outliers, args.outlier_scale, seed)
     write_partition_csv(table, args.out)
     print(f"{len(table.counts)} institutions, {table.total} samples -> {args.out}")
     return 0

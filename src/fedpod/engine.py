@@ -2,9 +2,10 @@
 
 The plan pass reads no model: phase schedule, task composition, timings,
 straggler drop and replacement, and the round the run stops at. The
-training pass draws every participant's training and validation rows into
-one store, then per planned round trains the survivors in one batched pass,
-aggregates and keeps metrics.
+training pass draws every survivor's training and validation rows into one
+store and checks one table of all rounds' jobs once, so a job-row fault is
+raised before any round trains, not at its round. Then each round trains
+its rows of the table in one batched pass, aggregates and keeps metrics.
 
 Everything is driven by one `ExperimentConfig`; identical configs produce
 identical reports. Per-purpose RNG streams are derived from the experiment
@@ -35,14 +36,16 @@ from .params import (
     DataShard,
     ModelParams,
     RoundJobs,
+    TrainConfig,
+    _check_round,
+    _train_checked,
     dice_score,
     make_blob_shard,
     make_blob_shards,
     predict_labels,
     train_local,  # noqa: F401 -- unused here, but the benchmark's tracer (bench/tracer.py) wraps this name
-    train_round,
 )
-from .selection import NodeClassification, TaskPlan, classify_nodes, compose_task
+from .selection import NodeClassification, TaskParticipant, TaskPlan, classify_nodes, compose_task
 from .streams import generators, seed_states
 
 _HOLDOUT_SALT = 7001
@@ -81,12 +84,7 @@ class PhaseEntry:
             raise ValidationError("n_nodes must equal n_primary + n_secondary")
         if min(self.n_nodes, self.n_primary, self.n_secondary) < 0:
             raise ValidationError("node counts must be non-negative")
-        if not self.learning_rate > 0:
-            raise ValidationError("learning_rate must be > 0")
-        if not math.isfinite(self.learning_rate):
-            raise ValidationError("learning_rate must be finite")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
+        TrainConfig(self.epochs, self.learning_rate, 0)  # the epochs and learning-rate checks of local training
 
     def covers(self, round_index: int) -> bool:
         return self.first_round <= round_index and (self.last_round is None or round_index <= self.last_round)
@@ -160,6 +158,11 @@ class RoundRecord:
     fallbacks: tuple[str, ...]
     secondary_shortfall: bool
     primary_shortfall: bool
+    # How many of `weights` are below 0, counted from them; no artifact holds it.
+    negative_weights: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "negative_weights", sum(w < 0 for _, w in self.weights))
 
 
 @dataclass(frozen=True)
@@ -328,15 +331,8 @@ def _build_cohort(config: ExperimentConfig) -> tuple[PartitionTable, BlobGeometr
     if isinstance(spec, PartitionSource):
         table = load_partition_csv(spec.path)
         return table, synthesize_shards(table, config.seed, config.n_classes, config.feature_dim)
-    return generate_synthetic_cohort(
-        spec.n_institutions,
-        spec.mean_samples,
-        spec.n_outliers,
-        spec.outlier_scale,
-        config.seed,
-        config.n_classes,
-        config.feature_dim,
-    )
+    # A `CohortSpec`'s fields are the cohort generator's first arguments, in order.
+    return generate_synthetic_cohort(*vars(spec).values(), config.seed, config.n_classes, config.feature_dim)
 
 
 def _val_size(count: int) -> int:
@@ -349,11 +345,12 @@ def _plan_run(
     classification: NodeClassification,
     lam: float,
     node_index: dict[str, int],
-) -> list[tuple[int, PhaseEntry, TaskPlan, np.ndarray, np.ndarray, float]]:
+) -> tuple[list[tuple[int, PhaseEntry, TaskPlan, np.ndarray, float, slice]], list[TaskParticipant], np.ndarray]:
     """The plan pass: per round, until max_rounds or the round whose time
-    reaches the cap, its phase number and phase, task, its survivors'
-    training seeds (a uint64 copy, not the round's state rows) and its
-    straggler mask, both in plan order, and round time (> 0, finite in sum).
+    reaches the cap, its phase number and phase, task, straggler mask (plan
+    order), round time (> 0, finite in sum) and its survivors' rows; and
+    the run-wide rows, every round's survivors in plan order, as their
+    `TaskParticipant`s and their training seeds (uint64).
 
     It reads neither the model nor any shard. A round's drops sit out the
     next round, and a primary's window moves on by its quota. One
@@ -361,9 +358,11 @@ def _plan_run(
     (`SeedSequence([seed, _TRAIN_SALT, round, node]).generate_state(1,
     np.uint64)`) and timing stream, keyed by node index: keys of one width,
     so one pass. A dropped straggler never trains, so only the survivors'
-    seeds are kept; the training pass hashes them all in one pass.
+    rows are kept; the training pass hashes their seeds in one pass.
     """
     rounds = []
+    kept: list[TaskParticipant] = []
+    seeds = [np.empty(0, np.uint64)]
     offsets: dict[str, int] = {}
     blacklist: frozenset[str] = frozenset()
     cumulative = 0.0
@@ -398,14 +397,17 @@ def _plan_run(
             raise ValidationError(f"round {round_index} has a simulated time of {elapsed}, not a positive one")
         if not math.isfinite(cumulative):
             raise ValidationError(f"round {round_index} brings the cumulative simulated time to {cumulative}")
-        rounds.append((phase_number, phase, plan, train_states[~slow, 0], slow, elapsed))
+        first = len(kept)
+        kept.extend(compress(plan.participants, (~slow).tolist()))
+        seeds.append(train_states[~slow, 0])
+        rounds.append((phase_number, phase, plan, slow, elapsed, slice(first, len(kept))))
         for p in plan.participants:
             if p.quota < table.counts[p.institution_id]:
                 offsets[p.institution_id] = (p.shard_offset + p.quota) % table.counts[p.institution_id]
         blacklist = frozenset(compress(insts, slow.tolist()))
         if cumulative >= config.max_simulated_time_s:
             break
-    return rounds
+    return rounds, kept, np.concatenate(seeds)
 
 
 def _build_store(
@@ -436,38 +438,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     round), the timings, the drops and the round time, and stops at
     max_rounds or once simulated time reaches the cap. So a config fault in
     any round is raised before anything trains. The training pass stores
-    every planned participant's data and hashes every round's job streams
-    in one pass, then per round trains the survivors, merges them with the
-    configured strategy and scores the global model on a fixed held-out shard.
+    every survivor's data, builds one table of every round's jobs, their
+    streams hashed in one pass, and checks it once against the store, so a
+    job-row fault is raised before any round trains too. Then per round it
+    trains the survivors' row range, merges them with the configured
+    strategy and scores the global model on a fixed held-out shard.
     """
     table, geometry = _build_cohort(config)
     poisson = fit_poisson(table)
     classification = classify_nodes(table, poisson, config.z)
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
-    rounds = _plan_run(config, table, classification, poisson.lam, node_index)
+    rounds, kept, seeds = _plan_run(config, table, classification, poisson.lam, node_index)
 
     holdout_n = max(32, round(config.holdout_fraction * table.total))
     holdout = make_blob_shard(holdout_n, geometry, np.random.default_rng([config.seed, _HOLDOUT_SALT]))
-    # Every planned participant's data, in the order the rounds first name them.
-    insts = list(dict.fromkeys(inst for _, _, plan, *_ in rounds for inst in plan.node_ids()))
-    store, layout = _build_store(config.seed, table, geometry, node_index, insts)
-    slot = {inst: i for i, inst in enumerate(insts)}
-    # One pass hashes every round's survivor seeds into job streams; the empty head serves a run of no rounds.
-    seeds = [np.empty(0, np.uint64)] + [seeds for *_, seeds, _, _ in rounds]
-    streams = np.split(seed_states([((), np.concatenate(seeds))]), np.cumsum([len(s) for s in seeds])[1:-1])
-
+    # Every survivor's data, in the order the rounds first name them.
+    ids = tuple(p.institution_id for p in kept)
+    slot = {inst: i for i, inst in enumerate(dict.fromkeys(ids))}
+    store, layout = _build_store(config.seed, table, geometry, node_index, list(slot))
+    # Each round trains a row range of this table, not checked again.
+    offsets, quotas = [p.shard_offset for p in kept], [p.quota for p in kept]
+    jobs = RoundJobs(ids, *layout[:, [slot[inst] for inst in ids]], offsets, quotas, seed_states([((), seeds)]))
     model = ModelParams.zeros(config.model_dim)
+    _check_round(model, store, jobs)
+
     history = CostHistory(history_window=config.strategy.history_window)
     records: list[RoundRecord] = []
     cumulative = best = weighted_best = 0.0
 
-    for round_index, (phase_number, phase, plan, _, slow, elapsed) in enumerate(rounds, start=1):
+    for round_index, (phase_number, phase, plan, slow, elapsed, rows) in enumerate(rounds, start=1):
         # In plan order: `aggregate` sums the rows in node-id order itself.
-        kept = list(compress(plan.participants, (~slow).tolist()))
-        ids = tuple(p.institution_id for p in kept)
-        offsets, quotas = [p.shard_offset for p in kept], [p.quota for p in kept]
-        jobs = RoundJobs(ids, *layout[:, [slot[inst] for inst in ids]], offsets, quotas, streams[round_index - 1])
-        survivors = train_round(model, store, jobs, phase.epochs, phase.learning_rate, config.batch_size)
+        survivors = _train_checked(model, store, jobs._rows(rows), phase.epochs, phase.learning_rate, config.batch_size)
 
         result = compute_weights(config.strategy, survivors, history)
         model = aggregate(survivors, result.weights)

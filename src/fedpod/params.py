@@ -334,12 +334,13 @@ _JOB_COLUMNS = ("train_start", "train_count", "val_start", "val_count", "offset"
 
 @dataclass(frozen=True, eq=False)
 class RoundJobs:
-    """One round's jobs as read-only int64 columns over one store of rows: node
-    ids; each node's `train_count` training rows from `train_start` and
-    `val_count` validation rows from `val_start`; its window, training rows
-    train_start + (offset + k) % train_count for k < quota, in order; and its
-    stream, a row of `streams`, the 4 uint64 words `default_rng(seed)` seeds
-    itself from. Checked once, here; `train_round` checks rows against the store."""
+    """Jobs as read-only int64 columns over one store of rows: node ids; each
+    node's `train_count` training rows from `train_start` and `val_count`
+    validation rows from `val_start`; its window, training rows train_start
+    + (offset + k) % train_count for k < quota, in order; and its stream, a
+    row of `streams`, the 4 uint64 words `default_rng(seed)` seeds itself
+    from. Checked once, here, and against a store by `_check_round`: the
+    engine checks one table of all its rounds' jobs, before any trains."""
 
     node_ids: tuple[str, ...]
     train_start: np.ndarray
@@ -374,6 +375,12 @@ class RoundJobs:
             raise ValidationError(f"job {ids[j]!r}: window of {quota[j]} at {offset[j]} is outside its {n[j]} rows")
         block.setflags(write=False)
         _set_read_only(self, node_ids=ids, streams=streams, **dict(zip(_JOB_COLUMNS, block)))
+
+    def _rows(self, rows: slice) -> RoundJobs:
+        """The jobs `rows`, as views of these read-only columns, not checked again."""
+        jobs = object.__new__(RoundJobs)
+        vars(jobs).update((name, getattr(self, name)[rows]) for name in ("node_ids", "streams", *_JOB_COLUMNS))
+        return jobs
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -585,14 +592,9 @@ def _train_block(
             k = hi - lo
             if (k, length) not in scratch:
                 scratch[k, length] = _step_scratch(k, length, n_classes)
-            step = _bind_step(
-                views,
-                lo,
-                hi,
-                run_features[row_lo:row_hi].reshape(k, length, feature_dim),
-                run_onehot[row_lo:row_hi].reshape(k, length, n_classes),
-                scratch[k, length],
-            )
+            x = run_features[row_lo:row_hi].reshape(k, length, feature_dim)
+            onehot = run_onehot[row_lo:row_hi].reshape(k, length, n_classes)
+            step = _bind_step(views, lo, hi, x, onehot, scratch[k, length])
             bound_steps.append((lo, values[lo:hi], grad[lo:hi], step))
         bound.append((first, end, run_features[: end - first], run_onehot[: end - first], bound_steps))
 
@@ -687,10 +689,18 @@ def train_round(
     oracle raises for the first of them in `jobs` order.
 
     The store and the rows the jobs read are checked before any training
-    (`_check_round`), the returned columns once, by `RoundUpdates`.
+    (`_check_round`), the returned columns once, by `RoundUpdates`. The
+    engine checks its run's jobs once and trains rounds by `_train_checked`.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # the argument checks of a one-node config
     _check_round(start, store, jobs)
+    return _train_checked(start, store, jobs, epochs, learning_rate, batch_size)
+
+
+def _train_checked(
+    start: ModelParams, store: DataShard, jobs: RoundJobs, epochs: int, learning_rate: float, batch_size: int
+) -> RoundUpdates:
+    """`train_round` on arguments already checked as it checks them."""
     values = np.empty((len(jobs.node_ids), start.dim))
     costs = np.empty((epochs + 1, len(jobs.node_ids)))
     diverged: dict[int, str] = {}
@@ -698,11 +708,9 @@ def train_round(
     by_size = np.argsort(jobs.quota, kind="stable")
     for lo in range(0, len(by_size), _BLOCK_NODES):
         block = by_size[lo : lo + _BLOCK_NODES]
-        block_values, block_costs, block_diverged = _train_block(
+        values[block], costs[:, block], block_diverged = _train_block(
             start, store, jobs, block, epochs, learning_rate, batch_size
         )
-        values[block] = block_values
-        costs[:, block] = block_costs
         diverged.update((int(block[j]), detail) for j, detail in block_diverged.items())
 
     if diverged:

@@ -206,7 +206,6 @@ def generators(states: np.ndarray) -> Iterator[np.random.Generator]:
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for start, inc in zip(starts, incs):
-        pcg["state"] = start
-        pcg["inc"] = inc
+        pcg["state"], pcg["inc"] = start, inc
         bit_generator.state = state
         yield generator

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from _helpers import build_update, random_updates, round_of, take
 from fedpod.aggregation import (
     AggregationStrategy,
     CostHistory,
+    _blend,
     aggregate,
     compute_weights,
     fedavg_weights,
@@ -228,6 +231,40 @@ def test_negative_individual_derivative_is_kept():
     assert result.fallbacks == ()
     assert result.weights[0] < 0 < result.weights[1]
     assert sum(result.weights) == pytest.approx(1.0, abs=1e-12)
+    assert result.negative_weights == 1
+
+
+def test_a_derivative_total_just_above_zero_gives_unbounded_weights():
+    # Today's rule, pinned: each derivative term is divided by the signed
+    # total, and the fallback fires only at a total of 0 or below, so a total
+    # just above 0 gives weights far outside [0, 1] and no fallback.
+    result = _blend(np.full(3, 1 / 3), POD, np.array([1e-9, 1e-9, -1.9e-9]), np.ones(3))
+    assert result.fallbacks == ()
+    assert result.weights == pytest.approx((7.1, 7.1, -13.2), abs=1e-6)
+    assert result.negative_weights == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(0.1, 1.0), min_size=1, max_size=6),
+    st.lists(st.floats(0.1, 1.0), min_size=1, max_size=6),
+    st.floats(1e-4, 1e-3),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_small_positive_derivative_total_counts_the_negative_weights(gains, losses, ratio, seed):
+    # Derivative terms of nodes whose cost fell (gains) and rose (losses),
+    # the losses scaled so that the signed total is `ratio` of the gains:
+    # each loss gets a negative weight, each gain a positive one, and the
+    # weights still sum to 1.
+    rng = np.random.default_rng(seed)
+    scaled = np.array(losses) * ((1 - ratio) * sum(gains) / sum(losses))
+    k_terms = rng.permutation(np.concatenate([gains, -scaled]))
+    n = len(k_terms)
+    result = _blend(rng.dirichlet(np.ones(n)), POD, k_terms, rng.uniform(0.1, 1.0, n))
+    assert result.fallbacks == ()
+    assert [w < 0 for w in result.weights] == (k_terms < 0).tolist()
+    assert result.negative_weights == len(losses)
+    assert math.fsum(result.weights) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
-from fedpod import engine
+from fedpod import engine, params
 from fedpod.aggregation import AggregationStrategy
 from fedpod.cohort import PARTITION_HEADER, PartitionTable, generate_synthetic_cohort, synthesize_shards
 from fedpod.engine import (
@@ -401,10 +401,10 @@ def test_injection_rank_must_name_a_participant():
 # trains, so no SGD is spent on a run that cannot finish.
 @pytest.fixture
 def train_round_calls(monkeypatch):
-    """A list that grows by one at each `train_round` call the engine makes."""
+    """A list that grows by one at each round the engine trains."""
     calls = []
-    train_round = engine.train_round
-    monkeypatch.setattr(engine, "train_round", lambda *args: calls.append(1) or train_round(*args))
+    train = engine._train_checked
+    monkeypatch.setattr(engine, "_train_checked", lambda *args: calls.append(1) or train(*args))
     return calls
 
 
@@ -488,6 +488,45 @@ def test_a_run_whose_cumulative_time_overflows_is_refused_before_training(train_
     # One round fewer keeps a finite total, and the run is its reference's.
     shorter = replace(config, max_rounds=14)
     assert run_experiment(shorter).records == run_reference(shorter)[0]
+
+
+def test_a_fault_in_a_late_rounds_job_rows_is_refused_before_round_1_trains(train_round_calls, monkeypatch):
+    # The default schedule trains the primaries alone for five rounds and adds
+    # secondaries from round 6. A secondary's job with no validation rows is
+    # refused, and the run's one job table is checked before any round trains.
+    config = small_config(max_rounds=6)
+    records = run_experiment(config).records
+    late = next(inst for inst in records[5].participants if inst not in records[4].participants)
+    assert not any(late in r.participants for r in records[:5]) and records[5].dropped == ()
+    build_store = engine._build_store
+
+    def without_late_validation_rows(seed, table, geometry, node_index, insts):
+        store, layout = build_store(seed, table, geometry, node_index, insts)
+        layout[3, insts.index(late)] = 0
+        return store, layout
+
+    monkeypatch.setattr(engine, "_build_store", without_late_validation_rows)
+    train_round_calls.clear()
+    with pytest.raises(ValidationError) as err:
+        run_experiment(config)
+    assert str(err.value) == f"job {late!r}: its rows are not all inside the store"
+    assert train_round_calls == []
+
+
+# A perf contract: a run checks its one table of jobs once, not once a round.
+def test_a_run_checks_its_jobs_once(monkeypatch):
+    calls = []
+    check = params._check_round
+    for module in (engine, params):
+        monkeypatch.setattr(module, "_check_round", lambda *args: calls.append(1) or check(*args))
+    assert run_experiment(small_config(max_rounds=4)).summary.rounds_run == 4
+    assert len(calls) == 1
+
+
+def test_a_record_counts_its_negative_weights():
+    record = run_experiment(small_config(max_rounds=1)).records[0]
+    assert record.negative_weights == 0
+    assert replace(record, weights=(("a", 7.1), ("b", 7.1), ("c", -13.2))).negative_weights == 1
 
 
 def test_best_dice_is_running_max():
@@ -643,8 +682,8 @@ def test_straggler_drops_follow_the_timings_and_sit_out_one_round(
 def test_only_the_round_survivors_train(
     seed, participation, kind, institutions, outliers, outlier_scale, timeout_factor, sigma, inject_round, inject_rank
 ):
-    """A job for a participant its round drops never reaches `train_round`:
-    a `train_round` that diverges on any such job leaves the run as it was,
+    """A job for a participant its round drops never reaches the engine's
+    training call: one that diverges on any such job leaves the run as it was,
     and each round trains its participants minus its dropped, in plan order.
     ROADMAP item 17, group (c): it reads the engine's calls, as it pins a perf
     contract, that a dropped straggler is never trained."""
@@ -673,7 +712,7 @@ def test_only_the_round_survivors_train(
     injected = records[inject_round - 1]
     assert injected.dropped or len(injected.participants) == 1
     trained = []
-    real_train_round = engine.train_round
+    real_train = engine._train_checked
 
     def diverging_on_the_dropped(model, store, jobs, *args):
         record = records[len(trained)]
@@ -681,10 +720,10 @@ def test_only_the_round_survivors_train(
         for node_id in jobs.node_ids:
             if node_id in record.dropped:
                 raise TrainingDivergenceError(node_id, "trained after its round dropped it")
-        return real_train_round(model, store, jobs, *args)
+        return real_train(model, store, jobs, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "train_round", diverging_on_the_dropped)
+        patch.setattr(engine, "_train_checked", diverging_on_the_dropped)
         wrapped = run_experiment(config)
     assert wrapped.records == records
     assert wrapped.final_model.values.tobytes() == report.final_model.values.tobytes()
