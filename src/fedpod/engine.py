@@ -54,6 +54,11 @@ _TRAIN_SALT = 7003
 _TIMING_SALT = 7004
 _SHARD_SALT = 7012
 
+# The int64 entries a round's batch orders may hold: training draws a block's
+# orders for every epoch up front, (epochs, rows) at 8 bytes an entry, and
+# copies them twice, so a phase past this bound could not be allocated.
+_MAX_ORDER_ENTRIES = 2**27
+
 # Per-node validation shards stay small so validation time never dominates.
 _VAL_FRACTION = 0.2
 _VAL_MIN = 8
@@ -381,8 +386,14 @@ def _plan_run(
         )
         insts = plan.node_ids()
         n = max((p.quota for p in plan.participants), default=0)
+        rows = sum(p.quota for p in plan.participants)
         if n * phase.epochs >= 2**63:  # training and `sample_timings` count them in int64
             raise ValidationError(f"schedule phase {phase_number}: epochs = {phase.epochs} times {n} rows passes 2**63")
+        if rows * phase.epochs > _MAX_ORDER_ENTRIES:
+            raise ValidationError(
+                f"schedule phase {phase_number}: epochs = {phase.epochs} times the {rows} rows of round"
+                f" {round_index} passes {_MAX_ORDER_ENTRIES} batch-order entries"
+            )
         nodes = np.array([node_index[inst] for inst in insts], dtype=np.uint64)
         keys = [((config.seed, _TRAIN_SALT, round_index), nodes), ((config.seed, _TIMING_SALT, round_index), nodes)]
         train_states, timing_states = np.split(seed_states(keys), 2)

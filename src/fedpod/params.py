@@ -197,7 +197,9 @@ def _classifier_dims(model: ModelParams, shard: DataShard) -> tuple[int, int]:
 # `_stacked_gradient` and `_bind_costs` reduce over class slices instead of
 # along each row. One per-row reduction costs a call per row; a slice pass
 # costs a call per class, so small stacks stay on the per-row reductions. At
-# 4 classes the two cross at about 100 to 250 rows.
+# 4 classes the two cross at about 100 to 250 rows. Below it, the gradient
+# step reduces over the class axis of class-major logits instead, whose inner
+# loop runs along the rows; `_bind_costs` keeps the per-row reductions.
 _WIDE_ROWS = 256
 
 # Class counts below which the slice passes run. Below 8 classes numpy sums a
@@ -390,36 +392,47 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _gradient_views(values: np.ndarray, grad: np.ndarray, n_classes: int, feature_dim: int) -> tuple:
     """The block views that `_bind_step` slices by job: the transposed
-    weights and the biases of the (jobs, dim) `values`, and the weight and
+    weights and the biases of the (jobs, dim) `values`, as (jobs, 1,
+    n_classes) rows and as (jobs, n_classes, 1) columns, and the weight and
     bias columns of the (jobs, dim) `grad`."""
     split = n_classes * feature_dim
     shape = (len(values), n_classes, feature_dim)
     return (
         values[:, :split].reshape(shape).transpose(0, 2, 1),
         values[:, None, split:],
+        values[:, split:, None],
         grad[:, :split].reshape(shape),
         grad[:, split:],
     )
 
 
-def _step_scratch(k: int, length: int, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _step_scratch(k: int, length: int, n_classes: int) -> tuple:
     """The scratch of `_stacked_gradient` steps of k models on batches of
-    `length`: logits (k, length, n_classes), their transposed view, and row
+    `length`: logits (k, length, n_classes), their transposed view, and for
+    a narrow step, of fewer than `_WIDE_ROWS` stacked rows and
+    `_SLICE_CLASSES` classes, class-major logits (k, n_classes, length) and
+    class maxima or sums (k, 1, length); for any other step None and row
     maxima or sums (k, length, 1). Steps of one shape may share it."""
     logits = np.empty((k, length, n_classes))
-    return logits, logits.transpose(0, 2, 1), np.empty((k, length, 1))
+    if k * length < _WIDE_ROWS and n_classes < _SLICE_CLASSES:
+        return logits, logits.transpose(0, 2, 1), np.empty((k, n_classes, length)), np.empty((k, 1, length))
+    return logits, logits.transpose(0, 2, 1), None, np.empty((k, length, 1))
 
 
 def _bind_step(views: tuple, lo: int, hi: int, features: np.ndarray, onehot: np.ndarray, scratch: tuple) -> tuple:
     """The operands of one `_stacked_gradient` call, for jobs lo:hi of the
     block whose `_gradient_views` are `views`, on their (k, length,
     feature_dim) batches `features` and (k, length, n_classes) `onehot`,
-    with `_step_scratch` of that shape. Whether the step runs the
-    class-slice passes is decided here, once."""
-    weights_t, bias, grad_w, grad_b = views
+    with `_step_scratch` of that shape. Which reductions the step runs is
+    decided here, once: class-major ones, on the biases as columns, where
+    the scratch has class-major logits; else the class-slice passes from
+    `_WIDE_ROWS` stacked rows of fewer than `_SLICE_CLASSES` classes, else
+    the per-row ones, both on the biases as rows."""
+    weights_t, bias, bias_c, grad_w, grad_b = views
     k, length, n_classes = onehot.shape
     wide = k * length >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
-    return (features, weights_t[lo:hi], bias[lo:hi], onehot, *scratch, grad_w[lo:hi], grad_b[lo:hi], length, wide)
+    bias = bias[lo:hi] if scratch[2] is None else bias_c[lo:hi]
+    return (features, weights_t[lo:hi], bias, onehot, *scratch, grad_w[lo:hi], grad_b[lo:hi], length, wide)
 
 
 def _stacked_gradient(step: tuple) -> None:
@@ -445,6 +458,23 @@ def _stacked_gradient(step: tuple) -> None:
       into the two column ranges of the gradient through `out=`, with the
       same operands and order as the oracle's product and `sum`.
 
+    A narrow step, of fewer than `_WIDE_ROWS` stacked rows and
+    `_SLICE_CLASSES` classes, runs its softmax on class-major logits, a
+    layout that gives the same bits:
+    - the logits product is the same call; the bias add reads the logits
+      through their transposed view and the biases as columns, and writes
+      each sum, the same one addition, into the (k, n_classes, length)
+      scratch;
+    - the class max and the class sum are each one reduction over axis 1,
+      a pass over contiguous runs of `length` values: the max is exact in
+      any order, and the sum adds the classes left to right, as numpy sums
+      a contiguous row of so few values (`_class_sum` relies on this too);
+      the values summed are `exp` outputs, never -0.0, so starting from the
+      first class gives the bits of numpy's start from 0.0;
+    - `exp` runs on a contiguous buffer, as the oracle's does;
+    - the normalizing divide writes each quotient back into the row-major
+      logits through their transposed view.
+
     From `_WIDE_ROWS` stacked rows of fewer than `_SLICE_CLASSES` classes,
     the three reductions run as whole-array passes that give the same bits:
     - the class max is `_class_max`, exact in any order;
@@ -462,20 +492,28 @@ def _stacked_gradient(step: tuple) -> None:
     whose scaled product overflows is a parameter fault, not a gradient
     fault. The caller holds the `np.errstate`.
     """
-    features, weights_t, bias, onehot, z, z_t, row_max, grad_w, grad_b, length, wide = step
+    features, weights_t, bias, onehot, z, z_t, zc, row_max, grad_w, grad_b, length, wide = step
     np.matmul(features, weights_t, out=z)
-    z += bias
-    if wide:
-        _class_max(z, row_max[..., 0])
+    if zc is not None:
+        np.add(z_t, bias, out=zc)
+        np.maximum.reduce(zc, axis=1, keepdims=True, out=row_max)
+        zc -= row_max
+        np.exp(zc, out=zc)
+        np.add.reduce(zc, axis=1, keepdims=True, out=row_max)
+        np.divide(zc, row_max, out=z_t)
     else:
-        np.maximum.reduce(z, axis=2, keepdims=True, out=row_max)
-    z -= row_max
-    np.exp(z, out=z)
-    if wide:
-        _class_sum(z, row_max[..., 0])
-    else:
-        np.add.reduce(z, axis=2, keepdims=True, out=row_max)
-    z /= row_max
+        z += bias
+        if wide:
+            _class_max(z, row_max[..., 0])
+        else:
+            np.maximum.reduce(z, axis=2, keepdims=True, out=row_max)
+        z -= row_max
+        np.exp(z, out=z)
+        if wide:
+            _class_sum(z, row_max[..., 0])
+        else:
+            np.add.reduce(z, axis=2, keepdims=True, out=row_max)
+        z /= row_max
     z -= onehot
     z /= length
     np.matmul(z_t, features, out=grad_w)
@@ -562,9 +600,9 @@ def _train_block(
     in every epoch: views of the block's parameters `values` and of its one
     gradient buffer, views of one feature and one one-hot buffer that each
     gather run of the plan refills with its batches, rows counted from the
-    run's first, and logits and row-max scratch shared by the steps of one
-    shape. `values` is therefore only ever written in place: an epoch that
-    is replayed restores it with `values[:] = saved`. The gradient buffer is
+    run's first, and the `_step_scratch` shared by the steps of one shape.
+    `values` is therefore only ever written in place: an epoch that is
+    replayed restores it with `values[:] = saved`. The gradient buffer is
     the step loop's: each step scales its rows by the learning rate in place
     and subtracts them from its parameters.
     """
@@ -584,7 +622,7 @@ def _train_block(
     run_rows = max(end - first for first, end, _ in runs)
     run_features = np.empty((run_rows, feature_dim))
     run_onehot = np.empty((run_rows, n_classes))
-    scratch: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    scratch: dict[tuple[int, int], tuple] = {}
     bound = []
     for first, end, steps in runs:
         bound_steps = []

@@ -168,6 +168,21 @@ def test_main_refuses_a_phase_whose_epochs_overflow_a_window(tiny_config, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+def test_main_refuses_a_phase_whose_batch_orders_cannot_be_allocated(tiny_config, tmp_path, capsys):
+    # Training draws every epoch's batch orders up front, so 10**8 epochs
+    # that count in int64 still ask for gigabytes. The plan pass refuses the
+    # phase by name before any training, and the run leaves no directory.
+    phase = "rounds = 1-\nnodes = 2\nprimary = 1\nsecondary = 1\nlearning_rate = 0.001\nepochs = 100000000"
+    text = TINY_CONFIG + "".join(f"schedule.phase1.{line}\n" for line in phase.splitlines())
+    tiny_config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out" / "run"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: schedule phase 1: epochs = 100000000 times the ")
+    assert err.endswith(" rows of round 1 passes 134217728 batch-order entries\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_run_takes_any_batch_past_every_shard_alike(tiny_config, tmp_path):
     # Every batch at least as large as the largest window takes the same
     # steps, also one past int64's range.

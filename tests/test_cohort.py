@@ -23,9 +23,8 @@ from fedpod.cohort import (
     load_partition_csv,
     synthesize_shards,
 )
-from fedpod.engine import _SHARD_SALT
 from fedpod.errors import DegenerateModelError, ParseError, ValidationError
-from fedpod.params import blob_geometry, make_blob_shard
+from fedpod.params import blob_geometry
 from _helpers import stored_shards
 
 
@@ -211,61 +210,6 @@ def test_synthesize_shards_rejects_an_empty_institution():
     table = PartitionTable({"a": 1, "b": 0})
     with pytest.raises(ValidationError, match="at least one sample"):
         synthesize_shards(table, seed=5)
-
-
-def _eager_shards(counts, seed):
-    """Every institution's shard built up front, in order, from its salted stream."""
-    geometry = blob_geometry(4, 8, seed)
-    return {
-        inst: make_blob_shard(count, geometry, np.random.default_rng([seed, _SHARD_SALT, idx]))
-        for idx, (inst, count) in enumerate(counts.items())
-    }
-
-
-def _assert_same_shard(a, b):
-    assert len(a) == len(b)
-    assert np.array_equal(a.labels, b.labels)
-    assert a.features.tobytes() == b.features.tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    counts=st.lists(st.integers(1, 25), min_size=11, max_size=14),
-    seed=st.integers(0, 2**32 - 1),
-    synthetic=st.booleans(),
-    data=st.data(),
-)
-def test_lazy_shards_match_eager_synthesis(counts, seed, synthetic, data):
-    # Institutions stored in any order, over any subset of the table, get
-    # the shards an eager pass over the whole table would have built.
-    if synthetic:
-        table, geometry = generate_synthetic_cohort(len(counts), 6.0, 0, 1.0, seed=seed)
-    else:
-        # With 11 institutions or more, inst10 sorts before inst2, so
-        # position and id order differ.
-        table = table_from_counts(counts)
-        geometry = synthesize_shards(table, seed=seed)
-    expected = _eager_shards(table.counts, seed)
-    insts = data.draw(st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True))
-    for inst, shard in stored_shards(seed, table, geometry, insts)[0].items():
-        _assert_same_shard(shard, expected[inst])
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    counts=st.lists(st.integers(1, 25), min_size=1, max_size=14),
-    seed=st.integers(0, 2**64 - 1),
-    data=st.data(),
-)
-def test_batch_built_shards_match_eager_synthesis(counts, seed, data):
-    # One `make_blob_shards` call builds the training store from states of
-    # the engine's one seeding pass, seeds of one or two words alike; each
-    # institution's rows equal the shard its own stream gives.
-    table = table_from_counts(counts)
-    expected = _eager_shards(table.counts, seed)
-    insts = data.draw(st.lists(st.sampled_from(list(table.counts)), min_size=1, unique=True))
-    for inst, shard in stored_shards(seed, table, synthesize_shards(table, seed=seed), insts)[0].items():
-        _assert_same_shard(shard, expected[inst])
 
 
 # ---------------------------------------------------------------- csv

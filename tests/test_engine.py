@@ -27,7 +27,7 @@ from fedpod.engine import (
     sample_timings,
 )
 from fedpod.errors import EmptyCohortError, TrainingDivergenceError, ValidationError
-from fedpod.params import ModelParams, TrainConfig, make_blob_shard
+from fedpod.params import ModelParams, TrainConfig, blob_geometry, make_blob_shard
 from fedpod.selection import ROLE_PRIMARY, TaskParticipant, TaskPlan
 from _helpers import stored_shards
 from _oracle import plan_reference, reference_cohort, run_reference, train_local, val_size
@@ -1070,7 +1070,10 @@ def test_round_batch_builds_each_shard_from_its_own_stream(drawn):
     """The store holds each institution's training rows as `make_blob_shard`
     of its count on `default_rng([seed, _SHARD_SALT, table position])`, and
     its validation rows as that of its validation size on
-    `default_rng([seed, _NODE_VAL_SALT, node index])`."""
+    `default_rng([seed, _NODE_VAL_SALT, node index])`, both against
+    `blob_geometry(4, 8, seed)`, built here, not taken from the cohort: any
+    subset of the table, stored in any order, gets the shards an eager pass
+    over the whole table would build."""
     seed, table, geometry, insts = drawn
     position = {inst: i for i, inst in enumerate(table.counts)}
     node_index = {inst: i for i, inst in enumerate(sorted(table.counts))}
@@ -1081,6 +1084,6 @@ def test_round_batch_builds_each_shard_from_its_own_stream(drawn):
             (train, _SHARD_SALT, position, count),
             (val, _NODE_VAL_SALT, node_index, val_size(count)),
         ):
-            want = make_blob_shard(size, geometry, np.random.default_rng([seed, salt, index[inst]]))
+            want = make_blob_shard(size, blob_geometry(4, 8, seed), np.random.default_rng([seed, salt, index[inst]]))
             assert stored[inst].labels.tobytes() == want.labels.tobytes()
             assert stored[inst].features.tobytes() == want.features.tobytes()

@@ -1,6 +1,7 @@
 """The stacked SGD and validation kernels on both sides of `_WIDE_ROWS`,
 against the one-model kernels of `tests/_oracle.py`, and the class-slice
-reductions of the wide side against numpy's own reductions."""
+reductions of the wide side and the class-major ones of the narrow gradient
+step against numpy's own reductions."""
 
 import numpy as np
 import pytest
@@ -58,13 +59,37 @@ def test_class_slices_reduce_as_numpy_does():
                 assert_same_bits(_class_sum(z), np.add.reduce(z, axis=-1))
 
 
+def test_class_major_sums_reduce_as_numpy_does_on_exp_outputs():
+    # The narrow gradient step reduces (k, classes, length) class-major
+    # logits over axis 1. On the values `exp` gives (no -0.0, no negative),
+    # its max and sum equal numpy's reductions of each contiguous row.
+    rng = np.random.default_rng(12)
+    exp_outputs = np.array([0.0, 5e-324, 1e-300, 1.0, 1e308, np.inf, np.nan])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n_classes in range(1, _SLICE_CLASSES):
+            mixed = np.exp(rng.standard_normal((3, n_classes, 5)) * 10.0 ** rng.integers(-8, 4, size=(3, n_classes, 5)))
+            special = rng.choice(exp_outputs, size=(4, n_classes, 6))
+            for zc in (mixed, special):
+                rows = zc.transpose(0, 2, 1).copy()
+                col = np.empty((len(zc), 1, zc.shape[2]))
+                np.maximum.reduce(zc, axis=1, keepdims=True, out=col)
+                assert_same_bits(col[:, 0], np.max(rows, axis=-1))
+                np.add.reduce(zc, axis=1, keepdims=True, out=col)
+                assert_same_bits(col[:, 0], np.add.reduce(rows, axis=-1))
+
+
 @st.composite
 def stacks(draw):
     """k models on k equal-length batches, with a stacked row count on either
-    side of `_WIDE_ROWS`; some models' logits overflow."""
+    side of `_WIDE_ROWS`, batches of one row among them, and up to the
+    workloads' 8 features; some models' logits overflow."""
     n_classes = draw(st.sampled_from(CLASS_COUNTS))
-    feature_dim = draw(st.integers(1, 5))
-    if draw(st.booleans()):
+    feature_dim = draw(st.integers(1, 8))
+    wide = draw(st.booleans())
+    if draw(st.integers(0, 3)) == 0:
+        length = 1
+        k = draw(st.integers(_WIDE_ROWS, _WIDE_ROWS + 4) if wide else st.integers(1, _WIDE_ROWS - 1))
+    elif wide:
         k = draw(st.integers(1, 40))
         length = draw(st.integers(-(-_WIDE_ROWS // k), _WIDE_ROWS))
     else:
@@ -102,9 +127,9 @@ def test_stacked_cost_matches_the_one_model_oracle_bitwise_on_both_sides_of_the_
 def test_bound_steps_on_block_slices_with_stale_scratch_match_the_oracle_bitwise(stack, before, after):
     # As `_train_block` binds them: two steps of one shape, jobs lo:hi of one
     # parameter block and one gradient block, batches as rows of one run
-    # buffer, and one logits and row-max scratch between them that starts
-    # as NaN and keeps the other step's values. Each call writes its rows of
-    # the gradient and nothing else.
+    # buffer, and one `_step_scratch` between them, every buffer of which
+    # (the class-major logits too) starts as NaN and keeps the other step's
+    # values. Each call writes its rows of the gradient and nothing else.
     values, features, labels, n_classes, feature_dim = stack
     k, length = labels.shape
     cases = [(values, features, labels), (values[::-1].copy(), features[::-1].copy(), labels[::-1].copy())]
@@ -115,7 +140,8 @@ def test_bound_steps_on_block_slices_with_stale_scratch_match_the_oracle_bitwise
     run_onehot = np.full((2 * k * length, n_classes), np.nan)
     scratch = _step_scratch(k, length, n_classes)
     for buffer in scratch:
-        buffer.fill(np.nan)
+        if buffer is not None and buffer.base is None:  # the transposed logits are a view
+            buffer.fill(np.nan)
     steps = []
     for i, (v, f, y) in enumerate(cases):
         lo, rows = before + i * k, slice(i * k * length, (i + 1) * k * length)
