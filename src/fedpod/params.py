@@ -193,46 +193,19 @@ def _classifier_dims(model: ModelParams, shard: DataShard) -> tuple[int, int]:
     return c, f
 
 
-# Stacked rows, k models times their equal batch or shard length, from which
-# `_stacked_gradient` and `_bind_costs` reduce over class slices instead of
-# along each row. One per-row reduction costs a call per row; a slice pass
-# costs a call per class, so small stacks stay on the per-row reductions. At
-# 4 classes the two cross at about 100 to 250 rows. Below it, the gradient
-# step reduces over the class axis of class-major logits instead, whose inner
-# loop runs along the rows; `_bind_costs` keeps the per-row reductions.
-_WIDE_ROWS = 256
-
-# Class counts below which the slice passes run. Below 8 classes numpy sums a
-# row left to right, which `_class_sum` repeats; from 8 it sums pairwise, and
-# those class counts keep the per-row reductions.
+# Class counts below which `_stacked_gradient` and `_bind_costs` run their
+# softmax on class-major logits, each class's values for all stacked rows
+# contiguous, so the class max and sum are each one reduction over axis 0
+# whose inner loop runs along the rows. Below 8 classes numpy sums a
+# contiguous row left to right, as that reduction adds the classes; from 8
+# it sums pairwise, and those class counts keep the per-row reductions.
 _SLICE_CLASSES = 8
 
-
-def _class_max(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`z.max(axis=-1)` as a chain of `np.maximum` over the class slices,
-    written into `out` if given. A maximum is exact in any order, and a NaN
-    propagates as it does in `max`."""
-    if out is None:
-        out = np.empty(z.shape[:-1])
-    np.copyto(out, z[..., 0])
-    for c in range(1, z.shape[-1]):
-        np.maximum(out, z[..., c], out=out)
-    return out
-
-
-def _class_sum(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`np.add.reduce(z, axis=-1)` bit for bit for fewer than `_SLICE_CLASSES`
-    classes, written into `out` if given: numpy adds so short a contiguous
-    row left to right, onto an initial 0.0, and so do these elementwise adds
-    of the class slices. Starting from `0.0 + slice` turns -0.0 into 0.0, as
-    that initial value does, and changes no other value.
-    `tests/test_kernels.py` pins the order against numpy itself, so a numpy
-    release that changed it fails there.
-    """
-    out = np.add(z[..., 0], 0.0, out=out)
-    for c in range(1, z.shape[-1]):
-        out += z[..., c]
-    return out
+# Stacked rows, k models times their batch length, from which
+# `_stacked_gradient` reduces the bias gradient over axis 0 of a (length, k,
+# n_classes) copy, whose inner loop runs over all k models at once, rather
+# than over each model's rows. Below it the copy costs more than it saves.
+_WIDE_ROWS = 256
 
 
 def _bind_costs(
@@ -243,15 +216,17 @@ def _bind_costs(
     as a call that writes the k costs into `out`; it reads `values` afresh.
 
     One `take` of the store lays the models' rows back to back, grouped by
-    count. A call runs one (k, size, feature_dim) product and bias add per
-    group into its slice of one (rows, n_classes) logits buffer, one pass
-    over all rows (class max, label pick, log of the sum of exponentials)
-    and a row sum of each group's (k, size) losses over its size. Each product has the shapes of
-    the one-model cost in `tests/_oracle.py` and every later step works
-    element by element or row by row, so each cost is the oracle's bit for
-    bit, also where the class max and sum run over class slices (from
-    `_WIDE_ROWS` rows of fewer than `_SLICE_CLASSES` classes). The caller
-    holds the `np.errstate`.
+    count. A call runs one (k, size, feature_dim) product per group into its
+    slice of one (rows, n_classes) logits buffer and adds the biases, then
+    one pass over all rows (class max, label pick, log of the sum of
+    exponentials) and a row sum of each group's (k, size) losses over its
+    size. Each product has the shapes of the one-model cost in
+    `tests/_oracle.py` and every later step works element by element, row by
+    row or class by class, so each cost is the oracle's bit for bit. Below
+    `_SLICE_CLASSES` classes the bias add writes the logits class-major,
+    into one (n_classes, rows) buffer whose axis 0 the pass reduces, as
+    `_stacked_gradient` does; from it the pass reduces each row of the
+    logits. The caller holds the `np.errstate`.
     """
     groups: dict[int, list[int]] = {}
     for i, count in enumerate(counts.tolist()):
@@ -262,39 +237,42 @@ def _bind_costs(
     features, labels = store.features.take(index, axis=0), store.labels.take(index)
     sizes = counts.astype(np.float64)
     rows, split = len(labels), n_classes * feature_dim
-    wide = rows >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
-    picks = np.arange(rows) * n_classes + labels
     models, group_costs = np.empty((len(order), values.shape[1])), np.empty(len(order))
-    logits, (row, picked) = np.empty((rows, n_classes)), np.empty((2, rows))
+    logits, row, picked = np.empty((rows, n_classes)), np.empty(rows), np.empty(rows)
+    class_major = n_classes < _SLICE_CLASSES
+    if class_major:
+        softmax, axis, reduced, biases = np.empty((n_classes, rows)), 0, row[None], models[:, split:].T[:, :, None]
+        picks = labels * rows + np.arange(rows)
+    else:
+        softmax, axis, reduced, biases = logits, 1, row[:, None], models[:, None, split:]
+        picks = np.arange(rows) * n_classes + labels
     products, sums = [], []
     lo = row_lo = 0
     for size, group in groups.items():
         k = len(group)
         hi, row_hi = lo + k, row_lo + k * size
         weights_t = models[lo:hi, :split].reshape(k, n_classes, feature_dim).transpose(0, 2, 1)
-        x, z = features[row_lo:row_hi].reshape(k, size, feature_dim), logits[row_lo:row_hi].reshape(k, size, n_classes)
-        products.append((x, weights_t, models[lo:hi, None, split:], z))
+        z = logits[row_lo:row_hi].reshape(k, size, n_classes)
+        if class_major:
+            bias_add = z.transpose(2, 0, 1), biases[:, lo:hi], softmax[:, row_lo:row_hi].reshape(n_classes, k, size)
+        else:
+            bias_add = z, biases[lo:hi], z
+        products.append((features[row_lo:row_hi].reshape(k, size, feature_dim), weights_t, z, *bias_add))
         sums.append((row[row_lo:row_hi].reshape(k, size), group_costs[lo:hi]))
         lo, row_lo = hi, row_hi
-    flat = logits.reshape(-1)
+    flat = softmax.reshape(-1)
 
     def costs(out: np.ndarray) -> np.ndarray:
         # Every index is in range; "clip" spares `take` the copy of `out` it makes in "raise" mode.
         values.take(order, axis=0, out=models, mode="clip")
-        for x, weights_t, bias, z in products:
+        for x, weights_t, z, z_view, bias, dst in products:
             np.matmul(x, weights_t, out=z)
-            z += bias
-        if wide:
-            _class_max(logits, row)
-        else:
-            np.maximum.reduce(logits, axis=1, out=row)
-        np.subtract(logits, row[:, None], out=logits)
+            np.add(z_view, bias, out=dst)
+        np.maximum.reduce(softmax, axis=axis, keepdims=True, out=reduced)
+        np.subtract(softmax, reduced, out=softmax)
         flat.take(picks, out=picked, mode="clip")
-        np.exp(logits, out=logits)
-        if wide:
-            _class_sum(logits, row)
-        else:
-            np.add.reduce(logits, axis=1, out=row)
+        np.exp(softmax, out=softmax)
+        np.add.reduce(softmax, axis=axis, keepdims=True, out=reduced)
         np.log(row, out=row)
         np.subtract(row, picked, out=row)
         for losses, cost in sums:
@@ -392,30 +370,23 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _gradient_views(values: np.ndarray, grad: np.ndarray, n_classes: int, feature_dim: int) -> tuple:
     """The block views that `_bind_step` slices by job: the transposed
-    weights and the biases of the (jobs, dim) `values`, as (jobs, 1,
-    n_classes) rows and as (jobs, n_classes, 1) columns, and the weight and
-    bias columns of the (jobs, dim) `grad`."""
+    weights and the (jobs, n_classes) biases of the (jobs, dim) `values`,
+    and the weight and bias columns of the (jobs, dim) `grad`."""
     split = n_classes * feature_dim
     shape = (len(values), n_classes, feature_dim)
-    return (
-        values[:, :split].reshape(shape).transpose(0, 2, 1),
-        values[:, None, split:],
-        values[:, split:, None],
-        grad[:, :split].reshape(shape),
-        grad[:, split:],
-    )
+    weights_t = values[:, :split].reshape(shape).transpose(0, 2, 1)
+    return weights_t, values[:, split:], grad[:, :split].reshape(shape), grad[:, split:]
 
 
 def _step_scratch(k: int, length: int, n_classes: int) -> tuple:
     """The scratch of `_stacked_gradient` steps of k models on batches of
-    `length`: logits (k, length, n_classes), their transposed view, and for
-    a narrow step, of fewer than `_WIDE_ROWS` stacked rows and
-    `_SLICE_CLASSES` classes, class-major logits (k, n_classes, length) and
-    class maxima or sums (k, 1, length); for any other step None and row
-    maxima or sums (k, length, 1). Steps of one shape may share it."""
+    `length`: logits (k, length, n_classes), their transposed view, and
+    below `_SLICE_CLASSES` classes class-major logits (n_classes, k, length)
+    and class maxima or sums (1, k, length), from it None and row maxima or
+    sums (k, length, 1). Steps of one shape may share it."""
     logits = np.empty((k, length, n_classes))
-    if k * length < _WIDE_ROWS and n_classes < _SLICE_CLASSES:
-        return logits, logits.transpose(0, 2, 1), np.empty((k, n_classes, length)), np.empty((k, 1, length))
+    if n_classes < _SLICE_CLASSES:
+        return logits, logits.transpose(0, 2, 1), np.empty((n_classes, k, length)), np.empty((1, k, length))
     return logits, logits.transpose(0, 2, 1), None, np.empty((k, length, 1))
 
 
@@ -423,16 +394,21 @@ def _bind_step(views: tuple, lo: int, hi: int, features: np.ndarray, onehot: np.
     """The operands of one `_stacked_gradient` call, for jobs lo:hi of the
     block whose `_gradient_views` are `views`, on their (k, length,
     feature_dim) batches `features` and (k, length, n_classes) `onehot`,
-    with `_step_scratch` of that shape. Which reductions the step runs is
-    decided here, once: class-major ones, on the biases as columns, where
-    the scratch has class-major logits; else the class-slice passes from
-    `_WIDE_ROWS` stacked rows of fewer than `_SLICE_CLASSES` classes, else
-    the per-row ones, both on the biases as rows."""
-    weights_t, bias, bias_c, grad_w, grad_b = views
-    k, length, n_classes = onehot.shape
-    wide = k * length >= _WIDE_ROWS and n_classes < _SLICE_CLASSES
-    bias = bias[lo:hi] if scratch[2] is None else bias_c[lo:hi]
-    return (features, weights_t[lo:hi], bias, onehot, *scratch, grad_w[lo:hi], grad_b[lo:hi], length, wide)
+    with `_step_scratch` of that shape. Where the scratch has class-major
+    logits the softmax runs on them, with the biases as (n_classes, k, 1)
+    columns and its reductions over axis 0; else on the logits in place,
+    with the biases as (k, 1, n_classes) rows and its reductions along each
+    row. From `_WIDE_ROWS` stacked rows the bias gradient is reduced from a
+    copy."""
+    weights_t, bias, grad_w, grad_b = views
+    z, z_t, zc, reduced = scratch
+    k, length, _ = onehot.shape
+    if zc is None:
+        softmax = z, bias[lo:hi, None], z, 2
+    else:
+        softmax = z.transpose(2, 0, 1), bias[lo:hi].T[:, :, None], zc, 0
+    wide = k * length >= _WIDE_ROWS
+    return (features, weights_t[lo:hi], onehot, z, z_t, *softmax, reduced, grad_w[lo:hi], grad_b[lo:hi], length, wide)
 
 
 def _stacked_gradient(step: tuple) -> None:
@@ -451,37 +427,28 @@ def _stacked_gradient(step: tuple) -> None:
     in form give the same bits:
     - `p -= onehot` subtracts 1.0 where the oracle's fancy index does, and
       0.0 elsewhere, which leaves every value as it was, -0.0 and NaN too;
-    - the bias is added in place to the logits, the same one addition;
-    - the logits, the row maxima and the row sums go into the scratch
-      buffers through `out=`, in the layout numpy would allocate them;
-    - the weight gradient's matmul and the bias gradient's reduction write
-      into the two column ranges of the gradient through `out=`, with the
-      same operands and order as the oracle's product and `sum`.
+    - the logits, the class maxima and the class sums go into the scratch
+      buffers through `out=`, and each bias is added to its logit, the same
+      one addition;
+    - the weight gradient's matmul writes into the gradient's weight columns
+      through `out=`, with the same operands as the oracle's product;
+    - the bias gradient adds each model's rows one after another, as
+      `p.sum(axis=0)` does, along axis 1 or, from `_WIDE_ROWS` stacked
+      rows, as one axis-0 reduction of a (length, k, n_classes) copy.
 
-    A narrow step, of fewer than `_WIDE_ROWS` stacked rows and
-    `_SLICE_CLASSES` classes, runs its softmax on class-major logits, a
-    layout that gives the same bits:
-    - the logits product is the same call; the bias add reads the logits
-      through their transposed view and the biases as columns, and writes
-      each sum, the same one addition, into the (k, n_classes, length)
-      scratch;
-    - the class max and the class sum are each one reduction over axis 1,
-      a pass over contiguous runs of `length` values: the max is exact in
-      any order, and the sum adds the classes left to right, as numpy sums
-      a contiguous row of so few values (`_class_sum` relies on this too);
-      the values summed are `exp` outputs, never -0.0, so starting from the
-      first class gives the bits of numpy's start from 0.0;
-    - `exp` runs on a contiguous buffer, as the oracle's does;
+    Below `_SLICE_CLASSES` classes the softmax runs on class-major logits:
+    - the bias add reads the logits through their (n_classes, k, length)
+      transposed view and writes each sum into the contiguous scratch, on
+      which `exp` runs, as the oracle's does;
+    - the class max and the class sum are each one reduction over axis 0:
+      the max is exact in any order, and the sum adds the classes left to
+      right, as numpy sums a contiguous row of so few values; the values
+      summed are `exp` outputs, never -0.0, so starting from the first
+      class gives the bits of numpy's start from 0.0;
     - the normalizing divide writes each quotient back into the row-major
       logits through their transposed view.
-
-    From `_WIDE_ROWS` stacked rows of fewer than `_SLICE_CLASSES` classes,
-    the three reductions run as whole-array passes that give the same bits:
-    - the class max is `_class_max`, exact in any order;
-    - the class sum is `_class_sum`, numpy's left-to-right order over slices;
-    - the bias gradient adds each model's rows one after another, as
-      `p.sum(axis=1)` does, as one axis-0 reduction of a (length, k,
-      n_classes) copy, whose inner loop runs over all k models at once.
+    From `_SLICE_CLASSES` classes numpy sums a row pairwise, and the softmax
+    runs in place on the row-major logits, reduced along each row.
 
     The gradient is written unscaled, and the block's gradient buffer
     belongs to the caller until the next call: it may scale it in place by
@@ -492,28 +459,14 @@ def _stacked_gradient(step: tuple) -> None:
     whose scaled product overflows is a parameter fault, not a gradient
     fault. The caller holds the `np.errstate`.
     """
-    features, weights_t, bias, onehot, z, z_t, zc, row_max, grad_w, grad_b, length, wide = step
+    features, weights_t, onehot, z, z_t, z_view, bias, softmax, axis, reduced, grad_w, grad_b, length, wide = step
     np.matmul(features, weights_t, out=z)
-    if zc is not None:
-        np.add(z_t, bias, out=zc)
-        np.maximum.reduce(zc, axis=1, keepdims=True, out=row_max)
-        zc -= row_max
-        np.exp(zc, out=zc)
-        np.add.reduce(zc, axis=1, keepdims=True, out=row_max)
-        np.divide(zc, row_max, out=z_t)
-    else:
-        z += bias
-        if wide:
-            _class_max(z, row_max[..., 0])
-        else:
-            np.maximum.reduce(z, axis=2, keepdims=True, out=row_max)
-        z -= row_max
-        np.exp(z, out=z)
-        if wide:
-            _class_sum(z, row_max[..., 0])
-        else:
-            np.add.reduce(z, axis=2, keepdims=True, out=row_max)
-        z /= row_max
+    np.add(z_view, bias, out=softmax)
+    np.maximum.reduce(softmax, axis=axis, keepdims=True, out=reduced)
+    softmax -= reduced
+    np.exp(softmax, out=softmax)
+    np.add.reduce(softmax, axis=axis, keepdims=True, out=reduced)
+    np.divide(softmax, reduced, out=z_view)
     z -= onehot
     z /= length
     np.matmul(z_t, features, out=grad_w)

@@ -1,7 +1,7 @@
-"""The stacked SGD and validation kernels on both sides of `_WIDE_ROWS`,
-against the one-model kernels of `tests/_oracle.py`, and the class-slice
-reductions of the wide side and the class-major ones of the narrow gradient
-step against numpy's own reductions."""
+"""The stacked SGD and validation kernels on both sides of `_SLICE_CLASSES`
+and of `_WIDE_ROWS`, against the one-model kernels of `tests/_oracle.py`,
+and the class-major reductions below `_SLICE_CLASSES` against numpy's own
+reductions of each row."""
 
 import numpy as np
 import pytest
@@ -19,8 +19,6 @@ from fedpod.params import (
     ModelParams,
     TrainConfig,
     _bind_step,
-    _class_max,
-    _class_sum,
     _gradient_views,
     _stacked_gradient,
     _step_scratch,
@@ -28,10 +26,9 @@ from fedpod.params import (
     train_round,
 )
 
-# Both sides of `_SLICE_CLASSES`: the slice passes run below it, and the
-# per-row reductions from it, on numpy's pairwise sums.
+# Both sides of `_SLICE_CLASSES`: the class-major reductions run below it,
+# and the per-row reductions from it, on numpy's pairwise sums.
 CLASS_COUNTS = (2, 3, 4, 8, 9, 17, 130)
-SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
 
 
 def assert_same_bits(got, want):
@@ -44,45 +41,31 @@ def assert_same_bits(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-def test_class_slices_reduce_as_numpy_does():
-    # The order `_class_sum` copies is numpy's, for every class count the
-    # slice passes take, on finite values of mixed magnitude and on signed
-    # zeros, infinities and NaNs.
-    rng = np.random.default_rng(11)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n_classes in range(1, _SLICE_CLASSES):
-            mixed = rng.standard_normal((3, 5, n_classes)) * 10.0 ** rng.integers(-8, 9, size=(3, 5, n_classes))
-            special = rng.choice(SPECIAL, size=(4, n_classes))
-            zeros = np.full((1, n_classes), -0.0)
-            for z in (mixed, special, zeros, mixed.transpose(1, 0, 2)):
-                assert_same_bits(_class_max(z), np.max(z, axis=-1))
-                assert_same_bits(_class_sum(z), np.add.reduce(z, axis=-1))
-
-
 def test_class_major_sums_reduce_as_numpy_does_on_exp_outputs():
-    # The narrow gradient step reduces (k, classes, length) class-major
-    # logits over axis 1. On the values `exp` gives (no -0.0, no negative),
-    # its max and sum equal numpy's reductions of each contiguous row.
+    # The gradient step and the cost pass reduce class-major logits, (classes,
+    # k, length) or (classes, rows), over axis 0. On the values `exp` gives
+    # (no -0.0, no negative), its max and sum equal numpy's reductions of
+    # each contiguous row.
     rng = np.random.default_rng(12)
     exp_outputs = np.array([0.0, 5e-324, 1e-300, 1.0, 1e308, np.inf, np.nan])
     with np.errstate(over="ignore", invalid="ignore"):
         for n_classes in range(1, _SLICE_CLASSES):
-            mixed = np.exp(rng.standard_normal((3, n_classes, 5)) * 10.0 ** rng.integers(-8, 4, size=(3, n_classes, 5)))
-            special = rng.choice(exp_outputs, size=(4, n_classes, 6))
-            for zc in (mixed, special):
-                rows = zc.transpose(0, 2, 1).copy()
-                col = np.empty((len(zc), 1, zc.shape[2]))
-                np.maximum.reduce(zc, axis=1, keepdims=True, out=col)
-                assert_same_bits(col[:, 0], np.max(rows, axis=-1))
-                np.add.reduce(zc, axis=1, keepdims=True, out=col)
-                assert_same_bits(col[:, 0], np.add.reduce(rows, axis=-1))
+            mixed = np.exp(rng.standard_normal((n_classes, 3, 5)) * 10.0 ** rng.integers(-8, 4, size=(n_classes, 3, 5)))
+            special = rng.choice(exp_outputs, size=(n_classes, 4, 6))
+            for zc in (mixed, special, special[:, 0]):
+                rows = np.moveaxis(zc, 0, -1).copy()
+                reduced = np.empty((1, *zc.shape[1:]))
+                np.maximum.reduce(zc, axis=0, keepdims=True, out=reduced)
+                assert_same_bits(reduced[0], np.max(rows, axis=-1))
+                np.add.reduce(zc, axis=0, keepdims=True, out=reduced)
+                assert_same_bits(reduced[0], np.add.reduce(rows, axis=-1))
 
 
 @st.composite
 def stacks(draw):
     """k models on k equal-length batches, with a stacked row count on either
-    side of `_WIDE_ROWS`, batches of one row among them, and up to the
-    workloads' 8 features; some models' logits overflow."""
+    side of `_WIDE_ROWS`, the bias gradient's gate, batches of one row among
+    them, and up to the workloads' 8 features; some models' logits overflow."""
     n_classes = draw(st.sampled_from(CLASS_COUNTS))
     feature_dim = draw(st.integers(1, 8))
     wide = draw(st.booleans())
@@ -107,9 +90,9 @@ def stacks(draw):
 @settings(max_examples=120, deadline=None)
 @given(stacks())
 def test_stacked_cost_matches_the_one_model_oracle_bitwise_on_both_sides_of_the_gate(stack):
-    # Calls `_bind_costs` itself, not `train_round`: it pins the `_WIDE_ROWS`
-    # and `_SLICE_CLASSES` gate the roadmap keeps as measured, on class counts
-    # and per-model scales no round of one start model reaches.
+    # Calls `_bind_costs` itself, not `train_round`: it pins both sides of
+    # the `_SLICE_CLASSES` gate, on class counts and per-model scales no
+    # round of one start model reaches.
     values, features, labels, n_classes, feature_dim = stack
     with np.errstate(over="ignore", invalid="ignore"):
         got = np.array([max(c, 0.0) for c in stacked_cost(values, features, labels, n_classes, feature_dim).tolist()])
@@ -165,8 +148,8 @@ def test_bound_steps_on_block_slices_with_stale_scratch_match_the_oracle_bitwise
 @st.composite
 def validation_blocks(draw):
     """One block of 3 classes: jobs whose validation shards take at least 3
-    distinct sizes, with all their rows together on either side of
-    `_WIDE_ROWS`, and maybe one job whose validation logits overflow."""
+    distinct sizes, with at most 250 or at least 270 rows together, and
+    maybe one job whose validation logits overflow."""
     n_classes, feature_dim = 3, 4
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):

@@ -72,10 +72,17 @@ def assert_streams_match_by_width(blocks, keys=None):
         assert_streams_match(call_blocks, call_keys)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(ints, max_size=6), st.lists(uint64s, min_size=1, max_size=12))
-def test_prefixed_blocks_match_numpy(prefix, ids):
-    assert_streams_match_by_width([(prefix, np.array(ids, dtype=np.uint64))])
+# A block's ids as a uint64 array or as a list of ints.
+id_columns = st.lists(uint64s, min_size=1, max_size=12)
+id_columns = st.one_of(id_columns.map(lambda ids: np.array(ids, dtype=np.uint64)), id_columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(ints, max_size=6), id_columns), min_size=1, max_size=6))
+def test_prefixed_blocks_match_numpy(blocks):
+    # Lists of blocks, each under a prefix of its own, cut into one call
+    # per key width; within each call the keys keep block order.
+    assert_streams_match_by_width(blocks)
 
 
 @settings(max_examples=60, deadline=None)

@@ -143,9 +143,10 @@ def test_edge_shapes_match_train_local():
 @settings(max_examples=6, deadline=None)
 @given(st.integers(40, 140), st.integers(1, 2), st.integers(0, 2**32 - 1))
 def test_train_round_matches_train_local_at_workload_scale(n_jobs, epochs, seed):
-    # A wide round as the benchmark's runs it: 4 classes and 8 features,
-    # Poisson(30) shards in batches of 16, and validation shards of a few
-    # sizes, so most SGD steps and validation groups stack past `_WIDE_ROWS`.
+    # A wide round as the benchmark's runs it: 4 classes and 8 features, so
+    # class-major softmax everywhere, Poisson(30) shards in batches of 16,
+    # and validation shards of a few sizes, so most SGD steps stack past
+    # `_WIDE_ROWS` and reduce their bias gradient from a copy.
     rng = np.random.default_rng(seed)
     geometry = blob_geometry(4, 8, seed % 1000)
     train = blob_shards(np.maximum(rng.poisson(30, n_jobs), 1).tolist(), geometry, rng)
@@ -160,7 +161,8 @@ def test_train_round_matches_train_local_at_deep_local_scale(epochs, n_whole):
     # features, three jobs on quota windows of about 1,450 rows of
     # 10,000-row shards and a few whole shards of about 1,000 rows, in
     # batches of 16 at the default learning rate, so every job takes
-    # hundreds of sequential steps, stacked no wider than `_WIDE_ROWS`.
+    # hundreds of sequential class-major steps of a few models, below
+    # `_WIDE_ROWS`, which reduce their bias gradient model by model.
     rng = np.random.default_rng(23 + epochs)
     geometry = blob_geometry(4, 8, 23)
     windowed = blob_shards([10_000] * 3, geometry, rng)
