@@ -32,6 +32,7 @@ from .cohort import (
 )
 from .errors import ValidationError
 from .params import (
+    _MAX_ORDER_ENTRIES,
     BlobGeometry,
     DataShard,
     ModelParams,
@@ -53,11 +54,6 @@ _NODE_VAL_SALT = 7002
 _TRAIN_SALT = 7003
 _TIMING_SALT = 7004
 _SHARD_SALT = 7012
-
-# The int64 entries a round's batch orders may hold: training draws a block's
-# orders for every epoch up front, (epochs, rows) at 8 bytes an entry, and
-# copies them twice, so a phase past this bound could not be allocated.
-_MAX_ORDER_ENTRIES = 2**27
 
 # Per-node validation shards stay small so validation time never dominates.
 _VAL_FRACTION = 0.2
@@ -385,10 +381,8 @@ def _plan_run(
             offsets=offsets,
         )
         insts = plan.node_ids()
-        n = max((p.quota for p in plan.participants), default=0)
         rows = sum(p.quota for p in plan.participants)
-        if n * phase.epochs >= 2**63:  # training and `sample_timings` count them in int64
-            raise ValidationError(f"schedule phase {phase_number}: epochs = {phase.epochs} times {n} rows passes 2**63")
+        # The bound also keeps every count that training and `sample_timings` make in int64.
         if rows * phase.epochs > _MAX_ORDER_ENTRIES:
             raise ValidationError(
                 f"schedule phase {phase_number}: epochs = {phase.epochs} times the {rows} rows of round"

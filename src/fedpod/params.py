@@ -368,52 +368,56 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _gradient_views(values: np.ndarray, grad: np.ndarray, n_classes: int, feature_dim: int) -> tuple:
-    """The block views that `_bind_step` slices by job: the transposed
-    weights and the (jobs, n_classes) biases of the (jobs, dim) `values`,
-    and the weight and bias columns of the (jobs, dim) `grad`."""
+def _bind_steps(values: np.ndarray, grad: np.ndarray, runs: list, n_classes: int, feature_dim: int) -> list:
+    """The `_stacked_gradient` operands of every step of the gather `runs`
+    of `_step_plan`, bound once on the (jobs, dim) parameters `values` and
+    gradient `grad`: for each run (first, end, its feature and one-hot
+    batch buffers, its steps), each step as (lo, its parameter rows, its
+    gradient rows, its operands).
+
+    One feature and one one-hot buffer serve every run, its rows counted
+    from the run's first. The steps of one (k, length) shape share one
+    scratch: the (k, length, n_classes) logits, their transposed view for
+    the weight gradient, their view in the softmax's axis order, a
+    contiguous softmax buffer of that shape and the reduced buffer, whose
+    class axis has size 1. The order is class-major (n_classes, k, length)
+    below `_SLICE_CLASSES` classes and row-major from it; each step's
+    biases are a view of its parameter rows in the same order. From
+    `_WIDE_ROWS` stacked rows the bias gradient is reduced from a copy.
+    """
     split = n_classes * feature_dim
     shape = (len(values), n_classes, feature_dim)
     weights_t = values[:, :split].reshape(shape).transpose(0, 2, 1)
-    return weights_t, values[:, split:], grad[:, :split].reshape(shape), grad[:, split:]
-
-
-def _step_scratch(k: int, length: int, n_classes: int) -> tuple:
-    """The scratch of `_stacked_gradient` steps of k models on batches of
-    `length`: logits (k, length, n_classes), their transposed view, and
-    below `_SLICE_CLASSES` classes class-major logits (n_classes, k, length)
-    and class maxima or sums (1, k, length), from it None and row maxima or
-    sums (k, length, 1). Steps of one shape may share it."""
-    logits = np.empty((k, length, n_classes))
-    if n_classes < _SLICE_CLASSES:
-        return logits, logits.transpose(0, 2, 1), np.empty((n_classes, k, length)), np.empty((1, k, length))
-    return logits, logits.transpose(0, 2, 1), None, np.empty((k, length, 1))
-
-
-def _bind_step(views: tuple, lo: int, hi: int, features: np.ndarray, onehot: np.ndarray, scratch: tuple) -> tuple:
-    """The operands of one `_stacked_gradient` call, for jobs lo:hi of the
-    block whose `_gradient_views` are `views`, on their (k, length,
-    feature_dim) batches `features` and (k, length, n_classes) `onehot`,
-    with `_step_scratch` of that shape. Where the scratch has class-major
-    logits the softmax runs on them, with the biases as (n_classes, k, 1)
-    columns and its reductions over axis 0; else on the logits in place,
-    with the biases as (k, 1, n_classes) rows and its reductions along each
-    row. From `_WIDE_ROWS` stacked rows the bias gradient is reduced from a
-    copy."""
-    weights_t, bias, grad_w, grad_b = views
-    z, z_t, zc, reduced = scratch
-    k, length, _ = onehot.shape
-    if zc is None:
-        softmax = z, bias[lo:hi, None], z, 2
-    else:
-        softmax = z.transpose(2, 0, 1), bias[lo:hi].T[:, :, None], zc, 0
-    wide = k * length >= _WIDE_ROWS
-    return (features, weights_t[lo:hi], onehot, z, z_t, *softmax, reduced, grad_w[lo:hi], grad_b[lo:hi], length, wide)
+    grad_w, grad_b = grad[:, :split].reshape(shape), grad[:, split:]
+    order = (2, 0, 1) if n_classes < _SLICE_CLASSES else (0, 1, 2)
+    axis = order.index(2)
+    run_rows = max(end - first for first, end, _ in runs)
+    run_features, run_onehot = np.empty((run_rows, feature_dim)), np.empty((run_rows, n_classes))
+    scratch: dict[tuple[int, int], tuple] = {}
+    bound = []
+    for first, end, steps in runs:
+        bound_steps = []
+        for lo, hi, length, row_lo, row_hi in steps:
+            k = hi - lo
+            if (k, length) not in scratch:
+                z = np.empty((k, length, n_classes))
+                z_view = z.transpose(order)
+                reduced = np.empty((k, length, 1)).transpose(order)
+                scratch[k, length] = z, z.transpose(0, 2, 1), z_view, np.empty(z_view.shape), reduced
+            z, z_t, z_view, softmax, reduced = scratch[k, length]
+            x = run_features[row_lo:row_hi].reshape(k, length, feature_dim)
+            onehot = run_onehot[row_lo:row_hi].reshape(k, length, n_classes)
+            bias = values[lo:hi, None, split:].transpose(order)
+            step = (x, weights_t[lo:hi], onehot, z, z_t, z_view, bias, softmax, axis, reduced)
+            step += (grad_w[lo:hi], grad_b[lo:hi], length, k * length >= _WIDE_ROWS)
+            bound_steps.append((lo, values[lo:hi], grad[lo:hi], step))
+        bound.append((first, end, run_features[: end - first], run_onehot[: end - first], bound_steps))
+    return bound
 
 
 def _stacked_gradient(step: tuple) -> None:
     """Mean cross-entropy gradient of k models on k equal-length batches at
-    once, for the operands `_bind_step` bound, written into rows lo:hi of
+    once, for the operands `_bind_steps` bound, written into rows lo:hi of
     the block's gradient.
 
     The operands are views: the weights and biases of rows lo:hi of a
@@ -436,19 +440,21 @@ def _stacked_gradient(step: tuple) -> None:
       `p.sum(axis=0)` does, along axis 1 or, from `_WIDE_ROWS` stacked
       rows, as one axis-0 reduction of a (length, k, n_classes) copy.
 
-    Below `_SLICE_CLASSES` classes the softmax runs on class-major logits:
-    - the bias add reads the logits through their (n_classes, k, length)
-      transposed view and writes each sum into the contiguous scratch, on
-      which `exp` runs, as the oracle's does;
-    - the class max and the class sum are each one reduction over axis 0:
-      the max is exact in any order, and the sum adds the classes left to
-      right, as numpy sums a contiguous row of so few values; the values
-      summed are `exp` outputs, never -0.0, so starting from the first
-      class gives the bits of numpy's start from 0.0;
-    - the normalizing divide writes each quotient back into the row-major
-      logits through their transposed view.
-    From `_SLICE_CLASSES` classes numpy sums a row pairwise, and the softmax
-    runs in place on the row-major logits, reduced along each row.
+    The softmax runs on the logits in the step's axis order, class-major
+    (n_classes, k, length) below `_SLICE_CLASSES` classes and row-major
+    from it:
+    - the bias add reads the logits through their view in that order and
+      writes each sum into the contiguous softmax buffer, on which `exp`
+      runs, as the oracle's does;
+    - the class max and the class sum are each one reduction over the class
+      axis: the max is exact in any order; below `_SLICE_CLASSES` classes
+      the sum over axis 0 adds the classes left to right, as numpy sums a
+      contiguous row of so few values, and the values summed are `exp`
+      outputs, never -0.0, so starting from the first class gives the bits
+      of numpy's start from 0.0; from it numpy sums each row pairwise, as
+      the oracle's does;
+    - the normalizing divide writes each quotient back into the logits
+      through the same view.
 
     The gradient is written unscaled, and the block's gradient buffer
     belongs to the caller until the next call: it may scale it in place by
@@ -487,6 +493,12 @@ _BLOCK_NODES = 128
 # larger step alone, so the gathered features and one-hot labels stay small
 # however many rows a block trains on.
 _GATHER_ROWS = 2048
+
+# The int64 entries a round's batch orders may hold: `_train_block` draws a
+# block's orders for every epoch up front, (epochs, rows) at 8 bytes an
+# entry, and copies them twice, so a round past this bound could not be
+# allocated. `train_round` and the engine's plan pass refuse such a round.
+_MAX_ORDER_ENTRIES = 2**27
 
 
 def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tuple[int, int, list]]]:
@@ -549,15 +561,14 @@ def _train_block(
     One index array gathers the windows, and `_bind_costs` the validation
     rows, once; each epoch boundary scores all of them in one flat pass.
 
-    Every SGD step's operands are bound once, with the step plan, and used
-    in every epoch: views of the block's parameters `values` and of its one
-    gradient buffer, views of one feature and one one-hot buffer that each
-    gather run of the plan refills with its batches, rows counted from the
-    run's first, and the `_step_scratch` shared by the steps of one shape.
-    `values` is therefore only ever written in place: an epoch that is
-    replayed restores it with `values[:] = saved`. The gradient buffer is
-    the step loop's: each step scales its rows by the learning rate in place
-    and subtracts them from its parameters.
+    Every SGD step's operands are bound once, by `_bind_steps`, and used in
+    every epoch: views of the block's parameters `values` and of its one
+    gradient buffer, of the batch buffers that each gather run refills, and
+    the scratch that the steps of one shape share. `values` is therefore
+    only ever written in place: an epoch that is replayed restores it with
+    `values[:] = saved`. The gradient buffer is the step loop's: each step
+    scales its rows by the learning rate in place and subtracts them from
+    its parameters.
     """
     n_classes, feature_dim = _classifier_dims(start, store)
     # The jobs' windows back to back: job i owns sizes[i] rows from sum(sizes[:i]).
@@ -571,23 +582,7 @@ def _train_block(
     values = np.tile(start.values, (len(block), 1))
     val_costs = _bind_costs(values, store, jobs.val_start[block], jobs.val_count[block], n_classes, feature_dim)
     grad = np.empty_like(values)
-    views = _gradient_views(values, grad, n_classes, feature_dim)
-    run_rows = max(end - first for first, end, _ in runs)
-    run_features = np.empty((run_rows, feature_dim))
-    run_onehot = np.empty((run_rows, n_classes))
-    scratch: dict[tuple[int, int], tuple] = {}
-    bound = []
-    for first, end, steps in runs:
-        bound_steps = []
-        for lo, hi, length, row_lo, row_hi in steps:
-            k = hi - lo
-            if (k, length) not in scratch:
-                scratch[k, length] = _step_scratch(k, length, n_classes)
-            x = run_features[row_lo:row_hi].reshape(k, length, feature_dim)
-            onehot = run_onehot[row_lo:row_hi].reshape(k, length, n_classes)
-            step = _bind_step(views, lo, hi, x, onehot, scratch[k, length])
-            bound_steps.append((lo, values[lo:hi], grad[lo:hi], step))
-        bound.append((first, end, run_features[: end - first], run_onehot[: end - first], bound_steps))
+    bound = _bind_steps(values, grad, runs, n_classes, feature_dim)
 
     costs = np.empty((epochs + 1, len(block)))
     diverged: dict[int, str] = {}
@@ -679,12 +674,16 @@ def train_round(
     validation cost is checked. If jobs diverge, the error is the one the
     oracle raises for the first of them in `jobs` order.
 
-    The store and the rows the jobs read are checked before any training
-    (`_check_round`), the returned columns once, by `RoundUpdates`. The
-    engine checks its run's jobs once and trains rounds by `_train_checked`.
+    The store, the rows the jobs read (`_check_round`) and the size of the
+    batch orders (`_MAX_ORDER_ENTRIES`) are checked before any training,
+    the returned columns once, by `RoundUpdates`. The engine checks its
+    run's jobs once and trains rounds by `_train_checked`.
     """
     TrainConfig(epochs, learning_rate, 0, batch_size)  # the argument checks of a one-node config
     _check_round(start, store, jobs)
+    rows = int(jobs.quota.sum())  # each quota is at most the store's length, so the sum is exact
+    if epochs * rows > _MAX_ORDER_ENTRIES:
+        raise ValidationError(f"epochs = {epochs} times {rows} rows passes {_MAX_ORDER_ENTRIES} batch-order entries")
     return _train_checked(start, store, jobs, epochs, learning_rate, batch_size)
 
 

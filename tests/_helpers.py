@@ -10,10 +10,8 @@ from fedpod.params import (
     RoundJobs,
     RoundUpdates,
     _bind_costs,
-    _bind_step,
-    _gradient_views,
+    _bind_steps,
     _stacked_gradient,
-    _step_scratch,
 )
 
 
@@ -58,11 +56,15 @@ def random_updates(rng, n_nodes, dim=3):
 
 def stacked_gradient(values, features, onehot, n_classes, feature_dim):
     """`_stacked_gradient` of the k models `values` on their batches, bound
-    to fresh views and scratch, as a new (k, dim) gradient."""
+    by `_bind_steps` as a run of one step on fresh buffers; a new (k, dim)
+    gradient."""
     k, length = onehot.shape[:2]
     grad = np.empty_like(values)
-    views = _gradient_views(values, grad, n_classes, feature_dim)
-    _stacked_gradient(_bind_step(views, 0, k, features, onehot, _step_scratch(k, length, n_classes)))
+    runs = [(0, k * length, [(0, k, length, 0, k * length)])]
+    [(_, _, run_features, run_onehot, [(_, _, _, step)])] = _bind_steps(values, grad, runs, n_classes, feature_dim)
+    run_features[:] = features.reshape(-1, feature_dim)
+    run_onehot[:] = onehot.reshape(-1, n_classes)
+    _stacked_gradient(step)
     return grad
 
 

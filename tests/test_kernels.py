@@ -18,10 +18,8 @@ from fedpod.params import (
     DataShard,
     ModelParams,
     TrainConfig,
-    _bind_step,
-    _gradient_views,
+    _bind_steps,
     _stacked_gradient,
-    _step_scratch,
     _train_block,
     train_round,
 )
@@ -108,31 +106,31 @@ def test_stacked_cost_matches_the_one_model_oracle_bitwise_on_both_sides_of_the_
 @settings(max_examples=120, deadline=None)
 @given(stacks(), st.integers(0, 3), st.integers(0, 3))
 def test_bound_steps_on_block_slices_with_stale_scratch_match_the_oracle_bitwise(stack, before, after):
-    # As `_train_block` binds them: two steps of one shape, jobs lo:hi of one
-    # parameter block and one gradient block, batches as rows of one run
-    # buffer, and one `_step_scratch` between them, every buffer of which
-    # (the class-major logits too) starts as NaN and keeps the other step's
-    # values. Each call writes its rows of the gradient and nothing else.
+    # As `_train_block` binds them, by `_bind_steps`: two steps of one
+    # shape, jobs lo:hi of one parameter block and one gradient block,
+    # batches as rows of one run buffer, and one scratch between them, every
+    # buffer of which starts as NaN and keeps the other step's values. Each
+    # call writes its rows of the gradient and nothing else.
     values, features, labels, n_classes, feature_dim = stack
     k, length = labels.shape
     cases = [(values, features, labels), (values[::-1].copy(), features[::-1].copy(), labels[::-1].copy())]
     block = np.full((before + 2 * k + after, values.shape[1]), 0.5)
     grad = np.full_like(block, 7.0)
-    views = _gradient_views(block, grad, n_classes, feature_dim)
-    run = np.full((2 * k * length, feature_dim), np.nan)
-    run_onehot = np.full((2 * k * length, n_classes), np.nan)
-    scratch = _step_scratch(k, length, n_classes)
-    for buffer in scratch:
-        if buffer is not None and buffer.base is None:  # the transposed logits are a view
-            buffer.fill(np.nan)
+    plan = [(before + i * k, before + (i + 1) * k, length, i * k * length, (i + 1) * k * length) for i in range(2)]
+    [(_, _, run, run_onehot, bound)] = _bind_steps(block, grad, [(0, 2 * k * length, plan)], n_classes, feature_dim)
+    first, second = (step for *_, step in bound)
+    # The logits, the softmax buffer and the reduced one; the rest are views.
+    scratch = first[3], first[7], first[9]
+    assert all(a is b for a, b in zip(scratch, (second[3], second[7], second[9])))
+    for buffer in (run, run_onehot, *scratch):
+        buffer.fill(np.nan)
     steps = []
-    for i, (v, f, y) in enumerate(cases):
-        lo, rows = before + i * k, slice(i * k * length, (i + 1) * k * length)
+    for i, ((v, f, y), (lo, *_, step)) in enumerate(zip(cases, bound)):
+        rows = slice(i * k * length, (i + 1) * k * length)
         block[lo : lo + k] = v
         run[rows] = f.reshape(-1, feature_dim)
         run_onehot[rows] = np.eye(n_classes)[y.ravel()]
-        batch = run[rows].reshape(k, length, feature_dim), run_onehot[rows].reshape(k, length, n_classes)
-        steps.append((lo, v, f, y, _bind_step(views, lo, lo + k, *batch, scratch)))
+        steps.append((lo, v, f, y, step))
     block_bytes = block.tobytes()
     written = np.zeros(len(block), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,10 +145,11 @@ def test_bound_steps_on_block_slices_with_stale_scratch_match_the_oracle_bitwise
 
 @st.composite
 def validation_blocks(draw):
-    """One block of 3 classes: jobs whose validation shards take at least 3
-    distinct sizes, with at most 250 or at least 270 rows together, and
-    maybe one job whose validation logits overflow."""
-    n_classes, feature_dim = 3, 4
+    """One block of 3 or 9 classes, on either side of `_SLICE_CLASSES`: jobs
+    whose validation shards take at least 3 distinct sizes, with at most 250
+    or at least 270 rows together, and maybe one job whose validation logits
+    overflow."""
+    n_classes, feature_dim = draw(st.sampled_from([3, 9])), 4
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         n_jobs, size_range = draw(st.integers(6, 14)), (45, 80)  # at least 270 rows

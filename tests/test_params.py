@@ -252,6 +252,16 @@ def test_divergence_names_the_node():
     assert "hospital-9" in str(err.value)
 
 
+def test_train_local_refuses_batch_orders_past_the_bound():
+    # Training draws every epoch's batch orders up front, (epochs, rows), so
+    # `train_round` refuses the call before it allocates anything.
+    train = DataShard(np.zeros((2, 3)), [0, 1])
+    cfg = TrainConfig(epochs=2**40, learning_rate=1e-3, seed=1, batch_size=4)
+    with pytest.raises(ValidationError) as err:
+        train_local(ModelParams.zeros(8), train, train, cfg)
+    assert str(err.value) == "epochs = 1099511627776 times 2 rows passes 134217728 batch-order entries"
+
+
 def test_predict_labels_are_valid_classes():
     train, _ = _separable_shards()
     labels = predict_labels(ModelParams.zeros(8), train)

@@ -4,7 +4,7 @@ from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedpod import engine, params, streams
@@ -16,6 +16,9 @@ EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**96 + 7, 2**130 
 ints = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64 - 1), st.integers(0, 2**160))
 uint64s = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
 ID_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+# Key rows of every entropy width from the pool's 4 words to 9.
+WIDTH_ROWS = [[0], [2**32 - 1, 2**32], [7, 7003, 3, 9], [2**64 - 1, 7004, 3, 9], [1, 2, 3, 4, 5], [2**200, 0, 1]]
+MULTIWORD_PREFIXES = [(2**64 - 1,), (2**96 + 7, 1), (2**40 + 3, 7003, 2), (2**200, 0, 2**33), (1, 2, 3, 4, 5, 6)]
 
 
 def row_block(row):
@@ -67,48 +70,47 @@ def by_width(blocks, keys=None):
 
 
 def assert_streams_match_by_width(blocks, keys=None):
-    """`assert_streams_match` over one call per key entropy width."""
-    for call_blocks, call_keys in by_width(blocks, keys).values():
-        assert_streams_match(call_blocks, call_keys)
+    """`assert_streams_match` over one call per key entropy width; over
+    `blocks` as they are, blocks of no ids among them, where all their keys
+    share one width."""
+    calls = by_width(blocks, keys)
+    if len(calls) <= 1:
+        assert_streams_match(blocks, keys)
+    else:
+        for call_blocks, call_keys in calls.values():
+            assert_streams_match(call_blocks, call_keys)
 
 
-# A block's ids as a uint64 array or as a list of ints.
-id_columns = st.lists(uint64s, min_size=1, max_size=12)
+# A block's ids as a uint64 array or as a list of ints, maybe none.
+id_columns = st.lists(uint64s, max_size=12)
 id_columns = st.one_of(id_columns.map(lambda ids: np.array(ids, dtype=np.uint64)), id_columns)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.lists(ints, max_size=6), id_columns), min_size=1, max_size=6))
+# The seeds of `default_rng(seed)`: ids under no prefix.
+@example([((), np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64))])
+# Key rows as one-key blocks: the edge ints, and keys of every width.
+@example([row_block(EDGES[: i + 1]) for i in range(len(EDGES))])
+@example([row_block(row) for row in WIDTH_ROWS])
+@example([(prefix, np.arange(5)) for prefix in MULTIWORD_PREFIXES])
+# Blocks of no ids among blocks of one width.
+@example([((5,), []), ((5, 7003), [1, 2]), ((2**40 + 3, 1, 2), []), ((), np.array([2**64 - 1], dtype=np.uint64))])
+# Blocks of mixed widths, interleaved.
+@example(
+    [
+        ((2**40 + 3, 7003, 2), np.arange(4)),
+        ((5, 7002), [3, 1, 2]),
+        ((2**40 + 3, 7002), np.array([2**64 - 1, 0, 2**32], dtype=np.uint64)),
+        ((), np.array([2**64 - 1, 9], dtype=np.uint64)),
+        ((1, 2, 3, 4, 5), np.array([7], dtype=np.int64)),
+        ((5, 7003, 2), np.arange(3)),
+    ]
+)
 def test_prefixed_blocks_match_numpy(blocks):
     # Lists of blocks, each under a prefix of its own, cut into one call
     # per key width; within each call the keys keep block order.
     assert_streams_match_by_width(blocks)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(ints, max_size=6), st.lists(ints, min_size=1, max_size=12))
-def test_prefixed_rows_match_numpy(prefix, column):
-    rows = [[*prefix, c] for c in column]
-    assert_streams_match_by_width([row_block(row) for row in rows], keys=rows)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(uint64s, min_size=1, max_size=20))
-def test_int_seeds_match_default_rng(seeds):
-    states = seed_states([((), np.array(seeds, dtype=np.uint64))])
-    for seed, state, generator in zip(seeds, states, generators(states)):
-        assert state.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
-        reference = np.random.default_rng(seed)
-        assert generator.permutation(25).tolist() == reference.permutation(25).tolist()
-        assert generator.random() == reference.random()
-
-
-def test_rows_of_every_width_match_numpy():
-    rows = [[0], [2**32 - 1, 2**32], [7, 7003, 3, 9], [2**64 - 1, 7004, 3, 9], [1, 2, 3, 4, 5], [2**200, 0, 1]]
-    calls = by_width([row_block(row) for row in rows], keys=rows)
-    assert sorted(calls) == [4, 5, 9]
-    for blocks, keys in calls.values():
-        assert_streams_match(blocks, keys)
 
 
 @pytest.mark.parametrize("prefix", [(), (5,), (5, 7003), (5, 7003, 2), (2**40 + 3, 7003), (2**40 + 3, 7003, 2)])
@@ -119,11 +121,6 @@ def test_ids_at_word_edges(prefix):
     assert_streams_match_by_width([(prefix, ids)])
     assert_streams_match_by_width([(prefix, ids[::-1])])
     assert_streams_match_by_width([(prefix, [0, 2**32 - 1, 2**32, 2**63 - 1])])
-
-
-def test_multiword_prefixes():
-    prefixes = [(2**64 - 1,), (2**96 + 7, 1), (2**40 + 3, 7003, 2), (2**200, 0, 2**33), (1, 2, 3, 4, 5, 6)]
-    assert_streams_match_by_width([(prefix, np.arange(5)) for prefix in prefixes])
 
 
 @pytest.mark.parametrize(
@@ -142,26 +139,11 @@ def test_keys_of_two_widths_raise(blocks):
         seed_states(blocks)
 
 
-def test_blocks_of_mixed_widths_keep_block_order():
-    # One call per width; within each, the keys keep block order.
-    blocks = [
-        ((2**40 + 3, 7003, 2), np.arange(4)),
-        ((5, 7002), [3, 1, 2]),
-        ((2**40 + 3, 7002), np.array([2**64 - 1, 0, 2**32], dtype=np.uint64)),
-        ((), np.array([2**64 - 1, 9], dtype=np.uint64)),
-        ((1, 2, 3, 4, 5), np.array([7], dtype=np.int64)),
-        ((5, 7003, 2), np.arange(3)),
-    ]
-    assert_streams_match_by_width(blocks)
-
-
 def test_no_rows_give_no_states():
     assert seed_states([]).shape == (0, 4)
     assert list(generators(seed_states([]))) == []
     assert seed_states([((5, 7003), [])]).shape == (0, 4)
     assert seed_states([((2**40 + 3, 7003, 2), np.arange(0))]).shape == (0, 4)
-    blocks = [((5,), []), ((5, 7003), [1, 2]), ((2**40 + 3, 1, 2), []), ((), np.array([2**64 - 1], dtype=np.uint64))]
-    assert_streams_match(blocks)
 
 
 def test_no_ids_make_no_generate_state_pass(monkeypatch):

@@ -29,8 +29,8 @@ FEATURE_DIM = 4
 DIM = N_CLASSES * (FEATURE_DIM + 1)
 
 
-def shard(rng, n, scale=1.0):
-    labels = rng.integers(0, N_CLASSES, size=n)
+def shard(rng, n, scale=1.0, n_classes=N_CLASSES):
+    labels = rng.integers(0, n_classes, size=n)
     return DataShard(scale * rng.standard_normal((n, FEATURE_DIM)), labels)
 
 
@@ -85,19 +85,21 @@ def check(start, jobs, epochs, learning_rate, batch_size):
 @st.composite
 def seeded_rounds(draw):
     """A round, `(start, jobs, epochs, learning_rate, batch_size)`, and the
-    seed of each job's stream."""
+    seed of each job's stream. Its 3 or 9 classes put its softmax on either
+    side of `_SLICE_CLASSES`: class-major or row-major."""
+    n_classes = draw(st.sampled_from([N_CLASSES, 9]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     jobs, seeds = [], []
     for k in range(draw(st.integers(1, 7))):
         n = draw(st.integers(1, 40))
-        data = shard(rng, n)
+        data = shard(rng, n, n_classes=n_classes)
         # A whole shard, or a window that may wrap past the shard's end.
         offset = draw(st.integers(0, n - 1))
         quota = draw(st.one_of(st.none(), st.integers(1, n)))
-        val = shard(rng, draw(st.integers(1, 12)))
+        val = shard(rng, draw(st.integers(1, 12)), n_classes=n_classes)
         seeds.append(draw(st.integers(0, 2**64 - 1)))
         jobs.append(Job(f"node{k}", data, val, stream(seeds[-1]), offset, quota))
-    start = ModelParams(0.3 * rng.standard_normal(DIM))
+    start = ModelParams(0.3 * rng.standard_normal(n_classes * (FEATURE_DIM + 1)))
     epochs = draw(st.integers(1, 4))
     learning_rate = draw(st.sampled_from([1e-3, 0.05, 0.5]))
     batch_size = draw(st.integers(1, 9))
