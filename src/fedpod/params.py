@@ -208,6 +208,13 @@ _SLICE_CLASSES = 8
 _WIDE_ROWS = 256
 
 
+def _softmax_axes(n_classes: int) -> tuple[int, int, int]:
+    """The order in which `_stacked_gradient` and `_bind_costs` see (k,
+    length, n_classes) logits for the softmax: class-major (n_classes, k,
+    length) below `_SLICE_CLASSES` classes, row-major from it."""
+    return (2, 0, 1) if n_classes < _SLICE_CLASSES else (0, 1, 2)
+
+
 def _bind_costs(
     values: np.ndarray, store: DataShard, starts: np.ndarray, counts: np.ndarray, n_classes: int, feature_dim: int
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -217,16 +224,19 @@ def _bind_costs(
 
     One `take` of the store lays the models' rows back to back, grouped by
     count. A call runs one (k, size, feature_dim) product per group into its
-    slice of one (rows, n_classes) logits buffer and adds the biases, then
-    one pass over all rows (class max, label pick, log of the sum of
-    exponentials) and a row sum of each group's (k, size) losses over its
-    size. Each product has the shapes of the one-model cost in
-    `tests/_oracle.py` and every later step works element by element, row by
-    row or class by class, so each cost is the oracle's bit for bit. Below
-    `_SLICE_CLASSES` classes the bias add writes the logits class-major,
-    into one (n_classes, rows) buffer whose axis 0 the pass reduces, as
-    `_stacked_gradient` does; from it the pass reduces each row of the
-    logits. The caller holds the `np.errstate`.
+    slice of one (rows, n_classes) logits buffer and adds the biases into
+    one (rows, n_classes) softmax buffer, then one pass over all rows (class
+    max, label pick, log of the sum of exponentials) and a row sum of each
+    group's (k, size) losses over its size. Each product has the shapes of
+    the one-model cost in `tests/_oracle.py` and every later step works
+    element by element, row by row or class by class, so each cost is the
+    oracle's bit for bit. The softmax buffer is laid out in the axis order
+    of `_softmax_axes`: in F order below `_SLICE_CLASSES` classes, each
+    class's values contiguous as in `_stacked_gradient`, and in C order from
+    it. The bias add writes it in that order, and the class max and sum
+    reduce axis 0 of its transpose, whose inner loop runs along the rows
+    below the gate and along each row's classes from it. The caller holds
+    the `np.errstate`.
     """
     groups: dict[int, list[int]] = {}
     for i, count in enumerate(counts.tolist()):
@@ -237,15 +247,13 @@ def _bind_costs(
     features, labels = store.features.take(index, axis=0), store.labels.take(index)
     sizes = counts.astype(np.float64)
     rows, split = len(labels), n_classes * feature_dim
+    axes = _softmax_axes(n_classes)
+    layout = "F" if axes[0] == 2 else "C"
     models, group_costs = np.empty((len(order), values.shape[1])), np.empty(len(order))
-    logits, row, picked = np.empty((rows, n_classes)), np.empty(rows), np.empty(rows)
-    class_major = n_classes < _SLICE_CLASSES
-    if class_major:
-        softmax, axis, reduced, biases = np.empty((n_classes, rows)), 0, row[None], models[:, split:].T[:, :, None]
-        picks = labels * rows + np.arange(rows)
-    else:
-        softmax, axis, reduced, biases = logits, 1, row[:, None], models[:, None, split:]
-        picks = np.arange(rows) * n_classes + labels
+    logits, softmax = np.empty((rows, n_classes)), np.empty((rows, n_classes), order=layout)
+    row, picked = np.empty(rows), np.empty(rows)
+    by_class, reduced, flat = softmax.T, row[None], softmax.reshape(-1, order=layout)
+    picks = np.ravel_multi_index((np.arange(rows), labels), softmax.shape, order=layout)
     products, sums = [], []
     lo = row_lo = 0
     for size, group in groups.items():
@@ -253,14 +261,11 @@ def _bind_costs(
         hi, row_hi = lo + k, row_lo + k * size
         weights_t = models[lo:hi, :split].reshape(k, n_classes, feature_dim).transpose(0, 2, 1)
         z = logits[row_lo:row_hi].reshape(k, size, n_classes)
-        if class_major:
-            bias_add = z.transpose(2, 0, 1), biases[:, lo:hi], softmax[:, row_lo:row_hi].reshape(n_classes, k, size)
-        else:
-            bias_add = z, biases[lo:hi], z
-        products.append((features[row_lo:row_hi].reshape(k, size, feature_dim), weights_t, z, *bias_add))
+        bias_add = z.transpose(axes), models[lo:hi, None, split:].transpose(axes)
+        dst = softmax[row_lo:row_hi].reshape(k, size, n_classes).transpose(axes)
+        products.append((features[row_lo:row_hi].reshape(k, size, feature_dim), weights_t, z, *bias_add, dst))
         sums.append((row[row_lo:row_hi].reshape(k, size), group_costs[lo:hi]))
         lo, row_lo = hi, row_hi
-    flat = softmax.reshape(-1)
 
     def costs(out: np.ndarray) -> np.ndarray:
         # Every index is in range; "clip" spares `take` the copy of `out` it makes in "raise" mode.
@@ -268,11 +273,11 @@ def _bind_costs(
         for x, weights_t, z, z_view, bias, dst in products:
             np.matmul(x, weights_t, out=z)
             np.add(z_view, bias, out=dst)
-        np.maximum.reduce(softmax, axis=axis, keepdims=True, out=reduced)
-        np.subtract(softmax, reduced, out=softmax)
+        np.maximum.reduce(by_class, axis=0, keepdims=True, out=reduced)
+        np.subtract(by_class, reduced, out=by_class)
         flat.take(picks, out=picked, mode="clip")
-        np.exp(softmax, out=softmax)
-        np.add.reduce(softmax, axis=axis, keepdims=True, out=reduced)
+        np.exp(by_class, out=by_class)
+        np.add.reduce(by_class, axis=0, keepdims=True, out=reduced)
         np.log(row, out=row)
         np.subtract(row, picked, out=row)
         for losses, cost in sums:
@@ -368,50 +373,46 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _bind_steps(values: np.ndarray, grad: np.ndarray, runs: list, n_classes: int, feature_dim: int) -> list:
-    """The `_stacked_gradient` operands of every step of the gather `runs`
-    of `_step_plan`, bound once on the (jobs, dim) parameters `values` and
-    gradient `grad`: for each run (first, end, its feature and one-hot
-    batch buffers, its steps), each step as (lo, its parameter rows, its
+def _bind_steps(
+    values: np.ndarray, grad: np.ndarray, steps: list, batch_features: np.ndarray, batch_onehot: np.ndarray
+) -> list:
+    """The `_stacked_gradient` operands of every step of `_step_plan`'s
+    `steps`, bound once on the (jobs, dim) parameters `values` and gradient
+    `grad` and on an epoch's (rows, feature_dim) `batch_features` and (rows,
+    n_classes) `batch_onehot`: each step as (lo, its parameter rows, its
     gradient rows, its operands).
 
-    One feature and one one-hot buffer serve every run, its rows counted
-    from the run's first. The steps of one (k, length) shape share one
-    scratch: the (k, length, n_classes) logits, their transposed view for
-    the weight gradient, their view in the softmax's axis order, a
-    contiguous softmax buffer of that shape and the reduced buffer, whose
-    class axis has size 1. The order is class-major (n_classes, k, length)
-    below `_SLICE_CLASSES` classes and row-major from it; each step's
+    The steps of one (k, length) shape share one scratch: the (k, length,
+    n_classes) logits, their transposed view for the weight gradient, their
+    view in the `_softmax_axes` order, a contiguous softmax buffer of that
+    shape and the reduced buffer, whose class axis has size 1. Each step's
     biases are a view of its parameter rows in the same order. From
     `_WIDE_ROWS` stacked rows the bias gradient is reduced from a copy.
     """
+    (_, feature_dim), (_, n_classes) = batch_features.shape, batch_onehot.shape
     split = n_classes * feature_dim
     shape = (len(values), n_classes, feature_dim)
     weights_t = values[:, :split].reshape(shape).transpose(0, 2, 1)
     grad_w, grad_b = grad[:, :split].reshape(shape), grad[:, split:]
-    order = (2, 0, 1) if n_classes < _SLICE_CLASSES else (0, 1, 2)
+    order = _softmax_axes(n_classes)
     axis = order.index(2)
-    run_rows = max(end - first for first, end, _ in runs)
-    run_features, run_onehot = np.empty((run_rows, feature_dim)), np.empty((run_rows, n_classes))
     scratch: dict[tuple[int, int], tuple] = {}
-    bound = []
-    for first, end, steps in runs:
-        bound_steps = []
-        for lo, hi, length, row_lo, row_hi in steps:
-            k = hi - lo
-            if (k, length) not in scratch:
-                z = np.empty((k, length, n_classes))
-                z_view = z.transpose(order)
-                reduced = np.empty((k, length, 1)).transpose(order)
-                scratch[k, length] = z, z.transpose(0, 2, 1), z_view, np.empty(z_view.shape), reduced
-            z, z_t, z_view, softmax, reduced = scratch[k, length]
-            x = run_features[row_lo:row_hi].reshape(k, length, feature_dim)
-            onehot = run_onehot[row_lo:row_hi].reshape(k, length, n_classes)
-            bias = values[lo:hi, None, split:].transpose(order)
-            step = (x, weights_t[lo:hi], onehot, z, z_t, z_view, bias, softmax, axis, reduced)
-            step += (grad_w[lo:hi], grad_b[lo:hi], length, k * length >= _WIDE_ROWS)
-            bound_steps.append((lo, values[lo:hi], grad[lo:hi], step))
-        bound.append((first, end, run_features[: end - first], run_onehot[: end - first], bound_steps))
+    bound, row_hi = [], 0
+    for lo, hi, length in steps:
+        k = hi - lo
+        row_lo, row_hi = row_hi, row_hi + k * length
+        if (k, length) not in scratch:
+            z = np.empty((k, length, n_classes))
+            z_view = z.transpose(order)
+            reduced = np.empty((k, length, 1)).transpose(order)
+            scratch[k, length] = z, z.transpose(0, 2, 1), z_view, np.empty(z_view.shape), reduced
+        z, z_t, z_view, softmax, reduced = scratch[k, length]
+        x = batch_features[row_lo:row_hi].reshape(k, length, feature_dim)
+        onehot = batch_onehot[row_lo:row_hi].reshape(k, length, n_classes)
+        bias = values[lo:hi, None, split:].transpose(order)
+        step = (x, weights_t[lo:hi], onehot, z, z_t, z_view, bias, softmax, axis, reduced)
+        step += (grad_w[lo:hi], grad_b[lo:hi], length, k * length >= _WIDE_ROWS)
+        bound.append((lo, values[lo:hi], grad[lo:hi], step))
     return bound
 
 
@@ -488,12 +489,6 @@ def _stacked_gradient(step: tuple) -> None:
 _BLOCK_NODES = 128
 
 
-# Batch rows `_train_block` gathers at a time. Each epoch's batches are
-# gathered for a run of whole steps of at most this many rows, or for one
-# larger step alone, so the gathered features and one-hot labels stay small
-# however many rows a block trains on.
-_GATHER_ROWS = 2048
-
 # The int64 entries a round's batch orders may hold: `_train_block` draws a
 # block's orders for every epoch up front, (epochs, rows) at 8 bytes an
 # entry, and copies them twice, so a round past this bound could not be
@@ -501,31 +496,26 @@ _GATHER_ROWS = 2048
 _MAX_ORDER_ENTRIES = 2**27
 
 
-def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tuple[int, int, list]]]:
+def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """One epoch's SGD steps over jobs of ascending training `sizes`, whose
     rows lie back to back, job i's at sizes[:i].sum() onwards, as one flat
-    array of positions into the epoch's order and the steps in gather runs.
+    array of positions into the epoch's order and the list of steps.
 
     Job i's row r falls in its batch r // batch_size. At each batch offset,
     full batches are a suffix of the jobs and last batches ascend before it,
     so a step is jobs lo:hi that share a batch length there, one step per
     last-batch size and one for the full batches. `positions` holds every
     step's batch rows back to back, in step order, which within an offset
-    is job order: one stable sort of the rows by batch. A run (first, end,
-    steps) covers positions first:end; each of its steps is (lo, hi, length,
-    row lo, row hi), its rows counted from `first`. Runs split at whole
-    steps after at most `_GATHER_ROWS` rows.
+    is job order: one stable sort of the rows by batch. Each step is (lo,
+    hi, length); its (hi - lo) * length rows follow the previous step's.
     """
     batch_size = min(batch_size, int(sizes.max()))  # a larger batch takes the same steps, past int64 too
-    row_in_job = _ranges(np.zeros_like(sizes), sizes)
-    # numpy's default sort is not stable.
-    positions = np.argsort(row_in_job // batch_size, kind="stable")
+    # Each row's batch in its job; numpy's default sort is not stable.
+    positions = np.argsort(_ranges(np.zeros_like(sizes), sizes) // batch_size, kind="stable")
     sizes = sizes.tolist()
     if any(a > b for a, b in zip(sizes, sizes[1:])):
         raise ValidationError("jobs must be sorted by training size")
-    runs: list[tuple[int, int, list]] = []
-    first = end = 0
-    steps: list[tuple[int, int, int, int, int]] = []
+    steps: list[tuple[int, int, int]] = []
     for offset in range(0, sizes[-1], batch_size):
         lo = bisect_right(sizes, offset)
         full = bisect_left(sizes, offset + batch_size, lo)
@@ -534,14 +524,9 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[tup
                 hi, length = bisect_right(sizes, sizes[lo], lo, full), sizes[lo] - offset
             else:
                 hi, length = len(sizes), batch_size
-            step_end = end + (hi - lo) * length
-            if steps and step_end - first > _GATHER_ROWS:
-                runs.append((first, end, steps))
-                first, steps = end, []
-            steps.append((lo, hi, length, end - first, step_end - first))
-            lo, end = hi, step_end
-    runs.append((first, end, steps))
-    return positions, runs
+            steps.append((lo, hi, length))
+            lo = hi
+    return positions, steps
 
 
 def _train_block(
@@ -558,31 +543,45 @@ def _train_block(
     Returns the trained parameters (block, dim), the validation costs before
     the clip at 0 (epochs + 1, block), and the earliest fault of each job
     that diverged, by position in `block`, in the sequential oracle's order.
-    One index array gathers the windows, and `_bind_costs` the validation
-    rows, once; each epoch boundary scores all of them in one flat pass.
+    The windows' store rows are drawn into every epoch's batch orders once,
+    and `_bind_costs` gathers the validation rows once; each epoch boundary
+    scores all of them in one flat pass.
 
     Every SGD step's operands are bound once, by `_bind_steps`, and used in
     every epoch: views of the block's parameters `values` and of its one
-    gradient buffer, of the batch buffers that each gather run refills, and
-    the scratch that the steps of one shape share. `values` is therefore
-    only ever written in place: an epoch that is replayed restores it with
-    `values[:] = saved`. The gradient buffer is the step loop's: each step
-    scales its rows by the learning rate in place and subtracts them from
-    its parameters.
+    gradient buffer, of the batch features and one-hot labels that each
+    epoch takes from the store in one gather, and the scratch that the
+    steps of one shape share. `values` is therefore only ever written in
+    place: an epoch that is replayed restores it with `values[:] = saved`.
+    The gradient buffer is the step loop's: each step scales its rows by
+    the learning rate in place and subtracts them from its parameters.
     """
     n_classes, feature_dim = _classifier_dims(start, store)
-    # The jobs' windows back to back: job i owns sizes[i] rows from sum(sizes[:i]).
     sizes = jobs.quota[block]
+    positions, steps = _step_plan(sizes, batch_size)
+    # Each job's window as store rows, back to back: job i's from sum(sizes[:i]).
     rows = _ranges(jobs.offset[block], sizes) % np.repeat(jobs.train_count[block], sizes)
     rows += np.repeat(jobs.train_start[block], sizes)
-    features, labels = store.features.take(rows, axis=0), store.labels.take(rows)
-    eye = np.eye(n_classes)
+    # Each job's stream is its own, so drawing a job's epochs back to back
+    # gives the permutations a one-node trainer draws epoch by epoch. One
+    # `permuted` call shuffles each row of its window's rows as
+    # `permutation(n)` shuffles `arange(n)`, row after row: the window at
+    # the same orders, leaving the same stream state.
+    windows = np.broadcast_to(rows, (epochs, len(rows)))
+    ends = np.cumsum(sizes).tolist()
+    rngs = generators(jobs.streams[block])
+    orders = np.concatenate(
+        [rng.permuted(windows[:, end - n : end], axis=1) for n, end, rng in zip(sizes.tolist(), ends, rngs)], axis=1
+    )
+    # Each epoch's batch rows of the store, in step order.
+    orders = orders.take(positions, axis=1)
 
-    positions, runs = _step_plan(sizes, batch_size)
     values = np.tile(start.values, (len(block), 1))
     val_costs = _bind_costs(values, store, jobs.val_start[block], jobs.val_count[block], n_classes, feature_dim)
     grad = np.empty_like(values)
-    bound = _bind_steps(values, grad, runs, n_classes, feature_dim)
+    batch_features, batch_onehot = np.empty((len(rows), feature_dim)), np.empty((len(rows), n_classes))
+    bound = _bind_steps(values, grad, steps, batch_features, batch_onehot)
+    eye = np.eye(n_classes)
 
     costs = np.empty((epochs + 1, len(block)))
     diverged: dict[int, str] = {}
@@ -593,34 +592,21 @@ def _train_block(
             diverged.setdefault(int(j), f"validation cost at epoch {epoch}")
 
     def sgd(batches: np.ndarray, epoch: int | None) -> None:
-        for first, end, batch_features, batch_onehot, steps in bound:
-            # The run's batch rows, in step order. Every index is in range;
-            # "clip" spares `take` the copy it makes of `out` in "raise" mode.
-            features.take(batches[first:end], axis=0, out=batch_features, mode="clip")
-            eye.take(labels.take(batches[first:end]), axis=0, out=batch_onehot, mode="clip")
-            for lo, params, step_grad, step in steps:
-                _stacked_gradient(step)
-                if epoch is not None:
-                    # Checked before scaling, as the oracle checks the gradient.
-                    bad_grad = ~np.isfinite(step_grad).all(axis=1)
-                step_grad *= learning_rate
-                params -= step_grad
-                if epoch is not None:
-                    for j in np.flatnonzero(bad_grad | ~np.isfinite(params).all(axis=1)):
-                        fault = "gradient" if bad_grad[j] else "parameters"
-                        diverged.setdefault(lo + int(j), f"{fault} at epoch {epoch}")
+        # Every index is in range; "clip" spares `take` the copy it makes of `out` in "raise" mode.
+        store.features.take(batches, axis=0, out=batch_features, mode="clip")
+        eye.take(store.labels.take(batches), axis=0, out=batch_onehot, mode="clip")
+        for lo, params, step_grad, step in bound:
+            _stacked_gradient(step)
+            if epoch is not None:
+                # Checked before scaling, as the oracle checks the gradient.
+                bad_grad = ~np.isfinite(step_grad).all(axis=1)
+            step_grad *= learning_rate
+            params -= step_grad
+            if epoch is not None:
+                for j in np.flatnonzero(bad_grad | ~np.isfinite(params).all(axis=1)):
+                    fault = "gradient" if bad_grad[j] else "parameters"
+                    diverged.setdefault(lo + int(j), f"{fault} at epoch {epoch}")
 
-    # Each job's stream is its own, so drawing a job's epochs back to back
-    # gives the permutations a one-node trainer draws epoch by epoch. One
-    # `permuted` call shuffles each row of `arange(n)` as `permutation(n)`
-    # would, row after row: the same orders, leaving the same stream state.
-    # Job i's rows are the first sizes[i] columns of one broadcast arange.
-    aranges = np.broadcast_to(np.arange(sizes[-1]), (epochs, sizes[-1]))
-    rngs = generators(jobs.streams[block])
-    orders = np.concatenate([rng.permuted(aranges[:, :n], axis=1) for n, rng in zip(sizes.tolist(), rngs)], axis=1)
-    orders += np.repeat(np.cumsum(sizes) - sizes, sizes)
-    # Each epoch's batch rows, in step order.
-    orders = orders.take(positions, axis=1)
     # With a finite learning rate, a non-finite gradient or parameter leaves
     # its row non-finite through every later step, so one check at the end of
     # an epoch finds any divergence in it. That epoch is then replayed with

@@ -56,14 +56,12 @@ def random_updates(rng, n_nodes, dim=3):
 
 def stacked_gradient(values, features, onehot, n_classes, feature_dim):
     """`_stacked_gradient` of the k models `values` on their batches, bound
-    by `_bind_steps` as a run of one step on fresh buffers; a new (k, dim)
-    gradient."""
+    by `_bind_steps` as a plan of one step; a new (k, dim) gradient."""
     k, length = onehot.shape[:2]
     grad = np.empty_like(values)
-    runs = [(0, k * length, [(0, k, length, 0, k * length)])]
-    [(_, _, run_features, run_onehot, [(_, _, _, step)])] = _bind_steps(values, grad, runs, n_classes, feature_dim)
-    run_features[:] = features.reshape(-1, feature_dim)
-    run_onehot[:] = onehot.reshape(-1, n_classes)
+    batch_features = np.ascontiguousarray(features.reshape(-1, feature_dim))
+    batch_onehot = np.ascontiguousarray(onehot.reshape(-1, n_classes))
+    [(_, _, _, step)] = _bind_steps(values, grad, [(0, k, length)], batch_features, batch_onehot)
     _stacked_gradient(step)
     return grad
 

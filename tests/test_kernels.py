@@ -108,28 +108,29 @@ def test_stacked_cost_matches_the_one_model_oracle_bitwise_on_both_sides_of_the_
 def test_bound_steps_on_block_slices_with_stale_scratch_match_the_oracle_bitwise(stack, before, after):
     # As `_train_block` binds them, by `_bind_steps`: two steps of one
     # shape, jobs lo:hi of one parameter block and one gradient block,
-    # batches as rows of one run buffer, and one scratch between them, every
-    # buffer of which starts as NaN and keeps the other step's values. Each
-    # call writes its rows of the gradient and nothing else.
+    # batches as rows of one feature and one one-hot buffer, and one scratch
+    # between them, every buffer of which starts as NaN and keeps the other
+    # step's values. Each call writes its rows of the gradient and nothing else.
     values, features, labels, n_classes, feature_dim = stack
     k, length = labels.shape
     cases = [(values, features, labels), (values[::-1].copy(), features[::-1].copy(), labels[::-1].copy())]
     block = np.full((before + 2 * k + after, values.shape[1]), 0.5)
     grad = np.full_like(block, 7.0)
-    plan = [(before + i * k, before + (i + 1) * k, length, i * k * length, (i + 1) * k * length) for i in range(2)]
-    [(_, _, run, run_onehot, bound)] = _bind_steps(block, grad, [(0, 2 * k * length, plan)], n_classes, feature_dim)
+    plan = [(before + i * k, before + (i + 1) * k, length) for i in range(2)]
+    batch, batch_onehot = np.empty((2 * k * length, feature_dim)), np.empty((2 * k * length, n_classes))
+    bound = _bind_steps(block, grad, plan, batch, batch_onehot)
     first, second = (step for *_, step in bound)
     # The logits, the softmax buffer and the reduced one; the rest are views.
     scratch = first[3], first[7], first[9]
     assert all(a is b for a, b in zip(scratch, (second[3], second[7], second[9])))
-    for buffer in (run, run_onehot, *scratch):
+    for buffer in (batch, batch_onehot, *scratch):
         buffer.fill(np.nan)
     steps = []
     for i, ((v, f, y), (lo, *_, step)) in enumerate(zip(cases, bound)):
         rows = slice(i * k * length, (i + 1) * k * length)
         block[lo : lo + k] = v
-        run[rows] = f.reshape(-1, feature_dim)
-        run_onehot[rows] = np.eye(n_classes)[y.ravel()]
+        batch[rows] = f.reshape(-1, feature_dim)
+        batch_onehot[rows] = np.eye(n_classes)[y.ravel()]
         steps.append((lo, v, f, y, step))
     block_bytes = block.tobytes()
     written = np.zeros(len(block), dtype=bool)

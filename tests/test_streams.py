@@ -16,6 +16,9 @@ EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**96 + 7, 2**130 
 ints = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64 - 1), st.integers(0, 2**160))
 uint64s = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
 ID_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+# Prefixes short of the pool, filling it and past it: ids of one and two
+# words make keys of one width under the first three and of two under the rest.
+EDGE_PREFIXES = [(), (5,), (5, 7003), (5, 7003, 2), (2**40 + 3, 7003), (2**40 + 3, 7003, 2)]
 # Key rows of every entropy width from the pool's 4 words to 9.
 WIDTH_ROWS = [[0], [2**32 - 1, 2**32], [7, 7003, 3, 9], [2**64 - 1, 7004, 3, 9], [1, 2, 3, 4, 5], [2**200, 0, 1]]
 MULTIWORD_PREFIXES = [(2**64 - 1,), (2**96 + 7, 1), (2**40 + 3, 7003, 2), (2**200, 0, 2**33), (1, 2, 3, 4, 5, 6)]
@@ -94,6 +97,11 @@ id_columns = st.one_of(id_columns.map(lambda ids: np.array(ids, dtype=np.uint64)
 @example([row_block(EDGES[: i + 1]) for i in range(len(EDGES))])
 @example([row_block(row) for row in WIDTH_ROWS])
 @example([(prefix, np.arange(5)) for prefix in MULTIWORD_PREFIXES])
+# The id edges under every edge prefix, one block each: as an array, in
+# reverse and as ints.
+@example([(prefix, np.array(ID_EDGES, dtype=np.uint64)) for prefix in EDGE_PREFIXES])
+@example([(prefix, np.array(ID_EDGES[::-1], dtype=np.uint64)) for prefix in EDGE_PREFIXES])
+@example([(prefix, [0, 2**32 - 1, 2**32, 2**63 - 1]) for prefix in EDGE_PREFIXES])
 # Blocks of no ids among blocks of one width.
 @example([((5,), []), ((5, 7003), [1, 2]), ((2**40 + 3, 1, 2), []), ((), np.array([2**64 - 1], dtype=np.uint64))])
 # Blocks of mixed widths, interleaved.
@@ -111,16 +119,6 @@ def test_prefixed_blocks_match_numpy(blocks):
     # Lists of blocks, each under a prefix of its own, cut into one call
     # per key width; within each call the keys keep block order.
     assert_streams_match_by_width(blocks)
-
-
-@pytest.mark.parametrize("prefix", [(), (5,), (5, 7003), (5, 7003, 2), (2**40 + 3, 7003), (2**40 + 3, 7003, 2)])
-def test_ids_at_word_edges(prefix):
-    # One block whose ids make keys of two widths once the prefix fills
-    # the pool, cut into one call per width; as an array and as ints.
-    ids = np.array(ID_EDGES, dtype=np.uint64)
-    assert_streams_match_by_width([(prefix, ids)])
-    assert_streams_match_by_width([(prefix, ids[::-1])])
-    assert_streams_match_by_width([(prefix, [0, 2**32 - 1, 2**32, 2**63 - 1])])
 
 
 @pytest.mark.parametrize(

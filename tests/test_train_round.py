@@ -1,6 +1,8 @@
 """`train_round` against its oracle: the sequential `train_local` of
 `tests/_oracle.py` run node by node."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from fedpod import params
 from fedpod.errors import ShapeError, TrainingDivergenceError, ValidationError
 from fedpod.params import (
     _BLOCK_NODES,
-    _GATHER_ROWS,
     DataShard,
     ModelParams,
     RoundJobs,
@@ -178,33 +179,19 @@ def test_train_round_matches_train_local_at_deep_local_scale(epochs, n_whole):
     check(ModelParams(0.1 * rng.standard_normal(4 * 9)), jobs, epochs, 1e-3, 16)
 
 
-def unequal_runs_round(rng):
-    """Five jobs in one block, in batches of 9, whose last batches hold 9,
-    8, 1, 7 and 2 rows, and whose epoch splits into at least three gather
-    runs of unequal length."""
+def test_divergence_in_the_last_gather_run_is_found_by_the_replay():
+    # Five jobs in one block, in batches of 9, whose last batches hold 9, 8,
+    # 1, 7 and 2 rows. The largest job's last row in its first epoch's order
+    # overflows its logits, so its gradient. That row is in its last batch,
+    # which only the plan's last step trains, after every other step has
+    # read the epoch's one gather; the replay of epoch 1 runs every bound
+    # step again to find it.
+    rng = np.random.default_rng(32)
     sizes = [153, 611, 1342, 2005, 2891]
     geometry = blob_geometry(N_CLASSES, FEATURE_DIM, 31)
     train = blob_shards(sizes, geometry, rng)
     val = blob_shards([5, 9, 7, 5, 11], geometry, rng)
-    _, runs = _step_plan(np.array(sizes), 9)
-    assert len({end - first for first, end, _ in runs}) >= 3
-    return [Job(f"n{k}", t, v, stream(40 + k)) for k, (t, v) in enumerate(zip(train, val))]
-
-
-def test_reused_run_buffers_across_unequal_gather_runs_match_train_local():
-    # Every gather run refills the same batch buffers, and each step reads
-    # them at rows counted from its run's first row, epoch after epoch.
-    rng = np.random.default_rng(31)
-    check(ModelParams(0.1 * rng.standard_normal(DIM)), unequal_runs_round(rng), 2, 0.05, 9)
-
-
-def test_divergence_in_the_last_gather_run_is_found_by_the_replay():
-    # The largest job's last row in its first epoch's order overflows its
-    # logits, so its gradient. That row is in its last batch, which only the
-    # plan's last step trains, in the last gather run; the replay of epoch 1
-    # runs the bound steps of every run again to find it.
-    rng = np.random.default_rng(32)
-    jobs = unequal_runs_round(rng)
+    jobs = [Job(f"n{k}", t, v, stream(40 + k)) for k, (t, v) in enumerate(zip(train, val))]
     big = jobs[-1]
     features = big.shard.features.copy()
     features[np.random.default_rng(StreamSeed(big.stream)).permutation(len(features))[-1]] *= 1e300
@@ -543,9 +530,9 @@ def test_non_finite_parameters_stay_non_finite(injected, learning_rate, feature_
 @st.composite
 def plans(draw):
     """Sorted job sizes and a batch size: equal sizes, sizes below one batch
-    and exact multiples of it, or a mix, some long enough that the plan's
-    gather runs split; or, at workload scale, up to 300 jobs of up to 3,000
-    rows, drawn from a pool of sizes so that many jobs share one."""
+    and exact multiples of it, or a mix of sizes up to 700; or, at workload
+    scale, up to 300 jobs of up to 3,000 rows, drawn from a pool of sizes so
+    that many jobs share one."""
     if draw(st.integers(0, 3)) == 0:
         n_jobs = draw(st.integers(1, 300))
         pool = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=n_jobs))
@@ -565,29 +552,25 @@ def plans(draw):
     return np.sort(np.array(sizes)), batch_size
 
 
+def plan_rows(positions, steps):
+    """Each step of a flat plan as (lo, hi, its (hi - lo, length) batch
+    rows), the rows taken from `positions` step after step."""
+    got, row = [], 0
+    for lo, hi, length in steps:
+        got.append((lo, hi, positions[row : row + (hi - lo) * length].reshape(hi - lo, length).tolist()))
+        row += (hi - lo) * length
+    return got
+
+
 @settings(max_examples=200, deadline=None)
 @given(plans())
 def test_step_plan_matches_the_per_step_oracle(plan):
-    # The flat plan's runs tile its positions in order, each run's steps tile
-    # the run, and no run passes `_GATHER_ROWS` rows unless it is one step.
-    # Step by step, its jobs and batch rows are the per-step oracle's.
+    # The flat plan's steps tile its positions in order. Step by step, its
+    # jobs and batch rows are the per-step oracle's.
     sizes, batch_size = plan
-    positions, runs = _step_plan(sizes, batch_size)
-    assert len(positions) == sizes.sum()
-    got = []
-    run_first = 0
-    for first, end, steps in runs:
-        assert first == run_first and steps
-        assert end - first <= _GATHER_ROWS or len(steps) == 1
-        row = 0
-        for lo, hi, length, row_lo, row_hi in steps:
-            assert row_lo == row and row_hi - row_lo == (hi - lo) * length
-            got.append((lo, hi, positions[first + row_lo : first + row_hi].reshape(hi - lo, length).tolist()))
-            row = row_hi
-        assert first + row == end
-        run_first = end
-    assert run_first == len(positions)
-    assert got == [(lo, hi, rows.tolist()) for lo, hi, rows in step_plan(sizes, batch_size)]
+    positions, steps = _step_plan(sizes, batch_size)
+    assert len(positions) == sizes.sum() == sum((hi - lo) * length for lo, hi, length in steps)
+    assert plan_rows(positions, steps) == [(lo, hi, rows.tolist()) for lo, hi, rows in step_plan(sizes, batch_size)]
 
 
 def test_train_block_rejects_jobs_out_of_size_order():
@@ -700,14 +683,44 @@ def test_a_batch_past_the_largest_job_takes_the_steps_of_one_that_size(batch_siz
     # From the largest job's size on, every job's window is one batch: the
     # steps and positions of a batch of that size, also past int64's range.
     sizes = np.array([3, 5, 5, 9])
-    positions, runs = _step_plan(sizes, batch_size)
-    want_positions, want_runs = _step_plan(sizes, 9)
-    assert positions.tolist() == want_positions.tolist() and runs == want_runs
-    assert [(lo, hi, rows.tolist()) for lo, hi, rows in step_plan(sizes, 9)] == [
-        (lo, hi, positions[row_lo:row_hi].reshape(hi - lo, length).tolist())
-        for _, _, steps in runs
-        for lo, hi, length, row_lo, row_hi in steps
-    ]
+    positions, steps = _step_plan(sizes, batch_size)
+    want_positions, want_steps = _step_plan(sizes, 9)
+    assert positions.tolist() == want_positions.tolist() and steps == want_steps
+    assert plan_rows(positions, steps) == [(lo, hi, rows.tolist()) for lo, hi, rows in step_plan(sizes, 9)]
     rng = np.random.default_rng(19)
     jobs = [Job(f"n{k}", shard(rng, n), shard(rng, 3), stream(k)) for k, n in enumerate(sizes.tolist())]
     check(ModelParams(0.1 * rng.standard_normal(DIM)), jobs, 2, 0.05, batch_size)
+
+
+@pytest.mark.parametrize("n_classes", [4, 9])
+@pytest.mark.parametrize("epochs", [1, 4])
+def test_train_round_memory_grows_by_its_batch_buffers_a_row(epochs, n_classes):
+    # A perf contract: one block of 4 jobs, 8 features as the benchmark's
+    # workloads, in batches of 16, on 2,000 and then 8,000 training rows a
+    # job. The traced peak may grow, per extra training row, by what the
+    # design holds for a row: the epoch's batch features and one-hot labels;
+    # its batch orders, 8 bytes an epoch; three index columns, the windows'
+    # store rows, the step-order positions and the epoch's batch labels;
+    # and its share of the bound steps' views, at most 1.5 KB a step of 4
+    # jobs x 16 rows. A second copy of the windows or of the orders passes it.
+    feature_dim, n_jobs, val = 8, 4, 16
+    rng = np.random.default_rng(33)
+    start = ModelParams(0.1 * rng.standard_normal(n_classes * (feature_dim + 1)))
+    streams = np.array([stream(k) for k in range(n_jobs)])
+    peaks = []
+    for quota in (2_000, 8_000):
+        train = n_jobs * quota
+        store = DataShard(
+            rng.standard_normal((train + n_jobs * val, feature_dim)), rng.integers(0, n_classes, train + n_jobs * val)
+        )
+        at = np.arange(n_jobs)
+        ids, quotas, vals = tuple(f"n{k}" for k in at), [quota] * n_jobs, [val] * n_jobs
+        jobs = RoundJobs(ids, at * quota, quotas, train + at * val, vals, [0] * n_jobs, quotas, streams)
+        tracemalloc.start()
+        try:
+            train_round(start, store, jobs, epochs, 1e-3, 16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    bound = 8 * (feature_dim + n_classes) + 8 * epochs + 3 * 8 + 1536 / (n_jobs * 16)
+    assert (peaks[1] - peaks[0]) / (n_jobs * 6_000) <= bound
